@@ -166,20 +166,66 @@ func BenchmarkAllreduceScalar(b *testing.B) {
 }
 
 // BenchmarkHaloExchange measures one collective halo exchange on the
-// distributed operator (4 ranks, 1024-row stencil): the per-iteration
-// communication cost every MulVecDist pays.
-func BenchmarkHaloExchange(b *testing.B) {
-	a := Laplacian2D(32)
-	const ranks = 4
+// distributed operator (4 ranks, 1024-row stencil, two neighbors per
+// rank): the per-iteration communication cost every MulVecDist pays.
+func BenchmarkHaloExchange(b *testing.B) { benchHaloExchange(b, Laplacian2D(32), 4) }
+
+// BenchmarkHaloExchangeAllToAll is the same exchange where every rank
+// neighbors every other, so each op moves p·(p-1) messages and every
+// inbox takes posts from p-1 senders: the regime of the paper's small
+// dense-banded matrices on many ranks, which the stencil cannot show.
+// Steady state must be 0 allocs/op.
+func BenchmarkHaloExchangeAllToAll(b *testing.B) {
+	for _, ranks := range []int{16, 32} {
+		b.Run(fmt.Sprintf("p%d", ranks), func(b *testing.B) {
+			benchHaloExchange(b, denseCoupled(ranks, 26), ranks)
+		})
+	}
+}
+
+// denseCoupled returns a structurally symmetric matrix of ranks·rows
+// rows in which every row has one entry in each rank's block of columns,
+// so under a block-row partition every rank needs halo values from every
+// other.
+func denseCoupled(ranks, rows int) *Matrix {
+	n := ranks * rows
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for blk := 0; blk < ranks; blk++ {
+			j := blk*rows + i%rows
+			v := -1.0
+			if j == i {
+				v = float64(ranks)
+			}
+			coo.Add(i, j, v)
+		}
+	}
+	return coo.ToCSR()
+}
+
+// benchHaloExchange times b.N halo exchanges of a on the given number of
+// ranks. Operator setup and enough warm-up exchanges to fill every
+// queue's buffer free list happen before the timer (and the allocation
+// count) is reset.
+func benchHaloExchange(b *testing.B, a *Matrix, ranks int) {
 	part := sparse.NewPartition(a.Rows, ranks)
 	b.ReportAllocs()
-	b.ResetTimer()
 	_, err := cluster.Run(ranks, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
 		op := solver.NewLocalOp(c, a, part)
 		x := make([]float64, op.N)
 		for i := range x {
 			x[i] = float64(i % 13)
 		}
+		for i := 0; i < 100; i++ {
+			op.GatherHalo(c, x)
+		}
+		// Only rank 0 touches b, between two barriers that order it
+		// against every rank's timed loop.
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		c.Barrier()
 		for i := 0; i < b.N; i++ {
 			op.GatherHalo(c, x)
 		}

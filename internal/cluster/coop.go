@@ -9,19 +9,18 @@ import (
 // Exactly one rank goroutine is ever runnable: ownership of the single
 // scheduling token is handed from rank to rank through per-rank
 // capacity-1 channels, so the channel operations provide the
-// happens-before edges that make the shared collective/mailbox state
+// happens-before edges that make the shared collective and inbox state
 // race-free without any mutex. A rank executes until it must block — a
 // receive with an empty queue, a collective it is not the last arriver
 // of — then parks and hands the token to the next runnable rank in
 // cyclic rank order.
 //
 // Readiness is event-driven, not polled: posting a message marks exactly
-// the rank parked on that queue runnable, and completing a collective
-// generation marks exactly its parked waiters runnable. The
-// cond.Broadcast storms of the goroutine mode — every post wakes every
-// blocked receiver, which re-locks and re-checks its queue — have no
-// cooperative equivalent, and runnability is a bitmask scan, O(1) per
-// 64 ranks.
+// the rank parked on that queue runnable (the same inbox.waitQ test that
+// decides the goroutine mode's cond.Signal), and completing a collective
+// generation marks exactly its parked waiters runnable, where the
+// goroutine mode broadcasts to all of them. Runnability is a bitmask
+// scan, O(1) per 64 ranks.
 //
 // Determinism: results never depend on the resume order in the first
 // place — reductions combine in rank order and all costs are virtual
@@ -40,11 +39,11 @@ type coopSched struct {
 	// runnable marks ranks that may be handed the token; parked marks
 	// ranks blocked inside a primitive (the force-wake and abort sets);
 	// collWait marks the subset parked on the in-flight collective
-	// generation. waitKey[r] is the queue a mail-parked rank needs.
+	// generation. Which queue a mail-parked rank needs is its inbox's
+	// waitQ.
 	runnable rankMask
 	parked   rankMask
 	collWait rankMask
-	waitKey  []mkey
 
 	nLive int
 	done  chan struct{}
@@ -112,7 +111,6 @@ func newCoopSched(rt *Runtime) *coopSched {
 		runnable: newRankMask(rt.p),
 		parked:   newRankMask(rt.p),
 		collWait: newRankMask(rt.p),
-		waitKey:  make([]mkey, rt.p),
 	}
 	for r := range s.resume {
 		s.resume[r] = make(chan struct{}, 1)
@@ -150,12 +148,12 @@ func (s *coopSched) run(body func(rank int)) {
 // plain increment is race-free.
 func (s *coopSched) noteProgress() { s.progress++ }
 
-// wakeMail marks the rank parked on queue k (if any) runnable. Only the
-// queue's receiver can be parked on it, so this is one bit test.
-func (s *coopSched) wakeMail(k mkey) {
+// wakeMail notes a message posted to rank `to` and marks that rank
+// runnable iff it is parked on the queue the message joined.
+func (s *coopSched) wakeMail(to int, parked bool) {
 	s.progress++
-	if s.parked.has(k.to) && s.waitKey[k.to] == k {
-		s.runnable.set(k.to)
+	if parked {
+		s.runnable.set(to)
 	}
 }
 
@@ -231,10 +229,9 @@ func (s *coopSched) parkColl(rank int) {
 	<-s.resume[rank]
 }
 
-// parkMail parks the calling rank until a message is queued on key (or
-// the runtime dies), running other ranks meanwhile.
-func (s *coopSched) parkMail(rank int, key mkey) {
-	s.waitKey[rank] = key
+// parkMail parks the calling rank until a message is queued on its
+// inbox's waitQ (or the runtime dies), running other ranks meanwhile.
+func (s *coopSched) parkMail(rank int) {
 	s.parked.set(rank)
 	s.handoff(rank)
 	<-s.resume[rank]

@@ -3,10 +3,6 @@ package cluster
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"resilience/internal/platform"
-	"resilience/internal/power"
 )
 
 // runWithWatchdog runs fn on p ranks and fails the test if the run does
@@ -15,19 +11,7 @@ import (
 // of hanging the suite.
 func runWithWatchdog(t *testing.T, p int, fn func(c *Comm) error) error {
 	t.Helper()
-	type result struct{ err error }
-	done := make(chan result, 1)
-	go func() {
-		_, err := Run(p, platform.Default(), power.NewMeter(false), fn)
-		done <- result{err: err}
-	}()
-	select {
-	case r := <-done:
-		return r.err
-	case <-time.After(30 * time.Second):
-		t.Fatal("run hung: deadlock detector did not fire within 30s")
-		return nil
-	}
+	return runSchedWatchdog(t, SchedAuto, p, fn)
 }
 
 func TestDeadlockMismatchedCollective(t *testing.T) {

@@ -7,122 +7,128 @@ import (
 	"resilience/internal/obs"
 )
 
-// mailbox implements matched point-to-point messaging with per-channel
-// FIFO ordering, the semantics block-row CG's halo exchange needs.
-// Payload buffers are pooled: Send copies into a pooled buffer and
-// RecvInto returns it after copying out, so a steady-state halo exchange
-// performs no allocations.
-type mailbox struct {
-	rt     *Runtime
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[mkey]*msgQueue
-	pool   sync.Pool // of *payload
-	dead   bool
+// inbox is one rank's receiving side of point-to-point messaging: every
+// message addressed to the rank is queued here, on the FIFO of its
+// (sender, tag) channel — the matching semantics block-row CG's halo
+// exchange needs. Each inbox has its own lock, so a post contends only
+// with other traffic to the same receiver, and its own cond on which only
+// the owning rank ever waits, so a post wakes exactly the rank that needs
+// the message, and only when that rank is parked on that very queue.
+type inbox struct {
+	// sched is the runtime's cooperative scheduler, nil in goroutine
+	// mode. Under it exactly one rank runs at a time, so mu and cond go
+	// unused and blocking is a scheduler park.
+	sched *coopSched
+	mu    sync.Mutex
+	cond  sync.Cond // L is &mu
+
+	// waitQ is the queue the owner is parked on, nil while it runs.
+	waitQ *msgQueue
+
+	// from[s] holds sender s's queues, one per tag seen on the channel.
+	// A channel carries a handful of tags at most (setup and halo in a
+	// CG solve), so finding one is an index and a short scan.
+	from [][]*msgQueue
 }
 
-type mkey struct{ from, to, tag int }
-
-// msgQueue is one (from, to, tag) channel's FIFO. Queues are looked up
-// once per post/dequeue and then mutated through the pointer, so the
-// steady-state halo exchange pays one map access per message end, not
-// one per touch.
+// msgQueue is one (from, to, tag) channel's FIFO. It lives behind a
+// pointer so a receiver parked on it is not disturbed when another tag
+// first appears on the same channel.
 type msgQueue struct {
+	tag  int
 	msgs []message
+
+	// free holds payload buffers the receiver has copied out of, for the
+	// sender's next posts: a steady-state halo exchange allocates nothing.
+	free [][]float64
 }
 
 type message struct {
-	pl     *payload
+	data   []float64
 	arrive float64 // virtual arrival time at the receiver
 }
 
-// payload is a pooled message buffer. Pooling pointers to the struct
-// (rather than slices) avoids boxing a fresh interface value on every
-// Put.
-type payload struct {
-	data []float64
-}
-
-func newMailbox(rt *Runtime) *mailbox {
-	mb := &mailbox{rt: rt, queues: make(map[mkey]*msgQueue)}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-// queue returns (creating if needed) the FIFO for k. Callers must hold
-// the mailbox locked (goroutine mode) or the scheduling token (coop).
-func (mb *mailbox) queue(k mkey) *msgQueue {
-	q := mb.queues[k]
-	if q == nil {
-		q = &msgQueue{}
-		mb.queues[k] = q
+// newInboxes builds the p inboxes of one runtime in two allocations, so
+// starting a small runtime per job stays cheap.
+func newInboxes(p int, sched *coopSched) []inbox {
+	inboxes := make([]inbox, p)
+	channels := make([][]*msgQueue, p*p)
+	for r := range inboxes {
+		ib := &inboxes[r]
+		ib.sched = sched
+		ib.cond.L = &ib.mu
+		ib.from = channels[r*p : (r+1)*p : (r+1)*p]
 	}
+	return inboxes
+}
+
+// lock/unlock guard the inbox in goroutine mode; no-ops under the
+// cooperative scheduler (token handoff supplies the happens-before edges).
+func (ib *inbox) lock() {
+	if ib.sched == nil {
+		ib.mu.Lock()
+	}
+}
+
+func (ib *inbox) unlock() {
+	if ib.sched == nil {
+		ib.mu.Unlock()
+	}
+}
+
+// queue returns (creating if needed) the FIFO for messages from rank
+// `from` with the given tag. Callers must hold the inbox locked
+// (goroutine mode) or the scheduling token (coop).
+func (ib *inbox) queue(from, tag int) *msgQueue {
+	for _, q := range ib.from[from] {
+		if q.tag == tag {
+			return q
+		}
+	}
+	q := &msgQueue{tag: tag}
+	ib.from[from] = append(ib.from[from], q)
 	return q
 }
 
-// lock/unlock guard the mailbox in goroutine mode; no-ops under the
-// cooperative scheduler, where exactly one rank runs at a time.
-func (mb *mailbox) lock() {
-	if mb.rt.sched == nil {
-		mb.mu.Lock()
+// buffer returns a payload buffer of length n, recycled when the free
+// list has one large enough.
+func (q *msgQueue) buffer(n int) []float64 {
+	if k := len(q.free); k > 0 {
+		buf := q.free[k-1]
+		q.free[k-1] = nil
+		q.free = q.free[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
 	}
+	return make([]float64, n)
 }
 
-func (mb *mailbox) unlock() {
-	if mb.rt.sched == nil {
-		mb.mu.Unlock()
-	}
+// pop removes the oldest message. It shifts the queue down in place
+// instead of re-slicing from the front, keeping the backing array
+// anchored so a sender running several exchanges ahead of its receiver
+// never forces the queue to reallocate on append.
+func (q *msgQueue) pop() message {
+	msg := q.msgs[0]
+	n := copy(q.msgs, q.msgs[1:])
+	q.msgs[n] = message{}
+	q.msgs = q.msgs[:n]
+	return msg
 }
 
-// wake publishes a newly queued message on k: broadcast in goroutine
-// mode (every blocked receiver wakes, re-locks and re-checks its own
-// queue), an exact wake of k's receiver — one bit test — in cooperative
-// mode.
-func (mb *mailbox) wake(k mkey) {
-	if s := mb.rt.sched; s != nil {
-		s.wakeMail(k)
-		return
+// wakeInboxes wakes every rank blocked in a receive so it re-runs its
+// checks (exited sender, aborted run). Goroutine mode only. Each inbox
+// mutex is taken and released before the broadcast so an owner cannot
+// evaluate its checks and go to sleep across the state change that
+// prompted the call.
+func (rt *Runtime) wakeInboxes() {
+	for r := range rt.inboxes {
+		ib := &rt.inboxes[r]
+		ib.mu.Lock()
+		//lint:ignore SA2001 empty critical section orders the flag before the wake-up
+		ib.mu.Unlock()
+		ib.cond.Broadcast()
 	}
-	mb.cond.Broadcast()
-}
-
-// waitFor blocks the rank until a message may be queued on k: cond.Wait
-// in goroutine mode, a scheduler park in cooperative mode. Either way
-// the caller re-checks the queue on return.
-func (mb *mailbox) waitFor(rank int, k mkey) {
-	if s := mb.rt.sched; s != nil {
-		s.parkMail(rank, k)
-		return
-	}
-	mb.cond.Wait()
-}
-
-func (mb *mailbox) getPayload(n int) *payload {
-	pl, _ := mb.pool.Get().(*payload)
-	if pl == nil {
-		pl = &payload{}
-	}
-	if cap(pl.data) < n {
-		pl.data = make([]float64, n)
-	}
-	pl.data = pl.data[:n]
-	return pl
-}
-
-func (mb *mailbox) putPayload(pl *payload) {
-	mb.pool.Put(pl)
-}
-
-func (mb *mailbox) abort() {
-	if s := mb.rt.sched; s != nil {
-		mb.dead = true
-		s.wakeAll()
-		return
-	}
-	mb.mu.Lock()
-	mb.dead = true
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
 }
 
 // Send transmits a copy of data to rank `to` with the given tag. The
@@ -151,20 +157,23 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	c.post(to, tag, data, c.clock)
 }
 
-// post copies data into a pooled payload and enqueues it with the given
-// arrival time.
+// post copies data into a buffer of the (rank→to, tag) queue and
+// enqueues it with the given arrival time, waking the receiver iff it is
+// parked on that queue.
 func (c *Comm) post(to, tag int, data []float64, arrive float64) {
-	mb := c.rt.mail
-	pl := mb.getPayload(len(data))
-	copy(pl.data, data)
-	msg := message{pl: pl, arrive: arrive}
-
-	mb.lock()
-	k := mkey{from: c.rank, to: to, tag: tag}
-	q := mb.queue(k)
-	q.msgs = append(q.msgs, msg)
-	mb.unlock()
-	mb.wake(k)
+	ib := &c.rt.inboxes[to]
+	ib.lock()
+	q := ib.queue(c.rank, tag)
+	buf := q.buffer(len(data))
+	copy(buf, data)
+	q.msgs = append(q.msgs, message{data: buf, arrive: arrive})
+	parked := ib.waitQ == q
+	ib.unlock()
+	if s := ib.sched; s != nil {
+		s.wakeMail(to, parked)
+	} else if parked {
+		ib.cond.Signal()
+	}
 }
 
 // SendReq is the completion handle returned by ISend.
@@ -242,57 +251,52 @@ func (r *RecvReq) Wait() {
 		panic("cluster: RecvReq.Wait called twice")
 	}
 	r.done = true
-	c := r.c
-	c.checkAbort()
-	msg := c.dequeue(r.from, r.tag)
-	c.advanceTo(msg.arrive, obs.SpanRecv)
-	if c.obs != nil {
-		c.obs.AddRecv(int64(8 * len(msg.pl.data)))
-	}
-	if len(msg.pl.data) != len(r.dst) {
-		panic(fmt.Sprintf("cluster: IRecvInto got %d values for a %d-length buffer", len(msg.pl.data), len(r.dst)))
-	}
-	copy(r.dst, msg.pl.data)
-	c.rt.mail.putPayload(msg.pl)
+	r.c.recvInto(r.from, r.tag, r.dst, "IRecvInto")
 }
 
-// dequeue pops the oldest message on (from→rank, tag), blocking until one
-// arrives. The pop shifts the queue down in place instead of re-slicing
-// from the front, keeping the backing array anchored so a sender running
-// several exchanges ahead of its receiver never forces the queue to
-// reallocate on append.
-func (c *Comm) dequeue(from, tag int) message {
+// await blocks until a message is queued on (from→rank, tag) and returns
+// the rank's inbox, locked, with that non-empty queue.
+func (c *Comm) await(from, tag int) (*inbox, *msgQueue) {
 	if from < 0 || from >= c.rt.p {
 		panic(fmt.Sprintf("cluster: Recv from invalid rank %d", from))
 	}
-	mb := c.rt.mail
-	k := mkey{from: from, to: c.rank, tag: tag}
-	mb.lock()
-	mq := mb.queue(k)
-	for len(mq.msgs) == 0 && !mb.dead {
+	ib := &c.rt.inboxes[c.rank]
+	ib.lock()
+	q := ib.queue(from, tag)
+	for len(q.msgs) == 0 && !c.rt.abortFlag.Load() {
 		// Deadlock check: an exited sender can never post the message we
 		// are waiting for. Abort with a diagnostic instead of hanging; the
-		// abort sets mb.dead, so continue (not wait) past our own wake-up.
+		// abort raises abortFlag, so continue (not wait) past our own
+		// wake-up.
 		if c.rt.isExited(from) {
 			err := fmt.Errorf("cluster: deadlock: rank %d blocked receiving from rank %d (tag %d), which exited without sending", c.rank, from, tag)
-			mb.unlock()
+			ib.unlock()
 			c.rt.abort(err)
-			mb.lock()
+			ib.lock()
 			continue
 		}
-		mb.waitFor(c.rank, k)
+		ib.waitQ = q
+		if s := ib.sched; s != nil {
+			s.parkMail(c.rank)
+		} else {
+			ib.cond.Wait()
+		}
+		ib.waitQ = nil
 	}
-	if mb.dead {
-		mb.unlock()
+	if c.rt.abortFlag.Load() {
+		ib.unlock()
 		panic(abortPanic{err: fmt.Errorf("cluster: recv on aborted runtime")})
 	}
-	q := mq.msgs
-	msg := q[0]
-	n := copy(q, q[1:])
-	q[n] = message{}
-	mq.msgs = q[:n]
-	mb.unlock()
-	return msg
+	return ib, q
+}
+
+// arrived advances the virtual clock to a received message's arrival
+// time (charged at wait power) and counts its n values.
+func (c *Comm) arrived(arrive float64, n int) {
+	c.advanceTo(arrive, obs.SpanRecv)
+	if c.obs != nil {
+		c.obs.AddRecv(int64(8 * n))
+	}
 }
 
 // Recv blocks until a message from rank `from` with the given tag is
@@ -300,32 +304,40 @@ func (c *Comm) dequeue(from, tag int) message {
 // wait power), and returns the payload as a fresh slice.
 func (c *Comm) Recv(from, tag int) []float64 {
 	c.checkAbort()
-	msg := c.dequeue(from, tag)
-	c.advanceTo(msg.arrive, obs.SpanRecv)
-	if c.obs != nil {
-		c.obs.AddRecv(int64(8 * len(msg.pl.data)))
-	}
-	out := make([]float64, len(msg.pl.data))
-	copy(out, msg.pl.data)
-	c.rt.mail.putPayload(msg.pl)
-	return out
+	ib, q := c.await(from, tag)
+	msg := q.pop()
+	ib.unlock()
+	c.arrived(msg.arrive, len(msg.data))
+	// The queue's buffer itself: nothing else references it once popped.
+	// Capacity is clipped because a recycled buffer may be longer.
+	return msg.data[:len(msg.data):len(msg.data)]
 }
 
 // RecvInto is Recv without the allocation: the payload is copied into
 // dst, which must match the message length exactly, and the internal
 // buffer is recycled.
 func (c *Comm) RecvInto(from, tag int, dst []float64) {
+	c.recvInto(from, tag, dst, "RecvInto")
+}
+
+// recvInto is the body of RecvInto and RecvReq.Wait; op names the caller
+// in the length-mismatch panic. The copy and the buffer's return to the
+// queue's free list happen under the inbox lock the dequeue already
+// holds.
+func (c *Comm) recvInto(from, tag int, dst []float64, op string) {
 	c.checkAbort()
-	msg := c.dequeue(from, tag)
-	c.advanceTo(msg.arrive, obs.SpanRecv)
-	if c.obs != nil {
-		c.obs.AddRecv(int64(8 * len(msg.pl.data)))
+	ib, q := c.await(from, tag)
+	msg := q.pop()
+	n := len(msg.data)
+	if n == len(dst) {
+		copy(dst, msg.data)
 	}
-	if len(msg.pl.data) != len(dst) {
-		panic(fmt.Sprintf("cluster: RecvInto got %d values for a %d-length buffer", len(msg.pl.data), len(dst)))
+	q.free = append(q.free, msg.data)
+	ib.unlock()
+	c.arrived(msg.arrive, n)
+	if n != len(dst) {
+		panic(fmt.Sprintf("cluster: %s got %d values for a %d-length buffer", op, n, len(dst)))
 	}
-	copy(dst, msg.pl.data)
-	c.rt.mail.putPayload(msg.pl)
 }
 
 // SendInts / RecvInts move integer payloads (setup-phase exchanges of

@@ -1,6 +1,6 @@
 // Package cluster is the message-passing substrate that stands in for MPI
 // (offline substitution: no MPI implementation is practical here). Ranks
-// are goroutines exchanging data through typed mailboxes and tree-modeled
+// are goroutines exchanging data through per-rank inboxes and tree-modeled
 // collectives, exactly as a block-row CG would over MPI.
 //
 // Time is virtual. Every rank owns a clock that advances by modeled costs:
@@ -29,6 +29,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -50,14 +51,17 @@ const (
 	// the preemptive one) and defaults to SchedGoroutine.
 	SchedAuto SchedMode = iota
 	// SchedGoroutine runs one preemptively-scheduled goroutine per rank
-	// with mutex/cond blocking — the original runtime and the golden
+	// with mutex/cond blocking: one lock and cond for the collectives
+	// (completion broadcasts to the generation's waiters), one of each
+	// per receiving rank for point-to-point (a post signals only the
+	// receiver parked on its queue). The original runtime and the golden
 	// oracle the cooperative mode is pinned against.
 	SchedGoroutine
 	// SchedCoop runs all ranks as run-to-block coroutines stepped by a
 	// deterministic cooperative scheduler: exactly one rank executes at
 	// a time, until it blocks on a receive or a collective, and the
 	// scheduler then resumes the next runnable rank in rank order. No
-	// mutexes, no condition-variable broadcasts, no spurious wake-ups.
+	// mutexes, no condition variables, no spurious wake-ups.
 	SchedCoop
 )
 
@@ -107,19 +111,25 @@ type Options struct {
 }
 
 // Runtime couples P ranks to a platform and a meter for one parallel run.
+// It is single-use: the exit set, the abort state and any messages left
+// queued describe that one run, so build a new Runtime per Run. A second
+// Run returns an error without starting any rank.
 type Runtime struct {
 	p     int
 	plat  *platform.Platform
 	meter *power.Meter
 	rec   *obs.Recorder
 
-	coll *collectiveState
-	mail *mailbox
+	coll    *collectiveState
+	inboxes []inbox // indexed by receiving rank
 
 	// sched is non-nil iff the runtime runs in cooperative mode. The
 	// wait/wake sites in collectives.go and p2p.go branch on it: nil
 	// means mutex/cond blocking, non-nil means park in the scheduler.
 	sched *coopSched
+
+	// started is set by the first Run; see the single-use note above.
+	started atomic.Bool
 
 	// abortFlag is the hot-path view of "has any rank failed": checkAbort
 	// runs before every operation, so it reads one atomic instead of
@@ -157,7 +167,6 @@ func NewRuntimeOpts(p int, plat *platform.Platform, meter *power.Meter, opts Opt
 	// meter's lock-free single-writer path (core id = rank).
 	meter.Reserve(p)
 	rt.coll = newCollectiveState(p, rt)
-	rt.mail = newMailbox(rt)
 	mode := opts.Sched
 	if mode == SchedAuto {
 		mode = schedFromEnv()
@@ -165,6 +174,7 @@ func NewRuntimeOpts(p int, plat *platform.Platform, meter *power.Meter, opts Opt
 	if mode == SchedCoop {
 		rt.sched = newCoopSched(rt)
 	}
+	rt.inboxes = newInboxes(p, rt.sched)
 	return rt
 }
 
@@ -178,10 +188,11 @@ func (rt *Runtime) Sched() SchedMode {
 
 // markExited records that a rank's function returned and wakes every
 // blocked waiter so it can re-run its deadlock check. In goroutine mode
-// each wait mutex is taken (and released) before its broadcast so a
-// waiter cannot evaluate the check and go to sleep across the
-// transition; in cooperative mode the scheduler's progress note plays
-// the same role (parked ranks re-check when next stepped).
+// each wait mutex — the collective state's and every inbox's — is taken
+// (and released) before its broadcast so a waiter cannot evaluate the
+// check and go to sleep across the transition; in cooperative mode the
+// scheduler's progress note plays the same role (parked ranks re-check
+// when next stepped).
 func (rt *Runtime) markExited(rank int) {
 	w := &rt.exited[rank>>6]
 	bit := uint64(1) << (uint(rank) & 63)
@@ -199,10 +210,7 @@ func (rt *Runtime) markExited(rank int) {
 	//lint:ignore SA2001 empty critical section orders the flag before the wake-up
 	rt.coll.mu.Unlock()
 	rt.coll.cond.Broadcast()
-	rt.mail.mu.Lock()
-	//lint:ignore SA2001 see above
-	rt.mail.mu.Unlock()
-	rt.mail.cond.Broadcast()
+	rt.wakeInboxes()
 }
 
 // isExited reports whether a rank's function has returned.
@@ -231,8 +239,13 @@ func (rt *Runtime) abort(err error) {
 	if first {
 		telemetry.DefaultFlight().Note("cluster-abort", "", err.Error())
 	}
+	// Blocked receivers read abortFlag, raised above. In cooperative
+	// mode coll.abort has just made every parked rank runnable, the ones
+	// parked on a receive included.
 	rt.coll.abort()
-	rt.mail.abort()
+	if rt.sched == nil {
+		rt.wakeInboxes()
+	}
 }
 
 func (rt *Runtime) aborted() error {
@@ -252,27 +265,31 @@ func Run(p int, plat *platform.Platform, meter *power.Meter, fn func(c *Comm) er
 	return rt.Run(fn)
 }
 
-// Run executes fn on every rank of this runtime.
+// Run executes fn on every rank of this runtime. It may be called once
+// per Runtime.
 func (rt *Runtime) Run(fn func(c *Comm) error) (maxClock float64, err error) {
+	if !rt.started.CompareAndSwap(false, true) {
+		return 0, errors.New("cluster: Runtime.Run called twice: a Runtime is single-use, build a new one for each run")
+	}
 	clocks := make([]float64, rt.p)
 	errs := make([]error, rt.p)
 	body := func(rank int) {
 		c := newComm(rank, rt)
 		defer func() {
 			clocks[rank] = c.clock
-			rec := recover()
-			// Exit is marked before abort handling so waiters woken by
-			// either path re-evaluate against the final exit set.
-			rt.markExited(rank)
-			if rec != nil {
+			if rec := recover(); rec != nil {
 				if ap, ok := rec.(abortPanic); ok {
 					errs[rank] = ap.err
-					return
+				} else {
+					err := fmt.Errorf("cluster: rank %d panicked: %v", rank, rec)
+					errs[rank] = err
+					rt.abort(err)
 				}
-				err := fmt.Errorf("cluster: rank %d panicked: %v", rank, rec)
-				errs[rank] = err
-				rt.abort(err)
 			}
+			// Exit is marked after the rank's own failure is on record: a
+			// waiter the exit wakes would otherwise diagnose the missing
+			// rank as a deadlock and win the race to be the run's error.
+			rt.markExited(rank)
 		}()
 		if e := fn(c); e != nil {
 			errs[rank] = e

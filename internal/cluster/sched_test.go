@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"resilience/internal/platform"
 	"resilience/internal/power"
@@ -94,19 +93,7 @@ func TestCoopMatchesGoroutine(t *testing.T) {
 // regardless of RES_SCHED.
 func runCoopWatchdog(t *testing.T, p int, fn func(c *Comm) error) error {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		rt := NewRuntimeOpts(p, platform.Default(), power.NewMeter(false), Options{Sched: SchedCoop})
-		_, err := rt.Run(fn)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(30 * time.Second):
-		t.Fatal("run hung: cooperative scheduler did not detect the stall within 30s")
-		return nil
-	}
+	return runSchedWatchdog(t, SchedCoop, p, fn)
 }
 
 // TestCoopDeadlockDiagnostics re-runs the named-rank deadlock scenarios

@@ -36,11 +36,13 @@ type LocalOp struct {
 	RowBlock *sparse.CSR // A_{p,:} with global column indices
 	localA   *sparse.CSR // RowBlock with remapped columns
 
-	neighbors []int         // peer ranks, ascending
-	needIdx   map[int][]int // global cols needed from each neighbor (sorted)
-	sendIdx   map[int][]int // local row offsets each neighbor needs from us
-	recvSlot  map[int][]int // ghost slots for each neighbor's values, in needIdx order
-	ghostSlot map[int]int   // global col -> ghost slot
+	// The halo plan. neighbors lists the peer ranks, ascending; the
+	// per-neighbor slices below are indexed by position in it, so the
+	// per-iteration exchange walks them without a lookup.
+	neighbors []int
+	sendIdx   [][]int     // local row offsets each neighbor needs from us
+	recvSlot  [][]int     // ghost slots for each neighbor's values, in the order it sends them
+	ghostSlot map[int]int // global col -> ghost slot
 	nGhost    int
 
 	xbuf    []float64 // [own | ghost] assembled vector
@@ -65,8 +67,8 @@ type LocalOp struct {
 	// Per-neighbor owned buffers for the overlapped path: every posted
 	// send and pending receive keeps its own storage, so in-flight
 	// payloads never alias whatever staging buffer the next post reuses.
-	sendBufs map[int][]float64
-	recvBufs map[int][]float64
+	sendBufs [][]float64
+	recvBufs [][]float64
 	recvReqs []cluster.RecvReq
 }
 
@@ -141,35 +143,35 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 		Lo:       lo,
 		N:        hi - lo,
 		RowBlock: part.RowBlock(a, r),
-		needIdx:  make(map[int][]int),
-		sendIdx:  make(map[int][]int),
 	}
 
-	// Group halo columns by owner.
+	// Group halo columns by owner. The columns come sorted and block rows
+	// are contiguous, so each owner's columns are one run and the owners
+	// appear in ascending order.
 	halo := part.HaloCols(a, r)
 	op.ghostSlot = make(map[int]int, len(halo))
+	var needIdx [][]int // global cols needed from each neighbor (sorted)
 	for slot, col := range halo {
 		op.ghostSlot[col] = slot
 		owner := part.Owner(col)
-		op.needIdx[owner] = append(op.needIdx[owner], col)
+		if n := len(op.neighbors); n == 0 || op.neighbors[n-1] != owner {
+			op.neighbors = append(op.neighbors, owner)
+			needIdx = append(needIdx, nil)
+			op.recvSlot = append(op.recvSlot, nil)
+		}
+		i := len(op.neighbors) - 1
+		needIdx[i] = append(needIdx[i], col)
+		op.recvSlot[i] = append(op.recvSlot[i], slot)
 	}
 	op.nGhost = len(halo)
-	for o := range op.needIdx {
-		op.neighbors = append(op.neighbors, o)
+	if !sort.IntsAreSorted(op.neighbors) {
+		panic("solver: halo columns not grouped by ascending owner")
 	}
-	sort.Ints(op.neighbors)
 
-	// Precompute ghost slots per neighbor and size the receive buffer so
-	// the per-iteration halo exchange does no map lookups or allocations.
-	op.recvSlot = make(map[int][]int, len(op.neighbors))
+	// Size the receive buffer so the per-iteration halo exchange does no
+	// allocations.
 	maxNeed := 0
-	for _, o := range op.neighbors {
-		cols := op.needIdx[o]
-		slots := make([]int, len(cols))
-		for i, col := range cols {
-			slots[i] = op.ghostSlot[col]
-		}
-		op.recvSlot[o] = slots
+	for _, cols := range needIdx {
 		if len(cols) > maxNeed {
 			maxNeed = len(cols)
 		}
@@ -177,10 +179,11 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	op.recvBuf = make([]float64, maxNeed)
 
 	// Pairwise exchange of need lists (symmetric neighbor relation).
-	for _, o := range op.neighbors {
-		c.SendInts(o, tagSetup, op.needIdx[o])
+	for i, o := range op.neighbors {
+		c.SendInts(o, tagSetup, needIdx[i])
 	}
-	for _, o := range op.neighbors {
+	op.sendIdx = make([][]int, len(op.neighbors))
+	for ni, o := range op.neighbors {
 		theirCols := c.RecvInts(o, tagSetup)
 		idx := make([]int, len(theirCols))
 		for i, col := range theirCols {
@@ -189,7 +192,7 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 			}
 			idx[i] = col - lo
 		}
-		op.sendIdx[o] = idx
+		op.sendIdx[ni] = idx
 	}
 
 	// Remap the row block columns into [own | ghost] indexing.
@@ -229,11 +232,11 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	op.boundary = newBlockRows(la, bdyRows)
 
 	// Per-neighbor owned buffers for the overlapped halo exchange.
-	op.sendBufs = make(map[int][]float64, len(op.neighbors))
-	op.recvBufs = make(map[int][]float64, len(op.neighbors))
-	for _, o := range op.neighbors {
-		op.sendBufs[o] = make([]float64, len(op.sendIdx[o]))
-		op.recvBufs[o] = make([]float64, len(op.needIdx[o]))
+	op.sendBufs = make([][]float64, len(op.neighbors))
+	op.recvBufs = make([][]float64, len(op.neighbors))
+	for i := range op.neighbors {
+		op.sendBufs[i] = make([]float64, len(op.sendIdx[i]))
+		op.recvBufs[i] = make([]float64, len(op.recvSlot[i]))
 	}
 	op.recvReqs = make([]cluster.RecvReq, len(op.neighbors))
 	return op
@@ -306,8 +309,8 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 		defer func() { o.Span(obs.SpanHalo, start, c.Clock()-start) }()
 	}
 	copy(op.xbuf[:op.N], x)
-	for _, o := range op.neighbors {
-		idx := op.sendIdx[o]
+	for ni, o := range op.neighbors {
+		idx := op.sendIdx[ni]
 		if cap(op.sendBuf) < len(idx) {
 			op.sendBuf = make([]float64, len(idx))
 		}
@@ -317,8 +320,8 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 		}
 		c.Send(o, tagHalo, buf)
 	}
-	for _, o := range op.neighbors {
-		slots := op.recvSlot[o]
+	for ni, o := range op.neighbors {
+		slots := op.recvSlot[ni]
 		vals := op.recvBuf[:len(slots)]
 		c.RecvInto(o, tagHalo, vals)
 		ghost := op.xbuf[op.N:]
@@ -361,15 +364,15 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 		panic(fmt.Sprintf("solver: MulVecDist len(x)=%d, want %d", len(x), op.N))
 	}
 	copy(op.xbuf[:op.N], x)
-	for _, o := range op.neighbors {
-		buf := op.sendBufs[o]
-		for i, li := range op.sendIdx[o] {
+	for ni, o := range op.neighbors {
+		buf := op.sendBufs[ni]
+		for i, li := range op.sendIdx[ni] {
 			buf[i] = x[li]
 		}
 		c.ISend(o, tagHalo, buf)
 	}
-	for i, o := range op.neighbors {
-		op.recvReqs[i] = c.IRecvInto(o, tagHalo, op.recvBufs[o])
+	for ni, o := range op.neighbors {
+		op.recvReqs[ni] = c.IRecvInto(o, tagHalo, op.recvBufs[ni])
 	}
 
 	// Interior rows read only owned entries of xbuf, so they are safe to
@@ -386,10 +389,10 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 	}
 
 	ghost := op.xbuf[op.N:]
-	for i, o := range op.neighbors {
-		op.recvReqs[i].Wait()
-		vals := op.recvBufs[o]
-		for j, slot := range op.recvSlot[o] {
+	for ni := range op.neighbors {
+		op.recvReqs[ni].Wait()
+		vals := op.recvBufs[ni]
+		for j, slot := range op.recvSlot[ni] {
 			ghost[slot] = vals[j]
 		}
 	}

@@ -21,6 +21,12 @@ go vet ./...
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
     ./internal/service/... ./internal/telemetry/...
 
+# The cluster's per-inbox wait/wake state is reached by every rank
+# goroutine at once: repeat its suite under the race detector, with a
+# timeout far below the default so a lost wake-up fails instead of
+# hanging the gate.
+go test -race -count=10 -timeout 5m ./internal/cluster
+
 # Flake audit: the chaos and service suites lean hardest on goroutine
 # pools, httptest servers, and arrival-order-independent determinism
 # contracts — run them five times under the race detector so ordering
@@ -59,11 +65,13 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 # (attaching one may allocate for span storage; that variant is measured
 # by BenchmarkCGIterationObserved but not gated). Gated under both
 # schedulers and both SpMV layouts: the CG iteration on the goroutine
-# default and on the cooperative scheduler, plus the blocked SELL kernel.
-go test -run '^$' -bench '^BenchmarkCGIteration(Coop)?$|^BenchmarkSpMVSELL$' \
+# default and on the cooperative scheduler, the blocked SELL kernel, and
+# the all-to-all halo exchange at 16 and 32 ranks (every inbox fed by
+# every other rank, which the 4-rank CG iteration cannot show).
+go test -run '^$' -bench '^BenchmarkCGIteration(Coop)?$|^BenchmarkSpMVSELL$|^BenchmarkHaloExchangeAllToAll$' \
     -benchmem -benchtime 2000x . |
-    awk '/^BenchmarkCGIteration[^O]|^BenchmarkSpMVSELL/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
-         END { exit (bad || found != 3) }'
+    awk '/^BenchmarkCGIteration[^O]|^BenchmarkSpMVSELL|^BenchmarkHaloExchangeAllToAll\// { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
+         END { exit (bad || found != 5) }'
 
 # The cache serving hot paths (hit, miss, single-flight join) run once
 # per request on the daemon and must also stay allocation-free.
