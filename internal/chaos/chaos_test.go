@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"resilience/internal/core"
+	"resilience/internal/fault"
 )
 
 // TestScenarioArgsRoundTrip: Args/ParseArgs are exact inverses over
@@ -223,4 +225,48 @@ func TestBreakInvariantReportsAndShrinks(t *testing.T) {
 // fakeReport builds the minimal report the classifier reads.
 func fakeReport(converged bool, iters int) *core.RunReport {
 	return &core.RunReport{Converged: converged, Iters: iters}
+}
+
+// TestRunnerBaselinesStayBounded: the tolerance is client-controlled when
+// a Runner serves network verdict jobs, so a long stream of distinct
+// tolerances must not grow the baseline table past its cap — and a
+// verdict computed after an eviction must equal a fresh Runner's.
+func TestRunnerBaselinesStayBounded(t *testing.T) {
+	rn := NewRunner(Options{})
+	scenario := func(i int) *Scenario {
+		return &Scenario{
+			Grid: 6, Ranks: 2, Scheme: "LI", Tol: 1e-3 * math.Pow(0.9, float64(i)), Seed: 1,
+			Faults: []FaultSpec{{Class: fault.SNF, Rank: 1, Iter: 3}},
+		}
+	}
+	verdict := func(rn *Runner, s *Scenario) string {
+		t.Helper()
+		res := rn.Run(0, s)
+		if res.Failed() {
+			t.Fatalf("%s", res.Line())
+		}
+		return VerdictOf(res).Encode()
+	}
+	const n = 2 * core.BaselineCap
+	for i := 0; i < n; i++ {
+		verdict(rn, scenario(i))
+	}
+	sys := rn.system(6)
+	if got := sys.BaselineRuns(); got != n {
+		t.Fatalf("%d baseline runs for %d tolerances", got, n)
+	}
+	// The newest cap tolerances are resident; the older ones were evicted
+	// and are recomputed to the same verdict.
+	for i := n - core.BaselineCap; i < n; i++ {
+		verdict(rn, scenario(i))
+	}
+	if got := sys.BaselineRuns(); got != n {
+		t.Errorf("resident baselines were recomputed (%d runs, want %d)", got, n)
+	}
+	if got, want := verdict(rn, scenario(0)), verdict(NewRunner(Options{}), scenario(0)); got != want {
+		t.Errorf("verdict after eviction differs from a fresh runner's\n got %s\nwant %s", got, want)
+	}
+	if got := sys.BaselineRuns(); got != n+1 {
+		t.Errorf("%d baseline runs, want %d: the oldest tolerance should have been evicted", got, n+1)
+	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestESRTwoRankSimultaneousZeroRollback(t *testing.T) {
 	}
 	// Zero rollback also means zero extra iterations beyond the exact
 	// run's: compare against the fault-free baseline on the same system.
-	ff, err := rn.faultFree(s)
+	ff, err := rn.faultFree(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

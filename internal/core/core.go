@@ -266,9 +266,12 @@ type resMonitor struct {
 	cfg      *RunConfig
 	scheme   recovery.Scheme
 	injector fault.Injector
-	rng      *rand.Rand
-	faults   []fault.Fault
-	pending  []pendingFault
+	// rng drives the corruption patterns. Only a struck rank draws from
+	// it, so it is seeded on first use: most ranks of most runs never pay
+	// for seeding the 607-word source.
+	rng     *rand.Rand
+	faults  []fault.Fault
+	pending []pendingFault
 	// ctx, when non-nil, is polled at every iteration boundary so a
 	// canceled or expired context aborts the run promptly. Only set for
 	// cancellable contexts — Run's Background context costs nothing.
@@ -325,6 +328,9 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 		}
 		// Destroy/corrupt the dynamic data on the struck rank (Fig. 2b).
 		if it.C.Rank() == f.Rank {
+			if m.rng == nil {
+				m.rng = rand.New(rand.NewSource(m.cfg.Seed + 7919))
+			}
 			fault.Apply(fault.EffectOf(f.Class), it.State.X, m.rng)
 		}
 		// Silent corruptions propagate until detected (DetectDelay
@@ -413,6 +419,28 @@ func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	return checkpoint.YoungPolicy(tC, s.CkptMTBF, iterSec), nil
 }
 
+// resolve validates the system and rank count and fills in the platform
+// and tolerance defaults, so that two configurations that spell a default
+// differently compare equal (System keys its baselines on that).
+func (cfg *RunConfig) resolve() error {
+	if cfg.A == nil || cfg.A.Rows != cfg.A.Cols || len(cfg.B) != cfg.A.Rows {
+		return fmt.Errorf("core: invalid system (A %v, len(b)=%d)", cfg.A, len(cfg.B))
+	}
+	if cfg.Ranks <= 0 || cfg.Ranks > cfg.A.Rows {
+		return fmt.Errorf("core: invalid rank count %d for n=%d", cfg.Ranks, cfg.A.Rows)
+	}
+	if cfg.Plat == nil {
+		cfg.Plat = platform.Default()
+	}
+	if err := cfg.Plat.Validate(); err != nil {
+		return err
+	}
+	if cfg.Tol <= 0 {
+		cfg.Tol = 1e-12
+	}
+	return nil
+}
+
 // Run executes one resilient solve and reports its metrics.
 func Run(cfg RunConfig) (*RunReport, error) {
 	return RunContext(context.Background(), cfg)
@@ -429,20 +457,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			return nil, fmt.Errorf("core: run canceled before start: %w", err)
 		}
 	}
-	if cfg.A == nil || cfg.A.Rows != cfg.A.Cols || len(cfg.B) != cfg.A.Rows {
-		return nil, fmt.Errorf("core: invalid system (A %v, len(b)=%d)", cfg.A, len(cfg.B))
-	}
-	if cfg.Ranks <= 0 || cfg.Ranks > cfg.A.Rows {
-		return nil, fmt.Errorf("core: invalid rank count %d for n=%d", cfg.Ranks, cfg.A.Rows)
-	}
-	if cfg.Plat == nil {
-		cfg.Plat = platform.Default()
-	}
-	if err := cfg.Plat.Validate(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-12
 	}
 
 	part := sparse.NewPartition(cfg.A.Rows, cfg.Ranks)
@@ -470,11 +486,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			return err
 		}
 		schemes[c.Rank()] = scheme
-		mon := &resMonitor{
-			cfg:    &cfg,
-			scheme: scheme,
-			rng:    rand.New(rand.NewSource(cfg.Seed + 7919)),
-		}
+		mon := &resMonitor{cfg: &cfg, scheme: scheme}
 		if ctx != nil && ctx.Done() != nil {
 			mon.ctx = ctx
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -159,34 +160,17 @@ func Get(id string) (Runner, bool) {
 
 // --- shared run helpers ------------------------------------------------
 
-// system is a generated workload with its cached fault-free baseline.
-// Generation and each per-rank-count baseline run exactly once; concurrent
-// cells needing the same entry block on the winner instead of holding a
-// global lock, so distinct systems generate and solve in parallel.
+// system is a generated workload. Generation runs exactly once, and sys
+// owns the fault-free baselines: concurrent cells needing the same one
+// block on the winner instead of holding a global lock, so distinct
+// systems generate and solve in parallel.
 type system struct {
 	once   sync.Once
 	genErr error
 	spec   matgen.Spec
 	a      *coreMatrix
 	b      []float64
-
-	mu sync.Mutex
-	ff map[ffKey]*ffEntry
-}
-
-// ffKey identifies one fault-free baseline variant. Overlap changes the
-// modeled time (not the numerics), so overlapped and fused baselines are
-// cached separately.
-type ffKey struct {
-	ranks   int
-	overlap bool
-}
-
-// ffEntry is one fault-free baseline computed with once semantics.
-type ffEntry struct {
-	once sync.Once
-	rep  *core.RunReport
-	err  error
+	sys    *core.System
 }
 
 // coreMatrix aliases the sparse matrix type without re-importing it in
@@ -207,7 +191,7 @@ func (c Config) loadSystem(name string) (*system, error) {
 	sysMu.Lock()
 	s, ok := sysCache[key]
 	if !ok {
-		s = &system{ff: map[ffKey]*ffEntry{}}
+		s = &system{}
 		sysCache[key] = s
 	}
 	sysMu.Unlock()
@@ -221,6 +205,7 @@ func (c Config) loadSystem(name string) (*system, error) {
 		s.spec = spec
 		s.a = spec.Generate(scale)
 		s.b, _ = matgen.RHS(s.a)
+		s.sys = core.NewSystem(s.a, s.b)
 	})
 	if s.genErr != nil {
 		return nil, s.genErr
@@ -257,32 +242,25 @@ func (c Config) baseConfig(s *system) core.RunConfig {
 	return rc
 }
 
-// faultFree returns the cached fault-free distributed baseline, computing
-// it exactly once per (system, rank count) even under concurrent cells.
+// faultFree returns the shared fault-free distributed baseline of the
+// config's standard solve.
 func (c Config) faultFree(s *system) (*core.RunReport, error) {
-	rc := c.baseConfig(s)
-	key := ffKey{ranks: rc.Ranks, overlap: rc.Overlap}
-	s.mu.Lock()
-	e, ok := s.ff[key]
-	if !ok {
-		e = &ffEntry{}
-		s.ff[key] = e
+	return s.faultFree(c.baseConfig(s))
+}
+
+// faultFree returns the shared, converged fault-free baseline of rc's
+// solver variant (ranks, overlap, preconditioning), computing it exactly
+// once even under concurrent cells.
+func (s *system) faultFree(rc core.RunConfig) (*core.RunReport, error) {
+	r, err := s.sys.FaultFree(context.Background(), rc)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: FF baseline for %s: %w", s.spec.Name, err)
 	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		r, err := core.Run(rc)
-		if err != nil {
-			e.err = fmt.Errorf("experiments: FF baseline for %s: %w", s.spec.Name, err)
-			return
-		}
-		if !r.Converged {
-			e.err = fmt.Errorf("experiments: FF baseline for %s did not converge (relres %g after %d iters)",
-				s.spec.Name, r.RelRes, r.Iters)
-			return
-		}
-		e.rep = r
-	})
-	return e.rep, e.err
+	if !r.Converged {
+		return nil, fmt.Errorf("experiments: FF baseline for %s did not converge (relres %g after %d iters)",
+			s.spec.Name, r.RelRes, r.Iters)
+	}
+	return r, nil
 }
 
 // runScheme executes one scheme with the standard evenly-spaced fault

@@ -34,15 +34,9 @@ func runAblationPCG(cfg Config) (*Result, error) {
 	err = cfg.runCells(len(variants), func(i int) error {
 		rcFF := cfg.baseConfig(s)
 		rcFF.Jacobi = variants[i]
-		ff, err := core.Run(rcFF)
-		if err != nil {
-			return err
-		}
-		if !ff.Converged {
-			return fmt.Errorf("experiments: %s FF did not converge", labels[i])
-		}
+		ff, err := s.faultFree(rcFF)
 		ffs[i] = ff
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

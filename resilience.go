@@ -26,6 +26,7 @@
 package resilience
 
 import (
+	"context"
 	"fmt"
 
 	"resilience/internal/cluster"
@@ -147,7 +148,12 @@ type SolveOptions struct {
 	MaxIters int
 
 	// Faults > 0 injects that many faults evenly spaced over the
-	// fault-free iteration count (the paper's Section 5.2 protocol).
+	// fault-free iteration count (the paper's Section 5.2 protocol). That
+	// fault-free baseline is computed once per system and solver
+	// configuration (ranks, tolerance, iteration cap, preconditioning,
+	// overlap, platform) and shared by every later Solve on the same A and
+	// b, whatever its scheme, seed or fault count; the system is recognised
+	// by content, so changing A or b in place between calls is safe.
 	Faults int
 	// MTBF > 0 instead injects Poisson faults with this mean time between
 	// failures in virtual seconds (the Section 5.3 protocol). At most one
@@ -185,6 +191,11 @@ type SolveOptions struct {
 	Observer *Recorder
 	Seed     int64
 }
+
+// systems owns the fault-free baselines Solve anchors fault schedules on.
+// It is content-addressed because callers own a and b and may change them
+// in place between calls.
+var systems = new(core.Systems)
 
 // Solve runs a resilient distributed CG solve of A x = b.
 func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
@@ -228,15 +239,15 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		seed := opts.Seed
 		if opts.Faults > 0 {
 			// The schedule is anchored on the fault-free iteration count.
-			// The baseline run is internal scaffolding: keep it out of the
-			// caller's trace and recorder.
-			ff := cfg
-			ff.Scheme = core.SchemeSpec{Kind: core.FF}
-			ff.Trace = nil
-			ff.Obs = nil
-			ffRep, err := core.Run(ff)
+			// The baseline run is internal scaffolding, shared across
+			// solves and kept out of the caller's trace and recorder.
+			ffRep, err := systems.For(a, b).FaultFree(context.Background(), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("resilience: fault-free baseline: %w", err)
+			}
+			if !ffRep.Converged {
+				return nil, fmt.Errorf("resilience: fault-free baseline did not converge (relres %g after %d iters)",
+					ffRep.RelRes, ffRep.Iters)
 			}
 			nFaults := opts.Faults
 			ffIters := ffRep.Iters

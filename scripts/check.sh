@@ -2,6 +2,8 @@
 # Repo health check: formatting and the tier-1 gate, a race-detector pass
 # over the packages with real concurrency (the simulated cluster, the
 # solvers that run inside it, and the parallel experiment engine), a
+# shared-baseline gate (core.System and the facade's content-addressed
+# table under the race detector; one fault-free run per scheme basket), a
 # seeded chaos fault campaign under the race detector, short fuzz smokes
 # over the seed corpora, the observation-disabled zero-allocation gate,
 # a service integration gate (resilienced under a seeded resilience-load
@@ -26,6 +28,17 @@ go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiment
 # timeout far below the default so a lost wake-up fails instead of
 # hanging the gate.
 go test -race -count=10 -timeout 5m ./internal/cluster
+
+# Shared fault-free baseline: core.System's single-flight table is
+# reached by every concurrent solve of one system, and the facade finds
+# its System by content. Repeat both suites under the race detector, then
+# gate what the sharing is for: the benchmark's six-scheme basket (LI,
+# LI-DVFS, LSI-DVFS, CR-M, CR-D, RD, 5 faults) on one system performs
+# exactly one fault-free run.
+go test -race -count=5 -timeout 5m -run 'FaultFree|Systems' ./internal/core
+go test -race -count=5 -timeout 5m -run '^TestSolveBaseline' .
+go test -count=1 -v -run '^TestSolveBaselineOncePerBasket$' . |
+    grep -q '^--- PASS: TestSolveBaselineOncePerBasket'
 
 # Flake audit: the chaos and service suites lean hardest on goroutine
 # pools, httptest servers, and arrival-order-independent determinism
