@@ -129,25 +129,6 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMVSELL is BenchmarkSpMV with the SELL-C-σ blocked layout:
-// same matrix, bitwise-identical products, so the two rows compare the
-// kernels directly.
-func BenchmarkSpMVSELL(b *testing.B) {
-	a := Laplacian2D(128)
-	s := sparse.NewSELLFromCSR(a, sparse.DefaultSELLC, sparse.DefaultSELLSigma)
-	x := make([]float64, a.Rows)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	b.SetBytes(int64(8 * a.NNZ()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MulVec(y, x)
-	}
-}
-
 // BenchmarkAllreduceScalar measures one scalar allreduce across 4
 // simulated ranks per op. The setup cost of the cluster is amortized over
 // b.N; steady state must be 0 allocs/op (the scalar fast path never
@@ -272,26 +253,20 @@ func BenchmarkMulVecDistOverlap(b *testing.B) { benchMulVecDist(b, true) }
 // re-anchored from a zeroed iterate every 50 iterations with pure
 // copies, so the loop runs indefinitely; steady state must be 0
 // allocs/op.
-func BenchmarkCGIteration(b *testing.B) { benchCGIteration(b, false, cluster.SchedAuto) }
+func BenchmarkCGIteration(b *testing.B) { benchCGIteration(b, false) }
 
 // BenchmarkCGIterationObserved is the same loop with a span recorder
 // attached: the cost of observability when it is on. Span appends
 // amortize but are not allocation-free, so only the tracing-off variant
 // is part of the 0 allocs/op gate.
-func BenchmarkCGIterationObserved(b *testing.B) { benchCGIteration(b, true, cluster.SchedAuto) }
+func BenchmarkCGIterationObserved(b *testing.B) { benchCGIteration(b, true) }
 
-// BenchmarkCGIterationCoop pins the cooperative scheduler explicitly
-// (BenchmarkCGIteration resolves RES_SCHED, defaulting to goroutine).
-// The 0 allocs/op gate covers it: cooperative handoffs must stay off the
-// heap.
-func BenchmarkCGIterationCoop(b *testing.B) { benchCGIteration(b, false, cluster.SchedCoop) }
-
-func benchCGIteration(b *testing.B, observed bool, mode cluster.SchedMode) {
+func benchCGIteration(b *testing.B, observed bool) {
 	a := Laplacian2D(32) // 1024 rows
 	rhs, _ := RHS(a)
 	const ranks = 4
 	part := sparse.NewPartition(a.Rows, ranks)
-	rt := cluster.NewRuntimeOpts(ranks, platform.Default(), power.NewMeter(false), cluster.Options{Sched: mode})
+	rt := cluster.NewRuntime(ranks, platform.Default(), power.NewMeter(false))
 	if observed {
 		rt.SetRecorder(NewRecorder())
 	}

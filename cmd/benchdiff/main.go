@@ -65,7 +65,8 @@ type File struct {
 	GitRevision string `json:"git_revision,omitempty"`
 	GitDirty    bool   `json:"git_dirty,omitempty"`
 	// E2EFig3Seconds is the wall-clock of one fig3 end-to-end run at the
-	// given scale, per scheduler mode ("goroutine", "coop"); min of 3.
+	// given scale, under the key "goroutine" (the name earlier BENCH
+	// files used for the surviving runtime); min of 3.
 	E2EFig3Seconds map[string]float64 `json:"e2e_fig3_seconds,omitempty"`
 	E2EFig3Scale   string             `json:"e2e_fig3_scale,omitempty"`
 	Benchmarks     map[string]Record  `json:"benchmarks"`
@@ -163,16 +164,7 @@ func kernelSuite() []namedBench {
 	}
 	return []namedBench{
 		{"SpMV/Laplacian2D-128", func(b *testing.B) {
-			a := resilience.Laplacian2D(128)
-			x, y := make([]float64, a.Rows), make([]float64, a.Rows)
-			for i := range x {
-				x[i] = float64(i % 31)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MulVec(y, x)
-			}
+			benchSpMV(b, 128)
 		}},
 		{"SpMVTransAdd/Laplacian2D-128", func(b *testing.B) {
 			a := resilience.Laplacian2D(128)
@@ -330,35 +322,19 @@ func kernelSuite() []namedBench {
 				sp.End()
 			}
 		}},
-		// ClusterStep is the scheduler acceptance benchmark: one
-		// bidirectional ring halo exchange plus a scalar allreduce per op
-		// at p=16 — the communication skeleton of a distributed CG
-		// iteration with the numerics stripped out, so the goroutine/coop
-		// pair isolates pure scheduling overhead.
+		// ClusterStep is one bidirectional ring halo exchange plus a
+		// scalar allreduce per op at p=16 — the communication skeleton of
+		// a distributed CG iteration with the numerics stripped out. The
+		// "-goroutine" suffix is kept so earlier BENCH files still diff.
 		{"ClusterStep/p16-goroutine", func(b *testing.B) {
-			benchClusterStep(b, cluster.SchedGoroutine, 16)
-		}},
-		{"ClusterStep/p16-coop", func(b *testing.B) {
-			benchClusterStep(b, cluster.SchedCoop, 16)
+			benchClusterStep(b, 16)
 		}},
 		{"CollectiveBarrier/p16-goroutine", func(b *testing.B) {
-			benchBarrier(b, cluster.SchedGoroutine, 16)
+			benchBarrier(b, 16)
 		}},
-		{"CollectiveBarrier/p16-coop", func(b *testing.B) {
-			benchBarrier(b, cluster.SchedCoop, 16)
-		}},
-		// SpMVBlocked mirrors the CSR SpMV rows with the SELL-C-σ layout
-		// so a diff of the paired rows reads as blocked-vs-CSR on the
-		// same matrix (bitwise-identical products by construction). The
-		// g64 pair is the ci solve size; g128 is the stress size.
+		// g64 is the ci solve size; g128 (first row) is the stress size.
 		{"SpMV/Laplacian2D-64", func(b *testing.B) {
-			benchSpMV(b, 64, false)
-		}},
-		{"SpMVBlocked/Laplacian2D-64", func(b *testing.B) {
-			benchSpMV(b, 64, true)
-		}},
-		{"SpMVBlocked/Laplacian2D-128", func(b *testing.B) {
-			benchSpMV(b, 128, true)
+			benchSpMV(b, 64)
 		}},
 		{"CGIteration/p4-g32", func(b *testing.B) {
 			a := resilience.Laplacian2D(32)
@@ -456,14 +432,9 @@ func benchMulVecDist(b *testing.B, overlap bool) {
 	}
 }
 
-// benchSpMV measures one SpMV on a grid×grid 5-point stencil in the CSR
-// or SELL-C-σ layout.
-func benchSpMV(b *testing.B, grid int, blocked bool) {
+// benchSpMV measures one SpMV on a grid×grid 5-point stencil.
+func benchSpMV(b *testing.B, grid int) {
 	a := resilience.Laplacian2D(grid)
-	var s *sparse.SELL
-	if blocked {
-		s = sparse.NewSELLFromCSR(a, sparse.DefaultSELLC, sparse.DefaultSELLSigma)
-	}
 	x, y := make([]float64, a.Rows), make([]float64, a.Rows)
 	for i := range x {
 		x[i] = float64(i % 31)
@@ -471,22 +442,16 @@ func benchSpMV(b *testing.B, grid int, blocked bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if blocked {
-			s.MulVec(y, x)
-		} else {
-			a.MulVec(y, x)
-		}
+		a.MulVec(y, x)
 	}
 }
 
 // benchClusterStep drives p ranks through a bidirectional ring exchange
-// (8-float payloads) followed by a scalar allreduce, under an explicit
-// scheduler mode.
-func benchClusterStep(b *testing.B, mode cluster.SchedMode, p int) {
+// (8-float payloads) followed by a scalar allreduce.
+func benchClusterStep(b *testing.B, p int) {
 	b.ReportAllocs()
-	rt := cluster.NewRuntimeOpts(p, platform.Default(), power.NewMeter(false), cluster.Options{Sched: mode})
 	b.ResetTimer()
-	_, err := rt.Run(func(c *cluster.Comm) error {
+	_, err := cluster.Run(p, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
 		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
 		buf := make([]float64, 8)
 		got := make([]float64, 8)
@@ -508,11 +473,10 @@ func benchClusterStep(b *testing.B, mode cluster.SchedMode, p int) {
 }
 
 // benchBarrier measures one full barrier across p ranks per op.
-func benchBarrier(b *testing.B, mode cluster.SchedMode, p int) {
+func benchBarrier(b *testing.B, p int) {
 	b.ReportAllocs()
-	rt := cluster.NewRuntimeOpts(p, platform.Default(), power.NewMeter(false), cluster.Options{Sched: mode})
 	b.ResetTimer()
-	_, err := rt.Run(func(c *cluster.Comm) error {
+	_, err := cluster.Run(p, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
 		for i := 0; i < b.N; i++ {
 			c.Barrier()
 		}
@@ -523,29 +487,23 @@ func benchBarrier(b *testing.B, mode cluster.SchedMode, p int) {
 	}
 }
 
-// measureE2E times the fig3 experiment end to end under each scheduler
-// mode (min of 3 runs apiece) — the headline wall-clock number, as
-// opposed to the microbenchmarks' per-op costs.
+// measureE2E times the fig3 experiment end to end (min of 3 runs) — the
+// headline wall-clock number, as opposed to the microbenchmarks' per-op
+// costs.
 func measureE2E(scale string) map[string]float64 {
-	out := make(map[string]float64, 2)
-	for _, mode := range []resilience.SchedMode{cluster.SchedGoroutine, cluster.SchedCoop} {
-		name := mode.String()
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := resilience.RunExperimentOpts("fig3", scale,
-				resilience.ExperimentOptions{Sched: mode}); err != nil {
-				fmt.Fprintf(os.Stderr, "e2e fig3 sched=%s: %v\n", name, err)
-				return nil
-			}
-			if d := time.Since(start).Seconds(); best == 0 || d < best {
-				best = d
-			}
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := resilience.RunExperiment("fig3", scale); err != nil {
+			fmt.Fprintf(os.Stderr, "e2e fig3: %v\n", err)
+			return nil
 		}
-		fmt.Fprintf(os.Stderr, "e2e fig3@%s sched=%-9s %8.3fs (min of 3)\n", scale, name, best)
-		out[name] = best
+		if d := time.Since(start).Seconds(); best == 0 || d < best {
+			best = d
+		}
 	}
-	return out
+	fmt.Fprintf(os.Stderr, "e2e fig3@%s %8.3fs (min of 3)\n", scale, best)
+	return map[string]float64{"goroutine": best}
 }
 
 // sink defeats dead-code elimination of pure kernels.
@@ -618,7 +576,7 @@ func main() {
 	filter := flag.String("filter", "", "only run benchmarks whose name contains this substring")
 	scale := flag.String("scale", "tiny", "workload scale for -artifacts runs: tiny, ci or paper")
 	artifacts := flag.Bool("artifacts", false, "also benchmark the paper-artifact experiment runners")
-	e2e := flag.Bool("e2e", true, "record the fig3 end-to-end wall-clock per scheduler mode in the result metadata")
+	e2e := flag.Bool("e2e", true, "record the fig3 end-to-end wall-clock in the result metadata")
 	e2eScale := flag.String("e2e-scale", "ci", "workload scale of the -e2e measurement")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	flag.Parse()

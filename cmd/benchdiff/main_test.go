@@ -71,7 +71,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		"SpMV/Laplacian2D-128": {NsPerOp: 136197.25, AllocsPerOp: 0, BytesPerOp: 0},
 		"CGIteration/p4-g32":   {NsPerOp: 18649, AllocsPerOp: 0, BytesPerOp: 4},
 	}
-	e2e := map[string]float64{"goroutine": 1.25, "coop": 0.75}
+	e2e := map[string]float64{"goroutine": 1.25}
 	path := filepath.Join(t.TempDir(), "BENCH_1.json")
 	if err := writeResults(path, recs, e2e, "ci"); err != nil {
 		t.Fatal(err)

@@ -39,8 +39,6 @@ func main() {
 	tol := flag.Float64("tol", 1e-12, "CG relative residual tolerance")
 	ckpt := flag.Int("ckpt", 0, "fixed checkpoint interval in iterations (CR schemes)")
 	overlap := flag.Bool("overlap", false, "overlap halo exchange with interior SpMV (bitwise-identical iterates, different modeled time)")
-	sched := flag.String("sched", "auto", "rank scheduler: auto (RES_SCHED env), goroutine, coop (byte-identical results)")
-	spmv := flag.String("spmv", "auto", "SpMV kernel layout: auto (RES_SPMV env), csr, sell (byte-identical results)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	asJSON := flag.Bool("json", false, "emit the run report as JSON")
 	traceFile := flag.String("trace", "", "write a per-iteration CSV trace to this file")
@@ -92,12 +90,6 @@ func main() {
 		CkptEvery: *ckpt,
 		Overlap:   *overlap,
 		Seed:      *seed,
-	}
-	if opts.Sched, err = resilience.ParseSched(*sched); err != nil {
-		log.Fatal(err)
-	}
-	if opts.SpMV, err = resilience.ParseSpMV(*spmv); err != nil {
-		log.Fatal(err)
 	}
 	var tr *resilience.Trace
 	if *traceFile != "" {

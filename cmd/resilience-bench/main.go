@@ -31,11 +31,9 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (fig1..fig9, tab3..tab6, ablation-*) or 'all'")
 	scale := flag.String("scale", "ci", "workload scale: tiny, ci or paper")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	workers := flag.Int("workers", 0, "experiment-engine worker count (0: RES_WORKERS env, else GOMAXPROCS; 1: sequential)")
-	overlap := flag.Bool("overlap", false, "overlap halo exchange with interior SpMV in every distributed solve (false: RES_OVERLAP env, else fused)")
+	workers := flag.Int("workers", 0, "experiment-engine worker count (0: GOMAXPROCS; 1: sequential)")
+	overlap := flag.Bool("overlap", false, "overlap halo exchange with interior SpMV in every distributed solve")
 	observe := flag.Bool("observe", false, "attach a discarded observability recorder to every cell solve (purity exercise; output is byte-identical)")
-	schedName := flag.String("sched", "auto", "rank scheduler for every solve: auto (RES_SCHED env), goroutine, coop (byte-identical output)")
-	spmvName := flag.String("spmv", "auto", "SpMV kernel layout for every solve: auto (RES_SPMV env), csr, sell (byte-identical output)")
 	seed := flag.Int64("seed", 0, "fault-injection seed for experiments and the traced solve (0: the default seed behind the checked-in tables)")
 	traceOut := flag.String("trace-out", "", "instead of experiments, run one traced solve and write its Chrome trace-event JSON timeline (load in Perfetto) to this file")
 	metricsFile := flag.String("metrics", "", "with the traced solve, write per-rank counters as CSV to this file ('-' for stdout)")
@@ -60,15 +58,6 @@ func main() {
 	}
 	defer writeMemProfile(*memprofile)
 
-	sched, err := resilience.ParseSched(*schedName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spmv, err := resilience.ParseSpMV(*spmvName)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	if *list {
 		for _, r := range resilience.Experiments() {
 			fmt.Printf("%-18s %s\n", r.ID, r.Title)
@@ -78,7 +67,7 @@ func main() {
 
 	if *traceOut != "" || *metricsFile != "" {
 		if err := tracedRun(*traceMatrix, *scale, *traceScheme, *traceRanks,
-			*traceFaults, *overlap, sched, spmv, *seed, *traceOut, *metricsFile); err != nil {
+			*traceFaults, *overlap, *seed, *traceOut, *metricsFile); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -97,8 +86,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		res, err := resilience.RunExperimentOpts(strings.TrimSpace(id), *scale,
-			resilience.ExperimentOptions{Workers: *workers, Overlap: *overlap, Observe: *observe,
-				Sched: sched, SpMV: spmv, Seed: *seed})
+			resilience.ExperimentOptions{Workers: *workers, Overlap: *overlap, Observe: *observe, Seed: *seed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
 			failed++
@@ -124,7 +112,6 @@ func main() {
 // timeline and/or per-rank metrics — the zero-setup path from "which rank
 // waited where" to a Perfetto tab.
 func tracedRun(matrix, scale, scheme string, ranks, faults int, overlap bool,
-	sched resilience.SchedMode, spmv resilience.SpMVLayout,
 	seed int64, traceOut, metricsFile string) error {
 
 	a, err := resilience.CatalogMatrix(matrix, scale)
@@ -138,8 +125,6 @@ func tracedRun(matrix, scale, scheme string, ranks, faults int, overlap bool,
 		Ranks:             ranks,
 		Faults:            faults,
 		Overlap:           overlap,
-		Sched:             sched,
-		SpMV:              spmv,
 		Seed:              seed,
 		Observer:          rec,
 		KeepPowerSegments: true,

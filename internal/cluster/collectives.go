@@ -64,44 +64,6 @@ func newCollectiveState(p int, rt *Runtime) *collectiveState {
 	return cs
 }
 
-// lock/unlock guard the collective state in goroutine mode; under the
-// cooperative scheduler exactly one rank runs at a time, so they are
-// no-ops there (token handoff supplies the happens-before edges).
-func (cs *collectiveState) lock() {
-	if cs.rt.sched == nil {
-		cs.mu.Lock()
-	}
-}
-
-func (cs *collectiveState) unlock() {
-	if cs.rt.sched == nil {
-		cs.mu.Unlock()
-	}
-}
-
-// wake publishes a completed generation: broadcast in goroutine mode
-// (every waiter re-locks and re-checks), an exact wake of the parked
-// generation waiters in cooperative mode.
-func (cs *collectiveState) wake() {
-	if s := cs.rt.sched; s != nil {
-		s.wakeColl()
-		return
-	}
-	cs.cond.Broadcast()
-}
-
-// waitFor blocks the rank until the generation it contributed to may
-// have completed: cond.Wait in goroutine mode, a scheduler park in
-// cooperative mode. Either way the caller re-checks its predicate on
-// return.
-func (cs *collectiveState) waitFor(rank int) {
-	if s := cs.rt.sched; s != nil {
-		s.parkColl(rank)
-		return
-	}
-	cs.cond.Wait()
-}
-
 // checkStuck reports (and aborts on) a deadlocked collective: a rank that
 // has not contributed to the in-flight generation but whose function has
 // already exited can never arrive, so the waiters would block forever.
@@ -119,18 +81,13 @@ func (cs *collectiveState) checkStuck(rank int) bool {
 		return false
 	}
 	err := fmt.Errorf("cluster: deadlock: rank %d blocked in a collective that rank(s) %v exited without joining (mismatched collective participation)", rank, missing)
-	cs.unlock()
+	cs.mu.Unlock()
 	cs.rt.abort(err)
-	cs.lock()
+	cs.mu.Lock()
 	return true
 }
 
 func (cs *collectiveState) abort() {
-	if s := cs.rt.sched; s != nil {
-		cs.dead = true
-		s.wakeAll()
-		return
-	}
 	cs.mu.Lock()
 	cs.dead = true
 	cs.mu.Unlock()
@@ -146,8 +103,8 @@ func (cs *collectiveState) abort() {
 func (cs *collectiveState) enter(rank int, clock float64, contribution any,
 	combine func(all []any) any) (value any, tmax float64) {
 
-	cs.lock()
-	defer cs.unlock()
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	if cs.dead {
 		panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
 	}
@@ -170,13 +127,13 @@ func (cs *collectiveState) enter(rank int, clock float64, contribution any,
 		}
 		cs.count = 0
 		cs.gen++
-		cs.wake()
+		cs.cond.Broadcast()
 	} else {
 		for cs.gen == myGen && !cs.dead {
 			if cs.checkStuck(rank) {
 				continue // our own abort set cs.dead; re-evaluate, don't sleep
 			}
-			cs.waitFor(rank)
+			cs.cond.Wait()
 		}
 		if cs.dead {
 			panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
@@ -195,8 +152,8 @@ func (cs *collectiveState) enter(rank int, clock float64, contribution any,
 // the boxed path, so scalar and vector collectives can interleave freely.
 // Summation runs in rank order, bitwise-identical to AllreduceSum.
 func (cs *collectiveState) enterScalar(rank int, clock, v0, v1 float64) (r0, r1, tmax float64) {
-	cs.lock()
-	defer cs.unlock()
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	if cs.dead {
 		panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
 	}
@@ -225,13 +182,13 @@ func (cs *collectiveState) enterScalar(rank int, clock, v0, v1 float64) (r0, r1,
 		}
 		cs.count = 0
 		cs.gen++
-		cs.wake()
+		cs.cond.Broadcast()
 	} else {
 		for cs.gen == myGen && !cs.dead {
 			if cs.checkStuck(rank) {
 				continue // our own abort set cs.dead; re-evaluate, don't sleep
 			}
-			cs.waitFor(rank)
+			cs.cond.Wait()
 		}
 		if cs.dead {
 			panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})

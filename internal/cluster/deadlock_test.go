@@ -3,6 +3,10 @@ package cluster
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"resilience/internal/platform"
+	"resilience/internal/power"
 )
 
 // runWithWatchdog runs fn on p ranks and fails the test if the run does
@@ -11,7 +15,18 @@ import (
 // of hanging the suite.
 func runWithWatchdog(t *testing.T, p int, fn func(c *Comm) error) error {
 	t.Helper()
-	return runSchedWatchdog(t, SchedAuto, p, fn)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(p, platform.Default(), power.NewMeter(false), fn)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("run hung: a blocked rank was never woken")
+		return nil
+	}
 }
 
 func TestDeadlockMismatchedCollective(t *testing.T) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,35 +14,12 @@ import (
 
 // Tests of the per-receiver inboxes: matching semantics (which message a
 // receive gets) and the wake-up paths (who is woken by a post, an exit
-// and an abort). Every test runs under both schedulers and, in check.sh,
-// under the race detector with a short -timeout, so a lost wake-up fails
-// instead of hanging.
-
-var bothScheds = []SchedMode{SchedGoroutine, SchedCoop}
-
-// runSchedWatchdog runs fn on p ranks under an explicit scheduler mode
-// and fails the test if the run does not return within the deadline.
-func runSchedWatchdog(t *testing.T, mode SchedMode, p int, fn func(c *Comm) error) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		rt := NewRuntimeOpts(p, platform.Default(), power.NewMeter(false), Options{Sched: mode})
-		_, err := rt.Run(fn)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(30 * time.Second):
-		t.Fatalf("%v run hung: a blocked rank was never woken", mode)
-		return nil
-	}
-}
+// and an abort). check.sh also runs them under the race detector with a
+// short -timeout, so a lost wake-up fails instead of hanging.
 
 // awaitState spins (yielding) until cond holds. The tests use it to
 // sequence one rank after another's park or exit, which no cluster
-// primitive can observe. Under the cooperative scheduler the orderings
-// are already fixed by the program, so cond holds on the first look.
+// primitive can observe.
 func awaitState(c *Comm, what string, cond func() bool) error {
 	deadline := time.Now().Add(20 * time.Second)
 	for !cond() {
@@ -58,8 +34,8 @@ func awaitState(c *Comm, what string, cond func() bool) error {
 // parked reports whether the rank is blocked in a receive.
 func parked(rt *Runtime, rank int) bool {
 	ib := &rt.inboxes[rank]
-	ib.lock()
-	defer ib.unlock()
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
 	return ib.waitQ != nil
 }
 
@@ -67,27 +43,25 @@ func TestRecvOutOfPostOrderAcrossSenders(t *testing.T) {
 	// Rank 1 posts to rank 0 first, rank 2 provably afterwards (it waits
 	// for rank 1's token); rank 0 asks for rank 2's message first. Each
 	// receive must get its own sender's payload.
-	for _, mode := range bothScheds {
-		_, _, _, err := runSched(t, mode, 3, func(c *Comm, out []float64) error {
-			switch c.Rank() {
-			case 1:
-				c.Send(0, 4, []float64{101, 102})
-				c.Send(2, 9, nil)
-			case 2:
-				c.Recv(1, 9)
-				c.Send(0, 4, []float64{201})
-			case 0:
-				b := c.Recv(2, 4)
-				a := c.Recv(1, 4)
-				if len(b) != 1 || b[0] != 201 || len(a) != 2 || a[0] != 101 || a[1] != 102 {
-					return fmt.Errorf("got from rank 2: %v, from rank 1: %v", b, a)
-				}
+	err := runWithWatchdog(t, 3, func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			c.Send(0, 4, []float64{101, 102})
+			c.Send(2, 9, nil)
+		case 2:
+			c.Recv(1, 9)
+			c.Send(0, 4, []float64{201})
+		case 0:
+			b := c.Recv(2, 4)
+			a := c.Recv(1, 4)
+			if len(b) != 1 || b[0] != 201 || len(a) != 2 || a[0] != 101 || a[1] != 102 {
+				return fmt.Errorf("got from rank 2: %v, from rank 1: %v", b, a)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,49 +90,47 @@ func TestTwoTagsOneChannelEachFIFO(t *testing.T) {
 		}
 		return true
 	}
-	for _, mode := range bothScheds {
-		_, _, _, err := runSched(t, mode, 2, func(c *Comm, out []float64) error {
-			if c.Rank() == 0 {
-				for wave := 0; wave < 2; wave++ {
-					for i := 0; i < n; i++ {
-						c.Send(1, 1, payload(1, wave, i))
-						c.Send(1, 2, payload(2, wave, i))
-					}
-					c.Send(1, 3, nil)
-				}
-				return nil
-			}
-			var kept [][]float64
-			var keptWant [][]float64
+	err := runWithWatchdog(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
 			for wave := 0; wave < 2; wave++ {
-				c.Recv(0, 3)
-				for _, tag := range []int{2, 1} {
-					for i := 0; i < n; i++ {
-						want := payload(tag, wave, i)
-						var got []float64
-						if i%2 == 0 {
-							got = c.Recv(0, tag)
-							kept, keptWant = append(kept, got), append(keptWant, want)
-						} else {
-							got = make([]float64, len(want))
-							c.RecvInto(0, tag, got)
-						}
-						if !same(got, want) {
-							return fmt.Errorf("wave %d tag %d message %d: got %v, want %v", wave, tag, i, got, want)
-						}
-					}
+				for i := 0; i < n; i++ {
+					c.Send(1, 1, payload(1, wave, i))
+					c.Send(1, 2, payload(2, wave, i))
 				}
-			}
-			for i := range kept {
-				if !same(kept[i], keptWant[i]) || cap(kept[i]) != len(kept[i]) {
-					return fmt.Errorf("slice returned by Recv changed afterwards: %v (cap %d), want %v", kept[i], cap(kept[i]), keptWant[i])
-				}
+				c.Send(1, 3, nil)
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
 		}
+		var kept [][]float64
+		var keptWant [][]float64
+		for wave := 0; wave < 2; wave++ {
+			c.Recv(0, 3)
+			for _, tag := range []int{2, 1} {
+				for i := 0; i < n; i++ {
+					want := payload(tag, wave, i)
+					var got []float64
+					if i%2 == 0 {
+						got = c.Recv(0, tag)
+						kept, keptWant = append(kept, got), append(keptWant, want)
+					} else {
+						got = make([]float64, len(want))
+						c.RecvInto(0, tag, got)
+					}
+					if !same(got, want) {
+						return fmt.Errorf("wave %d tag %d message %d: got %v, want %v", wave, tag, i, got, want)
+					}
+				}
+			}
+		}
+		for i := range kept {
+			if !same(kept[i], keptWant[i]) || cap(kept[i]) != len(kept[i]) {
+				return fmt.Errorf("slice returned by Recv changed afterwards: %v (cap %d), want %v", kept[i], cap(kept[i]), keptWant[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -167,36 +139,34 @@ func TestNewTagWhileReceiverParkedOnChannel(t *testing.T) {
 	// the same channel — growing the channel's queue list under the parked
 	// receiver — before posting tag 1. The parked receive must still see
 	// its message, and the other tags theirs.
-	for _, mode := range bothScheds {
-		err := runSchedWatchdog(t, mode, 2, func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.Recv(1, 99)
-				if err := awaitState(c, "rank 1 parks", func() bool { return parked(c.rt, 1) }); err != nil {
-					return err
-				}
-				for tag := 6; tag >= 1; tag-- {
-					c.Send(1, tag, []float64{float64(tag)})
-				}
-				return nil
+	err := runWithWatchdog(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Recv(1, 99)
+			if err := awaitState(c, "rank 1 parks", func() bool { return parked(c.rt, 1) }); err != nil {
+				return err
 			}
-			c.Send(0, 99, nil)
-			for tag := 1; tag <= 6; tag++ {
-				if got := c.Recv(0, tag); len(got) != 1 || got[0] != float64(tag) {
-					return fmt.Errorf("tag %d: got %v", tag, got)
-				}
+			for tag := 6; tag >= 1; tag-- {
+				c.Send(1, tag, []float64{float64(tag)})
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
 		}
+		c.Send(0, 99, nil)
+		for tag := 1; tag <= 6; tag++ {
+			if got := c.Recv(0, tag); len(got) != 1 || got[0] != float64(tag) {
+				return fmt.Errorf("tag %d: got %v", tag, got)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestAllToAllStressMatchesAcrossSchedulers(t *testing.T) {
+func TestAllToAllStressPinned(t *testing.T) {
 	// 32 ranks, 200 rounds of a full exchange plus an allreduce: every
 	// payload is checked, and every rank's final clock and the metered
-	// energy must be bitwise equal between the two schedulers.
+	// energy must be the committed bits on both of two runs.
 	const p, rounds = 32, 200
 	work := func(c *Comm, out []float64) error {
 		rank := c.Rank()
@@ -224,22 +194,9 @@ func TestAllToAllStressMatchesAcrossSchedulers(t *testing.T) {
 				return fmt.Errorf("round %d: allreduce %v", round, sum)
 			}
 		}
-		out[rank] = c.Clock()
 		return nil
 	}
-	gc, ge, gout, gerr := runSched(t, SchedGoroutine, p, work)
-	cc, ce, cout, cerr := runSched(t, SchedCoop, p, work)
-	if gerr != nil || cerr != nil {
-		t.Fatalf("errors goroutine=%v coop=%v", gerr, cerr)
-	}
-	if math.Float64bits(gc) != math.Float64bits(cc) || math.Float64bits(ge) != math.Float64bits(ce) {
-		t.Fatalf("goroutine clock %v energy %v, coop clock %v energy %v", gc, ge, cc, ce)
-	}
-	for r := range gout {
-		if math.Float64bits(gout[r]) != math.Float64bits(cout[r]) {
-			t.Fatalf("rank %d clock: goroutine %v, coop %v", r, gout[r], cout[r])
-		}
-	}
+	checkPinned(t, p, work, pin{clock: 0x1.72fdce7771e41p-07, energy: 0x1.cfbd42154e5fap+01})
 }
 
 func TestAbortWakesEveryParkedReceiver(t *testing.T) {
@@ -248,32 +205,30 @@ func TestAbortWakesEveryParkedReceiver(t *testing.T) {
 	// inbox. Rank 0 fails once all seven are parked; Run must return its
 	// error, which it cannot do while any rank still sleeps.
 	boom := errors.New("rank 0 failed")
-	for _, mode := range bothScheds {
-		err := runSchedWatchdog(t, mode, 8, func(c *Comm) error {
-			if c.Rank() != 0 {
-				if c.Rank() == 7 {
-					c.Send(0, 99, nil)
-				}
-				c.Recv(c.Rank()%7+1, 1)
-				return errors.New("receive in a cycle returned")
+	err := runWithWatchdog(t, 8, func(c *Comm) error {
+		if c.Rank() != 0 {
+			if c.Rank() == 7 {
+				c.Send(0, 99, nil)
 			}
-			c.Recv(7, 99)
-			err := awaitState(c, "ranks 1..7 park", func() bool {
-				for r := 1; r < 8; r++ {
-					if !parked(c.rt, r) {
-						return false
-					}
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			return boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("%v: got %v, want rank 0's error", mode, err)
+			c.Recv(c.Rank()%7+1, 1)
+			return errors.New("receive in a cycle returned")
 		}
+		c.Recv(7, 99)
+		err := awaitState(c, "ranks 1..7 park", func() bool {
+			for r := 1; r < 8; r++ {
+				if !parked(c.rt, r) {
+					return false
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want rank 0's error", err)
 	}
 }
 
@@ -283,44 +238,42 @@ func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
 	// sleep, not abort. Then rank 1 either sends (the run succeeds) or
 	// exits too (the run fails with the diagnostic naming both ends).
 	for _, senderExits := range []bool{false, true} {
-		for _, mode := range bothScheds {
-			err := runSchedWatchdog(t, mode, 3, func(c *Comm) error {
-				switch c.Rank() {
-				case 0:
-					got := make([]float64, 1)
-					c.RecvInto(1, 5, got)
-					if got[0] != 42 {
-						return fmt.Errorf("got %v", got)
-					}
-				case 1:
-					c.Recv(2, 99)
-					err := awaitState(c, "rank 2 exits and rank 0 parks", func() bool {
-						return c.rt.isExited(2) && parked(c.rt, 0)
-					})
-					if err != nil {
-						return err
-					}
-					if err := c.rt.aborted(); err != nil {
-						return fmt.Errorf("aborted by an unrelated exit: %w", err)
-					}
-					if !senderExits {
-						c.Send(0, 5, []float64{42})
-					}
-				case 2:
-					c.Send(1, 99, nil)
+		err := runWithWatchdog(t, 3, func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				got := make([]float64, 1)
+				c.RecvInto(1, 5, got)
+				if got[0] != 42 {
+					return fmt.Errorf("got %v", got)
 				}
-				return nil
-			})
-			if !senderExits {
+			case 1:
+				c.Recv(2, 99)
+				err := awaitState(c, "rank 2 exits and rank 0 parks", func() bool {
+					return c.rt.isExited(2) && parked(c.rt, 0)
+				})
 				if err != nil {
-					t.Fatalf("%v: unrelated exit then send: %v", mode, err)
+					return err
 				}
-				continue
+				if err := c.rt.aborted(); err != nil {
+					return fmt.Errorf("aborted by an unrelated exit: %w", err)
+				}
+				if !senderExits {
+					c.Send(0, 5, []float64{42})
+				}
+			case 2:
+				c.Send(1, 99, nil)
 			}
-			const want = "cluster: deadlock: rank 0 blocked receiving from rank 1 (tag 5), which exited without sending"
-			if err == nil || err.Error() != want {
-				t.Fatalf("%v: sender exit: got %v, want %q", mode, err, want)
+			return nil
+		})
+		if !senderExits {
+			if err != nil {
+				t.Fatalf("unrelated exit then send: %v", err)
 			}
+			continue
+		}
+		const want = "cluster: deadlock: rank 0 blocked receiving from rank 1 (tag 5), which exited without sending"
+		if err == nil || err.Error() != want {
+			t.Fatalf("sender exit: got %v, want %q", err, want)
 		}
 	}
 }
@@ -329,24 +282,22 @@ func TestRuntimeIsSingleUse(t *testing.T) {
 	// The first run leaves a message queued and every rank marked exited;
 	// a second Run on that state would serve the stale message or report a
 	// bogus deadlock, so it must be refused.
-	for _, mode := range bothScheds {
-		rt := NewRuntimeOpts(2, platform.Default(), power.NewMeter(false), Options{Sched: mode})
-		fn := func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.Send(1, 1, []float64{1})
-			}
-			return nil
+	rt := NewRuntime(2, platform.Default(), power.NewMeter(false))
+	fn := func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Send(1, 1, []float64{1})
 		}
-		if _, err := rt.Run(fn); err != nil {
-			t.Fatalf("%v: first Run: %v", mode, err)
-		}
-		ran := false
-		_, err := rt.Run(func(c *Comm) error { ran = true; return nil })
-		if err == nil || !strings.Contains(err.Error(), "single-use") {
-			t.Fatalf("%v: second Run: got %v, want a single-use error", mode, err)
-		}
-		if ran {
-			t.Fatalf("%v: second Run started ranks", mode)
-		}
+		return nil
+	}
+	if _, err := rt.Run(fn); err != nil {
+		t.Fatalf("first Run: %v", err)
+	}
+	ran := false
+	_, err := rt.Run(func(c *Comm) error { ran = true; return nil })
+	if err == nil || !strings.Contains(err.Error(), "single-use") {
+		t.Fatalf("second Run: got %v, want a single-use error", err)
+	}
+	if ran {
+		t.Fatal("second Run started ranks")
 	}
 }

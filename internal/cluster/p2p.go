@@ -15,12 +15,8 @@ import (
 // the owning rank ever waits, so a post wakes exactly the rank that needs
 // the message, and only when that rank is parked on that very queue.
 type inbox struct {
-	// sched is the runtime's cooperative scheduler, nil in goroutine
-	// mode. Under it exactly one rank runs at a time, so mu and cond go
-	// unused and blocking is a scheduler park.
-	sched *coopSched
-	mu    sync.Mutex
-	cond  sync.Cond // L is &mu
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu
 
 	// waitQ is the queue the owner is parked on, nil while it runs.
 	waitQ *msgQueue
@@ -50,35 +46,19 @@ type message struct {
 
 // newInboxes builds the p inboxes of one runtime in two allocations, so
 // starting a small runtime per job stays cheap.
-func newInboxes(p int, sched *coopSched) []inbox {
+func newInboxes(p int) []inbox {
 	inboxes := make([]inbox, p)
 	channels := make([][]*msgQueue, p*p)
 	for r := range inboxes {
 		ib := &inboxes[r]
-		ib.sched = sched
 		ib.cond.L = &ib.mu
 		ib.from = channels[r*p : (r+1)*p : (r+1)*p]
 	}
 	return inboxes
 }
 
-// lock/unlock guard the inbox in goroutine mode; no-ops under the
-// cooperative scheduler (token handoff supplies the happens-before edges).
-func (ib *inbox) lock() {
-	if ib.sched == nil {
-		ib.mu.Lock()
-	}
-}
-
-func (ib *inbox) unlock() {
-	if ib.sched == nil {
-		ib.mu.Unlock()
-	}
-}
-
 // queue returns (creating if needed) the FIFO for messages from rank
-// `from` with the given tag. Callers must hold the inbox locked
-// (goroutine mode) or the scheduling token (coop).
+// `from` with the given tag. Callers must hold the inbox locked.
 func (ib *inbox) queue(from, tag int) *msgQueue {
 	for _, q := range ib.from[from] {
 		if q.tag == tag {
@@ -117,10 +97,9 @@ func (q *msgQueue) pop() message {
 }
 
 // wakeInboxes wakes every rank blocked in a receive so it re-runs its
-// checks (exited sender, aborted run). Goroutine mode only. Each inbox
-// mutex is taken and released before the broadcast so an owner cannot
-// evaluate its checks and go to sleep across the state change that
-// prompted the call.
+// checks (exited sender, aborted run). Each inbox mutex is taken and
+// released before the broadcast so an owner cannot evaluate its checks
+// and go to sleep across the state change that prompted the call.
 func (rt *Runtime) wakeInboxes() {
 	for r := range rt.inboxes {
 		ib := &rt.inboxes[r]
@@ -162,16 +141,14 @@ func (c *Comm) Send(to, tag int, data []float64) {
 // parked on that queue.
 func (c *Comm) post(to, tag int, data []float64, arrive float64) {
 	ib := &c.rt.inboxes[to]
-	ib.lock()
+	ib.mu.Lock()
 	q := ib.queue(c.rank, tag)
 	buf := q.buffer(len(data))
 	copy(buf, data)
 	q.msgs = append(q.msgs, message{data: buf, arrive: arrive})
 	parked := ib.waitQ == q
-	ib.unlock()
-	if s := ib.sched; s != nil {
-		s.wakeMail(to, parked)
-	} else if parked {
+	ib.mu.Unlock()
+	if parked {
 		ib.cond.Signal()
 	}
 }
@@ -261,7 +238,7 @@ func (c *Comm) await(from, tag int) (*inbox, *msgQueue) {
 		panic(fmt.Sprintf("cluster: Recv from invalid rank %d", from))
 	}
 	ib := &c.rt.inboxes[c.rank]
-	ib.lock()
+	ib.mu.Lock()
 	q := ib.queue(from, tag)
 	for len(q.msgs) == 0 && !c.rt.abortFlag.Load() {
 		// Deadlock check: an exited sender can never post the message we
@@ -270,21 +247,17 @@ func (c *Comm) await(from, tag int) (*inbox, *msgQueue) {
 		// wake-up.
 		if c.rt.isExited(from) {
 			err := fmt.Errorf("cluster: deadlock: rank %d blocked receiving from rank %d (tag %d), which exited without sending", c.rank, from, tag)
-			ib.unlock()
+			ib.mu.Unlock()
 			c.rt.abort(err)
-			ib.lock()
+			ib.mu.Lock()
 			continue
 		}
 		ib.waitQ = q
-		if s := ib.sched; s != nil {
-			s.parkMail(c.rank)
-		} else {
-			ib.cond.Wait()
-		}
+		ib.cond.Wait()
 		ib.waitQ = nil
 	}
 	if c.rt.abortFlag.Load() {
-		ib.unlock()
+		ib.mu.Unlock()
 		panic(abortPanic{err: fmt.Errorf("cluster: recv on aborted runtime")})
 	}
 	return ib, q
@@ -306,7 +279,7 @@ func (c *Comm) Recv(from, tag int) []float64 {
 	c.checkAbort()
 	ib, q := c.await(from, tag)
 	msg := q.pop()
-	ib.unlock()
+	ib.mu.Unlock()
 	c.arrived(msg.arrive, len(msg.data))
 	// The queue's buffer itself: nothing else references it once popped.
 	// Capacity is clipped because a recycled buffer may be longer.
@@ -333,7 +306,7 @@ func (c *Comm) recvInto(from, tag int, dst []float64, op string) {
 		copy(dst, msg.data)
 	}
 	q.free = append(q.free, msg.data)
-	ib.unlock()
+	ib.mu.Unlock()
 	c.arrived(msg.arrive, n)
 	if n != len(dst) {
 		panic(fmt.Sprintf("cluster: %s got %d values for a %d-length buffer", op, n, len(dst)))

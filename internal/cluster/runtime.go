@@ -22,17 +22,16 @@
 // Recovery code switches waiting ranks to idle/sleep accounting (and
 // optionally a lower frequency) through SetWaitIdle and SetFreq.
 //
-// Execution modes: the runtime can step its ranks in one of two ways
-// (see SchedMode). Both produce bitwise-identical clocks, energy,
-// traces and solutions, because every result is derived from virtual
-// time and rank-ordered reductions, never from host scheduling order.
+// Host scheduling is not an input: each rank is one goroutine blocking on
+// mutex/cond (one pair for the collectives, one per receiving rank for
+// point-to-point), and clocks, energy, traces and solutions are derived
+// from virtual time and rank-ordered reductions, never from the order
+// the host happens to run the ranks in.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,74 +40,6 @@ import (
 	"resilience/internal/power"
 	"resilience/internal/telemetry"
 )
-
-// SchedMode selects how the runtime steps its ranks.
-type SchedMode int
-
-const (
-	// SchedAuto resolves the mode from the RES_SCHED environment
-	// variable ("coop" for the cooperative scheduler, "goroutine" for
-	// the preemptive one) and defaults to SchedGoroutine.
-	SchedAuto SchedMode = iota
-	// SchedGoroutine runs one preemptively-scheduled goroutine per rank
-	// with mutex/cond blocking: one lock and cond for the collectives
-	// (completion broadcasts to the generation's waiters), one of each
-	// per receiving rank for point-to-point (a post signals only the
-	// receiver parked on its queue). The original runtime and the golden
-	// oracle the cooperative mode is pinned against.
-	SchedGoroutine
-	// SchedCoop runs all ranks as run-to-block coroutines stepped by a
-	// deterministic cooperative scheduler: exactly one rank executes at
-	// a time, until it blocks on a receive or a collective, and the
-	// scheduler then resumes the next runnable rank in rank order. No
-	// mutexes, no condition variables, no spurious wake-ups.
-	SchedCoop
-)
-
-func (m SchedMode) String() string {
-	switch m {
-	case SchedAuto:
-		return "auto"
-	case SchedGoroutine:
-		return "goroutine"
-	case SchedCoop:
-		return "coop"
-	}
-	return fmt.Sprintf("SchedMode(%d)", int(m))
-}
-
-// ParseSched parses a scheduler mode name as the CLIs spell it: "" or
-// "auto" (defer to RES_SCHED), "goroutine", or "coop"/"cooperative"/
-// "coroutine".
-func ParseSched(s string) (SchedMode, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return SchedAuto, nil
-	case "goroutine":
-		return SchedGoroutine, nil
-	case "coop", "cooperative", "coroutine":
-		return SchedCoop, nil
-	}
-	return SchedAuto, fmt.Errorf("cluster: unknown scheduler mode %q (want auto, goroutine or coop)", s)
-}
-
-// schedFromEnv resolves SchedAuto against the RES_SCHED environment
-// variable. Unrecognized values fall back to the goroutine oracle so a
-// typo can never silently change which engine produced a result set.
-func schedFromEnv() SchedMode {
-	switch strings.ToLower(os.Getenv("RES_SCHED")) {
-	case "coop", "cooperative", "coroutine":
-		return SchedCoop
-	}
-	return SchedGoroutine
-}
-
-// Options configures a Runtime beyond its rank count and platform.
-type Options struct {
-	// Sched selects the execution mode; SchedAuto (the zero value)
-	// resolves RES_SCHED.
-	Sched SchedMode
-}
 
 // Runtime couples P ranks to a platform and a meter for one parallel run.
 // It is single-use: the exit set, the abort state and any messages left
@@ -122,11 +53,6 @@ type Runtime struct {
 
 	coll    *collectiveState
 	inboxes []inbox // indexed by receiving rank
-
-	// sched is non-nil iff the runtime runs in cooperative mode. The
-	// wait/wake sites in collectives.go and p2p.go branch on it: nil
-	// means mutex/cond blocking, non-nil means park in the scheduler.
-	sched *coopSched
 
 	// started is set by the first Run; see the single-use note above.
 	started atomic.Bool
@@ -151,13 +77,8 @@ type Runtime struct {
 // been aborted by another rank's failure.
 type abortPanic struct{ err error }
 
-// NewRuntime builds a runtime for p ranks in the default (auto) mode.
+// NewRuntime builds a runtime for p ranks.
 func NewRuntime(p int, plat *platform.Platform, meter *power.Meter) *Runtime {
-	return NewRuntimeOpts(p, plat, meter, Options{})
-}
-
-// NewRuntimeOpts builds a runtime for p ranks with explicit options.
-func NewRuntimeOpts(p int, plat *platform.Platform, meter *power.Meter, opts Options) *Runtime {
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
@@ -167,32 +88,15 @@ func NewRuntimeOpts(p int, plat *platform.Platform, meter *power.Meter, opts Opt
 	// meter's lock-free single-writer path (core id = rank).
 	meter.Reserve(p)
 	rt.coll = newCollectiveState(p, rt)
-	mode := opts.Sched
-	if mode == SchedAuto {
-		mode = schedFromEnv()
-	}
-	if mode == SchedCoop {
-		rt.sched = newCoopSched(rt)
-	}
-	rt.inboxes = newInboxes(p, rt.sched)
+	rt.inboxes = newInboxes(p)
 	return rt
 }
 
-// Sched reports the resolved execution mode.
-func (rt *Runtime) Sched() SchedMode {
-	if rt.sched != nil {
-		return SchedCoop
-	}
-	return SchedGoroutine
-}
-
 // markExited records that a rank's function returned and wakes every
-// blocked waiter so it can re-run its deadlock check. In goroutine mode
-// each wait mutex — the collective state's and every inbox's — is taken
-// (and released) before its broadcast so a waiter cannot evaluate the
-// check and go to sleep across the transition; in cooperative mode the
-// scheduler's progress note plays the same role (parked ranks re-check
-// when next stepped).
+// blocked waiter so it can re-run its deadlock check. Each wait mutex —
+// the collective state's and every inbox's — is taken (and released)
+// before its broadcast so a waiter cannot evaluate the check and go to
+// sleep across the transition.
 func (rt *Runtime) markExited(rank int) {
 	w := &rt.exited[rank>>6]
 	bit := uint64(1) << (uint(rank) & 63)
@@ -201,10 +105,6 @@ func (rt *Runtime) markExited(rank int) {
 		if w.CompareAndSwap(old, old|bit) {
 			break
 		}
-	}
-	if rt.sched != nil {
-		rt.sched.noteProgress()
-		return
 	}
 	rt.coll.mu.Lock()
 	//lint:ignore SA2001 empty critical section orders the flag before the wake-up
@@ -239,13 +139,9 @@ func (rt *Runtime) abort(err error) {
 	if first {
 		telemetry.DefaultFlight().Note("cluster-abort", "", err.Error())
 	}
-	// Blocked receivers read abortFlag, raised above. In cooperative
-	// mode coll.abort has just made every parked rank runnable, the ones
-	// parked on a receive included.
+	// Blocked receivers read abortFlag, raised above.
 	rt.coll.abort()
-	if rt.sched == nil {
-		rt.wakeInboxes()
-	}
+	rt.wakeInboxes()
 }
 
 func (rt *Runtime) aborted() error {
@@ -296,19 +192,15 @@ func (rt *Runtime) Run(fn func(c *Comm) error) (maxClock float64, err error) {
 			rt.abort(e)
 		}
 	}
-	if rt.sched != nil {
-		rt.sched.run(body)
-	} else {
-		var wg sync.WaitGroup
-		for r := 0; r < rt.p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				body(rank)
-			}(r)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for r := 0; r < rt.p; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			body(rank)
+		}(r)
 	}
+	wg.Wait()
 	for _, c := range clocks {
 		if c > maxClock {
 			maxClock = c

@@ -128,15 +128,6 @@ type RunConfig struct {
 	// distributed matrix-vector product. Bitwise-identical numerics; the
 	// modeled time and energy change.
 	Overlap bool
-	// Sched selects the cluster execution mode; cluster.SchedAuto (the
-	// zero value) resolves RES_SCHED and defaults to the goroutine
-	// runtime. Clocks, energy, traces and solutions are byte-identical
-	// across modes; only host wall-clock changes.
-	Sched cluster.SchedMode
-	// SpMV selects the rank-local SpMV kernel layout; solver.SpMVAuto
-	// (the zero value) resolves RES_SPMV and defaults to CSR. Results and
-	// charged flops are bitwise-identical across layouts.
-	SpMV solver.SpMVLayout
 	// DetectDelay is the number of iterations a silent data corruption
 	// (SDC) propagates before it is detected and recovery runs. Hard
 	// faults are always detected immediately. Extension beyond the paper,
@@ -472,7 +463,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	monitors := make([]*resMonitor, cfg.Ranks)
 	schemes := make([]recovery.Scheme, cfg.Ranks)
 
-	rt := cluster.NewRuntimeOpts(cfg.Ranks, cfg.Plat, meter, cluster.Options{Sched: cfg.Sched})
+	rt := cluster.NewRuntime(cfg.Ranks, cfg.Plat, meter)
 	if cfg.Obs != nil {
 		rt.SetRecorder(cfg.Obs)
 	}
@@ -503,7 +494,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			X0:                 cfg.X0,
 			Jacobi:             cfg.Jacobi,
 			Overlap:            cfg.Overlap,
-			SpMV:               cfg.SpMV,
 		})
 		if err != nil {
 			return err

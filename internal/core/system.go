@@ -46,12 +46,8 @@ func NewSystem(a *sparse.CSR, b []float64) *System { return &System{A: a, B: b} 
 
 // baselineKey holds every resolved input the fault-free report depends
 // on. The platform is keyed by value: it is plain data, and callers build
-// fresh *Platform values freely. Sched and SpMV are left out on purpose —
-// results are byte-identical across scheduler modes and kernel layouts,
-// which the determinism batteries (sched_determinism_test.go, the solver's
-// layout-equivalence tests, check.sh's coop/SELL gate) enforce; if one of
-// those is ever relaxed, the field belongs here. Scheme, seed, trace and
-// recorder do not reach a fault-free run's report at all.
+// fresh *Platform values freely. Scheme, seed, trace and recorder do not
+// reach a fault-free run's report at all.
 type baselineKey struct {
 	ranks, maxIters int
 	tol             float64
@@ -72,19 +68,18 @@ type baselineCall struct {
 
 // FaultFree returns the fault-free baseline of the system under cfg's
 // ranks, tolerance, iteration cap (as given: zero, the solver's default,
-// is its own key), preconditioning, overlap mode and platform; every other field of cfg except Sched and SpMV (which choose
-// how the run executes, not what it reports) is ignored. Concurrent calls
-// for one configuration share a single run, and a converged report is
-// memoised, so callers must treat it as read-only. Errors are never
-// memoised, and neither is a report with Converged false: it is returned
-// for the caller to reject, not kept as an anchor. ctx cancels only the
-// caller's own wait or run; a waiter whose leader was cancelled retries.
+// is its own key), preconditioning, overlap mode and platform; every
+// other field of cfg is ignored. Concurrent calls for one configuration
+// share a single run, and a converged report is memoised, so callers
+// must treat it as read-only. Errors are never memoised, and neither is
+// a report with Converged false: it is returned for the caller to
+// reject, not kept as an anchor. ctx cancels only the caller's own wait
+// or run; a waiter whose leader was cancelled retries.
 func (s *System) FaultFree(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	ff := RunConfig{
 		A: s.A, B: s.B,
 		Ranks: cfg.Ranks, Plat: cfg.Plat, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
 		Jacobi: cfg.Jacobi, Overlap: cfg.Overlap,
-		Sched: cfg.Sched, SpMV: cfg.SpMV,
 	}
 	if err := ff.resolve(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"resilience/internal/chaos"
@@ -24,18 +25,19 @@ func TestEngineDeterminism(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q not registered", id)
 			}
-			render := func(workers string) string {
-				t.Setenv("RES_WORKERS", workers)
-				res, err := r.Run(cfg)
+			render := func(workers int) string {
+				c := cfg
+				c.Workers = workers
+				res, err := r.Run(c)
 				if err != nil {
-					t.Fatalf("%s with RES_WORKERS=%s: %v", id, workers, err)
+					t.Fatalf("%s with Workers=%d: %v", id, workers, err)
 				}
 				return res.String()
 			}
-			seq := render("1")
-			par := render("8")
+			seq := render(1)
+			par := render(8)
 			if seq != par {
-				t.Errorf("%s output differs between RES_WORKERS=1 and RES_WORKERS=8:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				t.Errorf("%s output differs between Workers=1 and Workers=8:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 					id, seq, par)
 			}
 		})
@@ -168,37 +170,12 @@ func TestOverlapRecoveryDeterminism(t *testing.T) {
 	}
 }
 
-// TestOverlapResolution checks the precedence of the overlap knobs:
-// Config.Overlap beats RES_OVERLAP beats the fused default.
-func TestOverlapResolution(t *testing.T) {
-	if (Config{}).overlapEnabled() {
-		t.Error("overlap must default to off")
-	}
-	t.Setenv("RES_OVERLAP", "1")
-	if !(Config{}).overlapEnabled() {
-		t.Error("RES_OVERLAP=1 must enable overlap")
-	}
-	t.Setenv("RES_OVERLAP", "0")
-	if (Config{}).overlapEnabled() {
-		t.Error("RES_OVERLAP=0 must leave overlap off")
-	}
-	if !(Config{Overlap: true}).overlapEnabled() {
-		t.Error("Config.Overlap must override the environment")
-	}
-}
-
-// TestWorkersResolution checks the precedence of the worker-count knobs:
-// Config.Workers beats RES_WORKERS beats GOMAXPROCS.
+// TestWorkersResolution: Config.Workers when set, else GOMAXPROCS.
 func TestWorkersResolution(t *testing.T) {
-	t.Setenv("RES_WORKERS", "3")
-	if got := (Config{}).workers(); got != 3 {
-		t.Errorf("RES_WORKERS=3: workers() = %d, want 3", got)
-	}
 	if got := (Config{Workers: 5}).workers(); got != 5 {
-		t.Errorf("Workers=5 should override the environment: workers() = %d, want 5", got)
+		t.Errorf("Workers=5: workers() = %d, want 5", got)
 	}
-	t.Setenv("RES_WORKERS", "bogus")
-	if got := (Config{}).workers(); got < 1 {
-		t.Errorf("invalid RES_WORKERS must fall back to GOMAXPROCS: workers() = %d", got)
+	if got, want := (Config{}).workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers unset: workers() = %d, want GOMAXPROCS = %d", got, want)
 	}
 }

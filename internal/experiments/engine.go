@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -18,44 +16,12 @@ import (
 // any worker count.
 
 // workers resolves the engine's concurrency: Config.Workers when set,
-// else the RES_WORKERS environment variable, else GOMAXPROCS.
+// else GOMAXPROCS.
 func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
-	if env := os.Getenv("RES_WORKERS"); env != "" {
-		if n, err := strconv.Atoi(env); err == nil && n > 0 {
-			return n
-		}
-	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// overlapEnabled resolves the halo-overlap setting: Config.Overlap when
-// set, else the RES_OVERLAP environment variable ("1"/"true"/"on"), else
-// off — the seed behavior.
-func (c Config) overlapEnabled() bool {
-	if c.Overlap {
-		return true
-	}
-	switch os.Getenv("RES_OVERLAP") {
-	case "1", "true", "TRUE", "on", "yes":
-		return true
-	}
-	return false
-}
-
-// observeEnabled resolves the observability setting: Config.Observe when
-// set, else the RES_OBS environment variable ("1"/"true"/"on"), else off.
-func (c Config) observeEnabled() bool {
-	if c.Observe {
-		return true
-	}
-	switch os.Getenv("RES_OBS") {
-	case "1", "true", "TRUE", "on", "yes":
-		return true
-	}
-	return false
 }
 
 // runCells executes fn(0..n-1) on the configured worker pool and returns

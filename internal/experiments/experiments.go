@@ -11,14 +11,12 @@ import (
 	"sort"
 	"sync"
 
-	"resilience/internal/cluster"
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/report"
-	"resilience/internal/solver"
 )
 
 // Config selects the scale and environment all experiments run in.
@@ -37,30 +35,19 @@ type Config struct {
 	Faults int
 	Seed   int64
 	// Workers bounds the experiment engine's cell concurrency. Zero means
-	// "use the RES_WORKERS environment variable, else GOMAXPROCS"; one
-	// forces sequential execution. Output is byte-identical for any value.
+	// GOMAXPROCS; one forces sequential execution. Output is
+	// byte-identical for any value.
 	Workers int
 	// Overlap runs every distributed solve with the halo exchange hidden
-	// behind the interior SpMV. False means "use the RES_OVERLAP
-	// environment variable, else fused" — so all seed tables stay
-	// byte-identical by default. Numerics are bitwise-identical either
-	// way; modeled time and energy change.
+	// behind the interior SpMV; false is the fused path every seed table
+	// was rendered with. Numerics are bitwise-identical either way;
+	// modeled time and energy change.
 	Overlap bool
 	// Observe attaches a fresh, discarded observability recorder to every
-	// cell solve. False means "use the RES_OBS environment variable, else
-	// off". Rendered output is byte-identical either way — the point is to
-	// exercise the purity guarantee under the whole experiment matrix.
+	// cell solve. Rendered output is byte-identical either way — the
+	// point is to exercise the purity guarantee under the whole
+	// experiment matrix.
 	Observe bool
-	// Sched selects the cluster execution mode for every cell solve.
-	// cluster.SchedAuto (the zero value) means "use the RES_SCHED
-	// environment variable, else the goroutine runtime". All rendered
-	// tables are byte-identical across modes.
-	Sched cluster.SchedMode
-	// SpMV selects the local SpMV kernel layout for every cell solve.
-	// solver.SpMVAuto (the zero value) means "use the RES_SPMV
-	// environment variable, else CSR". All rendered tables are
-	// byte-identical across layouts.
-	SpMV solver.SpMVLayout
 }
 
 // Default returns the standard configuration for a scale.
@@ -230,11 +217,9 @@ func (c Config) baseConfig(s *system) core.RunConfig {
 		Tol:      c.Tol,
 		MaxIters: 40 * s.spec.TargetIters(c.Scale),
 		Seed:     c.Seed,
-		Overlap:  c.overlapEnabled(),
-		Sched:    c.Sched,
-		SpMV:     c.SpMV,
+		Overlap:  c.Overlap,
 	}
-	if c.observeEnabled() {
+	if c.Observe {
 		// One private recorder per cell, discarded with the report: the
 		// tables must come out byte-identical whether or not anyone watched.
 		rc.Obs = obs.NewRecorder()

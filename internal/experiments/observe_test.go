@@ -33,22 +33,3 @@ func TestObserveDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestObserveResolution checks the precedence of the observation knobs:
-// Config.Observe beats RES_OBS beats the off default.
-func TestObserveResolution(t *testing.T) {
-	if (Config{}).observeEnabled() {
-		t.Error("observation must default to off")
-	}
-	t.Setenv("RES_OBS", "1")
-	if !(Config{}).observeEnabled() {
-		t.Error("RES_OBS=1 must enable observation")
-	}
-	t.Setenv("RES_OBS", "0")
-	if (Config{}).observeEnabled() {
-		t.Error("RES_OBS=0 must leave observation off")
-	}
-	if !(Config{Observe: true}).observeEnabled() {
-		t.Error("Config.Observe must override the environment")
-	}
-}

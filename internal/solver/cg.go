@@ -77,10 +77,6 @@ type Options struct {
 	// way; only the modeled clock changes. Collective: every rank must
 	// pass the same value.
 	Overlap bool
-	// SpMV selects the local SpMV kernel layout; SpMVAuto (the zero
-	// value) resolves RES_SPMV and defaults to CSR. Results and the
-	// charged flops are bitwise-identical across layouts.
-	SpMV SpMVLayout
 }
 
 // Result reports a distributed CG solve from one rank's perspective. The
@@ -112,7 +108,6 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	}
 	op := NewLocalOp(c, a, part)
 	op.SetOverlap(opts.Overlap)
-	op.SetSpMV(opts.SpMV)
 	n := op.N
 
 	ws := opts.Work

@@ -56,14 +56,6 @@ type LocalOp struct {
 	boundary *blockRows
 	overlap  bool
 
-	// SELL-C-σ views of localA and of the interior/boundary subsets,
-	// built by SetSpMV(SpMVSELL). Bitwise-identical products, identical
-	// flops charged; only host wall-clock differs.
-	sellA   *sparse.SELL
-	sellInt *sparse.SELL
-	sellBdy *sparse.SELL
-	layout  SpMVLayout
-
 	// Per-neighbor owned buffers for the overlapped path: every posted
 	// send and pending receive keeps its own storage, so in-flight
 	// payloads never alias whatever staging buffer the next post reuses.
@@ -242,40 +234,6 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	return op
 }
 
-// toSELL converts the packed row subset to SELL-C-σ; the subset's
-// scatter targets compose with the σ permutation into the SELL output
-// map, so the blocked product lands rows exactly where mulVecInto would.
-func (b *blockRows) toSELL(cols int) *sparse.SELL {
-	return sparse.NewSELLFromRows(len(b.rows), cols, b.rowPtr, b.colIdx, b.val, b.rows,
-		sparse.DefaultSELLC, sparse.DefaultSELLSigma)
-}
-
-// SetSpMV selects the local SpMV kernel layout (SpMVAuto resolves
-// RES_SPMV). Selecting SELL converts localA and the interior/boundary
-// subsets once; results and the charged flops are bitwise-identical to
-// the CSR kernels. Safe to call once after NewLocalOp, before solving.
-func (op *LocalOp) SetSpMV(l SpMVLayout) {
-	l = resolveSpMV(l)
-	op.layout = l
-	if l != SpMVSELL {
-		op.sellA, op.sellInt, op.sellBdy = nil, nil, nil
-		return
-	}
-	if op.sellA == nil {
-		op.sellA = sparse.NewSELLFromCSR(op.localA, sparse.DefaultSELLC, sparse.DefaultSELLSigma)
-		op.sellInt = op.interior.toSELL(op.localA.Cols)
-		op.sellBdy = op.boundary.toSELL(op.localA.Cols)
-	}
-}
-
-// SpMV reports the resolved kernel layout.
-func (op *LocalOp) SpMV() SpMVLayout {
-	if op.layout == SpMVAuto {
-		return SpMVCSR
-	}
-	return op.layout
-}
-
 // SetOverlap selects the overlapped MulVecDist path: halo sends and
 // receives are posted nonblocking, the interior rows are multiplied
 // while the exchange is in flight, and the boundary rows follow once it
@@ -342,11 +300,7 @@ func (op *LocalOp) MulVecDist(c *cluster.Comm, y, x []float64) {
 		return
 	}
 	buf := op.GatherHalo(c, x)
-	if op.sellA != nil {
-		op.sellA.MulVec(y, buf)
-	} else {
-		op.localA.MulVec(y, buf)
-	}
+	op.localA.MulVec(y, buf)
 	c.Compute(op.localA.SpMVFlops())
 }
 
@@ -378,11 +332,7 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 	// Interior rows read only owned entries of xbuf, so they are safe to
 	// multiply before the ghost region is filled.
 	intStart := c.Clock()
-	if op.sellInt != nil {
-		op.sellInt.MulVec(y, op.xbuf)
-	} else {
-		op.interior.mulVecInto(y, op.xbuf)
-	}
+	op.interior.mulVecInto(y, op.xbuf)
 	c.Compute(op.interior.flops())
 	if o := c.Observer(); o != nil {
 		o.Span(obs.SpanSpMVInterior, intStart, c.Clock()-intStart)
@@ -397,11 +347,7 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 		}
 	}
 	bdyStart := c.Clock()
-	if op.sellBdy != nil {
-		op.sellBdy.MulVec(y, op.xbuf)
-	} else {
-		op.boundary.mulVecInto(y, op.xbuf)
-	}
+	op.boundary.mulVecInto(y, op.xbuf)
 	c.Compute(op.boundary.flops())
 	if o := c.Observer(); o != nil {
 		o.Span(obs.SpanSpMVBoundary, bdyStart, c.Clock()-bdyStart)

@@ -92,23 +92,10 @@ func SeqCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, b, x []fl
 	return res
 }
 
-// SeqCGMatrix is SeqCG specialized to a CSR matrix operator, in the
-// RES_SPMV-resolved kernel layout.
+// SeqCGMatrix is SeqCG specialized to a CSR matrix operator.
 func SeqCGMatrix(a *sparse.CSR, b, x []float64, tol float64, maxIters int) SeqResult {
-	return SeqCGMatrixLayout(a, b, x, tol, maxIters, SpMVAuto)
-}
-
-// SeqCGMatrixLayout is SeqCGMatrix with an explicit SpMV layout. The
-// SELL path converts once up front and iterates on the blocked kernel;
-// iterates, flop charges and the returned result are bitwise-identical
-// to the CSR path.
-func SeqCGMatrixLayout(a *sparse.CSR, b, x []float64, tol float64, maxIters int, layout SpMVLayout) SeqResult {
 	if a.Rows != a.Cols || a.Rows != len(b) {
 		panic(fmt.Sprintf("solver: SeqCGMatrix %s with len(b)=%d", a, len(b)))
-	}
-	if resolveSpMV(layout) == SpMVSELL {
-		s := sparse.NewSELLFromCSR(a, sparse.DefaultSELLC, sparse.DefaultSELLSigma)
-		return SeqCG(func(y, v []float64) { s.MulVec(y, v) }, s.SpMVFlops(), b, x, tol, maxIters)
 	}
 	return SeqCG(func(y, v []float64) { a.MulVec(y, v) }, a.SpMVFlops(), b, x, tol, maxIters)
 }

@@ -29,46 +29,15 @@ import (
 	"context"
 	"fmt"
 
-	"resilience/internal/cluster"
 	"resilience/internal/core"
 	"resilience/internal/experiments"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
-	"resilience/internal/solver"
 	"resilience/internal/sparse"
 	"resilience/internal/trace"
 )
-
-// SchedMode selects the simulator's rank execution mode: the goroutine
-// runtime (the golden oracle) or the cooperative single-thread scheduler.
-// The zero value defers to the RES_SCHED environment variable. Every
-// result is byte-identical across modes; only host wall-clock changes.
-type SchedMode = cluster.SchedMode
-
-// SpMVLayout selects the local SpMV kernel storage layout (CSR or
-// SELL-C-σ). The zero value defers to the RES_SPMV environment variable.
-// Results and modeled costs are byte-identical across layouts.
-type SpMVLayout = solver.SpMVLayout
-
-// Scheduler modes and SpMV layouts, re-exported for SolveOptions /
-// ExperimentOptions literals.
-const (
-	SchedAuto      = cluster.SchedAuto
-	SchedGoroutine = cluster.SchedGoroutine
-	SchedCoop      = cluster.SchedCoop
-
-	SpMVAuto = solver.SpMVAuto
-	SpMVCSR  = solver.SpMVCSR
-	SpMVSELL = solver.SpMVSELL
-)
-
-// ParseSched parses a scheduler mode name: "auto", "goroutine" or "coop".
-func ParseSched(s string) (SchedMode, error) { return cluster.ParseSched(s) }
-
-// ParseSpMV parses an SpMV layout name: "auto", "csr" or "sell".
-func ParseSpMV(s string) (SpMVLayout, error) { return solver.ParseSpMV(s) }
 
 // Matrix is a sparse matrix in CSR format.
 type Matrix = sparse.CSR
@@ -174,10 +143,6 @@ type SolveOptions struct {
 	// distributed matrix-vector product. The iterates are bitwise-
 	// identical either way; only the modeled time and energy change.
 	Overlap bool
-	// Sched selects the rank execution mode; zero defers to RES_SCHED.
-	Sched SchedMode
-	// SpMV selects the SpMV kernel layout; zero defers to RES_SPMV.
-	SpMV SpMVLayout
 
 	Platform *Platform
 	// KeepPowerSegments retains the full power trace for profiles.
@@ -225,8 +190,6 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		MaxIters:     opts.MaxIters,
 		Jacobi:       opts.Jacobi,
 		Overlap:      opts.Overlap,
-		Sched:        opts.Sched,
-		SpMV:         opts.SpMV,
 		KeepSegments: opts.KeepPowerSegments,
 		Trace:        opts.Trace,
 		Obs:          opts.Observer,
@@ -291,9 +254,9 @@ func RunExperiment(id, scale string) (*ExperimentResult, error) {
 }
 
 // RunExperimentWorkers is RunExperiment with an explicit worker count for
-// the concurrent experiment engine. Zero means "use the RES_WORKERS
-// environment variable, else GOMAXPROCS"; one forces sequential
-// execution. The rendered output is byte-identical for any value.
+// the concurrent experiment engine. Zero means GOMAXPROCS; one forces
+// sequential execution. The rendered output is byte-identical for any
+// value.
 func RunExperimentWorkers(id, scale string, workers int) (*ExperimentResult, error) {
 	return RunExperimentOpts(id, scale, ExperimentOptions{Workers: workers})
 }
@@ -301,24 +264,16 @@ func RunExperimentWorkers(id, scale string, workers int) (*ExperimentResult, err
 // ExperimentOptions tune how an experiment executes without changing what
 // it measures (except Overlap, which switches the modeled SpMV kernel).
 type ExperimentOptions struct {
-	// Workers bounds the engine's cell concurrency; zero means "use the
-	// RES_WORKERS environment variable, else GOMAXPROCS".
+	// Workers bounds the engine's cell concurrency; zero means
+	// GOMAXPROCS.
 	Workers int
 	// Overlap runs every distributed solve with the halo exchange hidden
-	// behind the interior SpMV; false defers to the RES_OVERLAP
-	// environment variable, else the fused seed behavior.
+	// behind the interior SpMV; false is the fused seed behavior.
 	Overlap bool
 	// Observe attaches a (discarded) observability recorder to every cell
-	// solve; false defers to the RES_OBS environment variable. Output is
-	// byte-identical either way — this exists to exercise the purity
-	// guarantee under the full experiment matrix.
+	// solve. Output is byte-identical either way — this exists to
+	// exercise the purity guarantee under the full experiment matrix.
 	Observe bool
-	// Sched selects the rank execution mode for every cell solve; zero
-	// defers to RES_SCHED. Tables are byte-identical across modes.
-	Sched SchedMode
-	// SpMV selects the SpMV kernel layout for every cell solve; zero
-	// defers to RES_SPMV. Tables are byte-identical across layouts.
-	SpMV SpMVLayout
 	// Seed overrides the experiment fault-injection seed; zero keeps the
 	// default (1, the seed behind every checked-in table). The effective
 	// seed is echoed in ExperimentResult.Seed so reports are replayable.
@@ -339,8 +294,6 @@ func RunExperimentOpts(id, scale string, opts ExperimentOptions) (*ExperimentRes
 	cfg.Workers = opts.Workers
 	cfg.Overlap = opts.Overlap
 	cfg.Observe = opts.Observe
-	cfg.Sched = opts.Sched
-	cfg.SpMV = opts.SpMV
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}
