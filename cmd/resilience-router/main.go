@@ -5,8 +5,9 @@
 // cache concentrates on its own key range and the fleet-wide hit rate
 // approaches a single cache N times the size. Replica 429s (and their
 // Retry-After hints) pass through untouched; the router adds its own
-// bounded in-flight admission on top. Replica death or drain re-shards
-// the ring — only the dead replica's key range moves. /healthz reports
+// bounded in-flight admission on top. A /batch is split by ring owner
+// and forwarded as one sub-batch per replica. Replica death or drain
+// re-shards the ring — only the dead replica's key range moves. /healthz reports
 // fleet liveness, /metrics aggregates per-replica queue depth and cache
 // hit rates, and POST /replicas changes membership at runtime.
 // SIGINT/SIGTERM drains in-flight forwards, then exits.

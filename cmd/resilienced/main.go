@@ -1,7 +1,9 @@
 // Command resilienced serves resilient solves over HTTP/JSON.
 //
 // Jobs (scenario replays, registered experiments, diagnostic sleeps)
-// are POSTed to /solve. A content-addressed result cache with
+// are POSTed to /solve one at a time, or to /batch as a JSON array that
+// is answered item by item with the bytes /solve would return. A
+// content-addressed result cache with
 // single-flight dedup answers repeated jobs ahead of admission; new
 // work is admitted through a bounded queue and executed on a worker
 // pool. When the queue is full the daemon answers 429 with a

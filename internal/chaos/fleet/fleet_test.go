@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"resilience/internal/chaos"
@@ -212,10 +213,10 @@ func metricValueOf(metrics, name string) float64 {
 	return -1
 }
 
-// TestFleetBareReplicaFallback points the HTTP client straight at one
-// replica (which has /solve but no /batch): the client must fall back to
-// per-item posts and still produce the oracle's bytes.
-func TestFleetBareReplicaFallback(t *testing.T) {
+// TestFleetBareReplica points the HTTP client straight at one replica:
+// its own /batch serves the campaign, no router in between, and the
+// stream is still the oracle's bytes.
+func TestFleetBareReplica(t *testing.T) {
 	opts := campaign(12)
 	opts.MaxShrinks = 1
 	ctx := context.Background()
@@ -224,7 +225,16 @@ func TestFleetBareReplicaFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(service.New(service.Config{Workers: 2, QueueCap: 64}))
+	srv := service.New(service.Config{Workers: 2, QueueCap: 64})
+	var batches, others atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/batch" {
+			batches.Add(1)
+		} else {
+			others.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	rep, err := fleet.Run(ctx, opts, fleet.NewClient(ts.URL, opts.Campaign.BreakInvariant))
 	if err != nil {
@@ -232,6 +242,9 @@ func TestFleetBareReplicaFallback(t *testing.T) {
 	}
 	if got, want := stream(t, rep), stream(t, oracleRep); got != want {
 		t.Errorf("bare-replica stream differs from oracle\n%s", firstDiff(got, want))
+	}
+	if batches.Load() == 0 || others.Load() != 0 {
+		t.Errorf("campaign made %d /batch and %d other requests, want /batch only", batches.Load(), others.Load())
 	}
 }
 

@@ -8,20 +8,19 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"resilience/internal/chaos"
 	"resilience/internal/service"
 )
 
-// Client evaluates scenario batches against a live fleet: a
-// resilience-router (preferred — one POST /batch per batch, fanned out
-// across replicas by the consistent-hash ring) or a bare resilienced
-// replica (automatic fallback to per-item POST /solve when the target
-// has no /batch). Backpressured items — 429s and transient 5xx — are
-// retried per item, so replica churn and queue saturation cost time,
-// never verdicts. Safe for concurrent use.
+// Client evaluates scenario batches against a live fleet, one POST
+// /batch per batch: a resilience-router (which forwards one sub-batch to
+// each replica that owns some of the scenarios) or a bare resilienced
+// replica — both serve the same /batch contract, and there is no other
+// path. Backpressured items — 429s and transient 502/503s — are retried
+// per item through /solve, so replica churn and queue saturation cost
+// time, never verdicts. Safe for concurrent use.
 type Client struct {
 	// Base is the router or replica base URL (http://host:port).
 	Base string
@@ -34,8 +33,6 @@ type Client struct {
 	MaxRetries int
 	// RetrySleep is the pause between per-item retries (<=0: 25 ms).
 	RetrySleep time.Duration
-
-	noBatch atomic.Bool // target answered 404/405 on /batch: use /solve
 }
 
 // NewClient builds an HTTP evaluator for the fleet at base.
@@ -64,15 +61,8 @@ func (c *Client) retrySleep() time.Duration {
 	return 25 * time.Millisecond
 }
 
-// wireItem mirrors the router's /batch response element.
-type wireItem struct {
-	Code int             `json:"code"`
-	Body json.RawMessage `json:"body"`
-}
-
-// Evaluate implements Evaluator: one round-trip for the whole batch when
-// the target speaks /batch, per-item /solve otherwise, with per-item
-// retry of backpressured responses either way.
+// Evaluate implements Evaluator: one round trip for the whole batch,
+// then per-item retry of backpressured responses.
 func (c *Client) Evaluate(ctx context.Context, scenarios []*chaos.Scenario) ([]string, error) {
 	reqs := make([]service.JobRequest, len(scenarios))
 	for i, s := range scenarios {
@@ -93,13 +83,9 @@ func (c *Client) Evaluate(ctx context.Context, scenarios []*chaos.Scenario) ([]s
 	return out, nil
 }
 
-// postBatch submits the batch, falling back to per-item /solve when the
-// target has no /batch endpoint, and retrying whole-batch backpressure
-// (a saturated router rejects the batch before fanning it out).
-func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]wireItem, error) {
-	if c.noBatch.Load() {
-		return c.solveAll(ctx, reqs)
-	}
+// postBatch submits the batch, retrying whole-batch backpressure (a
+// saturated router rejects the batch before routing any of it).
+func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]service.BatchItem, error) {
 	body, err := json.Marshal(reqs)
 	if err != nil {
 		return nil, err
@@ -111,7 +97,7 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]wi
 		}
 		switch {
 		case code == http.StatusOK:
-			var items []wireItem
+			var items []service.BatchItem
 			if err := json.Unmarshal(respBody, &items); err != nil {
 				return nil, fmt.Errorf("fleet: bad batch response: %w", err)
 			}
@@ -119,10 +105,6 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]wi
 				return nil, fmt.Errorf("fleet: batch answered %d items for %d requests", len(items), len(reqs))
 			}
 			return items, nil
-		case code == http.StatusNotFound || code == http.StatusMethodNotAllowed:
-			// A bare replica: it solves, it just doesn't batch.
-			c.noBatch.Store(true)
-			return c.solveAll(ctx, reqs)
 		case retryable(code) && attempt < c.maxRetries():
 			if err := sleepCtx(ctx, c.retrySleep()); err != nil {
 				return nil, err
@@ -133,30 +115,11 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]wi
 	}
 }
 
-// solveAll is the no-/batch fallback: sequential per-item /solve posts
-// shaped into batch items. (Concurrency comes from the driver running
-// multiple batches; this path exists for bare replicas and tests.)
-func (c *Client) solveAll(ctx context.Context, reqs []service.JobRequest) ([]wireItem, error) {
-	items := make([]wireItem, len(reqs))
-	for i := range reqs {
-		body, err := json.Marshal(reqs[i])
-		if err != nil {
-			return nil, err
-		}
-		code, respBody, err := c.post(ctx, "/solve", body)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = wireItem{Code: code, Body: respBody}
-	}
-	return items, nil
-}
-
 // finishItem extracts one item's verdict line, retrying backpressured
 // items individually through /solve until they land or the retry budget
 // is gone. Retries re-enter through the router's normal routing path, so
 // an item whose replica died mid-campaign re-shards to a survivor.
-func (c *Client) finishItem(ctx context.Context, req service.JobRequest, item wireItem) (string, error) {
+func (c *Client) finishItem(ctx context.Context, req service.JobRequest, item service.BatchItem) (string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return "", err
@@ -182,7 +145,7 @@ func (c *Client) finishItem(ctx context.Context, req service.JobRequest, item wi
 		if err != nil {
 			return "", err
 		}
-		item = wireItem{Code: code, Body: respBody}
+		item = service.BatchItem{Code: code, Body: respBody}
 	}
 }
 

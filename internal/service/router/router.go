@@ -31,7 +31,8 @@ type Config struct {
 	// MaxInflight bounds concurrently forwarded requests — the router's
 	// own admission queue, mirroring the replica discipline: beyond it
 	// the router answers 429 + Retry-After instead of stacking
-	// connections (<=0: 256).
+	// connections (<=0: 256). A /batch is one request however many items
+	// it carries, and has at most one sub-batch per replica on the wire.
 	MaxInflight int
 	// RetryAfter is the hint sent with router-side 429s (<=0: 1 s).
 	// Replica 429s carry the replica's own hint through untouched.
@@ -43,12 +44,6 @@ type Config struct {
 	// ForwardTimeout caps one forwarded solve round-trip (<=0: 150 s —
 	// above the replicas' default 120 s job timeout).
 	ForwardTimeout time.Duration
-	// BatchConcurrency bounds how many items of one /batch request are
-	// forwarded at once (<=0: 8). A batch occupies a single router
-	// admission slot however large it is; this knob is the router's own
-	// fan-out parallelism, so a chaos campaign saturates replicas at a
-	// controlled rate instead of admission-slot granularity.
-	BatchConcurrency int
 }
 
 func (c Config) withDefaults() Config {
@@ -67,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 150 * time.Second
 	}
-	if c.BatchConcurrency <= 0 {
-		c.BatchConcurrency = 8
-	}
 	return c
 }
 
@@ -82,7 +74,8 @@ type member struct {
 
 // Router consistent-hash-routes solve jobs across resilienced replicas.
 // It implements http.Handler with the same endpoint surface as a
-// replica (/solve, /healthz, /metrics) plus /replicas for membership.
+// replica (/solve, /batch, /healthz, /metrics) plus /replicas for
+// membership.
 type Router struct {
 	cfg    Config
 	mux    *http.ServeMux
@@ -120,7 +113,11 @@ type Router struct {
 	rejected  *telemetry.Counter
 	rerouted  *telemetry.Counter
 	noReplica *telemetry.Counter
-	hForward  *telemetry.HistogramVec // forward round-trip wall seconds
+	hForward  *telemetry.HistogramVec // one /solve forward round trip, wall seconds
+	// hBatchForward times one sub-batch round trip. It is its own series:
+	// a sub-batch takes as long as all its jobs, a /solve forward as long
+	// as one, and a scrape must not mix the two.
+	hBatchForward *telemetry.HistogramVec
 
 	// Campaign progress: verdict-bearing jobs forwarded for the chaos
 	// fleet, how many came back as verdicts, and how many of those were
@@ -140,9 +137,15 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("router: no replicas configured")
 	}
+	// The forward client keeps as many idle connections per replica as
+	// there can be forwards in flight. http.DefaultTransport keeps two,
+	// so every third concurrent forward would dial, and drop, its own.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0
+	transport.MaxIdleConnsPerHost = cfg.MaxInflight
 	rt := &Router{
 		cfg:        cfg,
-		client:     &http.Client{Timeout: cfg.ForwardTimeout},
+		client:     &http.Client{Transport: transport, Timeout: cfg.ForwardTimeout},
 		probe:      &http.Client{Timeout: 2 * time.Second},
 		slots:      make(chan struct{}, cfg.MaxInflight),
 		members:    make(map[string]*member),
@@ -203,6 +206,7 @@ func (rt *Router) initMetrics() {
 		return float64(n)
 	})
 	rt.hForward = r.HistogramVec("forward_seconds", "")
+	rt.hBatchForward = r.HistogramVec("batch_forward_seconds", "")
 	r.Collector(rt.exposeFleet)
 }
 
@@ -424,14 +428,7 @@ func (rt *Router) probeOne(url string) (alive bool, reason string) {
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// Mint or propagate the request ID: the router is usually the fleet
-	// entry point, so IDs are born here (or at resilience-load) and
-	// forwarded to the replica, which echoes them back.
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
+	reqID := telemetry.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -447,58 +444,12 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	// Router-side admission, mirroring the replica queue discipline:
-	// explicit 429 + Retry-After, never an implicitly stalled client.
-	rt.admitMu.RLock()
-	if rt.draining {
-		rt.admitMu.RUnlock()
-		writeError(w, http.StatusServiceUnavailable, "draining")
+	if !rt.admit(w, reqID, "router saturated") {
 		return
 	}
-	select {
-	case rt.slots <- struct{}{}:
-	default:
-		rt.admitMu.RUnlock()
-		rt.rejected.Inc()
-		rt.flight.Note("router-rejected", reqID, "router saturated")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "router saturated")
-		return
-	}
-	rt.inflight.Add(1)
-	rt.admitMu.RUnlock()
-	defer func() {
-		<-rt.slots
-		rt.inflight.Done()
-	}()
+	defer rt.release()
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rt.writeReply(w, rt.forward(req, body, reqID))
-}
-
-// reply is one routed job's final answer — status, pass-through headers,
-// body — captured as a value rather than written to a ResponseWriter, so
-// /solve and /batch share the routing path byte-for-byte.
-type reply struct {
-	code   int
-	header http.Header
-	body   []byte
-}
-
-// errReply synthesizes a router-side JSON error reply.
-func errReply(code int, msg string) reply {
-	body, _ := json.Marshal(map[string]string{"error": msg})
-	h := http.Header{}
-	h.Set("Content-Type", "application/json")
-	return reply{code: code, header: h, body: body}
-}
-
-func (rt *Router) writeReply(w http.ResponseWriter, rep reply) {
+	rep := rt.routeOne(req, reqID)
 	for k := range rep.header {
 		w.Header().Set(k, rep.header.Get(k))
 	}
@@ -506,111 +457,239 @@ func (rt *Router) writeReply(w http.ResponseWriter, rep reply) {
 	w.Write(rep.body)
 }
 
+// admit is router-side admission, mirroring the replica queue
+// discipline: explicit 429 + Retry-After, never an implicitly stalled
+// client. It takes one slot for the request — a /solve or a whole /batch
+// — or writes the refusal and reports false. release returns the slot.
+func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
+	rt.admitMu.RLock()
+	defer rt.admitMu.RUnlock()
+	if rt.draining {
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return false
+	}
+	select {
+	case rt.slots <- struct{}{}:
+	default:
+		rt.rejected.Inc()
+		rt.flight.Note("router-rejected", reqID, saturated)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
+		writeError(w, http.StatusTooManyRequests, "router saturated")
+		return false
+	}
+	rt.inflight.Add(1)
+	return true
+}
+
+func (rt *Router) release() {
+	<-rt.slots
+	rt.inflight.Done()
+}
+
+// reply is one routed /solve's final answer: status, pass-through
+// headers, body.
+type reply struct {
+	code   int
+	header http.Header
+	body   []byte
+}
+
+// routerError is an answer the router makes up itself.
+type routerError struct {
+	code int
+	msg  string
+}
+
+func (e *routerError) body() []byte {
+	body, _ := json.Marshal(map[string]string{"error": e.msg})
+	return body
+}
+
+func (e *routerError) reply() reply {
+	h := http.Header{}
+	h.Set("Content-Type", "application/json")
+	return reply{code: e.code, header: h, body: e.body()}
+}
+
 // failVerdictMarker matches a verdict-bearing job result whose verdict
 // line carries status "fail". Matching bytes instead of re-decoding the
 // body keeps the campaign counters off the forwarding hot path.
 var failVerdictMarker = []byte(`"verdict":"v1 status=fail`)
 
-// forward routes one job to its replica and folds the outcome into the
-// campaign counters when the job carries a verdict. Callers must hold a
-// router admission slot.
-func (rt *Router) forward(req service.JobRequest, body []byte, reqID string) reply {
-	rep := rt.routeOne(req, body, reqID)
-	if req.Verdict {
+// routed is one validated job on its way through the ring: where it
+// hashes, how many replicas have failed it so far, and which slot of the
+// client's batch it answers (0 for /solve).
+type routed struct {
+	req       service.JobRequest
+	key       string
+	cacheable bool
+	slot      int
+	tried     int
+}
+
+func newRouted(req service.JobRequest, slot int) (*routed, error) {
+	key, cacheable, err := service.CanonicalKey(req)
+	if err != nil {
+		return nil, err
+	}
+	return &routed{req: req, key: key, cacheable: cacheable, slot: slot}, nil
+}
+
+// target picks j's replica on rg: the key's ring owner, or the next
+// member round-robin for a job without a key. Empty when rg is.
+func (rt *Router) target(rg *ring, j *routed) string {
+	if j.cacheable {
+		return rg.lookup(fnv64a(j.key))
+	}
+	return rg.nth(rt.rr.Add(1) - 1)
+}
+
+// fault is why a replica did not answer a job; a nil *fault means it did.
+type fault struct {
+	kind   faultKind
+	detail string
+}
+
+type faultKind int
+
+const (
+	unreachable faultKind = iota // the round trip failed: nothing came back
+	torn                         // something came back that cannot be used
+	draining                     // the replica answered this job 503
+)
+
+// A draining (or just-booted) replica answers new work 503: re-shard
+// away and let another replica take the key. The drained replica's cache
+// hits are lost, not its correctness.
+var replicaDraining = &fault{kind: draining, detail: "replica draining"}
+
+// failover is the one statement of the routing failure rules, applied to
+// every job that target (found on rg) failed, whether the job travelled
+// alone or in a sub-batch. The replica is taken off the ring and the job
+// goes back to be routed on the re-sharded ring (retry), unless it has
+// used up its len(members)+1 attempts, which is what makes a fully dead
+// fleet terminate. Then final is its answer — or, for a draining 503,
+// final is nil and the replica's own answer stands.
+func (rt *Router) failover(rg *ring, target, reqID string, j *routed, f *fault) (retry bool, final *routerError) {
+	j.tried++
+	spent := j.tried > len(rg.members)+1
+	changed := rt.markDown(target, f.detail)
+	if changed {
+		rt.flight.Note("replica-down", reqID, target+": "+f.detail)
+	}
+	switch {
+	case f.kind == unreachable && spent && !changed:
+		rt.noReplica.Inc()
+		rt.flight.Crash("all-replicas-unreachable", reqID, f.detail)
+		return false, &routerError{http.StatusBadGateway, "all replicas unreachable: " + f.detail}
+	case f.kind == torn && spent:
+		rt.flight.Crash("replica-torn", reqID, target+": "+f.detail)
+		return false, &routerError{http.StatusBadGateway, "replica response torn: " + f.detail}
+	case f.kind == draining && spent:
+		return false, nil
+	}
+	rt.rerouted.Inc()
+	return true, nil
+}
+
+// noReplicaError is the answer when the ring is empty.
+func (rt *Router) noReplicaError(reqID string) *routerError {
+	rt.noReplica.Inc()
+	rt.flight.Crash("no-replica", reqID, "no replica available")
+	return &routerError{http.StatusServiceUnavailable, "no replica available"}
+}
+
+// account folds one job's final answer into the counters: an answer a
+// replica gave is routed (a router-made error is not) and files a crash
+// note when it is >= 500; a verdict-bearing job moves the campaign
+// counters whoever answered it.
+func (rt *Router) account(j *routed, replica, reqID string, code int, body []byte) {
+	if replica != "" {
+		rt.routed.Inc()
+		rt.perMu.Lock()
+		rt.perRouted[replica]++
+		rt.perMu.Unlock()
+		if code >= 500 {
+			rt.flight.Crash("replica-5xx", reqID, fmt.Sprintf("%s: status %d: %s", replica, code, body))
+		}
+	}
+	if j.req.Verdict {
 		rt.campaignJobs.Inc()
-		if rep.code == http.StatusOK {
+		if code == http.StatusOK {
 			rt.campaignVerdicts.Inc()
-			if bytes.Contains(rep.body, failVerdictMarker) {
+			if bytes.Contains(body, failVerdictMarker) {
 				rt.campaignFail.Inc()
 			}
 		}
 	}
-	return rep
 }
 
-// routeOne routes one job to its replica, failing over (and re-sharding)
-// past dead replicas. Responses — including replica 429s with their
-// Retry-After hints and X-Cache markers — pass through byte-identical.
-func (rt *Router) routeOne(req service.JobRequest, body []byte, reqID string) reply {
-	key, cacheable, err := service.CanonicalKey(req)
+// exchange posts body to one replica endpoint with the request ID
+// attached, so the replica's spans and flight-recorder entries share the
+// router's ID, and reads the whole answer.
+func (rt *Router) exchange(url string, body []byte, reqID string) (*http.Response, []byte, *fault) {
+	hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return errReply(http.StatusBadRequest, err.Error())
+		return nil, nil, &fault{unreachable, err.Error()}
 	}
+	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("X-Request-Id", reqID)
+	resp, err := rt.client.Do(hr)
+	if err != nil {
+		return nil, nil, &fault{unreachable, err.Error()}
+	}
+	respBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, nil, &fault{torn, err.Error()}
+	}
+	return resp, respBody, nil
+}
 
+// routeOne routes one /solve to its replica, failing over (and
+// re-sharding) past dead replicas. Responses — including replica 429s
+// with their Retry-After hints and X-Cache markers — pass through
+// byte-identical. The caller holds a router admission slot.
+func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
+	j, err := newRouted(req, 0)
+	if err != nil {
+		return (&routerError{http.StatusBadRequest, err.Error()}).reply()
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return (&routerError{http.StatusInternalServerError, err.Error()}).reply()
+	}
 	fwd := rt.tracer.Start("forward", reqID)
-	tried := 0
+	fail := func(e *routerError) reply {
+		fwd.End()
+		rep := e.reply()
+		if e.code == http.StatusServiceUnavailable {
+			rep.header.Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
+		}
+		rt.account(j, "", reqID, rep.code, rep.body)
+		return rep
+	}
 	for {
 		rg := rt.ring.Load()
-		var target string
-		if cacheable {
-			target = rg.lookup(fnv64a(key))
-		} else {
-			target = rg.nth(rt.rr.Add(1) - 1)
-		}
+		target := rt.target(rg, j)
 		if target == "" {
-			fwd.End()
-			rt.noReplica.Inc()
-			rt.flight.Crash("no-replica", reqID, "no replica available")
-			rep := errReply(http.StatusServiceUnavailable, "no replica available")
-			rep.header.Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
-			return rep
+			return fail(rt.noReplicaError(reqID))
 		}
-		resp, err := rt.post(target, body, reqID)
-		if err != nil {
-			// Transport failure: take the replica off the ring and retry
-			// on the re-sharded ring. Bound attempts by membership size so
-			// a fully-dead fleet terminates.
-			tried++
-			changed := rt.markDown(target, err.Error())
-			if changed {
-				rt.flight.Note("replica-down", reqID, target+": "+err.Error())
-			}
-			if !changed && tried > len(rg.members)+1 {
-				fwd.End()
-				rt.noReplica.Inc()
-				rt.flight.Crash("all-replicas-unreachable", reqID, err.Error())
-				return errReply(http.StatusBadGateway, "all replicas unreachable: "+err.Error())
-			}
-			rt.rerouted.Inc()
-			continue
+		resp, respBody, f := rt.exchange(target+"/solve", body, reqID)
+		if f == nil && resp.StatusCode == http.StatusServiceUnavailable {
+			f = replicaDraining
 		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			tried++
-			if rt.markDown(target, err.Error()) {
-				rt.flight.Note("replica-down", reqID, target+": "+err.Error())
-			}
-			if tried > len(rg.members)+1 {
-				fwd.End()
-				rt.flight.Crash("replica-torn", reqID, target+": "+err.Error())
-				return errReply(http.StatusBadGateway, "replica response torn: "+err.Error())
-			}
-			rt.rerouted.Inc()
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// A draining (or just-booted) replica: re-shard away and let
-			// another replica take the key. The drained replica's cache
-			// hits are lost, not its correctness.
-			tried++
-			if rt.markDown(target, "replica draining") && tried <= len(rg.members)+1 {
-				rt.flight.Note("replica-down", reqID, target+": draining")
-				rt.rerouted.Inc()
+		if f != nil {
+			retry, final := rt.failover(rg, target, reqID, j, f)
+			if retry {
 				continue
 			}
-			// Nothing changed (already down) or attempts exhausted: pass
-			// the 503 through.
+			if final != nil {
+				return fail(final)
+			}
 		}
 		rt.hForward.With("").Record(fwd.End().Seconds())
-		rt.routed.Inc()
-		rt.perMu.Lock()
-		rt.perRouted[target]++
-		rt.perMu.Unlock()
-		if resp.StatusCode >= 500 {
-			rt.flight.Crash("replica-5xx", reqID,
-				fmt.Sprintf("%s: status %d: %s", target, resp.StatusCode, respBody))
-		}
+		rt.account(j, target, reqID, resp.StatusCode, respBody)
 		h := http.Header{}
 		for _, k := range []string{"Content-Type", "Retry-After", "X-Cache", "X-Request-Id"} {
 			if v := resp.Header.Get(k); v != "" {
@@ -621,126 +700,167 @@ func (rt *Router) routeOne(req service.JobRequest, body []byte, reqID string) re
 	}
 }
 
-// maxBatchItems caps one /batch request. A chaos fleet shards campaigns
-// into batches far below this; the cap exists so a single request can
-// never hold an admission slot for an unbounded amount of work.
-const maxBatchItems = 1024
-
-// batchItem is one /batch element's outcome. Body carries the replica's
-// (or the router's error) JSON verbatim — embedding it as a RawMessage
-// keeps each item byte-identical to what a direct /solve would have
-// returned, which is what the fleet's determinism contract rides on.
-type batchItem struct {
-	Code int             `json:"code"`
-	Body json.RawMessage `json:"body"`
-}
-
-// handleBatch fans one campaign batch out across the fleet: a JSON array
-// of job requests in, an aligned array of {code, body} items out. The
-// whole batch occupies ONE router admission slot — the fan-out runs at
-// Config.BatchConcurrency inside it — so a million-scenario campaign
-// contends with interactive /solve traffic as a handful of slots, not a
-// slot per scenario. Per-item failures (including replica 429s) land in
-// that item's code; the batch itself only fails for malformed bodies or
+// handleBatch routes one campaign batch: a JSON array of job requests
+// in, an aligned array of {code, body} items out, each body the bytes a
+// /solve of that request returns. The whole batch occupies ONE router
+// admission slot, so a million-scenario campaign contends with
+// interactive /solve traffic as a handful of slots, not a slot per
+// scenario. Per-item failures (including replica 429s) land in that
+// item's code; the batch itself only fails for malformed bodies or
 // router saturation.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
+	reqID := telemetry.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var reqs []service.JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+	reqs, err := service.DecodeBatch(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+	if !rt.admit(w, reqID, "router saturated (batch)") {
 		return
 	}
-	if len(reqs) > maxBatchItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds the %d-item cap", len(reqs), maxBatchItems))
-		return
-	}
-
-	rt.admitMu.RLock()
-	if rt.draining {
-		rt.admitMu.RUnlock()
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	select {
-	case rt.slots <- struct{}{}:
-	default:
-		rt.admitMu.RUnlock()
-		rt.rejected.Inc()
-		rt.flight.Note("router-rejected", reqID, "router saturated (batch)")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "router saturated")
-		return
-	}
-	rt.inflight.Add(1)
-	rt.admitMu.RUnlock()
-	defer func() {
-		<-rt.slots
-		rt.inflight.Done()
-	}()
-
-	items := make([]batchItem, len(reqs))
-	sem := make(chan struct{}, rt.cfg.BatchConcurrency)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			items[i] = rt.batchOne(reqs[i], fmt.Sprintf("%s-%d", reqID, i))
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, items)
+	defer rt.release()
+	writeJSON(w, http.StatusOK, rt.routeBatch(reqs, reqID))
 }
 
-// batchOne validates and routes one batch element.
-func (rt *Router) batchOne(req service.JobRequest, reqID string) batchItem {
-	if err := req.Validate(); err != nil {
-		rep := errReply(http.StatusBadRequest, err.Error())
-		return batchItem{Code: rep.code, Body: rep.body}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		rep := errReply(http.StatusInternalServerError, err.Error())
-		return batchItem{Code: rep.code, Body: rep.body}
-	}
-	rep := rt.forward(req, body, reqID)
-	if !json.Valid(rep.body) {
-		// A replica answered with something that is not JSON (a torn body,
-		// an interposed proxy page). Wrap it so the batch document itself
-		// stays parseable.
-		wrapped, _ := json.Marshal(map[string]string{"error": string(rep.body)})
-		return batchItem{Code: rep.code, Body: wrapped}
-	}
-	return batchItem{Code: rep.code, Body: rep.body}
+// subBatch is the jobs of one batch that one replica owns, and their
+// round trip's request ID.
+type subBatch struct {
+	target string
+	id     string
+	jobs   []*routed
+	again  []*routed // after send: the jobs to route once more
 }
 
-// post sends one forwarded solve with the request ID attached, so the
-// replica's spans and flight-recorder entries share the router's ID.
-func (rt *Router) post(target string, body []byte, reqID string) (*http.Response, error) {
-	hr, err := http.NewRequest(http.MethodPost, target+"/solve", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// routeBatch answers every request of one batch. It stays a batch on the
+// way down: the items are grouped by ring owner and each replica gets ONE
+// sub-batch (POST /batch, the wire contract the router itself serves),
+// the sub-batches of a round travelling side by side. Jobs a replica
+// failed are grouped again on the re-sharded ring, under the same rules
+// as a lone /solve (failover), until every slot is filled.
+//
+// Sub-batch k travels as request ID "<batch ID>.k", so its job i is
+// "<batch ID>.k-i" on the replica's spans and notes and on the router's;
+// a job that never travels is "<batch ID>-<slot>". Every ID is unique
+// and starts with the client's.
+func (rt *Router) routeBatch(reqs []service.JobRequest, reqID string) []service.BatchItem {
+	items := make([]service.BatchItem, len(reqs))
+	var pending []*routed
+	for i, req := range reqs {
+		err := req.Validate()
+		var j *routed
+		if err == nil {
+			j, err = newRouted(req, i)
+		}
+		if err != nil {
+			e := routerError{http.StatusBadRequest, err.Error()}
+			items[i] = service.BatchItem{Code: e.code, Body: e.body()}
+			continue
+		}
+		pending = append(pending, j)
 	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set("X-Request-Id", reqID)
-	return rt.client.Do(hr)
+
+	sent := 0
+	for len(pending) > 0 {
+		rg := rt.ring.Load()
+		var subs []*subBatch
+		owner := make(map[string]*subBatch)
+		for _, j := range pending {
+			target := rt.target(rg, j)
+			if target == "" {
+				id := reqID + "-" + strconv.Itoa(j.slot)
+				rt.answer(items, j, id, rt.noReplicaError(id))
+				continue
+			}
+			sb := owner[target]
+			if sb == nil {
+				sb = &subBatch{target: target, id: reqID + "." + strconv.Itoa(sent)}
+				sent++
+				owner[target] = sb
+				subs = append(subs, sb)
+			}
+			sb.jobs = append(sb.jobs, j)
+		}
+		var wg sync.WaitGroup
+		for _, sb := range subs {
+			wg.Add(1)
+			go func(sb *subBatch) {
+				defer wg.Done()
+				rt.send(rg, sb, items)
+			}(sb)
+		}
+		wg.Wait()
+		pending = pending[:0]
+		for _, sb := range subs {
+			pending = append(pending, sb.again...)
+		}
+	}
+	return items
+}
+
+// answer fills j's slot with a router-made error.
+func (rt *Router) answer(items []service.BatchItem, j *routed, id string, e *routerError) {
+	items[j.slot] = service.BatchItem{Code: e.code, Body: e.body()}
+	rt.account(j, "", id, e.code, items[j.slot].Body)
+}
+
+// send makes sb's round trip and settles each of its jobs: answered into
+// its slot of items, or put on sb.again.
+func (rt *Router) send(rg *ring, sb *subBatch, items []service.BatchItem) {
+	answers, sbFault := rt.forwardBatch(sb)
+	for i, j := range sb.jobs {
+		id := sb.id + "-" + strconv.Itoa(i)
+		f := sbFault
+		if f == nil && answers[i].Code == http.StatusServiceUnavailable {
+			f = replicaDraining
+		}
+		if f != nil {
+			retry, final := rt.failover(rg, sb.target, id, j, f)
+			if retry {
+				sb.again = append(sb.again, j)
+				continue
+			}
+			if final != nil {
+				rt.answer(items, j, id, final)
+				continue
+			}
+		}
+		items[j.slot] = answers[i]
+		rt.account(j, sb.target, id, answers[i].Code, answers[i].Body)
+	}
+}
+
+// forwardBatch is one sub-batch round trip: the jobs out as a JSON
+// array, one BatchItem per job back. Anything but a 200 carrying exactly
+// len(jobs) items is a torn reply — the replica did not speak the
+// protocol — and fails every job of the sub-batch.
+func (rt *Router) forwardBatch(sb *subBatch) ([]service.BatchItem, *fault) {
+	reqs := make([]service.JobRequest, len(sb.jobs))
+	for i, j := range sb.jobs {
+		reqs[i] = j.req
+	}
+	body, _ := json.Marshal(reqs) // a slice of flat structs: cannot fail
+	fwd := rt.tracer.Start("forward-batch", sb.id)
+	resp, respBody, f := rt.exchange(sb.target+"/batch", body, sb.id)
+	wall := fwd.End()
+	if f != nil {
+		return nil, f
+	}
+	rt.hBatchForward.With("").Record(wall.Seconds())
+	if resp.StatusCode != http.StatusOK {
+		return nil, &fault{torn, fmt.Sprintf("sub-batch status %d: %s", resp.StatusCode, respBody)}
+	}
+	var answers []service.BatchItem
+	if err := json.Unmarshal(respBody, &answers); err != nil {
+		return nil, &fault{torn, "sub-batch reply does not parse: " + err.Error()}
+	}
+	if len(answers) != len(sb.jobs) {
+		return nil, &fault{torn, fmt.Sprintf("sub-batch answered %d items for %d jobs", len(answers), len(sb.jobs))}
+	}
+	return answers, nil
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -442,5 +445,55 @@ func TestMetricValue(t *testing.T) {
 	}
 	if v := metricValue(body, "resilienced_cache_misses_total"); v != 0 {
 		t.Fatalf("absent metric = %v", v)
+	}
+}
+
+// TestForwardConnectionsAreReused: the forward client keeps an idle
+// connection for every forward that can be in flight, so N > 2
+// concurrent forwards to one replica dial N connections the first time
+// and none the second. (On http.DefaultTransport, which keeps two per
+// host, the second wave dials N-2 again.)
+func TestForwardConnectionsAreReused(t *testing.T) {
+	const n = 8
+	// The stub answers a wave only once all n of its requests have
+	// arrived, so each wave needs n connections at the same time.
+	var wave sync.WaitGroup
+	var dialed atomic.Int64
+	stub := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wave.Done()
+		wave.Wait()
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{}`))
+	}))
+	stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	stub.Start()
+	t.Cleanup(stub.Close)
+	rt, _ := boot(t, Config{}, stub.URL)
+
+	for _, want := range []int64{n, 0} {
+		dialed.Store(0)
+		wave.Add(n)
+		var forwards sync.WaitGroup
+		for i := 0; i < n; i++ {
+			forwards.Add(1)
+			go func(i int) {
+				defer forwards.Done()
+				req := service.JobRequest{Scenario: fmt.Sprintf("-grid 8 -seed %d", i+1)}
+				if rep := rt.routeOne(req, "wave"); rep.code != http.StatusOK {
+					t.Errorf("forward %d answered %d: %s", i, rep.code, rep.body)
+				}
+			}(i)
+		}
+		forwards.Wait()
+		if got := dialed.Load(); got != want {
+			t.Errorf("wave dialed %d connections, want %d", got, want)
+		}
+	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resilience/internal/obs"
@@ -180,6 +181,7 @@ func New(cfg Config) *Server {
 	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/solve", s.handleSolve)
+	s.mux.HandleFunc("/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/telemetry", s.handleTelemetry)
@@ -352,15 +354,7 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// Request-ID propagation: honor the caller's X-Request-Id (minted by
-	// the router or load generator), mint one for bare requests, and
-	// echo it on every response — success or failure — so a client can
-	// quote the ID a flight-recorder dump will name.
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
+	reqID := telemetry.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -372,54 +366,144 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
+	out, xcache := s.solve(r.Context(), req, reqID)
+	if xcache != "" {
+		w.Header().Set("X-Cache", xcache)
+	}
+	if out.retryAfter {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	}
+	writeRaw(w, out.code, out.body)
+}
+
+// BatchItem is one /batch element's outcome, on the replica and on the
+// router alike. Body is the exact bytes /solve answers for that request:
+// embedding them as a RawMessage is what lets the fleet's determinism
+// contract ride through a batch.
+type BatchItem struct {
+	Code int             `json:"code"`
+	Body json.RawMessage `json:"body"`
+}
+
+// MaxBatchItems caps one /batch request. A chaos fleet shards campaigns
+// into batches far below this; the cap exists so a single request can
+// never stand for an unbounded amount of work.
+const MaxBatchItems = 1024
+
+// DecodeBatch reads and bounds a /batch request body: a JSON array of
+// 1..MaxBatchItems job requests. The items themselves are not validated
+// here — an invalid item fails alone, in its slot.
+func DecodeBatch(body io.Reader) ([]JobRequest, error) {
+	var reqs []JobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&reqs); err != nil {
+		return nil, fmt.Errorf("bad batch body: %w", err)
+	}
+	if len(reqs) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	if len(reqs) > MaxBatchItems {
+		return nil, fmt.Errorf("batch of %d exceeds the %d-item cap", len(reqs), MaxBatchItems)
+	}
+	return reqs, nil
+}
+
+// handleBatch answers a JSON array of job requests with an aligned array
+// of BatchItems, each item solved exactly as /solve would solve it (item
+// i runs under request ID "<batch ID>-i"). Per-item failures — invalid
+// requests, 429s, deadlines — land in that item's code; the batch itself
+// fails only for a malformed body.
+//
+// At most Workers+1 items are in flight at once: enough to keep every
+// worker busy with the next job already queued, and never more than the
+// default queue (2*Workers) holds, so a batch on an idle replica cannot
+// 429 itself and leaves room for interactive /solve traffic beside it.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	reqID := telemetry.RequestID(w, r)
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	reqs, err := DecodeBatch(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	if s.results != nil {
-		if key, cacheable, _ := CanonicalKey(req); cacheable {
-			s.solveCached(w, key, req, reqID)
-			return
-		}
+	items := make([]BatchItem, len(reqs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < min(s.cfg.Workers+1, len(reqs)); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				out, _ := s.solve(r.Context(), reqs[i], reqID+"-"+strconv.Itoa(i))
+				items[i] = BatchItem{Code: out.code, Body: out.body}
+			}
+		}()
 	}
-	out := s.executeQueued(r.Context(), req, reqID)
-	s.writeOutcome(w, reqID, out)
+	wg.Wait()
+	writeJSON(w, http.StatusOK, items)
 }
 
-// solveCached answers a cacheable job ahead of queue admission: a
-// resident result is served directly, a miss runs at most once per key
-// via single-flight with every concurrent duplicate joining the leader's
+// solve answers one job request as exact response bytes: validation, the
+// result cache, single-flight, the admission queue and the worker pool.
+// It is the one path behind /solve and every /batch item. xcache is the
+// X-Cache marker ("hit", "miss", "coalesced"; empty when the job never
+// reached the cache).
+//
+// A cacheable job is answered ahead of queue admission: a resident
+// result is served directly, a miss runs at most once per key via
+// single-flight with every concurrent duplicate joining the leader's
 // flight. Only the leader touches the admission queue, so backpressure
 // (and 429s) applies per unique job, not per request.
 //
-// The leader executes under a context detached from its own HTTP
-// request: its result is shared by coalesced joiners, so one client's
-// disconnect must not cancel everyone's job. 200-OK bodies are cached;
-// errors and rejections fan out to the current waiters but are never
-// stored.
-func (s *Server) solveCached(w http.ResponseWriter, key string, req JobRequest, reqID string) {
-	look := s.tracer.Start("cache-lookup", reqID)
-	body, ok := s.results.Get(key)
-	look.End()
-	if ok {
-		w.Header().Set("X-Cache", "hit")
-		writeRaw(w, http.StatusOK, body)
-		return
+// The leader executes under a context detached from ctx: its result is
+// shared by coalesced joiners, so one client's disconnect must not
+// cancel everyone's job. 200-OK bodies are cached; errors and rejections
+// fan out to the current waiters but are never stored.
+//
+// A 5xx outcome triggers a flight-recorder crash dump (throttled, and
+// only when a dump dir is configured) naming the request ID.
+func (s *Server) solve(ctx context.Context, req JobRequest, reqID string) (out flightOut, xcache string) {
+	if err := req.Validate(); err != nil {
+		return flightOut{code: http.StatusBadRequest, body: errorBody(err.Error())}, ""
 	}
-	out, _, shared := s.flights.Do(key, func() (flightOut, error) {
-		fo := s.executeQueued(context.Background(), req, reqID)
-		if fo.code == http.StatusOK {
-			s.results.Put(key, fo.body)
-		}
-		return fo, nil
-	})
-	if shared {
-		w.Header().Set("X-Cache", "coalesced")
+	key, cacheable := "", false
+	if s.results != nil {
+		key, cacheable, _ = CanonicalKey(req)
+	}
+	if !cacheable {
+		out = s.executeQueued(ctx, req, reqID)
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		look := s.tracer.Start("cache-lookup", reqID)
+		body, ok := s.results.Get(key)
+		look.End()
+		if ok {
+			return flightOut{code: http.StatusOK, body: body}, "hit"
+		}
+		var shared bool
+		out, _, shared = s.flights.Do(key, func() (flightOut, error) {
+			fo := s.executeQueued(context.Background(), req, reqID)
+			if fo.code == http.StatusOK {
+				s.results.Put(key, fo.body)
+			}
+			return fo, nil
+		})
+		xcache = "miss"
+		if shared {
+			xcache = "coalesced"
+		}
 	}
-	s.writeOutcome(w, reqID, out)
+	if out.code >= 500 {
+		s.flight.Crash("http-5xx", reqID, fmt.Sprintf("status %d: %s", out.code, out.body))
+	}
+	return out, xcache
 }
 
 // executeQueued runs req through admission, the bounded queue, and the
@@ -474,20 +558,6 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 		return flightOut{code: http.StatusInternalServerError, body: errorBody(err.Error())}
 	}
 	return flightOut{code: http.StatusOK, body: body}
-}
-
-// writeOutcome sends a flightOut, attaching the Retry-After hint on
-// backpressure rejections. A 5xx outcome triggers a flight-recorder
-// crash dump (throttled, and only when a dump dir is configured) naming
-// the request ID.
-func (s *Server) writeOutcome(w http.ResponseWriter, reqID string, out flightOut) {
-	if out.code >= 500 {
-		s.flight.Crash("http-5xx", reqID, fmt.Sprintf("status %d: %s", out.code, out.body))
-	}
-	if out.retryAfter {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-	}
-	writeRaw(w, out.code, out.body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -28,21 +28,16 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 		t.Fatalf("warmup X-Cache = %q, want miss", hdr.Get("X-Cache"))
 	}
 
-	// Fill the worker and the queue with sleeps.
-	busy := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			code, _, _ := post(t, ts, JobRequest{SleepMs: 500})
-			busy <- code
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().QueueDepth != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Fill the worker, then the queue, with sleeps — one after the other:
+	// two racing fillers can both arrive before the worker takes the
+	// first, and the loser is refused instead of queued.
+	first := sleepInBackground(ts, 500)
+	waitFor(t, "worker never took the first sleep", func() bool {
+		st := srv.Stats()
+		return st.Admitted == 2 && st.QueueDepth == 0
+	})
+	second := sleepInBackground(ts, 500)
+	waitFor(t, "queue never filled", func() bool { return srv.Stats().QueueDepth == 1 })
 
 	// A fresh sleep is rejected (queue full) but the cached scenario is
 	// served instantly.
@@ -60,10 +55,8 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 	if d := time.Since(start); d > 400*time.Millisecond {
 		t.Fatalf("cache hit waited %v — it queued behind the sleeps", d)
 	}
-	for i := 0; i < 2; i++ {
-		if c := <-busy; c != http.StatusOK {
-			t.Fatalf("sleep job answered %d", c)
-		}
+	if a, b := <-first, <-second; a != http.StatusOK || b != http.StatusOK {
+		t.Fatalf("sleep jobs answered %d and %d", a, b)
 	}
 }
 

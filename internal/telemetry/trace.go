@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -122,4 +123,17 @@ var (
 // header; every response echoes it back.
 func NewRequestID() string {
 	return fmt.Sprintf("r-%s-%06d", reqEntropy, reqCounter.Add(1))
+}
+
+// RequestID is the server half of that propagation: it honors the
+// caller's X-Request-Id, mints one for a bare request, and echoes the ID
+// on the response — success or failure — so a client can quote the ID a
+// flight-recorder dump will name.
+func RequestID(w http.ResponseWriter, r *http.Request) string {
+	reqID := r.Header.Get("X-Request-Id")
+	if reqID == "" {
+		reqID = NewRequestID()
+	}
+	w.Header().Set("X-Request-Id", reqID)
+	return reqID
 }

@@ -12,8 +12,9 @@
 # a service integration gate (resilienced under a seeded resilience-load
 # burst: queue-full rejections, byte-identical responses, clean drain),
 # a chaos-fleet gate (a sharded 2k-scenario campaign byte-compared to
-# the in-process oracle, plus an injected violation that must shrink
-# server-side to a minimal scenario), and a benchdiff comparison against
+# the in-process oracle, through the router and straight at one replica,
+# plus an injected violation that must shrink server-side to a minimal
+# scenario), and a benchdiff comparison against
 # the most recent BENCH_*.json perf baseline.
 set -eux
 
@@ -34,6 +35,12 @@ if git grep -nE 'os\.(Getenv|LookupEnv|Environ)' -- '*.go' ':!*_test.go' ':!benc
 fi
 if git grep -nE 'RES''_(SCHED|SPMV|WORKERS|OVERLAP|OBS)|Sched''Coop|SpMV''SELL' -- . ':!CHANGES.md' ':!ISSUE.md'; then
     echo "a deleted knob is named again"; exit 1
+fi
+# Likewise the item-by-item /batch fan-out: a batch travels as one
+# sub-batch per replica on both tiers, so the setting that paced the old
+# fan-out and the fleet client's per-item fallback stay deleted.
+if git grep -nE 'Batch''Concurrency|no''Batch|solve''All' -- . ':!CHANGES.md' ':!ISSUE.md'; then
+    echo "the item-by-item batch path is named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
@@ -59,7 +66,10 @@ go test -count=1 -v -run '^TestSolveBaselineOncePerBasket$' . |
 # Flake audit: the chaos and service suites lean hardest on goroutine
 # pools, httptest servers, and arrival-order-independent determinism
 # contracts — run them five times under the race detector so ordering
-# flakes surface here instead of once a week in CI.
+# flakes surface here instead of once a week in CI. This is also the
+# repeated race pass over the /batch seam (replica handler, the router's
+# sub-batch failover, the fleet client): internal/service/... and
+# internal/chaos/fleet are both inside it.
 go test -race -count=5 ./internal/chaos/... ./internal/service/...
 
 # Chaos: a seeded fault campaign (all ten default schemes — the paper's
@@ -163,6 +173,12 @@ go build -o "$svc_dir/chaos-fleet" ./cmd/chaos-fleet
 "$svc_dir/chaos-fleet" -addr "http://$router_addr" -n 2000 -seed 1 \
     -verdicts-out "$svc_dir/fleet.verdicts"
 cmp "$svc_dir/oracle.verdicts" "$svc_dir/fleet.verdicts"
+
+# The same campaign straight at one bare replica: replica and router
+# speak the same /batch, so the stream must be the oracle's there too.
+"$svc_dir/chaos-fleet" -addr "http://$rep1_addr" -n 2000 -seed 1 \
+    -verdicts-out "$svc_dir/replica.verdicts"
+cmp "$svc_dir/oracle.verdicts" "$svc_dir/replica.verdicts"
 
 broken_rc=0
 "$svc_dir/chaos-fleet" -addr "http://$router_addr" -n 200 -seed 1 -break convergence \
