@@ -185,11 +185,20 @@ type Runner struct {
 
 	mu  sync.Mutex
 	sys map[int]*core.System
+
+	// recorders holds the span recorders of finished jobs, Reset: the next
+	// job records into span logs that are already grown instead of growing
+	// its own from nothing.
+	recorders sync.Pool
 }
 
 // NewRunner builds a scenario runner with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{opts: opts.withDefaults(), sys: make(map[int]*core.System)}
+	return &Runner{
+		opts:      opts.withDefaults(),
+		sys:       make(map[int]*core.System),
+		recorders: sync.Pool{New: func() any { return obs.NewRecorder() }},
+	}
 }
 
 // system returns the shared linear system for a grid size. Validate bounds
@@ -244,16 +253,24 @@ func (rn *Runner) RunContext(ctx context.Context, index int, s *Scenario) *Resul
 		res.Err = err
 		return res
 	}
-	rec := obs.NewRecorder()
+	rec := rn.recorders.Get().(*obs.Recorder)
 	cfg.Obs = rec
 	rep, err := core.RunContext(ctx, cfg)
 	if err != nil {
+		// A failed run is rare; its recorder is left to the collector, so
+		// only runs that returned cleanly ever feed the pool.
 		res.Err = err
 		return res
 	}
 	res.Report = rep
 	res.Expected, _ = ExpectedFailure(s, rep)
 	res.Violations = CheckInvariants(s, rep, ff, rec)
+	// The run has joined and the battery has read the spans; the report
+	// outlives this job, so it must not keep pointing at a recorder that
+	// is about to observe another one.
+	rep.Obs = nil
+	rec.Reset()
+	rn.recorders.Put(rec)
 	if rn.opts.Recheck {
 		res.Violations = append(res.Violations, rn.recheck(s, a, b, rep)...)
 	}

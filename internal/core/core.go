@@ -267,6 +267,16 @@ type resMonitor struct {
 	// canceled or expired context aborts the run promptly. Only set for
 	// cancellable contexts — Run's Background context costs nothing.
 	ctx context.Context
+	// rctx is the one recovery context this rank's scheme is ever handed,
+	// refilled at each boundary: the scheme takes it by pointer through an
+	// interface, so a fresh literal would be a heap object per iteration.
+	rctx recovery.Ctx
+}
+
+// recoveryCtx refills and returns the monitor's recovery context.
+func (m *resMonitor) recoveryCtx(it *solver.Iter) *recovery.Ctx {
+	m.rctx = recovery.Ctx{C: it.C, Op: it.Op, St: it.State, Plat: m.cfg.Plat}
+	return &m.rctx
 }
 
 // pendingFault is an injected-but-undetected silent corruption.
@@ -300,7 +310,7 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 	// only guaranteed equal at the boundary itself, and every rank must
 	// make identical injection decisions.
 	clock := it.C.Clock()
-	ctx := &recovery.Ctx{C: it.C, Op: it.Op, St: it.State, Plat: m.cfg.Plat}
+	ctx := m.recoveryCtx(it)
 	for {
 		f := m.injector.Check(it.K, clock)
 		if f == nil {
@@ -365,8 +375,7 @@ func (m *resMonitor) AfterIteration(it *solver.Iter) error {
 	if m.scheme == nil {
 		return nil
 	}
-	ctx := &recovery.Ctx{C: it.C, Op: it.Op, St: it.State, Plat: m.cfg.Plat}
-	return m.scheme.AfterIteration(ctx, it.K)
+	return m.scheme.AfterIteration(m.recoveryCtx(it), it.K)
 }
 
 // EstimateIterTime approximates the fault-free per-iteration virtual time

@@ -2,17 +2,24 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"time"
 
 	"math"
 	"testing"
 
+	"resilience/internal/checkpoint"
+	"resilience/internal/cluster"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/platform"
+	"resilience/internal/power"
 	"resilience/internal/recovery"
+	"resilience/internal/solver"
 	"resilience/internal/trace"
 	"resilience/internal/vec"
 )
@@ -550,5 +557,73 @@ func TestRunContext(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "canceled at iteration") && !strings.Contains(err.Error(), "canceled before start") {
 		t.Fatalf("cancellation error lost its location: %v", err)
+	}
+}
+
+// TestMonitorBoundaryAllocatesNothing: every rank calls the monitor twice
+// per iteration, and on an iteration with no fault due and no checkpoint
+// due neither call may allocate — the recovery context the scheme is
+// handed is the monitor's own, refilled, not a fresh heap object.
+func TestMonitorBoundaryAllocatesNothing(t *testing.T) {
+	cfg, _ := testSystem(t)
+	mon := &resMonitor{
+		cfg:      &cfg,
+		scheme:   &recovery.CR{Store: checkpoint.MemStore{Plat: cfg.Plat}, Policy: checkpoint.FixedPolicy(1000)},
+		injector: fault.NewSingle(500, 0, fault.SNF),
+	}
+	var before, after float64
+	_, err := cluster.Run(1, cfg.Plat, power.NewMeter(false), func(c *cluster.Comm) error {
+		it := &solver.Iter{C: c, State: &solver.State{}, K: 7}
+		before = testing.AllocsPerRun(100, func() {
+			if restart, err := mon.BeforeIteration(it); restart || err != nil {
+				t.Errorf("BeforeIteration = %t, %v on a fault-free boundary", restart, err)
+			}
+		})
+		after = testing.AllocsPerRun(100, func() {
+			if err := mon.AfterIteration(it); err != nil {
+				t.Errorf("AfterIteration: %v", err)
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before != 0 || after != 0 {
+		t.Fatalf("monitor allocates on a fault-free boundary: BeforeIteration %.0f, AfterIteration %.0f allocs/op", before, after)
+	}
+}
+
+// TestLSIReportPinned: LSI reconstruction is the one reader of a rank's
+// global-column row block, which LocalOp builds on first use instead of
+// up front. Two node failures on different ranks — every rank both
+// contributes its block's transpose product and, once struck, solves on
+// its block — must give the report, to the bit, that the eagerly built
+// block gave (constants recorded from the commit before the change).
+func TestLSIReportPinned(t *testing.T) {
+	const want = "iters=73 restarts=2 relres=3dd21596a8e44888 time=3f4f9c55f626998e energy=3fa1d4ebea9fc289 solution=638013c6a8b1c5d6"
+	cfg, _ := testSystem(t)
+	cfg.Scheme = SchemeSpec{Kind: LSI, DVFS: true}
+	cfg.InjectorFactory = func() fault.Injector {
+		return fault.NewScheduleAt([]fault.Fault{
+			{Class: fault.SNF, Rank: 1, Iter: 9},
+			{Class: fault.LNF, Rank: 3, Iter: 21},
+		})
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range rep.Solution {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	got := fmt.Sprintf("iters=%d restarts=%d relres=%016x time=%016x energy=%016x solution=%016x",
+		rep.Iters, rep.Restarts, math.Float64bits(rep.RelRes), math.Float64bits(rep.Time),
+		math.Float64bits(rep.Energy), h.Sum64())
+	if got != want {
+		t.Fatalf("LSI-DVFS report moved:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"resilience/internal/power"
@@ -97,17 +99,23 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 
 // rankEvents converts one rank's spans to X events ordered so that every
 // enclosing span precedes the spans it contains: ascending start time,
-// ties broken by descending duration. sort.SliceStable keeps recording
-// order for exact duplicates, so the export is deterministic.
+// ties broken by descending duration. The sort is stable, keeping
+// recording order for exact duplicates, so the export is deterministic;
+// it orders an index, because spans is the recorder's own read-only log.
 func rankEvents(rank int, spans []Span) []TraceEvent {
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
+	idx := make([]int32, len(spans))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortStableFunc(idx, func(i, j int32) int {
+		if c := cmp.Compare(spans[i].Start, spans[j].Start); c != 0 {
+			return c
 		}
-		return spans[i].Dur > spans[j].Dur
+		return cmp.Compare(spans[j].Dur, spans[i].Dur)
 	})
 	evs := make([]TraceEvent, len(spans))
-	for i, s := range spans {
+	for i, si := range idx {
+		s := spans[si]
 		evs[i] = TraceEvent{
 			Name: s.Kind.String(),
 			Ph:   "X",

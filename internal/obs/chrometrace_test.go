@@ -122,3 +122,33 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 		t.Errorf("cross-track ordering rejected: %v", err)
 	}
 }
+
+// TestExportLeavesSpanLogInRecordingOrder: RankSpans hands out the
+// recorder's own log, so the exporter must order its events without
+// reordering the spans — a composite recorded after the primitive it wraps
+// is exported before it and still found after it.
+func TestExportLeavesSpanLogInRecordingOrder(t *testing.T) {
+	rec := NewRecorder()
+	r := rec.Rank(0)
+	r.Span(SpanSend, 1e-6, 1e-6)
+	r.Span(SpanRecv, 2e-6, 1e-6)
+	r.Span(SpanHalo, 1e-6, 2e-6)
+	r.Span(SpanCompute, 0, 1e-6)
+	want := append([]Span(nil), rec.RankSpans(0)...)
+
+	evs := Events(rec, nil)
+	var names []string
+	for _, ev := range evs {
+		if ev.Ph == "X" {
+			names = append(names, ev.Name)
+		}
+	}
+	if got := strings.Join(names, ","); got != "compute,halo,send,recv" {
+		t.Errorf("exported order %s, want compute,halo,send,recv", got)
+	}
+	for i, s := range rec.RankSpans(0) {
+		if s != want[i] {
+			t.Fatalf("export reordered the recorder's span log: position %d is %v, recorded %v", i, s, want[i])
+		}
+	}
+}

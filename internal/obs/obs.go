@@ -159,10 +159,16 @@ func (r *Rank) IncRestarts() { r.m.Restarts++ }
 
 // Recorder collects the per-rank recording surfaces of one run. The zero
 // value is not usable; call NewRecorder. A Recorder observes exactly one
-// run; Reset it before reuse.
+// run at a time; Reset it before reuse.
 type Recorder struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// ranks holds every surface ever created; Reset clears them but keeps
+	// them and their span capacity, so a reused recorder records its next
+	// run without growing a span log from nothing. ranks[:live] are the
+	// surfaces handed out since the last Reset — the current run, and all
+	// that Ranks, Metrics, RankSpans and SpanCount report.
 	ranks []*Rank
+	live  int
 }
 
 // NewRecorder returns an empty recorder.
@@ -180,6 +186,9 @@ func (rec *Recorder) Rank(rank int) *Rank {
 	for len(rec.ranks) <= rank {
 		rec.ranks = append(rec.ranks, &Rank{m: Metrics{Rank: len(rec.ranks)}})
 	}
+	if rec.live <= rank {
+		rec.live = rank + 1
+	}
 	return rec.ranks[rank]
 }
 
@@ -187,22 +196,23 @@ func (rec *Recorder) Rank(rank int) *Rank {
 func (rec *Recorder) Ranks() int {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return len(rec.ranks)
+	return rec.live
 }
 
-// RankSpans returns a copy of one rank's spans in recording order. Spans
-// of a composite kind follow the primitives they wrap (they are recorded
-// at their end), so the sequence is end-time ordered, not start-time
-// ordered.
+// RankSpans returns one rank's spans in recording order. Spans of a
+// composite kind follow the primitives they wrap (they are recorded at
+// their end), so the sequence is end-time ordered, not start-time ordered.
+//
+// The result is the recorder's own span log, not a copy: it is read-only,
+// it may be read only once the run has joined (like every aggregated
+// read), and it is valid until the next Reset.
 func (rec *Recorder) RankSpans(rank int) []Span {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rank < 0 || rank >= len(rec.ranks) {
+	if rank < 0 || rank >= rec.live {
 		return nil
 	}
-	out := make([]Span, len(rec.ranks[rank].spans))
-	copy(out, rec.ranks[rank].spans)
-	return out
+	return rec.ranks[rank].spans
 }
 
 // SpanCount returns the total number of recorded spans across ranks.
@@ -210,7 +220,7 @@ func (rec *Recorder) SpanCount() int {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	n := 0
-	for _, r := range rec.ranks {
+	for _, r := range rec.ranks[:rec.live] {
 		n += len(r.spans)
 	}
 	return n
@@ -220,17 +230,23 @@ func (rec *Recorder) SpanCount() int {
 func (rec *Recorder) Metrics() []Metrics {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	out := make([]Metrics, len(rec.ranks))
-	for i, r := range rec.ranks {
+	out := make([]Metrics, rec.live)
+	for i, r := range rec.ranks[:rec.live] {
 		out[i] = r.m
 	}
 	return out
 }
 
 // Reset discards every recorded span and counter so the recorder can
-// observe another run.
+// observe another run. The surfaces and the capacity of their span logs
+// are kept for that run; slices RankSpans returned earlier are invalid
+// from here on. The run being discarded must have joined.
 func (rec *Recorder) Reset() {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.ranks = rec.ranks[:0]
+	for i, r := range rec.ranks[:rec.live] {
+		r.m = Metrics{Rank: i}
+		r.spans = r.spans[:0]
+	}
+	rec.live = 0
 }

@@ -103,6 +103,62 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
+// TestRecorderReuseReportsOnlyCurrentRun: Reset keeps the rank surfaces
+// and their span capacity for the next run, and that must be invisible —
+// after a six-rank run, a two-rank run on the same recorder reports two
+// ranks, its own counters and its own spans, nothing of the run before.
+func TestRecorderReuseReportsOnlyCurrentRun(t *testing.T) {
+	rec := NewRecorder()
+	for r := 0; r < 6; r++ {
+		surf := rec.Rank(r)
+		for i := 0; i < 100; i++ {
+			surf.Span(SpanCompute, float64(i), 0.5)
+		}
+		surf.AddSend(64)
+		surf.AddCollective()
+		surf.IncRestarts()
+	}
+	kept := rec.Rank(1)
+	rec.Reset()
+	if rec.Ranks() != 0 || rec.SpanCount() != 0 || len(rec.Metrics()) != 0 || rec.RankSpans(0) != nil {
+		t.Fatalf("reset recorder still reports %d ranks, %d spans, %d metrics rows",
+			rec.Ranks(), rec.SpanCount(), len(rec.Metrics()))
+	}
+
+	rec.Rank(0).Span(SpanSend, 0, 2)
+	surf := rec.Rank(1)
+	surf.Span(SpanCompute, 0, 1)
+	surf.Span(SpanHalo, 1, 1)
+	if surf != kept {
+		t.Error("Reset dropped rank 1's surface instead of keeping it for reuse")
+	}
+	if c := cap(rec.RankSpans(1)); c < 100 {
+		t.Errorf("rank 1's span log has capacity %d after Reset, want the 100 it had grown to", c)
+	}
+	if rec.Ranks() != 2 {
+		t.Errorf("Ranks() = %d after a two-rank run, want 2", rec.Ranks())
+	}
+	if rec.SpanCount() != 3 {
+		t.Errorf("SpanCount() = %d, want 3", rec.SpanCount())
+	}
+	ms := rec.Metrics()
+	if len(ms) != 2 {
+		t.Fatalf("Metrics() has %d rows, want 2", len(ms))
+	}
+	if want := (Metrics{Rank: 0, SendSec: 2}); ms[0] != want {
+		t.Errorf("rank 0 metrics %+v, want %+v", ms[0], want)
+	}
+	if want := (Metrics{Rank: 1, ComputeSec: 1}); ms[1] != want {
+		t.Errorf("rank 1 metrics %+v, want %+v", ms[1], want)
+	}
+	if got := rec.RankSpans(1); len(got) != 2 || got[0] != (Span{SpanCompute, 0, 1}) || got[1] != (Span{SpanHalo, 1, 1}) {
+		t.Errorf("rank 1 spans %v", got)
+	}
+	if s := rec.RankSpans(2); s != nil {
+		t.Errorf("rank 2 of the previous run is still visible: %d spans", len(s))
+	}
+}
+
 func TestWriteMetricsCSV(t *testing.T) {
 	rec := NewRecorder()
 	r := rec.Rank(0)

@@ -68,8 +68,9 @@ func (s *LSI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	vec.Zero(s.z)
 	if c.Rank() != f.Rank {
 		// Contribute A_{:,p_j} x_j = (A_{p_j,:})ᵀ x_j.
-		ctx.Op.RowBlock.MulTransVecAdd(s.z, ctx.St.X)
-		c.Compute(ctx.Op.RowBlock.SpMVFlops())
+		rowBlock := ctx.Op.RowBlock()
+		rowBlock.MulTransVecAdd(s.z, ctx.St.X)
+		c.Compute(rowBlock.SpMVFlops())
 	}
 	// The length-n allreduce that assembles beta's subtrahend on every
 	// rank (the failed one included).
@@ -144,8 +145,9 @@ func (s *LSI) solveCGLS(ctx *Ctx, beta []float64) error {
 		s.x = make([]float64, nf)
 	}
 	rhs := s.rhs[:nf]
-	ctx.Op.RowBlock.MulVec(rhs, beta)
-	c.Compute(ctx.Op.RowBlock.SpMVFlops())
+	rowBlock := ctx.Op.RowBlock()
+	rowBlock.MulVec(rhs, beta)
+	c.Compute(rowBlock.SpMVFlops())
 
 	tol := s.LocalTol
 	if tol <= 0 {
@@ -157,7 +159,7 @@ func (s *LSI) solveCGLS(ctx *Ctx, beta []float64) error {
 	}
 	x := s.x[:nf]
 	vec.Zero(x)
-	res := solver.PCGLSWork(&s.ws, ctx.Op.RowBlock, rhs, x, tol, maxIters)
+	res := solver.PCGLSWork(&s.ws, rowBlock, rhs, x, tol, maxIters)
 	c.Compute(res.Flops)
 	copy(ctx.St.X, x)
 	return nil

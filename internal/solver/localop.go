@@ -7,6 +7,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"resilience/internal/cluster"
@@ -33,8 +34,13 @@ type LocalOp struct {
 	Lo   int // first owned global row
 	N    int // owned rows
 
-	RowBlock *sparse.CSR // A_{p,:} with global column indices
-	localA   *sparse.CSR // RowBlock with remapped columns
+	// localA is this rank's rows A_{p,:} with columns remapped to
+	// [own | ghost] — the one copy of them a LocalOp makes. a is the global
+	// matrix they came from (shared, read-only), kept so RowBlock can be
+	// built if recovery asks for it.
+	localA   *sparse.CSR
+	a        *sparse.CSR
+	rowBlock *sparse.CSR
 
 	// The halo plan. neighbors lists the peer ranks, ascending; the
 	// per-neighbor slices below are indexed by position in it, so the
@@ -64,47 +70,34 @@ type LocalOp struct {
 	recvReqs []cluster.RecvReq
 }
 
-// blockRows is a packed subset of a matrix's rows: row i of the subset is
-// original row rows[i], with its entries stored in the original order.
-// mulVecInto writes y[rows[i]] directly, so splitting a matrix into
-// disjoint row subsets and applying each reproduces the full MulVec
-// bit-for-bit: per-row accumulation order is untouched and every target
-// element is stored exactly once.
+// blockRows is a subset of a matrix's rows, held as a list of row numbers
+// over the matrix's own arrays (nothing is copied). mulVecInto walks each
+// listed row's entries in stored order and writes y[row] directly, so
+// splitting a matrix into disjoint row subsets and applying each
+// reproduces the full MulVec bit-for-bit: per-row accumulation order is
+// untouched and every target element is stored exactly once.
 type blockRows struct {
-	rows   []int
-	rowPtr []int
-	colIdx []int
-	val    []float64
+	a    *sparse.CSR
+	rows []int
+	nnz  int
 }
 
 func newBlockRows(a *sparse.CSR, rows []int) *blockRows {
-	b := &blockRows{
-		rows:   rows,
-		rowPtr: make([]int, len(rows)+1),
-	}
-	nnz := 0
+	b := &blockRows{a: a, rows: rows}
 	for _, r := range rows {
-		nnz += a.RowPtr[r+1] - a.RowPtr[r]
-	}
-	b.colIdx = make([]int, 0, nnz)
-	b.val = make([]float64, 0, nnz)
-	for i, r := range rows {
-		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-		b.colIdx = append(b.colIdx, a.ColIdx[lo:hi]...)
-		b.val = append(b.val, a.Val[lo:hi]...)
-		b.rowPtr[i+1] = len(b.val)
+		b.nnz += a.RowPtr[r+1] - a.RowPtr[r]
 	}
 	return b
 }
 
-// mulVecInto computes y[rows[i]] = sum_k val[k]*x[colIdx[k]] for each
-// packed row, mirroring sparse.CSR.MulVec's accumulation order.
+// mulVecInto computes y[r] = sum_k Val[k]*x[ColIdx[k]] over row r's entries
+// for each listed row, mirroring sparse.CSR.MulVec's accumulation order.
 func (b *blockRows) mulVecInto(y, x []float64) {
-	rowPtr := b.rowPtr
-	for i, r := range b.rows {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		cols := b.colIdx[lo:hi]
-		vals := b.val[lo:hi]
+	rowPtr, colIdx, val := b.a.RowPtr, b.a.ColIdx, b.a.Val
+	for _, r := range b.rows {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		cols := colIdx[lo:hi]
+		vals := val[lo:hi]
 		vals = vals[:len(cols)]
 		var s float64
 		for k, c := range cols {
@@ -114,7 +107,7 @@ func (b *blockRows) mulVecInto(y, x []float64) {
 	}
 }
 
-func (b *blockRows) flops() int64 { return 2 * int64(len(b.val)) }
+func (b *blockRows) flops() int64 { return 2 * int64(b.nnz) }
 
 // NewLocalOp builds the rank-local operator and performs the one-time
 // need-list exchange. Every rank must call it collectively. The matrix a
@@ -130,11 +123,11 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	r := c.Rank()
 	lo, hi := part.Range(r)
 	op := &LocalOp{
-		Part:     part,
-		Rank:     r,
-		Lo:       lo,
-		N:        hi - lo,
-		RowBlock: part.RowBlock(a, r),
+		Part: part,
+		Rank: r,
+		Lo:   lo,
+		N:    hi - lo,
+		a:    a,
 	}
 
 	// Group halo columns by owner. The columns come sorted and block rows
@@ -187,41 +180,49 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 		op.sendIdx[ni] = idx
 	}
 
-	// Remap the row block columns into [own | ghost] indexing.
-	la := op.RowBlock.Clone()
-	la.Cols = op.N + op.nGhost
-	for k, col := range la.ColIdx {
-		if col >= lo && col < hi {
-			la.ColIdx[k] = col - lo
+	// Copy this rank's rows out of a with the columns remapped into
+	// [own | ghost] indexing, and split them on the way by whether they
+	// touch a ghost column: interior row numbers fill rows from the front,
+	// boundary ones from the back. Rows with no entries are interior (they
+	// depend on nothing remote).
+	base := a.RowPtr[lo]
+	nnz := a.RowPtr[hi] - base
+	la := &sparse.CSR{
+		Rows:   op.N,
+		Cols:   op.N + op.nGhost,
+		RowPtr: make([]int, op.N+1),
+		ColIdx: make([]int, nnz),
+		Val:    make([]float64, nnz),
+	}
+	copy(la.Val, a.Val[base:base+nnz])
+	rows := make([]int, op.N)
+	nInt := 0
+	for i := 0; i < op.N; i++ {
+		la.RowPtr[i+1] = a.RowPtr[lo+i+1] - base
+		touchesGhost := false
+		for k := la.RowPtr[i]; k < la.RowPtr[i+1]; k++ {
+			if col := a.ColIdx[base+k]; col >= lo && col < hi {
+				la.ColIdx[k] = col - lo
+			} else {
+				la.ColIdx[k] = op.N + op.ghostSlot[col]
+				touchesGhost = true
+			}
+		}
+		if touchesGhost {
+			rows[op.N-1-(i-nInt)] = i
 		} else {
-			la.ColIdx[k] = op.N + op.ghostSlot[col]
+			rows[nInt] = i
+			nInt++
 		}
 	}
+	slices.Reverse(rows[nInt:]) // back-filled: restore ascending order
 	// Note: remapping breaks the strictly-increasing column invariant
 	// within rows (ghosts land after own columns); SpMV does not require
 	// it, and localA is not exposed.
 	op.localA = la
 	op.xbuf = make([]float64, op.N+op.nGhost)
-
-	// Split localA rows by whether they touch a ghost column. Rows with
-	// no entries are interior (they depend on nothing remote).
-	var intRows, bdyRows []int
-	for i := 0; i < op.N; i++ {
-		touchesGhost := false
-		for k := la.RowPtr[i]; k < la.RowPtr[i+1]; k++ {
-			if la.ColIdx[k] >= op.N {
-				touchesGhost = true
-				break
-			}
-		}
-		if touchesGhost {
-			bdyRows = append(bdyRows, i)
-		} else {
-			intRows = append(intRows, i)
-		}
-	}
-	op.interior = newBlockRows(la, intRows)
-	op.boundary = newBlockRows(la, bdyRows)
+	op.interior = newBlockRows(la, rows[:nInt])
+	op.boundary = newBlockRows(la, rows[nInt:])
 
 	// Per-neighbor owned buffers for the overlapped halo exchange.
 	op.sendBufs = make([][]float64, len(op.neighbors))
@@ -232,6 +233,17 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	}
 	op.recvReqs = make([]cluster.RecvReq, len(op.neighbors))
 	return op
+}
+
+// RowBlock returns this rank's row block A_{p,:} with global column
+// indices, as sparse.Partition.RowBlock extracts it. Only LSI
+// reconstruction reads it, so it is built on first use; like the rest of
+// a LocalOp it belongs to the rank's own goroutine.
+func (op *LocalOp) RowBlock() *sparse.CSR {
+	if op.rowBlock == nil {
+		op.rowBlock = op.Part.RowBlock(op.a, op.Rank)
+	}
+	return op.rowBlock
 }
 
 // SetOverlap selects the overlapped MulVecDist path: halo sends and

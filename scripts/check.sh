@@ -69,7 +69,10 @@ go test -count=1 -v -run '^TestSolveBaselineOncePerBasket$' . |
 # flakes surface here instead of once a week in CI. This is also the
 # repeated race pass over the /batch seam (replica handler, the router's
 # sub-batch failover, the fleet client): internal/service/... and
-# internal/chaos/fleet are both inside it.
+# internal/chaos/fleet are both inside it. TestRunnerReuseInvisible —
+# four workers sharing one Runner's recorder pool and the checker's
+# scratch pool, verdicts byte-equal to a fresh Runner per scenario — is in
+# internal/chaos, so this line is its five race-detector repeats too.
 go test -race -count=5 ./internal/chaos/... ./internal/service/...
 
 # Chaos: a seeded fault campaign (all ten default schemes — the paper's
@@ -96,6 +99,15 @@ go test -run '^$' -bench '^BenchmarkCGIteration$|^BenchmarkHaloExchangeAllToAll$
     -benchmem -benchtime 2000x . |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
          END { exit (bad || found != 3) }'
+
+# The two monitor calls every rank makes every iteration allocate nothing
+# when no fault is due, and a warm chaos.Runner stays inside its committed
+# allocation ceiling for one pinned scenario (the ceiling lives next to
+# the test; a job that throws its scratch away again lands ~2x above it).
+go test -count=1 -v -run '^TestMonitorBoundaryAllocatesNothing$' ./internal/core |
+    grep -q '^--- PASS: TestMonitorBoundaryAllocatesNothing'
+go test -count=1 -v -run '^TestRunAllocBudget$' ./internal/chaos |
+    grep -q '^--- PASS: TestRunAllocBudget'
 
 # The cache serving hot paths (hit, miss, single-flight join) run once
 # per request on the daemon and must also stay allocation-free.
