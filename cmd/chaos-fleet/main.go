@@ -57,12 +57,11 @@ func main() {
 
 	opts := fleet.Options{
 		Campaign: chaos.Options{
-			N:              *n,
-			Seed:           *seed,
-			MaxFaults:      *maxFaults,
-			Schemes:        strings.Split(*schemes, ","),
-			Tol:            *tol,
-			BreakInvariant: *breakInv,
+			N:         *n,
+			Seed:      *seed,
+			MaxFaults: *maxFaults,
+			Schemes:   strings.Split(*schemes, ","),
+			Tol:       *tol,
 		},
 		Batch:        *batch,
 		Workers:      *c,

@@ -1,10 +1,14 @@
 // Command chaos runs deterministic fault-campaigns against the resilient
 // solver and checks the runtime invariant battery on every scenario.
 //
-// A campaign is fully determined by its flags: the same -n/-seed/-schemes
-// produce byte-identical output at any -workers. When a scenario violates
-// an invariant, the reporter shrinks it and prints the minimal failing
-// scenario as a flag string replayable with -replay.
+// A campaign is the fleet driver (internal/chaos/fleet) over its
+// in-process oracle — the campaign chaos-fleet shards across a live
+// fabric, here with the rerun-based invariants on — so it is fully
+// determined by its flags: the same -n/-seed/-schemes produce
+// byte-identical output at any -workers. Scenario lines are verdicts in
+// wire form. When a scenario violates an invariant, the driver shrinks the
+// first failure and prints the minimal failing scenario as a flag string
+// replayable with -replay.
 //
 //	chaos -n 200 -seed 1                  # the acceptance campaign
 //	chaos -replay '-grid 8 -ranks 4 -scheme LI -tol 1e-10 -seed 7 -faults SNF@5:r2'
@@ -12,12 +16,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"resilience/internal/chaos"
+	"resilience/internal/chaos/fleet"
 )
 
 func main() {
@@ -41,75 +47,63 @@ func main() {
 }
 
 func run(n int, seed int64, workers, maxFaults int, schemes string, tol float64, recheck bool, breakInv, replay string, verbose bool) error {
-	opts := chaos.Options{
-		N:         n,
-		Seed:      seed,
-		Workers:   workers,
-		MaxFaults: maxFaults,
-		Schemes:   strings.Split(schemes, ","),
-		Tol:       tol,
-		Recheck:   recheck,
-	}
-	if breakInv != "" {
-		if !validInvariant(breakInv) {
-			return fmt.Errorf("chaos: -break %q is not an invariant (known: %s)", breakInv, strings.Join(chaos.InvariantNames(), ", "))
-		}
-		opts.BreakInvariant = breakInv
-	}
-
+	runner := chaos.NewRunner(chaos.Options{Recheck: recheck})
 	if replay != "" {
-		return runReplay(replay, opts)
+		if breakInv != "" {
+			return fmt.Errorf("chaos: -break applies to a campaign, not to -replay")
+		}
+		return runReplay(replay, runner)
 	}
 
 	fmt.Printf("chaos campaign: n=%d seed=%d schemes=%s max-faults=%d tol=%g recheck=%t\n",
 		n, seed, schemes, maxFaults, tol, recheck)
-	results := chaos.RunCampaign(opts)
-	var ok, expected int
-	var failures []*chaos.Result
-	for _, r := range results {
-		switch {
-		case r.Failed():
-			failures = append(failures, r)
-		case r.Expected != "":
-			expected++
-		default:
-			ok++
-		}
-		if verbose || r.Failed() {
-			fmt.Println(r.Line())
-			if r.Failed() {
-				fmt.Printf("      replay: %s\n", r.Scenario.Args())
+	// One batch in flight, evaluated by `workers` concurrent scenario
+	// runs: the campaign and every shrink pass get the same parallelism.
+	oracle := fleet.NewOracle(breakInv, workers)
+	oracle.Runner = runner
+	rep, err := fleet.Run(context.Background(), fleet.Options{
+		Campaign: chaos.Options{
+			N:         n,
+			Seed:      seed,
+			MaxFaults: maxFaults,
+			Schemes:   strings.Split(schemes, ","),
+			Tol:       tol,
+		},
+		Workers:    1,
+		MaxShrinks: 1,
+	}, oracle)
+	if err != nil {
+		return err
+	}
+	for i, v := range rep.Verdicts {
+		failed := v.Status == chaos.StatusFail
+		if verbose || failed {
+			fmt.Printf("#%04d %s\n", i, rep.Lines[i])
+			if failed {
+				fmt.Printf("      replay: %s\n", v.Args)
 			}
 		}
 	}
 	fmt.Printf("summary: %d scenarios, %d ok, %d expected-failure, %d violating\n",
-		len(results), ok, expected, len(failures))
-	if len(failures) == 0 {
-		return nil
+		rep.N, rep.OK, rep.Expected, rep.Failed)
+	for _, sh := range rep.Shrunk {
+		fmt.Printf("minimal failing scenario (shrunk from #%04d):\n", sh.Index)
+		fmt.Printf("  %s\n", sh.Verdict)
+		fmt.Printf("  replay: go run ./cmd/chaos -replay '%s'\n", sh.Args)
 	}
-
-	// Shrink the first failure to its minimal reproduction. The oracle
-	// reruns the candidate through a fresh runner with the same options,
-	// so the minimum fails for the same reason the original did.
-	first := failures[0]
-	rn := chaos.NewRunner(opts)
-	min := chaos.Shrink(first.Scenario, func(c *chaos.Scenario) bool {
-		return rn.Run(first.Index, c).Failed()
-	})
-	minRes := rn.Run(first.Index, min)
-	fmt.Printf("minimal failing scenario (shrunk from #%04d):\n", first.Index)
-	fmt.Printf("  %s\n", minRes.Line())
-	fmt.Printf("  replay: go run ./cmd/chaos -replay '%s'\n", min.Args())
-	return fmt.Errorf("chaos: %d of %d scenarios violated invariants", len(failures), len(results))
+	if rep.Failed > 0 {
+		return fmt.Errorf("chaos: %d of %d scenarios violated invariants", rep.Failed, rep.N)
+	}
+	return nil
 }
 
 // runReplay executes one scenario verbosely.
-func runReplay(args string, opts chaos.Options) error {
+func runReplay(args string, runner *chaos.Runner) error {
 	s, err := chaos.ParseArgs(args)
 	if err != nil {
 		return err
 	}
-	r := chaos.NewRunner(opts).Run(0, s)
+	r := runner.Run(0, s)
 	fmt.Println(r.Line())
 	if rep := r.Report; rep != nil {
 		fmt.Printf("  scheme=%s iters=%d converged=%t relres=%.3g restarts=%d faults-fired=%d\n",
@@ -121,13 +115,4 @@ func runReplay(args string, opts chaos.Options) error {
 		return fmt.Errorf("chaos: scenario violated invariants")
 	}
 	return nil
-}
-
-func validInvariant(name string) bool {
-	for _, n := range chaos.InvariantNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -24,6 +24,12 @@ func TestRunReplayRejectsBadArgs(t *testing.T) {
 	}
 }
 
+func TestRunReplayRejectsBreak(t *testing.T) {
+	if err := run(0, 1, 1, 3, "LI", 1e-10, false, "convergence", "-grid 6 -ranks 2", false); err == nil {
+		t.Fatal("-break accepted alongside -replay, where nothing would apply it")
+	}
+}
+
 func TestRunBreakInvariantFails(t *testing.T) {
 	err := run(8, 1, 2, 3, "LI", 1e-10, false, "convergence", "", false)
 	if err == nil {

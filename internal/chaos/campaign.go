@@ -20,7 +20,6 @@ import (
 type Options struct {
 	N         int      // number of scenarios
 	Seed      int64    // campaign seed; scenario i derives its own seed from it
-	Workers   int      // concurrent scenario runners (<=0: 1)
 	MaxFaults int      // faults per scenario drawn from 0..MaxFaults (<=0: 3)
 	Schemes   []string // scheme pool (nil: DefaultSchemes)
 	Tol       float64  // solver tolerance (<=0: 1e-10)
@@ -30,19 +29,10 @@ type Options struct {
 	// invariant (rerun with the halo-exchange mode flipped and demand
 	// bitwise-identical numerics). Both roughly triple the campaign cost.
 	Recheck bool
-
-	// BreakInvariant deliberately fails the named invariant on every
-	// scenario that injects at least one fault. It exists to prove the
-	// reporting pipeline end-to-end: a campaign must detect the failure
-	// and shrink it to a minimal replayable scenario.
-	BreakInvariant string
 }
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Workers <= 0 {
-		out.Workers = 1
-	}
 	if out.MaxFaults <= 0 {
 		out.MaxFaults = 3
 	}
@@ -63,8 +53,8 @@ const SeedStride = 0x9E3779B9
 
 // ScenarioAt deterministically derives campaign scenario i from the
 // campaign options. It is the single generation path shared by the
-// in-process campaign runner, the load generator, and the distributed
-// fleet driver: the same (Seed, i) names the same scenario everywhere,
+// fleet driver (over HTTP or the in-process oracle) and the load
+// generator: the same (Seed, i) names the same scenario everywhere,
 // independent of worker count, shard assignment, or arrival order.
 func ScenarioAt(opts Options, i int) *Scenario {
 	o := opts.withDefaults()
@@ -274,9 +264,6 @@ func (rn *Runner) RunContext(ctx context.Context, index int, s *Scenario) *Resul
 	if rn.opts.Recheck {
 		res.Violations = append(res.Violations, rn.recheck(s, a, b, rep)...)
 	}
-	if rn.opts.BreakInvariant != "" && len(s.Faults) > 0 {
-		res.Violations = append(res.Violations, SelfTestViolation(rn.opts.BreakInvariant))
-	}
 	// Violations also land in the process flight recorder: a campaign that
 	// trips an invariant leaves the recent event timeline in the crash dump
 	// (memory-only unless a dump directory was configured, so stdout — the
@@ -352,33 +339,4 @@ func bitEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// RunCampaign generates and runs opts.N scenarios. Results come back in
-// scenario order regardless of worker count, so campaign output is
-// byte-identical for any parallelism. Scenario i's generator is seeded
-// with opts.Seed + i*SeedStride (see ScenarioAt), so a campaign is a set
-// of independently replayable runs, not one serial random stream — any
-// subrange can be re-examined alone.
-func RunCampaign(opts Options) []*Result {
-	o := opts.withDefaults()
-	rn := NewRunner(o)
-	results := make([]*Result, o.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < o.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = rn.Run(i, ScenarioAt(o, i))
-			}
-		}()
-	}
-	for i := 0; i < o.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"resilience/internal/core"
@@ -78,33 +77,14 @@ func TestCampaignInvariantsHold(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
-	opts := Options{N: n, Seed: 1, Workers: 4, Recheck: true}
-	results := RunCampaign(opts)
-	for _, r := range results {
-		r := r
-		t.Run(fmt.Sprintf("scn=%d", r.Index), func(t *testing.T) {
-			if r.Failed() {
+	opts := Options{Seed: 1, Recheck: true}
+	rn := NewRunner(opts)
+	for i := 0; i < n; i++ {
+		t.Run(fmt.Sprintf("scn=%d", i), func(t *testing.T) {
+			if r := rn.Run(i, ScenarioAt(opts, i)); r.Failed() {
 				t.Fatalf("scenario failed:\n%s\nreplay: %s", r.Line(), r.Scenario.Args())
 			}
 		})
-	}
-}
-
-// TestCampaignDeterministicAcrossWorkers: the campaign report is
-// byte-identical regardless of worker count.
-func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		var b strings.Builder
-		for _, r := range RunCampaign(Options{N: 10, Seed: 42, Workers: workers}) {
-			b.WriteString(r.Line())
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("campaign output depends on worker count:\n--- workers=1\n%s--- workers=8\n%s", seq, par)
 	}
 }
 
@@ -129,96 +109,6 @@ func TestExpectedFailureClassification(t *testing.T) {
 	rep = fakeReport(true, 10)
 	if _, ok := ExpectedFailure(s, rep); ok {
 		t.Error("a converged run is not a failure at all")
-	}
-}
-
-// TestShrinkMinimizes: the shrinker reduces a large scenario to the
-// 1-minimal core under an oracle that fails whenever any fault is
-// present.
-func TestShrinkMinimizes(t *testing.T) {
-	s := &Scenario{
-		Grid: 10, Ranks: 6, Scheme: "LSI-DVFS", Tol: 1e-10, CkptEvery: 7,
-		DetectDelay: 2, Overlap: true, Jacobi: true, Seed: 999,
-		Faults: []FaultSpec{
-			{Class: 4, Rank: 3, Iter: 9},
-			{Class: 2, Rank: 5, Iter: 9},
-			{Class: 3, Rank: 1, Iter: 14},
-		},
-	}
-	min := Shrink(s, func(c *Scenario) bool { return len(c.Faults) > 0 })
-	if len(min.Faults) != 1 {
-		t.Fatalf("want 1 fault after shrinking, got %d (%s)", len(min.Faults), min.Args())
-	}
-	if min.Grid != 4 || min.Ranks != 1 || min.Overlap || min.Jacobi || min.DetectDelay != 0 {
-		t.Fatalf("shrinker left reducible structure: %s", min.Args())
-	}
-	if f := min.Faults[0]; f.Iter != 1 || f.Rank != 0 {
-		t.Fatalf("shrinker left reducible fault placement: %s", min.Args())
-	}
-	if err := min.Validate(); err != nil {
-		t.Fatalf("shrunk scenario invalid: %v", err)
-	}
-}
-
-// TestShrinkKeepsFailing: whatever the oracle, the shrunk scenario still
-// fails it (the minimum is a witness, not a guess).
-func TestShrinkKeepsFailing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
-		s := NewScenario(rng, Options{MaxFaults: 3})
-		if len(s.Faults) < 2 {
-			continue
-		}
-		// Oracle: fails while a hard fault on an even rank remains.
-		oracle := func(c *Scenario) bool {
-			for _, f := range c.Faults {
-				if f.Class.IsHard() && f.Rank%2 == 0 {
-					return true
-				}
-			}
-			return false
-		}
-		if !oracle(s) {
-			continue
-		}
-		min := Shrink(s, oracle)
-		if !oracle(min) {
-			t.Fatalf("shrink lost the failure: %s -> %s", s.Args(), min.Args())
-		}
-	}
-}
-
-// TestBreakInvariantReportsAndShrinks: the checker's self-test hook must
-// surface as a violation and shrink to a minimal single-fault scenario —
-// the end-to-end path the CLI uses to prove the reporter works.
-func TestBreakInvariantReportsAndShrinks(t *testing.T) {
-	opts := Options{N: 12, Seed: 3, Workers: 2, BreakInvariant: InvConvergence}
-	results := RunCampaign(opts)
-	var failing *Result
-	for _, r := range results {
-		if r.Failed() {
-			failing = r
-			break
-		}
-	}
-	if failing == nil {
-		t.Fatal("campaign with -break produced no failure")
-	}
-	found := false
-	for _, v := range failing.Violations {
-		if v.Invariant == InvConvergence && strings.Contains(v.Detail, "deliberately") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing deliberate violation in %s", failing.Line())
-	}
-	rn := NewRunner(opts)
-	min := Shrink(failing.Scenario, func(c *Scenario) bool {
-		return rn.Run(0, c).Failed()
-	})
-	if len(min.Faults) != 1 {
-		t.Fatalf("broken-invariant scenario should shrink to one fault, got %s", min.Args())
 	}
 }
 

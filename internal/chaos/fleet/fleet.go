@@ -22,6 +22,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 
 	"resilience/internal/chaos"
@@ -37,13 +39,24 @@ type Evaluator interface {
 	Evaluate(ctx context.Context, scenarios []*chaos.Scenario) ([]string, error)
 }
 
+// checkBreak rejects a self-test hook that names no invariant. Both
+// evaluators call it before touching a scenario, so `-break gravity` is
+// the same error in-process and over HTTP (where every job would
+// otherwise come back 400).
+func checkBreak(name string) error {
+	if name == "" || slices.Contains(chaos.InvariantNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("fleet: -break %q is not an invariant (known: %s)",
+		name, strings.Join(chaos.InvariantNames(), ", "))
+}
+
 // Options configures one fleet campaign.
 type Options struct {
 	// Campaign is the underlying seeded campaign: N scenarios generated
 	// from Seed via chaos.ScenarioAt, with the generator's MaxFaults,
-	// Schemes, and Tol knobs. Campaign.BreakInvariant is the self-test
-	// hook; evaluators must be constructed with the same value so broken
-	// verdicts agree across transports.
+	// Schemes, and Tol knobs. The -break self-test hook is the
+	// evaluator's, not the campaign's: NewOracle and NewClient take it.
 	Campaign chaos.Options
 
 	// Batch is the scenarios per evaluator call (<=0: 64). Over HTTP one
@@ -232,8 +245,9 @@ func Run(ctx context.Context, opts Options, ev Evaluator) (*Report, error) {
 // candidate in candidate order — a deterministic rule whatever the
 // evaluator's internal parallelism, which is what lets 1-replica,
 // 3-replica, and oracle runs agree on the minimal scenario byte-for-byte.
-// Like chaos.Shrink, the result is 1-minimal with respect to the
-// candidate moves (unless the budget ran out first).
+// The result is 1-minimal with respect to the candidate moves — no single
+// move keeps it failing — unless the budget ran out first, which truncates
+// the last pass at the same candidate everywhere.
 func shrinkOne(ctx context.Context, ev Evaluator, s *chaos.Scenario, verdict string, budget int) (Shrunk, error) {
 	cur, curLine := s, verdict
 	evals := 0

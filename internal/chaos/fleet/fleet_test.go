@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,15 +19,14 @@ import (
 	"resilience/internal/service/router"
 )
 
-// campaign is the bounded e2e campaign: small enough for CI, broken on
-// purpose so the full detect-and-shrink pipeline runs.
+// broken is the invariant every e2e evaluator is built to fail, so the
+// full detect-and-shrink pipeline runs.
+const broken = chaos.InvConvergence
+
+// campaign is the bounded e2e campaign: small enough for CI.
 func campaign(n int) fleet.Options {
 	return fleet.Options{
-		Campaign: chaos.Options{
-			N:              n,
-			Seed:           7,
-			BreakInvariant: chaos.InvConvergence,
-		},
+		Campaign:   chaos.Options{N: n, Seed: 7},
 		Batch:      6,
 		Workers:    3,
 		MaxShrinks: 2,
@@ -72,7 +72,7 @@ func TestFleetDeterminismAcrossReplicaCounts(t *testing.T) {
 	opts := campaign(24)
 	ctx := context.Background()
 
-	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(opts.Campaign.BreakInvariant, 4))
+	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(broken, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFleetDeterminismAcrossReplicaCounts(t *testing.T) {
 
 	for _, replicas := range []int{1, 3} {
 		_, base, _ := bootFleet(t, replicas)
-		rep, err := fleet.Run(ctx, opts, fleet.NewClient(base, opts.Campaign.BreakInvariant))
+		rep, err := fleet.Run(ctx, opts, fleet.NewClient(base, broken))
 		if err != nil {
 			t.Fatalf("%d replicas: %v", replicas, err)
 		}
@@ -132,7 +132,7 @@ func TestFleetReplicaDeathMidCampaign(t *testing.T) {
 	opts.MaxShrinks = 1
 	ctx := context.Background()
 
-	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(opts.Campaign.BreakInvariant, 4))
+	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(broken, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFleetReplicaDeathMidCampaign(t *testing.T) {
 			})
 		}
 	}
-	rep, err := fleet.Run(ctx, opts, fleet.NewClient(base, opts.Campaign.BreakInvariant))
+	rep, err := fleet.Run(ctx, opts, fleet.NewClient(base, broken))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +177,13 @@ func TestFleetReplicaDeathMidCampaign(t *testing.T) {
 		t.Errorf("%d replicas alive after death, want 2", alive)
 	}
 	metrics := scrape(t, base+"/metrics")
-	if jobs := metricValueOf(metrics, "resilience_router_campaign_jobs_total"); jobs < float64(opts.Campaign.N) {
+	if jobs := seriesValue(metrics, "resilience_router_campaign_jobs_total"); jobs < float64(opts.Campaign.N) {
 		t.Errorf("campaign_jobs_total = %v, want >= %d", jobs, opts.Campaign.N)
 	}
-	if v := metricValueOf(metrics, "resilience_router_campaign_verdicts_total"); v < float64(opts.Campaign.N) {
+	if v := seriesValue(metrics, "resilience_router_campaign_verdicts_total"); v < float64(opts.Campaign.N) {
 		t.Errorf("campaign_verdicts_total = %v, want >= %d", v, opts.Campaign.N)
 	}
-	if f := metricValueOf(metrics, "resilience_router_campaign_fail_total"); f < float64(rep.Failed) {
+	if f := seriesValue(metrics, "resilience_router_campaign_fail_total"); f < float64(rep.Failed) {
 		t.Errorf("campaign_fail_total = %v, want >= %d", f, rep.Failed)
 	}
 }
@@ -202,7 +202,7 @@ func scrape(t *testing.T, url string) string {
 	return string(body)
 }
 
-func metricValueOf(metrics, name string) float64 {
+func seriesValue(metrics, name string) float64 {
 	for _, line := range strings.Split(metrics, "\n") {
 		if rest, ok := strings.CutPrefix(line, name+" "); ok {
 			if v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64); err == nil {
@@ -221,7 +221,7 @@ func TestFleetBareReplica(t *testing.T) {
 	opts.MaxShrinks = 1
 	ctx := context.Background()
 
-	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(opts.Campaign.BreakInvariant, 4))
+	oracleRep, err := fleet.Run(ctx, opts, fleet.NewOracle(broken, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFleetBareReplica(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	rep, err := fleet.Run(ctx, opts, fleet.NewClient(ts.URL, opts.Campaign.BreakInvariant))
+	rep, err := fleet.Run(ctx, opts, fleet.NewClient(ts.URL, broken))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,5 +328,83 @@ func TestDistillDeterministic(t *testing.T) {
 		if s.Args() != e.Args {
 			t.Fatalf("corpus entry is not a codec fixpoint: %q", e.Args)
 		}
+	}
+}
+
+// TestCampaignDeterministicAcrossWorkers: the verdict stream of one
+// campaign is byte-identical for any batch size and any number of
+// batches in flight or scenarios evaluated at once.
+func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
+	var want []string
+	for _, c := range []struct{ batch, workers int }{{1, 1}, {7, 3}, {64, 8}} {
+		opts := fleet.Options{Campaign: chaos.Options{N: 10, Seed: 42}, Batch: c.batch, Workers: c.workers}
+		rep, err := fleet.Run(context.Background(), opts, fleet.NewOracle("", c.workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = rep.Lines
+			continue
+		}
+		if !slices.Equal(rep.Lines, want) {
+			t.Fatalf("batch=%d workers=%d: verdict stream depends on the partitioning\n%s", c.batch, c.workers,
+				firstDiff(strings.Join(rep.Lines, "\n"), strings.Join(want, "\n")))
+		}
+	}
+}
+
+// TestBreakInvariantReportsAndShrinks: the checker's self-test hook must
+// surface as a violation on faulted scenarios only and shrink to a
+// minimal single-fault scenario — the end-to-end path `chaos -break`
+// uses to prove the reporter works.
+func TestBreakInvariantReportsAndShrinks(t *testing.T) {
+	opts := fleet.Options{Campaign: chaos.Options{N: 12, Seed: 3}, MaxShrinks: 1}
+	rep, err := fleet.Run(context.Background(), opts, fleet.NewOracle(broken, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failures) == 0 || len(rep.Shrunk) != 1 {
+		t.Fatalf("campaign with -break: %d failures, %d shrunk", len(rep.Failures), len(rep.Shrunk))
+	}
+	want := chaos.SelfTestViolation(broken).String()
+	for i, v := range rep.Verdicts {
+		faulted := len(chaos.ScenarioAt(opts.Campaign, i).Faults) > 0
+		if got := slices.Contains(v.Violations, want); got != faulted {
+			t.Errorf("scenario %d: deliberate violation present=%t, faults injected=%t\n%s", i, got, faulted, rep.Lines[i])
+		}
+	}
+	min, err := chaos.ParseArgs(rep.Shrunk[0].Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shrunk[0].Index != rep.Failures[0] || len(min.Faults) != 1 {
+		t.Fatalf("broken-invariant scenario #%d should shrink to one fault, got #%d %s",
+			rep.Failures[0], rep.Shrunk[0].Index, rep.Shrunk[0].Args)
+	}
+}
+
+// TestBreakRejectedIdentically: a -break name that is no invariant is the
+// same error from the oracle and from the HTTP client, raised before
+// either evaluates anything.
+func TestBreakRejectedIdentically(t *testing.T) {
+	opts := fleet.Options{Campaign: chaos.Options{N: 4, Seed: 1}}
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no request expected", http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	oracle := fleet.NewOracle("gravity", 2)
+	oracle.Runner = nil // running a scenario would dereference it
+	_, oracleErr := fleet.Run(context.Background(), opts, oracle)
+	_, clientErr := fleet.Run(context.Background(), opts, fleet.NewClient(ts.URL, "gravity"))
+	if oracleErr == nil || clientErr == nil {
+		t.Fatalf("unknown invariant accepted: oracle %v, client %v", oracleErr, clientErr)
+	}
+	if oracleErr.Error() != clientErr.Error() || !strings.Contains(oracleErr.Error(), `"gravity" is not an invariant`) {
+		t.Errorf("oracle and client disagree on an unknown invariant\noracle: %v\nclient: %v", oracleErr, clientErr)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("client sent %d requests before rejecting the name", n)
 	}
 }

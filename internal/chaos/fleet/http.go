@@ -64,6 +64,9 @@ func (c *Client) retrySleep() time.Duration {
 // Evaluate implements Evaluator: one round trip for the whole batch,
 // then per-item retry of backpressured responses.
 func (c *Client) Evaluate(ctx context.Context, scenarios []*chaos.Scenario) ([]string, error) {
+	if err := checkBreak(c.BreakInvariant); err != nil {
+		return nil, err
+	}
 	reqs := make([]service.JobRequest, len(scenarios))
 	for i, s := range scenarios {
 		reqs[i] = service.JobRequest{Scenario: s.Args(), Verdict: true, BreakInvariant: c.BreakInvariant}

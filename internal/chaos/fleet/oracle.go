@@ -10,11 +10,16 @@ import (
 // Oracle evaluates scenarios in-process. It is the single-process ground
 // truth the distributed path is byte-compared against, and the engine
 // behind `chaos-fleet -oracle` (corpus distillation without a running
-// fleet). Safe for concurrent use.
+// fleet) and `chaos`. Safe for concurrent use.
 type Oracle struct {
+	// Runner executes the scenarios. NewOracle installs one with default
+	// options — exactly the configuration of the service's verdict runner,
+	// which the byte comparison needs; `chaos -recheck` swaps in one that
+	// also runs the rerun-based invariants.
+	Runner *chaos.Runner
+
 	breakInvariant string
 	workers        int
-	runner         *chaos.Runner
 }
 
 // NewOracle builds an in-process evaluator. breakInvariant mirrors the
@@ -24,18 +29,20 @@ func NewOracle(breakInvariant string, workers int) *Oracle {
 	if workers <= 0 {
 		workers = 1
 	}
-	// The runner takes default options — exactly the configuration of the
-	// service's verdict runner — and the break hook is applied outside it,
-	// the way the service applies it (see service.RunJob's verdict path).
+	// The break hook is applied outside the runner, the way the service
+	// applies it (see service.RunJob's verdict path).
 	return &Oracle{
+		Runner:         chaos.NewRunner(chaos.Options{}),
 		breakInvariant: breakInvariant,
 		workers:        workers,
-		runner:         chaos.NewRunner(chaos.Options{}),
 	}
 }
 
 // Evaluate implements Evaluator.
 func (o *Oracle) Evaluate(ctx context.Context, scenarios []*chaos.Scenario) ([]string, error) {
+	if err := checkBreak(o.breakInvariant); err != nil {
+		return nil, err
+	}
 	out := make([]string, len(scenarios))
 	workers := o.workers
 	if workers > len(scenarios) {
@@ -83,7 +90,7 @@ func (o *Oracle) one(ctx context.Context, s *chaos.Scenario) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res := o.runner.RunContext(ctx, 0, parsed)
+	res := o.Runner.RunContext(ctx, 0, parsed)
 	if res.Err != nil && ctx.Err() != nil {
 		return "", res.Err
 	}

@@ -47,8 +47,8 @@ func TestRunAllocBudget(t *testing.T) {
 // from four workers and once through a fresh Runner each; the encoded
 // verdicts must agree byte for byte.
 func TestRunnerReuseInvisible(t *testing.T) {
-	const n = 240
-	opts := Options{Seed: 11, Workers: 4}
+	const n, workers = 240, 4
+	opts := Options{Seed: 11}
 	scn := make([]*Scenario, n)
 	schemes := make(map[string]bool)
 	for i := range scn {
@@ -82,7 +82,7 @@ func TestRunnerReuseInvisible(t *testing.T) {
 	rn := NewRunner(opts)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,42 +2,6 @@ package chaos
 
 import "sort"
 
-// Shrink greedily minimizes a failing scenario: it tries a fixed
-// candidate sequence of simplifications (drop faults, shrink the grid,
-// drop ranks, clear booleans, pull fault placements toward iteration 1 /
-// rank 0) and keeps any candidate for which fails still returns true,
-// looping until a full pass makes no progress. The result is 1-minimal
-// with respect to the candidate moves — no single move keeps it failing —
-// which in practice collapses a 3-fault 6-rank scenario to the one fault
-// and the smallest system that still trip the invariant.
-//
-// fails must be deterministic (true = the scenario still fails). The
-// total number of candidate evaluations is bounded by maxShrinkRuns, so a
-// pathological oracle cannot stall the reporter.
-func Shrink(s *Scenario, fails func(*Scenario) bool) *Scenario {
-	cur := cloneScenario(s)
-	budget := maxShrinkRuns
-	for improved := true; improved && budget > 0; {
-		improved = false
-		for _, cand := range ShrinkCandidates(cur) {
-			if budget--; budget <= 0 {
-				break
-			}
-			if cand.Validate() != nil {
-				continue
-			}
-			if fails(cand) {
-				cur = cand
-				improved = true
-				break // restart the pass from the simplified scenario
-			}
-		}
-	}
-	return cur
-}
-
-const maxShrinkRuns = 200
-
 func cloneScenario(s *Scenario) *Scenario {
 	out := *s
 	out.Faults = append([]FaultSpec(nil), s.Faults...)

@@ -204,8 +204,8 @@ func VerdictOf(r *Result) *Verdict {
 // SelfTestViolation is the violation the campaign's -break hook injects:
 // a deliberate failure proving the detection/shrinking pipeline
 // end-to-end. One constructor keeps the detail text identical between the
-// in-process campaign runner and the service's verdict jobs, so broken
-// runs stay byte-comparable across the fleet and the oracle.
+// service's verdict jobs and the in-process oracle that mirrors them, so
+// broken runs stay byte-comparable across the fleet and the oracle.
 func SelfTestViolation(invariant string) Violation {
 	return Violation{Invariant: invariant, Detail: "deliberately broken via -break (checker self-test)"}
 }

@@ -7,7 +7,7 @@ import (
 
 // The three serving hot paths below must stay allocation-free: a cache
 // hit, a cache miss, and a single-flight cycle. scripts/check.sh gates
-// all three at 0 allocs/op and cmd/benchdiff records them in BENCH_3+.
+// all three at 0 allocs/op.
 
 func BenchmarkCacheGetHit(b *testing.B) {
 	c := New[[]byte](1024, 16)

@@ -6,7 +6,7 @@
 // result bytes are a pure function of its canonical encoding — so a
 // cached or coalesced answer is bitwise-indistinguishable from a fresh
 // one. The Get hot path (hit or miss) performs zero allocations; the
-// scripts/check.sh alloc gate and BENCH_3.json pin that property.
+// scripts/check.sh alloc gate pins that property.
 package cache
 
 import (

@@ -210,11 +210,11 @@ func (rt *Router) initMetrics() {
 	r.Collector(rt.exposeFleet)
 }
 
-// exposeFleet renders the per-replica rows and the fleet view: cache
-// counters summed from the legacy text scrape, plus true fleet-wide
-// latency and energy quantiles from exact bucket-merges of every alive
-// replica's /telemetry snapshot. Member order is URL-sorted, so the
-// output is deterministic for a fixed fleet state.
+// exposeFleet renders the per-replica rows and the fleet view from one
+// /telemetry snapshot per alive replica: queue depth and summed cache
+// counters from its gauges, plus true fleet-wide latency and energy
+// quantiles from exact bucket-merges of its histograms. Member order is
+// URL-sorted, so the output is deterministic for a fixed fleet state.
 func (rt *Router) exposeFleet(e *telemetry.Expo) {
 	members := rt.Members()
 	rt.perMu.Lock()
@@ -237,12 +237,10 @@ func (rt *Router) exposeFleet(e *telemetry.Expo) {
 		if !m.Alive {
 			continue
 		}
-		if st := rt.scrapeReplica(m.URL); st.scraped {
-			e.LineL("replica_queue_depth", "replica", m.URL, st.queueDepth)
-			hits += st.hits
-			misses += st.misses
-		}
 		if snap, ok := rt.scrapeTelemetry(m.URL); ok {
+			e.LineL("replica_queue_depth", "replica", m.URL, snap.Gauge("queue_depth"))
+			hits += snap.Gauge("cache_hits_total")
+			misses += snap.Gauge("cache_misses_total")
 			telemetry.Merge(&fleet, snap)
 			scraped++
 		}
@@ -920,54 +918,9 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"replicas": out})
 }
 
-// replicaStats is what /metrics scrapes out of one replica.
-type replicaStats struct {
-	queueDepth float64
-	hits       float64
-	misses     float64
-	scraped    bool
-}
-
-// scrapeReplica pulls a replica's /metrics and extracts queue depth and
-// cache counters. Failures leave scraped false — the router's metrics
-// must render even with a dead replica.
-func (rt *Router) scrapeReplica(url string) replicaStats {
-	var st replicaStats
-	resp, err := rt.probe.Get(url + "/metrics")
-	if err != nil {
-		return st
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return st
-	}
-	st.queueDepth = metricValue(body, "resilienced_queue_depth")
-	st.hits = metricValue(body, "resilienced_cache_hits_total")
-	st.misses = metricValue(body, "resilienced_cache_misses_total")
-	st.scraped = true
-	return st
-}
-
-// metricValue extracts an unlabeled metric's value from Prometheus text
-// (0 when absent).
-func metricValue(body []byte, name string) float64 {
-	for _, line := range strings.Split(string(body), "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
-// scrapeTelemetry pulls one replica's /telemetry JSON snapshot for the
-// fleet bucket-merge. Failures report ok=false — the fleet view must
-// render even with a dead replica.
+// scrapeTelemetry pulls one replica's /telemetry JSON snapshot. Failures
+// report ok=false — the router's metrics must render even with a dead
+// replica.
 func (rt *Router) scrapeTelemetry(url string) (telemetry.Snapshot, bool) {
 	var snap telemetry.Snapshot
 	resp, err := rt.probe.Get(url + "/telemetry")

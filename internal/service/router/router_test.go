@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"resilience/internal/service"
+	"resilience/internal/telemetry"
 )
 
 // replica boots one real in-process solve service behind httptest.
@@ -421,6 +422,7 @@ func TestRouterMetricsAggregation(t *testing.T) {
 		"resilience_router_replicas_alive 2",
 		"resilience_router_cache_hits_total 2",
 		"resilience_router_cache_misses_total 1",
+		"resilience_router_cache_hit_ratio 0.66",
 		"resilience_router_replica_queue_depth{replica=",
 		"resilience_router_replica_up{replica=",
 	} {
@@ -428,23 +430,78 @@ func TestRouterMetricsAggregation(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	if v := metricValue(body, "resilience_router_cache_hit_ratio"); v < 0.6 || v > 0.7 {
-		t.Errorf("hit ratio %v, want 2/3", v)
-	}
 }
 
-// TestMetricValue pins the scrape parser against realistic exposition
-// text, including labeled lines that share a prefix with the target.
-func TestMetricValue(t *testing.T) {
-	body := []byte("# HELP x\nresilienced_cache_hits_total 41\nresilienced_cache_hits_total_bogus 7\nresilienced_queue_depth 3\nresilienced_solve_wall_seconds_total{scheme=\"LI\"} 0.5\n")
-	if v := metricValue(body, "resilienced_cache_hits_total"); v != 41 {
-		t.Fatalf("hits = %v", v)
+// fakeReplica serves a fixed telemetry registry the way resilienced does:
+// the JSON snapshot on /telemetry and the same values as text on /metrics.
+func fakeReplica(t *testing.T, depth, hits, misses float64, wall []float64) *counted {
+	t.Helper()
+	reg := telemetry.NewRegistry("resilienced")
+	reg.GaugeFunc("queue_depth", func() float64 { return depth })
+	reg.GaugeFunc("cache_hits_total", func() float64 { return hits })
+	reg.GaugeFunc("cache_misses_total", func() float64 { return misses })
+	h := reg.HistogramVec("solve_wall_seconds", "scheme")
+	e := reg.HistogramVec("solve_energy_joules", "scheme")
+	for i, v := range wall {
+		scheme := []string{"LI", "CR-M"}[i%2]
+		h.With(scheme).Record(v)
+		e.With(scheme).Record(100 * v)
 	}
-	if v := metricValue(body, "resilienced_queue_depth"); v != 3 {
-		t.Fatalf("depth = %v", v)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) { reg.WritePrometheus(w) })
+	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(reg.Snapshot())
+	})
+	return countRequests(t, mux)
+}
+
+// TestRouterMetricsOneScrapePerReplica: one router /metrics page costs
+// each alive replica exactly one GET (its /telemetry snapshot, which
+// already carries the queue and cache gauges), and the fleet section of
+// the page is, byte for byte, what the two known replicas add up to.
+func TestRouterMetricsOneScrapePerReplica(t *testing.T) {
+	a := fakeReplica(t, 3, 41, 9, []float64{0.001, 0.002, 0.004, 0.25})
+	b := fakeReplica(t, 0, 7, 13, []float64{0.008, 0.5})
+	_, rts := boot(t, Config{}, a.URL, b.URL)
+
+	page := scrapeMetrics(t, rts.URL)
+	for _, r := range []*counted{a, b} {
+		if tel, met := r.count("/telemetry"), r.count("/metrics"); tel != 1 || met != 0 {
+			t.Errorf("one router scrape cost replica %s %d /telemetry and %d /metrics GETs, want 1 and 0", r.URL, tel, met)
+		}
 	}
-	if v := metricValue(body, "resilienced_cache_misses_total"); v != 0 {
-		t.Fatalf("absent metric = %v", v)
+
+	first, second, d1, d2 := a.URL, b.URL, 3, 0
+	if second < first {
+		first, second, d1, d2 = second, first, d2, d1
+	}
+	want := fmt.Sprintf(`resilience_router_replica_up{replica=%[1]q} 1
+resilience_router_replica_routed_total{replica=%[1]q} 0
+resilience_router_replica_queue_depth{replica=%[1]q} %[3]d
+resilience_router_replica_up{replica=%[2]q} 1
+resilience_router_replica_routed_total{replica=%[2]q} 0
+resilience_router_replica_queue_depth{replica=%[2]q} %[4]d
+resilience_router_cache_hits_total 48
+resilience_router_cache_misses_total 22
+resilience_router_cache_hit_ratio 0.6857142857142857
+resilience_router_fleet_replicas_scraped 2
+resilience_router_fleet_solve_wall_seconds_count 6
+resilience_router_fleet_solve_wall_seconds_p50 0.0048828125
+resilience_router_fleet_solve_wall_seconds_p95 0.625
+resilience_router_fleet_solve_wall_seconds_p99 0.625
+resilience_router_fleet_solve_energy_joules_count{scheme="CR-M"} 3
+resilience_router_fleet_solve_energy_joules_p50{scheme="CR-M"} 28
+resilience_router_fleet_solve_energy_joules_p95{scheme="CR-M"} 56
+resilience_router_fleet_solve_energy_joules_p99{scheme="CR-M"} 56
+resilience_router_fleet_solve_energy_joules_count{scheme="LI"} 3
+resilience_router_fleet_solve_energy_joules_p50{scheme="LI"} 0.4375
+resilience_router_fleet_solve_energy_joules_p95{scheme="LI"} 0.875
+resilience_router_fleet_solve_energy_joules_p99{scheme="LI"} 0.875
+`, first, second, d1, d2)
+	fleet := page[max(0, strings.Index(page, "resilience_router_replica_up")):]
+	if fleet != want {
+		t.Errorf("fleet section of /metrics changed\n got:\n%s\nwant:\n%s", fleet, want)
 	}
 }
 

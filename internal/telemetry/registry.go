@@ -287,6 +287,16 @@ func (s Snapshot) Counter(name string) int64 {
 	return 0
 }
 
+// Gauge returns the named gauge's value (0 when absent).
+func (s Snapshot) Gauge(name string) float64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 // Merge folds src into dst: counters and gauges sum by name,
 // histograms merge bucket-wise by (name, label). The result is exactly
 // what one process would report had it observed both sample streams;

@@ -14,7 +14,7 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// TestFusedKernelsBitwiseEquivalence checks that DotAxpy and AxpyDot are
+// TestFusedKernelsBitwiseEquivalence checks that AxpyDot is
 // bitwise-identical to the unfused Axpy-then-Dot sequence across every
 // remainder length and a large random case.
 func TestFusedKernelsBitwiseEquivalence(t *testing.T) {
@@ -29,26 +29,13 @@ func TestFusedKernelsBitwiseEquivalence(t *testing.T) {
 		alpha := rng.NormFloat64()
 		x := randSlice(rng, n)
 		y0 := randSlice(rng, n)
-		z := randSlice(rng, n)
 
 		// Reference: separate Axpy then Dot.
 		yRef := append([]float64(nil), y0...)
 		Axpy(alpha, x, yRef)
-		wantYZ := Dot(yRef, z)
 		wantYY := Dot(yRef, yRef)
 
 		y := append([]float64(nil), y0...)
-		gotYZ := DotAxpy(alpha, x, y, z)
-		if math.Float64bits(gotYZ) != math.Float64bits(wantYZ) {
-			t.Fatalf("n=%d: DotAxpy dot %v != reference %v", n, gotYZ, wantYZ)
-		}
-		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(yRef[i]) {
-				t.Fatalf("n=%d: DotAxpy y[%d]=%v != reference %v", n, i, y[i], yRef[i])
-			}
-		}
-
-		y = append([]float64(nil), y0...)
 		gotYY := AxpyDot(alpha, x, y)
 		if math.Float64bits(gotYY) != math.Float64bits(wantYY) {
 			t.Fatalf("n=%d: AxpyDot dot %v != reference %v", n, gotYY, wantYY)
@@ -57,13 +44,6 @@ func TestFusedKernelsBitwiseEquivalence(t *testing.T) {
 			if math.Float64bits(y[i]) != math.Float64bits(yRef[i]) {
 				t.Fatalf("n=%d: AxpyDot y[%d]=%v != reference %v", n, i, y[i], yRef[i])
 			}
-		}
-
-		// DotAxpy with z aliasing y must equal AxpyDot.
-		y = append([]float64(nil), y0...)
-		gotAlias := DotAxpy(alpha, x, y, y)
-		if math.Float64bits(gotAlias) != math.Float64bits(wantYY) {
-			t.Fatalf("n=%d: DotAxpy(y,y) %v != Dot(y,y) reference %v", n, gotAlias, wantYY)
 		}
 	}
 }

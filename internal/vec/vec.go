@@ -114,22 +114,6 @@ func Add(dst, a, b []float64) {
 	}
 }
 
-// DotAxpy computes y += alpha*x and returns the dot product of the
-// updated y with z, in one pass. Each y[i] and the ascending-order dot
-// accumulation are exactly those of Axpy followed by Dot, so the result
-// is bitwise-identical to the unfused sequence. z may alias y.
-func DotAxpy(alpha float64, x, y, z []float64) float64 {
-	checkLen("DotAxpy", x, y)
-	checkLen("DotAxpy", y, z)
-	var s float64
-	for i, v := range x {
-		yi := y[i] + alpha*v
-		y[i] = yi
-		s += yi * z[i]
-	}
-	return s
-}
-
 // AxpyDot computes y += alpha*x and returns the squared 2-norm y·y of the
 // updated y — the CG residual update fused with its following reduction.
 // Bitwise-identical to Axpy(alpha, x, y) followed by Dot(y, y).
