@@ -10,12 +10,11 @@ import (
 
 // pin is the committed outcome of one workload at one rank count. The
 // workloads end on a collective, so every rank finishes on the same
-// clock; root is the value rank 0 stored and rest the one every other
-// rank did. The constants were produced alike by both rank schedulers the
-// tree once had; a cost-model or reduction-order change has to edit them.
+// clock, and reduce their last value, so every rank stores the same one.
+// The constants were produced alike by both rank schedulers the tree once
+// had; a cost-model or reduction-order change has to edit them.
 type pin struct {
-	clock, energy float64
-	root, rest    float64
+	clock, energy, value float64
 }
 
 // checkPinned runs fn twice on p ranks and requires both runs bitwise
@@ -42,20 +41,16 @@ func checkPinned(t *testing.T, p int, fn func(c *Comm, out []float64) error, wan
 			if !same(clocks[r], want.clock) {
 				t.Errorf("p=%d run %d rank %d: clock %x, want %x", p, run, r, clocks[r], want.clock)
 			}
-			value := want.rest
-			if r == 0 {
-				value = want.root
-			}
-			if !same(out[r], value) {
-				t.Errorf("p=%d run %d rank %d: value %x, want %x", p, run, r, out[r], value)
+			if !same(out[r], want.value) {
+				t.Errorf("p=%d run %d rank %d: value %x, want %x", p, run, r, out[r], want.value)
 			}
 		}
 	}
 }
 
-// mixedWorkload exercises every blocking primitive: compute, collectives
-// on both the boxed and scalar paths, blocking and nonblocking p2p in a
-// ring, bcast/gather, and a frequency change mid-run.
+// mixedWorkload exercises every blocking primitive: compute, scalar, pair
+// and vector allreduces, blocking and nonblocking p2p in a ring, a
+// frequency change mid-run and a closing barrier.
 func mixedWorkload(c *Comm, out []float64) error {
 	p := c.Size()
 	rank := c.Rank()
@@ -83,12 +78,6 @@ func mixedWorkload(c *Comm, out []float64) error {
 
 	v := c.AllreduceSum([]float64{acc, float64(rank)})
 	acc = v[0] + v[1]
-	acc += c.Bcast(2%p, []float64{acc})[0]
-	if g := c.Gather(0, []float64{acc}); g != nil {
-		for _, blk := range g {
-			acc += blk[0]
-		}
-	}
 	c.SetFreq(c.Freq() * 0.8)
 	c.Compute(2_000_000)
 	c.Barrier()
@@ -106,10 +95,10 @@ func TestMixedWorkloadPinned(t *testing.T) {
 }
 
 var mixedWorkloadPins = map[int]pin{
-	1:  {clock: 0x1.108909da85e5p-09, energy: 0x1.1530d519fe5d3p-06, root: 0x1.4p+03},
-	2:  {clock: 0x1.5340ac8318bfp-09, energy: 0x1.6884573620873p-05, root: 0x1.38p+07, rest: 0x1.ap+05},
-	3:  {clock: 0x1.95f84f2bab991p-09, energy: 0x1.4ce1e2fdb204fp-04, root: 0x1.52p+09, rest: 0x1.52p+07},
-	4:  {clock: 0x1.d78186777240fp-09, energy: 0x1.06e1af387d818p-03, root: 0x1.e1aaaaaaaaaaap+10, rest: 0x1.8155555555555p+08},
-	8:  {clock: 0x1.6f6a6781ac896p-08, energy: 0x1.ab6cb7f4a3118p-02, root: 0x1.8f3af8af8af8bp+14, rest: 0x1.62df15f15f15fp+11},
-	13: {clock: 0x1.09ec53b6c1a32p-07, energy: 0x1.01207d520ef22p+00, root: 0x1.40889195766ebp+17, rest: 0x1.6e52ef863e355p+13},
+	1:  {clock: 0x1.108909da85e5p-09, energy: 0x1.1530d519fe5d3p-06, value: 0x1.4p+01},
+	2:  {clock: 0x1.52dbe73874a19p-09, energy: 0x1.68066098d3627p-05, value: 0x1.ap+04},
+	3:  {clock: 0x1.952ec496635e3p-09, energy: 0x1.4c24f111be4ddp-04, value: 0x1.52p+06},
+	4:  {clock: 0x1.d6b7fbe22a061p-09, energy: 0x1.0663b89b305ccp-03, value: 0x1.8155555555555p+07},
+	8:  {clock: 0x1.6ed33f91b65d4p-08, energy: 0x1.aaafc608af5a7p-02, value: 0x1.62df15f15f15fp+10},
+	13: {clock: 0x1.09878e6c1d85bp-07, energy: 0x1.00ba24f240446p+00, value: 0x1.6e52ef863e355p+12},
 }
