@@ -361,10 +361,11 @@ func (e echo) String() string {
 	return "req_id=" + reqID + " x_cache=" + cache
 }
 
-// postRetry submits one job under the given X-Request-Id, retrying on
-// 429 for as long as the server advertises Retry-After (capped, bounded
-// attempts). Returns the final status, body, how many 429s were
-// absorbed, and the echoed telemetry headers.
+// postRetry submits one job under the given X-Request-Id, retrying a
+// backpressured answer (service.Retryable) for as long as the server
+// advertises Retry-After (capped, bounded attempts). Returns the final
+// status, body, how many answers were retried, and the echoed telemetry
+// headers.
 func postRetry(client *http.Client, addr string, req service.JobRequest, reqID string) (int, []byte, int, echo, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -372,29 +373,23 @@ func postRetry(client *http.Client, addr string, req service.JobRequest, reqID s
 	}
 	retries := 0
 	var ec echo
+	code := 0
 	for attempt := 0; attempt < 200; attempt++ {
-		hr, err := http.NewRequest(http.MethodPost, addr+"/solve", bytes.NewReader(body))
-		if err != nil {
+		resp, got, err := service.Post(context.TODO(), client, addr+"/solve", reqID, body)
+		if resp == nil {
 			return 0, nil, retries, ec, err
 		}
-		hr.Header.Set("Content-Type", "application/json")
-		hr.Header.Set("X-Request-Id", reqID)
-		resp, err := client.Do(hr)
-		if err != nil {
-			return 0, nil, retries, ec, err
-		}
+		code = resp.StatusCode
 		ec = echo{reqID: resp.Header.Get("X-Request-Id"), cache: resp.Header.Get("X-Cache")}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		if err != nil {
-			return resp.StatusCode, nil, retries, ec, err
+			return code, nil, retries, ec, err
 		}
-		if resp.StatusCode != http.StatusTooManyRequests {
+		if !service.Retryable(code) {
 			if ec.reqID != "" && ec.reqID != reqID {
-				return resp.StatusCode, got, retries, ec,
+				return code, got, retries, ec,
 					fmt.Errorf("resilience-load: sent X-Request-Id %s but server echoed %s", reqID, ec.reqID)
 			}
-			return resp.StatusCode, got, retries, ec, nil
+			return code, got, retries, ec, nil
 		}
 		retries++
 		wait := 50 * time.Millisecond
@@ -406,5 +401,5 @@ func postRetry(client *http.Client, addr string, req service.JobRequest, reqID s
 		}
 		time.Sleep(wait)
 	}
-	return http.StatusTooManyRequests, nil, retries, ec, fmt.Errorf("resilience-load: still 429 after %d retries", retries)
+	return code, nil, retries, ec, fmt.Errorf("resilience-load: still status %d after %d retries", code, retries)
 }

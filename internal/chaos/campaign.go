@@ -83,6 +83,8 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 	if rng.Intn(2) == 0 {
 		s.DetectDelay = 1 + rng.Intn(3)
 	}
+	spec, _ := core.ParseScheme(s.Scheme) // an unknown pool name fails Validate later
+	ckpt := spec.Checkpoints()
 	nf := rng.Intn(o.MaxFaults + 1)
 	for i := 0; i < nf; i++ {
 		f := FaultSpec{
@@ -95,13 +97,13 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 			// (simultaneous; recovered back-to-back in one boundary) or the
 			// next one (strikes the just-recovered state).
 			f.Iter = s.Faults[i-1].Iter + rng.Intn(2)
-		} else if isCR(s.Scheme) && rng.Intn(3) == 0 {
+		} else if ckpt && rng.Intn(3) == 0 {
 			// Land just after a checkpoint write: the rollback window.
 			f.Iter = s.CkptEvery + 1 + rng.Intn(2)
 		}
 		s.Faults = append(s.Faults, f)
 	}
-	if isCR(s.Scheme) && len(s.Faults) >= 2 && rng.Intn(3) == 0 {
+	if ckpt && len(s.Faults) >= 2 && rng.Intn(3) == 0 {
 		// Stale-restore pattern: a system-wide outage voids the memory
 		// checkpoints, then a non-SWO fault lands right after — its
 		// recovery must roll back to the initial guess, not the destroyed
@@ -119,11 +121,6 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 	// sequence.
 	sort.SliceStable(s.Faults, func(i, j int) bool { return s.Faults[i].Iter < s.Faults[j].Iter })
 	return s
-}
-
-func isCR(scheme string) bool {
-	u := strings.ToUpper(scheme)
-	return strings.HasPrefix(u, "CR") || u == "LCR"
 }
 
 // Result is the outcome of one scenario.

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,14 @@ func TestDefaultSchemesCoverExtensions(t *testing.T) {
 	for _, name := range pool {
 		if _, err := ParseSchemeName(name); err != nil {
 			t.Errorf("pooled scheme %q does not parse: %v", name, err)
+		}
+	}
+	// A scenario needs a recovery scheme: the fault-free baseline and the
+	// empty name are rejected, in the words HTTP 400 bodies carry.
+	for _, name := range []string{"FF", " ff ", "", "nope"} {
+		_, err := ParseSchemeName(name)
+		if want := fmt.Sprintf("chaos: unknown scheme %q", name); err == nil || err.Error() != want {
+			t.Errorf("ParseSchemeName(%q) error = %v, want %s", name, err, want)
 		}
 	}
 }

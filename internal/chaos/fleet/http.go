@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -18,9 +16,9 @@ import (
 // /batch per batch: a resilience-router (which forwards one sub-batch to
 // each replica that owns some of the scenarios) or a bare resilienced
 // replica — both serve the same /batch contract, and there is no other
-// path. Backpressured items — 429s and transient 502/503s — are retried
-// per item through /solve, so replica churn and queue saturation cost
-// time, never verdicts. Safe for concurrent use.
+// path. Backpressured items (service.Retryable: 429s and transient
+// 502/503s) are retried per item through /solve, so replica churn and
+// queue saturation cost time, never verdicts. Safe for concurrent use.
 type Client struct {
 	// Base is the router or replica base URL (http://host:port).
 	Base string
@@ -94,21 +92,18 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]se
 		return nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		code, respBody, err := c.post(ctx, "/batch", body)
+		resp, respBody, err := service.Post(ctx, c.http(), c.Base+"/batch", "", body)
 		if err != nil {
 			return nil, err
 		}
-		switch {
+		switch code := resp.StatusCode; {
 		case code == http.StatusOK:
-			var items []service.BatchItem
-			if err := json.Unmarshal(respBody, &items); err != nil {
-				return nil, fmt.Errorf("fleet: bad batch response: %w", err)
-			}
-			if len(items) != len(reqs) {
-				return nil, fmt.Errorf("fleet: batch answered %d items for %d requests", len(items), len(reqs))
+			items, err := service.DecodeBatchReply(respBody, len(reqs))
+			if err != nil {
+				return nil, fmt.Errorf("fleet: batch %w", err)
 			}
 			return items, nil
-		case retryable(code) && attempt < c.maxRetries():
+		case service.Retryable(code) && attempt < c.maxRetries():
 			if err := sleepCtx(ctx, c.retrySleep()); err != nil {
 				return nil, err
 			}
@@ -138,46 +133,18 @@ func (c *Client) finishItem(ctx context.Context, req service.JobRequest, item se
 			}
 			return res.Verdict, nil
 		}
-		if !retryable(item.Code) || attempt >= c.maxRetries() {
+		if !service.Retryable(item.Code) || attempt >= c.maxRetries() {
 			return "", fmt.Errorf("fleet: item status %d: %s", item.Code, item.Body)
 		}
 		if err := sleepCtx(ctx, c.retrySleep()); err != nil {
 			return "", err
 		}
-		code, respBody, err := c.post(ctx, "/solve", body)
+		resp, respBody, err := service.Post(ctx, c.http(), c.Base+"/solve", "", body)
 		if err != nil {
 			return "", err
 		}
-		item = service.BatchItem{Code: code, Body: respBody}
+		item = service.BatchItem{Code: resp.StatusCode, Body: respBody}
 	}
-}
-
-// retryable classifies backpressure and transient fleet churn: queue
-// saturation (429), draining or no-replica windows (503), and forward
-// failures while the ring re-shards (502). 4xx validation errors and
-// 504 deadlines are permanent for the same request.
-func retryable(code int) bool {
-	return code == http.StatusTooManyRequests ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusBadGateway
-}
-
-func (c *Client) post(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, respBody, nil
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

@@ -27,7 +27,6 @@ import (
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
-	"resilience/internal/recovery"
 	"resilience/internal/sparse"
 )
 
@@ -250,44 +249,16 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// ParseSchemeName resolves a scheme name to its core spec. It recognizes
-// the presentation names of resilience.SchemeNames minus FF — a chaos
-// scenario without a recovery scheme cannot take faults, and with zero
-// faults every scheme degenerates to the fault-free path anyway.
+// ParseSchemeName resolves a scheme name to its core spec: any spelling
+// core.ParseScheme accepts except FF — a chaos scenario without a recovery
+// scheme cannot take faults, and with zero faults every scheme degenerates
+// to the fault-free path anyway.
 func ParseSchemeName(name string) (core.SchemeSpec, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "F0":
-		return core.SchemeSpec{Kind: core.F0}, nil
-	case "FI":
-		return core.SchemeSpec{Kind: core.FI}, nil
-	case "LI":
-		return core.SchemeSpec{Kind: core.LI}, nil
-	case "LI-DVFS":
-		return core.SchemeSpec{Kind: core.LI, DVFS: true}, nil
-	case "LI(LU)", "LI-LU":
-		return core.SchemeSpec{Kind: core.LI, Construct: recovery.ConstructExact}, nil
-	case "LSI":
-		return core.SchemeSpec{Kind: core.LSI}, nil
-	case "LSI-DVFS":
-		return core.SchemeSpec{Kind: core.LSI, DVFS: true}, nil
-	case "LSI(QR)", "LSI-QR":
-		return core.SchemeSpec{Kind: core.LSI, Construct: recovery.ConstructExact}, nil
-	case "CR-M", "CRM":
-		return core.SchemeSpec{Kind: core.CRM}, nil
-	case "CR-D", "CRD":
-		return core.SchemeSpec{Kind: core.CRD}, nil
-	case "CR-2L", "CR2L":
-		return core.SchemeSpec{Kind: core.CR2L}, nil
-	case "LCR":
-		return core.SchemeSpec{Kind: core.LCR}, nil
-	case "RD", "DMR":
-		return core.SchemeSpec{Kind: core.RD}, nil
-	case "TMR":
-		return core.SchemeSpec{Kind: core.TMR}, nil
-	case "ESR":
-		return core.SchemeSpec{Kind: core.ESR}, nil
+	spec, ok := core.ParseScheme(name)
+	if !ok || spec.Kind == core.FF {
+		return core.SchemeSpec{}, fmt.Errorf("chaos: unknown scheme %q", name)
 	}
-	return core.SchemeSpec{}, fmt.Errorf("chaos: unknown scheme %q", name)
+	return spec, nil
 }
 
 // DefaultSchemes is the campaign's default scheme pool: the acceptance
@@ -314,7 +285,7 @@ func (s *Scenario) RunConfig(a *sparse.CSR, b []float64, keepSegments bool) (cor
 	if err != nil {
 		return core.RunConfig{}, err
 	}
-	if spec.Kind == core.CRM || spec.Kind == core.CRD || spec.Kind == core.CR2L || spec.Kind == core.LCR {
+	if spec.Checkpoints() {
 		ck := s.CkptEvery
 		if ck <= 0 {
 			ck = 8

@@ -59,71 +59,6 @@ func TestAllreduceSumDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestAllreduceMax(t *testing.T) {
-	_, _ = run(t, 5, func(c *Comm) error {
-		got := c.AllreduceMax([]float64{float64(-c.Rank()), float64(c.Rank())})
-		if got[0] != 0 || got[1] != 4 {
-			return fmt.Errorf("got %v", got)
-		}
-		return nil
-	})
-}
-
-func TestBcast(t *testing.T) {
-	_, _ = run(t, 6, func(c *Comm) error {
-		var in []float64
-		if c.Rank() == 2 {
-			in = []float64{42, 43}
-		} else {
-			in = []float64{0, 0}
-		}
-		got := c.Bcast(2, in)
-		if got[0] != 42 || got[1] != 43 {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		// The result must be a private copy.
-		got[0] = -1
-		return nil
-	})
-}
-
-func TestBcastInt(t *testing.T) {
-	_, _ = run(t, 3, func(c *Comm) error {
-		v := -1
-		if c.Rank() == 0 {
-			v = 17
-		}
-		if got := c.BcastInt(0, v); got != 17 {
-			return fmt.Errorf("got %d", got)
-		}
-		return nil
-	})
-}
-
-func TestAllgatherV(t *testing.T) {
-	_, _ = run(t, 4, func(c *Comm) error {
-		block := make([]float64, c.Rank()+1) // variable lengths
-		for i := range block {
-			block[i] = float64(c.Rank())
-		}
-		all := c.AllgatherV(block)
-		if len(all) != 4 {
-			return fmt.Errorf("got %d blocks", len(all))
-		}
-		for r, b := range all {
-			if len(b) != r+1 {
-				return fmt.Errorf("block %d has len %d", r, len(b))
-			}
-			for _, v := range b {
-				if v != float64(r) {
-					return fmt.Errorf("block %d contents %v", r, b)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	const p = 4
 	clocks := make([]float64, p)
@@ -330,20 +265,6 @@ func TestManySequentialCollectives(t *testing.T) {
 	})
 }
 
-func TestAllgatherVEmptyBlocks(t *testing.T) {
-	_, _ = run(t, 3, func(c *Comm) error {
-		var block []float64
-		if c.Rank() == 1 {
-			block = []float64{9}
-		}
-		all := c.AllgatherV(block)
-		if len(all[0]) != 0 || len(all[2]) != 0 || len(all[1]) != 1 || all[1][0] != 9 {
-			return fmt.Errorf("rank %d: %v", c.Rank(), all)
-		}
-		return nil
-	})
-}
-
 func TestSendToInvalidRankPanics(t *testing.T) {
 	meter := power.NewMeter(false)
 	_, err := Run(2, platform.Default(), meter, func(c *Comm) error {
@@ -423,43 +344,4 @@ func TestZeroRanksPanics(t *testing.T) {
 		}
 	}()
 	NewRuntime(0, platform.Default(), power.NewMeter(false))
-}
-
-func TestReduce(t *testing.T) {
-	_, _ = run(t, 5, func(c *Comm) error {
-		got := c.Reduce(2, []float64{1, float64(c.Rank())})
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root received %v", got)
-			}
-			return nil
-		}
-		if got[0] != 5 || got[1] != 10 {
-			return fmt.Errorf("root got %v", got)
-		}
-		return nil
-	})
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	_, _ = run(t, 4, func(c *Comm) error {
-		block := []float64{float64(c.Rank() * 10), float64(c.Rank()*10 + 1)}
-		gathered := c.Gather(0, block)
-		var back []float64
-		if c.Rank() == 0 {
-			if len(gathered) != 4 || gathered[3][1] != 31 {
-				return fmt.Errorf("gather got %v", gathered)
-			}
-			back = c.Scatter(0, gathered)
-		} else {
-			if gathered != nil {
-				return fmt.Errorf("non-root gather %v", gathered)
-			}
-			back = c.Scatter(0, nil)
-		}
-		if back[0] != block[0] || back[1] != block[1] {
-			return fmt.Errorf("rank %d scatter got %v want %v", c.Rank(), back, block)
-		}
-		return nil
-	})
 }

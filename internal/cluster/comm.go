@@ -25,6 +25,11 @@ type Comm struct {
 	// one wire-time apart, never all at once.
 	nicFree float64
 
+	// scratch carries this rank's contribution to a one- or two-value
+	// allreduce into the collective, so the CG dot products pass a slice
+	// without allocating one.
+	scratch [inlineVals]float64
+
 	// obs is this rank's observability surface, nil unless a recorder was
 	// attached to the runtime. Recording reads the clock but never
 	// advances it, and a nil surface costs one pointer check on the hot

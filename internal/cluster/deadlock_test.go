@@ -49,7 +49,7 @@ func TestDeadlockMismatchedCollective(t *testing.T) {
 }
 
 func TestDeadlockMismatchedScalarCollective(t *testing.T) {
-	// Same as above through the allocation-free scalar fast path.
+	// Same as above with the others parked in a one-value allreduce.
 	err := runWithWatchdog(t, 4, func(c *Comm) error {
 		if c.Rank() == 2 {
 			return nil
@@ -62,6 +62,44 @@ func TestDeadlockMismatchedScalarCollective(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock diagnostic, got: %v", err)
+	}
+}
+
+func TestDeadlockMismatchedVectorCollective(t *testing.T) {
+	// Same again with the others parked in a vector allreduce.
+	err := runWithWatchdog(t, 4, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil
+		}
+		c.AllreduceSum(make([]float64, 37))
+		return nil
+	})
+	if err == nil {
+		t.Fatal("mismatched vector collective returned nil error")
+	}
+	if !strings.Contains(err.Error(), "exited without joining") {
+		t.Fatalf("want participation diagnostic, got: %v", err)
+	}
+}
+
+func TestAllreduceLengthMismatchAborts(t *testing.T) {
+	// Ranks that disagree on the contribution length have a bug no sum can
+	// paper over: whichever rank arrives last must fail the run with the
+	// length diagnostic, and every parked rank must be released.
+	err := runWithWatchdog(t, 4, func(c *Comm) error {
+		c.Compute(int64(1000 * (c.Rank() + 1)))
+		if c.Rank() == 2 {
+			c.AllreduceScalarSum(1)
+		} else {
+			c.AllreduceSum(make([]float64, 3))
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("mismatched allreduce lengths returned nil error")
+	}
+	if !strings.Contains(err.Error(), "length mismatch") {
+		t.Fatalf("want length diagnostic, got: %v", err)
 	}
 }
 

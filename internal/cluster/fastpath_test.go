@@ -11,8 +11,8 @@ import (
 
 // TestScalarFastPathMatchesVector checks that the allocation-free scalar
 // collectives return the same values and charge the same virtual time as
-// the boxed AllreduceSum they replace, including when scalar and vector
-// generations interleave.
+// AllreduceSum over the same contributions, including when scalar and
+// vector generations interleave: one rendezvous serves every length.
 func TestScalarFastPathMatchesVector(t *testing.T) {
 	const p = 5
 	vals := []float64{1e-16, -3.25, 7.5, 1e16, -1e16}
@@ -54,6 +54,69 @@ func TestScalarFastPathMatchesVector(t *testing.T) {
 			t.Fatalf("rank %d: scalar-path clock %v != vector-path clock %v", r, clockScalar[r], clockVector[r])
 		}
 	}
+
+	// Lengths on both sides of the inline-result boundary, each between two
+	// scalar generations: the sum is the rank-order sum from +0, and a
+	// collective entered on level clocks costs CollectiveTime(8*len).
+	plat := platform.Default()
+	_, _ = run(t, p, func(c *Comm) error {
+		for _, n := range []int{0, 1, 2, 3, 64, 257} {
+			if got := c.AllreduceScalarSum(float64(n)); got != float64(p*n) {
+				return fmt.Errorf("len %d: scalar generation before got %v", n, got)
+			}
+			mine := make([]float64, n)
+			want := make([]float64, n)
+			for i := range mine {
+				mine[i] = vals[c.Rank()] * float64(i+1)
+				for r := 0; r < p; r++ {
+					want[i] += vals[r] * float64(i+1)
+				}
+			}
+			before := c.Clock()
+			got := c.AllreduceSum(mine)
+			if len(got) != n {
+				return fmt.Errorf("len %d: got %d values", n, len(got))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					return fmt.Errorf("len %d elem %d: got %x, want %x", n, i, got[i], want[i])
+				}
+			}
+			if wantClock := before + plat.CollectiveTime(int64(8*n), p); math.Float64bits(c.Clock()) != math.Float64bits(wantClock) {
+				return fmt.Errorf("len %d: clock %x, want %x", n, c.Clock(), wantClock)
+			}
+			if a, b := c.AllreduceSum2(1, float64(c.Rank())); a != p || b != float64(p*(p-1))/2 {
+				return fmt.Errorf("len %d: pair generation after got %v, %v", n, a, b)
+			}
+		}
+		return nil
+	})
+}
+
+// TestAllreduceSumResultOutlivesLaterCollectives: LSI reads its reduced
+// vector after two more barriers have gone by, so the slice AllreduceSum
+// returns must not be a view of a generation slot that later collectives
+// reuse, whatever its length.
+func TestAllreduceSumResultOutlivesLaterCollectives(t *testing.T) {
+	const p = 4
+	_, _ = run(t, p, func(c *Comm) error {
+		for _, n := range []int{1, 2, 3, 100} {
+			mine := make([]float64, n)
+			for i := range mine {
+				mine[i] = float64(c.Rank() + i)
+			}
+			sum := c.AllreduceSum(mine)
+			c.AllreduceScalarSum(1e9)
+			c.AllreduceSum2(-1e9, 7)
+			c.Barrier()
+			for i, got := range sum {
+				if want := float64(p*(p-1))/2 + float64(p*i); got != want {
+					return fmt.Errorf("len %d elem %d: %v after later collectives, want %v", n, i, got, want)
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // TestRecvInto checks the pooled receive path: payload contents, arrival

@@ -40,20 +40,9 @@ const (
 	TMR  // triple modular redundancy (extension)
 	ESR  // exact state reconstruction (extension)
 	LCR  // lossy-compressed checkpoint/restart (extension)
+
+	numSchemeKinds // keep last: the scheme-table test walks [FF, numSchemeKinds)
 )
-
-var kindNames = map[SchemeKind]string{
-	FF: "FF", F0: "F0", FI: "FI", LI: "LI", LSI: "LSI",
-	CRM: "CR-M", CRD: "CR-D", CR2L: "CR-2L", RD: "RD", TMR: "TMR",
-	ESR: "ESR", LCR: "LCR",
-}
-
-func (k SchemeKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("SchemeKind(%d)", int(k))
-}
 
 // SchemeSpec selects and configures a recovery scheme.
 type SchemeSpec struct {
@@ -82,27 +71,6 @@ type SchemeSpec struct {
 	// LossyErrBound is the LCR compressor's pointwise relative error
 	// bound applied on restore; zero means recovery.DefaultLossyErrBound.
 	LossyErrBound float64
-}
-
-// Name returns the presentation name used in the paper's tables.
-func (s SchemeSpec) Name() string {
-	switch s.Kind {
-	case LI, LSI:
-		name := s.Kind.String()
-		if s.Construct == recovery.ConstructExact {
-			if s.Kind == LI {
-				name = "LI(LU)"
-			} else {
-				name = "LSI(QR)"
-			}
-		}
-		if s.DVFS {
-			name += "-DVFS"
-		}
-		return name
-	default:
-		return s.Kind.String()
-	}
 }
 
 // RunConfig describes one resilient solve.
@@ -393,7 +361,7 @@ func EstimateIterTime(a *sparse.CSR, ranks int, plat *platform.Platform) float64
 // ckptPolicy resolves the checkpoint policy for a run.
 func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	s := cfg.Scheme
-	if s.Kind != CRM && s.Kind != CRD && s.Kind != CR2L && s.Kind != LCR {
+	if !s.Checkpoints() {
 		return checkpoint.Policy{}, nil
 	}
 	if s.CkptEvery > 0 {

@@ -417,6 +417,8 @@ func TestSchemeSpecNames(t *testing.T) {
 		"LSI(QR)": {Kind: LSI, Construct: recovery.ConstructExact},
 		"CR-2L":   {Kind: CR2L},
 		"TMR":     {Kind: TMR},
+		// Off the table (no name selects it), built by the construction ablation.
+		"LI(LU)-DVFS": {Kind: LI, Construct: recovery.ConstructExact, DVFS: true},
 	}
 	for want, spec := range cases {
 		if got := spec.Name(); got != want {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"resilience/internal/core"
 	"resilience/internal/matgen"
 	"resilience/internal/report"
 )
@@ -283,6 +284,28 @@ func TestFaultFreeCachePerRankCount(t *testing.T) {
 	again, _ := cfg.faultFree(s)
 	if again != ff8 {
 		t.Error("fault-free baseline not cached")
+	}
+}
+
+// TestRunSchemeDerivesIntervalForEveryCheckpointingScheme: a checkpointing
+// cell that names no interval gets Young's from the MTBF its fault schedule
+// implies. CR-2L was missing from runScheme's own kind list and died in
+// core with "CR scheme needs CkptEvery or CkptMTBF".
+func TestRunSchemeDerivesIntervalForEveryCheckpointingScheme(t *testing.T) {
+	cfg := tinyCfg()
+	s, err := cfg.loadSystem("bcsstk06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []core.SchemeKind{core.CRM, core.CRD, core.CR2L, core.LCR} {
+		rep, err := cfg.runScheme(s, core.SchemeSpec{Kind: kind}, false)
+		if err != nil {
+			t.Errorf("%s with no interval: %v", kind, err)
+			continue
+		}
+		if !rep.Converged || rep.Checkpoints == 0 {
+			t.Errorf("%s: converged=%v after %d checkpoints", kind, rep.Converged, rep.Checkpoints)
+		}
 	}
 }
 

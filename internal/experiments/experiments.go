@@ -267,9 +267,7 @@ func (c Config) runScheme(s *system, spec core.SchemeSpec, keepSegs bool) (*core
 			return fault.NewSchedule(nFaults, ffIters, ranks, fault.SNF, seed)
 		}
 		// Young-policy CR needs the failure rate the schedule implies.
-		if spec.CkptEvery == 0 &&
-			(spec.Kind == core.CRM || spec.Kind == core.CRD || spec.Kind == core.LCR) &&
-			spec.CkptMTBF == 0 {
+		if spec.Checkpoints() && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
 			rc.Scheme.CkptMTBF = ff.Time / float64(nFaults)
 		}
 	}

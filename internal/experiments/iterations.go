@@ -262,7 +262,7 @@ func runWithSingleFault(cfg Config, s *system, spec core.SchemeSpec, iter int) (
 		rc.InjectorFactory = func() fault.Injector {
 			return fault.NewSingle(iter, int(cfg.Seed)%ranks, fault.SNF)
 		}
-		if (spec.Kind == core.CRM || spec.Kind == core.CRD) && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
+		if spec.Checkpoints() && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
 			rc.Scheme.CkptEvery = 100
 		}
 	}

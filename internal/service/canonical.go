@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"resilience/internal/chaos"
-	"resilience/internal/core"
 	"resilience/internal/experiments"
 	"resilience/internal/matgen"
-	"resilience/internal/recovery"
 )
 
 // canonicalVersion prefixes every cache key so a future change to the
@@ -53,7 +51,7 @@ func CanonicalKey(req JobRequest) (key string, cacheable bool, err error) {
 		if err != nil {
 			return "", false, err
 		}
-		s.Scheme = canonicalSchemeName(spec)
+		s.Scheme = spec.CanonicalName()
 		sort.SliceStable(s.Faults, func(i, j int) bool { return s.Faults[i].Iter < s.Faults[j].Iter })
 		if req.Verdict {
 			// Verdict jobs answer with the invariant battery's verdict, so
@@ -82,49 +80,4 @@ func CanonicalKey(req JobRequest) (key string, cacheable bool, err error) {
 	default:
 		return "", false, nil
 	}
-}
-
-// canonicalSchemeName inverts chaos.ParseSchemeName: one spelling per
-// scheme spec, chosen from the names the parser accepts so the
-// canonical scenario string stays replayable. Aliases ("CRM", "DMR")
-// and case variants all land on the same name.
-func canonicalSchemeName(spec core.SchemeSpec) string {
-	switch spec.Kind {
-	case core.F0:
-		return "F0"
-	case core.FI:
-		return "FI"
-	case core.LI:
-		switch {
-		case spec.DVFS:
-			return "LI-DVFS"
-		case spec.Construct == recovery.ConstructExact:
-			return "LI-LU"
-		}
-		return "LI"
-	case core.LSI:
-		switch {
-		case spec.DVFS:
-			return "LSI-DVFS"
-		case spec.Construct == recovery.ConstructExact:
-			return "LSI-QR"
-		}
-		return "LSI"
-	case core.CRM:
-		return "CR-M"
-	case core.CRD:
-		return "CR-D"
-	case core.CR2L:
-		return "CR-2L"
-	case core.RD:
-		return "RD"
-	case core.TMR:
-		return "TMR"
-	case core.ESR:
-		return "ESR"
-	case core.LCR:
-		return "LCR"
-	}
-	// Unreachable: ParseSchemeName only produces the kinds above.
-	return fmt.Sprintf("Kind(%d)", int(spec.Kind))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resilience/internal/chaos"
+	"resilience/internal/core"
 )
 
 // FuzzCanonicalKey fuzzes the canonicalization contract: for any valid
@@ -60,26 +61,24 @@ func FuzzCanonicalKey(f *testing.F) {
 // contract: any name the scenario codec accepts must map to a canonical
 // spelling that re-parses to the identical spec (name -> spec ->
 // canonical name -> spec is a fixpoint), and the canonical spelling must
-// itself be stable. Seeded with every registered scheme, including all
-// aliases and both extension schemes.
+// itself be stable. Seeded from the scheme table: every presentation name
+// (FF included, which the codec rejects), its canonical spelling and a
+// lower-case, blank-padded respelling; core's table test walks the aliases.
 func FuzzSchemeSpec(f *testing.F) {
-	seeds := []string{
-		"FF", "F0", "FI",
-		"LI", "LI-DVFS", "LI(LU)", "LI-LU",
-		"LSI", "LSI-DVFS", "LSI(QR)", "LSI-QR",
-		"CR-M", "CRM", "CR-D", "CRD", "CR-2L", "CR2L",
-		"LCR", "RD", "DMR", "TMR", "ESR",
-		"esr", "lcr", " cr-d ", "li-dvfs", "nope", "",
-	}
-	for _, s := range seeds {
-		f.Add(s)
+	f.Add("nope")
+	f.Add("")
+	for _, name := range core.SchemeNames() {
+		spec, _ := core.ParseScheme(name)
+		f.Add(name)
+		f.Add(spec.CanonicalName())
+		f.Add(" " + strings.ToLower(name) + " ")
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		spec, err := chaos.ParseSchemeName(name)
 		if err != nil {
 			return
 		}
-		canon := canonicalSchemeName(spec)
+		canon := spec.CanonicalName()
 		spec2, err := chaos.ParseSchemeName(canon)
 		if err != nil {
 			t.Fatalf("canonical name %q of %q does not parse: %v", canon, name, err)
@@ -87,7 +86,7 @@ func FuzzSchemeSpec(f *testing.F) {
 		if spec2 != spec {
 			t.Fatalf("spec round-trip not a fixpoint: %q -> %+v -> %q -> %+v", name, spec, canon, spec2)
 		}
-		if again := canonicalSchemeName(spec2); again != canon {
+		if again := spec2.CanonicalName(); again != canon {
 			t.Fatalf("canonical name not a fixpoint: %q -> %q", canon, again)
 		}
 	})

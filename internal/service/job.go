@@ -218,23 +218,33 @@ func runVerdictJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Record
 		res.Violations = append(res.Violations, chaos.SelfTestViolation(req.BreakInvariant))
 	}
 	v := chaos.VerdictOf(res)
-	out := &JobResult{Kind: "verdict", Verdict: v.Encode()}
-	if rep := res.Report; rep != nil {
-		out.Scheme = rep.Scheme
-		out.Ranks = rep.Ranks
-		out.Iters = rep.Iters
-		out.Converged = rep.Converged
-		out.RelRes = chaos.HexFloat(rep.RelRes)
-		out.Time = chaos.HexFloat(rep.Time)
-		out.Energy = chaos.HexFloat(rep.Energy)
-		out.Restarts = rep.Restarts
-		out.Checkpoints = rep.Checkpoints
-		out.Faults = len(rep.Faults)
-		out.Seed = rep.Seed
-		out.SolutionHash = chaos.HashFloats(rep.Solution)
-		out.HistoryHash = chaos.HashFloats(rep.History)
-	}
+	out := reportResult("verdict", res.Report)
+	out.Verdict = v.Encode()
 	return out, nil, nil
+}
+
+// reportResult renders the run fields of a scenario or verdict job's
+// result from the run's report; a verdict job whose run failed has none.
+func reportResult(kind string, rep *core.RunReport) *JobResult {
+	if rep == nil {
+		return &JobResult{Kind: kind}
+	}
+	return &JobResult{
+		Kind:         kind,
+		Scheme:       rep.Scheme,
+		Ranks:        rep.Ranks,
+		Iters:        rep.Iters,
+		Converged:    rep.Converged,
+		RelRes:       chaos.HexFloat(rep.RelRes),
+		Time:         chaos.HexFloat(rep.Time),
+		Energy:       chaos.HexFloat(rep.Energy),
+		Restarts:     rep.Restarts,
+		Checkpoints:  rep.Checkpoints,
+		Faults:       len(rep.Faults),
+		Seed:         rep.Seed,
+		SolutionHash: chaos.HashFloats(rep.Solution),
+		HistoryHash:  chaos.HashFloats(rep.History),
+	}
 }
 
 // knownInvariant reports whether name is one of the battery's invariants.
@@ -263,22 +273,7 @@ func runScenarioJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recor
 	if err != nil {
 		return nil, nil, err
 	}
-	return &JobResult{
-		Kind:         "scenario",
-		Scheme:       rep.Scheme,
-		Ranks:        rep.Ranks,
-		Iters:        rep.Iters,
-		Converged:    rep.Converged,
-		RelRes:       chaos.HexFloat(rep.RelRes),
-		Time:         chaos.HexFloat(rep.Time),
-		Energy:       chaos.HexFloat(rep.Energy),
-		Restarts:     rep.Restarts,
-		Checkpoints:  rep.Checkpoints,
-		Faults:       len(rep.Faults),
-		Seed:         rep.Seed,
-		SolutionHash: chaos.HashFloats(rep.Solution),
-		HistoryHash:  chaos.HashFloats(rep.History),
-	}, rec, nil
+	return reportResult("scenario", rep), rec, nil
 }
 
 func runExperimentJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recorder, error) {

@@ -626,20 +626,13 @@ func (rt *Router) account(j *routed, replica, reqID string, code int, body []byt
 // attached, so the replica's spans and flight-recorder entries share the
 // router's ID, and reads the whole answer.
 func (rt *Router) exchange(url string, body []byte, reqID string) (*http.Response, []byte, *fault) {
-	hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	resp, respBody, err := service.Post(context.TODO(), rt.client, url, reqID, body)
 	if err != nil {
-		return nil, nil, &fault{unreachable, err.Error()}
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set("X-Request-Id", reqID)
-	resp, err := rt.client.Do(hr)
-	if err != nil {
-		return nil, nil, &fault{unreachable, err.Error()}
-	}
-	respBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, nil, &fault{torn, err.Error()}
+		kind := unreachable
+		if resp != nil {
+			kind = torn
+		}
+		return nil, nil, &fault{kind, err.Error()}
 	}
 	return resp, respBody, nil
 }
@@ -851,12 +844,9 @@ func (rt *Router) forwardBatch(sb *subBatch) ([]service.BatchItem, *fault) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, &fault{torn, fmt.Sprintf("sub-batch status %d: %s", resp.StatusCode, respBody)}
 	}
-	var answers []service.BatchItem
-	if err := json.Unmarshal(respBody, &answers); err != nil {
-		return nil, &fault{torn, "sub-batch reply does not parse: " + err.Error()}
-	}
-	if len(answers) != len(sb.jobs) {
-		return nil, &fault{torn, fmt.Sprintf("sub-batch answered %d items for %d jobs", len(answers), len(sb.jobs))}
+	answers, err := service.DecodeBatchReply(respBody, len(sb.jobs))
+	if err != nil {
+		return nil, &fault{torn, "sub-batch " + err.Error()}
 	}
 	return answers, nil
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -407,6 +408,53 @@ func DecodeBatch(body io.Reader) ([]JobRequest, error) {
 		return nil, fmt.Errorf("batch of %d exceeds the %d-item cap", len(reqs), MaxBatchItems)
 	}
 	return reqs, nil
+}
+
+// DecodeBatchReply is DecodeBatch's counterpart on the calling side: it
+// parses a 200 /batch reply and enforces exactly want items, one per job.
+func DecodeBatchReply(body []byte, want int) ([]BatchItem, error) {
+	var items []BatchItem
+	if err := json.Unmarshal(body, &items); err != nil {
+		return nil, fmt.Errorf("reply does not parse: %w", err)
+	}
+	if len(items) != want {
+		return nil, fmt.Errorf("answered %d items for %d jobs", len(items), want)
+	}
+	return items, nil
+}
+
+// Post sends body as one JSON POST to url (a /solve or /batch endpoint),
+// under X-Request-Id reqID unless that is empty, and reads the whole
+// reply; the response comes back with its body closed. An error with a
+// nil response means nothing came back; with a response, that the reply
+// was cut short and only its status and headers can be used. Router,
+// fleet client and load generator each bring their own *http.Client.
+func Post(ctx context.Context, client *http.Client, url, reqID string, body []byte) (*http.Response, []byte, error) {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	if reqID != "" {
+		hr.Header.Set("X-Request-Id", reqID)
+	}
+	resp, err := client.Do(hr)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(resp.Body)
+	return resp, respBody, err
+}
+
+// Retryable reports whether a status says the same request may succeed
+// later: queue saturation (429), a draining replica or an empty ring
+// (503), a forward that failed while the ring re-shards (502). 4xx
+// validation errors and 504 deadlines are permanent for the same request.
+func Retryable(status int) bool {
+	return status == http.StatusTooManyRequests ||
+		status == http.StatusServiceUnavailable ||
+		status == http.StatusBadGateway
 }
 
 // handleBatch answers a JSON array of job requests with an aligned array

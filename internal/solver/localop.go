@@ -264,9 +264,6 @@ func (op *LocalOp) InteriorRows() int { return len(op.interior.rows) }
 // Neighbors returns the peer ranks this rank exchanges halo data with.
 func (op *LocalOp) Neighbors() []int { return op.neighbors }
 
-// NGhost returns the number of remote x entries this rank reads.
-func (op *LocalOp) NGhost() int { return op.nGhost }
-
 // GatherHalo exchanges halo values for the local vector x and returns the
 // assembled [own | ghost] buffer (valid until the next call). Every rank
 // must call it collectively. c must be the rank's own Comm.

@@ -376,9 +376,6 @@ type Expo struct {
 	prefix string
 }
 
-// NewExpo returns an exposition writer for collectors and tests.
-func NewExpo(w io.Writer, prefix string) *Expo { return &Expo{w: w, prefix: prefix} }
-
 // Line writes `<prefix>_<name> <v>`.
 func (e *Expo) Line(name string, v float64) {
 	fmt.Fprintf(e.w, "%s_%s %s\n", e.prefix, name, formatVal(v))

@@ -28,13 +28,13 @@ const (
 	ConvergedEvent
 )
 
-var kindNames = [...]string{"iter", "fault", "recovery", "checkpoint", "converged"}
+var eventNames = [...]string{"iter", "fault", "recovery", "checkpoint", "converged"}
 
 func (k EventKind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
+	if k < 0 || int(k) >= len(eventNames) {
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
-	return kindNames[k]
+	return eventNames[k]
 }
 
 // Event is one trace record.

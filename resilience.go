@@ -217,7 +217,7 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 			cfg.InjectorFactory = func() fault.Injector {
 				return fault.NewSchedule(nFaults, ffIters, ranks, class, seed)
 			}
-			if isCR(spec.Kind) && spec.CkptEvery == 0 {
+			if spec.Checkpoints() && spec.CkptEvery == 0 {
 				cfg.Scheme.CkptMTBF = ffRep.Time / float64(nFaults)
 			}
 		} else {
@@ -225,17 +225,12 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 			cfg.InjectorFactory = func() fault.Injector {
 				return fault.NewPoisson(mtbf, ranks, class, seed)
 			}
-			if isCR(spec.Kind) && spec.CkptEvery == 0 {
+			if spec.Checkpoints() && spec.CkptEvery == 0 {
 				cfg.Scheme.CkptMTBF = mtbf
 			}
 		}
 	}
 	return core.Run(cfg)
-}
-
-// isCR reports whether the scheme kind needs a checkpoint policy.
-func isCR(k core.SchemeKind) bool {
-	return k == core.CRM || k == core.CRD || k == core.CR2L || k == core.LCR
 }
 
 // Experiment is a registered paper experiment.

@@ -89,12 +89,22 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%s): %v", name, err)
 		}
 	}
-	if _, err := ParseScheme("nope"); err == nil {
-		t.Error("unknown scheme accepted")
+	_, err := ParseScheme("nope")
+	if err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+	if want := `resilience: unknown scheme "nope" (known: FF, F0, FI, LI, LI-DVFS, LI(LU), LSI, LSI-DVFS, LSI(QR), CR-M, CR-D, CR-2L, LCR, RD, TMR, ESR)`; err.Error() != want {
+		t.Errorf("unknown-scheme error changed:\n got %s\nwant %s", err, want)
 	}
 	// Case-insensitive.
 	if _, err := ParseScheme("li-dvfs"); err != nil {
 		t.Error("lowercase rejected")
+	}
+	// No scheme named is the fault-free baseline.
+	for _, blank := range []string{"", "  "} {
+		if spec, err := ParseScheme(blank); err != nil || spec != (core.SchemeSpec{Kind: core.FF}) {
+			t.Errorf("ParseScheme(%q) = %+v, %v; want FF", blank, spec, err)
+		}
 	}
 }
 

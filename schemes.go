@@ -5,54 +5,19 @@ import (
 	"strings"
 
 	"resilience/internal/core"
-	"resilience/internal/recovery"
 )
 
 // SchemeNames lists the recognized scheme names in presentation order.
-func SchemeNames() []string {
-	return []string{
-		"FF", "F0", "FI",
-		"LI", "LI-DVFS", "LI(LU)",
-		"LSI", "LSI-DVFS", "LSI(QR)",
-		"CR-M", "CR-D", "CR-2L", "LCR", "RD", "TMR", "ESR",
-	}
-}
+func SchemeNames() []string { return core.SchemeNames() }
 
-// ParseScheme resolves a scheme name (case-insensitive) to its spec.
+// ParseScheme resolves a scheme name (case-insensitive) to its spec. The
+// empty name means the fault-free baseline.
 func ParseScheme(name string) (core.SchemeSpec, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "FF", "":
+	if strings.TrimSpace(name) == "" {
 		return core.SchemeSpec{Kind: core.FF}, nil
-	case "F0":
-		return core.SchemeSpec{Kind: core.F0}, nil
-	case "FI":
-		return core.SchemeSpec{Kind: core.FI}, nil
-	case "LI":
-		return core.SchemeSpec{Kind: core.LI}, nil
-	case "LI-DVFS":
-		return core.SchemeSpec{Kind: core.LI, DVFS: true}, nil
-	case "LI(LU)", "LI-LU":
-		return core.SchemeSpec{Kind: core.LI, Construct: recovery.ConstructExact}, nil
-	case "LSI":
-		return core.SchemeSpec{Kind: core.LSI}, nil
-	case "LSI-DVFS":
-		return core.SchemeSpec{Kind: core.LSI, DVFS: true}, nil
-	case "LSI(QR)", "LSI-QR":
-		return core.SchemeSpec{Kind: core.LSI, Construct: recovery.ConstructExact}, nil
-	case "CR-M", "CRM":
-		return core.SchemeSpec{Kind: core.CRM}, nil
-	case "CR-D", "CRD":
-		return core.SchemeSpec{Kind: core.CRD}, nil
-	case "CR-2L", "CR2L":
-		return core.SchemeSpec{Kind: core.CR2L}, nil
-	case "LCR":
-		return core.SchemeSpec{Kind: core.LCR}, nil
-	case "RD", "DMR":
-		return core.SchemeSpec{Kind: core.RD}, nil
-	case "TMR":
-		return core.SchemeSpec{Kind: core.TMR}, nil
-	case "ESR":
-		return core.SchemeSpec{Kind: core.ESR}, nil
+	}
+	if spec, ok := core.ParseScheme(name); ok {
+		return spec, nil
 	}
 	return core.SchemeSpec{}, fmt.Errorf("resilience: unknown scheme %q (known: %s)",
 		name, strings.Join(SchemeNames(), ", "))

@@ -2,7 +2,8 @@
 # Repo health check: formatting and the tier-1 gate, a one-path gate (no
 # non-test Go file outside bench/ reads the environment, and none of the
 # deleted scheduler, layout and environment knobs, nor the retired perf
-# ledger and campaign driver, is named again), a
+# ledger and campaign driver, nor the second collective rendezvous and the
+# scheme-name copies, is named again), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -52,6 +53,15 @@ if git grep -nE 'bench''diff|BENCH''_[0-9]|RES''_SCALE|Run''Campaign' -- . \
     ':!CHANGES.md' ':!ISSUE.md' ':!ROADMAP.md' ':!bench/README.md'; then
     echo "a retired perf ledger or campaign driver is named again"; exit 1
 fi
+# Likewise the second collective rendezvous and the collectives no solver
+# calls, and the hand-written copies of the scheme vocabulary: one enter
+# in internal/cluster/collectives.go (one wait loop on the collective
+# condition variable), one scheme table in internal/core/schemes.go.
+if git grep -nE 'enter''Scalar|Allreduce''Max|Bcast''Int|Allgather''V|canonical''SchemeName|kind''Names' -- . \
+    ':!CHANGES.md' ':!ISSUE.md' ':!ROADMAP.md'; then
+    echo "a retired collective or scheme-name copy is named again"; exit 1
+fi
+test "$(grep -c 'cond.Wait()' internal/cluster/collectives.go)" -eq 1
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
     ./internal/service/... ./internal/telemetry/...
