@@ -91,25 +91,25 @@ func main() {
 		Overlap:   *overlap,
 		Seed:      *seed,
 	}
-	var tr *resilience.Trace
-	if *traceFile != "" {
-		tr = resilience.NewTrace()
-		opts.Trace = tr
-	}
 	var rec *resilience.Recorder
-	if *traceOut != "" || *metricsFile != "" {
+	if *traceFile != "" || *traceOut != "" || *metricsFile != "" {
 		rec = resilience.NewRecorder()
 		opts.Observer = rec
 		// Segments feed the power counter tracks of the timeline export.
-		opts.KeepPowerSegments = opts.KeepPowerSegments || *traceOut != ""
+		opts.KeepPowerSegments = *traceOut != ""
 	}
 	rep, err := resilience.Solve(a, b, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *traceOut == "" && *metricsFile == "" {
+		// The JSON report names the recorder only when -trace-out or
+		// -metrics export it; -trace reads nothing but its event log.
+		rep.Obs = nil
+	}
 	if *traceOut != "" {
 		if err := writeFile(*traceOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, rec, rep.Meter)
+			return obs.WriteChromeTrace(w, nil, rec, rep.Meter)
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -123,18 +123,18 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if tr != nil {
+	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tr.WriteCSV(f); err != nil {
+		if err := obs.WriteEventsCSV(f, rec.Events()); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace: %d events written to %s\n", tr.Len(), *traceFile)
+		fmt.Printf("trace: %d events written to %s\n", len(rec.Events()), *traceFile)
 	}
 	if *asJSON {
 		if err := writeJSON(os.Stdout, rep); err != nil {

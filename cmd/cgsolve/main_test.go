@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resilience"
+	"resilience/internal/obs"
 	"resilience/internal/sparse"
 )
 
@@ -112,15 +113,15 @@ func TestWriteJSON(t *testing.T) {
 func TestTraceCSVViaSolve(t *testing.T) {
 	a := resilience.Laplacian2D(10)
 	b, _ := resilience.RHS(a)
-	tr := resilience.NewTrace()
+	rec := resilience.NewRecorder()
 	_, err := resilience.Solve(a, b, resilience.SolveOptions{
-		Scheme: "LI", Ranks: 2, Faults: 1, Tol: 1e-8, Trace: tr,
+		Scheme: "LI", Ranks: 2, Faults: 1, Tol: 1e-8, Observer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := tr.WriteCSV(&sb); err != nil {
+	if err := obs.WriteEventsCSV(&sb, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "fault,") {

@@ -136,7 +136,7 @@ func tracedRun(matrix, scale, scheme string, ranks, faults int, overlap bool,
 		rep.Scheme, matrix, a, ranks, len(rep.Faults), rep.Seed, rep.Iters, rep.Time, rep.Energy)
 	if traceOut != "" {
 		if err := writeFile(traceOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, rec, rep.Meter)
+			return obs.WriteChromeTrace(w, nil, rec, rep.Meter)
 		}); err != nil {
 			return err
 		}

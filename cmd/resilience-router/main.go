@@ -30,8 +30,8 @@ import (
 	"syscall"
 	"time"
 
+	"resilience/internal/obs"
 	"resilience/internal/service/router"
-	"resilience/internal/telemetry"
 )
 
 // options carries every run parameter; tests fill it directly.
@@ -82,7 +82,7 @@ func servePprof(addr string) error {
 // run routes until a signal (or a close of o.stop, for tests) and drains.
 func run(o options) error {
 	if o.flightDir != "" {
-		telemetry.DefaultFlight().SetDump(o.flightDir, "resilience-router")
+		obs.DefaultFlight().SetDump(o.flightDir, "resilience-router")
 	}
 	var urls []string
 	for _, u := range strings.Split(o.replicas, ",") {

@@ -30,8 +30,8 @@ import (
 	"syscall"
 	"time"
 
+	"resilience/internal/obs"
 	"resilience/internal/service"
-	"resilience/internal/telemetry"
 )
 
 // options carries every run parameter; tests fill it directly.
@@ -85,7 +85,7 @@ func servePprof(addr string) error {
 // run serves until a signal (or a close of o.stop, for tests) and drains.
 func run(o options) error {
 	if o.flightDir != "" {
-		telemetry.DefaultFlight().SetDump(o.flightDir, "resilienced")
+		obs.DefaultFlight().SetDump(o.flightDir, "resilienced")
 	}
 	svc := service.New(service.Config{
 		Workers:    o.workers,

@@ -13,7 +13,6 @@ import (
 	"resilience/internal/fault"
 	"resilience/internal/obs"
 	"resilience/internal/sparse"
-	"resilience/internal/telemetry"
 )
 
 // Options configures a campaign.
@@ -266,7 +265,7 @@ func (rn *Runner) RunContext(ctx context.Context, index int, s *Scenario) *Resul
 	// (memory-only unless a dump directory was configured, so stdout — the
 	// determinism oracle — is untouched).
 	for _, v := range res.Violations {
-		telemetry.DefaultFlight().Notef("chaos-violation", "", "%s: %s: %s", s.Args(), v.Invariant, v.Detail)
+		obs.DefaultFlight().Notef("chaos-violation", "", "%s: %s: %s", s.Args(), v.Invariant, v.Detail)
 	}
 	return res
 }

@@ -38,7 +38,6 @@ import (
 	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/power"
-	"resilience/internal/telemetry"
 )
 
 // Runtime couples P ranks to a platform and a meter for one parallel run.
@@ -137,7 +136,7 @@ func (rt *Runtime) abort(err error) {
 	}
 	rt.abortMu.Unlock()
 	if first {
-		telemetry.DefaultFlight().Note("cluster-abort", "", err.Error())
+		obs.DefaultFlight().Note("cluster-abort", "", err.Error())
 	}
 	// Blocked receivers read abortFlag, raised above.
 	rt.coll.abort()

@@ -20,7 +20,6 @@ import (
 	"resilience/internal/recovery"
 	"resilience/internal/solver"
 	"resilience/internal/sparse"
-	"resilience/internal/trace"
 )
 
 // SchemeKind enumerates the recovery mechanisms under study (Table 2).
@@ -103,12 +102,10 @@ type RunConfig struct {
 	DetectDelay int
 	// KeepSegments retains power segments for timeline reports (Fig 7a).
 	KeepSegments bool
-	// Trace, when non-nil, receives structured per-iteration and fault/
-	// recovery events (recorded by rank 0).
-	Trace *trace.Trace
-	// Obs, when non-nil, records per-rank spans and counters for the
-	// observability exporters. Recording is pure: virtual clocks, power,
-	// and every numeric result are byte-identical with or without it.
+	// Obs, when non-nil, records per-rank spans and counters, and rank 0
+	// keeps the run's event log on it (iterations, faults, recoveries,
+	// convergence). Recording is pure: virtual clocks, power, and every
+	// numeric result are byte-identical with or without it.
 	Obs *obs.Recorder
 	// Seed drives fault corruption patterns.
 	Seed int64
@@ -239,6 +236,9 @@ type resMonitor struct {
 	// refilled at each boundary: the scheme takes it by pointer through an
 	// interface, so a fresh literal would be a heap object per iteration.
 	rctx recovery.Ctx
+	// events is rank 0's recording surface, which keeps the run's event
+	// log; nil on every other rank and when no recorder is attached.
+	events *obs.Rank
 }
 
 // recoveryCtx refills and returns the monitor's recovery context.
@@ -259,14 +259,12 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 			return false, fmt.Errorf("core: run canceled at iteration %d: %w", it.K, err)
 		}
 	}
-	if m.cfg.Trace != nil && it.C.Rank() == 0 {
+	if m.events != nil {
 		relres := 0.0
 		if it.State.NormB > 0 && it.State.Rho >= 0 {
 			relres = math.Sqrt(it.State.Rho) / it.State.NormB
 		}
-		m.cfg.Trace.Add(trace.Event{
-			Kind: trace.Iteration, Iter: it.K, Clock: it.C.Clock(), RelRes: relres,
-		})
+		m.events.Event(obs.Event{Kind: obs.Iteration, Iter: it.K, Clock: it.C.Clock(), RelRes: relres})
 	}
 	if m.injector == nil {
 		return false, nil
@@ -285,11 +283,8 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 			break
 		}
 		m.faults = append(m.faults, *f)
-		if m.cfg.Trace != nil && it.C.Rank() == 0 {
-			m.cfg.Trace.Add(trace.Event{
-				Kind: trace.FaultEvent, Iter: it.K, Rank: f.Rank, Clock: clock,
-				Detail: f.String(),
-			})
+		if m.events != nil {
+			m.events.Event(obs.Event{Kind: obs.FaultEvent, Iter: it.K, Rank: f.Rank, Clock: clock, Fault: *f})
 		}
 		if m.scheme == nil {
 			// FF with an injector configured is a configuration error.
@@ -308,15 +303,9 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 			m.pending = append(m.pending, pendingFault{f: *f, due: it.K + m.cfg.DetectDelay})
 			continue
 		}
-		r, err := m.scheme.Recover(ctx, *f)
+		r, err := m.recoverFrom(it, ctx, *f)
 		if err != nil {
 			return false, err
-		}
-		if m.cfg.Trace != nil && it.C.Rank() == 0 {
-			m.cfg.Trace.Add(trace.Event{
-				Kind: trace.RecoveryEvent, Iter: it.K, Rank: f.Rank,
-				Clock: it.C.Clock(), Detail: m.scheme.Name(),
-			})
 		}
 		restart = restart || r
 	}
@@ -328,7 +317,7 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 				keep = append(keep, p)
 				continue
 			}
-			r, err := m.scheme.Recover(ctx, p.f)
+			r, err := m.recoverFrom(it, ctx, p.f)
 			if err != nil {
 				return false, err
 			}
@@ -337,6 +326,19 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 		m.pending = keep
 	}
 	return restart, nil
+}
+
+// recoverFrom runs the scheme's recovery from f and logs it, at the iteration
+// it completes in — the detection iteration for a late-detected silent
+// corruption.
+func (m *resMonitor) recoverFrom(it *solver.Iter, ctx *recovery.Ctx, f fault.Fault) (bool, error) {
+	restart, err := m.scheme.Recover(ctx, f)
+	if err == nil && m.events != nil {
+		// The spec's name, a static string, rather than the scheme's own,
+		// which some schemes build per call.
+		m.events.Event(obs.Event{Kind: obs.RecoveryEvent, Iter: it.K, Rank: f.Rank, Clock: it.C.Clock(), Scheme: m.cfg.Scheme.Name()})
+	}
+	return restart, err
 }
 
 func (m *resMonitor) AfterIteration(it *solver.Iter) error {
@@ -455,6 +457,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		}
 		schemes[c.Rank()] = scheme
 		mon := &resMonitor{cfg: &cfg, scheme: scheme}
+		if c.Rank() == 0 {
+			mon.events = c.Observer()
+		}
 		if ctx != nil && ctx.Done() != nil {
 			mon.ctx = ctx
 		}
@@ -520,11 +525,10 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		report.Meter = meter
 	}
 	report.Obs = cfg.Obs
-	if cfg.Trace != nil {
-		cfg.Trace.Add(trace.Event{
-			Kind: trace.ConvergedEvent, Iter: report.Iters, Clock: report.Time,
-			RelRes: report.RelRes,
-			Detail: fmt.Sprintf("converged=%t", report.Converged),
+	if ev := monitors[0].events; ev != nil {
+		ev.Event(obs.Event{
+			Kind: obs.ConvergedEvent, Iter: report.Iters, Clock: report.Time,
+			RelRes: report.RelRes, Converged: report.Converged,
 		})
 	}
 	return report, nil

@@ -16,11 +16,11 @@ import (
 	"resilience/internal/cluster"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
+	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/power"
 	"resilience/internal/recovery"
 	"resilience/internal/solver"
-	"resilience/internal/trace"
 	"resilience/internal/vec"
 )
 
@@ -451,10 +451,21 @@ func TestEstimateIterTimePositive(t *testing.T) {
 	}
 }
 
+// eventsOf returns the events of one kind in a run's event log.
+func eventsOf(rec *obs.Recorder, kind obs.EventKind) []obs.Event {
+	var out []obs.Event
+	for _, e := range rec.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestTraceRecordsRun(t *testing.T) {
 	cfg, _ := testSystem(t)
-	tr := trace.New()
-	cfg.Trace = tr
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
 	cfg.Scheme = SchemeSpec{Kind: LI}
 	cfg.InjectorFactory = func() fault.Injector {
 		return fault.NewSchedule(2, 40, cfg.Ranks, fault.SNF, 3)
@@ -466,23 +477,49 @@ func TestTraceRecordsRun(t *testing.T) {
 	if !rep.Converged {
 		t.Fatal("did not converge")
 	}
-	if got := len(tr.Filter(trace.FaultEvent)); got != 2 {
+	if got := len(eventsOf(rec, obs.FaultEvent)); got != 2 {
 		t.Errorf("%d fault events, want 2", got)
 	}
-	if got := len(tr.Filter(trace.RecoveryEvent)); got != 2 {
+	if got := len(eventsOf(rec, obs.RecoveryEvent)); got != 2 {
 		t.Errorf("%d recovery events, want 2", got)
 	}
-	if len(tr.Filter(trace.Iteration)) < rep.Iters/2 {
+	iters := eventsOf(rec, obs.Iteration)
+	if len(iters) < rep.Iters/2 {
 		t.Error("too few iteration events")
 	}
-	conv := tr.Filter(trace.ConvergedEvent)
-	if len(conv) != 1 || conv[0].Iter != rep.Iters {
+	conv := eventsOf(rec, obs.ConvergedEvent)
+	if len(conv) != 1 || conv[0].Iter != rep.Iters || !conv[0].Converged {
 		t.Errorf("converged event %v", conv)
 	}
 	// Residual series decreases overall.
-	_, rs := tr.ResidualSeries()
-	if len(rs) == 0 || rs[len(rs)-1] > rs[0] {
-		t.Error("residual series did not decrease")
+	if first, last := iters[0].RelRes, iters[len(iters)-1].RelRes; last > first {
+		t.Errorf("residual series did not decrease: %g -> %g", first, last)
+	}
+}
+
+// TestLateDetectedSDCLogsRecovery: a silent corruption detected
+// DetectDelay iterations late is recovered then, and its recovery is
+// logged then — one recovery event per fault, at the fault's iteration
+// plus the delay.
+func TestLateDetectedSDCLogsRecovery(t *testing.T) {
+	cfg, _ := testSystem(t)
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
+	cfg.Scheme = SchemeSpec{Kind: LI}
+	cfg.DetectDelay = 3
+	cfg.InjectorFactory = func() fault.Injector {
+		return fault.NewScheduleAt([]fault.Fault{{Class: fault.SDC, Rank: 2, Iter: 10}})
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	faults, recs := eventsOf(rec, obs.FaultEvent), eventsOf(rec, obs.RecoveryEvent)
+	if len(faults) != 1 || len(recs) != len(faults) {
+		t.Fatalf("%d fault events, %d recovery events; want one of each", len(faults), len(recs))
+	}
+	if recs[0].Iter != faults[0].Iter+3 || recs[0].Rank != 2 {
+		t.Errorf("recovery logged at iteration %d on rank %d, want iteration %d on rank 2",
+			recs[0].Iter, recs[0].Rank, faults[0].Iter+3)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
-	"resilience/internal/trace"
 )
 
 // bitEqualReports compares two reports field for field, floats by bit
@@ -66,12 +65,11 @@ func TestFaultFreeSharedReportEqualsOwnRun(t *testing.T) {
 	bitEqualReports(t, "miss vs own run", miss, own)
 
 	// Nothing but the key fields reaches the baseline: a caller's scheme,
-	// seed, trace, recorder and segment retention neither re-run it nor
-	// attach to it.
+	// seed, recorder and segment retention neither re-run it nor attach to
+	// it.
 	noisy := cfg
 	noisy.Scheme = SchemeSpec{Kind: CRD, CkptEvery: 7}
 	noisy.Seed = 99
-	noisy.Trace = trace.New()
 	noisy.Obs = obs.NewRecorder()
 	noisy.KeepSegments = true
 	noisy.DetectDelay = 3
@@ -85,8 +83,8 @@ func TestFaultFreeSharedReportEqualsOwnRun(t *testing.T) {
 	if n := sys.BaselineRuns(); n != 1 {
 		t.Errorf("%d baseline runs, want 1", n)
 	}
-	if len(noisy.Trace.Events()) != 0 || hit.Obs != nil || hit.Meter != nil {
-		t.Error("caller's trace, recorder or meter attached to the shared baseline")
+	if noisy.Obs.Events() != nil || hit.Obs != nil || hit.Meter != nil {
+		t.Error("caller's recorder or meter attached to the shared baseline")
 	}
 }
 

@@ -12,25 +12,30 @@ import (
 	"resilience/internal/power"
 )
 
-// The Chrome trace-event exporter: one Perfetto-loadable JSON document per
-// run, with one timeline track per rank (pid 0, tid = rank) carrying the
-// recorded spans as complete ("X") events, and counter ("C") tracks
-// (pid 1) derived from the power meter's segments — aggregate cluster
-// watts plus one per-core series. Timestamps are the virtual clocks
-// converted to microseconds, the unit the trace-event format expects.
+// The Chrome trace-event exporter: one Perfetto-loadable JSON document
+// holding both clock domains. Wall-clock service spans form one process
+// ("service wall-clock", pid 2) with one thread track per request ID.
+// The virtual-time side has one timeline track per rank (pid 0, tid =
+// rank) carrying the recorded spans as complete ("X") events, and counter
+// ("C") tracks (pid 1) derived from the power meter's segments —
+// aggregate cluster watts plus one per-core series. The two domains share
+// nothing but the origin: wall timestamps are re-based so the earliest
+// service span starts at t=0, where the virtual tracks also start, and
+// every timestamp is in microseconds, the unit the trace-event format
+// expects. The domains stay separate process groups because their axes
+// genuinely differ.
 
-// pids of the two synthetic processes in the exported trace.
+// pids of the synthetic processes in the exported trace.
 const (
-	pidRanks = 0
-	pidPower = 1
+	pidRanks   = 0
+	pidPower   = 1
+	pidService = 2
 )
 
-// TraceEvent is one entry of the trace-event JSON array. Field order is
+// traceEvent is one entry of the trace-event JSON array. Field order is
 // fixed by the struct, and encoding/json renders floats in their shortest
-// form, so exports are byte-deterministic for golden tests. It is
-// exported so internal/telemetry can lay wall-clock service tracks
-// alongside the virtual-time tracks in one merged trace.
-type TraceEvent struct {
+// form, so exports are byte-deterministic for golden tests.
+type traceEvent struct {
 	Name string  `json:"name"`
 	Ph   string  `json:"ph"`
 	Ts   float64 `json:"ts"`
@@ -42,7 +47,7 @@ type TraceEvent struct {
 }
 
 type traceFile struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
+	TraceEvents     []traceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
@@ -54,30 +59,26 @@ type wattsArg struct {
 	W float64 `json:"W"`
 }
 
-const usPerSec = 1e6
-
-// WriteChromeTrace writes the recorder's spans (and, when meter retains
-// segments, its power counters) as Chrome trace-event JSON. Either rec or
-// meter may be nil; a nil meter (or one built without segment retention)
-// simply omits the counter tracks.
-func WriteChromeTrace(w io.Writer, rec *Recorder, meter *power.Meter) error {
-	return WriteTraceEvents(w, Events(rec, meter))
+type reqArg struct {
+	ReqID string `json:"req_id"`
 }
 
-// Events builds the virtual-time trace events — the rank timeline
-// tracks and power counter tracks — without encoding them, so callers
-// (internal/telemetry's merged exporter) can append tracks of their own
-// before writing one document.
-func Events(rec *Recorder, meter *power.Meter) []TraceEvent {
-	var events []TraceEvent
+const usPerSec = 1e6
 
+// WriteChromeTrace writes one Chrome trace-event JSON document: the
+// wall-clock spans (when there are any) ahead of the recorder's rank
+// spans and, when meter retains segments, its power counters. wall, rec
+// and meter may each be nil; a nil meter (or one built without segment
+// retention) simply omits the counter tracks.
+func WriteChromeTrace(w io.Writer, wall []WallSpan, rec *Recorder, meter *power.Meter) error {
+	events := wallEvents(wall)
 	events = append(events,
-		TraceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: nameArg{Name: "ranks"}},
-		TraceEvent{Name: "process_name", Ph: "M", Pid: pidPower, Args: nameArg{Name: "power"}},
+		traceEvent{Name: "process_name", Ph: "M", Pid: pidRanks, Args: nameArg{Name: "ranks"}},
+		traceEvent{Name: "process_name", Ph: "M", Pid: pidPower, Args: nameArg{Name: "power"}},
 	)
 	if rec != nil {
 		for rank := 0; rank < rec.Ranks(); rank++ {
-			events = append(events, TraceEvent{
+			events = append(events, traceEvent{
 				Name: "thread_name", Ph: "M", Pid: pidRanks, Tid: rank,
 				Args: nameArg{Name: fmt.Sprintf("rank %d", rank)},
 			})
@@ -87,36 +88,79 @@ func Events(rec *Recorder, meter *power.Meter) []TraceEvent {
 	if meter != nil {
 		events = append(events, powerEvents(meter)...)
 	}
-	return events
+	return json.NewEncoder(w).Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// WriteTraceEvents encodes events as one Chrome trace-event JSON
-// document (the exact bytes WriteChromeTrace has always produced).
-func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// rankEvents converts one rank's spans to X events ordered so that every
-// enclosing span precedes the spans it contains: ascending start time,
-// ties broken by descending duration. The sort is stable, keeping
+// nestingOrder returns the indices of intervals ordered so that every
+// enclosing interval precedes the intervals it contains: ascending start
+// time, ties broken by descending duration. The sort is stable, keeping
 // recording order for exact duplicates, so the export is deterministic;
-// it orders an index, because spans is the recorder's own read-only log.
-func rankEvents(rank int, spans []Span) []TraceEvent {
-	idx := make([]int32, len(spans))
+// it orders an index, because the intervals may be a recorder's own
+// read-only log.
+func nestingOrder[S any, T cmp.Ordered](items []S, interval func(S) (start, dur T)) []int32 {
+	idx := make([]int32, len(items))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	slices.SortStableFunc(idx, func(i, j int32) int {
-		if c := cmp.Compare(spans[i].Start, spans[j].Start); c != 0 {
+		si, di := interval(items[i])
+		sj, dj := interval(items[j])
+		if c := cmp.Compare(si, sj); c != 0 {
 			return c
 		}
-		return cmp.Compare(spans[j].Dur, spans[i].Dur)
+		return cmp.Compare(dj, di)
 	})
-	evs := make([]TraceEvent, len(spans))
+	return idx
+}
+
+// wallEvents converts wall-clock spans to X events in nesting order.
+// Each distinct request gets its own thread track in first-seen order,
+// so concurrent requests never interleave on one track and the nesting
+// validator holds. Timestamps are microseconds since the earliest span's
+// start.
+func wallEvents(spans []WallSpan) []traceEvent {
+	if len(spans) == 0 {
+		return nil
+	}
+	idx := nestingOrder(spans, func(s WallSpan) (int64, int64) { return s.Start, s.Dur })
+	base := spans[idx[0]].Start
+
+	events := []traceEvent{
+		{Name: "process_name", Ph: "M", Pid: pidService, Args: nameArg{Name: "service wall-clock"}},
+	}
+	tids := make(map[string]int)
+	for _, si := range idx {
+		s := spans[si]
+		tid, ok := tids[s.ReqID]
+		if !ok {
+			tid = len(tids)
+			tids[s.ReqID] = tid
+			events = append(events, traceEvent{
+				Name: "thread_name", Ph: "M", Pid: pidService, Tid: tid,
+				Args: nameArg{Name: "req " + s.ReqID},
+			})
+		}
+		events = append(events, traceEvent{
+			Name: s.Name,
+			Ph:   "X",
+			Ts:   float64(s.Start-base) / 1e3, // ns -> µs
+			Dur:  float64(s.Dur) / 1e3,
+			Pid:  pidService,
+			Tid:  tid,
+			Cat:  "service",
+			Args: reqArg{ReqID: s.ReqID},
+		})
+	}
+	return events
+}
+
+// rankEvents converts one rank's spans to X events in nesting order.
+func rankEvents(rank int, spans []Span) []traceEvent {
+	idx := nestingOrder(spans, func(s Span) (float64, float64) { return s.Start, s.Dur })
+	evs := make([]traceEvent, len(spans))
 	for i, si := range idx {
 		s := spans[si]
-		evs[i] = TraceEvent{
+		evs[i] = traceEvent{
 			Name: s.Kind.String(),
 			Ph:   "X",
 			Ts:   s.Start * usPerSec,
@@ -147,12 +191,12 @@ func spanCategory(k SpanKind) string {
 // aggregate "cluster W" series (a delta-walk over all segment edges) and
 // one "core N W" series per core (piecewise-constant, dropping to zero
 // across gaps). Empty when the meter was built without segment retention.
-func powerEvents(meter *power.Meter) []TraceEvent {
+func powerEvents(meter *power.Meter) []traceEvent {
 	segs := meter.Segments()
 	if len(segs) == 0 {
 		return nil
 	}
-	var evs []TraceEvent
+	var evs []traceEvent
 
 	// Aggregate: sum of active segment watts at each segment edge.
 	type edge struct {
@@ -174,7 +218,7 @@ func powerEvents(meter *power.Meter) []TraceEvent {
 		if w < 0 { // guard rounding at the final edge
 			w = 0
 		}
-		evs = append(evs, TraceEvent{
+		evs = append(evs, traceEvent{
 			Name: "cluster W", Ph: "C", Ts: e.t * usPerSec,
 			Pid: pidPower, Args: wattsArg{W: round6(w)},
 		})
@@ -197,13 +241,13 @@ func powerEvents(meter *power.Meter) []TraceEvent {
 		name := fmt.Sprintf("core %d W", core)
 		tid := core + 1 // tid 0 is reserved for the aggregate series
 		for i, s := range cs {
-			evs = append(evs, TraceEvent{
+			evs = append(evs, traceEvent{
 				Name: name, Ph: "C", Ts: s.Start * usPerSec,
 				Pid: pidPower, Tid: tid, Args: wattsArg{W: s.Watts},
 			})
 			end := s.End()
 			if i+1 == len(cs) || cs[i+1].Start > end+1e-12 {
-				evs = append(evs, TraceEvent{
+				evs = append(evs, traceEvent{
 					Name: name, Ph: "C", Ts: end * usPerSec,
 					Pid: pidPower, Tid: tid, Args: wattsArg{W: 0},
 				})

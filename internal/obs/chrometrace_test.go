@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"resilience/internal/power"
 )
@@ -32,7 +33,7 @@ func goldenRecorder() (*Recorder, *power.Meter) {
 func TestWriteChromeTraceGolden(t *testing.T) {
 	rec, m := goldenRecorder()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, rec, m); err != nil {
+	if err := WriteChromeTrace(&buf, nil, rec, m); err != nil {
 		t.Fatal(err)
 	}
 	const want = `{"traceEvents":[` +
@@ -65,10 +66,10 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 func TestWriteChromeTraceDeterministic(t *testing.T) {
 	rec, m := goldenRecorder()
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, rec, m); err != nil {
+	if err := WriteChromeTrace(&a, nil, rec, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, rec, m); err != nil {
+	if err := WriteChromeTrace(&b, nil, rec, m); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -78,7 +79,7 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 
 func TestWriteChromeTraceNilParts(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := WriteChromeTrace(&buf, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -86,7 +87,7 @@ func TestWriteChromeTraceNilParts(t *testing.T) {
 	}
 	// A meter without segment retention contributes no counter tracks.
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, NewRecorder(), power.NewMeter(false)); err != nil {
+	if err := WriteChromeTrace(&buf, nil, NewRecorder(), power.NewMeter(false)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"ph":"C"`) {
@@ -136,7 +137,7 @@ func TestExportLeavesSpanLogInRecordingOrder(t *testing.T) {
 	r.Span(SpanCompute, 0, 1e-6)
 	want := append([]Span(nil), rec.RankSpans(0)...)
 
-	evs := Events(rec, nil)
+	evs := rankEvents(0, rec.RankSpans(0))
 	var names []string
 	for _, ev := range evs {
 		if ev.Ph == "X" {
@@ -150,5 +151,94 @@ func TestExportLeavesSpanLogInRecordingOrder(t *testing.T) {
 		if s != want[i] {
 			t.Fatalf("export reordered the recorder's span log: position %d is %v, recorded %v", i, s, want[i])
 		}
+	}
+}
+
+// spansFixture builds two requests' worth of nested wall-clock spans:
+// each request's "request" span encloses queue and solve phases, and
+// the two requests overlap in time (they must land on separate tracks
+// for the trace to nest).
+func spansFixture() []WallSpan {
+	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC).UnixNano()
+	ms := int64(time.Millisecond)
+	return []WallSpan{
+		{ReqID: "r-1", Name: "request", Start: base, Dur: 50 * ms},
+		{ReqID: "r-1", Name: "queue", Start: base + 1*ms, Dur: 9 * ms},
+		{ReqID: "r-1", Name: "solve", Start: base + 10*ms, Dur: 35 * ms},
+		{ReqID: "r-2", Name: "request", Start: base + 5*ms, Dur: 30 * ms},
+		{ReqID: "r-2", Name: "solve", Start: base + 6*ms, Dur: 25 * ms},
+	}
+}
+
+func TestMergedTraceEventsStructure(t *testing.T) {
+	events := wallEvents(spansFixture())
+	var xCount int
+	tids := make(map[string]int)
+	for _, e := range events {
+		if e.Ph == "M" && e.Name == "thread_name" {
+			continue
+		}
+		if e.Ph != "X" {
+			continue
+		}
+		xCount++
+		if e.Pid != pidService {
+			t.Fatalf("X event on pid %d, want %d", e.Pid, pidService)
+		}
+		arg, ok := e.Args.(reqArg)
+		if !ok {
+			t.Fatalf("X event args = %#v, want reqArg", e.Args)
+		}
+		if prev, seen := tids[arg.ReqID]; seen && prev != e.Tid {
+			t.Fatalf("request %s spans on two tids (%d, %d)", arg.ReqID, prev, e.Tid)
+		}
+		tids[arg.ReqID] = e.Tid
+	}
+	if xCount != 5 {
+		t.Fatalf("got %d X events, want 5", xCount)
+	}
+	if len(tids) != 2 || tids["r-1"] == tids["r-2"] {
+		t.Fatalf("requests share a track: %v", tids)
+	}
+	// Re-based: earliest span starts at ts 0.
+	if events[0].Name != "process_name" {
+		t.Fatalf("first event %+v, want process_name metadata", events[0])
+	}
+}
+
+// TestMergedTraceValidates: the merged document — wall-clock service
+// tracks plus virtual-time rank tracks — passes the structural
+// validator, the acceptance criterion for Perfetto loadability.
+func TestMergedTraceValidates(t *testing.T) {
+	rec := NewRecorder()
+	rec.Rank(0).Span(SpanCompute, 0, 1.5)
+	rec.Rank(1).Span(SpanSend, 0.5, 0.25)
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spansFixture(), rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("merged trace fails validation: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{`"service wall-clock"`, `"ranks"`, `"req r-1"`, `"req_id":"r-2"`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("merged trace missing %q", want)
+		}
+	}
+}
+
+func TestMergedTraceEmptySpans(t *testing.T) {
+	if evs := wallEvents(nil); evs != nil {
+		t.Fatalf("wallEvents(nil) = %v, want nil", evs)
+	}
+	// Spans-only merged trace (no recorder/meter) must still validate.
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, spansFixture(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("spans-only merged trace fails validation: %v", err)
 	}
 }

@@ -74,7 +74,7 @@ func TestEndToEndChromeTrace(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, rec, rep.Meter); err != nil {
+	if err := obs.WriteChromeTrace(&buf, nil, rec, rep.Meter); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {

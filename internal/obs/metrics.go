@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-
-	"resilience/internal/report"
 )
 
 // metricsHeader is the flat CSV schema of the per-rank counter dump.
@@ -44,20 +42,6 @@ func Total(ms []Metrics) Metrics {
 		t.SendSec += m.SendSec
 		t.WaitSec += m.WaitSec
 		t.CollectiveSec += m.CollectiveSec
-	}
-	return t
-}
-
-// MetricsTable renders the per-rank counters as an aligned text table for
-// the report layer.
-func MetricsTable(ms []Metrics) *report.Table {
-	t := report.NewTable("Per-rank metrics",
-		"rank", "msgs_sent", "bytes_sent", "msgs_recv", "bytes_recv",
-		"coll", "flops", "restarts", "compute_s", "send_s", "wait_s", "coll_s")
-	for _, m := range ms {
-		t.AddF(m.Rank, m.MsgsSent, m.BytesSent, m.MsgsRecv, m.BytesRecv,
-			m.Collectives, m.Flops, m.Restarts,
-			m.ComputeSec, m.SendSec, m.WaitSec, m.CollectiveSec)
 	}
 	return t
 }

@@ -1,20 +1,26 @@
-// Package obs is the observability layer of the simulated cluster: per-rank
-// spans recorded against the virtual clocks, a registry of per-rank
-// communication/computation counters, and exporters (Chrome trace-event
-// JSON for Perfetto, flat CSV metrics).
+// Package obs is the observability layer, in the repo's two clock
+// domains, with one Chrome trace-event exporter (WriteChromeTrace) for
+// both.
 //
-// Observation is pure by construction. A recorder only *reads* the virtual
-// clocks the runtime already maintains — it never advances one, never
-// touches the power meter, and never participates in synchronization — so
-// every recorded experiment artifact is byte-identical with observation on
-// or off. A disabled recorder (the nil default) costs a single pointer
-// comparison on the hot path and zero allocations; the repository's
-// 0 allocs/op benchmarks gate this.
+// Virtual time, inside one simulated cluster run: per-rank spans recorded
+// against the virtual clocks, per-rank communication/computation
+// counters, and the run's event log. Observation is pure by construction.
+// A recorder only *reads* the virtual clocks the runtime already
+// maintains — it never advances one, never touches the power meter, and
+// never participates in synchronization — so every recorded experiment
+// artifact is byte-identical with observation on or off. A disabled
+// recorder (the nil default) costs a single pointer comparison on the hot
+// path and zero allocations; the repository's 0 allocs/op benchmarks gate
+// this. Each rank goroutine owns one Rank recording surface (handed out by
+// Recorder.Rank at run start), so the hot path takes no locks; aggregated
+// reads must happen after the run completes, and cluster.Run's WaitGroup
+// provides the happens-before edge.
 //
-// Concurrency model: each rank goroutine owns one Rank recording surface
-// (handed out by Recorder.Rank at run start), so the hot path takes no
-// locks. Aggregated reads (Spans, Metrics) must happen after the run
-// completes; cluster.Run's WaitGroup provides the happens-before edge.
+// Wall-clock time, around those runs in the serving fabric: a metrics
+// registry with exactly-mergeable histograms, request spans, and a crash
+// flight recorder. Histogram Record and span start/end are 0 allocs/op
+// (gated in scripts/check.sh), so the serving hot path can afford them on
+// every request.
 package obs
 
 import (
@@ -90,8 +96,8 @@ type Metrics struct {
 	BytesSent int64
 	MsgsRecv  int64
 	BytesRecv int64
-	// Collectives counts collective invocations (barriers, allreduces,
-	// broadcasts, gathers, scatters).
+	// Collectives counts collective invocations (barriers and
+	// allreduces).
 	Collectives int64
 	// Flops counts modeled floating-point operations.
 	Flops int64
@@ -110,8 +116,9 @@ type Metrics struct {
 // goroutine for the duration of a run and must not be shared while the
 // run is in flight.
 type Rank struct {
-	m     Metrics
-	spans []Span
+	m      Metrics
+	spans  []Span
+	events []Event
 }
 
 // Span records one classified interval. Zero and negative durations are
@@ -157,16 +164,21 @@ func (r *Rank) AddFlops(flops int64) { r.m.Flops += flops }
 // IncRestarts counts one Krylov recurrence rebuild.
 func (r *Rank) IncRestarts() { r.m.Restarts++ }
 
+// Event appends one entry to the surface's event log. The run's log is
+// rank 0's; Recorder.Events reads it.
+func (r *Rank) Event(e Event) { r.events = append(r.events, e) }
+
 // Recorder collects the per-rank recording surfaces of one run. The zero
 // value is not usable; call NewRecorder. A Recorder observes exactly one
 // run at a time; Reset it before reuse.
 type Recorder struct {
 	mu sync.Mutex
 	// ranks holds every surface ever created; Reset clears them but keeps
-	// them and their span capacity, so a reused recorder records its next
-	// run without growing a span log from nothing. ranks[:live] are the
-	// surfaces handed out since the last Reset — the current run, and all
-	// that Ranks, Metrics, RankSpans and SpanCount report.
+	// them and the capacity of their span and event logs, so a reused
+	// recorder records its next run without growing a log from nothing.
+	// ranks[:live] are the surfaces handed out since the last Reset — the
+	// current run, and all that Ranks, Metrics, RankSpans, SpanCount and
+	// Events report.
 	ranks []*Rank
 	live  int
 }
@@ -226,6 +238,18 @@ func (rec *Recorder) SpanCount() int {
 	return n
 }
 
+// Events returns the run's event log (rank 0's) in recording order. Like
+// RankSpans it is the recorder's own log, not a copy: read-only, readable
+// once the run has joined, and valid until the next Reset.
+func (rec *Recorder) Events() []Event {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.live == 0 {
+		return nil
+	}
+	return rec.ranks[0].events
+}
+
 // Metrics returns a copy of every rank's counter registry, rank order.
 func (rec *Recorder) Metrics() []Metrics {
 	rec.mu.Lock()
@@ -237,16 +261,17 @@ func (rec *Recorder) Metrics() []Metrics {
 	return out
 }
 
-// Reset discards every recorded span and counter so the recorder can
-// observe another run. The surfaces and the capacity of their span logs
-// are kept for that run; slices RankSpans returned earlier are invalid
-// from here on. The run being discarded must have joined.
+// Reset discards every recorded span, counter and event so the recorder
+// can observe another run. The surfaces and the capacity of their logs
+// are kept for that run; slices RankSpans and Events returned earlier are
+// invalid from here on. The run being discarded must have joined.
 func (rec *Recorder) Reset() {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for i, r := range rec.ranks[:rec.live] {
 		r.m = Metrics{Rank: i}
 		r.spans = r.spans[:0]
+		r.events = r.events[:0]
 	}
 	rec.live = 0
 }

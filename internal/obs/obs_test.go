@@ -104,9 +104,10 @@ func TestRecorderReset(t *testing.T) {
 }
 
 // TestRecorderReuseReportsOnlyCurrentRun: Reset keeps the rank surfaces
-// and their span capacity for the next run, and that must be invisible —
-// after a six-rank run, a two-rank run on the same recorder reports two
-// ranks, its own counters and its own spans, nothing of the run before.
+// and the capacity of their logs for the next run, and that must be
+// invisible — after a six-rank run, a two-rank run on the same recorder
+// reports two ranks, its own counters, its own spans and its own events,
+// nothing of the run before.
 func TestRecorderReuseReportsOnlyCurrentRun(t *testing.T) {
 	rec := NewRecorder()
 	for r := 0; r < 6; r++ {
@@ -118,14 +119,25 @@ func TestRecorderReuseReportsOnlyCurrentRun(t *testing.T) {
 		surf.AddCollective()
 		surf.IncRestarts()
 	}
+	for i := 0; i < 50; i++ {
+		rec.Rank(0).Event(Event{Kind: Iteration, Iter: i})
+	}
 	kept := rec.Rank(1)
 	rec.Reset()
-	if rec.Ranks() != 0 || rec.SpanCount() != 0 || len(rec.Metrics()) != 0 || rec.RankSpans(0) != nil {
-		t.Fatalf("reset recorder still reports %d ranks, %d spans, %d metrics rows",
-			rec.Ranks(), rec.SpanCount(), len(rec.Metrics()))
+	if rec.Ranks() != 0 || rec.SpanCount() != 0 || len(rec.Metrics()) != 0 || rec.RankSpans(0) != nil || rec.Events() != nil {
+		t.Fatalf("reset recorder still reports %d ranks, %d spans, %d metrics rows, %d events",
+			rec.Ranks(), rec.SpanCount(), len(rec.Metrics()), len(rec.Events()))
 	}
 
 	rec.Rank(0).Span(SpanSend, 0, 2)
+	rec.Rank(0).Event(Event{Kind: Iteration, Iter: 0, RelRes: 1})
+	rec.Rank(0).Event(Event{Kind: ConvergedEvent, Iter: 1, Converged: true})
+	if ev := rec.Events(); len(ev) != 2 || ev[0].RelRes != 1 || ev[1].Kind != ConvergedEvent {
+		t.Errorf("events after Reset %v, want only the current run's two", ev)
+	}
+	if c := cap(rec.Events()); c < 50 {
+		t.Errorf("event log has capacity %d after Reset, want the 50 it had grown to", c)
+	}
 	surf := rec.Rank(1)
 	surf.Span(SpanCompute, 0, 1)
 	surf.Span(SpanHalo, 1, 1)
@@ -172,18 +184,5 @@ func TestWriteMetricsCSV(t *testing.T) {
 		"0,1,16,0,0,0,0,0,0.25,0,0,0\n"
 	if sb.String() != want {
 		t.Errorf("metrics CSV:\n%q\nwant:\n%q", sb.String(), want)
-	}
-}
-
-func TestMetricsTable(t *testing.T) {
-	rec := NewRecorder()
-	rec.Rank(1).AddRecv(24)
-	tbl := MetricsTable(rec.Metrics())
-	out := tbl.String()
-	if !strings.Contains(out, "msgs_recv") || !strings.Contains(out, "24") {
-		t.Errorf("table:\n%s", out)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Errorf("rows %d", len(tbl.Rows))
 	}
 }

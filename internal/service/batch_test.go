@@ -88,8 +88,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func spanNames(srv *Server, reqID string) string {
 	var names []string
-	for _, sp := range srv.tracer.SpansFor(reqID) {
-		names = append(names, sp.Name)
+	for _, sp := range srv.tracer.Spans() {
+		if sp.ReqID == reqID {
+			names = append(names, sp.Name)
+		}
 	}
 	return strings.Join(names, ",")
 }

@@ -16,8 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resilience/internal/obs"
 	"resilience/internal/service"
-	"resilience/internal/telemetry"
 )
 
 // Config sizes the router. Replicas is the only required field.
@@ -105,27 +105,27 @@ type Router struct {
 	// /telemetry snapshot and bucket-merges the histograms into true
 	// fleet-wide quantiles. tracer retains recent wall-clock spans;
 	// flight is the process crash flight recorder.
-	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
-	flight *telemetry.FlightRecorder
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	flight *obs.FlightRecorder
 
-	routed    *telemetry.Counter
-	rejected  *telemetry.Counter
-	rerouted  *telemetry.Counter
-	noReplica *telemetry.Counter
-	hForward  *telemetry.HistogramVec // one /solve forward round trip, wall seconds
+	routed    *obs.Counter
+	rejected  *obs.Counter
+	rerouted  *obs.Counter
+	noReplica *obs.Counter
+	hForward  *obs.HistogramVec // one /solve forward round trip, wall seconds
 	// hBatchForward times one sub-batch round trip. It is its own series:
 	// a sub-batch takes as long as all its jobs, a /solve forward as long
 	// as one, and a scrape must not mix the two.
-	hBatchForward *telemetry.HistogramVec
+	hBatchForward *obs.HistogramVec
 
 	// Campaign progress: verdict-bearing jobs forwarded for the chaos
 	// fleet, how many came back as verdicts, and how many of those were
 	// invariant violations. On /metrics and /telemetry like every other
 	// registry entry, so `watch curl /metrics` is the campaign dashboard.
-	campaignJobs     *telemetry.Counter
-	campaignVerdicts *telemetry.Counter
-	campaignFail     *telemetry.Counter
+	campaignJobs     *obs.Counter
+	campaignVerdicts *obs.Counter
+	campaignFail     *obs.Counter
 
 	perMu     sync.Mutex
 	perRouted map[string]int64
@@ -152,8 +152,8 @@ func New(cfg Config) (*Router, error) {
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 		perRouted:  make(map[string]int64),
-		tracer:     telemetry.NewTracer(4096),
-		flight:     telemetry.DefaultFlight(),
+		tracer:     obs.NewTracer(4096),
+		flight:     obs.DefaultFlight(),
 	}
 	for _, u := range cfg.Replicas {
 		u = strings.TrimRight(u, "/")
@@ -185,7 +185,7 @@ func New(cfg Config) (*Router, error) {
 // (resilience_router_routed_total, ..._replica_up{replica=...}, the
 // fleet cache counters); the fleet-quantile lines are new.
 func (rt *Router) initMetrics() {
-	r := telemetry.NewRegistry("resilience_router")
+	r := obs.NewRegistry("resilience_router")
 	rt.reg = r
 	rt.routed = r.Counter("routed_total")
 	rt.rejected = r.Counter("rejected_total")
@@ -215,7 +215,7 @@ func (rt *Router) initMetrics() {
 // counters from its gauges, plus true fleet-wide latency and energy
 // quantiles from exact bucket-merges of its histograms. Member order is
 // URL-sorted, so the output is deterministic for a fixed fleet state.
-func (rt *Router) exposeFleet(e *telemetry.Expo) {
+func (rt *Router) exposeFleet(e *obs.Expo) {
 	members := rt.Members()
 	rt.perMu.Lock()
 	routedCopy := make(map[string]int64, len(rt.perRouted))
@@ -225,7 +225,7 @@ func (rt *Router) exposeFleet(e *telemetry.Expo) {
 	rt.perMu.Unlock()
 
 	var hits, misses float64
-	var fleet telemetry.Snapshot
+	var fleet obs.Snapshot
 	scraped := 0
 	for _, m := range members {
 		up := int64(0)
@@ -241,7 +241,7 @@ func (rt *Router) exposeFleet(e *telemetry.Expo) {
 			e.LineL("replica_queue_depth", "replica", m.URL, snap.Gauge("queue_depth"))
 			hits += snap.Gauge("cache_hits_total")
 			misses += snap.Gauge("cache_misses_total")
-			telemetry.Merge(&fleet, snap)
+			obs.Merge(&fleet, snap)
 			scraped++
 		}
 	}
@@ -426,7 +426,7 @@ func (rt *Router) probeOne(url string) (alive bool, reason string) {
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	reqID := telemetry.RequestID(w, r)
+	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -700,7 +700,7 @@ func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
 // item's code; the batch itself only fails for malformed bodies or
 // router saturation.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := telemetry.RequestID(w, r)
+	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -911,8 +911,8 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // scrapeTelemetry pulls one replica's /telemetry JSON snapshot. Failures
 // report ok=false — the router's metrics must render even with a dead
 // replica.
-func (rt *Router) scrapeTelemetry(url string) (telemetry.Snapshot, bool) {
-	var snap telemetry.Snapshot
+func (rt *Router) scrapeTelemetry(url string) (obs.Snapshot, bool) {
+	var snap obs.Snapshot
 	resp, err := rt.probe.Get(url + "/telemetry")
 	if err != nil {
 		return snap, false
@@ -948,7 +948,7 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if snap, ok := rt.scrapeTelemetry(m.URL); ok {
-			telemetry.Merge(&fleet, snap)
+			obs.Merge(&fleet, snap)
 		}
 	}
 	writeJSON(w, http.StatusOK, fleet)

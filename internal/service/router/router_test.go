@@ -15,8 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"resilience/internal/obs"
 	"resilience/internal/service"
-	"resilience/internal/telemetry"
 )
 
 // replica boots one real in-process solve service behind httptest.
@@ -436,7 +436,7 @@ func TestRouterMetricsAggregation(t *testing.T) {
 // the JSON snapshot on /telemetry and the same values as text on /metrics.
 func fakeReplica(t *testing.T, depth, hits, misses float64, wall []float64) *counted {
 	t.Helper()
-	reg := telemetry.NewRegistry("resilienced")
+	reg := obs.NewRegistry("resilienced")
 	reg.GaugeFunc("queue_depth", func() float64 { return depth })
 	reg.GaugeFunc("cache_hits_total", func() float64 { return hits })
 	reg.GaugeFunc("cache_misses_total", func() float64 { return misses })

@@ -17,7 +17,6 @@ import (
 
 	"resilience/internal/obs"
 	"resilience/internal/service/cache"
-	"resilience/internal/telemetry"
 )
 
 // Config sizes the server. The zero value is usable: GOMAXPROCS
@@ -41,9 +40,9 @@ type Config struct {
 	// (<=0: 16; rounded up to a power of two).
 	CacheShards int
 	// Flight is the crash flight recorder the server records into
-	// (nil: telemetry.DefaultFlight()). Disk dumping is governed by the
+	// (nil: obs.DefaultFlight()). Disk dumping is governed by the
 	// recorder's own SetDump, typically wired from a -flight-dir flag.
-	Flight *telemetry.FlightRecorder
+	Flight *obs.FlightRecorder
 	// TraceRing bounds the wall-clock span ring (<=0: 4096 spans).
 	TraceRing int
 }
@@ -68,7 +67,7 @@ func (c Config) withDefaults() Config {
 		c.CacheShards = 16
 	}
 	if c.Flight == nil {
-		c.Flight = telemetry.DefaultFlight()
+		c.Flight = obs.DefaultFlight()
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 4096
@@ -137,17 +136,17 @@ type Server struct {
 	// on /metrics and, as a mergeable JSON snapshot, on /telemetry);
 	// tracer retains the recent wall-clock request spans; flight is the
 	// crash flight recorder.
-	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
-	flight *telemetry.FlightRecorder
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	flight *obs.FlightRecorder
 
-	cAdmitted  *telemetry.Counter
-	cRejected  *telemetry.Counter
-	cCompleted *telemetry.Counter
-	cFailed    *telemetry.Counter
-	hVirtual   *telemetry.HistogramVec // modeled time-to-solution per scheme
-	hWall      *telemetry.HistogramVec // worker wall-clock per scheme/kind
-	hEnergy    *telemetry.HistogramVec // modeled E_res joules per scheme
+	cAdmitted  *obs.Counter
+	cRejected  *obs.Counter
+	cCompleted *obs.Counter
+	cFailed    *obs.Counter
+	hVirtual   *obs.HistogramVec // modeled time-to-solution per scheme
+	hWall      *obs.HistogramVec // worker wall-clock per scheme/kind
+	hEnergy    *obs.HistogramVec // modeled E_res joules per scheme
 
 	mu      sync.Mutex // guards the Stats fields and lastRec below
 	st      Stats
@@ -170,7 +169,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		queue:  newQueue(cfg.QueueCap),
-		tracer: telemetry.NewTracer(cfg.TraceRing),
+		tracer: obs.NewTracer(cfg.TraceRing),
 		flight: cfg.Flight,
 	}
 	if cfg.CacheCap > 0 {
@@ -202,7 +201,7 @@ func New(cfg Config) *Server {
 // ...) all survive — the histogram families merely grow _count, _bucket,
 // and quantile lines alongside them.
 func (s *Server) initMetrics() {
-	r := telemetry.NewRegistry("resilienced")
+	r := obs.NewRegistry("resilienced")
 	s.reg = r
 	s.cAdmitted = r.Counter("jobs_admitted_total")
 	s.cRejected = r.Counter("jobs_rejected_total")
@@ -229,7 +228,7 @@ func (s *Server) initMetrics() {
 	s.hVirtual = r.HistogramVec("solve_virtual_seconds", "scheme")
 	s.hWall = r.HistogramVec("solve_wall_seconds", "scheme")
 	s.hEnergy = r.HistogramVec("solve_energy_joules", "scheme")
-	r.Collector(func(e *telemetry.Expo) {
+	r.Collector(func(e *obs.Expo) {
 		s.mu.Lock()
 		rk := s.st.Ranks
 		s.mu.Unlock()
@@ -355,7 +354,7 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	reqID := telemetry.RequestID(w, r)
+	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -468,7 +467,7 @@ func Retryable(status int) bool {
 // default queue (2*Workers) holds, so a batch on an idle replica cannot
 // 429 itself and leaves room for interactive /solve traffic beside it.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := telemetry.RequestID(w, r)
+	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -641,7 +640,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 
 // TelemetrySnapshot returns the mergeable telemetry snapshot served on
 // /telemetry, for in-process consumers (tests, embedding programs).
-func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
+func (s *Server) TelemetrySnapshot() obs.Snapshot {
 	return s.reg.Snapshot()
 }
 
@@ -660,7 +659,7 @@ func (s *Server) WriteTrace(w io.Writer) error {
 	s.mu.Lock()
 	rec := s.lastRec
 	s.mu.Unlock()
-	return telemetry.WriteMergedChromeTrace(w, s.tracer.Spans(), rec, nil)
+	return obs.WriteChromeTrace(w, s.tracer.Spans(), rec, nil)
 }
 
 func retryAfterSeconds(d time.Duration) int {

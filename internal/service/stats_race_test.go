@@ -11,7 +11,7 @@ import (
 	"sync"
 	"testing"
 
-	"resilience/internal/telemetry"
+	"resilience/internal/obs"
 )
 
 // TestStatsScrapeDuringJobs hammers Stats(), /metrics and /telemetry
@@ -75,7 +75,7 @@ func TestStatsScrapeDuringJobs(t *testing.T) {
 						t.Errorf("%s: status %d", get, resp.StatusCode)
 					}
 					if get == "/telemetry" {
-						var snap telemetry.Snapshot
+						var snap obs.Snapshot
 						if err := json.Unmarshal(body, &snap); err != nil {
 							t.Errorf("telemetry snapshot: %v", err)
 						}

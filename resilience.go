@@ -36,7 +36,6 @@ import (
 	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/sparse"
-	"resilience/internal/trace"
 )
 
 // Matrix is a sparse matrix in CSR format.
@@ -52,15 +51,11 @@ type Report = core.RunReport
 // Fault is one injected fault event.
 type Fault = fault.Fault
 
-// Trace is a structured per-iteration event log (see NewTrace).
-type Trace = trace.Trace
-
-// NewTrace returns an empty trace to pass in SolveOptions.Trace.
-func NewTrace() *Trace { return trace.New() }
-
-// Recorder collects per-rank spans and counters during a solve (see
-// NewRecorder and SolveOptions.Observer). Export with
-// obs.WriteChromeTrace / obs.WriteMetricsCSV or read Metrics directly.
+// Recorder collects per-rank spans and counters during a solve, and the
+// run's event log — per-iteration residuals, faults, recoveries and
+// convergence (see NewRecorder and SolveOptions.Observer). Export with
+// obs.WriteChromeTrace / obs.WriteMetricsCSV / obs.WriteEventsCSV or read
+// Metrics and Events directly.
 type Recorder = obs.Recorder
 
 // NewRecorder returns an empty observability recorder to pass in
@@ -147,12 +142,9 @@ type SolveOptions struct {
 	Platform *Platform
 	// KeepPowerSegments retains the full power trace for profiles.
 	KeepPowerSegments bool
-	// Trace, when non-nil, receives structured per-iteration and fault/
-	// recovery events (CSV-exportable; see NewTrace).
-	Trace *Trace
-	// Observer, when non-nil, records per-rank spans and counters (see
-	// NewRecorder). Pair with KeepPowerSegments to get power counter
-	// tracks in the Chrome trace export.
+	// Observer, when non-nil, records per-rank spans and counters and the
+	// run's event log (see NewRecorder). Pair with KeepPowerSegments to
+	// get power counter tracks in the Chrome trace export.
 	Observer *Recorder
 	Seed     int64
 }
@@ -191,7 +183,6 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		Jacobi:       opts.Jacobi,
 		Overlap:      opts.Overlap,
 		KeepSegments: opts.KeepPowerSegments,
-		Trace:        opts.Trace,
 		Obs:          opts.Observer,
 		Seed:         opts.Seed,
 	}
@@ -203,7 +194,7 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		if opts.Faults > 0 {
 			// The schedule is anchored on the fault-free iteration count.
 			// The baseline run is internal scaffolding, shared across
-			// solves and kept out of the caller's trace and recorder.
+			// solves and kept out of the caller's recorder.
 			ffRep, err := systems.For(a, b).FaultFree(context.Background(), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("resilience: fault-free baseline: %w", err)

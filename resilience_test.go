@@ -1,15 +1,18 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"resilience/internal/core"
 	"resilience/internal/fault"
+	"resilience/internal/obs"
 )
 
 func TestSolveFaultFree(t *testing.T) {
@@ -456,7 +459,7 @@ func TestSolveBaselineUnconvergedIsAnError(t *testing.T) {
 
 // TestSolveBaselineNotServedToExplicitFF: only the internal scaffolding
 // baseline is shared. A caller's Scheme "FF" solve runs in full and
-// carries the caller's trace and recorder, memoised baseline or not.
+// carries the caller's recorder, memoised baseline or not.
 func TestSolveBaselineNotServedToExplicitFF(t *testing.T) {
 	freshSystems(t)
 	a := Laplacian2D(12)
@@ -464,8 +467,8 @@ func TestSolveBaselineNotServedToExplicitFF(t *testing.T) {
 	if _, err := Solve(a, b, SolveOptions{Scheme: "LI", Ranks: 4, Tol: 1e-9, Faults: 2}); err != nil {
 		t.Fatal(err)
 	}
-	tr, rec := NewTrace(), NewRecorder()
-	rep, err := Solve(a, b, SolveOptions{Scheme: "FF", Ranks: 4, Tol: 1e-9, Trace: tr, Observer: rec, Seed: 4})
+	rec := NewRecorder()
+	rep, err := Solve(a, b, SolveOptions{Scheme: "FF", Ranks: 4, Tol: 1e-9, Observer: rec, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,12 +476,34 @@ func TestSolveBaselineNotServedToExplicitFF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep == shared || rep.Obs != rec || rep.Seed != 4 || tr.Len() == 0 || len(rec.Metrics()) != 4 {
-		t.Errorf("explicit FF solve was served from the shared baseline (trace %d events, %d rank metrics)",
-			tr.Len(), len(rec.Metrics()))
+	if rep == shared || rep.Obs != rec || rep.Seed != 4 || len(rec.Events()) == 0 || len(rec.Metrics()) != 4 {
+		t.Errorf("explicit FF solve was served from the shared baseline (%d events, %d rank metrics)",
+			len(rec.Events()), len(rec.Metrics()))
 	}
 	if rep.Iters != shared.Iters || rep.Time != shared.Time {
 		t.Errorf("explicit FF (%d iters, %g s) disagrees with the shared baseline (%d, %g)",
 			rep.Iters, rep.Time, shared.Iters, shared.Time)
+	}
+}
+
+// TestSolveEventLogPinned: a facade solve's event log, read off the
+// Observer and CSV-encoded, is byte-identical to the committed golden.
+func TestSolveEventLogPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/solve_events.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Laplacian2D(8)
+	b, _ := RHS(a)
+	rec := NewRecorder()
+	if _, err := Solve(a, b, SolveOptions{Scheme: "LI-DVFS", Ranks: 4, Faults: 2, Tol: 1e-10, Seed: 3, Observer: rec}); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := obs.WriteEventsCSV(&got, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("event log differs from the golden:\n%s", got.Bytes())
 	}
 }
