@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,11 +26,12 @@ func main() {
 	b, _ := matgen.RHS(a)
 	plat := platform.Default()
 
+	sys := core.NewSystem(a, b)
 	cfg := core.RunConfig{
 		A: a, B: b, Ranks: 16, Plat: plat, Tol: 1e-12,
 		MaxIters: 40 * spec.TargetIters(matgen.CI), Seed: 1,
 	}
-	ff, err := core.Run(cfg)
+	ff, err := sys.FaultFree(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,9 +42,9 @@ func main() {
 		c := cfg
 		c.Scheme = spec
 		c.KeepSegments = keepSegs
-		ffIters := ff.Iters
-		c.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(10, ffIters, cfg.Ranks, fault.SNF, 1)
+		c, _, err := sys.Spread(context.Background(), c, 10, fault.SNF)
+		if err != nil {
+			log.Fatal(err)
 		}
 		rep, err := core.Run(c)
 		if err != nil {

@@ -310,7 +310,7 @@ func (s *Scenario) RunConfig(a *sparse.CSR, b []float64, keepSegments bool) (cor
 		Seed:         s.Seed,
 	}
 	if len(faults) > 0 {
-		cfg.InjectorFactory = func() fault.Injector { return fault.NewScheduleAt(faults) }
+		cfg.InjectorFactory = func() fault.Injector { return fault.NewSchedule(faults) }
 	}
 	return cfg, nil
 }

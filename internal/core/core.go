@@ -86,7 +86,9 @@ type RunConfig struct {
 	// deterministic and identical (same seed). Nil means fault-free.
 	InjectorFactory func() fault.Injector
 
-	Tol      float64
+	// Tol is the relative-residual target; zero means the paper's 1e-12.
+	Tol float64
+	// MaxIters caps executed iterations; zero means 10 x the row count.
 	MaxIters int
 	// Jacobi enables diagonal preconditioning of the distributed CG
 	// (extension beyond the paper).
@@ -282,6 +284,9 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 		if f == nil {
 			break
 		}
+		if f.Rank < 0 || f.Rank >= it.C.Size() {
+			return false, fmt.Errorf("core: %v strikes no rank of a %d-rank run", *f, it.C.Size())
+		}
 		m.faults = append(m.faults, *f)
 		if m.events != nil {
 			m.events.Event(obs.Event{Kind: obs.FaultEvent, Iter: it.K, Rank: f.Rank, Clock: clock, Fault: *f})
@@ -389,8 +394,13 @@ func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	return checkpoint.YoungPolicy(tC, s.CkptMTBF, iterSec), nil
 }
 
-// resolve validates the system and rank count and fills in the platform
-// and tolerance defaults, so that two configurations that spell a default
+// defaultTol is the relative-residual target of a run that names none: the
+// paper's.
+const defaultTol = 1e-12
+
+// resolve validates the system and rank count and fills in the platform,
+// tolerance and iteration-cap defaults — the only place a solver default
+// is applied — so that two configurations that spell a default
 // differently compare equal (System keys its baselines on that).
 func (cfg *RunConfig) resolve() error {
 	if cfg.A == nil || cfg.A.Rows != cfg.A.Cols || len(cfg.B) != cfg.A.Rows {
@@ -406,7 +416,10 @@ func (cfg *RunConfig) resolve() error {
 		return err
 	}
 	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-12
+		cfg.Tol = defaultTol
+	}
+	if cfg.MaxIters <= 0 {
+		cfg.MaxIters = 10 * cfg.A.Rows
 	}
 	return nil
 }

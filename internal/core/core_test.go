@@ -96,7 +96,7 @@ func TestAllSchemesRecover(t *testing.T) {
 			c := cfg
 			c.Scheme = spec
 			c.InjectorFactory = func() fault.Injector {
-				return fault.NewSchedule(3, ffIters, c.Ranks, fault.SNF, 42)
+				return fault.NewSchedule(fault.Evenly(3, ffIters, c.Ranks, 42, fault.SNF))
 			}
 			rep, err := Run(c)
 			if err != nil {
@@ -128,7 +128,7 @@ func TestRDMatchesFaultFree(t *testing.T) {
 	c := cfg
 	c.Scheme = SchemeSpec{Kind: RD}
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(3, ff.Iters, c.Ranks, fault.SNF, 42)
+		return fault.NewSchedule(fault.Evenly(3, ff.Iters, c.Ranks, 42, fault.SNF))
 	}
 	rd, err := Run(c)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestForwardRecoveryBeatsF0(t *testing.T) {
 		c := cfg
 		c.Scheme = spec
 		c.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(5, ffIters, c.Ranks, fault.SNF, 7)
+			return fault.NewSchedule(fault.Evenly(5, ffIters, c.Ranks, 7, fault.SNF))
 		}
 		rep, err := Run(c)
 		if err != nil {
@@ -185,7 +185,7 @@ func TestCheckpointCountAndRollback(t *testing.T) {
 	c := cfg
 	c.Scheme = SchemeSpec{Kind: CRM, CkptEvery: 20}
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(2, ffIters, c.Ranks, fault.SNF, 3)
+		return fault.NewSchedule(fault.Evenly(2, ffIters, c.Ranks, 3, fault.SNF))
 	}
 	rep, err := Run(c)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestDVFSReducesEnergy(t *testing.T) {
 		c := cfg
 		c.Scheme = SchemeSpec{Kind: LI, Construct: recovery.ConstructExact, DVFS: dvfs}
 		c.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(5, ffIters, c.Ranks, fault.SNF, 11)
+			return fault.NewSchedule(fault.Evenly(5, ffIters, c.Ranks, 11, fault.SNF))
 		}
 		rep, err := Run(c)
 		if err != nil {
@@ -263,7 +263,7 @@ func TestSimultaneousFaults(t *testing.T) {
 	c.Scheme = SchemeSpec{Kind: LI}
 	c.InjectorFactory = func() fault.Injector {
 		// ffIters=1 forces all scheduled iterations to collapse to 1.
-		return fault.NewSchedule(3, 1, c.Ranks, fault.SNF, 5)
+		return fault.NewSchedule(fault.Evenly(3, 1, c.Ranks, 5, fault.SNF))
 	}
 	rep, err := Run(c)
 	if err != nil {
@@ -303,7 +303,7 @@ func TestSDCDetectionDelay(t *testing.T) {
 		c.Scheme = SchemeSpec{Kind: LI}
 		c.DetectDelay = delay
 		c.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(2, ffIters, c.Ranks, fault.SDC, 13)
+			return fault.NewSchedule(fault.Evenly(2, ffIters, c.Ranks, 13, fault.SDC))
 		}
 		rep, err := Run(c)
 		if err != nil {
@@ -326,8 +326,7 @@ func TestCR2LScheme(t *testing.T) {
 	c := cfg
 	c.Scheme = SchemeSpec{Kind: CR2L, CkptEvery: 10, DiskEvery: 40}
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewScheduleClasses(4, ffIters, c.Ranks,
-			[]fault.Class{fault.SNF, fault.SWO}, 17)
+		return fault.NewSchedule(fault.Evenly(4, ffIters, c.Ranks, 17, fault.SNF, fault.SWO))
 	}
 	rep, err := Run(c)
 	if err != nil {
@@ -362,10 +361,23 @@ func TestRunRejectsInvalidConfigs(t *testing.T) {
 func TestRunRejectsFaultsWithoutScheme(t *testing.T) {
 	cfg, _ := testSystem(t)
 	cfg.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(1, 10, cfg.Ranks, fault.SNF, 1)
+		return fault.NewSchedule(fault.Evenly(1, 10, cfg.Ranks, 1, fault.SNF))
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Error("FF with injector must be a configuration error")
+	}
+}
+
+// TestRunRejectsFaultOnMissingRank: a fault that fires naming a rank the
+// run does not have is an error, not a fault that strikes nobody.
+func TestRunRejectsFaultOnMissingRank(t *testing.T) {
+	cfg, _ := testSystem(t)
+	cfg.Scheme = SchemeSpec{Kind: F0}
+	cfg.InjectorFactory = func() fault.Injector {
+		return fault.NewSchedule([]fault.Fault{{Class: fault.SNF, Rank: cfg.Ranks, Iter: 5}})
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "strikes no rank") {
+		t.Errorf("fault on rank %d of %d: err = %v", cfg.Ranks, cfg.Ranks, err)
 	}
 }
 
@@ -378,7 +390,7 @@ func TestYoungPolicyResolution(t *testing.T) {
 	c := cfg
 	c.Scheme = SchemeSpec{Kind: CRD, CkptMTBF: ff.Time / 3}
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(3, ff.Iters, c.Ranks, fault.SNF, 2)
+		return fault.NewSchedule(fault.Evenly(3, ff.Iters, c.Ranks, 2, fault.SNF))
 	}
 	rep, err := Run(c)
 	if err != nil {
@@ -399,7 +411,7 @@ func TestDalyPolicyResolution(t *testing.T) {
 	c := cfg
 	c.Scheme = SchemeSpec{Kind: CRD, CkptMTBF: ff.Time / 3, UseDaly: true}
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(3, ff.Iters, c.Ranks, fault.SNF, 2)
+		return fault.NewSchedule(fault.Evenly(3, ff.Iters, c.Ranks, 2, fault.SNF))
 	}
 	rep, err := Run(c)
 	if err != nil {
@@ -468,7 +480,7 @@ func TestTraceRecordsRun(t *testing.T) {
 	cfg.Obs = rec
 	cfg.Scheme = SchemeSpec{Kind: LI}
 	cfg.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(2, 40, cfg.Ranks, fault.SNF, 3)
+		return fault.NewSchedule(fault.Evenly(2, 40, cfg.Ranks, 3, fault.SNF))
 	}
 	rep, err := Run(cfg)
 	if err != nil {
@@ -508,7 +520,7 @@ func TestLateDetectedSDCLogsRecovery(t *testing.T) {
 	cfg.Scheme = SchemeSpec{Kind: LI}
 	cfg.DetectDelay = 3
 	cfg.InjectorFactory = func() fault.Injector {
-		return fault.NewScheduleAt([]fault.Fault{{Class: fault.SDC, Rank: 2, Iter: 10}})
+		return fault.NewSchedule([]fault.Fault{{Class: fault.SDC, Rank: 2, Iter: 10}})
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -608,7 +620,7 @@ func TestMonitorBoundaryAllocatesNothing(t *testing.T) {
 	mon := &resMonitor{
 		cfg:      &cfg,
 		scheme:   &recovery.CR{Store: checkpoint.MemStore{Plat: cfg.Plat}, Policy: checkpoint.FixedPolicy(1000)},
-		injector: fault.NewSingle(500, 0, fault.SNF),
+		injector: fault.NewSchedule([]fault.Fault{{Class: fault.SNF, Rank: 0, Iter: 500}}),
 	}
 	var before, after float64
 	_, err := cluster.Run(1, cfg.Plat, power.NewMeter(false), func(c *cluster.Comm) error {
@@ -644,7 +656,7 @@ func TestLSIReportPinned(t *testing.T) {
 	cfg, _ := testSystem(t)
 	cfg.Scheme = SchemeSpec{Kind: LSI, DVFS: true}
 	cfg.InjectorFactory = func() fault.Injector {
-		return fault.NewScheduleAt([]fault.Fault{
+		return fault.NewSchedule([]fault.Fault{
 			{Class: fault.SNF, Rank: 1, Iter: 9},
 			{Class: fault.LNF, Rank: 3, Iter: 21},
 		})

@@ -36,7 +36,7 @@ func pinnedEventRuns(t *testing.T) []byte {
 			A: a, B: b, Ranks: 4, Plat: platform.Default(), Scheme: spec,
 			Tol: 1e-10, MaxIters: 400, Seed: 5, Obs: rec,
 			InjectorFactory: func() fault.Injector {
-				return fault.NewScheduleAt([]fault.Fault{
+				return fault.NewSchedule([]fault.Fault{
 					{Class: fault.SNF, Rank: 1, Iter: 3},
 					{Class: fault.SDC, Rank: 2, Iter: 7},
 				})

@@ -59,7 +59,7 @@ func TestMultiRankSameIterationFailures(t *testing.T) {
 					MaxIters: 1500,
 					Seed:     11,
 					InjectorFactory: func() fault.Injector {
-						return fault.NewScheduleAt(fs)
+						return fault.NewSchedule(fs)
 					},
 				})
 				if err != nil {

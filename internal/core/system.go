@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"resilience/internal/fault"
 	"resilience/internal/platform"
 	"resilience/internal/sparse"
 )
@@ -67,14 +68,13 @@ type baselineCall struct {
 }
 
 // FaultFree returns the fault-free baseline of the system under cfg's
-// ranks, tolerance, iteration cap (as given: zero, the solver's default,
-// is its own key), preconditioning, overlap mode and platform; every
-// other field of cfg is ignored. Concurrent calls for one configuration
-// share a single run, and a converged report is memoised, so callers
-// must treat it as read-only. Errors are never memoised, and neither is
-// a report with Converged false: it is returned for the caller to
-// reject, not kept as an anchor. ctx cancels only the caller's own wait
-// or run; a waiter whose leader was cancelled retries.
+// resolved ranks, tolerance, iteration cap, preconditioning, overlap mode
+// and platform; every other field of cfg is ignored. Concurrent calls for
+// one configuration share a single run, and a converged report is
+// memoised, so callers must treat it as read-only. Errors are never
+// memoised, and neither is a report with Converged false: it is returned
+// for the caller to reject, not kept as an anchor. ctx cancels only the
+// caller's own wait or run; a waiter whose leader was cancelled retries.
 func (s *System) FaultFree(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	ff := RunConfig{
 		A: s.A, B: s.B,
@@ -108,6 +108,38 @@ func (s *System) FaultFree(ctx context.Context, cfg RunConfig) (*RunReport, erro
 			return c.rep, c.err
 		}
 	}
+}
+
+// Spread installs the paper's Section 5.2 fault protocol on cfg and
+// returns the configured run with the baseline it is anchored on. The n
+// faults fall evenly over the fault-free iteration count of this system
+// under cfg's solver configuration (fault.Evenly: classes cycled, ranks
+// drawn from cfg.Seed), and a checkpointing scheme given neither
+// CkptEvery nor CkptMTBF takes Young's interval at MTBF = T_ff / n. A
+// fault-free scheme gets no faults, so Spread on one returns the checked
+// baseline alone. An unconverged baseline is an error: it cannot anchor a
+// schedule or an interval. The baseline is shared and read-only.
+func (s *System) Spread(ctx context.Context, cfg RunConfig, n int, classes ...fault.Class) (RunConfig, *RunReport, error) {
+	ff, err := s.FaultFree(ctx, cfg)
+	if err != nil {
+		return cfg, nil, fmt.Errorf("fault-free baseline: %w", err)
+	}
+	if !ff.Converged {
+		return cfg, nil, fmt.Errorf("fault-free baseline did not converge (relres %g after %d iters)", ff.RelRes, ff.Iters)
+	}
+	cfg.A, cfg.B = s.A, s.B
+	if cfg.Scheme.Kind == FF {
+		return cfg, ff, nil
+	}
+	if n < 0 || len(classes) == 0 || ff.Iters < 1 {
+		return cfg, nil, fmt.Errorf("core: cannot spread %d faults of classes %v over %d fault-free iterations", n, classes, ff.Iters)
+	}
+	faults := fault.Evenly(n, ff.Iters, cfg.Ranks, cfg.Seed, classes...)
+	cfg.InjectorFactory = func() fault.Injector { return fault.NewSchedule(faults) }
+	if sc := &cfg.Scheme; sc.Checkpoints() && sc.CkptEvery == 0 && sc.CkptMTBF == 0 {
+		sc.CkptMTBF = ff.Time / float64(n)
+	}
+	return cfg, ff, nil
 }
 
 // lead runs the baseline for call c and publishes the outcome. Anything

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
@@ -137,6 +139,85 @@ func TestFaultFreeKeyedOnEveryResolvedInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		bitEqualReports(t, name, rep, own)
+	}
+}
+
+// TestFaultFreeKeysResolvedIterationCap: the iteration cap is keyed after
+// resolution, so leaving it zero and spelling out its default (10 x rows)
+// name one baseline.
+func TestFaultFreeKeysResolvedIterationCap(t *testing.T) {
+	cfg, _ := testSystem(t)
+	sys := NewSystem(cfg.A, cfg.B)
+	cfg.MaxIters = 0
+	zero, err := sys.FaultFree(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxIters = 10 * cfg.A.Rows
+	spelled, err := sys.FaultFree(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spelled != zero || sys.BaselineRuns() != 1 {
+		t.Errorf("MaxIters 0 and %d started %d baselines, want 1", cfg.MaxIters, sys.BaselineRuns())
+	}
+}
+
+// TestSpread: the Section 5.2 protocol in one place — the evenly placed
+// schedule on the shared baseline, Young's MTBF only where the scheme
+// names no interval, nothing for a fault-free scheme, and an error for an
+// unconverged baseline.
+func TestSpread(t *testing.T) {
+	cfg, _ := testSystem(t)
+	sys := NewSystem(cfg.A, cfg.B)
+	ctx := context.Background()
+	classes := []fault.Class{fault.SNF, fault.SWO}
+
+	cfg.Scheme = SchemeSpec{Kind: CRM}
+	got, ff, err := sys.Spread(ctx, cfg, 4, classes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ff.Time / 4; got.Scheme.CkptMTBF != want {
+		t.Errorf("CkptMTBF %g, want T_ff/4 = %g", got.Scheme.CkptMTBF, want)
+	}
+	rep, err := Run(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fault.Evenly(4, ff.Iters, cfg.Ranks, cfg.Seed, classes...)
+	if len(rep.Faults) != len(want) {
+		t.Fatalf("%d faults injected, want %d", len(rep.Faults), len(want))
+	}
+	for i, f := range rep.Faults {
+		if f.Class != want[i].Class || f.Rank != want[i].Rank || f.Iter != want[i].Iter {
+			t.Errorf("fault %d: %v, want %v", i, f, want[i])
+		}
+	}
+
+	for _, spec := range []SchemeSpec{{Kind: CRM, CkptEvery: 7}, {Kind: CRM, CkptMTBF: 0.5}, {Kind: LI}} {
+		cfg.Scheme = spec
+		got, _, err := sys.Spread(ctx, cfg, 4, fault.SNF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Scheme != spec || got.InjectorFactory == nil {
+			t.Errorf("%+v: scheme became %+v, injector %t", spec, got.Scheme, got.InjectorFactory != nil)
+		}
+	}
+	cfg.Scheme = SchemeSpec{}
+	if got, _, err := sys.Spread(ctx, cfg, 4, fault.SNF); err != nil || got.InjectorFactory != nil {
+		t.Errorf("fault-free scheme: injector %t, err %v", got.InjectorFactory != nil, err)
+	}
+	if n := sys.BaselineRuns(); n != 1 {
+		t.Errorf("%d baseline runs, want 1", n)
+	}
+
+	cfg.Scheme = SchemeSpec{Kind: LI}
+	cfg.MaxIters = 5
+	if _, _, err := sys.Spread(ctx, cfg, 4, fault.SNF); err == nil ||
+		!strings.Contains(err.Error(), "fault-free baseline did not converge") {
+		t.Errorf("unconverged baseline: err = %v", err)
 	}
 }
 

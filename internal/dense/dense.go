@@ -1,5 +1,5 @@
 // Package dense provides the dense linear algebra the recovery baselines
-// need: Cholesky and LU factorizations for the LU-based LI scheme, and
+// need: LU with partial pivoting for the LU-based LI scheme and
 // Householder QR for the QR-based LSI scheme (the "previous work"
 // baselines the paper's Section 4 optimizations are compared against).
 package dense

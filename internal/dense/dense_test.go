@@ -92,63 +92,6 @@ func TestMulTransVecAgainstTranspose(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 20, 50} {
-		a := randomSPD(n, int64(n))
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = float64(i%3) - 1
-		}
-		b := make([]float64, n)
-		a.MulVec(b, want)
-		x := append([]float64(nil), b...)
-		if err := ch.Solve(x); err != nil {
-			t.Fatal(err)
-		}
-		if r := residual(a, x, b); r > 1e-10 {
-			t.Errorf("n=%d residual %g", n, r)
-		}
-	}
-}
-
-func TestCholeskyReconstructsA(t *testing.T) {
-	a := randomSPD(8, 3)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L*Lᵀ must equal A (lower triangle check suffices by symmetry).
-	for i := 0; i < 8; i++ {
-		for j := 0; j <= i; j++ {
-			var s float64
-			for k := 0; k <= j; k++ {
-				s += ch.L.At(i, k) * ch.L.At(j, k)
-			}
-			if math.Abs(s-a.At(i, j)) > 1e-9*math.Abs(a.At(i, j)) {
-				t.Fatalf("LLᵀ(%d,%d)=%g want %g", i, j, s, a.At(i, j))
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 1) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Errorf("want ErrNotPositiveDefinite, got %v", err)
-	}
-	if _, err := NewCholesky(NewMatrix(2, 3)); err == nil {
-		t.Error("non-square accepted")
-	}
-}
-
 func TestLUSolve(t *testing.T) {
 	for _, n := range []int{1, 3, 10, 40} {
 		a := randomMatrix(n, n, int64(100+n))
@@ -298,17 +241,10 @@ func TestQRRejectsWide(t *testing.T) {
 
 func TestFlopCountsPositive(t *testing.T) {
 	a := randomSPD(5, 1)
-	ch, _ := NewCholesky(a)
 	lu, _ := NewLU(a)
 	qr, _ := NewQR(a)
-	if ch.FactorFlops() <= 0 || ch.SolveFlops() <= 0 ||
-		lu.FactorFlops() <= 0 || lu.SolveFlops() <= 0 ||
+	if lu.FactorFlops() <= 0 || lu.SolveFlops() <= 0 ||
 		qr.FactorFlops() <= 0 || qr.SolveFlops() <= 0 {
 		t.Error("flop counts must be positive")
-	}
-	// LU costs ~2x Cholesky on the same size (integer division of the
-	// cubic terms can be off by one).
-	if d := lu.FactorFlops() - 2*ch.FactorFlops(); d < -2 || d > 2 {
-		t.Errorf("LU %d vs Cholesky %d flops", lu.FactorFlops(), ch.FactorFlops())
 	}
 }

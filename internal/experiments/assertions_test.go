@@ -331,3 +331,30 @@ func TestRunnersHaveTitlesAndOrder(t *testing.T) {
 		t.Error("fig9 must precede the ablations")
 	}
 }
+
+// TestFig6SingleFaultAnySeed: fig6(a)'s one fault strikes a rank of the
+// run for every seed, negative ones included (a negative seed once named
+// rank -1, which no rank answers to, so the fault struck nobody).
+func TestFig6SingleFaultAnySeed(t *testing.T) {
+	for _, seed := range []int64{-1, -9, 0, 3} {
+		cfg := tinyCfg()
+		cfg.Seed = seed
+		s, err := cfg.loadSystem("Kuu")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks := cfg.baseConfig(s).Ranks
+		for _, spec := range cfg.schemeSet() {
+			rep, err := runWithSingleFault(cfg, s, spec, 5)
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, spec.Name(), err)
+			}
+			if len(rep.Faults) != 1 {
+				t.Fatalf("seed %d, %s: %d faults, want 1", seed, spec.Name(), len(rep.Faults))
+			}
+			if r := rep.Faults[0].Rank; r < 0 || r >= ranks {
+				t.Errorf("seed %d, %s: fault on rank %d of %d", seed, spec.Name(), r, ranks)
+			}
+		}
+	}
+}

@@ -237,39 +237,30 @@ func (c Config) faultFree(s *system) (*core.RunReport, error) {
 // solver variant (ranks, overlap, preconditioning), computing it exactly
 // once even under concurrent cells.
 func (s *system) faultFree(rc core.RunConfig) (*core.RunReport, error) {
-	r, err := s.sys.FaultFree(context.Background(), rc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: FF baseline for %s: %w", s.spec.Name, err)
-	}
-	if !r.Converged {
-		return nil, fmt.Errorf("experiments: FF baseline for %s did not converge (relres %g after %d iters)",
-			s.spec.Name, r.RelRes, r.Iters)
-	}
-	return r, nil
+	rc.Scheme = core.SchemeSpec{}
+	_, ff, err := s.spread(rc, 0)
+	return ff, err
 }
 
-// runScheme executes one scheme with the standard evenly-spaced fault
-// schedule derived from the fault-free iteration count.
-func (c Config) runScheme(s *system, spec core.SchemeSpec, keepSegs bool) (*core.RunReport, error) {
-	ff, err := c.faultFree(s)
+// spread installs the paper's evenly spaced n-fault schedule on rc (see
+// core.System.Spread).
+func (s *system) spread(rc core.RunConfig, n int, classes ...fault.Class) (core.RunConfig, *core.RunReport, error) {
+	rc, ff, err := s.sys.Spread(context.Background(), rc, n, classes...)
 	if err != nil {
-		return nil, err
+		return rc, nil, fmt.Errorf("experiments: %s on %s: %w", rc.Scheme.Name(), s.spec.Name, err)
 	}
+	return rc, ff, nil
+}
+
+// runScheme executes one scheme under the standard schedule: the config's
+// fault count of node failures, spread evenly.
+func (c Config) runScheme(s *system, spec core.SchemeSpec, keepSegs bool) (*core.RunReport, error) {
 	rc := c.baseConfig(s)
 	rc.Scheme = spec
 	rc.KeepSegments = keepSegs
-	if spec.Kind != core.FF {
-		ffIters := ff.Iters
-		nFaults := c.Faults
-		ranks := rc.Ranks
-		seed := c.Seed
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(nFaults, ffIters, ranks, fault.SNF, seed)
-		}
-		// Young-policy CR needs the failure rate the schedule implies.
-		if spec.Checkpoints() && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
-			rc.Scheme.CkptMTBF = ff.Time / float64(nFaults)
-		}
+	rc, _, err := s.spread(rc, c.Faults, fault.SNF)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := core.Run(rc)
 	if err != nil {

@@ -49,12 +49,9 @@ func runAblationMultilevel(cfg Config) (*Result, error) {
 	err = cfg.runCells(len(specs), func(i int) error {
 		rc := cfg.baseConfig(s)
 		rc.Scheme = specs[i]
-		ffIters := ff.Iters
-		ranks := rc.Ranks
-		seed := cfg.Seed
-		nFaults := cfg.Faults
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewScheduleClasses(nFaults, ffIters, ranks, classes, seed)
+		rc, _, err := s.spread(rc, cfg.Faults, classes...)
+		if err != nil {
+			return err
 		}
 		rep, err := core.Run(rc)
 		if err != nil {
@@ -115,11 +112,9 @@ func runAblationSDC(cfg Config) (*Result, error) {
 		rc := cfg.baseConfig(s)
 		rc.Scheme = core.SchemeSpec{Kind: core.LI}
 		rc.DetectDelay = delays[i]
-		ffIters := ff.Iters
-		ranks := rc.Ranks
-		seed := cfg.Seed
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(nFaults, ffIters, ranks, fault.SDC, seed)
+		rc, _, err := s.spread(rc, nFaults, fault.SDC)
+		if err != nil {
+			return err
 		}
 		rep, err := core.Run(rc)
 		if err != nil {
@@ -206,9 +201,7 @@ type variantReport struct {
 }
 
 func runVariant(s *system, plat *platform.Platform, ranks int, tol float64, pipelined bool) (*variantReport, error) {
-	if tol <= 0 {
-		tol = 1e-10
-	}
+	opts := solver.Options{Tol: tol, MaxIters: 10 * s.a.Rows}
 	part := sparse.NewPartition(s.a.Rows, ranks)
 	meter := power.NewMeter(false)
 	results := make([]*solver.Result, ranks)
@@ -216,9 +209,9 @@ func runVariant(s *system, plat *platform.Platform, ranks int, tol float64, pipe
 		var res *solver.Result
 		var err error
 		if pipelined {
-			res, err = solver.PipelinedCG(c, s.a, s.b, part, solver.Options{Tol: tol})
+			res, err = solver.PipelinedCG(c, s.a, s.b, part, opts)
 		} else {
-			res, err = solver.CG(c, s.a, s.b, part, solver.Options{Tol: tol})
+			res, err = solver.CG(c, s.a, s.b, part, opts)
 		}
 		if err != nil {
 			return err

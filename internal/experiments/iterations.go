@@ -253,15 +253,16 @@ func runFig6(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// runWithSingleFault runs one scheme with exactly one fault at iter.
+// runWithSingleFault runs one scheme with exactly one node failure at
+// iter, on the rank the seed names.
 func runWithSingleFault(cfg Config, s *system, spec core.SchemeSpec, iter int) (*core.RunReport, error) {
 	rc := cfg.baseConfig(s)
 	rc.Scheme = spec
 	if spec.Kind != core.FF {
-		ranks := rc.Ranks
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewSingle(iter, int(cfg.Seed)%ranks, fault.SNF)
-		}
+		// A non-negative residue: a negative seed must still name a rank.
+		rank := (int(cfg.Seed)%rc.Ranks + rc.Ranks) % rc.Ranks
+		faults := []fault.Fault{{Class: fault.SNF, Rank: rank, Iter: iter}}
+		rc.InjectorFactory = func() fault.Injector { return fault.NewSchedule(faults) }
 		if spec.Checkpoints() && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
 			rc.Scheme.CkptEvery = 100
 		}

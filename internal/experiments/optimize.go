@@ -49,12 +49,9 @@ func runAblationPCG(cfg Config) (*Result, error) {
 		rc := cfg.baseConfig(s)
 		rc.Jacobi = variants[vi]
 		rc.Scheme = schemes[si]
-		ffIters := ffs[vi].Iters
-		ranks := rc.Ranks
-		seed := cfg.Seed
-		nFaults := cfg.Faults
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewSchedule(nFaults, ffIters, ranks, fault.SNF, seed)
+		rc, _, err := s.spread(rc, cfg.Faults, fault.SNF)
+		if err != nil {
+			return err
 		}
 		rep, err := core.Run(rc)
 		if err != nil {
@@ -163,7 +160,8 @@ func runAblationInterval(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mtbf := ff.Time / float64(cfg.Faults)
+	// The Young and Daly rows take their MTBF, T_ff / faults, from the
+	// schedule.
 	specs := []struct {
 		label string
 		spec  core.SchemeSpec
@@ -171,8 +169,8 @@ func runAblationInterval(cfg Config) (*Result, error) {
 		{"fixed-25", core.SchemeSpec{Kind: core.CRD, CkptEvery: 25}},
 		{"fixed-100", core.SchemeSpec{Kind: core.CRD, CkptEvery: 100}},
 		{"fixed-400", core.SchemeSpec{Kind: core.CRD, CkptEvery: 400}},
-		{"young", core.SchemeSpec{Kind: core.CRD, CkptMTBF: mtbf}},
-		{"daly", core.SchemeSpec{Kind: core.CRD, CkptMTBF: mtbf, UseDaly: true}},
+		{"young", core.SchemeSpec{Kind: core.CRD}},
+		{"daly", core.SchemeSpec{Kind: core.CRD, UseDaly: true}},
 	}
 	reps := make([]*core.RunReport, len(specs))
 	err = cfg.runCells(len(specs), func(i int) error {

@@ -135,8 +135,7 @@ func TestTechDegradationSoftWorse(t *testing.T) {
 // --- injectors ---------------------------------------------------------
 
 func TestScheduleEvenSpacing(t *testing.T) {
-	s := NewSchedule(10, 1100, 8, SNF, 1)
-	faults := s.Faults()
+	faults := Evenly(10, 1100, 8, 1, SNF)
 	if len(faults) != 10 {
 		t.Fatalf("%d faults", len(faults))
 	}
@@ -152,7 +151,7 @@ func TestScheduleEvenSpacing(t *testing.T) {
 }
 
 func TestScheduleCheckFiresOnce(t *testing.T) {
-	s := NewSchedule(2, 100, 4, SNF, 1)
+	s := NewSchedule(Evenly(2, 100, 4, 1, SNF))
 	fired := 0
 	for iter := 0; iter <= 200; iter++ {
 		if f := s.Check(iter, float64(iter)); f != nil {
@@ -165,14 +164,11 @@ func TestScheduleCheckFiresOnce(t *testing.T) {
 	if fired != 2 {
 		t.Errorf("fired %d", fired)
 	}
-	if s.Remaining() != 0 {
-		t.Errorf("remaining %d", s.Remaining())
-	}
 }
 
 func TestScheduleDeterministic(t *testing.T) {
-	a := NewSchedule(5, 500, 16, SNF, 42).Faults()
-	b := NewSchedule(5, 500, 16, SNF, 42).Faults()
+	a := Evenly(5, 500, 16, 42, SNF)
+	b := Evenly(5, 500, 16, 42, SNF)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("schedules differ for same seed")
@@ -180,8 +176,8 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestNewSingle(t *testing.T) {
-	s := NewSingle(200, 3, SDC)
+func TestScheduleSingleFault(t *testing.T) {
+	s := NewSchedule([]Fault{{Class: SDC, Rank: 3, Iter: 200}})
 	if f := s.Check(100, 0); f != nil {
 		t.Error("fired early")
 	}
@@ -225,9 +221,6 @@ func TestPoissonLimit(t *testing.T) {
 	if count != 3 {
 		t.Errorf("limit ignored: %d faults", count)
 	}
-	if p.Remaining() != 0 {
-		t.Errorf("remaining %d", p.Remaining())
-	}
 }
 
 func TestPoissonAtMostOnePerCheck(t *testing.T) {
@@ -242,10 +235,12 @@ func TestPoissonAtMostOnePerCheck(t *testing.T) {
 	}
 }
 
-func TestNoneInjector(t *testing.T) {
-	var n None
-	if n.Check(0, 0) != nil || n.Remaining() != 0 {
-		t.Error("None must never fire")
+func TestEmptyScheduleNeverFires(t *testing.T) {
+	s := NewSchedule(nil)
+	for iter := 0; iter < 100; iter++ {
+		if s.Check(iter, float64(iter)) != nil {
+			t.Fatal("an empty schedule fired")
+		}
 	}
 }
 
@@ -254,8 +249,7 @@ func TestQuickScheduleSorted(t *testing.T) {
 	f := func(seed int64) bool {
 		count := 1 + int(seed%9+9)%9
 		ff := 10 + int(seed%991+991)%991
-		s := NewSchedule(count, ff, 4, SNF, seed)
-		faults := s.Faults()
+		faults := Evenly(count, ff, 4, seed, SNF)
 		prev := 0
 		for _, fa := range faults {
 			if fa.Iter < prev || fa.Iter < 1 || fa.Iter > ff {
@@ -272,8 +266,7 @@ func TestQuickScheduleSorted(t *testing.T) {
 
 func TestScheduleClasses(t *testing.T) {
 	classes := []Class{SNF, SNF, SWO}
-	s := NewScheduleClasses(7, 700, 4, classes, 1)
-	faults := s.Faults()
+	faults := Evenly(7, 700, 4, 1, classes...)
 	if len(faults) != 7 {
 		t.Fatalf("%d faults", len(faults))
 	}
@@ -290,7 +283,7 @@ func TestScheduleClassesPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewScheduleClasses(3, 100, 2, nil, 1)
+	Evenly(3, 100, 2, 1)
 }
 
 func TestExpHours(t *testing.T) {

@@ -16,34 +16,20 @@ import (
 type Injector interface {
 	// Check returns the fault striking at this iteration, or nil.
 	Check(iter int, clock float64) *Fault
-	// Remaining returns how many more faults this injector can produce
-	// (a negative value means unbounded).
-	Remaining() int
 }
 
-// None is an injector that never fires (fault-free baseline).
-type None struct{}
-
-// Check implements Injector.
-func (None) Check(int, float64) *Fault { return nil }
-
-// Remaining implements Injector.
-func (None) Remaining() int { return 0 }
-
-// Schedule injects faults at predetermined iterations, the paper's
-// Section 5.2 protocol: "10 faults are inserted evenly over the iterations
-// required by the fault free execution (no more faults inserted after the
-// fault free execution converges)".
-type Schedule struct {
-	faults []Fault
-	next   int
-}
-
-// NewSchedule spreads `count` faults evenly over [1, ffIters], assigning
-// each to a deterministic pseudo-random rank in [0, ranks).
-func NewSchedule(count, ffIters, ranks int, class Class, seed int64) *Schedule {
-	if count < 0 || ffIters <= 0 || ranks <= 0 {
-		panic(fmt.Sprintf("fault: bad schedule count=%d ffIters=%d ranks=%d", count, ffIters, ranks))
+// Evenly places count faults the paper's Section 5.2 way: "10 faults are
+// inserted evenly over the iterations required by the fault free
+// execution (no more faults inserted after the fault free execution
+// converges)". The faults fall at evenly spaced iterations of [1,
+// ffIters], each on a deterministic pseudo-random rank in [0, ranks)
+// drawn from seed, with the class cycling through classes (one class for
+// a uniform workload; several for a mix such as mostly node failures with
+// an occasional system-wide outage).
+func Evenly(count, ffIters, ranks int, seed int64, classes ...Class) []Fault {
+	if count < 0 || ffIters <= 0 || ranks <= 0 || len(classes) == 0 {
+		panic(fmt.Sprintf("fault: bad even placement count=%d ffIters=%d ranks=%d classes=%v",
+			count, ffIters, ranks, classes))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	faults := make([]Fault, 0, count)
@@ -53,39 +39,27 @@ func NewSchedule(count, ffIters, ranks int, class Class, seed int64) *Schedule {
 			iter = 1
 		}
 		faults = append(faults, Fault{
-			Class: class,
+			Class: classes[(i-1)%len(classes)],
 			Rank:  rng.Intn(ranks),
 			Iter:  iter,
 		})
 	}
-	// Evenly spaced iterations are already sorted; keep the invariant
-	// explicit for safety with tiny ffIters where divisions collide.
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].Iter < faults[j].Iter })
-	return &Schedule{faults: faults}
+	return faults
 }
 
-// NewScheduleClasses spreads `count` faults evenly like NewSchedule but
-// cycles the fault class through the given list, producing mixed-class
-// workloads (e.g. mostly node failures with occasional system-wide
-// outages) for the multi-level checkpointing studies.
-func NewScheduleClasses(count, ffIters, ranks int, classes []Class, seed int64) *Schedule {
-	if len(classes) == 0 {
-		panic("fault: NewScheduleClasses needs at least one class")
-	}
-	s := NewSchedule(count, ffIters, ranks, classes[0], seed)
-	for i := range s.faults {
-		s.faults[i].Class = classes[i%len(classes)]
-	}
-	return s
+// Schedule injects exactly the given faults at their iterations and
+// ranks.
+type Schedule struct {
+	faults []Fault
+	next   int
 }
 
-// NewScheduleAt schedules exactly the given faults at their explicit
-// iterations and ranks (the chaos campaigns' injector: fault placement is
-// part of the scenario, not derived from the fault-free iteration count).
-// Faults are ordered stably by iteration; several faults at the same
-// iteration fire on consecutive Check calls, which the solver boundary
-// drains back-to-back — the "fault during recovery" case.
-func NewScheduleAt(faults []Fault) *Schedule {
+// NewSchedule schedules the given faults: an Evenly placement, or the
+// explicit list of a chaos scenario, whose fault placement is part of the
+// scenario. Faults are ordered stably by iteration; several faults at the
+// same iteration fire on consecutive Check calls, which the solver
+// boundary drains back-to-back — the "fault during recovery" case.
+func NewSchedule(faults []Fault) *Schedule {
 	fs := make([]Fault, len(faults))
 	copy(fs, faults)
 	for _, f := range fs {
@@ -95,12 +69,6 @@ func NewScheduleAt(faults []Fault) *Schedule {
 	}
 	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Iter < fs[j].Iter })
 	return &Schedule{faults: fs}
-}
-
-// NewSingle schedules exactly one fault at the given iteration on the
-// given rank (the paper's Figure 6(a): one fault at iteration 200).
-func NewSingle(iter, rank int, class Class) *Schedule {
-	return &Schedule{faults: []Fault{{Class: class, Rank: rank, Iter: iter}}}
 }
 
 // Check implements Injector. Multiple faults scheduled for the same
@@ -118,16 +86,6 @@ func (s *Schedule) Check(iter int, clock float64) *Fault {
 	out.Iter = iter
 	out.Time = clock
 	return &out
-}
-
-// Remaining implements Injector.
-func (s *Schedule) Remaining() int { return len(s.faults) - s.next }
-
-// Faults exposes the full schedule (for reports and tests).
-func (s *Schedule) Faults() []Fault {
-	out := make([]Fault, len(s.faults))
-	copy(out, s.faults)
-	return out
 }
 
 // Poisson injects faults as a Poisson process in virtual time with the
@@ -178,12 +136,4 @@ func (p *Poisson) Check(iter int, clock float64) *Fault {
 	p.next += p.rng.ExpFloat64() * p.mtbf
 	p.fired++
 	return f
-}
-
-// Remaining implements Injector.
-func (p *Poisson) Remaining() int {
-	if p.limit < 0 {
-		return -1
-	}
-	return p.limit - p.fired
 }

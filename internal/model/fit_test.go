@@ -28,7 +28,7 @@ func fitFixture(t *testing.T, spec core.SchemeSpec, keepSegs bool) (ff, run *cor
 	c.KeepSegments = keepSegs
 	ffIters := ff.Iters
 	c.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule(4, ffIters, 4, fault.SNF, 9)
+		return fault.NewSchedule(fault.Evenly(4, ffIters, 4, 9, fault.SNF))
 	}
 	run, err = core.Run(c)
 	if err != nil {

@@ -27,7 +27,7 @@ const canonicalVersion = "j1"
 //     elided defaults, alternate float spellings of -tol, and scheme
 //     aliases/case ("crm", "CR-M") all collapse to one key. Faults are
 //     stable-sorted by iteration —
-//     exactly the order fault.NewScheduleAt executes them in — so
+//     exactly the order fault.NewSchedule executes them in — so
 //     listings that differ only in cross-iteration order unify, while
 //     same-iteration order (which changes execution) is preserved.
 //   - Verdict jobs normalize like scenario jobs but key under a distinct

@@ -48,7 +48,7 @@ func TestCanonicalKeyNormalizesSpellings(t *testing.T) {
 }
 
 // TestCanonicalKeyPreservesSameIterationOrder: two faults at the same
-// iteration fire in list order (fault.NewScheduleAt is a stable sort),
+// iteration fire in list order (fault.NewSchedule is a stable sort),
 // so swapping them is a DIFFERENT job and must get a different key.
 func TestCanonicalKeyPreservesSameIterationOrder(t *testing.T) {
 	a := JobRequest{Scenario: "-scheme CR-M -ckpt 5 -seed 7 -faults SWO@5:r1,SNF@5:r0"}

@@ -54,8 +54,8 @@ type Monitor interface {
 
 // Options configure a distributed CG solve.
 type Options struct {
-	Tol      float64 // relative residual target (paper: 1e-12)
-	MaxIters int     // executed-iteration cap
+	Tol      float64 // relative residual target (paper: 1e-12); must be positive
+	MaxIters int     // executed-iteration cap; must be positive
 	Monitor  Monitor // optional
 	// VerifyTrueResidual recomputes b - A*x on apparent convergence and
 	// keeps iterating if the recurrence residual has drifted (it can,
@@ -69,9 +69,6 @@ type Options struct {
 	// interacts with forward recovery. Convergence is still measured on
 	// the unpreconditioned residual so scheme comparisons stay uniform.
 	Jacobi bool
-	// Work, when non-nil, supplies reusable solver buffers so repeated
-	// solves stop allocating. See Workspace for the aliasing caveat.
-	Work *Workspace
 	// Overlap selects the overlapped MulVecDist path (halo exchange hidden
 	// behind the interior SpMV). Numerics are bitwise-identical either
 	// way; only the modeled clock changes. Collective: every rank must
@@ -100,29 +97,22 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: CG len(b)=%d for %s", len(b), a)
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-12
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 10 * a.Rows
+	if opts.Tol <= 0 || opts.MaxIters <= 0 {
+		return nil, fmt.Errorf("solver: CG needs a positive Tol and MaxIters, got %g and %d", opts.Tol, opts.MaxIters)
 	}
 	op := NewLocalOp(c, a, part)
 	op.SetOverlap(opts.Overlap)
 	n := op.N
 
-	ws := opts.Work
-	if ws == nil {
-		ws = new(Workspace)
-	}
 	st := &State{
 		A:      a,
 		B:      b,
 		Part:   part,
-		BLocal: wsSized(&ws.bLocal, n),
-		X:      wsZeroed(&ws.x, n),
-		R:      wsSized(&ws.r, n),
-		P:      wsSized(&ws.p, n),
-		Q:      wsSized(&ws.q, n),
+		BLocal: make([]float64, n),
+		X:      make([]float64, n),
+		R:      make([]float64, n),
+		P:      make([]float64, n),
+		Q:      make([]float64, n),
 	}
 	copy(st.BLocal, part.Slice(b, c.Rank()))
 	if opts.X0 != nil {
@@ -142,7 +132,7 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	var invD, z []float64
 	if opts.Jacobi {
 		lo, _ := part.Range(c.Rank())
-		invD = wsSized(&ws.invD, n)
+		invD = make([]float64, n)
 		for i := range invD {
 			d := a.At(lo+i, lo+i)
 			if d <= 0 || math.IsNaN(d) {
@@ -151,7 +141,7 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 				invD[i] = 1 / d
 			}
 		}
-		z = wsSized(&ws.z, n)
+		z = make([]float64, n)
 	}
 
 	// rr tracks ||r||² for convergence; Rho tracks rᵀz for the recurrence

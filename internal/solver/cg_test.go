@@ -42,7 +42,7 @@ func TestDistributedCGMatchesSequential(t *testing.T) {
 	a := matgen.Laplacian2D(10)
 	b, xTrue := matgen.RHS(a)
 	for _, p := range []int{1, 2, 3, 4, 7} {
-		res, x := runCG(t, a, b, p, Options{Tol: 1e-11})
+		res, x := runCG(t, a, b, p, Options{Tol: 1e-11, MaxIters: 10 * a.Rows})
 		if !res.Converged {
 			t.Fatalf("p=%d did not converge", p)
 		}
@@ -54,7 +54,7 @@ func TestDistributedCGMatchesSequential(t *testing.T) {
 	// (Table 4's observation).
 	seq := make([]float64, a.Rows)
 	sres := SeqCGMatrix(a, b, seq, 1e-11, 10*a.Rows)
-	res4, _ := runCG(t, a, b, 4, Options{Tol: 1e-11})
+	res4, _ := runCG(t, a, b, 4, Options{Tol: 1e-11, MaxIters: 10 * a.Rows})
 	if d := res4.Iters - sres.Iters; d < -3 || d > 3 {
 		t.Errorf("distributed %d vs sequential %d iterations", res4.Iters, sres.Iters)
 	}
@@ -65,7 +65,7 @@ func TestDistributedCGScatteredMatrix(t *testing.T) {
 	// ranks.
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 240, NNZPerRow: 7, Kappa: 100, Scatter: 0.7, Seed: 9})
 	b, _ := matgen.RHS(a)
-	res, x := runCG(t, a, b, 6, Options{Tol: 1e-10})
+	res, x := runCG(t, a, b, 6, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -80,7 +80,7 @@ func TestDistributedCGScatteredMatrix(t *testing.T) {
 func TestCGHistoryRecorded(t *testing.T) {
 	a := matgen.Laplacian2D(8)
 	b, _ := matgen.RHS(a)
-	res, _ := runCG(t, a, b, 4, Options{Tol: 1e-10})
+	res, _ := runCG(t, a, b, 4, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 	if len(res.History) == 0 {
 		t.Fatal("no history")
 	}
@@ -96,7 +96,7 @@ func TestCGHistoryRecorded(t *testing.T) {
 func TestCGX0Honored(t *testing.T) {
 	a := matgen.Laplacian2D(8)
 	b, xTrue := matgen.RHS(a)
-	res, _ := runCG(t, a, b, 4, Options{Tol: 1e-10, X0: xTrue})
+	res, _ := runCG(t, a, b, 4, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, X0: xTrue})
 	if res.Iters != 0 {
 		t.Errorf("warm start took %d iterations", res.Iters)
 	}
@@ -143,7 +143,7 @@ func TestMonitorCorruptionAndRestart(t *testing.T) {
 	meter := power.NewMeter(false)
 	_, err := cluster.Run(p, platform.Default(), meter, func(c *cluster.Comm) error {
 		mon := &corruptingMonitor{fireAt: 10, rank: 1}
-		res, err := CG(c, a, b, part, Options{Tol: 1e-10, Monitor: mon, VerifyTrueResidual: true})
+		res, err := CG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, Monitor: mon, VerifyTrueResidual: true})
 		if err != nil {
 			return err
 		}
@@ -272,8 +272,8 @@ func TestDistributedJacobiPCG(t *testing.T) {
 	// A spread-diagonal matrix where Jacobi pays off.
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 400, NNZPerRow: 7, Kappa: 5000, Seed: 11})
 	b, _ := matgen.RHS(a)
-	plain, xPlain := runCG(t, a, b, 4, Options{Tol: 1e-10})
-	pcg, xPCG := runCG(t, a, b, 4, Options{Tol: 1e-10, Jacobi: true})
+	plain, xPlain := runCG(t, a, b, 4, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
+	pcg, xPCG := runCG(t, a, b, 4, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, Jacobi: true})
 	if !plain.Converged || !pcg.Converged {
 		t.Fatalf("convergence: cg=%v pcg=%v", plain.Converged, pcg.Converged)
 	}
@@ -303,7 +303,7 @@ func TestDistributedPCGWithMonitorCorruption(t *testing.T) {
 	_, err := cluster.Run(p, platform.Default(), meter, func(c *cluster.Comm) error {
 		mon := &corruptingMonitor{fireAt: 8, rank: 2}
 		res, err := CG(c, a, b, part, Options{
-			Tol: 1e-10, Monitor: mon, VerifyTrueResidual: true, Jacobi: true,
+			Tol: 1e-10, MaxIters: 10 * a.Rows, Monitor: mon, VerifyTrueResidual: true, Jacobi: true,
 		})
 		if err != nil {
 			return err
@@ -346,7 +346,7 @@ func TestPipelinedCGMatchesCG(t *testing.T) {
 	results := make([]*Result, p)
 	meter := power.NewMeter(false)
 	_, err := cluster.Run(p, platform.Default(), meter, func(c *cluster.Comm) error {
-		res, err := PipelinedCG(c, a, b, part, Options{Tol: 1e-10})
+		res, err := PipelinedCG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 		if err != nil {
 			return err
 		}
@@ -368,7 +368,7 @@ func TestPipelinedCGMatchesCG(t *testing.T) {
 	}
 	// Iteration count stays within ~20% of classic CG (same Krylov space,
 	// different rounding).
-	classic, _ := runCG(t, a, b, p, Options{Tol: 1e-10})
+	classic, _ := runCG(t, a, b, p, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 	lo, hi := classic.Iters*8/10, classic.Iters*12/10+4
 	if results[0].Iters < lo || results[0].Iters > hi {
 		t.Errorf("pipelined %d iters vs classic %d", results[0].Iters, classic.Iters)
@@ -381,7 +381,7 @@ func TestPipelinedCGRejectsMonitor(t *testing.T) {
 	part := sparse.NewPartition(a.Rows, 2)
 	meter := power.NewMeter(false)
 	_, err := cluster.Run(2, platform.Default(), meter, func(c *cluster.Comm) error {
-		_, err := PipelinedCG(c, a, b, part, Options{Monitor: &corruptingMonitor{}})
+		_, err := PipelinedCG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, Monitor: &corruptingMonitor{}})
 		if err == nil {
 			return fmt.Errorf("monitor accepted")
 		}
@@ -389,6 +389,28 @@ func TestPipelinedCGRejectsMonitor(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCGRejectsUnresolvedOptions: both distributed solvers hold no
+// defaults; a zero tolerance or iteration cap is the caller's error.
+func TestCGRejectsUnresolvedOptions(t *testing.T) {
+	a := matgen.Laplacian2D(4)
+	b, _ := matgen.RHS(a)
+	part := sparse.NewPartition(a.Rows, 2)
+	solvers := map[string]func(*cluster.Comm, *sparse.CSR, []float64, *sparse.Partition, Options) (*Result, error){
+		"CG": CG, "PipelinedCG": PipelinedCG,
+	}
+	for name, solve := range solvers {
+		for _, opts := range []Options{{MaxIters: 100}, {Tol: 1e-10}, {Tol: -1, MaxIters: 100}, {Tol: 1e-10, MaxIters: -1}} {
+			_, err := cluster.Run(2, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
+				_, err := solve(c, a, b, part, opts)
+				return err
+			})
+			if err == nil {
+				t.Errorf("%s accepted Tol %g, MaxIters %d", name, opts.Tol, opts.MaxIters)
+			}
+		}
 	}
 }
 
@@ -411,9 +433,9 @@ func TestPipelinedCGFewerCollectives(t *testing.T) {
 		maxClock, err := cluster.Run(p, plat, meter, func(c *cluster.Comm) error {
 			var err error
 			if pipelined {
-				_, err = PipelinedCG(c, a, b, part, Options{Tol: 1e-10})
+				_, err = PipelinedCG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 			} else {
-				_, err = CG(c, a, b, part, Options{Tol: 1e-10})
+				_, err = CG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows})
 			}
 			return err
 		})

@@ -1,8 +1,8 @@
 // Package solver implements the Conjugate Gradient method three ways:
 // distributed block-row CG over the cluster runtime (the paper's RAPtor
-// CG substitute), sequential CG, and CGLS (CG on the normal equations),
-// which the paper's Section 4 optimizations use for localized LI/LSI
-// reconstruction.
+// CG substitute), sequential CG and Jacobi PCG, and preconditioned CGLS
+// (CG on the normal equations), which the paper's Section 4 optimizations
+// use for localized LI/LSI reconstruction.
 package solver
 
 import (

@@ -213,7 +213,7 @@ func TestOverlapNeverSlower(t *testing.T) {
 		for _, overlap := range []bool{false, true} {
 			var hist []float64
 			maxClock, err := cluster.Run(ranks, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
-				res, err := CG(c, a, b, part, Options{Tol: 1e-10, Overlap: overlap})
+				res, err := CG(c, a, b, part, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, Overlap: overlap})
 				if err != nil {
 					return err
 				}

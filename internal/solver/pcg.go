@@ -8,7 +8,7 @@ import (
 	"resilience/internal/vec"
 )
 
-// SeqPCG runs sequential preconditioned CG with a diagonal (Jacobi)
+// SeqPCGWork runs sequential preconditioned CG with a diagonal (Jacobi)
 // preconditioner: it solves Op*x = b with M = diag(d). The localized
 // LI/LSI constructions use it because the synthetic SPD spectra (and many
 // real ones) have strongly varying diagonals, where Jacobi scaling cuts
@@ -16,17 +16,12 @@ import (
 // the paper's Section 4 optimizations target.
 //
 // Convergence is measured on the true residual norm ||b - Op x|| relative
-// to ||b||, matching SeqCG's criterion.
-func SeqPCG(apply ApplyFunc, flopsPerApply int64, diag, b, x []float64, tol float64, maxIters int) SeqResult {
-	return SeqPCGWork(nil, apply, flopsPerApply, diag, b, x, tol, maxIters)
-}
-
-// SeqPCGWork is SeqPCG with caller-supplied scratch buffers, so the
-// per-fault reconstruction solves stop allocating. ws may be nil.
+// to ||b||, matching SeqCG's criterion. ws supplies the scratch buffers,
+// so the per-fault reconstruction solves stop allocating; it may be nil.
 func SeqPCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, diag, b, x []float64, tol float64, maxIters int) SeqResult {
 	n := len(b)
 	if len(x) != n || len(diag) != n {
-		panic(fmt.Sprintf("solver: SeqPCG len(x)=%d len(diag)=%d len(b)=%d", len(x), len(diag), n))
+		panic(fmt.Sprintf("solver: SeqPCGWork len(x)=%d len(diag)=%d len(b)=%d", len(x), len(diag), n))
 	}
 	if maxIters <= 0 {
 		maxIters = 10 * n
@@ -107,17 +102,11 @@ func SeqPCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, diag, b,
 	return res
 }
 
-// SeqPCGMatrix is SeqPCG on a CSR operator with its own diagonal as the
-// preconditioner.
-func SeqPCGMatrix(a *sparse.CSR, b, x []float64, tol float64, maxIters int) SeqResult {
-	return SeqPCGMatrixWork(nil, a, b, x, tol, maxIters)
-}
-
-// SeqPCGMatrixWork is SeqPCGMatrix with caller-supplied scratch buffers.
-// ws may be nil.
+// SeqPCGMatrixWork is SeqPCGWork on a CSR operator with its own diagonal
+// as the preconditioner. ws may be nil.
 func SeqPCGMatrixWork(ws *SeqWorkspace, a *sparse.CSR, b, x []float64, tol float64, maxIters int) SeqResult {
 	if a.Rows != a.Cols || a.Rows != len(b) {
-		panic(fmt.Sprintf("solver: SeqPCGMatrix %s with len(b)=%d", a, len(b)))
+		panic(fmt.Sprintf("solver: SeqPCGMatrixWork %s with len(b)=%d", a, len(b)))
 	}
 	if ws == nil {
 		ws = new(SeqWorkspace)
@@ -129,16 +118,16 @@ func SeqPCGMatrixWork(ws *SeqWorkspace, a *sparse.CSR, b, x []float64, tol float
 	return SeqPCGWork(ws, func(y, v []float64) { a.MulVec(y, v) }, a.SpMVFlops(), diag, b, x, tol, maxIters)
 }
 
-// PCGLS solves min ||rhs' - G x|| for the LSI normal-equation operator
-// G = M*Mᵀ with Jacobi preconditioning by diag(G)_i = ||row_i(M)||².
-func PCGLS(m *sparse.CSR, rhs, x []float64, tol float64, maxIters int) SeqResult {
-	return PCGLSWork(nil, m, rhs, x, tol, maxIters)
-}
-
-// PCGLSWork is PCGLS with caller-supplied scratch buffers. ws may be nil.
+// PCGLSWork solves the least-squares problem min ||beta - M*x||₂ through
+// CG on the normal-equation operator G = M*Mᵀ, applying M and Mᵀ each
+// iteration, with Jacobi preconditioning by diag(G)_i = ||row_i(M)||².
+// The LSI reconstruction uses M = A_{p_i,:} and solves Eq. 21,
+// (A_{p_i,:} A_{p_i,:}ᵀ) x = A_{p_i,:} beta: rhs is that reduced
+// right-hand side, and it and x have length M.Rows. G is SPD when M has
+// full row rank. ws may be nil.
 func PCGLSWork(ws *SeqWorkspace, m *sparse.CSR, rhs, x []float64, tol float64, maxIters int) SeqResult {
 	if len(rhs) != m.Rows || len(x) != m.Rows {
-		panic(fmt.Sprintf("solver: PCGLS %s with len(rhs)=%d len(x)=%d", m, len(rhs), len(x)))
+		panic(fmt.Sprintf("solver: PCGLSWork %s with len(rhs)=%d len(x)=%d", m, len(rhs), len(x)))
 	}
 	if ws == nil {
 		ws = new(SeqWorkspace)

@@ -30,11 +30,8 @@ func PipelinedCG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Parti
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: PipelinedCG len(b)=%d for %s", len(b), a)
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-12
-	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 10 * a.Rows
+	if opts.Tol <= 0 || opts.MaxIters <= 0 {
+		return nil, fmt.Errorf("solver: PipelinedCG needs a positive Tol and MaxIters, got %g and %d", opts.Tol, opts.MaxIters)
 	}
 	if opts.Monitor != nil {
 		return nil, fmt.Errorf("solver: PipelinedCG does not support monitors")
@@ -43,20 +40,16 @@ func PipelinedCG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Parti
 	op.SetOverlap(opts.Overlap)
 	n := op.N
 
-	ws := opts.Work
-	if ws == nil {
-		ws = new(Workspace)
-	}
-	bLocal := wsSized(&ws.bLocal, n)
+	bLocal := make([]float64, n)
 	copy(bLocal, part.Slice(b, c.Rank()))
-	x := wsZeroed(&ws.x, n)
+	x := make([]float64, n)
 	if opts.X0 != nil {
 		copy(x, part.Slice(opts.X0, c.Rank()))
 	}
-	r := wsSized(&ws.r, n)
-	w := wsSized(&ws.z, n) // the extra pipelined recurrence vector
-	p := wsZeroed(&ws.p, n)
-	q := wsZeroed(&ws.q, n)
+	r := make([]float64, n)
+	w := make([]float64, n) // the extra pipelined recurrence vector
+	p := make([]float64, n)
+	q := make([]float64, n)
 
 	// r = b - A x;  w = A r.
 	op.MulVecDist(c, r, x)

@@ -30,12 +30,6 @@ type SeqResult struct {
 // instead of LU/QR, trading exactness (unneeded — the target is itself an
 // approximation of the lost data) for time and energy.
 func SeqCG(apply ApplyFunc, flopsPerApply int64, b, x []float64, tol float64, maxIters int) SeqResult {
-	return SeqCGWork(nil, apply, flopsPerApply, b, x, tol, maxIters)
-}
-
-// SeqCGWork is SeqCG with caller-supplied scratch buffers, so repeated
-// reconstruction solves (one per fault) stop allocating. ws may be nil.
-func SeqCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, b, x []float64, tol float64, maxIters int) SeqResult {
 	n := len(b)
 	if len(x) != n {
 		panic(fmt.Sprintf("solver: SeqCG len(x)=%d len(b)=%d", len(x), n))
@@ -43,14 +37,11 @@ func SeqCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, b, x []fl
 	if maxIters <= 0 {
 		maxIters = 10 * n
 	}
-	if ws == nil {
-		ws = new(SeqWorkspace)
-	}
 	res := SeqResult{}
 
-	r := wsSized(&ws.r, n)
-	p := wsSized(&ws.p, n)
-	q := wsSized(&ws.q, n)
+	r := make([]float64, n)
+	p := make([]float64, n)
+	q := make([]float64, n)
 
 	apply(r, x)
 	vec.Sub(r, b, r)
@@ -98,33 +89,4 @@ func SeqCGMatrix(a *sparse.CSR, b, x []float64, tol float64, maxIters int) SeqRe
 		panic(fmt.Sprintf("solver: SeqCGMatrix %s with len(b)=%d", a, len(b)))
 	}
 	return SeqCG(func(y, v []float64) { a.MulVec(y, v) }, a.SpMVFlops(), b, x, tol, maxIters)
-}
-
-// CGLS solves the least-squares problem min ||beta - M*x||₂ via CG on the
-// normal equations (M Mᵀ)-free form: it applies M and Mᵀ each iteration.
-// Here M is a rows x cols CSR matrix with rows <= cols typical (the LSI
-// reconstruction uses M = A_{p_i,:} and solves Eq. 21:
-// (A_{p_i,:} A_{p_i,:}ᵀ) x = A_{p_i,:} beta). b must have length rows
-// after the caller forms the reduced right-hand side; x has length rows.
-//
-// The operator G = M*Mᵀ is SPD when M has full row rank, so plain CG
-// applies; each application costs two SpMVs with M.
-func CGLS(m *sparse.CSR, rhs, x []float64, tol float64, maxIters int) SeqResult {
-	return CGLSWork(nil, m, rhs, x, tol, maxIters)
-}
-
-// CGLSWork is CGLS with caller-supplied scratch buffers. ws may be nil.
-func CGLSWork(ws *SeqWorkspace, m *sparse.CSR, rhs, x []float64, tol float64, maxIters int) SeqResult {
-	if len(rhs) != m.Rows || len(x) != m.Rows {
-		panic(fmt.Sprintf("solver: CGLS %s with len(rhs)=%d len(x)=%d", m, len(rhs), len(x)))
-	}
-	if ws == nil {
-		ws = new(SeqWorkspace)
-	}
-	tmp := wsSized(&ws.tmp, m.Cols)
-	apply := func(y, v []float64) {
-		m.MulTransVec(tmp, v)
-		m.MulVec(y, tmp)
-	}
-	return SeqCGWork(ws, apply, 2*m.SpMVFlops(), rhs, x, tol, maxIters)
 }

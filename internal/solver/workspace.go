@@ -1,20 +1,9 @@
 package solver
 
-// Workspace holds the per-rank dense buffers of a distributed CG solve.
-// Passing one via Options.Work lets repeated solves — benchmark loops,
-// recovery re-solves, sweep harnesses — reuse allocations instead of
-// re-making every vector. A zero Workspace is ready to use; buffers grow
-// on demand and are retained across solves.
-//
-// The Result.XLocal of a solve aliases the workspace, so callers that
-// reuse one workspace across solves must copy XLocal before the next
-// solve if they still need it.
-type Workspace struct {
-	bLocal, x, r, p, q, z, invD []float64
-}
-
-// SeqWorkspace is the sequential-solver analogue, reused across the
-// per-fault reconstruction solves of the LI/LSI recovery schemes.
+// SeqWorkspace holds the scratch buffers of the sequential preconditioned
+// solvers, reused across the per-fault reconstruction solves of the
+// LI/LSI recovery schemes so repeated solves stop allocating. A zero
+// SeqWorkspace is ready to use; buffers grow on demand.
 type SeqWorkspace struct {
 	r, z, p, q, invD, diag, tmp []float64
 }
@@ -28,14 +17,4 @@ func wsSized(buf *[]float64, n int) []float64 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// wsZeroed is wsSized plus clearing, for buffers whose initial zeros are
-// semantically meaningful (the x = 0 initial guess).
-func wsZeroed(buf *[]float64, n int) []float64 {
-	s := wsSized(buf, n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

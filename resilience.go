@@ -123,7 +123,9 @@ type SolveOptions struct {
 	// failures in virtual seconds (the Section 5.3 protocol). At most one
 	// of Faults/MTBF may be set.
 	MTBF float64
-	// FaultClass defaults to SNF (single node failure).
+	// FaultClass is the class of every injected fault. Its zero value is
+	// DCE (a detected and corrected error), which corrupts the struck
+	// rank's block of x rather than losing it; set SNF for node failures.
 	FaultClass fault.Class
 
 	// CkptEvery sets a fixed checkpoint interval in iterations for CR
@@ -187,38 +189,22 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		Seed:         opts.Seed,
 	}
 
-	if spec.Kind != core.FF && (opts.Faults > 0 || opts.MTBF > 0) {
-		class := opts.FaultClass
-		ranks := opts.Ranks
-		seed := opts.Seed
-		if opts.Faults > 0 {
-			// The schedule is anchored on the fault-free iteration count.
-			// The baseline run is internal scaffolding, shared across
-			// solves and kept out of the caller's recorder.
-			ffRep, err := systems.For(a, b).FaultFree(context.Background(), cfg)
-			if err != nil {
-				return nil, fmt.Errorf("resilience: fault-free baseline: %w", err)
-			}
-			if !ffRep.Converged {
-				return nil, fmt.Errorf("resilience: fault-free baseline did not converge (relres %g after %d iters)",
-					ffRep.RelRes, ffRep.Iters)
-			}
-			nFaults := opts.Faults
-			ffIters := ffRep.Iters
-			cfg.InjectorFactory = func() fault.Injector {
-				return fault.NewSchedule(nFaults, ffIters, ranks, class, seed)
-			}
-			if spec.Checkpoints() && spec.CkptEvery == 0 {
-				cfg.Scheme.CkptMTBF = ffRep.Time / float64(nFaults)
-			}
-		} else {
-			mtbf := opts.MTBF
-			cfg.InjectorFactory = func() fault.Injector {
-				return fault.NewPoisson(mtbf, ranks, class, seed)
-			}
-			if spec.Checkpoints() && spec.CkptEvery == 0 {
-				cfg.Scheme.CkptMTBF = mtbf
-			}
+	switch {
+	case spec.Kind == core.FF:
+	case opts.Faults > 0:
+		// The schedule is anchored on the fault-free iteration count. The
+		// baseline run is internal scaffolding, shared across solves and
+		// kept out of the caller's recorder.
+		cfg, _, err = systems.For(a, b).Spread(context.Background(), cfg, opts.Faults, opts.FaultClass)
+		if err != nil {
+			return nil, fmt.Errorf("resilience: %w", err)
+		}
+	case opts.MTBF > 0:
+		cfg.InjectorFactory = func() fault.Injector {
+			return fault.NewPoisson(opts.MTBF, opts.Ranks, opts.FaultClass, opts.Seed)
+		}
+		if spec.Checkpoints() && spec.CkptEvery == 0 {
+			cfg.Scheme.CkptMTBF = opts.MTBF
 		}
 	}
 	return core.Run(cfg)
@@ -237,14 +223,6 @@ func Experiments() []Experiment { return experiments.All() }
 // scale "tiny", "ci" or "paper".
 func RunExperiment(id, scale string) (*ExperimentResult, error) {
 	return RunExperimentOpts(id, scale, ExperimentOptions{})
-}
-
-// RunExperimentWorkers is RunExperiment with an explicit worker count for
-// the concurrent experiment engine. Zero means GOMAXPROCS; one forces
-// sequential execution. The rendered output is byte-identical for any
-// value.
-func RunExperimentWorkers(id, scale string, workers int) (*ExperimentResult, error) {
-	return RunExperimentOpts(id, scale, ExperimentOptions{Workers: workers})
 }
 
 // ExperimentOptions tune how an experiment executes without changing what

@@ -4,7 +4,9 @@
 # deleted scheduler, layout and environment knobs, nor the retired perf
 # ledger and campaign driver, nor the second collective rendezvous and the
 # scheme-name copies, nor the two retired observability packages and their
-# second event log, encoder and dead helpers, is named again), a
+# second event log, encoder and dead helpers, nor the fault constructors,
+# solver workspace and facade helper replaced by core.System.Spread, is
+# named again; the even fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -71,6 +73,16 @@ if git grep -nE 'internal/tele''metry|resilience/internal/tr''ace"|WriteMerged''
     ':!*.md'; then
     echo "a retired observability package or helper is named again"; exit 1
 fi
+# Likewise the hand-placed fault schedules and the code nothing called:
+# core.System.Spread is the one place the paper's Section 5.2 protocol is
+# applied, so the even placement has exactly one non-test caller, in
+# internal/core; the constructors it replaced, the solver's distributed
+# workspace, the unused Cholesky and the worker-count facade stay deleted.
+if git grep -nE 'NewSchedule''Classes|NewSin''gle|RunExperiment''Workers|NewChol''esky|(^|[^q])Work''space' -- . \
+    ':!*.md'; then
+    echo "a retired fault constructor, workspace or facade helper is named again"; exit 1
+fi
+test "$(git grep -n 'fault\.Even''ly(' -- '*.go' ':!*_test.go' | sed 's/:.*//; s#/[^/]*$##')" = internal/core
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
     ./internal/service/... ./internal/obs/...
