@@ -9,11 +9,9 @@ import (
 
 // BenchmarkClusterStep is one bidirectional ring exchange over the
 // blocking Send/RecvInto path (8-float payloads) plus a scalar allreduce
-// per op at 16 ranks: the communication skeleton of a distributed CG
-// iteration with the numerics stripped out. The solver's own benchmarks
-// reach p2p only through the nonblocking halo path and run the full
-// iteration on 4 ranks, so this is the pin for the blocking path at
-// width; scripts/check.sh gates it at 0 allocs/op.
+// per op at 16 ranks. The solver's halo goes through Halo plans, so its
+// benchmarks never reach the tagged queues; this is the pin for that
+// setup-time path at width, and scripts/check.sh gates it at 0 allocs/op.
 func BenchmarkClusterStep(b *testing.B) {
 	const p = 16
 	b.ReportAllocs()

@@ -20,10 +20,14 @@ type Comm struct {
 	waitIdle bool // whether waiting time is charged at idle power
 
 	// nicFree is the virtual time at which the rank's network interface
-	// finishes injecting its last posted message. Nonblocking sends cost
-	// no CPU time but serialize on the NIC: a burst of ISends completes
-	// one wire-time apart, never all at once.
+	// finishes injecting its last message. A halo Post costs no CPU time
+	// but its slots serialize on the NIC: they land one wire time apart,
+	// never all at once.
 	nicFree float64
+
+	// halos counts the halo plans this rank has built; the next one is
+	// paired with its peers' plans of the same number.
+	halos int
 
 	// scratch carries this rank's contribution to a one- or two-value
 	// allreduce into the collective, so the CG dot products pass a slice

@@ -31,12 +31,12 @@ func awaitState(c *Comm, what string, cond func() bool) error {
 	return nil
 }
 
-// parked reports whether the rank is blocked in a receive.
+// parked reports whether the rank is blocked in a receive or a halo read.
 func parked(rt *Runtime, rank int) bool {
 	ib := &rt.inboxes[rank]
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	return ib.waitQ != nil
+	return ib.waitQ != nil || ib.haloWait.Load() != nil
 }
 
 func TestRecvOutOfPostOrderAcrossSenders(t *testing.T) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"resilience/internal/obs"
@@ -88,8 +87,13 @@ func TestObsPurityCluster(t *testing.T) {
 		c.Compute(int64(2000 * (c.Rank() + 1)))
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() + c.Size() - 1) % c.Size()
-		c.ISend(next, 3, []float64{float64(c.Rank())})
+		c.Send(next, 3, []float64{float64(c.Rank())})
 		c.Recv(prev, 3)
+		h := testHalo(c, others(c), fixed(2))
+		h.Post()
+		for i := range others(c) {
+			h.Recv(i)
+		}
 		c.AllreduceScalarSum(float64(c.Rank()))
 		return nil
 	}
@@ -104,19 +108,7 @@ func TestObsPurityCluster(t *testing.T) {
 	if be, oe := bareMeter.TotalEnergy(), obsMeter.TotalEnergy(); math.Float64bits(be) != math.Float64bits(oe) {
 		t.Errorf("energy drift: %v vs %v", be, oe)
 	}
-	// Segments() returns arrival order, which is scheduling-dependent;
-	// per (core, start) the set is deterministic, so compare sorted.
-	bySpace := func(s []power.Segment) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].Core != s[j].Core {
-				return s[i].Core < s[j].Core
-			}
-			return s[i].Start < s[j].Start
-		}
-	}
 	bs, os := bareMeter.Segments(), obsMeter.Segments()
-	sort.Slice(bs, bySpace(bs))
-	sort.Slice(os, bySpace(os))
 	if len(bs) != len(os) {
 		t.Fatalf("segment count drift: %d vs %d", len(bs), len(os))
 	}
@@ -130,25 +122,29 @@ func TestObsPurityCluster(t *testing.T) {
 	}
 }
 
-// TestObsISendCountedNotSpanned: nonblocking sends are metered as traffic
-// but own no CPU extent on the timeline (the NIC injects them).
-func TestObsISendCountedNotSpanned(t *testing.T) {
+// TestObsHaloPostCountedNotSpanned: a posted halo is metered as traffic
+// but owns no CPU extent on the timeline (the NIC injects it). The plan's
+// one-time setup is a blocking send of rank 0's two-entry need list, so
+// rank 0 sends two messages of 16 bytes and spans one of them.
+func TestObsHaloPostCountedNotSpanned(t *testing.T) {
 	rec := obs.NewRecorder()
 	runObserved(t, 2, rec, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.ISend(1, 1, []float64{1, 2})
-		} else {
-			c.Recv(0, 1)
-		}
+		h := testHalo(c, others(c), fixed(2))
+		h.Post()
+		h.Recv(0)
 		return nil
 	})
 	m0 := rec.Metrics()[0]
-	if m0.MsgsSent != 1 || m0.BytesSent != 16 {
-		t.Errorf("ISend not counted: %+v", m0)
+	if m0.MsgsSent != 2 || m0.BytesSent != 32 {
+		t.Errorf("posted halo not counted: %+v", m0)
 	}
+	sends := 0
 	for _, s := range rec.RankSpans(0) {
 		if s.Kind == obs.SpanSend {
-			t.Errorf("ISend produced a send span: %+v", s)
+			sends++
 		}
+	}
+	if sends != 1 {
+		t.Errorf("%d send spans, want only the setup's", sends)
 	}
 }

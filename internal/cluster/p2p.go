@@ -3,17 +3,20 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"resilience/internal/obs"
 )
 
 // inbox is one rank's receiving side of point-to-point messaging: every
 // message addressed to the rank is queued here, on the FIFO of its
-// (sender, tag) channel — the matching semantics block-row CG's halo
-// exchange needs. Each inbox has its own lock, so a post contends only
-// with other traffic to the same receiver, and its own cond on which only
-// the owning rank ever waits, so a post wakes exactly the rank that needs
-// the message, and only when that rank is parked on that very queue.
+// (sender, tag) channel. The tagged path serves one-time setup (a
+// solver's need lists) and tests; the per-iteration halo exchange goes
+// through Halo plans instead. Each inbox has its own lock, so a post
+// contends only with other traffic to the same receiver, and its own cond
+// on which only the owning rank ever waits, so a post wakes exactly the
+// rank that needs the message, and only when that rank is parked on that
+// very queue. A rank waiting for a peer's halo parks on the same cond.
 type inbox struct {
 	mu   sync.Mutex
 	cond sync.Cond // L is &mu
@@ -21,9 +24,14 @@ type inbox struct {
 	// waitQ is the queue the owner is parked on, nil while it runs.
 	waitQ *msgQueue
 
+	// haloWait is the peer plan the owner is parked on, nil while it
+	// runs. Publishers read it without the lock to wake only the peers
+	// waiting for them; the owner writes it under the lock.
+	haloWait atomic.Pointer[Halo]
+
 	// from[s] holds sender s's queues, one per tag seen on the channel.
-	// A channel carries a handful of tags at most (setup and halo in a
-	// CG solve), so finding one is an index and a short scan.
+	// A channel carries a handful of tags at most, so finding one is an
+	// index and a short scan.
 	from [][]*msgQueue
 }
 
@@ -35,7 +43,7 @@ type msgQueue struct {
 	msgs []message
 
 	// free holds payload buffers the receiver has copied out of, for the
-	// sender's next posts: a steady-state halo exchange allocates nothing.
+	// sender's next posts: a steady-state exchange allocates nothing.
 	free [][]float64
 }
 
@@ -115,25 +123,31 @@ func (rt *Runtime) wakeInboxes() {
 // modeled arrival time.
 //
 // Aliasing contract: Send copies data into an internal buffer before
-// returning, so the caller may immediately reuse or overwrite data. Code
-// that reuses one staging buffer across consecutive Sends (as the fused
-// halo exchange does) relies on this copy; TestSendCopiesPayload pins it.
+// returning, so the caller may immediately reuse or overwrite data;
+// TestSendCopiesPayload pins it.
 func (c *Comm) Send(to, tag int, data []float64) {
 	c.checkAbort()
 	if to < 0 || to >= c.rt.p {
 		panic(fmt.Sprintf("cluster: Send to invalid rank %d", to))
 	}
-	cost := c.rt.plat.P2PTime(int64(8 * len(data)))
+	c.post(to, tag, data, c.inject(len(data)))
+}
+
+// inject charges a blocking send of n values: the sender is occupied at
+// active power for the injection, which ends at the returned clock, the
+// message's arrival time.
+func (c *Comm) inject(n int) float64 {
+	bytes := int64(8 * n)
+	cost := c.rt.plat.P2PTime(bytes)
 	if c.obs != nil {
 		c.obs.Span(obs.SpanSend, c.clock, cost)
-		c.obs.AddSend(int64(8 * len(data)))
+		c.obs.AddSend(bytes)
 	}
-	// The sender is occupied while injecting the message.
 	c.ElapseActive(cost)
 	if c.clock > c.nicFree {
 		c.nicFree = c.clock
 	}
-	c.post(to, tag, data, c.clock)
+	return c.clock
 }
 
 // post copies data into a buffer of the (rank→to, tag) queue and
@@ -151,84 +165,6 @@ func (c *Comm) post(to, tag int, data []float64, arrive float64) {
 	if parked {
 		ib.cond.Signal()
 	}
-}
-
-// SendReq is the completion handle returned by ISend.
-type SendReq struct {
-	arrive float64
-}
-
-// Wait completes the send. Under the model the payload is copied at post
-// time, so the buffer is already reusable and Wait returns immediately
-// without advancing the clock; it exists for API symmetry with RecvReq.
-func (r *SendReq) Wait() {}
-
-// Arrive returns the modeled time at which the message lands at the
-// receiver.
-func (r *SendReq) Arrive() float64 { return r.arrive }
-
-// ISend posts a nonblocking send. Unlike Send it charges no CPU time:
-// the NIC carries the injection, serializing with any earlier posted
-// sends, so a burst of k ISends has its last message arrive k wire-times
-// after the first injection starts. Overlapped spans therefore cost
-// max(communication, concurrent compute) rather than their sum.
-//
-// Aliasing contract: like Send, ISend copies data before returning, so
-// the buffer may be reused immediately. Callers should still prefer
-// per-destination owned buffers (as the overlapped halo exchange does)
-// so the code stays correct if a zero-copy transport is ever modeled.
-func (c *Comm) ISend(to, tag int, data []float64) SendReq {
-	c.checkAbort()
-	if to < 0 || to >= c.rt.p {
-		panic(fmt.Sprintf("cluster: ISend to invalid rank %d", to))
-	}
-	cost := c.rt.plat.P2PTime(int64(8 * len(data)))
-	start := c.clock
-	if c.nicFree > start {
-		start = c.nicFree
-	}
-	arrive := start + cost
-	c.nicFree = arrive
-	// Counted but not spanned: the NIC, not the CPU, owns the injection
-	// interval, so it has no extent on the rank's timeline.
-	if c.obs != nil {
-		c.obs.AddSend(int64(8 * len(data)))
-	}
-	c.post(to, tag, data, arrive)
-	return SendReq{arrive: arrive}
-}
-
-// RecvReq is the completion handle returned by IRecvInto. Wait must be
-// called exactly once; the destination buffer holds the payload only
-// after Wait returns.
-type RecvReq struct {
-	c    *Comm
-	from int
-	tag  int
-	dst  []float64
-	done bool
-}
-
-// IRecvInto posts a nonblocking receive into dst. Posting costs no
-// virtual time and does not block; the message is matched, the clock
-// advanced to its arrival, and the payload copied when Wait is called.
-func (c *Comm) IRecvInto(from, tag int, dst []float64) RecvReq {
-	c.checkAbort()
-	if from < 0 || from >= c.rt.p {
-		panic(fmt.Sprintf("cluster: IRecvInto from invalid rank %d", from))
-	}
-	return RecvReq{c: c, from: from, tag: tag, dst: dst}
-}
-
-// Wait blocks until the posted receive's message is available, advances
-// the virtual clock to its arrival time (charged at wait power), and
-// copies the payload into the destination buffer.
-func (r *RecvReq) Wait() {
-	if r.done {
-		panic("cluster: RecvReq.Wait called twice")
-	}
-	r.done = true
-	r.c.recvInto(r.from, r.tag, r.dst, "IRecvInto")
 }
 
 // await blocks until a message is queued on (from→rank, tag) and returns
@@ -288,16 +224,9 @@ func (c *Comm) Recv(from, tag int) []float64 {
 
 // RecvInto is Recv without the allocation: the payload is copied into
 // dst, which must match the message length exactly, and the internal
-// buffer is recycled.
+// buffer is recycled. The copy and the buffer's return to the queue's
+// free list happen under the inbox lock the dequeue already holds.
 func (c *Comm) RecvInto(from, tag int, dst []float64) {
-	c.recvInto(from, tag, dst, "RecvInto")
-}
-
-// recvInto is the body of RecvInto and RecvReq.Wait; op names the caller
-// in the length-mismatch panic. The copy and the buffer's return to the
-// queue's free list happen under the inbox lock the dequeue already
-// holds.
-func (c *Comm) recvInto(from, tag int, dst []float64, op string) {
 	c.checkAbort()
 	ib, q := c.await(from, tag)
 	msg := q.pop()
@@ -309,7 +238,7 @@ func (c *Comm) recvInto(from, tag int, dst []float64, op string) {
 	ib.mu.Unlock()
 	c.arrived(msg.arrive, n)
 	if n != len(dst) {
-		panic(fmt.Sprintf("cluster: %s got %d values for a %d-length buffer", op, n, len(dst)))
+		panic(fmt.Sprintf("cluster: RecvInto got %d values for a %d-length buffer", n, len(dst)))
 	}
 }
 

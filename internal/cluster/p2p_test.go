@@ -2,23 +2,19 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"testing"
-
-	"resilience/internal/platform"
 )
 
 // TestSendBufferReuseAcrossSends pins the aliasing contract on Send: the
 // payload is copied before Send returns, so a caller may overwrite its
-// staging buffer between consecutive sends. The fused halo exchange
-// reuses one buffer across neighbors and silently depends on this.
+// staging buffer between consecutive sends.
 func TestSendBufferReuseAcrossSends(t *testing.T) {
 	_, _ = run(t, 2, func(c *Comm) error {
 		const tag = 7
 		if c.Rank() == 0 {
 			buf := []float64{1, 2, 3}
 			c.Send(1, tag, buf)
-			// Clobber the staging buffer and send again, as GatherHalo does.
+			// Clobber the staging buffer and send again.
 			buf[0], buf[1], buf[2] = 4, 5, 6
 			c.Send(1, tag, buf)
 			return nil
@@ -30,132 +26,6 @@ func TestSendBufferReuseAcrossSends(t *testing.T) {
 		}
 		if second[0] != 4 || second[1] != 5 || second[2] != 6 {
 			return fmt.Errorf("second message wrong: %v", second)
-		}
-		return nil
-	})
-}
-
-// TestISendCopiesPayload pins the same contract on the nonblocking send.
-func TestISendCopiesPayload(t *testing.T) {
-	_, _ = run(t, 2, func(c *Comm) error {
-		const tag = 8
-		if c.Rank() == 0 {
-			buf := []float64{1, 2}
-			c.ISend(1, tag, buf)
-			buf[0], buf[1] = 9, 9
-			c.ISend(1, tag, buf)
-			return nil
-		}
-		dst := make([]float64, 2)
-		req := c.IRecvInto(0, tag, dst)
-		req.Wait()
-		if dst[0] != 1 || dst[1] != 2 {
-			return fmt.Errorf("first ISend payload clobbered: %v", dst)
-		}
-		c.RecvInto(0, tag, dst)
-		if dst[0] != 9 || dst[1] != 9 {
-			return fmt.Errorf("second ISend payload wrong: %v", dst)
-		}
-		return nil
-	})
-}
-
-// TestISendChargesNoCPUTime verifies the overlap clock model: posting a
-// nonblocking send leaves the sender's clock untouched, while a blocking
-// Send advances it by the full injection cost.
-func TestISendChargesNoCPUTime(t *testing.T) {
-	_, _ = run(t, 2, func(c *Comm) error {
-		const tag = 9
-		if c.Rank() == 0 {
-			data := make([]float64, 64)
-			before := c.Clock()
-			req := c.ISend(1, tag, data)
-			if c.Clock() != before {
-				return fmt.Errorf("ISend advanced sender clock %g -> %g", before, c.Clock())
-			}
-			if req.Arrive() <= before {
-				return fmt.Errorf("ISend arrival %g not after post time %g", req.Arrive(), before)
-			}
-			c.Send(1, tag, data)
-			if c.Clock() <= before {
-				return fmt.Errorf("Send did not advance sender clock")
-			}
-			return nil
-		}
-		dst := make([]float64, 64)
-		c.RecvInto(0, tag, dst)
-		c.RecvInto(0, tag, dst)
-		return nil
-	})
-}
-
-// TestISendNICSerialization verifies that a burst of ISends injects
-// serially on the NIC: message k arrives k wire-times after the first
-// injection starts, so overlapping cannot conjure infinite bandwidth.
-func TestISendNICSerialization(t *testing.T) {
-	_, _ = run(t, 2, func(c *Comm) error {
-		const tag, k, n = 10, 4, 128
-		cost := platform.Default().P2PTime(8 * n)
-		if c.Rank() == 0 {
-			data := make([]float64, n)
-			t0 := c.Clock()
-			for i := 0; i < k; i++ {
-				req := c.ISend(1, tag, data)
-				want := t0 + float64(i+1)*cost
-				if math.Abs(req.Arrive()-want) > 1e-15 {
-					return fmt.Errorf("ISend %d arrives at %g, want %g", i, req.Arrive(), want)
-				}
-			}
-			return nil
-		}
-		dst := make([]float64, n)
-		for i := 0; i < k; i++ {
-			c.RecvInto(0, tag, dst)
-		}
-		return nil
-	})
-}
-
-// TestOverlapChargesMaxCommCompute pins the LogGP-style accounting the
-// overlapped SpMV relies on: a posted receive completed after local
-// compute costs max(comm, compute) for the span, not their sum.
-func TestOverlapChargesMaxCommCompute(t *testing.T) {
-	_, _ = run(t, 2, func(c *Comm) error {
-		const tag, n = 11, 512
-		plat := platform.Default()
-		wire := plat.P2PTime(8 * n)
-		if c.Rank() == 0 {
-			// Both messages are posted at clock 0 (ISend charges no CPU
-			// time); NIC serialization lands them at wire and 2*wire.
-			c.ISend(1, tag, make([]float64, n))
-			c.ISend(1, tag, make([]float64, n))
-			return nil
-		}
-		dst := make([]float64, n)
-
-		// Case 1: compute shorter than the wire time -> the span costs the
-		// full communication time.
-		req := c.IRecvInto(0, tag, dst)
-		t0 := c.Clock()
-		c.Compute(1)
-		req.Wait()
-		if span := c.Clock() - t0; math.Abs(span-wire) > 1e-12 {
-			return fmt.Errorf("short-compute span %g, want wire time %g", span, wire)
-		}
-
-		// Case 2: compute longer than the remaining flight time -> the
-		// communication is fully hidden and the span costs only the compute.
-		req = c.IRecvInto(0, tag, dst)
-		const bigFlops = int64(1_000_000)
-		work := plat.ComputeTime(bigFlops, c.Freq())
-		if work <= 2*wire {
-			return fmt.Errorf("test setup: compute %g does not dominate flight %g", work, 2*wire)
-		}
-		t1 := c.Clock()
-		c.Compute(bigFlops)
-		req.Wait()
-		if span := c.Clock() - t1; math.Abs(span-work) > 1e-12 {
-			return fmt.Errorf("long-compute span %g, want compute time %g (comm hidden)", span, work)
 		}
 		return nil
 	})

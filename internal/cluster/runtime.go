@@ -24,7 +24,7 @@
 //
 // Host scheduling is not an input: each rank is one goroutine blocking on
 // mutex/cond (one pair for the collectives, one per receiving rank for
-// point-to-point), and clocks, energy, traces and solutions are derived
+// point-to-point messages and halo reads), and clocks, energy, traces and solutions are derived
 // from virtual time and rank-ordered reductions, never from the order
 // the host happens to run the ranks in.
 package cluster
@@ -41,8 +41,8 @@ import (
 )
 
 // Runtime couples P ranks to a platform and a meter for one parallel run.
-// It is single-use: the exit set, the abort state and any messages left
-// queued describe that one run, so build a new Runtime per Run. A second
+// It is single-use: the exit set, the abort state, the halo plans and any
+// messages left queued describe that one run, so build a new Runtime per Run. A second
 // Run returns an error without starting any rank.
 type Runtime struct {
 	p     int
@@ -52,6 +52,11 @@ type Runtime struct {
 
 	coll    *collectiveState
 	inboxes []inbox // indexed by receiving rank
+
+	// halos[k*p+r] is rank r's k-th halo plan, registered by NewHalo for
+	// its peers to find; set up once per operator, so a mutex guards it.
+	halosMu sync.Mutex
+	halos   []*Halo
 
 	// started is set by the first Run; see the single-use note above.
 	started atomic.Bool

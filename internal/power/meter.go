@@ -33,15 +33,16 @@ func (s Segment) Energy() float64 { return s.Watts * s.Dur }
 
 // Meter accumulates energy segments over virtual time.
 //
-// Energy is accumulated per core, not into shared totals: each core is
-// written by a single rank goroutine in its program order, so the per-core
-// sums are scheduling-independent, and the read-side reductions walk cores
-// in sorted order. Totals are therefore bitwise run-to-run deterministic
-// even though ranks record concurrently (a shared += would pick up the
-// goroutine interleaving through float non-associativity).
+// Energy and retained segments are kept per core, not in shared totals
+// and one shared list: each core is written by a single rank goroutine in
+// its program order, so the per-core sums and segment lists are
+// scheduling-independent, and the read side walks cores in ascending
+// order. Totals, segment lists and the timelines built from them are
+// therefore bitwise run-to-run deterministic even though ranks record
+// concurrently (a shared += or append would pick up the goroutine
+// interleaving).
 type Meter struct {
 	mu       sync.Mutex
-	segs     []Segment
 	cores    []coreMeter // dense, indexed by core id, grown on demand
 	keepSegs bool
 	reserved bool // core table pre-sized by Reserve; enables lock-free records
@@ -53,8 +54,8 @@ type Meter struct {
 type coreMeter struct {
 	energy  float64
 	lastEnd float64
-	lastSeg int // index+1 of the last retained segment; 0 = none
 	phases  []phaseEnergy
+	segs    []Segment // retained segments, in the core's program order
 }
 
 // phaseEnergy is one (phase, energy) entry. A core sees only a handful
@@ -84,9 +85,8 @@ func NewMeter(keepSegments bool) *Meter {
 	return &Meter{keepSegs: keepSegments}
 }
 
-// Reserve pre-sizes the per-core table for cores [0, n). On a meter
-// without segment retention, records to a reserved core then take a
-// lock-free path: each core's accumulator is written by exactly one rank
+// Reserve pre-sizes the per-core table for cores [0, n). Records to a
+// reserved core then take a lock-free path: each core's accumulator is written by exactly one rank
 // goroutine (core id = rank) and aggregate reads happen after the run
 // joins, so no synchronization is needed beyond the run's own edges.
 // Callers must reserve every core that will be recorded concurrently;
@@ -117,15 +117,9 @@ func (m *Meter) Record(core int, phase string, start, dur, watts float64) {
 	if watts < 0 || math.IsNaN(watts) {
 		panic(fmt.Sprintf("power: negative/NaN power %g on core %d phase %q", watts, core, phase))
 	}
-	if m.reserved && !m.keepSegs && core < len(m.cores) {
+	if m.reserved && core < len(m.cores) {
 		// Lock-free single-writer path; see Reserve.
-		cm := &m.cores[core]
-		e := watts * dur
-		cm.energy += e
-		cm.addPhase(phase, e)
-		if end := start + dur; end > cm.lastEnd {
-			cm.lastEnd = end
-		}
+		m.cores[core].record(core, phase, start, dur, watts, m.keepSegs)
 		return
 	}
 	m.mu.Lock()
@@ -135,31 +129,31 @@ func (m *Meter) Record(core int, phase string, start, dur, watts float64) {
 		copy(grown, m.cores)
 		m.cores = grown
 	}
-	cm := &m.cores[core]
+	m.cores[core].record(core, phase, start, dur, watts, m.keepSegs)
+}
+
+// record adds one segment to the core's accumulator, retaining it when
+// keep is set. A retained segment is coalesced with the core's previous
+// one when contiguous and identical in phase and power.
+func (cm *coreMeter) record(core int, phase string, start, dur, watts float64, keep bool) {
 	e := watts * dur
 	cm.energy += e
 	cm.addPhase(phase, e)
 	if end := start + dur; end > cm.lastEnd {
 		cm.lastEnd = end
 	}
-	if !m.keepSegs {
+	if !keep {
 		return
 	}
-	// Coalesce with the core's own previous segment when contiguous and
-	// identical in phase and power. Tracking the last segment per core
-	// (rather than globally) keeps each core's retained segment list a
-	// pure function of its program order: whether another core's record
-	// interleaved between two of ours cannot change what is merged.
-	if cm.lastSeg > 0 {
-		last := &m.segs[cm.lastSeg-1]
+	if n := len(cm.segs); n > 0 {
+		last := &cm.segs[n-1]
 		if last.Phase == phase && last.Watts == watts &&
 			math.Abs(last.End()-start) < 1e-12 {
 			last.Dur += dur
 			return
 		}
 	}
-	m.segs = append(m.segs, Segment{Core: core, Phase: phase, Start: start, Dur: dur, Watts: watts})
-	cm.lastSeg = len(m.segs)
+	cm.segs = append(cm.segs, Segment{Core: core, Phase: phase, Start: start, Dur: dur, Watts: watts})
 }
 
 // TotalEnergy returns the total recorded energy in joules, reduced over
@@ -190,13 +184,20 @@ func (m *Meter) EnergyByPhase() map[string]float64 {
 	return out
 }
 
-// Segments returns a copy of the recorded segments (empty when the meter
-// was created without segment retention).
+// Segments returns a copy of the recorded segments, core by core in
+// ascending core order and each core's in the order it recorded them
+// (empty when the meter was created without segment retention).
 func (m *Meter) Segments() []Segment {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Segment, len(m.segs))
-	copy(out, m.segs)
+	n := 0
+	for i := range m.cores {
+		n += len(m.cores[i].segs)
+	}
+	out := make([]Segment, 0, n)
+	for i := range m.cores {
+		out = append(out, m.cores[i].segs...)
+	}
 	return out
 }
 
@@ -239,26 +240,19 @@ type Gap struct {
 // panics otherwise, since an empty answer from a segment-less meter would
 // falsely report full coverage.
 func (m *Meter) Gaps(tol float64) []Gap {
-	m.mu.Lock()
-	keep := m.keepSegs
-	segs := make([]Segment, len(m.segs))
-	copy(segs, m.segs)
-	m.mu.Unlock()
-	if !keep {
+	if !m.keepSegs {
 		panic("power: Gaps requires a meter with segment retention")
 	}
-	byCore := make(map[int][]Segment)
-	var cores []int
-	for _, s := range segs {
-		if _, ok := byCore[s.Core]; !ok {
-			cores = append(cores, s.Core)
-		}
-		byCore[s.Core] = append(byCore[s.Core], s)
-	}
-	sort.Ints(cores)
+	segs := m.Segments()
 	var gaps []Gap
-	for _, core := range cores {
-		cs := byCore[core]
+	for len(segs) > 0 {
+		// Segments come grouped by core; cut off this core's run.
+		core, n := segs[0].Core, 1
+		for n < len(segs) && segs[n].Core == core {
+			n++
+		}
+		cs := segs[:n:n]
+		segs = segs[n:]
 		sort.Slice(cs, func(i, j int) bool { return cs[i].Start < cs[j].Start })
 		end := cs[0].End()
 		for _, s := range cs[1:] {

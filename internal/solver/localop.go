@@ -15,11 +15,8 @@ import (
 	"resilience/internal/sparse"
 )
 
-// Setup/halo exchange message tags.
-const (
-	tagSetup = 100
-	tagHalo  = 101
-)
+// tagSetup is the message tag of the one-time need-list exchange.
+const tagSetup = 100
 
 // LocalOp is one rank's view of the distributed matrix: its row block
 // with columns remapped to [own | ghost] local indexing, plus the halo
@@ -44,16 +41,17 @@ type LocalOp struct {
 
 	// The halo plan. neighbors lists the peer ranks, ascending; the
 	// per-neighbor slices below are indexed by position in it, so the
-	// per-iteration exchange walks them without a lookup.
+	// per-iteration exchange walks them without a lookup. halo moves the
+	// values: the gather writes straight into its outgoing slots and the
+	// scatter reads straight from the neighbors' slots.
 	neighbors []int
 	sendIdx   [][]int     // local row offsets each neighbor needs from us
 	recvSlot  [][]int     // ghost slots for each neighbor's values, in the order it sends them
 	ghostSlot map[int]int // global col -> ghost slot
 	nGhost    int
+	halo      *cluster.Halo
 
-	xbuf    []float64 // [own | ghost] assembled vector
-	sendBuf []float64
-	recvBuf []float64
+	xbuf []float64 // [own | ghost] assembled vector
 
 	// Interior/boundary split of localA for the overlapped SpMV path:
 	// interior rows touch no ghost column and can be multiplied while the
@@ -61,13 +59,6 @@ type LocalOp struct {
 	interior *blockRows
 	boundary *blockRows
 	overlap  bool
-
-	// Per-neighbor owned buffers for the overlapped path: every posted
-	// send and pending receive keeps its own storage, so in-flight
-	// payloads never alias whatever staging buffer the next post reuses.
-	sendBufs [][]float64
-	recvBufs [][]float64
-	recvReqs []cluster.RecvReq
 }
 
 // blockRows is a subset of a matrix's rows, held as a list of row numbers
@@ -153,31 +144,19 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 		panic("solver: halo columns not grouped by ascending owner")
 	}
 
-	// Size the receive buffer so the per-iteration halo exchange does no
-	// allocations.
-	maxNeed := 0
-	for _, cols := range needIdx {
-		if len(cols) > maxNeed {
-			maxNeed = len(cols)
-		}
-	}
-	op.recvBuf = make([]float64, maxNeed)
-
-	// Pairwise exchange of need lists (symmetric neighbor relation).
-	for i, o := range op.neighbors {
-		c.SendInts(o, tagSetup, needIdx[i])
-	}
-	op.sendIdx = make([][]int, len(op.neighbors))
-	for ni, o := range op.neighbors {
-		theirCols := c.RecvInts(o, tagSetup)
-		idx := make([]int, len(theirCols))
-		for i, col := range theirCols {
+	// Pairwise exchange of need lists (symmetric neighbor relation) while
+	// building the halo plan; what each neighbor asks for becomes the
+	// local row offsets gathered into its slot.
+	var theirCols [][]int
+	op.halo, theirCols = c.NewHalo(tagSetup, op.neighbors, needIdx)
+	op.sendIdx = theirCols
+	for ni, cols := range theirCols {
+		for i, col := range cols {
 			if col < lo || col >= hi {
-				panic(fmt.Sprintf("solver: rank %d asked for col %d not owned by %d", o, col, r))
+				panic(fmt.Sprintf("solver: rank %d asked for col %d not owned by %d", op.neighbors[ni], col, r))
 			}
-			idx[i] = col - lo
+			cols[i] = col - lo
 		}
-		op.sendIdx[ni] = idx
 	}
 
 	// Copy this rank's rows out of a with the columns remapped into
@@ -223,15 +202,6 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	op.xbuf = make([]float64, op.N+op.nGhost)
 	op.interior = newBlockRows(la, rows[:nInt])
 	op.boundary = newBlockRows(la, rows[nInt:])
-
-	// Per-neighbor owned buffers for the overlapped halo exchange.
-	op.sendBufs = make([][]float64, len(op.neighbors))
-	op.recvBufs = make([][]float64, len(op.neighbors))
-	for i := range op.neighbors {
-		op.sendBufs[i] = make([]float64, len(op.sendIdx[i]))
-		op.recvBufs[i] = make([]float64, len(op.recvSlot[i]))
-	}
-	op.recvReqs = make([]cluster.RecvReq, len(op.neighbors))
 	return op
 }
 
@@ -246,9 +216,9 @@ func (op *LocalOp) RowBlock() *sparse.CSR {
 	return op.rowBlock
 }
 
-// SetOverlap selects the overlapped MulVecDist path: halo sends and
-// receives are posted nonblocking, the interior rows are multiplied
-// while the exchange is in flight, and the boundary rows follow once it
+// SetOverlap selects the overlapped MulVecDist path: the halo is posted
+// nonblocking, the interior rows are multiplied while the exchange is in
+// flight, and the boundary rows follow once it
 // completes. The result is bitwise-identical to the fused path; only the
 // modeled clock differs. Collective discipline applies: every rank must
 // use the same setting.
@@ -275,28 +245,36 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 		start := c.Clock()
 		defer func() { o.Span(obs.SpanHalo, start, c.Clock()-start) }()
 	}
+	op.gather(x)
+	op.halo.Send()
+	op.scatter()
+	return op.xbuf
+}
+
+// gather copies x into the owned part of xbuf and each neighbor's values
+// straight into its outgoing halo slot.
+func (op *LocalOp) gather(x []float64) {
 	copy(op.xbuf[:op.N], x)
-	for ni, o := range op.neighbors {
-		idx := op.sendIdx[ni]
-		if cap(op.sendBuf) < len(idx) {
-			op.sendBuf = make([]float64, len(idx))
-		}
-		buf := op.sendBuf[:len(idx)]
+	for ni, idx := range op.sendIdx {
+		slot := op.halo.Slot(ni)
+		slot = slot[:len(idx)]
 		for i, li := range idx {
-			buf[i] = x[li]
+			slot[i] = x[li]
 		}
-		c.Send(o, tagHalo, buf)
 	}
-	for ni, o := range op.neighbors {
-		slots := op.recvSlot[ni]
-		vals := op.recvBuf[:len(slots)]
-		c.RecvInto(o, tagHalo, vals)
-		ghost := op.xbuf[op.N:]
+}
+
+// scatter completes the published exchange neighbor by neighbor, reading
+// each one's values in place from its slot into their ghost slots.
+func (op *LocalOp) scatter() {
+	ghost := op.xbuf[op.N:]
+	for ni, slots := range op.recvSlot {
+		vals := op.halo.Recv(ni)
+		vals = vals[:len(slots)]
 		for i, slot := range slots {
 			ghost[slot] = vals[i]
 		}
 	}
-	return op.xbuf
 }
 
 // MulVecDist computes the local block of the distributed product
@@ -314,10 +292,10 @@ func (op *LocalOp) MulVecDist(c *cluster.Comm, y, x []float64) {
 }
 
 // mulVecDistOverlap hides the halo exchange behind the interior SpMV:
-// post every send and receive nonblocking, multiply the interior rows
-// while messages are in flight, then complete the receives, scatter the
-// ghost values, and multiply the boundary rows. Sends charge no CPU time
-// (the NIC injects them, serially), so the overlapped span costs
+// post the halo nonblocking, multiply the interior rows while it is in
+// flight, then complete the exchange into the ghost values and multiply
+// the boundary rows. Posting charges no CPU time (the NIC injects the
+// slots, serially), so the overlapped span costs
 // max(halo exchange, interior compute) on the modeled clock instead of
 // their sum. When every row is boundary (tiny blocks, many ranks) there
 // is no interior work to hide behind and the path degenerates to the
@@ -326,17 +304,8 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 	if len(x) != op.N {
 		panic(fmt.Sprintf("solver: MulVecDist len(x)=%d, want %d", len(x), op.N))
 	}
-	copy(op.xbuf[:op.N], x)
-	for ni, o := range op.neighbors {
-		buf := op.sendBufs[ni]
-		for i, li := range op.sendIdx[ni] {
-			buf[i] = x[li]
-		}
-		c.ISend(o, tagHalo, buf)
-	}
-	for ni, o := range op.neighbors {
-		op.recvReqs[ni] = c.IRecvInto(o, tagHalo, op.recvBufs[ni])
-	}
+	op.gather(x)
+	op.halo.Post()
 
 	// Interior rows read only owned entries of xbuf, so they are safe to
 	// multiply before the ghost region is filled.
@@ -347,14 +316,7 @@ func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
 		o.Span(obs.SpanSpMVInterior, intStart, c.Clock()-intStart)
 	}
 
-	ghost := op.xbuf[op.N:]
-	for ni := range op.neighbors {
-		op.recvReqs[ni].Wait()
-		vals := op.recvBufs[ni]
-		for j, slot := range op.recvSlot[ni] {
-			ghost[slot] = vals[j]
-		}
-	}
+	op.scatter()
 	bdyStart := c.Clock()
 	op.boundary.mulVecInto(y, op.xbuf)
 	c.Compute(op.boundary.flops())

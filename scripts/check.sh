@@ -5,8 +5,9 @@
 # ledger and campaign driver, nor the second collective rendezvous and the
 # scheme-name copies, nor the two retired observability packages and their
 # second event log, encoder and dead helpers, nor the fault constructors,
-# solver workspace and facade helper replaced by core.System.Spread, is
-# named again; the even fault placement has one caller, in core), a
+# solver workspace and facade helper replaced by core.System.Spread, nor
+# the nonblocking point-to-point API the halo plan replaced, is named
+# again; the even fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -83,6 +84,12 @@ if git grep -nE 'NewSchedule''Classes|NewSin''gle|RunExperiment''Workers|NewChol
     echo "a retired fault constructor, workspace or facade helper is named again"; exit 1
 fi
 test "$(git grep -n 'fault\.Even''ly(' -- '*.go' ':!*_test.go' | sed 's/:.*//; s#/[^/]*$##')" = internal/core
+# Likewise the nonblocking point-to-point API: a LocalOp moves halo values
+# only through its cluster.Halo plan (one-sided, double-buffered slots),
+# and the tagged Send/Recv path serves one-time setup.
+if git grep -nE 'I''Send|IRecv''Into|Send''Req|Recv''Req' -- . ':!*.md'; then
+    echo "the retired nonblocking point-to-point API is named again"; exit 1
+fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
     ./internal/service/... ./internal/obs/...
@@ -134,10 +141,10 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 # The hot paths must stay allocation-free with no recorder attached
 # (attaching one may allocate for span storage; that variant is measured
 # by BenchmarkCGIterationObserved but not gated): the CG iteration and
-# the all-to-all halo exchange at 16 and 32 ranks (every inbox fed by
-# every other rank, which the 4-rank CG iteration cannot show), and the
-# blocking Send/RecvInto ring plus scalar allreduce at 16 ranks, which
-# neither of those reaches.
+# the all-to-all halo exchange at 16 and 32 ranks (every rank's plan read
+# by every other rank, which the 4-rank CG iteration cannot show), and
+# the blocking Send/RecvInto ring plus scalar allreduce at 16 ranks, the
+# setup-time path neither of those reaches.
 go test -run '^$' -bench '^BenchmarkCGIteration$|^BenchmarkHaloExchangeAllToAll$' \
     -benchmem -benchtime 2000x ./internal/solver |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
