@@ -24,39 +24,24 @@ type Client struct {
 	Base string
 	// BreakInvariant is sent as each job's break_invariant field.
 	BreakInvariant string
-	// HTTP is the transport (nil: a 5-minute-timeout client).
-	HTTP *http.Client
-	// MaxRetries bounds per-item retries of backpressured responses
-	// (<=0: 240).
-	MaxRetries int
-	// RetrySleep is the pause between per-item retries (<=0: 25 ms).
-	RetrySleep time.Duration
+
+	client *http.Client
 }
+
+const (
+	// maxRetries bounds the retries of one backpressured batch or item.
+	maxRetries = 240
+	// retrySleep is the pause between retries.
+	retrySleep = 25 * time.Millisecond
+)
 
 // NewClient builds an HTTP evaluator for the fleet at base.
 func NewClient(base, breakInvariant string) *Client {
-	return &Client{Base: strings.TrimRight(base, "/"), BreakInvariant: breakInvariant}
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+	return &Client{
+		Base:           strings.TrimRight(base, "/"),
+		BreakInvariant: breakInvariant,
+		client:         &http.Client{Timeout: 5 * time.Minute},
 	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
-func (c *Client) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return 240
-}
-
-func (c *Client) retrySleep() time.Duration {
-	if c.RetrySleep > 0 {
-		return c.RetrySleep
-	}
-	return 25 * time.Millisecond
 }
 
 // Evaluate implements Evaluator: one round trip for the whole batch,
@@ -92,7 +77,7 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]se
 		return nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		resp, respBody, err := service.Post(ctx, c.http(), c.Base+"/batch", "", body)
+		resp, respBody, err := service.Post(ctx, c.client, c.Base+"/batch", "", body)
 		if err != nil {
 			return nil, err
 		}
@@ -103,8 +88,8 @@ func (c *Client) postBatch(ctx context.Context, reqs []service.JobRequest) ([]se
 				return nil, fmt.Errorf("fleet: batch %w", err)
 			}
 			return items, nil
-		case service.Retryable(code) && attempt < c.maxRetries():
-			if err := sleepCtx(ctx, c.retrySleep()); err != nil {
+		case service.Retryable(code) && attempt < maxRetries:
+			if err := sleepCtx(ctx, retrySleep); err != nil {
 				return nil, err
 			}
 		default:
@@ -133,13 +118,13 @@ func (c *Client) finishItem(ctx context.Context, req service.JobRequest, item se
 			}
 			return res.Verdict, nil
 		}
-		if !service.Retryable(item.Code) || attempt >= c.maxRetries() {
+		if !service.Retryable(item.Code) || attempt >= maxRetries {
 			return "", fmt.Errorf("fleet: item status %d: %s", item.Code, item.Body)
 		}
-		if err := sleepCtx(ctx, c.retrySleep()); err != nil {
+		if err := sleepCtx(ctx, retrySleep); err != nil {
 			return "", err
 		}
-		resp, respBody, err := service.Post(ctx, c.http(), c.Base+"/solve", "", body)
+		resp, respBody, err := service.Post(ctx, c.client, c.Base+"/solve", "", body)
 		if err != nil {
 			return "", err
 		}

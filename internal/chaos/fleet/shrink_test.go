@@ -96,7 +96,7 @@ func TestShrinkKeepsFailing(t *testing.T) {
 	// Fails while a hard fault on an even rank remains.
 	hardEven := func(c *chaos.Scenario) bool {
 		for _, f := range c.Faults {
-			if f.Class.IsHard() && f.Rank%2 == 0 {
+			if !f.Class.IsSoft() && f.Rank%2 == 0 {
 				return true
 			}
 		}

@@ -38,9 +38,7 @@ const (
 	RD   // dual modular redundancy
 	TMR  // triple modular redundancy (extension)
 	ESR  // exact state reconstruction (extension)
-	LCR  // lossy-compressed checkpoint/restart (extension)
-
-	numSchemeKinds // keep last: the scheme-table test walks [FF, numSchemeKinds)
+	LCR  // lossy-compressed checkpoint/restart (extension); keep last: the scheme-table test walks [FF, LCR]
 )
 
 // SchemeSpec selects and configures a recovery scheme.
@@ -67,9 +65,6 @@ type SchemeSpec struct {
 	// LossyRatio is the LCR compression ratio (compressed payload =
 	// bytes/LossyRatio); zero means recovery.DefaultLossyRatio.
 	LossyRatio float64
-	// LossyErrBound is the LCR compressor's pointwise relative error
-	// bound applied on restore; zero means recovery.DefaultLossyErrBound.
-	LossyErrBound float64
 }
 
 // RunConfig describes one resilient solve.
@@ -204,7 +199,7 @@ func buildScheme(cfg *RunConfig, x0Block []float64, ckptPolicy checkpoint.Policy
 			Store:  lossyStore(cfg.Plat, cfg.Scheme),
 			Policy: ckptPolicy,
 			X0:     x0Block,
-		}, ErrBound: cfg.Scheme.LossyErrBound}, nil
+		}}, nil
 	}
 	return nil, fmt.Errorf("core: unknown scheme kind %v", cfg.Scheme.Kind)
 }

@@ -69,7 +69,7 @@ func TestSchemeTable(t *testing.T) {
 	}
 
 	var ckpt []string
-	for k := FF; k < numSchemeKinds; k++ {
+	for k := FF; k <= LCR; k++ {
 		spec := SchemeSpec{Kind: k}
 		if schemeRowOf(k, spec.Construct, false) == nil {
 			t.Errorf("kind %d has no plain row in the scheme table", int(k))
@@ -90,7 +90,7 @@ func TestSchemeTable(t *testing.T) {
 	if got := strings.Join(ckpt, " "); got != "CR-M CR-D CR-2L LCR" {
 		t.Errorf("Checkpoints() holds for %q, want exactly CR-M CR-D CR-2L LCR", got)
 	}
-	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: numSchemeKinds}}, nil, checkpoint.Policy{}); err == nil {
+	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: LCR + 1}}, nil, checkpoint.Policy{}); err == nil {
 		t.Error("buildScheme accepted a kind past the enum")
 	}
 }

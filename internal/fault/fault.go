@@ -44,9 +44,6 @@ func (c Class) String() string {
 // IsSoft reports whether the class is a soft fault.
 func (c Class) IsSoft() bool { return c == DCE || c == DUE || c == SDC }
 
-// IsHard reports whether the class is a hard fault.
-func (c Class) IsHard() bool { return !c.IsSoft() }
-
 // Classes returns all classes in presentation order.
 func Classes() []Class { return []Class{DCE, DUE, SDC, SWO, SNF, LNF} }
 
@@ -204,11 +201,6 @@ func ProjectFig1() []Fig1Row {
 		})
 	}
 	return rows
-}
-
-// ExpHours draws an exponential interarrival with the given MTBF.
-func ExpHours(mtbfHours float64, rng *rand.Rand) float64 {
-	return rng.ExpFloat64() * mtbfHours
 }
 
 // guard against accidental zero rates in projections.

@@ -45,11 +45,6 @@ func ItersToKappa(iters int, tol float64) float64 {
 	return kappa
 }
 
-// KappaToIters applies the CG iteration bound.
-func KappaToIters(kappa, tol float64) int {
-	return int(math.Ceil(0.5 * math.Sqrt(kappa) * math.Log(2/tol)))
-}
-
 // BandedOpts configures BandedSPD.
 type BandedOpts struct {
 	N          int     // matrix dimension
@@ -237,32 +232,4 @@ func RHS(a *sparse.CSR) (b, xTrue []float64) {
 	b = make([]float64, n)
 	a.MulVec(b, xTrue)
 	return b, xTrue
-}
-
-// Anisotropic2D returns the 5-point discretization of the anisotropic
-// Laplacian -eps*u_xx - u_yy on a g x g grid: diagonal 2(1+eps),
-// horizontal couplings -eps, vertical couplings -1. Small eps produces
-// the strongly directional problems on which plain CG (and block-local
-// reconstruction) degrade — a controlled stand-in for "irregular"
-// workloads.
-func Anisotropic2D(g int, eps float64) *sparse.CSR {
-	if eps <= 0 {
-		panic(fmt.Sprintf("matgen: Anisotropic2D eps=%g", eps))
-	}
-	n := g * g
-	coo := sparse.NewCOO(n, n)
-	idx := func(r, c int) int { return r*g + c }
-	for r := 0; r < g; r++ {
-		for c := 0; c < g; c++ {
-			i := idx(r, c)
-			coo.Add(i, i, 2*(1+eps))
-			if c+1 < g {
-				coo.AddSym(i, idx(r, c+1), -eps)
-			}
-			if r+1 < g {
-				coo.AddSym(i, idx(r+1, c), -1)
-			}
-		}
-	}
-	return coo.ToCSR()
 }

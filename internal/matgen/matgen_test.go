@@ -141,12 +141,12 @@ func TestBandedSPDTargetsKappa(t *testing.T) {
 func TestItersKappaRoundTrip(t *testing.T) {
 	for _, iters := range []int{50, 300, 2000} {
 		kappa := ItersToKappa(iters, DefaultTol)
-		back := KappaToIters(kappa, DefaultTol)
-		// The round trip includes the calibration constant, so compare
-		// against iters adjusted by it.
+		// Back through the CG iteration bound; the round trip includes
+		// the calibration constant, so compare against iters adjusted by it.
+		back := math.Ceil(0.5 * math.Sqrt(kappa) * math.Log(2/DefaultTol))
 		want := float64(iters) / cgBoundCalibration
-		if math.Abs(float64(back)-want) > 0.02*want+2 {
-			t.Errorf("iters=%d: kappa=%g back=%d want~%g", iters, kappa, back, want)
+		if math.Abs(back-want) > 0.02*want+2 {
+			t.Errorf("iters=%d: kappa=%g back=%g want~%g", iters, kappa, back, want)
 		}
 	}
 	if ItersToKappa(0, DefaultTol) < 1 {
@@ -249,29 +249,4 @@ func TestGenerateStencilSquare(t *testing.T) {
 	if g*g != a.Rows {
 		t.Errorf("stencil rows %d not a perfect square", a.Rows)
 	}
-}
-
-func TestAnisotropic2D(t *testing.T) {
-	a := Anisotropic2D(6, 0.01)
-	if a.Rows != 36 || !a.IsSymmetric(0) {
-		t.Fatalf("shape/symmetry wrong: %v", a)
-	}
-	if lo, _ := a.GershgorinBounds(); lo < 0 {
-		t.Errorf("not diagonally dominant: %g", lo)
-	}
-	// Anisotropy slows CG relative to the isotropic Laplacian of the
-	// same size.
-	bIso, _ := RHS(Laplacian2D(6))
-	iso, _ := solver.SolveFaultFreeIters(Laplacian2D(6), bIso, 1e-10, 10000)
-	bAniso, _ := RHS(a)
-	aniso, _ := solver.SolveFaultFreeIters(a, bAniso, 1e-10, 10000)
-	if aniso <= iso {
-		t.Errorf("anisotropic CG %d iters not above isotropic %d", aniso, iso)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for eps<=0")
-		}
-	}()
-	Anisotropic2D(4, 0)
 }

@@ -64,7 +64,7 @@ func TestZeroFaultCampaign(t *testing.T) {
 }
 
 // TestMTBFLimits drives the predictions to both ends of the failure-rate
-// axis via LambdaFromMTBF: a huge-but-finite MTBF (1e300 s — the ∞ limit;
+// axis, lambda = 1/MTBF: a huge-but-finite MTBF (1e300 s — the ∞ limit;
 // +Inf itself would make lambda exactly 0 and is covered above) and a
 // tiny MTBF (faults nearly continuous). All outputs must stay finite, and
 // overheads must be monotone in the rate.
@@ -84,7 +84,7 @@ func TestMTBFLimits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
-			p.Lambda = LambdaFromMTBF(tc.mtbf)
+			p.Lambda = 1 / tc.mtbf
 
 			fwp := p
 			fwp.TConst = 0.05
@@ -130,24 +130,6 @@ func TestMTBFLimits(t *testing.T) {
 // YoungIntervalLike mirrors checkpoint.YoungInterval without importing the
 // package (model must stay dependency-free below platform).
 func YoungIntervalLike(tC, mtbf float64) float64 { return math.Sqrt(2 * tC * mtbf) }
-
-// TestLambdaFromMTBFPanics: the conversion is undefined at or below zero.
-func TestLambdaFromMTBFPanics(t *testing.T) {
-	for _, mtbf := range []float64{0, -1, math.Inf(-1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("LambdaFromMTBF(%g) did not panic", mtbf)
-				}
-			}()
-			LambdaFromMTBF(mtbf)
-		}()
-	}
-	// +Inf MTBF is a meaningful limit: a system that never faults.
-	if got := LambdaFromMTBF(math.Inf(1)); got != 0 {
-		t.Errorf("LambdaFromMTBF(+Inf) = %g, want exactly 0", got)
-	}
-}
 
 // TestSingleCoreDegenerateParams: N = 1 is the single-rank partition
 // degenerate case — FW's "other cores idle" term has no other cores, so

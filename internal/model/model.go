@@ -233,14 +233,3 @@ func PredictLCR(p Params) (Prediction, error) {
 	e := p.PBase*p.TBase + eRes
 	return Prediction{TRes: tRes, ERes: eRes, T: t, E: e, P: e / t}, nil
 }
-
-// ExpectedFaults returns λ·T, the expected fault count over a duration.
-func ExpectedFaults(lambda, t float64) float64 { return lambda * t }
-
-// LambdaFromMTBF converts an MTBF in seconds to a rate.
-func LambdaFromMTBF(mtbfSeconds float64) float64 {
-	if mtbfSeconds <= 0 {
-		panic(fmt.Sprintf("model: non-positive MTBF %g", mtbfSeconds))
-	}
-	return 1 / mtbfSeconds
-}

@@ -178,21 +178,6 @@ func TestQuickEnergyIdentity(t *testing.T) {
 	}
 }
 
-func TestLambdaHelpers(t *testing.T) {
-	if LambdaFromMTBF(100) != 0.01 {
-		t.Error("LambdaFromMTBF")
-	}
-	if ExpectedFaults(0.01, 100) != 1 {
-		t.Error("ExpectedFaults")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for MTBF<=0")
-		}
-	}()
-	LambdaFromMTBF(0)
-}
-
 func TestValidateParams(t *testing.T) {
 	bad := Params{TBase: -1, PBase: 1, N: 1}
 	if _, err := PredictFF(bad); err == nil {

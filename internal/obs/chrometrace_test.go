@@ -21,6 +21,7 @@ func goldenRecorder() (*Recorder, *power.Meter) {
 	rec.Rank(1).Span(SpanRecv, 0, 1.5e-6)
 
 	m := power.NewMeter(true)
+	m.Reserve(2)
 	m.Record(0, "solve", 0, 1e-6, 90)
 	m.Record(0, "solve", 2e-6, 1e-6, 90)
 	m.Record(1, "solve", 0, 3e-6, 50)

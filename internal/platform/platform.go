@@ -94,12 +94,6 @@ func Default() *Platform {
 	}
 }
 
-// Cores returns the total core count.
-func (p *Platform) Cores() int { return p.Nodes * p.SocketsPerNode * p.CoresPerSocket }
-
-// CoresPerNode returns the per-node core count.
-func (p *Platform) CoresPerNode() int { return p.SocketsPerNode * p.CoresPerSocket }
-
 // ClampFreq snaps f onto the DVFS ladder (clamping to [FreqMin, FreqMax]).
 func (p *Platform) ClampFreq(f float64) float64 {
 	if f <= p.FreqMin {
@@ -110,15 +104,6 @@ func (p *Platform) ClampFreq(f float64) float64 {
 	}
 	steps := math.Round((f - p.FreqMin) / p.FreqStep)
 	return p.FreqMin + steps*p.FreqStep
-}
-
-// Freqs returns the full DVFS ladder, ascending.
-func (p *Platform) Freqs() []float64 {
-	var fs []float64
-	for f := p.FreqMin; f <= p.FreqMax+1e-9; f += p.FreqStep {
-		fs = append(fs, math.Round(f*10)/10)
-	}
-	return fs
 }
 
 // Rate returns the flop rate at frequency f (linear frequency scaling).

@@ -11,22 +11,19 @@ func TestDefaultValid(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Cores() != 192 {
-		t.Errorf("paper cluster has 192 cores, got %d", p.Cores())
-	}
-	if p.CoresPerNode() != 24 {
-		t.Errorf("paper node has 24 cores, got %d", p.CoresPerNode())
+	if perNode := p.SocketsPerNode * p.CoresPerSocket; perNode != 24 || p.Nodes*perNode != 192 {
+		t.Errorf("paper cluster has 8 nodes of 24 cores, got %d of %d", p.Nodes, perNode)
 	}
 }
 
 func TestFreqLadder(t *testing.T) {
 	p := Default()
-	fs := p.Freqs()
-	if len(fs) != 12 { // 1.2 .. 2.3 in 0.1 steps
-		t.Fatalf("ladder has %d steps: %v", len(fs), fs)
+	steps := math.Round((p.FreqMax-p.FreqMin)/p.FreqStep) + 1
+	if steps != 12 { // 1.2 .. 2.3 in 0.1 steps
+		t.Fatalf("ladder has %g steps", steps)
 	}
-	if fs[0] != 1.2 || fs[len(fs)-1] != 2.3 {
-		t.Errorf("ladder endpoints %v", fs)
+	if p.FreqMin != 1.2 || p.FreqMax != 2.3 {
+		t.Errorf("ladder endpoints %g..%g", p.FreqMin, p.FreqMax)
 	}
 }
 

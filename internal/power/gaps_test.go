@@ -7,6 +7,7 @@ import (
 
 func TestGapsDetection(t *testing.T) {
 	m := NewMeter(true)
+	m.Reserve(2)
 	// Core 0: contiguous, then a 0.5s hole, then more work. Core 1: solid.
 	m.Record(0, "solve", 0, 1, 10)
 	m.Record(0, "solve", 1, 0.5, 20) // different watts: not coalesced
@@ -28,6 +29,7 @@ func TestGapsDetection(t *testing.T) {
 
 func TestGapsCoveredOutOfOrder(t *testing.T) {
 	m := NewMeter(true)
+	m.Reserve(3)
 	// Overlapping and out-of-order segments on one core still count as
 	// full coverage: Gaps sorts and tracks the running max end.
 	m.Record(2, "solve", 1, 1, 10)
@@ -43,6 +45,7 @@ func TestGapsCoveredOutOfOrder(t *testing.T) {
 // retained list per core is a pure function of that core's program order.
 func TestCoalescingSurvivesInterleaving(t *testing.T) {
 	m := NewMeter(true)
+	m.Reserve(2)
 	m.Record(0, "solve", 0, 1, 10)
 	m.Record(1, "solve", 0, 2, 5)
 	m.Record(0, "solve", 1, 1, 10)
@@ -74,6 +77,7 @@ func TestEnergyDeterministicUnderRaces(t *testing.T) {
 	const cores, recs = 8, 200
 	runOnce := func(seed int64) (float64, map[string]float64) {
 		m := NewMeter(false)
+		m.Reserve(cores)
 		done := make(chan struct{}, cores)
 		for c := 0; c < cores; c++ {
 			go func(c int) {

@@ -1,12 +1,15 @@
 // Package power implements the simulated energy measurement substrate that
 // replaces the Intel RAPL interface the paper reads: a per-core,
-// phase-tagged power meter over virtual time, plus DVFS governor
-// emulations.
+// phase-tagged power meter over virtual time. The CPUfreq governors the
+// paper switches between are not emulated here; cluster.Comm plays them
+// (a waiting rank busy-waits at active power, as under ondemand with MPI
+// polling, and Comm.SetFreq writes a core's frequency as the userspace
+// governor does).
 //
 // The meter stores (core, phase, start, duration, watts) segments.
-// Segments from different cores may be recorded concurrently from rank
-// goroutines; the meter is safe for concurrent use. Contiguous segments
-// with identical core/phase/watts are coalesced to bound memory.
+// Each core reserved with Reserve may be recorded by its own goroutine
+// concurrently with the others. Contiguous segments with identical
+// core/phase/watts are coalesced to bound memory.
 package power
 
 import (
@@ -45,7 +48,6 @@ type Meter struct {
 	mu       sync.Mutex
 	cores    []coreMeter // dense, indexed by core id, grown on demand
 	keepSegs bool
-	reserved bool // core table pre-sized by Reserve; enables lock-free records
 }
 
 // coreMeter is one core's accumulator. Dense per-core state (vs. the
@@ -85,15 +87,14 @@ func NewMeter(keepSegments bool) *Meter {
 	return &Meter{keepSegs: keepSegments}
 }
 
-// Reserve pre-sizes the per-core table for cores [0, n). Records to a
-// reserved core then take a lock-free path: each core's accumulator is written by exactly one rank
-// goroutine (core id = rank) and aggregate reads happen after the run
-// joins, so no synchronization is needed beyond the run's own edges.
-// Callers must reserve every core that will be recorded concurrently;
-// the cluster runtime reserves its full rank range before any rank
-// starts. Record runs on every virtual clock advance of every rank, so
-// removing the global mutex removes the last cross-rank serialization
-// point from the simulation hot path.
+// Reserve sizes the per-core table for cores [0, n); only reserved cores
+// can be recorded. Records take no lock: each core's accumulator is
+// written by exactly one rank goroutine (core id = rank) and aggregate
+// reads happen after the run joins, so no synchronization is needed
+// beyond the run's own edges. The cluster runtime reserves its full rank
+// range before any rank starts. Record runs on every virtual clock
+// advance of every rank, so a global mutex there would be the one
+// cross-rank serialization point of the simulation hot path.
 func (m *Meter) Reserve(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,11 +103,11 @@ func (m *Meter) Reserve(n int) {
 		copy(grown, m.cores)
 		m.cores = grown
 	}
-	m.reserved = true
 }
 
-// Record adds a segment. Zero-duration segments are ignored; negative
-// durations panic (they indicate a virtual-clock bug).
+// Record adds a segment to a reserved core. Zero-duration segments are
+// ignored; negative durations panic (they indicate a virtual-clock bug),
+// and so does a record on a core that Reserve did not reserve.
 func (m *Meter) Record(core int, phase string, start, dur, watts float64) {
 	if dur == 0 {
 		return
@@ -117,17 +118,8 @@ func (m *Meter) Record(core int, phase string, start, dur, watts float64) {
 	if watts < 0 || math.IsNaN(watts) {
 		panic(fmt.Sprintf("power: negative/NaN power %g on core %d phase %q", watts, core, phase))
 	}
-	if m.reserved && core < len(m.cores) {
-		// Lock-free single-writer path; see Reserve.
-		m.cores[core].record(core, phase, start, dur, watts, m.keepSegs)
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if core >= len(m.cores) {
-		grown := make([]coreMeter, core+1)
-		copy(grown, m.cores)
-		m.cores = grown
+	if core < 0 || core >= len(m.cores) {
+		panic(fmt.Sprintf("power: record on core %d, which Reserve did not reserve (%d reserved)", core, len(m.cores)))
 	}
 	m.cores[core].record(core, phase, start, dur, watts, m.keepSegs)
 }
@@ -212,16 +204,6 @@ func (m *Meter) Span() float64 {
 		}
 	}
 	return end
-}
-
-// AveragePower returns total energy divided by the time span. It is the
-// quantity the paper reports as P in Tables 5, 6 and Figure 8.
-func (m *Meter) AveragePower() float64 {
-	span := m.Span()
-	if span == 0 {
-		return 0
-	}
-	return m.TotalEnergy() / span
 }
 
 // Gap is an interval of one core's timeline with no recorded segment —

@@ -99,7 +99,3 @@ func (s *CR) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	s.Rollbacks++
 	return true, nil
 }
-
-// LastCheckpointIter returns the iteration of the most recent checkpoint
-// (0 when none has been taken).
-func (s *CR) LastCheckpointIter() int { return s.ckptIter }

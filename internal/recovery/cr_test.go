@@ -19,7 +19,7 @@ import (
 type crSnapshot struct {
 	x            []float64 // the post-recovery block
 	dur          float64   // virtual seconds the last recovery consumed
-	ckptIter     int       // CR.LastCheckpointIter at that moment
+	ckptIter     int       // the iteration of the checkpoint held at that moment
 	hasCkpt      bool      // CR.hasCkpt / CR2L.hasMem at that moment
 	rollbacks    int
 	diskRestores int // CR2L only
@@ -77,7 +77,7 @@ func runCRFaults(t *testing.T, mk func(x0 []float64) Scheme, faults []fault.Faul
 					snap.dur = c.Clock() - start
 					switch s := scheme.(type) {
 					case *CR:
-						snap.ckptIter = s.LastCheckpointIter()
+						snap.ckptIter = s.ckptIter
 						snap.hasCkpt = s.hasCkpt
 						snap.rollbacks = s.Rollbacks
 					case *CR2L:
@@ -131,7 +131,7 @@ func TestCRStaleCheckpointAfterSWO(t *testing.T) {
 		t.Error("hasCkpt still set after an SWO destroyed the memory checkpoint")
 	}
 	if snap.ckptIter != 0 {
-		t.Errorf("LastCheckpointIter() = %d after a destroyed checkpoint, want 0", snap.ckptIter)
+		t.Errorf("checkpoint iteration %d after a destroyed checkpoint, want 0", snap.ckptIter)
 	}
 	if snap.rollbacks != 2 {
 		t.Errorf("Rollbacks = %d, want 2", snap.rollbacks)
@@ -192,6 +192,6 @@ func TestCRFailedRestoreChargesNoReadTime(t *testing.T) {
 		t.Errorf("surviving-checkpoint restore consumed %g virtual seconds, want > 0", snf.dur)
 	}
 	if snf.ckptIter != 10 {
-		t.Errorf("LastCheckpointIter() = %d, want 10 (policy fires at 5 and 10)", snf.ckptIter)
+		t.Errorf("checkpoint iteration %d, want 10 (policy fires at 5 and 10)", snf.ckptIter)
 	}
 }

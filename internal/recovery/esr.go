@@ -41,12 +41,6 @@ type ESR struct {
 
 	diag *sparse.CSR // cached diagonal block for residual reconstruction
 	y    []float64
-
-	// Persists counts redundancy writes; Reconstructions counts exact
-	// recoveries; Fallbacks counts documented aborts of the exact path.
-	Persists        int
-	Reconstructions int
-	Fallbacks       int
 }
 
 // Name implements Scheme.
@@ -78,7 +72,6 @@ func (s *ESR) AfterIteration(ctx *Ctx, completedIters int) error {
 	s.rho = ctx.St.Rho
 	s.snapIter = completedIters
 	s.has = true
-	s.Persists++
 	return nil
 }
 
@@ -114,7 +107,6 @@ func (s *ESR) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 			}
 			c.Compute(int64(len(ctx.St.X)))
 		}
-		s.Fallbacks++
 		return true, nil
 	}
 
@@ -142,6 +134,5 @@ func (s *ESR) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 		vec.Sub(ctx.St.R, ctx.St.R, s.y)
 		c.Compute(int64(ctx.Op.N))
 	}
-	s.Reconstructions++
 	return false, nil
 }

@@ -35,7 +35,7 @@ func esrRecover(t *testing.T, a *sparse.CSR, ranks, failRank, midIters int, clas
 				if it.K != midIters {
 					return false, nil
 				}
-				preFault := vec.Clone(it.State.X)
+				preFault := append([]float64(nil), it.State.X...)
 				if c.Rank() == failRank {
 					vec.Zero(it.State.X)
 				}

@@ -13,7 +13,8 @@ const (
 	// SchemeSpec leaves it unset.
 	DefaultLossyRatio = 8.0
 	// DefaultLossyErrBound is the compressor's pointwise relative error
-	// bound assumed when a SchemeSpec leaves it unset.
+	// bound LCR applies on every restore. It is the operating point, not
+	// a setting: DefaultLossyRatio is calibrated at it.
 	DefaultLossyErrBound = 1e-4
 )
 
@@ -29,13 +30,6 @@ const (
 // T_checkpoint, larger effective T_lost per failure.
 type LCR struct {
 	CR
-	// ErrBound is the compressor's pointwise relative error bound; zero
-	// means DefaultLossyErrBound. It should match the error bound the
-	// Store's compression ratio was calibrated at.
-	ErrBound float64
-	// Restores counts lossy restores (rollbacks that reloaded a
-	// checkpoint and paid the decompression error).
-	Restores int
 }
 
 // Name implements Scheme.
@@ -57,21 +51,16 @@ func (s *LCR) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	c := ctx.C
 	defer ctx.span(obs.SpanRollback)()
 	prev := c.SetPhase(PhaseRollback)
-	eb := s.ErrBound
-	if eb <= 0 {
-		eb = DefaultLossyErrBound
-	}
 	lo, _ := ctx.St.Part.Range(c.Rank())
 	x := ctx.St.X
 	for i := range x {
 		if (lo+i)&1 == 0 {
-			x[i] *= 1 + eb
+			x[i] *= 1 + DefaultLossyErrBound
 		} else {
-			x[i] *= 1 - eb
+			x[i] *= 1 - DefaultLossyErrBound
 		}
 	}
 	c.Compute(int64(len(x)))
 	c.SetPhase(prev)
-	s.Restores++
 	return restart, nil
 }

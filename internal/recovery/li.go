@@ -25,6 +25,11 @@ const (
 	ConstructExact
 )
 
+// DefaultLocalTol is the localized construction tolerance LI and LSI use
+// when LocalTol is unset. The construction's iteration cap is not a
+// setting: it is 10 × the size of the system being constructed.
+const DefaultLocalTol = 1e-6
+
 func (c Construction) String() string {
 	if c == ConstructExact {
 		return "exact"
@@ -42,11 +47,9 @@ type LI struct {
 	// DVFS parks the non-reconstructing cores at the lowest frequency
 	// during construction (the paper's LI-DVFS).
 	DVFS bool
-	// LocalTol is the CG construction tolerance (ConstructCG only). The
-	// paper sweeps it in Figure 4; 1e-6 is the experiments' default.
+	// LocalTol is the CG construction tolerance (ConstructCG only; zero
+	// means DefaultLocalTol). The paper sweeps it in Figure 4.
 	LocalTol float64
-	// MaxLocalIters caps construction CG iterations; 0 means 10x block.
-	MaxLocalIters int
 
 	diag *sparse.CSR // cached diagonal block of this rank
 	y    []float64
@@ -131,17 +134,13 @@ func (s *LI) solveCG(ctx *Ctx, y []float64) error {
 	n := ctx.Op.N
 	tol := s.LocalTol
 	if tol <= 0 {
-		tol = 1e-6
-	}
-	maxIters := s.MaxLocalIters
-	if maxIters <= 0 {
-		maxIters = 10 * n
+		tol = DefaultLocalTol
 	}
 	if s.x == nil {
 		s.x = make([]float64, n)
 	}
 	vec.Zero(s.x)
-	res := solver.SeqPCGMatrixWork(&s.ws, s.diag, y, s.x, tol, maxIters)
+	res := solver.SeqPCGMatrixWork(&s.ws, s.diag, y, s.x, tol, 10*n)
 	ctx.C.Compute(res.Flops)
 	copy(ctx.St.X, s.x)
 	return nil

@@ -30,10 +30,9 @@ import (
 //     CGLS that applies the row block twice per iteration.
 type LSI struct {
 	Base
-	Construct     Construction
-	DVFS          bool
-	LocalTol      float64
-	MaxLocalIters int
+	Construct Construction
+	DVFS      bool
+	LocalTol  float64 // as LI.LocalTol
 
 	z    []float64           // length-n contribution buffer
 	beta []float64           // length-n right-hand side, reused per fault
@@ -151,15 +150,11 @@ func (s *LSI) solveCGLS(ctx *Ctx, beta []float64) error {
 
 	tol := s.LocalTol
 	if tol <= 0 {
-		tol = 1e-6
-	}
-	maxIters := s.MaxLocalIters
-	if maxIters <= 0 {
-		maxIters = 10 * nf
+		tol = DefaultLocalTol
 	}
 	x := s.x[:nf]
 	vec.Zero(x)
-	res := solver.PCGLSWork(&s.ws, rowBlock, rhs, x, tol, maxIters)
+	res := solver.PCGLSWork(&s.ws, rowBlock, rhs, x, tol, 10*nf)
 	c.Compute(res.Flops)
 	copy(ctx.St.X, x)
 	return nil

@@ -27,8 +27,6 @@ type RD struct {
 	shadowQ []float64
 	rho     float64
 	has     bool
-	// Recoveries counts replica copy-backs.
-	Recoveries int
 }
 
 // Name implements Scheme.
@@ -89,6 +87,5 @@ func (s *RD) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 		ctx.St.Rho = s.rho
 	}
 	c.SetPhase(prev)
-	s.Recoveries++
 	return false, nil
 }

@@ -38,7 +38,7 @@ func recoverOnce(t *testing.T, makeScheme func() Scheme, a *sparse.CSR, ranks, f
 					return false, nil
 				}
 				// Snapshot, corrupt, recover.
-				preFault = vec.Clone(it.State.X)
+				preFault = append([]float64(nil), it.State.X...)
 				if c.Rank() == failRank {
 					vec.Zero(it.State.X)
 				}
@@ -295,7 +295,7 @@ func TestRecoverySchemesLeaveOthersIntact(t *testing.T) {
 					return false, nil
 				}
 				fired = true
-				snapshot := vec.Clone(it.State.X)
+				snapshot := append([]float64(nil), it.State.X...)
 				if c.Rank() == 2 {
 					vec.Zero(it.State.X)
 				}

@@ -32,9 +32,9 @@ import (
 	"resilience/internal/vec"
 )
 
-// Phase labels used for power/energy attribution.
+// Phase labels used for power/energy attribution, beside the "solve"
+// phase every rank of a cluster starts in.
 const (
-	PhaseSolve       = "solve"
 	PhaseReconstruct = "reconstruct"
 	PhaseCheckpoint  = "checkpoint"
 	PhaseRollback    = "rollback"

@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned text tables, CSV,
-// and ASCII charts, the presentation layer for the per-figure/table
+// and unicode sparklines, the presentation layer for the per-figure/table
 // runners and CLIs.
 package report
 
@@ -130,41 +130,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Bars renders a labeled horizontal bar chart of non-negative values.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		panic(fmt.Sprintf("report: Bars %d labels vs %d values", len(labels), len(values)))
-	}
-	if width <= 0 {
-		width = 50
-	}
-	var max float64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(math.Round(v / max * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %s\n", lw, labels[i], strings.Repeat("#", n), FmtF(v))
-	}
-	return b.String()
-}
-
 // Sparkline renders values as a one-line unicode mini chart, resampled to
 // the given width.
 func Sparkline(values []float64, width int) string {
@@ -192,20 +157,4 @@ func Sparkline(values []float64, width int) string {
 		out[i] = levels[lvl]
 	}
 	return string(out)
-}
-
-// LogTicks returns human labels for power-of-two axis values.
-func LogTicks(ns []int) []string {
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		switch {
-		case n >= 1<<20 && n%(1<<20) == 0:
-			out[i] = fmt.Sprintf("%dM", n>>20)
-		case n >= 1<<10 && n%(1<<10) == 0:
-			out[i] = fmt.Sprintf("%dK", n>>10)
-		default:
-			out[i] = fmt.Sprintf("%d", n)
-		}
-	}
-	return out
 }

@@ -67,27 +67,6 @@ func TestFmtF(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	s := Bars("chart", []string{"a", "bb"}, []float64{1, 2}, 10)
-	if !strings.Contains(s, "chart") || !strings.Contains(s, "##########") {
-		t.Errorf("bars output:\n%s", s)
-	}
-	// Max value fills the width; half value fills half.
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if !strings.Contains(lines[1], "#####") || strings.Contains(lines[1], "######") {
-		t.Errorf("scaling wrong: %q", lines[1])
-	}
-}
-
-func TestBarsPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Bars("", []string{"a"}, []float64{1, 2}, 10)
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3}, 4)
 	if len([]rune(s)) != 4 {
@@ -104,15 +83,5 @@ func TestSparkline(t *testing.T) {
 	flat := Sparkline([]float64{2, 2, 2}, 3)
 	if len([]rune(flat)) != 3 {
 		t.Error("flat series broken")
-	}
-}
-
-func TestLogTicks(t *testing.T) {
-	got := LogTicks([]int{512, 1024, 1 << 20, 3 << 20, 1500})
-	want := []string{"512", "1K", "1M", "3M", "1500"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("tick %d: %q want %q", i, got[i], want[i])
-		}
 	}
 }

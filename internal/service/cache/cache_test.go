@@ -113,7 +113,13 @@ func TestSingleflightCoalesces(t *testing.T) {
 		}
 		lead <- v
 	}()
-	for !g.Inflight("k") {
+	for {
+		g.mu.Lock()
+		_, running := g.m["k"]
+		g.mu.Unlock()
+		if running {
+			break
+		}
 		runtime.Gosched()
 	}
 

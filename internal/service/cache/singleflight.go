@@ -84,14 +84,6 @@ func (g *Group[V]) release(f *flight[V]) {
 	}
 }
 
-// Inflight reports whether a flight for key is currently running.
-func (g *Group[V]) Inflight(key string) bool {
-	g.mu.Lock()
-	_, ok := g.m[key]
-	g.mu.Unlock()
-	return ok
-}
-
 // Stats returns how many flights ran (leads) and how many callers were
 // coalesced onto another caller's flight (joins).
 func (g *Group[V]) Stats() (leads, joins int64) {

@@ -53,8 +53,8 @@ func TestRetryAfterSeconds(t *testing.T) {
 		{61 * time.Second, 61},
 	}
 	for _, c := range cases {
-		if got := retryAfterSeconds(c.d); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
+		if got := RetryAfterSeconds(c.d); got != c.want {
+			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -41,10 +40,11 @@ type Config struct {
 	// negative: no background probing — failures are still detected on
 	// forward errors).
 	HealthEvery time.Duration
-	// ForwardTimeout caps one forwarded solve round-trip (<=0: 150 s —
-	// above the replicas' default 120 s job timeout).
-	ForwardTimeout time.Duration
 }
+
+// forwardTimeout caps one forwarded round-trip, above the replicas'
+// default 120 s job timeout.
+const forwardTimeout = 150 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.VNodes <= 0 {
@@ -59,17 +59,13 @@ func (c Config) withDefaults() Config {
 	if c.HealthEvery == 0 {
 		c.HealthEvery = 2 * time.Second
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 150 * time.Second
-	}
 	return c
 }
 
 // member is one configured replica and its routability.
 type member struct {
-	url     string
-	alive   bool
-	lastErr string
+	url   string
+	alive bool
 }
 
 // Router consistent-hash-routes solve jobs across resilienced replicas.
@@ -145,7 +141,7 @@ func New(cfg Config) (*Router, error) {
 	transport.MaxIdleConnsPerHost = cfg.MaxInflight
 	rt := &Router{
 		cfg:        cfg,
-		client:     &http.Client{Transport: transport, Timeout: cfg.ForwardTimeout},
+		client:     &http.Client{Transport: transport, Timeout: forwardTimeout},
 		probe:      &http.Client{Timeout: 2 * time.Second},
 		slots:      make(chan struct{}, cfg.MaxInflight),
 		members:    make(map[string]*member),
@@ -316,10 +312,10 @@ func (rt *Router) reshard() {
 	rt.ring.Store(buildRing(alive, rt.cfg.VNodes))
 }
 
-// markDown records a forward failure against url and re-shards. Reports
-// whether the membership actually changed (false if already down or
-// since removed).
-func (rt *Router) markDown(url, reason string) bool {
+// markDown takes url off the ring after a forward failure and re-shards.
+// Reports whether the membership actually changed (false if already down
+// or since removed).
+func (rt *Router) markDown(url string) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	m, ok := rt.members[url]
@@ -327,7 +323,6 @@ func (rt *Router) markDown(url, reason string) bool {
 		return false
 	}
 	m.alive = false
-	m.lastErr = reason
 	rt.reshard()
 	return true
 }
@@ -395,11 +390,10 @@ func (rt *Router) healthLoop() {
 		rt.mu.Unlock()
 		changed := false
 		for _, u := range urls {
-			alive, reason := rt.probeOne(u)
+			alive := rt.probeOne(u)
 			rt.mu.Lock()
 			if m, ok := rt.members[u]; ok && m.alive != alive {
 				m.alive = alive
-				m.lastErr = reason
 				changed = true
 			}
 			rt.mu.Unlock()
@@ -412,34 +406,32 @@ func (rt *Router) healthLoop() {
 	}
 }
 
-func (rt *Router) probeOne(url string) (alive bool, reason string) {
+// probeOne reports whether url answers /healthz with 200.
+func (rt *Router) probeOne(url string) bool {
 	resp, err := rt.probe.Get(url + "/healthz")
 	if err != nil {
-		return false, err.Error()
+		return false
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("healthz status %d", resp.StatusCode)
-	}
-	return true, ""
+	return resp.StatusCode == http.StatusOK
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		service.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req service.JobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !rt.admit(w, reqID, "router saturated") {
@@ -463,7 +455,7 @@ func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
 	rt.admitMu.RLock()
 	defer rt.admitMu.RUnlock()
 	if rt.draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		service.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return false
 	}
 	select {
@@ -471,8 +463,8 @@ func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
 	default:
 		rt.rejected.Inc()
 		rt.flight.Note("router-rejected", reqID, saturated)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "router saturated")
+		w.Header().Set("Retry-After", strconv.Itoa(service.RetryAfterSeconds(rt.cfg.RetryAfter)))
+		service.WriteError(w, http.StatusTooManyRequests, "router saturated")
 		return false
 	}
 	rt.inflight.Add(1)
@@ -498,15 +490,10 @@ type routerError struct {
 	msg  string
 }
 
-func (e *routerError) body() []byte {
-	body, _ := json.Marshal(map[string]string{"error": e.msg})
-	return body
-}
-
 func (e *routerError) reply() reply {
 	h := http.Header{}
 	h.Set("Content-Type", "application/json")
-	return reply{code: e.code, header: h, body: e.body()}
+	return reply{code: e.code, header: h, body: service.ErrorBody(e.msg)}
 }
 
 // failVerdictMarker matches a verdict-bearing job result whose verdict
@@ -571,7 +558,7 @@ var replicaDraining = &fault{kind: draining, detail: "replica draining"}
 func (rt *Router) failover(rg *ring, target, reqID string, j *routed, f *fault) (retry bool, final *routerError) {
 	j.tried++
 	spent := j.tried > len(rg.members)+1
-	changed := rt.markDown(target, f.detail)
+	changed := rt.markDown(target)
 	if changed {
 		rt.flight.Note("replica-down", reqID, target+": "+f.detail)
 	}
@@ -655,7 +642,7 @@ func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
 		fwd.End()
 		rep := e.reply()
 		if e.code == http.StatusServiceUnavailable {
-			rep.header.Set("Retry-After", strconv.Itoa(retryAfterSeconds(rt.cfg.RetryAfter)))
+			rep.header.Set("Retry-After", strconv.Itoa(service.RetryAfterSeconds(rt.cfg.RetryAfter)))
 		}
 		rt.account(j, "", reqID, rep.code, rep.body)
 		return rep
@@ -702,19 +689,19 @@ func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		service.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	reqs, err := service.DecodeBatch(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !rt.admit(w, reqID, "router saturated (batch)") {
 		return
 	}
 	defer rt.release()
-	writeJSON(w, http.StatusOK, rt.routeBatch(reqs, reqID))
+	service.WriteJSON(w, http.StatusOK, rt.routeBatch(reqs, reqID))
 }
 
 // subBatch is the jobs of one batch that one replica owns, and their
@@ -748,7 +735,7 @@ func (rt *Router) routeBatch(reqs []service.JobRequest, reqID string) []service.
 		}
 		if err != nil {
 			e := routerError{http.StatusBadRequest, err.Error()}
-			items[i] = service.BatchItem{Code: e.code, Body: e.body()}
+			items[i] = service.BatchItem{Code: e.code, Body: service.ErrorBody(e.msg)}
 			continue
 		}
 		pending = append(pending, j)
@@ -794,7 +781,7 @@ func (rt *Router) routeBatch(reqs []service.JobRequest, reqID string) []service.
 
 // answer fills j's slot with a router-made error.
 func (rt *Router) answer(items []service.BatchItem, j *routed, id string, e *routerError) {
-	items[j.slot] = service.BatchItem{Code: e.code, Body: e.body()}
+	items[j.slot] = service.BatchItem{Code: e.code, Body: service.ErrorBody(e.msg)}
 	rt.account(j, "", id, e.code, items[j.slot].Body)
 }
 
@@ -871,7 +858,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if alive == 0 && code == http.StatusOK {
 		status, code = "no-replicas", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	service.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"replicas":       rep,
 		"replicas_alive": alive,
@@ -892,12 +879,12 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&chg); err != nil {
-			writeError(w, http.StatusBadRequest, "bad membership body: "+err.Error())
+			service.WriteError(w, http.StatusBadRequest, "bad membership body: "+err.Error())
 			return
 		}
 		rt.SetMembers(chg.Add, chg.Remove)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST")
+		service.WriteError(w, http.StatusMethodNotAllowed, "GET or POST")
 		return
 	}
 	members := rt.Members()
@@ -905,7 +892,7 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	for _, m := range members {
 		out = append(out, map[string]any{"url": m.URL, "alive": m.Alive})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"replicas": out})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"replicas": out})
 }
 
 // scrapeTelemetry pulls one replica's /telemetry JSON snapshot. Failures
@@ -951,28 +938,5 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			obs.Merge(&fleet, snap)
 		}
 	}
-	writeJSON(w, http.StatusOK, fleet)
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	n := int(math.Ceil(d.Seconds()))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(body)
+	service.WriteJSON(w, http.StatusOK, fleet)
 }

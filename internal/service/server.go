@@ -36,16 +36,12 @@ type Config struct {
 	// CacheCap bounds the content-addressed result cache in entries
 	// (0: 4096; negative: cache and single-flight dedup disabled).
 	CacheCap int
-	// CacheShards splits the cache into independent lock domains
-	// (<=0: 16; rounded up to a power of two).
-	CacheShards int
-	// Flight is the crash flight recorder the server records into
-	// (nil: obs.DefaultFlight()). Disk dumping is governed by the
-	// recorder's own SetDump, typically wired from a -flight-dir flag.
-	Flight *obs.FlightRecorder
 	// TraceRing bounds the wall-clock span ring (<=0: 4096 spans).
 	TraceRing int
 }
+
+// cacheShards is the result cache's count of independent lock domains.
+const cacheShards = 16
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -63,20 +59,14 @@ func (c Config) withDefaults() Config {
 	if c.CacheCap == 0 {
 		c.CacheCap = 4096
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	if c.Flight == nil {
-		c.Flight = obs.DefaultFlight()
-	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 4096
 	}
 	return c
 }
 
-// Stats is a point-in-time snapshot of the service counters, exported
-// on /metrics and used by tests and /healthz.
+// Stats is a point-in-time snapshot of the service counters; /metrics
+// serves the same counters from the registry.
 type Stats struct {
 	Admitted  int64
 	Rejected  int64
@@ -87,16 +77,9 @@ type Stats struct {
 	// Cache counters: every cacheable lookup is exactly one hit or one
 	// miss; Coalesced counts callers whose miss joined another caller's
 	// in-flight execution instead of admitting new work.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	Coalesced      int64
-	CacheEntries   int
-	CacheCapacity  int
-	// SolveVirtualSec accumulates modeled time-to-solution per scheme;
-	// SolveWallSec accumulates worker wall-clock per job kind/scheme.
-	SolveVirtualSec map[string]float64
-	SolveWallSec    map[string]float64
+	CacheHits   int64
+	CacheMisses int64
+	Coalesced   int64
 	// Ranks folds every completed scenario run's per-rank counters
 	// (bytes, messages, collectives, flops) into one aggregate.
 	Ranks obs.Metrics
@@ -135,7 +118,8 @@ type Server struct {
 	// The telemetry plane: counters and histograms live in reg (served
 	// on /metrics and, as a mergeable JSON snapshot, on /telemetry);
 	// tracer retains the recent wall-clock request spans; flight is the
-	// crash flight recorder.
+	// process's crash flight recorder, obs.DefaultFlight (disk dumping is
+	// the recorder's own SetDump, wired from resilienced's -flight-dir).
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	flight *obs.FlightRecorder
@@ -170,14 +154,12 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		queue:  newQueue(cfg.QueueCap),
 		tracer: obs.NewTracer(cfg.TraceRing),
-		flight: cfg.Flight,
+		flight: obs.DefaultFlight(),
 	}
 	if cfg.CacheCap > 0 {
-		s.results = cache.New[[]byte](cfg.CacheCap, cfg.CacheShards)
+		s.results = cache.New[[]byte](cfg.CacheCap, cacheShards)
 		s.flights = cache.NewGroup[flightOut]()
 	}
-	s.st.SolveVirtualSec = make(map[string]float64)
-	s.st.SolveWallSec = make(map[string]float64)
 	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/solve", s.handleSolve)
@@ -271,19 +253,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Stats returns a snapshot of the service counters. The job counters
-// are registry atomics read without the stats lock; the map fields are
-// deep-copied under it, so a snapshot taken mid-traffic is never torn.
+// are registry atomics read without the stats lock; the folded rank
+// counters are copied under it.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	out := s.st
-	out.SolveVirtualSec = make(map[string]float64, len(s.st.SolveVirtualSec))
-	for k, v := range s.st.SolveVirtualSec {
-		out.SolveVirtualSec[k] = v
-	}
-	out.SolveWallSec = make(map[string]float64, len(s.st.SolveWallSec))
-	for k, v := range s.st.SolveWallSec {
-		out.SolveWallSec[k] = v
-	}
 	s.mu.Unlock()
 	out.Admitted = s.cAdmitted.Value()
 	out.Rejected = s.cRejected.Value()
@@ -291,10 +265,8 @@ func (s *Server) Stats() Stats {
 	out.Failed = s.cFailed.Value()
 	out.QueueDepth = s.queue.depth()
 	if s.results != nil {
-		out.CacheHits, out.CacheMisses, out.CacheEvictions = s.results.Stats()
+		out.CacheHits, out.CacheMisses, _ = s.results.Stats()
 		_, out.Coalesced = s.flights.Stats()
-		out.CacheEntries = s.results.Len()
-		out.CacheCapacity = s.results.Capacity()
 	}
 	return out
 }
@@ -328,11 +300,8 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 	s.cCompleted.Inc()
 	s.flight.Note("job-done", reqID, key)
 	s.hWall.With(key).Record(wall.Seconds())
-	var virt float64
-	hasVirt := false
 	if res.Time != "" {
 		if v, perr := strconv.ParseFloat(res.Time, 64); perr == nil {
-			virt, hasVirt = v, true
 			s.hVirtual.With(key).Record(v)
 		}
 	}
@@ -343,10 +312,6 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st.SolveWallSec[key] += wall.Seconds()
-	if hasVirt {
-		s.st.SolveVirtualSec[key] += virt
-	}
 	if rec != nil {
 		s.st.Ranks = obs.Total([]obs.Metrics{s.st.Ranks, obs.Total(rec.Metrics())})
 		s.lastRec = rec
@@ -356,14 +321,14 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req JobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	out, xcache := s.solve(r.Context(), req, reqID)
@@ -371,7 +336,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cache", xcache)
 	}
 	if out.retryAfter {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(s.cfg.RetryAfter)))
 	}
 	writeRaw(w, out.code, out.body)
 }
@@ -469,12 +434,12 @@ func Retryable(status int) bool {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.RequestID(w, r)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	reqs, err := DecodeBatch(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	items := make([]BatchItem, len(reqs))
@@ -495,7 +460,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, items)
+	WriteJSON(w, http.StatusOK, items)
 }
 
 // solve answers one job request as exact response bytes: validation, the
@@ -519,7 +484,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // only when a dump dir is configured) naming the request ID.
 func (s *Server) solve(ctx context.Context, req JobRequest, reqID string) (out flightOut, xcache string) {
 	if err := req.Validate(); err != nil {
-		return flightOut{code: http.StatusBadRequest, body: errorBody(err.Error())}, ""
+		return flightOut{code: http.StatusBadRequest, body: ErrorBody(err.Error())}, ""
 	}
 	key, cacheable := "", false
 	if s.results != nil {
@@ -573,7 +538,7 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 		s.admitMu.RUnlock()
 		admit.End()
 		cancel()
-		return flightOut{code: http.StatusServiceUnavailable, body: errorBody("draining")}
+		return flightOut{code: http.StatusServiceUnavailable, body: ErrorBody("draining")}
 	}
 	s.inflight.Add(1)
 	j.enqueued = time.Now()
@@ -586,7 +551,7 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 		cancel()
 		s.cRejected.Inc()
 		s.flight.Note("job-rejected", reqID, "queue full")
-		return flightOut{code: http.StatusTooManyRequests, body: errorBody("queue full"), retryAfter: true}
+		return flightOut{code: http.StatusTooManyRequests, body: ErrorBody("queue full"), retryAfter: true}
 	}
 	s.cAdmitted.Inc()
 
@@ -596,13 +561,13 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 		if errors.Is(out.err, context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
 		}
-		return flightOut{code: code, body: errorBody(out.err.Error())}
+		return flightOut{code: code, body: ErrorBody(out.err.Error())}
 	}
 	enc := s.tracer.Start("encode", reqID)
 	body, err := json.Marshal(out.result)
 	enc.End()
 	if err != nil {
-		return flightOut{code: http.StatusInternalServerError, body: errorBody(err.Error())}
+		return flightOut{code: http.StatusInternalServerError, body: ErrorBody(err.Error())}
 	}
 	return flightOut{code: http.StatusOK, body: body}
 }
@@ -615,7 +580,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":      status,
 		"workers":     s.cfg.Workers,
 		"queue_cap":   s.cfg.QueueCap,
@@ -635,7 +600,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // router pulls these from every replica and bucket-merges the
 // histograms into true fleet-wide quantiles.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.TelemetrySnapshot())
+	WriteJSON(w, http.StatusOK, s.TelemetrySnapshot())
 }
 
 // TelemetrySnapshot returns the mergeable telemetry snapshot served on
@@ -662,7 +627,9 @@ func (s *Server) WriteTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, s.tracer.Spans(), rec, nil)
 }
 
-func retryAfterSeconds(d time.Duration) int {
+// RetryAfterSeconds renders a Retry-After hint in whole seconds, rounded
+// up and at least 1. The router sends its own 429s through it too.
+func RetryAfterSeconds(d time.Duration) int {
 	n := int(math.Ceil(d.Seconds()))
 	if n < 1 {
 		n = 1
@@ -670,10 +637,10 @@ func retryAfterSeconds(d time.Duration) int {
 	return n
 }
 
-// errorBody renders the canonical error payload as bytes (the same
-// bytes writeError produces), so flight outcomes fan out byte-identical
-// errors too.
-func errorBody(msg string) []byte {
+// ErrorBody renders the canonical error payload as bytes (the same
+// bytes WriteError produces), so flight outcomes fan out byte-identical
+// errors too. The router's own error answers are these bytes as well.
+func ErrorBody(msg string) []byte {
 	body, err := json.Marshal(map[string]string{"error": msg})
 	if err != nil {
 		return []byte(`{"error":"internal"}`)
@@ -681,8 +648,9 @@ func errorBody(msg string) []byte {
 	return body
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeRaw(w, code, errorBody(msg))
+// WriteError sends the canonical error payload with the given status.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	writeRaw(w, code, ErrorBody(msg))
 }
 
 // writeRaw sends pre-marshaled JSON bytes untouched — cache hits and
@@ -693,10 +661,10 @@ func writeRaw(w http.ResponseWriter, code int, body []byte) {
 	w.Write(body)
 }
 
-// writeJSON marshals v in one shot (no Encoder trailing newline) so the
+// WriteJSON marshals v in one shot (no Encoder trailing newline) so the
 // response bytes match json.Marshal of the same value exactly — the
 // load generator compares them byte-for-byte against its oracle.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -247,7 +247,7 @@ func TestLocalOpNeighborsSymmetric(t *testing.T) {
 	meter := power.NewMeter(false)
 	_, err := cluster.Run(p, platform.Default(), meter, func(c *cluster.Comm) error {
 		op := NewLocalOp(c, a, part)
-		neighbors[c.Rank()] = op.Neighbors()
+		neighbors[c.Rank()] = op.neighbors
 		return nil
 	})
 	if err != nil {

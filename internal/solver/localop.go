@@ -227,13 +227,6 @@ func (op *LocalOp) SetOverlap(on bool) { op.overlap = on }
 // Overlap reports whether the overlapped MulVecDist path is selected.
 func (op *LocalOp) Overlap() bool { return op.overlap }
 
-// InteriorRows returns how many owned rows touch no ghost column — the
-// rows whose SpMV work can hide the halo exchange.
-func (op *LocalOp) InteriorRows() int { return len(op.interior.rows) }
-
-// Neighbors returns the peer ranks this rank exchanges halo data with.
-func (op *LocalOp) Neighbors() []int { return op.neighbors }
-
 // GatherHalo exchanges halo values for the local vector x and returns the
 // assembled [own | ghost] buffer (valid until the next call). Every rank
 // must call it collectively. c must be the rank's own Comm.

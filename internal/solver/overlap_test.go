@@ -87,11 +87,11 @@ func checkKernelEquivalence(t *testing.T, rng *rand.Rand, a *sparse.CSR, ranks i
 		fused := NewLocalOp(c, a, part)
 		over := NewLocalOp(c, a, part)
 		over.SetOverlap(true)
-		if got := fused.InteriorRows() + len(fused.boundary.rows); got != fused.N {
+		if got := len(fused.interior.rows) + len(fused.boundary.rows); got != fused.N {
 			return fmt.Errorf("rank %d: interior+boundary rows %d != %d owned", c.Rank(), got, fused.N)
 		}
-		if wantInterior != nil && fused.InteriorRows() != wantInterior[c.Rank()] {
-			return fmt.Errorf("rank %d: %d interior rows, want %d", c.Rank(), fused.InteriorRows(), wantInterior[c.Rank()])
+		if wantInterior != nil && len(fused.interior.rows) != wantInterior[c.Rank()] {
+			return fmt.Errorf("rank %d: %d interior rows, want %d", c.Rank(), len(fused.interior.rows), wantInterior[c.Rank()])
 		}
 		if got := fused.interior.flops() + fused.boundary.flops(); got != fused.localA.SpMVFlops() {
 			return fmt.Errorf("rank %d: split flops %d != fused %d", c.Rank(), got, fused.localA.SpMVFlops())

@@ -24,7 +24,7 @@ func SeqPCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, diag, b,
 		panic(fmt.Sprintf("solver: SeqPCGWork len(x)=%d len(diag)=%d len(b)=%d", len(x), len(diag), n))
 	}
 	if maxIters <= 0 {
-		maxIters = 10 * n
+		panic(fmt.Sprintf("solver: SeqPCGWork maxIters=%d, want > 0", maxIters))
 	}
 	if ws == nil {
 		ws = new(SeqWorkspace)

@@ -35,7 +35,7 @@ func SeqCG(apply ApplyFunc, flopsPerApply int64, b, x []float64, tol float64, ma
 		panic(fmt.Sprintf("solver: SeqCG len(x)=%d len(b)=%d", len(x), n))
 	}
 	if maxIters <= 0 {
-		maxIters = 10 * n
+		panic(fmt.Sprintf("solver: SeqCG maxIters=%d, want > 0", maxIters))
 	}
 	res := SeqResult{}
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,4 +160,29 @@ func TestSeqCGPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	SeqCGMatrix(a, make([]float64, 5), make([]float64, 5), 1e-10, 10)
+}
+
+// TestSeqSolversRejectNonPositiveMaxIters: like solver.CG, the sequential
+// solvers hold no iteration-cap default; a cap of zero or below is a
+// caller bug and panics instead of turning into 10n.
+func TestSeqSolversRejectNonPositiveMaxIters(t *testing.T) {
+	a := matgen.Laplacian1D(4)
+	b := []float64{1, 2, 3, 4}
+	for name, solve := range map[string]func(maxIters int){
+		"SeqCG":      func(m int) { SeqCGMatrix(a, b, make([]float64, 4), 1e-10, m) },
+		"SeqPCGWork": func(m int) { SeqPCGMatrixWork(nil, a, b, make([]float64, 4), 1e-10, m) },
+		"PCGLSWork":  func(m int) { PCGLSWork(nil, a, b, make([]float64, 4), 1e-10, m) },
+	} {
+		for _, m := range []int{0, -1} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "maxIters") {
+						t.Errorf("%s(maxIters=%d): want a maxIters panic, got %q", name, m, msg)
+					}
+				}()
+				solve(m)
+			}()
+		}
+	}
 }

@@ -42,9 +42,6 @@ func NewCSR(rows, cols, nnz int) *CSR {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Dims returns (rows, cols).
-func (m *CSR) Dims() (int, int) { return m.Rows, m.Cols }
-
 // At returns the value at (i, j), zero if not stored. It is O(log nnz(i)).
 func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
@@ -95,26 +92,6 @@ func (m *CSR) MulVec(y, x []float64) {
 			s += vals[k] * x[c]
 		}
 		y[i] = s
-	}
-}
-
-// MulVecAdd computes y += A*x.
-func (m *CSR) MulVecAdd(y, x []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecAdd dims %dx%d with len(x)=%d len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	rowPtr := m.RowPtr
-	for i := range y {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		cols := m.ColIdx[lo:hi]
-		vals := m.Val[lo:hi]
-		vals = vals[:len(cols)]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] += s
 	}
 }
 

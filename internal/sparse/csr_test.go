@@ -50,9 +50,6 @@ func TestCSRBasics(t *testing.T) {
 	if m.At(0, 2) != 2 || m.At(0, 1) != 0 || m.At(2, 0) != 4 {
 		t.Error("At returned wrong values")
 	}
-	if r, c := m.Dims(); r != 3 || c != 3 {
-		t.Error("Dims wrong")
-	}
 	if m.RowNNZ(0) != 2 || m.RowNNZ(1) != 1 {
 		t.Error("RowNNZ wrong")
 	}
@@ -107,20 +104,6 @@ func TestMulTransVecAgainstDense(t *testing.T) {
 		}
 		if math.Abs(y[j]-want) > 1e-12 {
 			t.Fatalf("col %d: got %g want %g", j, y[j], want)
-		}
-	}
-}
-
-func TestMulVecAddAccumulates(t *testing.T) {
-	m := randomCSR(5, 5, 0.5, 3)
-	x := []float64{1, 2, 3, 4, 5}
-	y1 := make([]float64, 5)
-	m.MulVec(y1, x)
-	y2 := []float64{1, 1, 1, 1, 1}
-	m.MulVecAdd(y2, x)
-	for i := range y1 {
-		if math.Abs(y2[i]-(y1[i]+1)) > 1e-14 {
-			t.Fatalf("MulVecAdd wrong at %d", i)
 		}
 	}
 }

@@ -104,25 +104,6 @@ func (pt *Partition) DiagBlock(m *CSR, p int) *CSR {
 	return b
 }
 
-// OffDiagBlock extracts the off-diagonal part of row block p: rows owned
-// by p, all columns NOT owned by p, with global column indexing. It is
-// used to form y = b_p - sum_{j != p} A_{p,j} x_j in LI recovery (Eq. 19).
-func (pt *Partition) OffDiagBlock(m *CSR, p int) *CSR {
-	lo, hi := pt.Range(p)
-	b := NewCSR(hi-lo, m.Cols, 0)
-	for i := lo; i < hi; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			if j < lo || j >= hi {
-				b.ColIdx = append(b.ColIdx, j)
-				b.Val = append(b.Val, m.Val[k])
-			}
-		}
-		b.RowPtr[i-lo+1] = len(b.Val)
-	}
-	return b
-}
-
 // ColBlock extracts the column block A_{:,p}: all rows, columns owned by
 // block p, with local column indexing. For LSI (Eq. 18/20) this is the
 // least-squares operator. For symmetric A it equals RowBlock(m, p)

@@ -77,10 +77,6 @@ func TestPartitionSingleRankBlocks(t *testing.T) {
 	if db.NNZ() != a.NNZ() {
 		t.Fatalf("DiagBlock(0) has %d nnz, want all %d (nothing is off-diagonal for one rank)", db.NNZ(), a.NNZ())
 	}
-	ob := pt.OffDiagBlock(a, 0)
-	if ob.NNZ() != 0 {
-		t.Fatalf("OffDiagBlock(0) has %d nnz, want 0", ob.NNZ())
-	}
 	if halo := pt.HaloCols(a, 0); len(halo) != 0 {
 		t.Fatalf("HaloCols(0) = %v, want empty (no remote columns exist)", halo)
 	}

@@ -82,8 +82,9 @@ func blockSPD(n int, seed int64) *CSR {
 	return coo.ToCSR()
 }
 
-// TestBlockDecomposition checks RowBlock = DiagBlock + OffDiagBlock by
-// applying all three to a vector.
+// TestBlockDecomposition checks that RowBlock is DiagBlock plus the
+// entries in remote columns, by applying both to a vector: the remote
+// part is RowBlock applied to x with the owned entries zeroed.
 func TestBlockDecomposition(t *testing.T) {
 	n, p := 37, 5
 	a := blockSPD(n, 1)
@@ -96,16 +97,25 @@ func TestBlockDecomposition(t *testing.T) {
 		lo, hi := pt.Range(b)
 		rb := pt.RowBlock(a, b)
 		db := pt.DiagBlock(a, b)
-		ob := pt.OffDiagBlock(a, b)
-		if rb.NNZ() != db.NNZ()+ob.NNZ() {
-			t.Fatalf("block %d: nnz %d != %d + %d", b, rb.NNZ(), db.NNZ(), ob.NNZ())
+		remote := 0
+		for _, j := range rb.ColIdx {
+			if j < lo || j >= hi {
+				remote++
+			}
+		}
+		if rb.NNZ() != db.NNZ()+remote {
+			t.Fatalf("block %d: nnz %d != %d + %d", b, rb.NNZ(), db.NNZ(), remote)
 		}
 		yr := make([]float64, hi-lo)
 		rb.MulVec(yr, x)
 		yd := make([]float64, hi-lo)
 		db.MulVec(yd, x[lo:hi])
+		xo := append([]float64(nil), x...)
+		for i := lo; i < hi; i++ {
+			xo[i] = 0
+		}
 		yo := make([]float64, hi-lo)
-		ob.MulVec(yo, x)
+		rb.MulVec(yo, xo)
 		for i := range yr {
 			if math.Abs(yr[i]-(yd[i]+yo[i])) > 1e-12 {
 				t.Fatalf("block %d row %d: %g != %g + %g", b, i, yr[i], yd[i], yo[i])
@@ -180,15 +190,15 @@ func TestQuickHaloMatchesOffDiag(t *testing.T) {
 			for _, c := range halo {
 				set[c] = true
 			}
-			ob := pt.OffDiagBlock(a, b)
+			lo, hi := pt.Range(b)
 			seen := map[int]bool{}
-			for i := 0; i < ob.Rows; i++ {
-				cols, _ := ob.Row(i)
-				for _, c := range cols {
-					seen[c] = true
-					if !set[c] {
-						return false
-					}
+			for _, c := range pt.RowBlock(a, b).ColIdx {
+				if c >= lo && c < hi {
+					continue
+				}
+				seen[c] = true
+				if !set[c] {
+					return false
 				}
 			}
 			if len(seen) != len(set) {

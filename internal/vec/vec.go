@@ -62,33 +62,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scal scales x by alpha in place.
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Copy copies src into dst.
-func Copy(dst, src []float64) {
-	checkLen("Copy", dst, src)
-	copy(dst, src)
-}
-
-// Clone returns a fresh copy of x.
-func Clone(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Zero sets every element of x to zero.
 func Zero(x []float64) {
 	for i := range x {
@@ -102,15 +75,6 @@ func Sub(dst, a, b []float64) {
 	checkLen("Sub", dst, a)
 	for i := range dst {
 		dst[i] = a[i] - b[i]
-	}
-}
-
-// Add computes dst = a + b.
-func Add(dst, a, b []float64) {
-	checkLen("Add", a, b)
-	checkLen("Add", dst, a)
-	for i := range dst {
-		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -134,27 +98,6 @@ func Xpby(x []float64, beta float64, y []float64) {
 	for i, v := range x {
 		y[i] = v + beta*y[i]
 	}
-}
-
-// MaxAbs returns the infinity norm of x.
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AllFinite reports whether every entry of x is finite (no NaN or Inf).
-func AllFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Dist2 returns the Euclidean distance between a and b.

@@ -6,8 +6,9 @@
 # scheme-name copies, nor the two retired observability packages and their
 # second event log, encoder and dead helpers, nor the fault constructors,
 # solver workspace and facade helper replaced by core.System.Spread, nor
-# the nonblocking point-to-point API the halo plan replaced, is named
-# again; the even fault placement has one caller, in core), a
+# the nonblocking point-to-point API the halo plan replaced, nor the
+# governor and RAPL emulations and the settings that became constants, is
+# named again; the even fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -89,6 +90,15 @@ test "$(git grep -n 'fault\.Even''ly(' -- '*.go' ':!*_test.go' | sed 's/:.*//; s
 # and the tagged Send/Recv path serves one-time setup.
 if git grep -nE 'I''Send|IRecv''Into|Send''Req|Recv''Req' -- . ':!*.md'; then
     echo "the retired nonblocking point-to-point API is named again"; exit 1
+fi
+# Likewise the code no program reached and the settings nobody set:
+# power.Meter is the one RAPL stand-in and cluster.Comm plays the CPUfreq
+# governors; the cache shard count, the router's forward timeout, the
+# LI/LSI construction iteration cap and the LCR error bound are constants
+# (the bound's constant carries a "Default" prefix, hence the [^t]).
+# TestEveryDeclarationHasACaller keeps unreached declarations out.
+if git grep -nE 'New''Governor|New''Sampler|PerCore''Energy|Cache''Shards|Forward''Timeout|MaxLocal''Iters|(^|[^t])Lossy''ErrBound' -- . ':!*.md'; then
+    echo "a deleted emulation or setting is named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
