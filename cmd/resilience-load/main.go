@@ -87,10 +87,10 @@ func run(o options, out io.Writer) error {
 	if o.c < 1 {
 		o.c = 1
 	}
-	client := &http.Client{Timeout: 5 * time.Minute}
+	client := service.NewClient(o.addr)
 
 	if o.burst > 0 {
-		rejected, err := runBurst(client, o.addr, o.burst, o.sleepMs, out)
+		rejected, err := runBurst(client, o.burst, o.sleepMs, out)
 		if err != nil {
 			return err
 		}
@@ -113,62 +113,80 @@ func run(o options, out io.Writer) error {
 	return nil
 }
 
-// runStream replays the seeded scenario stream, comparing every
-// response byte-for-byte against the local oracle.
-func runStream(client *http.Client, o options, out io.Writer) error {
-	start := time.Now()
-	var mismatches, failures atomic.Int64
-	var retries atomic.Int64
+// probe is one request of a phase and the bytes its answer must equal.
+type probe struct {
+	name  string // how failure logs name the request
+	reqID string
+	req   service.JobRequest
+	want  []byte
+}
+
+// submit is the submit-and-compare loop both oracle phases share: c
+// workers post requests 0..n-1, each named by at(i), and byte-compare
+// every answer with its oracle bytes. It returns how many answers were
+// retried, differed from the oracle, and failed.
+func submit(client *service.Client, c, n int, out io.Writer, at func(i int) (probe, error)) (retries, mismatches, failures int64) {
+	var r, m, f atomic.Int64
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < o.c; w++ {
+	for w := 0; w < c; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				// chaos.ScenarioAt is the campaign-wide generation path:
-				// scenario i here equals scenario i of `chaos -seed S` and of
-				// a chaos-fleet campaign with the same seed.
-				s := chaos.ScenarioAt(chaos.Options{Seed: o.seed, MaxFaults: o.maxFaults}, i)
-				req := service.JobRequest{Scenario: s.Args(), TimeoutMs: o.timeoutMs}
-				oracleRes, _, err := service.RunJob(context.Background(), req)
+				p, err := at(i)
 				if err != nil {
-					failures.Add(1)
-					fmt.Fprintf(out, "job %d: oracle failed: %v\n", i, err)
+					f.Add(1)
+					fmt.Fprintf(out, "%s: oracle failed: %v\n", p.name, err)
 					continue
 				}
-				want, err := json.Marshal(oracleRes)
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				// Deterministic request IDs: the same -seed names the same
-				// jobs, so a failure's ID can be found again on replay.
-				reqID := fmt.Sprintf("load-s%d-job-%d", o.seed, i)
-				code, got, r, ec, err := postRetry(client, o.addr, req, reqID)
-				retries.Add(int64(r))
+				code, got, retried, ec, err := post(client, p.req, p.reqID)
+				r.Add(int64(retried))
 				if err != nil || code != http.StatusOK {
-					failures.Add(1)
-					fmt.Fprintf(out, "job %d: status %d err %v %s: %s\n", i, code, err, ec, got)
+					f.Add(1)
+					fmt.Fprintf(out, "%s: status %d err %v %s: %s\n", p.name, code, err, ec, got)
 					continue
 				}
-				if !bytes.Equal(got, want) {
-					mismatches.Add(1)
-					fmt.Fprintf(out, "job %d: response differs from oracle (%s)\n  scenario: %s\n  got:  %s\n  want: %s\n", i, ec, s.Args(), got, want)
+				if !bytes.Equal(got, p.want) {
+					m.Add(1)
+					fmt.Fprintf(out, "%s: response differs from oracle (%s)\n  scenario: %s\n  got:  %s\n  want: %s\n",
+						p.name, ec, p.req.Scenario, got, p.want)
 				}
 			}
 		}()
 	}
-	for i := 0; i < o.n; i++ {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
+	return r.Load(), m.Load(), f.Load()
+}
+
+// runStream replays the seeded scenario stream, comparing every
+// response byte-for-byte against the local oracle.
+func runStream(client *service.Client, o options, out io.Writer) error {
+	start := time.Now()
+	retries, mismatches, failures := submit(client, o.c, o.n, out, func(i int) (probe, error) {
+		// chaos.ScenarioAt is the campaign-wide generation path: scenario
+		// i here equals scenario i of `chaos -seed S` and of a
+		// chaos-fleet campaign with the same seed.
+		s := chaos.ScenarioAt(chaos.Options{Seed: o.seed, MaxFaults: o.maxFaults}, i)
+		// Deterministic request IDs: the same -seed names the same jobs,
+		// so a failure's ID can be found again on replay.
+		p := probe{name: fmt.Sprintf("job %d", i), reqID: fmt.Sprintf("load-s%d-job-%d", o.seed, i),
+			req: service.JobRequest{Scenario: s.Args(), TimeoutMs: o.timeoutMs}}
+		res, _, err := service.RunJob(context.Background(), p.req)
+		if err == nil {
+			p.want, err = json.Marshal(res)
+		}
+		return p, err
+	})
 
 	fmt.Fprintf(out, "resilience-load: %d scenario jobs, %d submitters, %d retries after 429, %d mismatches, %d failures, %.2fs\n",
-		o.n, o.c, retries.Load(), mismatches.Load(), failures.Load(), time.Since(start).Seconds())
-	if m, f := mismatches.Load(), failures.Load(); m > 0 || f > 0 {
-		return fmt.Errorf("resilience-load: %d mismatches, %d failures", m, f)
+		o.n, o.c, retries, mismatches, failures, time.Since(start).Seconds())
+	if mismatches > 0 || failures > 0 {
+		return fmt.Errorf("resilience-load: %d mismatches, %d failures", mismatches, failures)
 	}
 	return nil
 }
@@ -178,7 +196,7 @@ func runStream(client *http.Client, o options, out io.Writer) error {
 // exactly once; every one of the dupJobs responses must match it
 // byte-for-byte, and the target's cache counters (scraped from /metrics
 // before and after) must show a hit rate of at least minHitRate.
-func runDupPhase(client *http.Client, o options, out io.Writer) error {
+func runDupPhase(client *service.Client, o options, out io.Writer) error {
 	if o.dupUnique < 1 {
 		o.dupUnique = 1
 	}
@@ -201,7 +219,7 @@ func runDupPhase(client *http.Client, o options, out io.Writer) error {
 		}
 	}
 
-	hits0, misses0, err := scrapeCacheCounters(client, o.addr)
+	hits0, misses0, err := scrapeCacheCounters(client)
 	if err != nil {
 		return fmt.Errorf("resilience-load: pre-phase metrics scrape: %w", err)
 	}
@@ -218,38 +236,13 @@ func runDupPhase(client *http.Client, o options, out io.Writer) error {
 		stream[i] = int(zipf.Uint64())
 	}
 
-	var mismatches, failures, retries atomic.Int64
-	jobs := make(chan [2]int) // [stream position, unique-job index]
-	var wg sync.WaitGroup
-	for w := 0; w < o.c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				pos, idx := j[0], j[1]
-				reqID := fmt.Sprintf("load-s%d-dup-%d", o.seed, pos)
-				code, got, r, ec, err := postRetry(client, o.addr, uniq[idx], reqID)
-				retries.Add(int64(r))
-				if err != nil || code != http.StatusOK {
-					failures.Add(1)
-					fmt.Fprintf(out, "dup job (uniq %d): status %d err %v %s: %s\n", idx, code, err, ec, got)
-					continue
-				}
-				if !bytes.Equal(got, oracle[idx]) {
-					mismatches.Add(1)
-					fmt.Fprintf(out, "dup job (uniq %d): response differs from oracle (%s)\n  scenario: %s\n  got:  %s\n  want: %s\n",
-						idx, ec, uniq[idx].Scenario, got, oracle[idx])
-				}
-			}
-		}()
-	}
-	for pos, idx := range stream {
-		jobs <- [2]int{pos, idx}
-	}
-	close(jobs)
-	wg.Wait()
+	retries, mismatches, failures := submit(client, o.c, o.dupJobs, out, func(pos int) (probe, error) {
+		idx := stream[pos]
+		return probe{name: fmt.Sprintf("dup job (uniq %d)", idx), reqID: fmt.Sprintf("load-s%d-dup-%d", o.seed, pos),
+			req: uniq[idx], want: oracle[idx]}, nil
+	})
 
-	hits1, misses1, err := scrapeCacheCounters(client, o.addr)
+	hits1, misses1, err := scrapeCacheCounters(client)
 	if err != nil {
 		return fmt.Errorf("resilience-load: post-phase metrics scrape: %w", err)
 	}
@@ -260,9 +253,9 @@ func runDupPhase(client *http.Client, o options, out io.Writer) error {
 		rate = dh / lookups
 	}
 	fmt.Fprintf(out, "resilience-load: dup phase %d jobs over %d uniques (zipf %.2f), cache hit rate %.3f (floor %.2f), %d retries after 429, %d mismatches, %d failures, %.2fs\n",
-		o.dupJobs, o.dupUnique, o.dupZipf, rate, o.minHitRate, retries.Load(), mismatches.Load(), failures.Load(), time.Since(start).Seconds())
-	if m, f := mismatches.Load(), failures.Load(); m > 0 || f > 0 {
-		return fmt.Errorf("resilience-load: dup phase: %d mismatches, %d failures", m, f)
+		o.dupJobs, o.dupUnique, o.dupZipf, rate, o.minHitRate, retries, mismatches, failures, time.Since(start).Seconds())
+	if mismatches > 0 || failures > 0 {
+		return fmt.Errorf("resilience-load: dup phase: %d mismatches, %d failures", mismatches, failures)
 	}
 	if lookups <= 0 {
 		return fmt.Errorf("resilience-load: dup phase: cache counters never moved (%v hits, %v misses) — is the cache disabled?", dh, dm)
@@ -277,18 +270,10 @@ func runDupPhase(client *http.Client, o options, out io.Writer) error {
 // unlabeled counters whose names end in cache_hits_total and
 // cache_misses_total — matching both a bare resilienced and a
 // resilience-router's fleet aggregate.
-func scrapeCacheCounters(client *http.Client, addr string) (hits, misses float64, err error) {
-	resp, err := client.Get(addr + "/metrics")
+func scrapeCacheCounters(client *service.Client) (hits, misses float64, err error) {
+	body, err := client.Get("/metrics")
 	if err != nil {
 		return 0, 0, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("metrics status %d", resp.StatusCode)
 	}
 	for _, line := range strings.Split(string(body), "\n") {
 		name, rest, ok := strings.Cut(line, " ")
@@ -312,7 +297,7 @@ func scrapeCacheCounters(client *http.Client, addr string) (hits, misses float64
 // runBurst floods the queue with sleep jobs and reports how many were
 // rejected with 429 on first contact; each one must still complete OK
 // after honoring Retry-After.
-func runBurst(client *http.Client, addr string, burst, sleepMs int, out io.Writer) (int, error) {
+func runBurst(client *service.Client, burst, sleepMs int, out io.Writer) (int, error) {
 	var rejected, failed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -320,7 +305,7 @@ func runBurst(client *http.Client, addr string, burst, sleepMs int, out io.Write
 		go func(i int) {
 			defer wg.Done()
 			req := service.JobRequest{SleepMs: sleepMs}
-			code, body, retries, ec, err := postRetry(client, addr, req, fmt.Sprintf("load-burst-%d", i))
+			code, body, retries, ec, err := post(client, req, fmt.Sprintf("load-burst-%d", i))
 			if retries > 0 {
 				rejected.Add(1)
 			}
@@ -361,45 +346,22 @@ func (e echo) String() string {
 	return "req_id=" + reqID + " x_cache=" + cache
 }
 
-// postRetry submits one job under the given X-Request-Id, retrying a
-// backpressured answer (service.Retryable) for as long as the server
-// advertises Retry-After (capped, bounded attempts). Returns the final
-// status, body, how many answers were retried, and the echoed telemetry
-// headers.
-func postRetry(client *http.Client, addr string, req service.JobRequest, reqID string) (int, []byte, int, echo, error) {
+// post submits one job to /solve under the given X-Request-Id through
+// the client's retry rule. Returns the final status, body, how many
+// answers were retried, and the echoed telemetry headers; an echo that
+// names another request is an error.
+func post(client *service.Client, req service.JobRequest, reqID string) (int, []byte, int, echo, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, nil, 0, echo{}, err
 	}
-	retries := 0
-	var ec echo
-	code := 0
-	for attempt := 0; attempt < 200; attempt++ {
-		resp, got, err := service.Post(context.TODO(), client, addr+"/solve", reqID, body)
-		if resp == nil {
-			return 0, nil, retries, ec, err
-		}
-		code = resp.StatusCode
-		ec = echo{reqID: resp.Header.Get("X-Request-Id"), cache: resp.Header.Get("X-Cache")}
-		if err != nil {
-			return code, nil, retries, ec, err
-		}
-		if !service.Retryable(code) {
-			if ec.reqID != "" && ec.reqID != reqID {
-				return code, got, retries, ec,
-					fmt.Errorf("resilience-load: sent X-Request-Id %s but server echoed %s", reqID, ec.reqID)
-			}
-			return code, got, retries, ec, nil
-		}
-		retries++
-		wait := 50 * time.Millisecond
-		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-			wait = time.Duration(s) * time.Second
-		}
-		if wait > 2*time.Second {
-			wait = 2 * time.Second
-		}
-		time.Sleep(wait)
+	resp, got, retries, err := client.Post(context.Background(), "/solve", reqID, body)
+	if resp == nil {
+		return 0, nil, retries, echo{}, err
 	}
-	return code, nil, retries, ec, fmt.Errorf("resilience-load: still status %d after %d retries", code, retries)
+	ec := echo{reqID: resp.Header.Get("X-Request-Id"), cache: resp.Header.Get("X-Cache")}
+	if err == nil && ec.reqID != "" && ec.reqID != reqID {
+		err = fmt.Errorf("resilience-load: sent X-Request-Id %s but server echoed %s", reqID, ec.reqID)
+	}
+	return resp.StatusCode, got, retries, ec, err
 }

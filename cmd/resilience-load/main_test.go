@@ -85,9 +85,9 @@ func TestDupPhaseAgainstCachedService(t *testing.T) {
 	if !strings.Contains(out.String(), "dup phase 60 jobs over 6 uniques") {
 		t.Fatalf("summary missing dup phase line:\n%s", out.String())
 	}
-	st := srv.Stats()
-	if st.CacheHits == 0 {
-		t.Fatalf("service saw no cache hits: %+v", st)
+	st := srv.TelemetrySnapshot()
+	if st.Gauge("cache_hits_total") == 0 {
+		t.Fatalf("service saw no cache hits: %+v", st.Gauges)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestDupPhaseThroughRouter(t *testing.T) {
 	if err := run(o, &out); err != nil {
 		t.Fatalf("dup phase through router failed: %v\n%s", err, out.String())
 	}
-	if s1.Stats().CacheHits+s2.Stats().CacheHits == 0 {
+	if s1.TelemetrySnapshot().Gauge("cache_hits_total")+s2.TelemetrySnapshot().Gauge("cache_hits_total") == 0 {
 		t.Fatal("no replica saw cache hits")
 	}
 }

@@ -117,7 +117,7 @@ func TestReplicaBatchBytesEqualSolve(t *testing.T) {
 	if code, _, _ := post(t, ts, resident); code != http.StatusOK {
 		t.Fatalf("warm-up answered %d", code)
 	}
-	admitted := srv.Stats().Admitted
+	admitted := srv.TelemetrySnapshot().Counter("jobs_admitted_total")
 
 	reqs := []JobRequest{
 		resident,
@@ -143,7 +143,7 @@ func TestReplicaBatchBytesEqualSolve(t *testing.T) {
 	if items[2].Code != http.StatusBadRequest {
 		t.Errorf("invalid item code = %d, want 400", items[2].Code)
 	}
-	if got := srv.Stats().Admitted - admitted; got != 3 {
+	if got := srv.TelemetrySnapshot().Counter("jobs_admitted_total") - admitted; got != 3 {
 		t.Errorf("batch admitted %d jobs, want 3 (fresh once, LI, sleep)", got)
 	}
 	if got := spanNames(srv, "b1-0"); got != "cache-lookup" {
@@ -166,7 +166,7 @@ func TestReplicaBatchCoalescesDuplicates(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 
 	sleepDone := sleepInBackground(ts, 300)
-	waitFor(t, "sleep never admitted", func() bool { return srv.Stats().Admitted == 1 })
+	waitFor(t, "sleep never admitted", func() bool { return srv.TelemetrySnapshot().Counter("jobs_admitted_total") == 1 })
 
 	dup := JobRequest{Scenario: testScenario}
 	_, items := postBatch(t, ts, "b2", []JobRequest{dup, dup})
@@ -180,9 +180,9 @@ func TestReplicaBatchCoalescesDuplicates(t *testing.T) {
 	if hdr.Get("X-Cache") != "hit" || !bytes.Equal(solo, items[0].Body) {
 		t.Fatalf("/solve after the batch: X-Cache %q, body %s", hdr.Get("X-Cache"), solo)
 	}
-	st := srv.Stats()
-	if st.Coalesced != 1 || st.Admitted != 2 {
-		t.Fatalf("coalesced %d admitted %d, want 1 and 2 (sleep + one leader)", st.Coalesced, st.Admitted)
+	st := srv.TelemetrySnapshot()
+	if st.Gauge("cache_coalesced_total") != 1 || st.Counter("jobs_admitted_total") != 2 {
+		t.Fatalf("coalesced %v admitted %d, want 1 and 2 (sleep + one leader)", st.Gauge("cache_coalesced_total"), st.Counter("jobs_admitted_total"))
 	}
 }
 
@@ -224,8 +224,8 @@ func TestReplicaBatchRejectsMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /batch status = %d, want 405", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.Admitted != 0 {
-		t.Errorf("refused batches admitted %d jobs", st.Admitted)
+	if st := srv.TelemetrySnapshot(); st.Counter("jobs_admitted_total") != 0 {
+		t.Errorf("refused batches admitted %d jobs", st.Counter("jobs_admitted_total"))
 	}
 }
 
@@ -249,9 +249,9 @@ func TestReplicaBatchNeverRejectsItself(t *testing.T) {
 			t.Fatalf("item %d answered %d: %s", i, it.Code, it.Body)
 		}
 	}
-	st := srv.Stats()
-	if st.Rejected != 0 || st.Completed != 64 {
-		t.Fatalf("rejected %d completed %d, want 0 and 64", st.Rejected, st.Completed)
+	st := srv.TelemetrySnapshot()
+	if st.Counter("jobs_rejected_total") != 0 || st.Counter("jobs_completed_total") != 64 {
+		t.Fatalf("rejected %d completed %d, want 0 and 64", st.Counter("jobs_rejected_total"), st.Counter("jobs_completed_total"))
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -291,8 +291,8 @@ func TestSolveAdmittedBesideBatch(t *testing.T) {
 	}()
 	// One item sleeping on the worker, the next one queued behind it.
 	waitFor(t, "batch never filled its share of the queue", func() bool {
-		st := srv.Stats()
-		return st.Admitted == 2 && st.QueueDepth == 1
+		st := srv.TelemetrySnapshot()
+		return st.Counter("jobs_admitted_total") == 2 && st.Gauge("queue_depth") == 1
 	})
 	if code, body, _ := post(t, ts, JobRequest{SleepMs: 1}); code != http.StatusOK {
 		t.Fatalf("/solve beside a running batch answered %d: %s", code, body)

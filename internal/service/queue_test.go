@@ -76,9 +76,9 @@ func TestDrainWithParkedWaiters(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().QueueDepth != 2 {
+	for srv.TelemetrySnapshot().Gauge("queue_depth") != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", srv.Stats())
+			t.Fatalf("queue never filled: depth %v", srv.TelemetrySnapshot().Gauge("queue_depth"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -112,7 +112,7 @@ func TestDrainTimeout(t *testing.T) {
 		got <- code
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Admitted == 0 {
+	for srv.TelemetrySnapshot().Counter("jobs_admitted_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("job never admitted")
 		}

@@ -259,7 +259,7 @@ func TestBatchOneRequestPerReplica(t *testing.T) {
 	if n := c1.count("/solve") + c2.count("/solve"); n != 0 {
 		t.Errorf("%d single-item /solve forwards for a batch, want none", n)
 	}
-	a, b := s1.Stats().Admitted, s2.Stats().Admitted
+	a, b := s1.TelemetrySnapshot().Counter("jobs_admitted_total"), s2.TelemetrySnapshot().Counter("jobs_admitted_total")
 	if a == 0 || b == 0 || a+b != 63 {
 		t.Errorf("replica admissions %d + %d, want both > 0 and 63 in all", a, b)
 	}
@@ -378,8 +378,8 @@ func TestBatchFailover(t *testing.T) {
 			if n := good.count("/solve") + bad.count("/solve"); n != 0 {
 				t.Errorf("failover fell back to %d single posts", n)
 			}
-			if st := survivor.Stats(); st.Admitted != 32 || st.Completed != 32 {
-				t.Errorf("survivor admitted %d completed %d, want 32 each", st.Admitted, st.Completed)
+			if st := survivor.TelemetrySnapshot(); st.Counter("jobs_admitted_total") != 32 || st.Counter("jobs_completed_total") != 32 {
+				t.Errorf("survivor admitted %d completed %d, want 32 each", st.Counter("jobs_admitted_total"), st.Counter("jobs_completed_total"))
 			}
 			if got := rt.routed.Value(); got != 32 {
 				t.Errorf("routed_total = %d, want 32", got)

@@ -439,7 +439,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release()
 
-	rep := rt.routeOne(req, reqID)
+	rep := rt.routeOne(r.Context(), req, reqID)
 	for k := range rep.header {
 		w.Header().Set(k, rep.header.Get(k))
 	}
@@ -554,8 +554,13 @@ var replicaDraining = &fault{kind: draining, detail: "replica draining"}
 // goes back to be routed on the re-sharded ring (retry), unless it has
 // used up its len(members)+1 attempts, which is what makes a fully dead
 // fleet terminate. Then final is its answer — or, for a draining 503,
-// final is nil and the replica's own answer stands.
-func (rt *Router) failover(rg *ring, target, reqID string, j *routed, f *fault) (retry bool, final *routerError) {
+// final is nil and the replica's own answer stands. A job whose caller's
+// ctx has ended is answered as abandoned instead: the replica did not
+// fail it, so the replica stays on the ring and the job goes nowhere.
+func (rt *Router) failover(ctx context.Context, rg *ring, target, reqID string, j *routed, f *fault) (retry bool, final *routerError) {
+	if err := ctx.Err(); err != nil {
+		return false, &routerError{http.StatusServiceUnavailable, "request abandoned: " + err.Error()}
+	}
 	j.tried++
 	spent := j.tried > len(rg.members)+1
 	changed := rt.markDown(target)
@@ -609,11 +614,11 @@ func (rt *Router) account(j *routed, replica, reqID string, code int, body []byt
 	}
 }
 
-// exchange posts body to one replica endpoint with the request ID
-// attached, so the replica's spans and flight-recorder entries share the
-// router's ID, and reads the whole answer.
-func (rt *Router) exchange(url string, body []byte, reqID string) (*http.Response, []byte, *fault) {
-	resp, respBody, err := service.Post(context.TODO(), rt.client, url, reqID, body)
+// exchange posts body to one replica endpoint under ctx with the request
+// ID attached, so the replica's spans and flight-recorder entries share
+// the router's ID, and reads the whole answer.
+func (rt *Router) exchange(ctx context.Context, url string, body []byte, reqID string) (*http.Response, []byte, *fault) {
+	resp, respBody, err := service.Post(ctx, rt.client, url, reqID, body)
 	if err != nil {
 		kind := unreachable
 		if resp != nil {
@@ -628,7 +633,7 @@ func (rt *Router) exchange(url string, body []byte, reqID string) (*http.Respons
 // re-sharding) past dead replicas. Responses — including replica 429s
 // with their Retry-After hints and X-Cache markers — pass through
 // byte-identical. The caller holds a router admission slot.
-func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
+func (rt *Router) routeOne(ctx context.Context, req service.JobRequest, reqID string) reply {
 	j, err := newRouted(req, 0)
 	if err != nil {
 		return (&routerError{http.StatusBadRequest, err.Error()}).reply()
@@ -653,12 +658,12 @@ func (rt *Router) routeOne(req service.JobRequest, reqID string) reply {
 		if target == "" {
 			return fail(rt.noReplicaError(reqID))
 		}
-		resp, respBody, f := rt.exchange(target+"/solve", body, reqID)
+		resp, respBody, f := rt.exchange(ctx, target+"/solve", body, reqID)
 		if f == nil && resp.StatusCode == http.StatusServiceUnavailable {
 			f = replicaDraining
 		}
 		if f != nil {
-			retry, final := rt.failover(rg, target, reqID, j, f)
+			retry, final := rt.failover(ctx, rg, target, reqID, j, f)
 			if retry {
 				continue
 			}
@@ -701,7 +706,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.release()
-	service.WriteJSON(w, http.StatusOK, rt.routeBatch(reqs, reqID))
+	service.WriteJSON(w, http.StatusOK, rt.routeBatch(r.Context(), reqs, reqID))
 }
 
 // subBatch is the jobs of one batch that one replica owns, and their
@@ -724,7 +729,7 @@ type subBatch struct {
 // "<batch ID>.k-i" on the replica's spans and notes and on the router's;
 // a job that never travels is "<batch ID>-<slot>". Every ID is unique
 // and starts with the client's.
-func (rt *Router) routeBatch(reqs []service.JobRequest, reqID string) []service.BatchItem {
+func (rt *Router) routeBatch(ctx context.Context, reqs []service.JobRequest, reqID string) []service.BatchItem {
 	items := make([]service.BatchItem, len(reqs))
 	var pending []*routed
 	for i, req := range reqs {
@@ -767,7 +772,7 @@ func (rt *Router) routeBatch(reqs []service.JobRequest, reqID string) []service.
 			wg.Add(1)
 			go func(sb *subBatch) {
 				defer wg.Done()
-				rt.send(rg, sb, items)
+				rt.send(ctx, rg, sb, items)
 			}(sb)
 		}
 		wg.Wait()
@@ -787,8 +792,8 @@ func (rt *Router) answer(items []service.BatchItem, j *routed, id string, e *rou
 
 // send makes sb's round trip and settles each of its jobs: answered into
 // its slot of items, or put on sb.again.
-func (rt *Router) send(rg *ring, sb *subBatch, items []service.BatchItem) {
-	answers, sbFault := rt.forwardBatch(sb)
+func (rt *Router) send(ctx context.Context, rg *ring, sb *subBatch, items []service.BatchItem) {
+	answers, sbFault := rt.forwardBatch(ctx, sb)
 	for i, j := range sb.jobs {
 		id := sb.id + "-" + strconv.Itoa(i)
 		f := sbFault
@@ -796,7 +801,7 @@ func (rt *Router) send(rg *ring, sb *subBatch, items []service.BatchItem) {
 			f = replicaDraining
 		}
 		if f != nil {
-			retry, final := rt.failover(rg, sb.target, id, j, f)
+			retry, final := rt.failover(ctx, rg, sb.target, id, j, f)
 			if retry {
 				sb.again = append(sb.again, j)
 				continue
@@ -815,14 +820,14 @@ func (rt *Router) send(rg *ring, sb *subBatch, items []service.BatchItem) {
 // array, one BatchItem per job back. Anything but a 200 carrying exactly
 // len(jobs) items is a torn reply — the replica did not speak the
 // protocol — and fails every job of the sub-batch.
-func (rt *Router) forwardBatch(sb *subBatch) ([]service.BatchItem, *fault) {
+func (rt *Router) forwardBatch(ctx context.Context, sb *subBatch) ([]service.BatchItem, *fault) {
 	reqs := make([]service.JobRequest, len(sb.jobs))
 	for i, j := range sb.jobs {
 		reqs[i] = j.req
 	}
 	body, _ := json.Marshal(reqs) // a slice of flat structs: cannot fail
 	fwd := rt.tracer.Start("forward-batch", sb.id)
-	resp, respBody, f := rt.exchange(sb.target+"/batch", body, sb.id)
+	resp, respBody, f := rt.exchange(ctx, sb.target+"/batch", body, sb.id)
 	wall := fwd.End()
 	if f != nil {
 		return nil, f

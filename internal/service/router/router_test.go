@@ -154,7 +154,7 @@ func TestRouterSpreadsKeys(t *testing.T) {
 			t.Fatalf("seed %d: %d %s", seed, code, body)
 		}
 	}
-	a, b := s1.Stats().Admitted, s2.Stats().Admitted
+	a, b := s1.TelemetrySnapshot().Counter("jobs_admitted_total"), s2.TelemetrySnapshot().Counter("jobs_admitted_total")
 	if a == 0 || b == 0 {
 		t.Fatalf("keys did not spread: replica admissions %d / %d", a, b)
 	}
@@ -180,9 +180,9 @@ func TestRouterForwards429(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s1.Stats().Admitted < 2 {
+	for s1.TelemetrySnapshot().Counter("jobs_admitted_total") < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("fillers never saturated the replica: %+v", s1.Stats())
+			t.Fatalf("fillers never saturated the replica: %+v", s1.TelemetrySnapshot().Counters)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -234,6 +234,44 @@ func TestRouterSaturation(t *testing.T) {
 	<-done
 	if rt.rejected.Value() == 0 {
 		t.Fatal("router rejection counter never moved")
+	}
+}
+
+// TestRouterCallerGivesUp: a client that abandons a slow job frees the
+// router's only slot at once, and the abandoned forward is not a replica
+// fault: the replica stays on the ring and nothing is rerouted.
+func TestRouterCallerGivesUp(t *testing.T) {
+	_, r1 := replica(t, service.Config{Workers: 2})
+	rt, rts := boot(t, Config{MaxInflight: 1}, r1.URL)
+
+	body, _ := json.Marshal(service.JobRequest{SleepMs: 5000})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, rts.URL+"/solve", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(hr); err == nil {
+		resp.Body.Close()
+		t.Fatalf("slow job answered %d before its client gave up", resp.StatusCode)
+	}
+	deadline := time.Now().Add(time.Second)
+	for len(rt.slots) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned forward still holds the router's slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if code, body, _ := post(t, rts.URL, service.JobRequest{SleepMs: 1}); code != http.StatusOK {
+		t.Fatalf("next job after the abandoned one answered %d: %s", code, body)
+	}
+	for _, m := range rt.Members() {
+		if !m.Alive {
+			t.Fatalf("replica %s marked down for its caller's cancellation", m.URL)
+		}
+	}
+	if n := rt.rerouted.Value(); n != 0 {
+		t.Fatalf("rerouted %d jobs after a cancellation, want 0", n)
 	}
 }
 
@@ -540,7 +578,7 @@ func TestForwardConnectionsAreReused(t *testing.T) {
 			go func(i int) {
 				defer forwards.Done()
 				req := service.JobRequest{Scenario: fmt.Sprintf("-grid 8 -seed %d", i+1)}
-				if rep := rt.routeOne(req, "wave"); rep.code != http.StatusOK {
+				if rep := rt.routeOne(context.Background(), req, "wave"); rep.code != http.StatusOK {
 					t.Errorf("forward %d answered %d: %s", i, rep.code, rep.body)
 				}
 			}(i)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,26 +64,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of the service counters; /metrics
-// serves the same counters from the registry.
-type Stats struct {
-	Admitted  int64
-	Rejected  int64
-	Completed int64
-	Failed    int64
-	// QueueDepth is the number of admitted jobs not yet picked up.
-	QueueDepth int
-	// Cache counters: every cacheable lookup is exactly one hit or one
-	// miss; Coalesced counts callers whose miss joined another caller's
-	// in-flight execution instead of admitting new work.
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
-	// Ranks folds every completed scenario run's per-rank counters
-	// (bytes, messages, collectives, flops) into one aggregate.
-	Ranks obs.Metrics
-}
-
 // Server is the HTTP solve service: a content-addressed result cache
 // and single-flight dedup in front of a bounded queue and worker pool,
 // explicit backpressure, per-job deadlines, and a graceful drain. It
@@ -132,8 +111,11 @@ type Server struct {
 	hWall      *obs.HistogramVec // worker wall-clock per scheme/kind
 	hEnergy    *obs.HistogramVec // modeled E_res joules per scheme
 
-	mu      sync.Mutex // guards the Stats fields and lastRec below
-	st      Stats
+	// ranks folds every completed scenario run's per-rank counters
+	// (bytes, messages, collectives, flops) into one aggregate, served
+	// as the rank_* lines of /metrics.
+	mu      sync.Mutex // guards ranks and lastRec
+	ranks   obs.Metrics
 	lastRec *obs.Recorder // most recent completed scenario run's recorder
 }
 
@@ -212,7 +194,7 @@ func (s *Server) initMetrics() {
 	s.hEnergy = r.HistogramVec("solve_energy_joules", "scheme")
 	r.Collector(func(e *obs.Expo) {
 		s.mu.Lock()
-		rk := s.st.Ranks
+		rk := s.ranks
 		s.mu.Unlock()
 		e.Int("rank_msgs_sent_total", rk.MsgsSent)
 		e.Int("rank_bytes_sent_total", rk.BytesSent)
@@ -250,25 +232,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.queue.close()
 	s.workers.Wait()
 	return nil
-}
-
-// Stats returns a snapshot of the service counters. The job counters
-// are registry atomics read without the stats lock; the folded rank
-// counters are copied under it.
-func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	out := s.st
-	s.mu.Unlock()
-	out.Admitted = s.cAdmitted.Value()
-	out.Rejected = s.cRejected.Value()
-	out.Completed = s.cCompleted.Value()
-	out.Failed = s.cFailed.Value()
-	out.QueueDepth = s.queue.depth()
-	if s.results != nil {
-		out.CacheHits, out.CacheMisses, _ = s.results.Stats()
-		_, out.Coalesced = s.flights.Stats()
-	}
-	return out
 }
 
 func (s *Server) worker() {
@@ -313,7 +276,7 @@ func (s *Server) record(req JobRequest, res *JobResult, rec *obs.Recorder, err e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec != nil {
-		s.st.Ranks = obs.Total([]obs.Metrics{s.st.Ranks, obs.Total(rec.Metrics())})
+		s.ranks = obs.Total([]obs.Metrics{s.ranks, obs.Total(rec.Metrics())})
 		s.lastRec = rec
 	}
 }
@@ -372,53 +335,6 @@ func DecodeBatch(body io.Reader) ([]JobRequest, error) {
 		return nil, fmt.Errorf("batch of %d exceeds the %d-item cap", len(reqs), MaxBatchItems)
 	}
 	return reqs, nil
-}
-
-// DecodeBatchReply is DecodeBatch's counterpart on the calling side: it
-// parses a 200 /batch reply and enforces exactly want items, one per job.
-func DecodeBatchReply(body []byte, want int) ([]BatchItem, error) {
-	var items []BatchItem
-	if err := json.Unmarshal(body, &items); err != nil {
-		return nil, fmt.Errorf("reply does not parse: %w", err)
-	}
-	if len(items) != want {
-		return nil, fmt.Errorf("answered %d items for %d jobs", len(items), want)
-	}
-	return items, nil
-}
-
-// Post sends body as one JSON POST to url (a /solve or /batch endpoint),
-// under X-Request-Id reqID unless that is empty, and reads the whole
-// reply; the response comes back with its body closed. An error with a
-// nil response means nothing came back; with a response, that the reply
-// was cut short and only its status and headers can be used. Router,
-// fleet client and load generator each bring their own *http.Client.
-func Post(ctx context.Context, client *http.Client, url, reqID string, body []byte) (*http.Response, []byte, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	if reqID != "" {
-		hr.Header.Set("X-Request-Id", reqID)
-	}
-	resp, err := client.Do(hr)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	return resp, respBody, err
-}
-
-// Retryable reports whether a status says the same request may succeed
-// later: queue saturation (429), a draining replica or an empty ring
-// (503), a forward that failed while the ring re-shards (502). 4xx
-// validation errors and 504 deadlines are permanent for the same request.
-func Retryable(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusServiceUnavailable ||
-		status == http.StatusBadGateway
 }
 
 // handleBatch answers a JSON array of job requests with an aligned array

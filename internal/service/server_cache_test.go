@@ -33,11 +33,11 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 	// first, and the loser is refused instead of queued.
 	first := sleepInBackground(ts, 500)
 	waitFor(t, "worker never took the first sleep", func() bool {
-		st := srv.Stats()
-		return st.Admitted == 2 && st.QueueDepth == 0
+		st := srv.TelemetrySnapshot()
+		return st.Counter("jobs_admitted_total") == 2 && st.Gauge("queue_depth") == 0
 	})
 	second := sleepInBackground(ts, 500)
-	waitFor(t, "queue never filled", func() bool { return srv.Stats().QueueDepth == 1 })
+	waitFor(t, "queue never filled", func() bool { return srv.TelemetrySnapshot().Gauge("queue_depth") == 1 })
 
 	// A fresh sleep is rejected (queue full) but the cached scenario is
 	// served instantly.
@@ -76,7 +76,7 @@ func TestCoalescedSingleExecution(t *testing.T) {
 		sleepDone <- code
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Admitted == 0 {
+	for srv.TelemetrySnapshot().Counter("jobs_admitted_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("sleep never admitted")
 		}
@@ -110,13 +110,13 @@ func TestCoalescedSingleExecution(t *testing.T) {
 	if got["miss"] != 1 || got["coalesced"] != 1 {
 		t.Fatalf("X-Cache pair %q/%q, want one miss + one coalesced", a.cache, b.cache)
 	}
-	st := srv.Stats()
-	if st.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1", st.Coalesced)
+	st := srv.TelemetrySnapshot()
+	if st.Gauge("cache_coalesced_total") != 1 {
+		t.Fatalf("coalesced = %v, want 1", st.Gauge("cache_coalesced_total"))
 	}
 	// One sleep + one scenario leader were admitted; the joiner was not.
-	if st.Admitted != 2 {
-		t.Fatalf("admitted = %d, want 2 (sleep + leader)", st.Admitted)
+	if st.Counter("jobs_admitted_total") != 2 {
+		t.Fatalf("admitted = %d, want 2 (sleep + leader)", st.Counter("jobs_admitted_total"))
 	}
 }
 

@@ -82,29 +82,35 @@ func TestSolveMatchesOfflineOracle(t *testing.T) {
 			if err := srv.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			st := srv.Stats()
-			if st.Failed != 0 {
-				t.Fatalf("workers=%d: stats %+v", workers, st)
+			st := srv.TelemetrySnapshot()
+			admitted, completed := st.Counter("jobs_admitted_total"), st.Counter("jobs_completed_total")
+			if failed := st.Counter("jobs_failed_total"); failed != 0 {
+				t.Fatalf("workers=%d: %d jobs failed", workers, failed)
 			}
 			if cacheCap < 0 {
-				if st.Admitted != 6 || st.Completed != 6 {
-					t.Fatalf("workers=%d uncached: stats %+v", workers, st)
+				if admitted != 6 || completed != 6 {
+					t.Fatalf("workers=%d uncached: admitted %d completed %d, want 6 and 6", workers, admitted, completed)
 				}
 			} else {
-				if st.CacheHits+st.CacheMisses != 6 {
-					t.Fatalf("workers=%d cached: lookups %d+%d != 6", workers, st.CacheHits, st.CacheMisses)
+				hits, misses := st.Gauge("cache_hits_total"), st.Gauge("cache_misses_total")
+				coalesced := st.Gauge("cache_coalesced_total")
+				if hits+misses != 6 {
+					t.Fatalf("workers=%d cached: lookups %v+%v != 6", workers, hits, misses)
 				}
 				// Every miss either led a flight (and was admitted) or
 				// joined one; dedup never loses or invents executions.
-				if st.Admitted != st.CacheMisses-st.Coalesced || st.Admitted < 1 {
-					t.Fatalf("workers=%d cached: stats %+v", workers, st)
+				if float64(admitted) != misses-coalesced || admitted < 1 {
+					t.Fatalf("workers=%d cached: admitted %d, misses %v, coalesced %v", workers, admitted, misses, coalesced)
 				}
-				if st.Completed != st.Admitted {
-					t.Fatalf("workers=%d cached: completed %d != admitted %d", workers, st.Completed, st.Admitted)
+				if completed != admitted {
+					t.Fatalf("workers=%d cached: completed %d != admitted %d", workers, completed, admitted)
 				}
 			}
-			if st.Ranks.MsgsSent == 0 || st.Ranks.Flops == 0 {
-				t.Fatalf("workers=%d: rank counters not folded: %+v", workers, st.Ranks)
+			srv.mu.Lock()
+			ranks := srv.ranks
+			srv.mu.Unlock()
+			if ranks.MsgsSent == 0 || ranks.Flops == 0 {
+				t.Fatalf("workers=%d: rank counters not folded: %+v", workers, ranks)
 			}
 		}
 	}
@@ -128,7 +134,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	// Wait until one sleeps on the worker and one occupies the queue slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().QueueDepth != 1 {
+	for srv.TelemetrySnapshot().Gauge("queue_depth") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}
@@ -151,9 +157,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if code, body, _ := post(t, ts, JobRequest{SleepMs: 1}); code != http.StatusOK {
 		t.Fatalf("post-drain job answered %d (%s)", code, body)
 	}
-	st := srv.Stats()
-	if st.Rejected != 1 || st.Admitted != 3 {
-		t.Fatalf("stats after backpressure: %+v", st)
+	st := srv.TelemetrySnapshot()
+	if st.Counter("jobs_rejected_total") != 1 || st.Counter("jobs_admitted_total") != 3 {
+		t.Fatalf("stats after backpressure: %+v", st.Counters)
 	}
 }
 
@@ -167,8 +173,8 @@ func TestJobDeadline(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("expired job answered %d (%s), want 504", code, body)
 	}
-	if st := srv.Stats(); st.Failed != 1 {
-		t.Fatalf("stats after deadline: %+v", st)
+	if st := srv.TelemetrySnapshot(); st.Counter("jobs_failed_total") != 1 {
+		t.Fatalf("stats after deadline: %+v", st.Counters)
 	}
 }
 
@@ -185,7 +191,7 @@ func TestGracefulDrain(t *testing.T) {
 		got <- code
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Admitted == 0 {
+	for srv.TelemetrySnapshot().Counter("jobs_admitted_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("job never admitted")
 		}
@@ -231,8 +237,8 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if st := srv.Stats(); st.Admitted != 0 {
-		t.Fatalf("malformed requests reached the queue: %+v", st)
+	if st := srv.TelemetrySnapshot(); st.Counter("jobs_admitted_total") != 0 {
+		t.Fatalf("malformed requests reached the queue: %+v", st.Counters)
 	}
 }
 

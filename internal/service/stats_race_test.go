@@ -14,12 +14,12 @@ import (
 	"resilience/internal/obs"
 )
 
-// TestStatsScrapeDuringJobs hammers Stats(), /metrics and /telemetry
-// while jobs complete on the worker pool. Run under -race it is the
-// torn-read audit for the stats path: every counter is an atomic in the
-// registry and the map/rank aggregates are deep-copied under the mutex,
-// so a scrape that overlaps a completing job must observe neither a
-// data race nor an inconsistent histogram (count behind its buckets).
+// TestStatsScrapeDuringJobs hammers TelemetrySnapshot(), /metrics and
+// /telemetry while jobs complete on the worker pool. Run under -race it
+// is the torn-read audit for the stats path: every counter is an atomic
+// in the registry and the rank aggregate is copied under the mutex, so a
+// scrape that overlaps a completing job must observe neither a data race
+// nor an inconsistent histogram (count behind its buckets).
 func TestStatsScrapeDuringJobs(t *testing.T) {
 	srv := New(Config{Workers: 4, QueueCap: 32, CacheCap: -1})
 	ts := httptest.NewServer(srv)
@@ -59,9 +59,9 @@ func TestStatsScrapeDuringJobs(t *testing.T) {
 					return
 				default:
 				}
-				st := srv.Stats()
-				if st.Completed > st.Admitted {
-					t.Errorf("torn stats: completed %d > admitted %d", st.Completed, st.Admitted)
+				st := srv.TelemetrySnapshot()
+				if st.Counter("jobs_completed_total") > st.Counter("jobs_admitted_total") {
+					t.Errorf("torn stats: completed %d > admitted %d", st.Counter("jobs_completed_total"), st.Counter("jobs_admitted_total"))
 				}
 				for _, get := range []string{"/metrics", "/telemetry"} {
 					resp, err := ts.Client().Get(ts.URL + get)
@@ -89,9 +89,9 @@ func TestStatsScrapeDuringJobs(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.Completed != jobs || st.Failed != 0 {
-		t.Fatalf("stats after drain: %+v", st)
+	st := srv.TelemetrySnapshot()
+	if st.Counter("jobs_completed_total") != jobs || st.Counter("jobs_failed_total") != 0 {
+		t.Fatalf("stats after drain: %+v", st.Counters)
 	}
 	// The telemetry gate at unit scope: the wall-clock histogram must
 	// account for exactly the completed jobs, and the Prometheus view

@@ -20,9 +20,10 @@ import (
 // MulVecDist on the first one's output and a closing barrier. Everything
 // the rank computed is appended to out.
 func haloPinWorkload(c *cluster.Comm, op *LocalOp, out *[]float64) {
+	lo, _ := op.Part.Range(c.Rank())
 	x := make([]float64, op.N)
 	for i := range x {
-		x[i] = float64((op.Lo+i)%17) - 7.5 + 0.125*float64(c.Rank())
+		x[i] = float64((lo+i)%17) - 7.5 + 0.125*float64(c.Rank())
 	}
 	y := make([]float64, op.N)
 	z := make([]float64, op.N)

@@ -28,7 +28,6 @@ const tagSetup = 100
 type LocalOp struct {
 	Part *sparse.Partition
 	Rank int
-	Lo   int // first owned global row
 	N    int // owned rows
 
 	// localA is this rank's rows A_{p,:} with columns remapped to
@@ -116,7 +115,6 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	op := &LocalOp{
 		Part: part,
 		Rank: r,
-		Lo:   lo,
 		N:    hi - lo,
 		a:    a,
 	}

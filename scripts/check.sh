@@ -7,8 +7,9 @@
 # second event log, encoder and dead helpers, nor the fault constructors,
 # solver workspace and facade helper replaced by core.System.Spread, nor
 # the nonblocking point-to-point API the halo plan replaced, nor the
-# governor and RAPL emulations and the settings that became constants, is
-# named again; the even fault placement has one caller, in core), a
+# governor and RAPL emulations and the settings that became constants,
+# nor the fabric clients' own retry loops, is named again; the even fault
+# placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -99,6 +100,15 @@ fi
 # TestEveryDeclarationHasACaller keeps unreached declarations out.
 if git grep -nE 'New''Governor|New''Sampler|PerCore''Energy|Cache''Shards|Forward''Timeout|MaxLocal''Iters|(^|[^t])Lossy''ErrBound' -- . ':!*.md'; then
     echo "a deleted emulation or setting is named again"; exit 1
+fi
+
+# Likewise the second and third fabric clients: service.Client holds the
+# one retry loop the chaos fleet and the load generator share, and the
+# fleet re-sends backpressured items as a smaller /batch, never through
+# /solve.
+if git grep -nE 'post''Retry|finish''Item|retry''Sleep|sleep''Ctx' -- . ':!*.md' ||
+    git grep -n '"/sol''ve"' -- internal/chaos/fleet; then
+    echo "a retired fabric client retry path is named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
