@@ -5,8 +5,10 @@
 // cache concentrates on its own key range and the fleet-wide hit rate
 // approaches a single cache N times the size. Replica 429s (and their
 // Retry-After hints) pass through untouched; the router adds its own
-// bounded in-flight admission on top. A /batch is split by ring owner
-// and forwarded as one sub-batch per replica. Replica death or drain
+// bounded in-flight admission on top. A replica's 200 to a cacheable job
+// is kept in the router's own bounded front tier, which answers repeats
+// of that key without a forward. A /batch's other items are split by
+// ring owner and forwarded as one sub-batch per replica. Replica death or drain
 // re-shards the ring — only the dead replica's key range moves. /healthz reports
 // fleet liveness, /metrics aggregates per-replica queue depth and cache
 // hit rates, and POST /replicas changes membership at runtime.

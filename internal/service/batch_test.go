@@ -301,3 +301,42 @@ func TestSolveAdmittedBesideBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplicaBatchCancelledStartsNothing: a /batch whose request context
+// has already ended starts none of its items — not even cacheable misses,
+// which would otherwise run in full on the detached single-flight leader —
+// and answers every slot 503 "request abandoned".
+func TestReplicaBatchCancelledStartsNothing(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown(context.Background())
+
+	reqs := make([]JobRequest, 8)
+	for i := range reqs {
+		reqs[i] = JobRequest{Scenario: fmt.Sprintf("-grid 6 -ranks 2 -scheme LI -seed %d", i+1)}
+	}
+	body, err := json.Marshal(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hr := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, hr)
+
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
+	}
+	var items []BatchItem
+	if err := json.Unmarshal(rec.Body.Bytes(), &items); err != nil || len(items) != len(reqs) {
+		t.Fatalf("batch reply %s does not hold %d items: %v", rec.Body, len(reqs), err)
+	}
+	for i, it := range items {
+		if it.Code != http.StatusServiceUnavailable || !strings.Contains(string(it.Body), "request abandoned: context canceled") {
+			t.Errorf("slot %d answered %d %s, want 503 request abandoned", i, it.Code, it.Body)
+		}
+	}
+	if n := srv.TelemetrySnapshot().Counter("jobs_admitted_total"); n != 0 {
+		t.Errorf("a cancelled batch admitted %d jobs, want 0", n)
+	}
+}

@@ -17,8 +17,10 @@ const canonicalVersion = "j1"
 // string such that two requests get the same key exactly when the
 // service's determinism contract guarantees byte-identical results.
 // cacheable is false for jobs whose outcome is not a pure function of
-// the request (sleep diagnostics); err is non-nil only for requests
-// Validate would reject.
+// the request (sleep diagnostics); err is non-nil exactly for requests
+// Validate rejects, and is the error Validate returns. It validates as it
+// keys, parsing a scenario once, so a caller that needs the key calls
+// only CanonicalKey.
 //
 // Normalization rules (pinned by TestCanonicalKey* and FuzzCanonicalKey):
 //
@@ -41,16 +43,13 @@ const canonicalVersion = "j1"
 //     result is produced, never which bytes it contains, and failed jobs
 //     are never cached.
 func CanonicalKey(req JobRequest) (key string, cacheable bool, err error) {
+	s, err := req.parse()
+	if err != nil {
+		return "", false, err
+	}
 	switch req.Kind() {
 	case "scenario":
-		s, err := chaos.ParseArgs(req.Scenario)
-		if err != nil {
-			return "", false, err
-		}
-		spec, err := chaos.ParseSchemeName(s.Scheme)
-		if err != nil {
-			return "", false, err
-		}
+		spec, _ := chaos.ParseSchemeName(s.Scheme) // ParseArgs accepted it
 		s.Scheme = spec.CanonicalName()
 		sort.SliceStable(s.Faults, func(i, j int) bool { return s.Faults[i].Iter < s.Faults[j].Iter })
 		if req.Verdict {
@@ -62,15 +61,9 @@ func CanonicalKey(req JobRequest) (key string, cacheable bool, err error) {
 		}
 		return canonicalVersion + "|scenario|" + s.Args(), true, nil
 	case "experiment":
-		if _, ok := experiments.Get(req.Experiment); !ok {
-			return "", false, fmt.Errorf("service: unknown experiment %q", req.Experiment)
-		}
 		scale := matgen.Tiny
 		if req.Scale != "" {
-			scale, err = matgen.ParseScale(req.Scale)
-			if err != nil {
-				return "", false, err
-			}
+			scale, _ = matgen.ParseScale(req.Scale) // parse accepted it
 		}
 		seed := req.Seed
 		if seed == 0 {

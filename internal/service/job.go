@@ -83,8 +83,17 @@ func (r *JobRequest) Kind() string {
 }
 
 // Validate rejects malformed requests before they reach the queue, so
-// admission failures are the client's bill, not a worker's.
+// admission failures are the client's bill, not a worker's. CanonicalKey
+// applies the same checks, with the same errors, as it keys.
 func (r *JobRequest) Validate() error {
+	_, err := r.parse()
+	return err
+}
+
+// parse is Validate that keeps its work: a scenario job's flag string is
+// parsed once and returned, so CanonicalKey keys what it validated (nil
+// for the other kinds).
+func (r *JobRequest) parse() (*chaos.Scenario, error) {
 	set := 0
 	if r.Scenario != "" {
 		set++
@@ -96,44 +105,46 @@ func (r *JobRequest) Validate() error {
 		set++
 	}
 	if set != 1 {
-		return fmt.Errorf("service: request must set exactly one of scenario, experiment, sleep_ms (got %d)", set)
+		return nil, fmt.Errorf("service: request must set exactly one of scenario, experiment, sleep_ms (got %d)", set)
 	}
 	if r.SleepMs < 0 {
-		return fmt.Errorf("service: negative sleep_ms %d", r.SleepMs)
+		return nil, fmt.Errorf("service: negative sleep_ms %d", r.SleepMs)
 	}
 	if r.TimeoutMs < 0 {
-		return fmt.Errorf("service: negative timeout_ms %d", r.TimeoutMs)
+		return nil, fmt.Errorf("service: negative timeout_ms %d", r.TimeoutMs)
 	}
 	if r.Verdict && r.Scenario == "" {
-		return fmt.Errorf("service: verdict requires a scenario job")
+		return nil, fmt.Errorf("service: verdict requires a scenario job")
 	}
 	if r.BreakInvariant != "" {
 		if !r.Verdict {
-			return fmt.Errorf("service: break_invariant requires verdict")
+			return nil, fmt.Errorf("service: break_invariant requires verdict")
 		}
 		if !knownInvariant(r.BreakInvariant) {
-			return fmt.Errorf("service: unknown invariant %q", r.BreakInvariant)
+			return nil, fmt.Errorf("service: unknown invariant %q", r.BreakInvariant)
 		}
 	}
 	switch {
 	case r.Scenario != "":
-		if _, err := chaos.ParseArgs(r.Scenario); err != nil {
-			return fmt.Errorf("service: bad scenario: %w", err)
+		s, err := chaos.ParseArgs(r.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("service: bad scenario: %w", err)
 		}
+		return s, nil
 	case r.Experiment != "":
 		if _, ok := experiments.Get(r.Experiment); !ok {
-			return fmt.Errorf("service: unknown experiment %q", r.Experiment)
+			return nil, fmt.Errorf("service: unknown experiment %q", r.Experiment)
 		}
 		if r.Scale != "" {
 			if _, err := matgen.ParseScale(r.Scale); err != nil {
-				return fmt.Errorf("service: bad scale: %w", err)
+				return nil, fmt.Errorf("service: bad scale: %w", err)
 			}
 		}
 		if r.Workers < 0 {
-			return fmt.Errorf("service: negative workers %d", r.Workers)
+			return nil, fmt.Errorf("service: negative workers %d", r.Workers)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // JobResult is the response body for a completed job. Float fields are

@@ -4,7 +4,8 @@
 // backpressure is explicit at both layers (the router bounds its own
 // in-flight forwards; replica 429s pass through untouched), and replica
 // drain or membership change re-shards the ring instead of failing
-// requests.
+// requests. In front of the ring the router keeps a bounded cache of
+// replica 200 bodies under the same keys, and answers repeats itself.
 package router
 
 import (

@@ -17,6 +17,7 @@ import (
 
 	"resilience/internal/obs"
 	"resilience/internal/service"
+	"resilience/internal/service/cache"
 )
 
 // Config sizes the router. Replicas is the only required field.
@@ -77,6 +78,12 @@ type Router struct {
 	mux    *http.ServeMux
 	client *http.Client
 	probe  *http.Client
+
+	// front is the content-addressed front tier: replica 200 bodies by
+	// canonical key, filled only in account and read only in frontHit.
+	// A key names content, not a replica, so membership changes never
+	// invalidate it.
+	front *cache.Cache[[]byte]
 
 	// admitMu serializes admission against the drain flip, exactly like
 	// the replica server's discipline.
@@ -143,6 +150,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		client:     &http.Client{Transport: transport, Timeout: forwardTimeout},
 		probe:      &http.Client{Timeout: 2 * time.Second},
+		front:      cache.New[[]byte](service.DefaultCacheCap, 0), // 0: the default shard count
 		slots:      make(chan struct{}, cfg.MaxInflight),
 		members:    make(map[string]*member),
 		stopHealth: make(chan struct{}),
@@ -190,6 +198,7 @@ func (rt *Router) initMetrics() {
 	rt.campaignJobs = r.Counter("campaign_jobs_total")
 	rt.campaignVerdicts = r.Counter("campaign_verdicts_total")
 	rt.campaignFail = r.Counter("campaign_fail_total")
+	r.GaugeFunc("front_hits_total", func() float64 { return float64(rt.frontHits()) })
 	r.GaugeFunc("max_inflight", func() float64 { return float64(rt.cfg.MaxInflight) })
 	r.GaugeFunc("replicas", func() float64 { return float64(len(rt.Members())) })
 	r.GaugeFunc("replicas_alive", func() float64 {
@@ -206,11 +215,20 @@ func (rt *Router) initMetrics() {
 	r.Collector(rt.exposeFleet)
 }
 
+// frontHits is how many answers the front tier gave.
+func (rt *Router) frontHits() int64 {
+	hits, _, _ := rt.front.Stats()
+	return hits
+}
+
 // exposeFleet renders the per-replica rows and the fleet view from one
 // /telemetry snapshot per alive replica: queue depth and summed cache
 // counters from its gauges, plus true fleet-wide latency and energy
 // quantiles from exact bucket-merges of its histograms. Member order is
 // URL-sorted, so the output is deterministic for a fixed fleet state.
+// The fleet's cache hits include the front tier's; its misses are the
+// replicas' alone, since a front-tier miss goes on to be a replica
+// lookup.
 func (rt *Router) exposeFleet(e *obs.Expo) {
 	members := rt.Members()
 	rt.perMu.Lock()
@@ -220,7 +238,7 @@ func (rt *Router) exposeFleet(e *obs.Expo) {
 	}
 	rt.perMu.Unlock()
 
-	var hits, misses float64
+	hits, misses := float64(rt.frontHits()), 0.0
 	var fleet obs.Snapshot
 	scraped := 0
 	for _, m := range members {
@@ -430,8 +448,18 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
+	j, err := newRouted(req, 0)
+	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// The front tier answers ahead of admission, as a replica's cache
+	// does ahead of its queue: a saturated or draining router still
+	// serves what it holds.
+	if body, ok := rt.frontHit(j); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", "hit")
+		w.Write(body)
 		return
 	}
 	if !rt.admit(w, reqID, "router saturated") {
@@ -439,7 +467,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release()
 
-	rep := rt.routeOne(r.Context(), req, reqID)
+	rep := rt.routeOne(r.Context(), j, reqID)
 	for k := range rep.header {
 		w.Header().Set(k, rep.header.Get(k))
 	}
@@ -590,9 +618,11 @@ func (rt *Router) noReplicaError(reqID string) *routerError {
 }
 
 // account folds one job's final answer into the counters: an answer a
-// replica gave is routed (a router-made error is not) and files a crash
-// note when it is >= 500; a verdict-bearing job moves the campaign
-// counters whoever answered it.
+// replica gave is routed (a router-made error or a front-tier hit is
+// not) and files a crash note when it is >= 500; a verdict-bearing job
+// moves the campaign counters whoever answered it. It is also the one
+// place the front tier is filled: with a replica's 200 to a cacheable
+// job, and nothing else.
 func (rt *Router) account(j *routed, replica, reqID string, code int, body []byte) {
 	if replica != "" {
 		rt.routed.Inc()
@@ -601,6 +631,9 @@ func (rt *Router) account(j *routed, replica, reqID string, code int, body []byt
 		rt.perMu.Unlock()
 		if code >= 500 {
 			rt.flight.Crash("replica-5xx", reqID, fmt.Sprintf("%s: status %d: %s", replica, code, body))
+		}
+		if code == http.StatusOK && j.cacheable {
+			rt.front.Put(j.key, body)
 		}
 	}
 	if j.req.Verdict {
@@ -612,6 +645,20 @@ func (rt *Router) account(j *routed, replica, reqID string, code int, body []byt
 			}
 		}
 	}
+}
+
+// frontHit answers j from the front tier if it holds j's key. A hit is
+// a final answer, accounted as one that no replica gave (so no note
+// names its request ID).
+func (rt *Router) frontHit(j *routed) ([]byte, bool) {
+	if !j.cacheable {
+		return nil, false
+	}
+	body, ok := rt.front.Get(j.key)
+	if ok {
+		rt.account(j, "", "", http.StatusOK, body)
+	}
+	return body, ok
 }
 
 // exchange posts body to one replica endpoint under ctx with the request
@@ -633,12 +680,8 @@ func (rt *Router) exchange(ctx context.Context, url string, body []byte, reqID s
 // re-sharding) past dead replicas. Responses — including replica 429s
 // with their Retry-After hints and X-Cache markers — pass through
 // byte-identical. The caller holds a router admission slot.
-func (rt *Router) routeOne(ctx context.Context, req service.JobRequest, reqID string) reply {
-	j, err := newRouted(req, 0)
-	if err != nil {
-		return (&routerError{http.StatusBadRequest, err.Error()}).reply()
-	}
-	body, err := json.Marshal(req)
+func (rt *Router) routeOne(ctx context.Context, j *routed, reqID string) reply {
+	body, err := json.Marshal(j.req)
 	if err != nil {
 		return (&routerError{http.StatusInternalServerError, err.Error()}).reply()
 	}
@@ -718,12 +761,13 @@ type subBatch struct {
 	again  []*routed // after send: the jobs to route once more
 }
 
-// routeBatch answers every request of one batch. It stays a batch on the
-// way down: the items are grouped by ring owner and each replica gets ONE
-// sub-batch (POST /batch, the wire contract the router itself serves),
-// the sub-batches of a round travelling side by side. Jobs a replica
-// failed are grouped again on the re-sharded ring, under the same rules
-// as a lone /solve (failover), until every slot is filled.
+// routeBatch answers every request of one batch. The front tier answers
+// the items it holds; the rest stay a batch on the way down: they are
+// grouped by ring owner and each replica gets ONE sub-batch (POST
+// /batch, the wire contract the router itself serves), the sub-batches
+// of a round travelling side by side. Jobs a replica failed are grouped
+// again on the re-sharded ring, under the same rules as a lone /solve
+// (failover), until every slot is filled.
 //
 // Sub-batch k travels as request ID "<batch ID>.k", so its job i is
 // "<batch ID>.k-i" on the replica's spans and notes and on the router's;
@@ -733,14 +777,14 @@ func (rt *Router) routeBatch(ctx context.Context, reqs []service.JobRequest, req
 	items := make([]service.BatchItem, len(reqs))
 	var pending []*routed
 	for i, req := range reqs {
-		err := req.Validate()
-		var j *routed
-		if err == nil {
-			j, err = newRouted(req, i)
-		}
+		j, err := newRouted(req, i)
 		if err != nil {
 			e := routerError{http.StatusBadRequest, err.Error()}
 			items[i] = service.BatchItem{Code: e.code, Body: service.ErrorBody(e.msg)}
+			continue
+		}
+		if body, ok := rt.frontHit(j); ok {
+			items[i] = service.BatchItem{Code: http.StatusOK, Body: body}
 			continue
 		}
 		pending = append(pending, j)

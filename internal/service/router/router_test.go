@@ -101,11 +101,15 @@ func TestRingStability(t *testing.T) {
 
 // TestRouterByteIdentityAndAffinity: responses proxied through the
 // router are byte-identical to the local oracle, and a repeated key
-// lands on the same replica every time (second request is a cache hit).
+// lands on the same replica every time. The router answers its own
+// repeat from the front tier, so affinity is proven through a second
+// router over the same replicas: its first forward of the key must find
+// the key in the owning replica's cache.
 func TestRouterByteIdentityAndAffinity(t *testing.T) {
 	_, r1 := replica(t, service.Config{Workers: 2})
 	_, r2 := replica(t, service.Config{Workers: 2})
 	_, rts := boot(t, Config{}, r1.URL, r2.URL)
+	_, other := boot(t, Config{}, r1.URL, r2.URL)
 
 	jobs := []service.JobRequest{
 		{Scenario: "-grid 8 -ranks 4 -scheme LI -seed 3"},
@@ -136,7 +140,14 @@ func TestRouterByteIdentityAndAffinity(t *testing.T) {
 			t.Fatalf("%+v: repeat differs (status %d)", req, code2)
 		}
 		if xc := hdr2.Get("X-Cache"); xc != "hit" {
-			t.Fatalf("repeat X-Cache %q, want hit — key did not route to the same replica", xc)
+			t.Fatalf("repeat X-Cache %q, want hit", xc)
+		}
+		code3, body3, hdr3 := post(t, other.URL, req)
+		if code3 != http.StatusOK || !bytes.Equal(body3, want) {
+			t.Fatalf("%+v: second router's answer differs (status %d)", req, code3)
+		}
+		if xc := hdr3.Get("X-Cache"); xc != "hit" {
+			t.Fatalf("second router's X-Cache %q, want hit — key did not route to the same replica", xc)
 		}
 	}
 }
@@ -434,11 +445,13 @@ func TestRouterDrain(t *testing.T) {
 }
 
 // TestRouterMetricsAggregation: /metrics carries router counters,
-// per-replica queue depth, and the fleet-aggregate cache hit counters
-// scraped from the replicas.
+// per-replica queue depth, and the fleet-aggregate cache hit counters:
+// the replicas' scraped counters plus the front tier's hits. Here the
+// two repeats are front-tier hits, so no replica counts a hit and only
+// the first request is routed.
 func TestRouterMetricsAggregation(t *testing.T) {
-	_, r1 := replica(t, service.Config{Workers: 2})
-	_, r2 := replica(t, service.Config{Workers: 2})
+	s1, r1 := replica(t, service.Config{Workers: 2})
+	s2, r2 := replica(t, service.Config{Workers: 2})
 	_, rts := boot(t, Config{}, r1.URL, r2.URL)
 
 	req := service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 5"}
@@ -455,8 +468,14 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	resp.Body.Close()
 	text := string(body)
 
+	for _, s := range []*service.Server{s1, s2} {
+		if h := s.TelemetrySnapshot().Gauge("cache_hits_total"); h != 0 {
+			t.Errorf("a replica counted %v cache hits, want 0: the repeats are the front tier's", h)
+		}
+	}
 	for _, want := range []string{
-		"resilience_router_routed_total 3",
+		"resilience_router_routed_total 1",
+		"resilience_router_front_hits_total 2",
 		"resilience_router_replicas_alive 2",
 		"resilience_router_cache_hits_total 2",
 		"resilience_router_cache_misses_total 1",
@@ -577,8 +596,12 @@ func TestForwardConnectionsAreReused(t *testing.T) {
 			forwards.Add(1)
 			go func(i int) {
 				defer forwards.Done()
-				req := service.JobRequest{Scenario: fmt.Sprintf("-grid 8 -seed %d", i+1)}
-				if rep := rt.routeOne(context.Background(), req, "wave"); rep.code != http.StatusOK {
+				j, err := newRouted(service.JobRequest{Scenario: fmt.Sprintf("-grid 8 -seed %d", i+1)}, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rep := rt.routeOne(context.Background(), j, "wave"); rep.code != http.StatusOK {
 					t.Errorf("forward %d answered %d: %s", i, rep.code, rep.body)
 				}
 			}(i)

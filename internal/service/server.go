@@ -19,8 +19,8 @@ import (
 )
 
 // Config sizes the server. The zero value is usable: GOMAXPROCS
-// workers, a queue twice that deep, a 120 s job timeout, a 4096-entry
-// result cache with single-flight dedup.
+// workers, a queue twice that deep, a 120 s job timeout, a
+// DefaultCacheCap-entry result cache with single-flight dedup.
 type Config struct {
 	// Workers is the solver pool size (<=0: GOMAXPROCS).
 	Workers int
@@ -33,7 +33,8 @@ type Config struct {
 	// RetryAfter is the hint sent with 429 responses (<=0: 1 s).
 	RetryAfter time.Duration
 	// CacheCap bounds the content-addressed result cache in entries
-	// (0: 4096; negative: cache and single-flight dedup disabled).
+	// (0: DefaultCacheCap; negative: cache and single-flight dedup
+	// disabled).
 	CacheCap int
 	// TraceRing bounds the wall-clock span ring (<=0: 4096 spans).
 	TraceRing int
@@ -41,6 +42,11 @@ type Config struct {
 
 // cacheShards is the result cache's count of independent lock domains.
 const cacheShards = 16
+
+// DefaultCacheCap is the one bound, in entries, of both result-cache
+// tiers: a replica's cache when Config.CacheCap is 0, and the router's
+// front tier.
+const DefaultCacheCap = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -56,7 +62,7 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = time.Second
 	}
 	if c.CacheCap == 0 {
-		c.CacheCap = 4096
+		c.CacheCap = DefaultCacheCap
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 4096
@@ -341,7 +347,9 @@ func DecodeBatch(body io.Reader) ([]JobRequest, error) {
 // of BatchItems, each item solved exactly as /solve would solve it (item
 // i runs under request ID "<batch ID>-i"). Per-item failures — invalid
 // requests, 429s, deadlines — land in that item's code; the batch itself
-// fails only for a malformed body.
+// fails only for a malformed body. Once the request's context ends no
+// further item is started: every slot not yet claimed answers 503
+// "request abandoned", the router's wording for the same event.
 //
 // At most Workers+1 items are in flight at once: enough to keep every
 // worker busy with the next job already queued, and never more than the
@@ -369,6 +377,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				i := int(next.Add(1)) - 1
 				if i >= len(reqs) {
 					return
+				}
+				if err := r.Context().Err(); err != nil {
+					items[i] = BatchItem{Code: http.StatusServiceUnavailable, Body: ErrorBody("request abandoned: " + err.Error())}
+					continue
 				}
 				out, _ := s.solve(r.Context(), reqs[i], reqID+"-"+strconv.Itoa(i))
 				items[i] = BatchItem{Code: out.code, Body: out.body}
@@ -399,14 +411,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // A 5xx outcome triggers a flight-recorder crash dump (throttled, and
 // only when a dump dir is configured) naming the request ID.
 func (s *Server) solve(ctx context.Context, req JobRequest, reqID string) (out flightOut, xcache string) {
-	if err := req.Validate(); err != nil {
+	key, cacheable, err := CanonicalKey(req)
+	if err != nil {
 		return flightOut{code: http.StatusBadRequest, body: ErrorBody(err.Error())}, ""
 	}
-	key, cacheable := "", false
-	if s.results != nil {
-		key, cacheable, _ = CanonicalKey(req)
-	}
-	if !cacheable {
+	if !cacheable || s.results == nil {
 		out = s.executeQueued(ctx, req, reqID)
 	} else {
 		look := s.tracer.Start("cache-lookup", reqID)

@@ -20,7 +20,8 @@
 # a service integration gate (resilienced under a seeded resilience-load
 # burst: queue-full rejections, byte-identical responses, clean drain),
 # a chaos-fleet gate (a sharded 2k-scenario campaign byte-compared to
-# the in-process oracle, through the router and straight at one replica,
+# the in-process oracle, through the router twice — the second time
+# answered by the router's front tier — and straight at one replica,
 # plus an injected violation that must shrink server-side to a minimal
 # scenario). Timings are not gated here: the repository benchmark
 # (go run ./bench, BENCHMARK.json) is the one perf ledger.
@@ -245,6 +246,10 @@ router_addr=$(wait_addr "$svc_dir/router.log")
 curl -s "http://$router_addr/metrics" |
     awk '/^resilience_router_cache_hits_total / { found = ($2 > 0) } END { exit found ? 0 : 1 }' ||
     { echo "router reported no cache hits"; exit 1; }
+# And the router answered repeats itself, from its front tier.
+curl -s "http://$router_addr/metrics" |
+    awk '/^resilience_router_front_hits_total / { found = ($2 > 0) } END { exit found ? 0 : 1 }' ||
+    { echo "router front tier answered no repeat"; exit 1; }
 
 # Fleet gate: shard a bounded 2k-scenario chaos campaign across the same
 # router + two replicas and byte-compare the indexed verdict stream
@@ -258,6 +263,19 @@ go build -o "$svc_dir/chaos-fleet" ./cmd/chaos-fleet
 "$svc_dir/chaos-fleet" -addr "http://$router_addr" -n 2000 -seed 1 \
     -verdicts-out "$svc_dir/fleet.verdicts"
 cmp "$svc_dir/oracle.verdicts" "$svc_dir/fleet.verdicts"
+
+# The same campaign through the router again: its front tier now holds
+# every verdict and answers all 2000 jobs itself, and the stream must
+# still be the oracle's.
+front_hits() {
+    curl -s "http://$router_addr/metrics" |
+        awk '/^resilience_router_front_hits_total / { print $2 }'
+}
+front0=$(front_hits)
+"$svc_dir/chaos-fleet" -addr "http://$router_addr" -n 2000 -seed 1 \
+    -verdicts-out "$svc_dir/front.verdicts"
+cmp "$svc_dir/oracle.verdicts" "$svc_dir/front.verdicts"
+test "$(($(front_hits) - front0))" -ge 2000
 
 # The same campaign straight at one bare replica: replica and router
 # speak the same /batch, so the stream must be the oracle's there too.
