@@ -3,12 +3,14 @@
 //
 // Canonical job keys map stably onto replicas, so each replica's result
 // cache concentrates on its own key range and the fleet-wide hit rate
-// approaches a single cache N times the size. Replica 429s (and their
-// Retry-After hints) pass through untouched; the router adds its own
-// bounded in-flight admission on top. A replica's 200 to a cacheable job
-// is kept in the router's own bounded front tier, which answers repeats
-// of that key without a forward. A /batch's other items are split by
-// ring owner and forwarded as one sub-batch per replica. Replica death or drain
+// approaches a single cache N times the size. Replica answers, 429s
+// included, pass through byte-identical; the router adds its own bounded
+// in-flight admission on top and puts its own -retry-after hint on every
+// 429 and 503 it answers. A replica's 200 to a cacheable job is kept in
+// the router's own bounded front tier, which answers repeats of that key
+// without a forward. A /batch's other items are split by ring owner and
+// forwarded as one sub-batch per replica, and a /solve miss as a batch of
+// one. Replica death or drain
 // re-shards the ring — only the dead replica's key range moves. /healthz reports
 // fleet liveness, /metrics aggregates per-replica queue depth and cache
 // hit rates, and POST /replicas changes membership at runtime.
@@ -56,7 +58,7 @@ func main() {
 	flag.StringVar(&o.replicas, "replicas", "", "comma-separated replica base URLs (required)")
 	flag.IntVar(&o.vnodes, "vnodes", 0, "virtual nodes per replica on the hash ring (0: 64)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "max concurrently forwarded requests (0: 256)")
-	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on router-side 429s")
+	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on every 429/503 the router answers")
 	flag.DurationVar(&o.healthEvery, "health-every", 2*time.Second, "replica health-probe interval (negative: disabled)")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 30*time.Second, "max time to drain in-flight forwards on shutdown")
 	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty: disabled)")

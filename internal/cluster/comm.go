@@ -76,9 +76,6 @@ func (c *Comm) Clock() float64 { return c.clock }
 // Freq returns the rank's current core frequency in GHz.
 func (c *Comm) Freq() float64 { return c.freq }
 
-// Phase returns the current accounting phase label.
-func (c *Comm) Phase() string { return c.phase }
-
 // SetPhase switches the accounting phase label for subsequent activity
 // and returns the previous label.
 func (c *Comm) SetPhase(phase string) string {

@@ -111,9 +111,6 @@ func (h *Histogram) Record(v float64) {
 // Name returns the histogram's registered (unprefixed) name.
 func (h *Histogram) Name() string { return h.name }
 
-// Label returns the histogram's label value ("" when unlabeled).
-func (h *Histogram) Label() string { return h.label }
-
 // Snapshot captures the histogram as a sparse bucket vector. The count
 // is derived from the buckets, so a snapshot is always internally
 // consistent (Count == sum of bucket counts) even when taken while

@@ -158,11 +158,13 @@ func TestBatchRejectsMalformed(t *testing.T) {
 	}
 }
 
-// counted puts a request counter, by path, in front of a replica.
+// counted puts a request counter, by path, in front of a replica, and
+// keeps the X-Request-Id of every /batch it receives.
 type counted struct {
 	*httptest.Server
-	mu    sync.Mutex
-	paths map[string]int
+	mu       sync.Mutex
+	paths    map[string]int
+	batchIDs []string
 }
 
 func countRequests(t *testing.T, h http.Handler) *counted {
@@ -171,6 +173,9 @@ func countRequests(t *testing.T, h http.Handler) *counted {
 	c.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		c.paths[r.URL.Path]++
+		if r.URL.Path == "/batch" {
+			c.batchIDs = append(c.batchIDs, r.Header.Get("X-Request-Id"))
+		}
 		c.mu.Unlock()
 		h.ServeHTTP(w, r)
 	}))
@@ -182,6 +187,12 @@ func (c *counted) count(path string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.paths[path]
+}
+
+func (c *counted) ids() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.batchIDs...)
 }
 
 // verdictJobs returns n distinct verdict-bearing jobs.
@@ -223,13 +234,14 @@ func decodeItems(t *testing.T, body []byte, n int) []service.BatchItem {
 // batch over two replicas makes exactly two upstream requests, both
 // /batch and none /solve, with every item answered in its own slot
 // although the owners interleave and one item is invalid. The two round
-// trips land in their own histogram and spans, and every replica span
-// carries an ID that starts with the client's.
+// trips land in the one forward histogram under the sub-batch IDs
+// camp-7.0 and camp-7.1, and every replica span carries an ID that
+// starts with the client's.
 func TestBatchOneRequestPerReplica(t *testing.T) {
 	s1 := service.New(service.Config{Workers: 2})
 	s2 := service.New(service.Config{Workers: 2})
 	c1, c2 := countRequests(t, s1), countRequests(t, s2)
-	rt, rts := boot(t, Config{}, c1.URL, c2.URL)
+	_, rts := boot(t, Config{}, c1.URL, c2.URL)
 
 	reqs := verdictJobs(64)
 	reqs[17] = service.JobRequest{Scenario: "not a scenario"}
@@ -288,17 +300,15 @@ func TestBatchOneRequestPerReplica(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	if strings.Contains(metrics, "resilience_router_forward_seconds_count") {
-		t.Error("a batch recorded samples in the /solve forward histogram")
+	if strings.Contains(metrics, "resilience_router_forward_seconds") {
+		t.Error("the router exposes a second, /solve-only forward histogram")
 	}
 	ids := make(map[string]bool)
-	for _, sp := range rt.tracer.Spans() {
-		if sp.Name == "forward-batch" {
-			ids[sp.ReqID] = true
-		}
+	for _, id := range append(c1.ids(), c2.ids()...) {
+		ids[id] = true
 	}
 	if len(ids) != 2 || !ids["camp-7.0"] || !ids["camp-7.1"] {
-		t.Errorf("forward-batch spans %v, want camp-7.0 and camp-7.1", ids)
+		t.Errorf("sub-batch request IDs %v, want camp-7.0 and camp-7.1", ids)
 	}
 	for _, s := range []*service.Server{s1, s2} {
 		var trace bytes.Buffer
@@ -419,5 +429,96 @@ func TestBatchAllDead(t *testing.T) {
 	}
 	if rt.routed.Value() != 0 || rt.campaignJobs.Value() != 4 {
 		t.Errorf("routed %d campaign jobs %d, want 0 and 4", rt.routed.Value(), rt.campaignJobs.Value())
+	}
+}
+
+// TestSolveTravelsAsBatchOfOne: a /solve the front tier misses reaches
+// its replica as exactly one POST /batch of one item under the sub-batch
+// ID "<id>.0", so the replica runs it as "<id>.0-0", and never as a
+// /solve.
+func TestSolveTravelsAsBatchOfOne(t *testing.T) {
+	s1 := service.New(service.Config{Workers: 2})
+	var sizes []int
+	var mu sync.Mutex
+	c1 := countRequests(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/batch" {
+			body, _ := io.ReadAll(r.Body)
+			var reqs []service.JobRequest
+			json.Unmarshal(body, &reqs)
+			mu.Lock()
+			sizes = append(sizes, len(reqs))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		s1.ServeHTTP(w, r)
+	}))
+	_, rts := boot(t, Config{}, c1.URL)
+
+	req := service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 21"}
+	code, body, _ := postID(t, rts.URL, "solo-1", req)
+	if code != http.StatusOK || !bytes.Equal(body, oracleBody(t, req)) {
+		t.Fatalf("solve: %d %s", code, body)
+	}
+	if n := c1.count("/solve"); n != 0 {
+		t.Errorf("router posted %d /solve forwards, want none", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := c1.count("/batch"); n != 1 || len(sizes) != 1 || sizes[0] != 1 {
+		t.Errorf("router posted %d /batch of sizes %v, want one of one item", n, sizes)
+	}
+	if ids := c1.ids(); len(ids) != 1 || ids[0] != "solo-1.0" {
+		t.Errorf("sub-batch request IDs %v, want [solo-1.0]", ids)
+	}
+	var trace bytes.Buffer
+	if err := s1.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(trace.String(), `"req solo-1.0-0"`) {
+		t.Error("replica trace has no track for item solo-1.0-0")
+	}
+}
+
+// TestSolveTornReplicaFailsOver: a /solve whose owner answers its /batch
+// torn (200 with no items) obeys the rule a /batch item does: the owner
+// is taken off the ring and the survivor answers the oracle's bytes.
+func TestSolveTornReplicaFailsOver(t *testing.T) {
+	survivor := service.New(service.Config{Workers: 2})
+	good := countRequests(t, survivor)
+	bad := countRequests(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`[]`))
+	}))
+	rt, rts := boot(t, Config{}, good.URL, bad.URL)
+
+	// Pick a job the torn replica owns.
+	var req service.JobRequest
+	for seed := 1; ; seed++ {
+		req = service.JobRequest{Scenario: fmt.Sprintf("-grid 8 -ranks 4 -seed %d", seed)}
+		j, err := newRouted(req, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.target(rt.ring.Load(), j) == bad.URL {
+			break
+		}
+	}
+	code, body, _ := post(t, rts.URL, req)
+	if code != http.StatusOK || !bytes.Equal(body, oracleBody(t, req)) {
+		t.Fatalf("solve past a torn replica: %d %s", code, body)
+	}
+	if b, g := bad.count("/batch"), good.count("/batch"); b != 1 || g != 1 {
+		t.Errorf("torn replica saw %d sub-batches and survivor %d, want 1 each", b, g)
+	}
+	if n := good.count("/solve") + bad.count("/solve"); n != 0 {
+		t.Errorf("failover posted %d /solve forwards, want none", n)
+	}
+	for _, m := range rt.Members() {
+		if m.Alive != (m.URL == good.URL) {
+			t.Errorf("member %s alive = %v", m.URL, m.Alive)
+		}
+	}
+	if n := rt.rerouted.Value(); n != 1 {
+		t.Errorf("rerouted %d, want 1", n)
 	}
 }

@@ -162,52 +162,56 @@ func TestFrontTierBatchForwardsOnlyMisses(t *testing.T) {
 	}
 }
 
+// scriptedBatch is a replica stub that answers every /batch item with the
+// status script holds: a scenario-shaped body for a 200, an error body
+// for anything else.
+func scriptedBatch(t *testing.T, script *atomic.Int64) *counted {
+	t.Helper()
+	return countRequests(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reqs, err := service.DecodeBatch(r.Body)
+		if err != nil {
+			service.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		code := int(script.Load())
+		body := service.ErrorBody("scripted")
+		if code == http.StatusOK {
+			body = []byte(`{"kind":"scenario"}`)
+		}
+		items := make([]service.BatchItem, len(reqs))
+		for i := range items {
+			items[i] = service.BatchItem{Code: code, Body: body}
+		}
+		service.WriteJSON(w, http.StatusOK, items)
+	}))
+}
+
 // TestFrontTierStoresOnlyReplica200s: replica 429s and 504s — on /solve
 // and inside a /batch — and sleep jobs' 200s are never stored, so their
 // repeats reach a replica again; a replica's 200 to a cacheable job is.
 func TestFrontTierStoresOnlyReplica200s(t *testing.T) {
 	var script atomic.Int64
-	stub := countRequests(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		code := int(script.Load())
-		if r.URL.Path == "/batch" {
-			reqs, err := service.DecodeBatch(r.Body)
-			if err != nil {
-				service.WriteError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			items := make([]service.BatchItem, len(reqs))
-			for i := range items {
-				items[i] = service.BatchItem{Code: code, Body: service.ErrorBody("scripted")}
-			}
-			service.WriteJSON(w, http.StatusOK, items)
-			return
-		}
-		if code == http.StatusOK {
-			service.WriteJSON(w, code, map[string]string{"kind": "scenario"})
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		service.WriteError(w, code, "scripted")
-	}))
+	stub := scriptedBatch(t, &script)
 	rt, rts := boot(t, Config{}, stub.URL)
 
 	req := service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 5"}
-	solves := 0
+	forwards := 0
 	for _, code := range []int{http.StatusTooManyRequests, http.StatusGatewayTimeout} {
 		script.Store(int64(code))
 		for i := 0; i < 2; i++ {
 			if got, body, _ := post(t, rts.URL, req); got != code {
 				t.Fatalf("scripted %d answered %d: %s", code, got, body)
 			}
-			solves++
+			forwards++
 		}
 		batchCode, out := postBatch(t, rts.URL, []service.JobRequest{req})
 		if it := decodeItems(t, out, 1)[0]; batchCode != http.StatusOK || it.Code != code {
 			t.Fatalf("scripted batch item %d answered %d/%d", code, batchCode, it.Code)
 		}
+		forwards++
 	}
-	if n := stub.count("/solve"); n != solves {
-		t.Errorf("stub saw %d /solve forwards, want %d: an error answer was stored", n, solves)
+	if n := stub.count("/batch"); n != forwards {
+		t.Errorf("stub saw %d forwards, want %d: an error answer was stored", n, forwards)
 	}
 
 	sleeper, sleeperTS := replica(t, service.Config{Workers: 1})
@@ -230,7 +234,7 @@ func TestFrontTierStoresOnlyReplica200s(t *testing.T) {
 			t.Fatalf("scripted 200 answered %d: %s", code, body)
 		}
 	}
-	if n := stub.count("/solve"); n != solves+1 {
-		t.Errorf("stub saw %d /solve forwards, want %d: a replica 200 was not stored", n, solves+1)
+	if n := stub.count("/batch"); n != forwards+1 {
+		t.Errorf("stub saw %d forwards, want %d: a replica 200 was not stored", n, forwards+1)
 	}
 }

@@ -2,7 +2,8 @@
 // consistent-hash router: canonical job keys map stably onto replicas
 // (so each replica's result cache concentrates on its own key range),
 // backpressure is explicit at both layers (the router bounds its own
-// in-flight forwards; replica 429s pass through untouched), and replica
+// in-flight forwards; replica 429s pass through under the router's own
+// Retry-After hint), and replica
 // drain or membership change re-shards the ring instead of failing
 // requests. In front of the ring the router keeps a bounded cache of
 // replica 200 bodies under the same keys, and answers repeats itself.

@@ -34,8 +34,8 @@ type Config struct {
 	// connections (<=0: 256). A /batch is one request however many items
 	// it carries, and has at most one sub-batch per replica on the wire.
 	MaxInflight int
-	// RetryAfter is the hint sent with router-side 429s (<=0: 1 s).
-	// Replica 429s carry the replica's own hint through untouched.
+	// RetryAfter is the hint sent with every 429 and 503 the router
+	// answers, its own or a replica's (<=0: 1 s).
 	RetryAfter time.Duration
 	// HealthEvery is the background health-probe interval (0: 2 s;
 	// negative: no background probing — failures are still detected on
@@ -106,21 +106,15 @@ type Router struct {
 	// The telemetry plane: counters and the forward-latency histogram
 	// live in reg; the /metrics collector scrapes every replica's
 	// /telemetry snapshot and bucket-merges the histograms into true
-	// fleet-wide quantiles. tracer retains recent wall-clock spans;
-	// flight is the process crash flight recorder.
+	// fleet-wide quantiles. flight is the process crash flight recorder.
 	reg    *obs.Registry
-	tracer *obs.Tracer
 	flight *obs.FlightRecorder
 
-	routed    *obs.Counter
-	rejected  *obs.Counter
-	rerouted  *obs.Counter
-	noReplica *obs.Counter
-	hForward  *obs.HistogramVec // one /solve forward round trip, wall seconds
-	// hBatchForward times one sub-batch round trip. It is its own series:
-	// a sub-batch takes as long as all its jobs, a /solve forward as long
-	// as one, and a scrape must not mix the two.
-	hBatchForward *obs.HistogramVec
+	routed        *obs.Counter
+	rejected      *obs.Counter
+	rerouted      *obs.Counter
+	noReplica     *obs.Counter
+	hBatchForward *obs.HistogramVec // one sub-batch round trip, wall seconds
 
 	// Campaign progress: verdict-bearing jobs forwarded for the chaos
 	// fleet, how many came back as verdicts, and how many of those were
@@ -156,7 +150,6 @@ func New(cfg Config) (*Router, error) {
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 		perRouted:  make(map[string]int64),
-		tracer:     obs.NewTracer(4096),
 		flight:     obs.DefaultFlight(),
 	}
 	for _, u := range cfg.Replicas {
@@ -210,7 +203,6 @@ func (rt *Router) initMetrics() {
 		}
 		return float64(n)
 	})
-	rt.hForward = r.HistogramVec("forward_seconds", "")
 	rt.hBatchForward = r.HistogramVec("batch_forward_seconds", "")
 	r.Collector(rt.exposeFleet)
 }
@@ -467,22 +459,30 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release()
 
-	rep := rt.routeOne(r.Context(), j, reqID)
-	for k := range rep.header {
-		w.Header().Set(k, rep.header.Get(k))
+	// A miss travels as a batch of one, so it obeys the sub-batch rules.
+	items := make([]service.BatchItem, 1)
+	rt.forward(r.Context(), []*routed{j}, items, reqID)
+	if j.cacheable {
+		w.Header().Set("X-Cache", "miss")
 	}
-	w.WriteHeader(rep.code)
-	w.Write(rep.body)
+	if items[0].Code == http.StatusTooManyRequests || items[0].Code == http.StatusServiceUnavailable {
+		rt.setRetryAfter(w)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(items[0].Code)
+	w.Write(items[0].Body)
 }
 
 // admit is router-side admission, mirroring the replica queue
-// discipline: explicit 429 + Retry-After, never an implicitly stalled
-// client. It takes one slot for the request — a /solve or a whole /batch
-// — or writes the refusal and reports false. release returns the slot.
+// discipline: explicit 429 (or 503 while draining) + Retry-After, never
+// an implicitly stalled client. It takes one slot for the request — a
+// /solve or a whole /batch — or writes the refusal and reports false.
+// release returns the slot.
 func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
 	rt.admitMu.RLock()
 	defer rt.admitMu.RUnlock()
 	if rt.draining {
+		rt.setRetryAfter(w)
 		service.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return false
 	}
@@ -491,7 +491,7 @@ func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
 	default:
 		rt.rejected.Inc()
 		rt.flight.Note("router-rejected", reqID, saturated)
-		w.Header().Set("Retry-After", strconv.Itoa(service.RetryAfterSeconds(rt.cfg.RetryAfter)))
+		rt.setRetryAfter(w)
 		service.WriteError(w, http.StatusTooManyRequests, "router saturated")
 		return false
 	}
@@ -499,29 +499,20 @@ func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
 	return true
 }
 
+// setRetryAfter puts the router's own hint on a 429 or 503.
+func (rt *Router) setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(service.RetryAfterSeconds(rt.cfg.RetryAfter)))
+}
+
 func (rt *Router) release() {
 	<-rt.slots
 	rt.inflight.Done()
-}
-
-// reply is one routed /solve's final answer: status, pass-through
-// headers, body.
-type reply struct {
-	code   int
-	header http.Header
-	body   []byte
 }
 
 // routerError is an answer the router makes up itself.
 type routerError struct {
 	code int
 	msg  string
-}
-
-func (e *routerError) reply() reply {
-	h := http.Header{}
-	h.Set("Content-Type", "application/json")
-	return reply{code: e.code, header: h, body: service.ErrorBody(e.msg)}
 }
 
 // failVerdictMarker matches a verdict-bearing job result whose verdict
@@ -531,7 +522,7 @@ var failVerdictMarker = []byte(`"verdict":"v1 status=fail`)
 
 // routed is one validated job on its way through the ring: where it
 // hashes, how many replicas have failed it so far, and which slot of the
-// client's batch it answers (0 for /solve).
+// client's batch it answers (0 for /solve, a batch of one).
 type routed struct {
 	req       service.JobRequest
 	key       string
@@ -577,14 +568,14 @@ const (
 var replicaDraining = &fault{kind: draining, detail: "replica draining"}
 
 // failover is the one statement of the routing failure rules, applied to
-// every job that target (found on rg) failed, whether the job travelled
-// alone or in a sub-batch. The replica is taken off the ring and the job
-// goes back to be routed on the re-sharded ring (retry), unless it has
-// used up its len(members)+1 attempts, which is what makes a fully dead
-// fleet terminate. Then final is its answer — or, for a draining 503,
-// final is nil and the replica's own answer stands. A job whose caller's
-// ctx has ended is answered as abandoned instead: the replica did not
-// fail it, so the replica stays on the ring and the job goes nowhere.
+// every job of a sub-batch that target (found on rg) failed. The replica
+// is taken off the ring and the job goes back to be routed on the
+// re-sharded ring (retry), unless it has used up its len(members)+1
+// attempts, which is what makes a fully dead fleet terminate. Then final
+// is its answer — or, for a draining 503, final is nil and the replica's
+// own answer stands. A job whose caller's ctx has ended is answered as
+// abandoned instead: the replica did not fail it, so the replica stays
+// on the ring and the job goes nowhere.
 func (rt *Router) failover(ctx context.Context, rg *ring, target, reqID string, j *routed, f *fault) (retry bool, final *routerError) {
 	if err := ctx.Err(); err != nil {
 		return false, &routerError{http.StatusServiceUnavailable, "request abandoned: " + err.Error()}
@@ -676,56 +667,6 @@ func (rt *Router) exchange(ctx context.Context, url string, body []byte, reqID s
 	return resp, respBody, nil
 }
 
-// routeOne routes one /solve to its replica, failing over (and
-// re-sharding) past dead replicas. Responses — including replica 429s
-// with their Retry-After hints and X-Cache markers — pass through
-// byte-identical. The caller holds a router admission slot.
-func (rt *Router) routeOne(ctx context.Context, j *routed, reqID string) reply {
-	body, err := json.Marshal(j.req)
-	if err != nil {
-		return (&routerError{http.StatusInternalServerError, err.Error()}).reply()
-	}
-	fwd := rt.tracer.Start("forward", reqID)
-	fail := func(e *routerError) reply {
-		fwd.End()
-		rep := e.reply()
-		if e.code == http.StatusServiceUnavailable {
-			rep.header.Set("Retry-After", strconv.Itoa(service.RetryAfterSeconds(rt.cfg.RetryAfter)))
-		}
-		rt.account(j, "", reqID, rep.code, rep.body)
-		return rep
-	}
-	for {
-		rg := rt.ring.Load()
-		target := rt.target(rg, j)
-		if target == "" {
-			return fail(rt.noReplicaError(reqID))
-		}
-		resp, respBody, f := rt.exchange(ctx, target+"/solve", body, reqID)
-		if f == nil && resp.StatusCode == http.StatusServiceUnavailable {
-			f = replicaDraining
-		}
-		if f != nil {
-			retry, final := rt.failover(ctx, rg, target, reqID, j, f)
-			if retry {
-				continue
-			}
-			if final != nil {
-				return fail(final)
-			}
-		}
-		rt.hForward.With("").Record(fwd.End().Seconds())
-		rt.account(j, target, reqID, resp.StatusCode, respBody)
-		h := http.Header{}
-		for _, k := range []string{"Content-Type", "Retry-After", "X-Cache", "X-Request-Id"} {
-			if v := resp.Header.Get(k); v != "" {
-				h.Set(k, v)
-			}
-		}
-		return reply{code: resp.StatusCode, header: h, body: respBody}
-	}
-}
-
 // handleBatch routes one campaign batch: a JSON array of job requests
 // in, an aligned array of {code, body} items out, each body the bytes a
 // /solve of that request returns. The whole batch occupies ONE router
@@ -761,26 +702,16 @@ type subBatch struct {
 	again  []*routed // after send: the jobs to route once more
 }
 
-// routeBatch answers every request of one batch. The front tier answers
-// the items it holds; the rest stay a batch on the way down: they are
-// grouped by ring owner and each replica gets ONE sub-batch (POST
-// /batch, the wire contract the router itself serves), the sub-batches
-// of a round travelling side by side. Jobs a replica failed are grouped
-// again on the re-sharded ring, under the same rules as a lone /solve
-// (failover), until every slot is filled.
-//
-// Sub-batch k travels as request ID "<batch ID>.k", so its job i is
-// "<batch ID>.k-i" on the replica's spans and notes and on the router's;
-// a job that never travels is "<batch ID>-<slot>". Every ID is unique
-// and starts with the client's.
+// routeBatch answers every request of one batch, each in its slot: an
+// invalid item is a 400, an item the front tier holds is its stored
+// answer, and forward answers the rest.
 func (rt *Router) routeBatch(ctx context.Context, reqs []service.JobRequest, reqID string) []service.BatchItem {
 	items := make([]service.BatchItem, len(reqs))
 	var pending []*routed
 	for i, req := range reqs {
 		j, err := newRouted(req, i)
 		if err != nil {
-			e := routerError{http.StatusBadRequest, err.Error()}
-			items[i] = service.BatchItem{Code: e.code, Body: service.ErrorBody(e.msg)}
+			items[i] = service.BatchItem{Code: http.StatusBadRequest, Body: service.ErrorBody(err.Error())}
 			continue
 		}
 		if body, ok := rt.frontHit(j); ok {
@@ -789,7 +720,23 @@ func (rt *Router) routeBatch(ctx context.Context, reqs []service.JobRequest, req
 		}
 		pending = append(pending, j)
 	}
+	rt.forward(ctx, pending, items, reqID)
+	return items
+}
 
+// forward fills the slots of items that the pending jobs answer. The jobs
+// stay a batch on the way down: they are grouped by ring owner and each
+// replica gets ONE sub-batch (POST /batch, the wire contract the router
+// itself serves), the sub-batches of a round travelling side by side —
+// the calling goroutine carries the first itself, so a batch of one
+// spawns none. Jobs a replica failed are grouped again on the re-sharded
+// ring (failover) until every slot is filled.
+//
+// Sub-batch k travels as request ID "<batch ID>.k", so its job i is
+// "<batch ID>.k-i" on the replica's spans and notes and on the router's;
+// a job that never travels is "<batch ID>-<slot>". Every ID is unique
+// and starts with the client's.
+func (rt *Router) forward(ctx context.Context, pending []*routed, items []service.BatchItem, reqID string) {
 	sent := 0
 	for len(pending) > 0 {
 		rg := rt.ring.Load()
@@ -811,21 +758,24 @@ func (rt *Router) routeBatch(ctx context.Context, reqs []service.JobRequest, req
 			}
 			sb.jobs = append(sb.jobs, j)
 		}
+		if len(subs) == 0 {
+			return // the ring is empty: every job was answered above
+		}
 		var wg sync.WaitGroup
-		for _, sb := range subs {
+		for _, sb := range subs[1:] {
 			wg.Add(1)
 			go func(sb *subBatch) {
 				defer wg.Done()
 				rt.send(ctx, rg, sb, items)
 			}(sb)
 		}
+		rt.send(ctx, rg, subs[0], items)
 		wg.Wait()
 		pending = pending[:0]
 		for _, sb := range subs {
 			pending = append(pending, sb.again...)
 		}
 	}
-	return items
 }
 
 // answer fills j's slot with a router-made error.
@@ -870,13 +820,12 @@ func (rt *Router) forwardBatch(ctx context.Context, sb *subBatch) ([]service.Bat
 		reqs[i] = j.req
 	}
 	body, _ := json.Marshal(reqs) // a slice of flat structs: cannot fail
-	fwd := rt.tracer.Start("forward-batch", sb.id)
+	start := time.Now()
 	resp, respBody, f := rt.exchange(ctx, sb.target+"/batch", body, sb.id)
-	wall := fwd.End()
 	if f != nil {
 		return nil, f
 	}
-	rt.hBatchForward.With("").Record(wall.Seconds())
+	rt.hBatchForward.With("").Record(time.Since(start).Seconds())
 	if resp.StatusCode != http.StatusOK {
 		return nil, &fault{torn, fmt.Sprintf("sub-batch status %d: %s", resp.StatusCode, respBody)}
 	}

@@ -104,10 +104,11 @@ func TestRingStability(t *testing.T) {
 // lands on the same replica every time. The router answers its own
 // repeat from the front tier, so affinity is proven through a second
 // router over the same replicas: its first forward of the key must find
-// the key in the owning replica's cache.
+// the key in the owning replica's cache, so exactly one replica's cache
+// hits move, by one.
 func TestRouterByteIdentityAndAffinity(t *testing.T) {
-	_, r1 := replica(t, service.Config{Workers: 2})
-	_, r2 := replica(t, service.Config{Workers: 2})
+	s1, r1 := replica(t, service.Config{Workers: 2})
+	s2, r2 := replica(t, service.Config{Workers: 2})
 	_, rts := boot(t, Config{}, r1.URL, r2.URL)
 	_, other := boot(t, Config{}, r1.URL, r2.URL)
 
@@ -142,12 +143,20 @@ func TestRouterByteIdentityAndAffinity(t *testing.T) {
 		if xc := hdr2.Get("X-Cache"); xc != "hit" {
 			t.Fatalf("repeat X-Cache %q, want hit", xc)
 		}
+		hits := func() (a, b float64) {
+			return s1.TelemetrySnapshot().Gauge("cache_hits_total"), s2.TelemetrySnapshot().Gauge("cache_hits_total")
+		}
+		a0, b0 := hits()
 		code3, body3, hdr3 := post(t, other.URL, req)
 		if code3 != http.StatusOK || !bytes.Equal(body3, want) {
 			t.Fatalf("%+v: second router's answer differs (status %d)", req, code3)
 		}
-		if xc := hdr3.Get("X-Cache"); xc != "hit" {
-			t.Fatalf("second router's X-Cache %q, want hit — key did not route to the same replica", xc)
+		if xc := hdr3.Get("X-Cache"); xc != "miss" {
+			t.Fatalf("second router's X-Cache %q, want miss: its front tier never held the key", xc)
+		}
+		a1, b1 := hits()
+		if da, db := a1-a0, b1-b0; da+db != 1 || da*db != 0 {
+			t.Fatalf("%+v: second router's forward moved replica cache hits by %v and %v, want 1 on one replica — key did not route to the same replica", req, da, db)
 		}
 	}
 }
@@ -174,11 +183,12 @@ func TestRouterSpreadsKeys(t *testing.T) {
 	}
 }
 
-// TestRouterForwards429: a saturated replica's 429 — body, status, and
-// Retry-After hint — passes through the router untouched.
+// TestRouterForwards429: a saturated replica's 429 — body and status —
+// passes through the router untouched, under the router's own
+// Retry-After hint.
 func TestRouterForwards429(t *testing.T) {
 	s1, r1 := replica(t, service.Config{Workers: 1, QueueCap: 1, RetryAfter: 2 * time.Second})
-	_, rts := boot(t, Config{}, r1.URL)
+	_, rts := boot(t, Config{RetryAfter: 5 * time.Second}, r1.URL)
 
 	// Fill the worker and the single queue slot with sleeps, and wait
 	// until the replica's counters prove both are occupied before
@@ -202,8 +212,8 @@ func TestRouterForwards429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("saturated replica answered %d through the router: %s", code, body)
 	}
-	if got := hdr.Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After %q not forwarded (want 2)", got)
+	if got := hdr.Get("Retry-After"); got != "5" {
+		t.Fatalf("Retry-After %q, want the router's 5", got)
 	}
 	if !strings.Contains(string(body), "queue full") {
 		t.Fatalf("429 body not the replica's: %s", body)
@@ -577,7 +587,7 @@ func TestForwardConnectionsAreReused(t *testing.T) {
 		wave.Done()
 		wave.Wait()
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{}`))
+		w.Write([]byte(`[{"code":200,"body":{}}]`))
 	}))
 	stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
@@ -601,8 +611,9 @@ func TestForwardConnectionsAreReused(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if rep := rt.routeOne(context.Background(), j, "wave"); rep.code != http.StatusOK {
-					t.Errorf("forward %d answered %d: %s", i, rep.code, rep.body)
+				items := make([]service.BatchItem, 1)
+				if rt.forward(context.Background(), []*routed{j}, items, "wave"); items[0].Code != http.StatusOK {
+					t.Errorf("forward %d answered %d: %s", i, items[0].Code, items[0].Body)
 				}
 			}(i)
 		}
@@ -614,4 +625,34 @@ func TestForwardConnectionsAreReused(t *testing.T) {
 	if err := rt.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRouterSetsItsOwnHeaders: X-Cache and Retry-After on a /solve are
+// the router's. A forwarded cacheable job is a miss and its repeat a
+// front-tier hit; a sleep job carries no X-Cache; a replica's 429 and
+// the router's own 503 carry the router's hint, although the replica
+// sent none.
+func TestRouterSetsItsOwnHeaders(t *testing.T) {
+	var script atomic.Int64
+	script.Store(http.StatusOK)
+	stub := scriptedBatch(t, &script)
+	_, rts := boot(t, Config{RetryAfter: 4 * time.Second}, stub.URL)
+
+	check := func(name string, req service.JobRequest, code int, xcache, retryAfter string) {
+		t.Helper()
+		got, body, hdr := post(t, rts.URL, req)
+		if got != code || hdr.Get("X-Cache") != xcache || hdr.Get("Retry-After") != retryAfter {
+			t.Errorf("%s: %d X-Cache %q Retry-After %q, want %d %q %q: %s",
+				name, got, hdr.Get("X-Cache"), hdr.Get("Retry-After"), code, xcache, retryAfter, body)
+		}
+	}
+	cached := service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 31"}
+	check("forwarded", cached, http.StatusOK, "miss", "")
+	check("repeat", cached, http.StatusOK, "hit", "")
+	check("sleep", service.JobRequest{SleepMs: 1}, http.StatusOK, "", "")
+	script.Store(http.StatusTooManyRequests)
+	check("replica 429", service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 32"}, http.StatusTooManyRequests, "miss", "4")
+	check("sleep 429", service.JobRequest{SleepMs: 1}, http.StatusTooManyRequests, "", "4")
+	script.Store(http.StatusServiceUnavailable) // the lone replica drains: no replica is left
+	check("router 503", service.JobRequest{Scenario: "-grid 8 -ranks 4 -seed 33"}, http.StatusServiceUnavailable, "miss", "4")
 }

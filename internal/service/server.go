@@ -368,25 +368,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]BatchItem, len(reqs))
 	var next atomic.Int64
+	pull := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(reqs) {
+				return
+			}
+			if err := r.Context().Err(); err != nil {
+				items[i] = BatchItem{Code: http.StatusServiceUnavailable, Body: ErrorBody("request abandoned: " + err.Error())}
+				continue
+			}
+			out, _ := s.solve(r.Context(), reqs[i], reqID+"-"+strconv.Itoa(i))
+			items[i] = BatchItem{Code: out.code, Body: out.body}
+		}
+	}
+	// The handler goroutine is one of the pullers, so a one-item batch
+	// spawns none.
 	var wg sync.WaitGroup
-	for k := 0; k < min(s.cfg.Workers+1, len(reqs)); k++ {
+	for k := 1; k < min(s.cfg.Workers+1, len(reqs)); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if err := r.Context().Err(); err != nil {
-					items[i] = BatchItem{Code: http.StatusServiceUnavailable, Body: ErrorBody("request abandoned: " + err.Error())}
-					continue
-				}
-				out, _ := s.solve(r.Context(), reqs[i], reqID+"-"+strconv.Itoa(i))
-				items[i] = BatchItem{Code: out.code, Body: out.body}
-			}
+			pull()
 		}()
 	}
+	pull()
 	wg.Wait()
 	WriteJSON(w, http.StatusOK, items)
 }

@@ -222,9 +222,6 @@ func (op *LocalOp) RowBlock() *sparse.CSR {
 // use the same setting.
 func (op *LocalOp) SetOverlap(on bool) { op.overlap = on }
 
-// Overlap reports whether the overlapped MulVecDist path is selected.
-func (op *LocalOp) Overlap() bool { return op.overlap }
-
 // GatherHalo exchanges halo values for the local vector x and returns the
 // assembled [own | ghost] buffer (valid until the next call). Every rank
 // must call it collectively. c must be the rank's own Comm.

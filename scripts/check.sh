@@ -143,6 +143,9 @@ go test -count=1 -v -run '^TestSolveBaselineOncePerBasket$' . |
 # scratch pool, verdicts byte-equal to a fresh Runner per scenario — is in
 # internal/chaos, so this line is its five race-detector repeats too.
 go test -race -count=5 ./internal/chaos/... ./internal/service/...
+# The duplicate phase through a router: its hits are the front tier's, so
+# the test must not depend on a replica racing to see one.
+go test -count=20 -run '^TestDupPhaseThroughRouter$' ./cmd/resilience-load
 
 # Chaos: a seeded fault campaign (all ten default schemes — the paper's
 # eight plus ESR and LCR — 0-3 faults per scenario, full invariant
@@ -201,7 +204,7 @@ go test -run '^$' -bench '^BenchmarkHistogramRecord$|^BenchmarkSpanStartEnd$' \
 # Fabric gate: boot a full solve topology — one resilience-router over
 # two deliberately small resilienced replicas — then drive three phases
 # through the router: a sleep-job burst that must hit queue-full (429 +
-# Retry-After forwarded, retried to completion), a seeded scenario
+# the router's Retry-After, retried to completion), a seeded scenario
 # stream whose responses must be byte-identical to the offline oracle,
 # and a duplicate-heavy zipf stream (20k requests over 96 unique jobs)
 # that must clear a 50% fleet cache hit rate with every response still
@@ -250,6 +253,13 @@ curl -s "http://$router_addr/metrics" |
 curl -s "http://$router_addr/metrics" |
     awk '/^resilience_router_front_hits_total / { found = ($2 > 0) } END { exit found ? 0 : 1 }' ||
     { echo "router front tier answered no repeat"; exit 1; }
+# That load sent /solve only, and every miss travelled as a sub-batch:
+# the one forward series moved, and no /solve-only series exists.
+curl -s "http://$router_addr/metrics" |
+    awk '/^resilience_router_batch_forward_seconds_count / { found = ($2 > 0) }
+         /^resilience_router_forward_seconds/ { bad = 1 }
+         END { exit (found && !bad) ? 0 : 1 }' ||
+    { echo "a router /solve miss did not travel as a sub-batch"; exit 1; }
 
 # Fleet gate: shard a bounded 2k-scenario chaos campaign across the same
 # router + two replicas and byte-compare the indexed verdict stream
