@@ -12,8 +12,15 @@
 // for any replica count, batch size, or concurrency, and identically for
 // -oracle. scripts/check.sh cmp(1)s exactly that.
 //
+// Two modes run in process only. -recheck (with -oracle) adds the
+// rerun-based invariants, determinism and overlap equivalence, to every
+// scenario; -replay runs the one scenario a flag string names and prints
+// its report, the way a shrunk failure's replay line does.
+//
 //	chaos-fleet -addr http://127.0.0.1:8910 -n 2000 -seed 1
 //	chaos-fleet -oracle -n 2000 -seed 1 -corpus-out internal/chaos/testdata/corpus/distilled.txt
+//	chaos-fleet -oracle -recheck -n 200 -seed 1
+//	chaos-fleet -replay '-grid 8 -ranks 4 -scheme LI -tol 1e-10 -seed 7 -faults SNF@5:r2'
 //	chaos-fleet -addr http://127.0.0.1:8910 -n 500 -break convergence -verdicts-out fleet.out
 //
 // Exit status: 0 when every scenario is ok or a classified expected
@@ -37,23 +44,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos-fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8910", "resilience-router or resilienced base URL")
-		oracle    = flag.Bool("oracle", false, "evaluate in-process instead of over HTTP (the determinism ground truth)")
-		n         = flag.Int("n", 2000, "number of scenarios")
-		seed      = flag.Int64("seed", 1, "campaign seed (scenario i derives seed+i*stride)")
-		maxFaults = flag.Int("max-faults", 3, "faults per scenario drawn from 0..k")
-		schemes   = flag.String("schemes", strings.Join(chaos.DefaultSchemes(), ","), "comma-separated scheme pool")
-		tol       = flag.Float64("tol", 1e-10, "solver tolerance")
-		batch     = flag.Int("batch", 64, "scenarios per fleet batch")
-		c         = flag.Int("c", 4, "batches in flight at once")
-		breakInv  = flag.String("break", "", "deliberately fail this invariant on faulted scenarios (fleet self-test); one of: "+strings.Join(chaos.InvariantNames(), ", "))
-		budget    = flag.Int("shrink-budget", 400, "candidate evaluations per shrunk failure")
-		corpusOut = flag.String("corpus-out", "", "write the distilled scenario corpus to this file ('-': stdout)")
-		verdicts  = flag.String("verdicts-out", "", "write the indexed verdict stream to this file ('-': stdout)")
-		verbose   = flag.Bool("v", false, "print per-batch progress")
+		addr      = fs.String("addr", "http://127.0.0.1:8910", "resilience-router or resilienced base URL")
+		oracle    = fs.Bool("oracle", false, "evaluate in-process instead of over HTTP (the determinism ground truth)")
+		recheck   = fs.Bool("recheck", false, "with -oracle or -replay, rerun each scenario for the determinism and overlap-equivalence invariants")
+		replay    = fs.String("replay", "", "run the single scenario this flag string names, in process, instead of a campaign")
+		n         = fs.Int("n", 2000, "number of scenarios")
+		seed      = fs.Int64("seed", 1, "campaign seed (scenario i derives seed+i*stride)")
+		maxFaults = fs.Int("max-faults", 3, "faults per scenario drawn from 0..k")
+		schemes   = fs.String("schemes", strings.Join(chaos.DefaultSchemes(), ","), "comma-separated scheme pool")
+		tol       = fs.Float64("tol", 1e-10, "solver tolerance")
+		batch     = fs.Int("batch", 64, "scenarios per fleet batch")
+		c         = fs.Int("c", 4, "batches in flight at once")
+		breakInv  = fs.String("break", "", "deliberately fail this invariant on faulted scenarios (fleet self-test); one of: "+strings.Join(chaos.InvariantNames(), ", "))
+		budget    = fs.Int("shrink-budget", 400, "candidate evaluations per shrunk failure")
+		corpusOut = fs.String("corpus-out", "", "write the distilled scenario corpus to this file ('-': stdout)")
+		verdicts  = fs.String("verdicts-out", "", "write the indexed verdict stream to this file ('-': stdout)")
+		verbose   = fs.Bool("v", false, "print per-batch progress")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "chaos-fleet:", msg)
+		return 2
+	}
+	addrSet := false
+	fs.Visit(func(f *flag.Flag) { addrSet = addrSet || f.Name == "addr" })
+	if (*recheck || *replay != "") && addrSet {
+		return usage("-recheck and -replay run in process; they do not take -addr")
+	}
+	if *recheck && !*oracle && *replay == "" {
+		return usage("-recheck needs -oracle or -replay")
+	}
+	if *replay != "" {
+		if *breakInv != "" {
+			return usage("-break applies to a campaign, not to -replay")
+		}
+		return runReplay(*replay, chaos.NewRunner(chaos.Options{Recheck: *recheck}), stdout, stderr)
+	}
 
 	opts := fleet.Options{
 		Campaign: chaos.Options{
@@ -69,13 +108,17 @@ func main() {
 	}
 	if *verbose {
 		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "chaos-fleet: %d/%d scenarios\n", done, total)
+			fmt.Fprintf(stderr, "chaos-fleet: %d/%d scenarios\n", done, total)
 		}
 	}
 
 	var ev fleet.Evaluator
 	if *oracle {
-		ev = fleet.NewOracle(*breakInv, runtime.GOMAXPROCS(0))
+		o := fleet.NewOracle(*breakInv, runtime.GOMAXPROCS(0))
+		if *recheck {
+			o.Runner = chaos.NewRunner(chaos.Options{Recheck: true})
+		}
+		ev = o
 	} else {
 		ev = fleet.NewClient(*addr, *breakInv)
 	}
@@ -83,52 +126,76 @@ func main() {
 	start := time.Now()
 	rep, err := fleet.Run(context.Background(), opts, ev)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos-fleet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "chaos-fleet:", err)
+		return 2
 	}
 	elapsed := time.Since(start).Seconds()
 
 	if *verdicts != "" {
-		if err := writeTo(*verdicts, func(w io.Writer) error {
+		if err := writeTo(*verdicts, stdout, func(w io.Writer) error {
 			return fleet.WriteVerdicts(w, rep.Lines)
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos-fleet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "chaos-fleet:", err)
+			return 2
 		}
 	}
 	if *corpusOut != "" {
 		entries, err := fleet.Distill(opts.Campaign, rep.Lines)
 		if err == nil {
-			err = writeTo(*corpusOut, func(w io.Writer) error {
+			err = writeTo(*corpusOut, stdout, func(w io.Writer) error {
 				return chaos.WriteCorpus(w, entries)
 			})
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos-fleet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "chaos-fleet:", err)
+			return 2
 		}
-		fmt.Printf("chaos-fleet: distilled %d corpus scenarios\n", len(entries))
+		fmt.Fprintf(stdout, "chaos-fleet: distilled %d corpus scenarios\n", len(entries))
 	}
 
 	mode := "fleet " + *addr
 	if *oracle {
 		mode = "oracle"
 	}
-	fmt.Printf("chaos-fleet: %d scenarios via %s: %d ok, %d expected-failure, %d FAILED; %d evaluations, %.0f scenarios/s\n",
+	fmt.Fprintf(stdout, "chaos-fleet: %d scenarios via %s: %d ok, %d expected-failure, %d FAILED; %d evaluations, %.0f scenarios/s\n",
 		rep.N, mode, rep.OK, rep.Expected, rep.Failed, rep.Evaluations, float64(rep.N)/elapsed)
 	for _, sh := range rep.Shrunk {
-		fmt.Printf("minimal failing scenario (shrunk from #%d in %d evaluations):\n  %s\n  replay: go run ./cmd/chaos -replay %q\n  verdict: %s\n",
+		fmt.Fprintf(stdout, "minimal failing scenario (shrunk from #%d in %d evaluations):\n  %s\n  replay: go run ./cmd/chaos-fleet -replay '%s'\n  verdict: %s\n",
 			sh.Index, sh.Evals, sh.Args, sh.Args, sh.Verdict)
 	}
 	if rep.Failed > 0 {
-		os.Exit(1)
+		fmt.Fprintf(stderr, "chaos-fleet: %d of %d scenarios violated invariants\n", rep.Failed, rep.N)
+		return 1
 	}
+	return 0
+}
+
+// runReplay executes one scenario verbosely.
+func runReplay(args string, runner *chaos.Runner, stdout, stderr io.Writer) int {
+	s, err := chaos.ParseArgs(args)
+	if err != nil {
+		fmt.Fprintln(stderr, "chaos-fleet:", err)
+		return 2
+	}
+	r := runner.Run(0, s)
+	fmt.Fprintln(stdout, r.Line())
+	if rep := r.Report; rep != nil {
+		fmt.Fprintf(stdout, "  scheme=%s iters=%d converged=%t relres=%.3g restarts=%d faults-fired=%d\n",
+			rep.Scheme, rep.Iters, rep.Converged, rep.RelRes, rep.Restarts, len(rep.Faults))
+		fmt.Fprintf(stdout, "  time=%.6gs energy=%.6gJ avg-power=%.6gW checkpoints=%d\n",
+			rep.Time, rep.Energy, rep.AvgPower, rep.Checkpoints)
+	}
+	if r.Failed() {
+		fmt.Fprintln(stderr, "chaos-fleet: scenario violated invariants")
+		return 1
+	}
+	return 0
 }
 
 // writeTo writes through f to path, with "-" meaning stdout.
-func writeTo(path string, f func(io.Writer) error) error {
+func writeTo(path string, stdout io.Writer, f func(io.Writer) error) error {
 	if path == "-" {
-		return f(os.Stdout)
+		return f(stdout)
 	}
 	file, err := os.Create(path)
 	if err != nil {

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// runArgs runs the command on args and returns its exit status, stdout
+// and stderr.
+func runArgs(args ...string) (int, string, string) {
+	var out, errOut bytes.Buffer
+	code := run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+func TestRunSmallCampaign(t *testing.T) {
+	code, out, errOut := runArgs("-oracle", "-recheck", "-n", "5", "-seed", "1", "-c", "2", "-schemes", "LI,CR-M")
+	if code != 0 {
+		t.Fatalf("clean campaign exited %d:\n%s%s", code, out, errOut)
+	}
+	if !strings.Contains(out, "5 scenarios via oracle") {
+		t.Fatalf("summary missing:\n%s", out)
+	}
+}
+
+func TestRunReplay(t *testing.T) {
+	args := "-grid 6 -ranks 3 -scheme LI -tol 1e-10 -seed 5 -faults SNF@4:r1,SNF@4:r2"
+	code, out, errOut := runArgs("-recheck", "-replay", args)
+	if code != 0 {
+		t.Fatalf("replay exited %d:\n%s%s", code, out, errOut)
+	}
+	if !strings.Contains(out, "scheme=LI") {
+		t.Fatalf("replay report missing:\n%s", out)
+	}
+}
+
+func TestRunReplayRejectsBadArgs(t *testing.T) {
+	if code, _, _ := runArgs("-replay", "-grid banana"); code != 2 {
+		t.Fatalf("bad replay string exited %d, want 2", code)
+	}
+}
+
+func TestRunReplayRejectsBreak(t *testing.T) {
+	if code, _, _ := runArgs("-break", "convergence", "-replay", "-grid 6 -ranks 2"); code != 2 {
+		t.Fatalf("-break alongside -replay, where nothing would apply it, exited %d, want 2", code)
+	}
+}
+
+func TestRunBreakInvariantFails(t *testing.T) {
+	code, out, errOut := runArgs("-oracle", "-n", "8", "-seed", "1", "-c", "2", "-schemes", "LI", "-break", "convergence")
+	if code != 1 {
+		t.Fatalf("-break convergence campaign exited %d, want 1:\n%s%s", code, out, errOut)
+	}
+	if !strings.Contains(errOut, "violated") {
+		t.Fatalf("unexpected error output: %q", errOut)
+	}
+	if !strings.Contains(out, "replay: go run ./cmd/chaos-fleet -replay '") {
+		t.Fatalf("no replay line for the shrunk scenario:\n%s", out)
+	}
+}
+
+func TestRunRejectsUnknownInvariant(t *testing.T) {
+	if code, _, _ := runArgs("-oracle", "-n", "1", "-schemes", "LI", "-break", "not-an-invariant"); code != 2 {
+		t.Fatalf("unknown -break invariant exited %d, want 2", code)
+	}
+}
+
+func TestRunRecheckNeedsInProcess(t *testing.T) {
+	for _, args := range [][]string{
+		{"-recheck", "-addr", "http://127.0.0.1:1", "-n", "1"},
+		{"-recheck", "-n", "1"},
+		{"-replay", "-grid 6 -ranks 2", "-addr", "http://127.0.0.1:1"},
+	} {
+		if code, _, _ := runArgs(args...); code != 2 {
+			t.Errorf("%q exited %d, want 2 (usage error)", args, code)
+		}
+	}
+}

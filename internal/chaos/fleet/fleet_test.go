@@ -355,7 +355,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 
 // TestBreakInvariantReportsAndShrinks: the checker's self-test hook must
 // surface as a violation on faulted scenarios only and shrink to a
-// minimal single-fault scenario — the end-to-end path `chaos -break`
+// minimal single-fault scenario — the end-to-end path `chaos-fleet -break`
 // uses to prove the reporter works.
 func TestBreakInvariantReportsAndShrinks(t *testing.T) {
 	opts := fleet.Options{Campaign: chaos.Options{N: 12, Seed: 3}, MaxShrinks: 1}

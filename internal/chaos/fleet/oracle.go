@@ -9,13 +9,13 @@ import (
 
 // Oracle evaluates scenarios in-process. It is the single-process ground
 // truth the distributed path is byte-compared against, and the engine
-// behind `chaos-fleet -oracle` (corpus distillation without a running
-// fleet) and `chaos`. Safe for concurrent use.
+// behind `chaos-fleet -oracle` (campaigns and corpus distillation without
+// a running fleet). Safe for concurrent use.
 type Oracle struct {
 	// Runner executes the scenarios. NewOracle installs one with default
 	// options — exactly the configuration of the service's verdict runner,
-	// which the byte comparison needs; `chaos -recheck` swaps in one that
-	// also runs the rerun-based invariants.
+	// which the byte comparison needs; `chaos-fleet -oracle -recheck`
+	// swaps in one that also runs the rerun-based invariants.
 	Runner *chaos.Runner
 
 	breakInvariant string

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"testing"
 
@@ -36,6 +37,71 @@ func colIndex(t *testing.T, tb *report.Table, name string) int {
 	}
 	t.Fatalf("no column %q in %v", name, tb.Columns)
 	return -1
+}
+
+// TestFig1ClassTable: one row per fault class plus the combined row, each
+// class labelled soft or hard, and every system shorter-lived than its node.
+func TestFig1ClassTable(t *testing.T) {
+	res, err := Get2(t, "fig1").Run(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := res.Tables[0]
+	if len(tb.Rows) != 7 {
+		t.Fatalf("%d rows, want 6 fault classes and the combined row", len(tb.Rows))
+	}
+	iKind := colIndex(t, tb, "Soft/Hard")
+	iNode := colIndex(t, tb, "Node MTBF petascale (h)")
+	iPeta := colIndex(t, tb, "Petascale MTBF (h)")
+	iExa := colIndex(t, tb, "Exascale MTBF (h)")
+	want := map[string]string{"DCE": "soft", "DUE": "soft", "SDC": "soft", "SWO": "hard", "SNF": "hard", "LNF": "hard", "combined": ""}
+	for r, row := range tb.Rows {
+		kind, ok := want[row[0]]
+		if !ok {
+			t.Errorf("row %d: unexpected class %q", r, row[0])
+			continue
+		}
+		delete(want, row[0])
+		if row[iKind] != kind {
+			t.Errorf("%s: labelled %q, want %q", row[0], row[iKind], kind)
+		}
+		node, peta, exa := cell(t, tb, r, iNode), cell(t, tb, r, iPeta), cell(t, tb, r, iExa)
+		if !(node > peta && peta > exa && exa > 0) {
+			t.Errorf("%s: node %g, petascale %g, exascale %g h not strictly shrinking", row[0], node, peta, exa)
+		}
+	}
+	for class := range want {
+		t.Errorf("class %s missing", class)
+	}
+}
+
+// TestFig1SweepTable: the combined MTBF over machine sizes from 1024 nodes
+// up to the exascale node count in steps of 4x, shrinking as nodes grow.
+func TestFig1SweepTable(t *testing.T) {
+	res, err := Get2(t, "fig1").Run(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tables) != 2 {
+		t.Fatalf("%d tables, want the class table and the node-count sweep", len(res.Tables))
+	}
+	tb := res.Tables[1]
+	if len(tb.Rows) != 5 {
+		t.Fatalf("sweep has %d rows, want 1024..262144 nodes", len(tb.Rows))
+	}
+	iMin := colIndex(t, tb, "MTBF (min)")
+	for r := range tb.Rows {
+		if nodes := cell(t, tb, r, 0); nodes != float64(int(1024)<<(2*r)) {
+			t.Errorf("row %d: %g nodes, want %d", r, nodes, 1024<<(2*r))
+		}
+		if r > 0 && cell(t, tb, r, 1) >= cell(t, tb, r-1, 1) {
+			t.Errorf("row %d: MTBF does not shrink with node count", r)
+		}
+		// Both cells are printed to 3 decimals.
+		if h, m := cell(t, tb, r, 1), cell(t, tb, r, iMin); math.Abs(h*60-m) > 0.0005*61 {
+			t.Errorf("row %d: %g h is not %g min", r, h, m)
+		}
+	}
 }
 
 func TestTab4Claims(t *testing.T) {

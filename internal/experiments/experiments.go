@@ -46,7 +46,7 @@ type Config struct {
 	// Observe attaches a fresh, discarded observability recorder to every
 	// cell solve. Rendered output is byte-identical either way — the
 	// point is to exercise the purity guarantee under the whole
-	// experiment matrix.
+	// experiment matrix; TestObserveDeterminism sets it, no program does.
 	Observe bool
 }
 

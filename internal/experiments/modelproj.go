@@ -17,23 +17,36 @@ func init() {
 }
 
 // runFig1 reproduces Figure 1: the per-class MTBF projection from a
-// petascale to an exascale machine.
+// petascale to an exascale machine, then the combined system MTBF over
+// the machine sizes in between.
 func runFig1(Config) (*Result, error) {
 	t := report.NewTable(
 		fmt.Sprintf("Figure 1: system MTBF per fault class (%d-node petascale vs %d-node 11nm exascale)",
 			fault.PetascaleNodes, fault.ExascaleNodes),
-		"Class", "Petascale MTBF (h)", "Exascale MTBF (h)", "Exascale MTBF (min)")
+		"Class", "Soft/Hard", "Node MTBF petascale (h)", "Petascale MTBF (h)", "Exascale MTBF (h)", "Exascale MTBF (min)")
 	for _, row := range fault.ProjectFig1() {
-		t.AddF(row.Class.String(), row.PetascaleHours, row.ExascaleHours, row.ExascaleHours*60)
+		kind := "hard"
+		if row.Class.IsSoft() {
+			kind = "soft"
+		}
+		t.AddF(row.Class.String(), kind, fault.NodeMTBF(row.Class, fault.TechPetascale),
+			row.PetascaleHours, row.ExascaleHours, row.ExascaleHours*60)
 	}
-	t.AddF("combined",
+	t.AddF("combined", "", fault.CombinedSystemMTBF(1, fault.TechPetascale),
 		fault.CombinedSystemMTBF(fault.PetascaleNodes, fault.TechPetascale),
 		fault.CombinedSystemMTBF(fault.ExascaleNodes, fault.TechExascale),
 		fault.CombinedSystemMTBF(fault.ExascaleNodes, fault.TechExascale)*60)
+
+	sweep := report.NewTable("Combined system MTBF vs node count (11nm technology)",
+		"Nodes", "MTBF (h)", "MTBF (min)")
+	for n := 1024; n <= fault.ExascaleNodes; n *= 4 {
+		m := fault.CombinedSystemMTBF(n, fault.TechExascale)
+		sweep.AddF(n, m, m*60)
+	}
 	return &Result{
 		ID:     "fig1",
 		Title:  "Estimated MTBF for exascale systems from petascale systems (Figure 1)",
-		Tables: []*report.Table{t},
+		Tables: []*report.Table{t, sweep},
 		Notes: []string{
 			"Paper expectation: hard-failure MTBF of 1-7 days at petascale shrinks to within an hour at exascale.",
 		},

@@ -169,10 +169,11 @@ func TestExpositionByteDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry("test")
 		c := r.Counter("jobs_total")
-		g := r.Gauge("queue_depth")
+		r.GaugeFunc("queue_depth", func() float64 { return 3 })
 		v := r.HistogramVec("solve_seconds", "scheme")
-		c.Add(7)
-		g.Set(3)
+		for i := 0; i < 7; i++ {
+			c.Inc()
+		}
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 500; i++ {
 			scheme := []string{"CR-M", "PCG", "none"}[rng.Intn(3)]

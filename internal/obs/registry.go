@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +12,7 @@ import (
 
 // Registry is a process-local metrics registry. Metrics are created
 // once at wiring time and recorded against lock-free thereafter; the
-// hot path (Counter.Inc, Gauge.Set, Histogram.Record) never allocates
+// hot path (Counter.Inc, Histogram.Record) never allocates
 // and never takes the registry lock. Exposition renders metrics in
 // registration order with label values sorted, so the output for a
 // fixed set of values is byte-deterministic.
@@ -52,13 +51,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.register(name, c)
 	return c
-}
-
-// Gauge registers and returns a settable float64 gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{name: name}
-	r.register(name, g)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -112,7 +104,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Counter is a monotone counter. Inc/Add are lock-free and 0 allocs.
+// Counter is a monotone counter. Inc is lock-free and 0 allocs.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -121,32 +113,12 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; not enforced on the hot path).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 func (c *Counter) expose(e *Expo) { e.Int(c.name, c.v.Load()) }
 func (c *Counter) snapshot(s *Snapshot) {
 	s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.v.Load()})
-}
-
-// Gauge is a settable value.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) expose(e *Expo) { e.Line(g.name, g.Value()) }
-func (g *Gauge) snapshot(s *Snapshot) {
-	s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.Value()})
 }
 
 type gaugeFunc struct {

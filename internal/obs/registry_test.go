@@ -9,8 +9,11 @@ import (
 
 func TestRegistryExpositionShape(t *testing.T) {
 	r := NewRegistry("svc")
-	r.Counter("jobs_admitted_total").Add(3)
-	r.Gauge("queue_depth").Set(2)
+	c := r.Counter("jobs_admitted_total")
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
+	r.GaugeFunc("queue_depth", func() float64 { return 2 })
 	r.GaugeFunc("workers", func() float64 { return 4 })
 	v := r.HistogramVec("solve_wall_seconds", "scheme")
 	v.With("CR-M").Record(0.25)
@@ -57,7 +60,10 @@ func TestRegistryDuplicateNamePanics(t *testing.T) {
 func TestSnapshotJSONRoundTripAndMerge(t *testing.T) {
 	mk := func(n int64, scheme string, vals ...float64) Snapshot {
 		r := NewRegistry("svc")
-		r.Counter("jobs_completed_total").Add(n)
+		c := r.Counter("jobs_completed_total")
+		for i := int64(0); i < n; i++ {
+			c.Inc()
+		}
 		v := r.HistogramVec("solve_wall_seconds", "scheme")
 		for _, x := range vals {
 			v.With(scheme).Record(x)

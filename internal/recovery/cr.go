@@ -28,14 +28,6 @@ type CR struct {
 	Rollbacks int
 }
 
-// Name implements Scheme.
-func (s *CR) Name() string {
-	if s.Store.Name() == "memory" {
-		return "CR-M"
-	}
-	return "CR-D"
-}
-
 // ckptBytes returns the per-rank checkpoint payload. The maximum block
 // size is used on every rank so all clocks advance identically — the
 // iteration boundary that follows must see equal clocks on all ranks for

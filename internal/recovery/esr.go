@@ -43,9 +43,6 @@ type ESR struct {
 	y    []float64
 }
 
-// Name implements Scheme.
-func (s *ESR) Name() string { return "ESR" }
-
 // persistBytes is the per-iteration redundancy payload: the rank's x and
 // p blocks. The maximum block size is charged on every rank so all
 // clocks advance identically at the iteration boundary that follows.

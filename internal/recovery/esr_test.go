@@ -116,9 +116,6 @@ func TestESRSWOFallsBack(t *testing.T) {
 
 func TestESRIdentity(t *testing.T) {
 	s := &ESR{}
-	if s.Name() != "ESR" {
-		t.Errorf("name %q", s.Name())
-	}
 	if s.Redundancy() != 1 {
 		t.Error("ESR needs no redundant hardware")
 	}
@@ -181,9 +178,6 @@ func TestLCRWithoutCheckpointIsExactFallback(t *testing.T) {
 func TestLCRIdentity(t *testing.T) {
 	plat := platform.Default()
 	s := &LCR{CR: CR{Store: checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: 8}}}
-	if s.Name() != "LCR" {
-		t.Errorf("name %q", s.Name())
-	}
 	if s.Redundancy() != 1 {
 		t.Error("LCR needs no redundant hardware")
 	}

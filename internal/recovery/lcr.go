@@ -32,9 +32,6 @@ type LCR struct {
 	CR
 }
 
-// Name implements Scheme.
-func (s *LCR) Name() string { return "LCR" }
-
 // Recover implements Scheme: the usual CR rollback, then the
 // decompression error. Only an actual checkpoint reload is lossy — a
 // fallback to the initial guess (nothing written yet) restores exact

@@ -57,18 +57,6 @@ type LI struct {
 	ws   solver.SeqWorkspace // construction scratch, reused per fault
 }
 
-// Name implements Scheme.
-func (s *LI) Name() string {
-	name := "LI"
-	if s.Construct == ConstructExact {
-		name = "LI(LU)"
-	}
-	if s.DVFS {
-		name += "-DVFS"
-	}
-	return name
-}
-
 // Recover implements Scheme.
 func (s *LI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	c := ctx.C

@@ -41,18 +41,6 @@ type LSI struct {
 	ws   solver.SeqWorkspace // construction scratch, reused per fault
 }
 
-// Name implements Scheme.
-func (s *LSI) Name() string {
-	name := "LSI"
-	if s.Construct == ConstructExact {
-		name = "LSI(QR)"
-	}
-	if s.DVFS {
-		name += "-DVFS"
-	}
-	return name
-}
-
 // Recover implements Scheme.
 func (s *LSI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	c := ctx.C

@@ -36,9 +36,6 @@ type CR2L struct {
 	DiskRestores int
 }
 
-// Name implements Scheme.
-func (s *CR2L) Name() string { return "CR-2L" }
-
 func (s *CR2L) ckptBytes(ctx *Ctx) int64 { return int64(8 * ctx.St.Part.Size(0)) }
 
 // AfterIteration implements Scheme: write whichever levels are due. When

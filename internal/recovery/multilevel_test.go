@@ -37,12 +37,6 @@ func TestCR2LValidate(t *testing.T) {
 	}
 }
 
-func TestCR2LName(t *testing.T) {
-	if mk2L(5, 20).Name() != "CR-2L" {
-		t.Error("name")
-	}
-}
-
 // TestCR2LRecoversFromMemoryForSNF: a node failure restores the freshest
 // (memory) checkpoint.
 func TestCR2LRecoversFromMemoryForSNF(t *testing.T) {
@@ -107,7 +101,6 @@ type classRewriter struct {
 	class fault.Class
 }
 
-func (w classRewriter) Name() string { return w.inner.Name() }
 func (w classRewriter) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	f.Class = w.class
 	return w.inner.Recover(ctx, f)

@@ -29,14 +29,6 @@ type RD struct {
 	has     bool
 }
 
-// Name implements Scheme.
-func (s *RD) Name() string {
-	if s.Replicas == 3 {
-		return "TMR"
-	}
-	return "RD"
-}
-
 // Redundancy implements Scheme.
 func (s *RD) Redundancy() int {
 	if s.Replicas <= 0 {

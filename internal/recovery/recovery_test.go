@@ -190,37 +190,8 @@ func TestRedundancyDegrees(t *testing.T) {
 	if (&RD{Replicas: 3}).Redundancy() != 3 {
 		t.Error("TMR degree")
 	}
-	if (&RD{Replicas: 3}).Name() != "TMR" || (&RD{}).Name() != "RD" {
-		t.Error("RD names")
-	}
 	if (&F0{}).Redundancy() != 1 {
 		t.Error("base redundancy")
-	}
-}
-
-func TestSchemeNames(t *testing.T) {
-	cases := map[string]Scheme{
-		"F0":       &F0{},
-		"FI":       &FI{},
-		"LI":       &LI{Construct: ConstructCG},
-		"LI-DVFS":  &LI{Construct: ConstructCG, DVFS: true},
-		"LI(LU)":   &LI{Construct: ConstructExact},
-		"LSI":      &LSI{Construct: ConstructCG},
-		"LSI-DVFS": &LSI{Construct: ConstructCG, DVFS: true},
-		"LSI(QR)":  &LSI{Construct: ConstructExact},
-	}
-	for want, s := range cases {
-		if got := s.Name(); got != want {
-			t.Errorf("Name() = %q want %q", got, want)
-		}
-	}
-	cr := &CR{Store: checkpoint.MemStore{Plat: platform.Default()}}
-	if cr.Name() != "CR-M" {
-		t.Errorf("CR name %q", cr.Name())
-	}
-	crd := &CR{Store: checkpoint.DiskStore{Plat: platform.Default()}}
-	if crd.Name() != "CR-D" {
-		t.Errorf("CR name %q", crd.Name())
 	}
 }
 

@@ -65,8 +65,6 @@ func (ctx *Ctx) span(kind obs.SpanKind) func() {
 
 // Scheme is one recovery mechanism, instantiated per rank.
 type Scheme interface {
-	// Name returns the scheme's presentation name ("LI-DVFS", "CR-D", ...).
-	Name() string
 	// Recover repairs the solver state after fault f. It is called on
 	// every rank collectively. restart reports whether CG must rebuild
 	// R and P from X.
@@ -93,9 +91,6 @@ func (Base) Redundancy() int { return 1 }
 // slowest convergence (Section 3.2: T_const = 0, large T_extra).
 type F0 struct{ Base }
 
-// Name implements Scheme.
-func (F0) Name() string { return "F0" }
-
 // Recover implements Scheme.
 func (F0) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	if ctx.C.Rank() == f.Rank {
@@ -114,9 +109,6 @@ type FI struct {
 	// X0 is the rank's block of the initial guess (zeros when nil).
 	X0 []float64
 }
-
-// Name implements Scheme.
-func (FI) Name() string { return "FI" }
 
 // Recover implements Scheme.
 func (s *FI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {

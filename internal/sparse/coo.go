@@ -39,9 +39,6 @@ func (c *COO) AddSym(i, j int, v float64) {
 	}
 }
 
-// NNZ returns the number of accumulated (possibly duplicate) entries.
-func (c *COO) NNZ() int { return len(c.V) }
-
 // ToCSR converts to CSR, summing duplicates and dropping exact zeros that
 // result from cancellation only if dropZeros is true.
 func (c *COO) ToCSR() *CSR {

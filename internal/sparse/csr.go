@@ -239,13 +239,6 @@ func (m *CSR) Clone() *CSR {
 	return c
 }
 
-// Scale multiplies every stored value by alpha in place.
-func (m *CSR) Scale(alpha float64) {
-	for i := range m.Val {
-		m.Val[i] *= alpha
-	}
-}
-
 // SpMVFlops returns the flop count of one SpMV with this matrix
 // (a multiply and an add per stored entry).
 func (m *CSR) SpMVFlops() int64 { return 2 * int64(m.NNZ()) }

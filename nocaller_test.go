@@ -1,13 +1,19 @@
 package resilience
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,11 +26,17 @@ var noCallerAllowed = map[string]string{
 	"internal/sparse.CSR.IsSymmetric":      "test oracle: generated and parsed matrices are checked for symmetry",
 	"internal/sparse.CSR.GershgorinBounds": "test oracle: spectral bounds of the generated systems",
 	"internal/sparse.CSR.Diag":             "test oracle: the Jacobi diagonal the preconditioned solver tests feed in",
+	"internal/sparse.CSR.Clone":            "test fixture: the Validate tests corrupt copies of a valid matrix",
+	"internal/dense.Matrix.MulVec":         "test oracle: the residual of the QR least-squares solve",
+	"internal/dense.Matrix.MulTransVec":    "test oracle: the normal-equations check of the QR least-squares solve",
 	"internal/sparse.WriteMatrixMarket":    "test oracle: round trip of the Matrix Market reader",
 	"internal/vec.Dist2":                   "test oracle: distance of a solution from the reference one",
 	"internal/matgen.Laplacian1D":          "test oracle: the smallest SPD system with a known spectrum",
 	"internal/obs.ValidateChromeTrace":     "check code: schema check of every Chrome trace the tests write",
 	"internal/obs.BucketLower":             "test oracle: histogram bucket bounds",
+	"internal/obs.Histogram.Name":          "code layout: deleting it moves sparse.CSR.MulVec from 32 to 0 mod 64, and solve_kernel's cpu_ms_per_op rose 13-18 %; goes once the benchmark pins the kernel's alignment (ROADMAP item 6)",
+	"internal/obs.Counter.Value":           "check code: the router tests read its counters",
+	"internal/obs.Snapshot.Counter":        "check code: the service tests read counters from a telemetry snapshot",
 	"internal/chaos.ReadCorpus":            "check code: reads the distilled chaos corpus the tests replay",
 	"internal/core.System.BaselineRuns":    "check code: counts fault-free runs for the shared-baseline gate",
 	"internal/model.PredictFF":             "planned caller: the model-versus-simulation gate (ROADMAP item 1)",
@@ -34,7 +46,8 @@ var noCallerAllowed = map[string]string{
 
 // implicitMethods are method names the standard library calls through an
 // interface (fmt, errors, encoding/json, net/http, sort, io), so a method
-// of that name is reached without a selector naming it.
+// of that name on a reached type is reached without code in this module
+// calling it.
 var implicitMethods = []string{
 	"Error", "String", "Unwrap", "MarshalJSON", "UnmarshalJSON", "ServeHTTP",
 	"Len", "Less", "Swap", "Read", "Write", "Close",
@@ -45,28 +58,12 @@ var implicitMethods = []string{
 // or only code that is itself unreached does. The programs are the
 // commands, the examples, the benchmark (bench/) and the public facade in
 // the repository root; their declarations are the roots, as are init
-// functions, blank declarations and noCallerAllowed. Names resolve by
-// package and identifier only (no type checking), and a method counts as
-// reached when its type is and any reached code selects a method of that
-// name, so the check can miss dead code but does not flag live code.
+// functions, blank declarations and noCallerAllowed. The module is type
+// checked, so x.M reaches only the M of x's static type; when x is an
+// interface, it reaches M on every reached type that implements the
+// interface.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	g := &declGraph{fset: token.NewFileSet(), decls: map[string]*declNode{}, byMethod: map[string][]string{}}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		return g.addFile(path)
-	})
+	g, err := loadDeclGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,120 +81,175 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 // declGraph holds every top-level declaration of the module and what each
 // refers to.
 type declGraph struct {
-	fset  *token.FileSet
-	decls map[string]*declNode
-	// byMethod maps a method name to the keys of all methods so named.
-	byMethod map[string][]string
-	roots    []string
+	decls map[types.Object]*declNode
+	// methods maps a named type to its declared methods.
+	methods map[*types.TypeName][]*types.Func
+	roots   []types.Object
 }
 
 type declNode struct {
-	checked  bool     // under internal/ or cmd/
-	recv     string   // receiver type key, for methods
-	refs     []string // keys of the package-level declarations it names
-	selected []string // selector names, any of which may name a method
+	key     string // "<package dir>.<Name>" or "<package dir>.<Type>.<Method>"
+	checked bool   // under internal/ or cmd/
+	refs    []types.Object
+	// calls are the interface methods the declaration selects.
+	calls []ifaceMethod
 }
 
-func (g *declGraph) addFile(path string) error {
-	f, err := parser.ParseFile(g.fset, path, nil, 0)
+// ifaceMethod is a method selected on an interface-typed value.
+type ifaceMethod struct {
+	iface *types.Interface
+	name  string
+}
+
+// listedPackage is the part of `go list -json` the graph reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+}
+
+// loadDeclGraph type checks the module's non-test code from source, with
+// the standard library read from the compiler's export data, and builds
+// its declaration graph.
+func loadDeclGraph() (*declGraph, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json", "./...").Output()
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("go list: %w", err)
 	}
-	dir := filepath.ToSlash(filepath.Dir(path))
-	checked := strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
-	imports := map[string]string{}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			return err
-		}
-		local := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		imports[local] = strings.TrimPrefix(p, "resilience/")
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
 	}
-	add := func(name *ast.Ident, n ast.Node, recv string) {
-		key := dir + "." + name.Name
-		if recv != "" {
-			key = recv + "." + name.Name
-			g.byMethod[name.Name] = append(g.byMethod[name.Name], key)
-		} else if name.Name == "init" || name.Name == "_" {
-			// A package may hold several, and all of them run.
-			key += "@" + g.fset.Position(name.Pos()).String()
-			g.roots = append(g.roots, key)
+	exports := map[string]string{}
+	var module []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
 		}
-		if !checked || key == dir+".main" {
-			g.roots = append(g.roots, key)
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		} else {
+			module = append(module, p) // dependencies first
 		}
-		node := &declNode{checked: checked, recv: recv}
-		node.collect(n, dir, imports)
-		g.decls[key] = node
 	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			recv := ""
-			if d.Recv != nil {
-				recv = dir + "." + recvName(d.Recv.List[0].Type)
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	g := &declGraph{decls: map[types.Object]*declNode{}, methods: map[*types.TypeName][]*types.Func{}}
+	for _, p := range module {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				return nil, err
 			}
-			add(d.Name, d, recv)
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					add(s.Name, s, "")
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						add(n, s, "")
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.ImportPath] = pkg
+		dir, err := filepath.Rel(root, p.Dir)
+		if err != nil {
+			return nil, err
+		}
+		g.addPackage(filepath.ToSlash(dir), files, info)
+	}
+	return g, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// addPackage adds the top-level declarations of one type-checked package.
+func (g *declGraph) addPackage(dir string, files []*ast.File, info *types.Info) {
+	checked := strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
+	add := func(name *ast.Ident, n ast.Node) {
+		obj := info.Defs[name]
+		key := dir + "." + name.Name
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			tn := recvTypeName(fn)
+			key = dir + "." + tn.Name() + "." + name.Name
+			g.methods[tn] = append(g.methods[tn], fn)
+		}
+		// Every init function and blank declaration runs, and a package
+		// may hold several of each: each has its own object.
+		if !checked || key == dir+".main" || key == dir+".init" || name.Name == "_" {
+			g.roots = append(g.roots, obj)
+		}
+		node := &declNode{key: key, checked: checked}
+		node.collect(n, info)
+		g.decls[obj] = node
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				add(d.Name, d)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, s)
+						}
 					}
 				}
 			}
 		}
 	}
-	return nil
 }
 
-// recvName returns the type name of a method receiver expression.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// recvTypeName returns the named type a method is declared on.
+func recvTypeName(fn *types.Func) *types.TypeName {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
+	return t.(*types.Named).Origin().Obj()
 }
 
-// collect records what the declaration n refers to: identifiers, taken as
-// names in its own package dir; qualified names of imported packages; and
-// selector and interface method names, taken as method names.
-func (d *declNode) collect(n ast.Node, dir string, imports map[string]string) {
+// collect records what the declaration n refers to: the package-level
+// objects and concrete methods it names, and the methods it selects on
+// interface-typed values.
+func (d *declNode) collect(n ast.Node, info *types.Info) {
 	ast.Inspect(n, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if p, ok := imports[id.Name]; ok {
-					d.refs = append(d.refs, p+"."+x.Sel.Name)
-					return false
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := info.Uses[id]
+		if obj == nil || obj.Pkg() == nil {
+			return true
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					d.calls = append(d.calls, ifaceMethod{iface, fn.Name()})
+				} else {
+					d.refs = append(d.refs, fn.Origin())
 				}
+				return true
 			}
-			d.selected = append(d.selected, x.Sel.Name)
-		case *ast.InterfaceType:
-			for _, m := range x.Methods.List {
-				for _, name := range m.Names {
-					d.selected = append(d.selected, name.Name)
-				}
-			}
-		case *ast.Ident:
-			d.refs = append(d.refs, dir+"."+x.Name)
+		}
+		if obj.Parent() == obj.Pkg().Scope() {
+			d.refs = append(d.refs, obj)
 		}
 		return true
 	})
@@ -206,51 +258,90 @@ func (d *declNode) collect(n ast.Node, dir string, imports map[string]string) {
 // unreached walks the graph from the roots and the keys of kept, and
 // returns the sorted keys of the checked declarations it never reaches.
 func (g *declGraph) unreached(kept map[string]string) []string {
-	reached := map[string]bool{}
-	var queue []string
-	reach := func(key string) {
-		if g.decls[key] != nil && !reached[key] {
-			reached[key] = true
-			queue = append(queue, key)
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	reach := func(obj types.Object) {
+		if g.decls[obj] != nil && !reached[obj] {
+			reached[obj] = true
+			queue = append(queue, obj)
 		}
 	}
-	for _, key := range g.roots {
-		reach(key)
+	for _, obj := range g.roots {
+		reach(obj)
 	}
-	for key := range kept {
-		reach(key)
+	for obj, n := range g.decls {
+		if _, ok := kept[n.key]; ok {
+			reach(obj)
+		}
 	}
-	selected := map[string]bool{}
+	implicit := map[string]bool{}
 	for _, m := range implicitMethods {
-		selected[m] = true
+		implicit[m] = true
 	}
-	// Walk the references, then reach the methods of reached types whose
-	// names reached code selects; repeat until nothing new is reached.
+	var reachedTypes []*types.TypeName // in reach order
+	var calls []ifaceMethod            // selected by reached code
+	seenCall := map[ifaceMethod]bool{}
+	tried := map[[2]int]bool{} // (type, call) index pairs already matched
+	// Walk the references; then, for every reached type, reach its
+	// implicitly called methods and the methods that implement a reached
+	// interface call; repeat until nothing new is reached.
 	for len(queue) > 0 {
 		for len(queue) > 0 {
-			n := g.decls[queue[0]]
+			obj := queue[0]
 			queue = queue[1:]
+			n := g.decls[obj]
 			for _, r := range n.refs {
 				reach(r)
 			}
-			for _, s := range n.selected {
-				selected[s] = true
+			for _, c := range n.calls {
+				if !seenCall[c] {
+					seenCall[c] = true
+					calls = append(calls, c)
+				}
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !types.IsInterface(tn.Type()) {
+				reachedTypes = append(reachedTypes, tn)
+				for _, fn := range g.methods[tn] {
+					if implicit[fn.Name()] {
+						reach(fn)
+					}
+				}
 			}
 		}
-		for m := range selected {
-			for _, key := range g.byMethod[m] {
-				if reached[g.decls[key].recv] {
-					reach(key)
+		for ti, tn := range reachedTypes {
+			for ci, c := range calls {
+				if tried[[2]int{ti, ci}] {
+					continue
+				}
+				tried[[2]int{ti, ci}] = true
+				if m := implementation(tn, c); m != nil {
+					reach(m)
 				}
 			}
 		}
 	}
 	var dead []string
-	for key, n := range g.decls {
-		if n.checked && !reached[key] {
-			dead = append(dead, key)
+	for obj, n := range g.decls {
+		if n.checked && !reached[obj] {
+			dead = append(dead, n.key)
 		}
 	}
 	sort.Strings(dead)
 	return dead
+}
+
+// implementation returns the method of tn (or of a type it embeds) that a
+// call of c.name on an interface holding a tn or *tn reaches, or nil. A
+// generic type is matched by method name alone.
+func implementation(tn *types.TypeName, c ifaceMethod) types.Object {
+	named := tn.Type().(*types.Named)
+	ptr := types.NewPointer(named)
+	if named.TypeParams().Len() == 0 && !types.Implements(ptr, c.iface) {
+		return nil
+	}
+	obj, _, _ := types.LookupFieldOrMethod(ptr, false, tn.Pkg(), c.name)
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }

@@ -234,10 +234,6 @@ type ExperimentOptions struct {
 	// Overlap runs every distributed solve with the halo exchange hidden
 	// behind the interior SpMV; false is the fused seed behavior.
 	Overlap bool
-	// Observe attaches a (discarded) observability recorder to every cell
-	// solve. Output is byte-identical either way — this exists to
-	// exercise the purity guarantee under the full experiment matrix.
-	Observe bool
 	// Seed overrides the experiment fault-injection seed; zero keeps the
 	// default (1, the seed behind every checked-in table). The effective
 	// seed is echoed in ExperimentResult.Seed so reports are replayable.
@@ -257,7 +253,6 @@ func RunExperimentOpts(id, scale string, opts ExperimentOptions) (*ExperimentRes
 	cfg := experiments.Default(sc)
 	cfg.Workers = opts.Workers
 	cfg.Overlap = opts.Overlap
-	cfg.Observe = opts.Observe
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}

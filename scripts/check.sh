@@ -8,8 +8,9 @@
 # solver workspace and facade helper replaced by core.System.Spread, nor
 # the nonblocking point-to-point API the halo plan replaced, nor the
 # governor and RAPL emulations and the settings that became constants,
-# nor the fabric clients' own retry loops, is named again; the even fault
-# placement has one caller, in core), a
+# nor the fabric clients' own retry loops, nor the programs folded into
+# chaos-fleet, resilience-bench and cgsolve, is named again; the even
+# fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
 # experiment engine), a
@@ -102,6 +103,14 @@ fi
 if git grep -nE 'New''Governor|New''Sampler|PerCore''Energy|Cache''Shards|Forward''Timeout|MaxLocal''Iters|(^|[^t])Lossy''ErrBound' -- . ':!*.md'; then
     echo "a deleted emulation or setting is named again"; exit 1
 fi
+# Likewise the programs that did another program's job: chaos-fleet runs
+# every campaign (-oracle -recheck, -replay), resilience-bench -exp fig1
+# prints the MTBF projection with its node-count sweep, cgsolve runs the
+# one traced solve, and the experiments stand for the two mini-figure
+# examples.
+if git grep -nE 'cmd/cha''os([^-]|$)|mtbf''proj|trace-''matrix|examples/exa''scale|examples/model''check' -- . ':!*.md'; then
+    echo "a folded program or the second traced-solve mode is named again"; exit 1
+fi
 
 # Likewise the second and third fabric clients: service.Client holds the
 # one retry loop the chaos fleet and the load generator share, and the
@@ -149,9 +158,10 @@ go test -count=20 -run '^TestDupPhaseThroughRouter$' ./cmd/resilience-load
 
 # Chaos: a seeded fault campaign (all ten default schemes — the paper's
 # eight plus ESR and LCR — 0-3 faults per scenario, full invariant
-# battery) under the race detector. Any failure prints a replayable
+# battery, the rerun-based invariants included) over the in-process
+# oracle, under the race detector. Any failure prints a replayable
 # '-replay' flag string.
-go run -race ./cmd/chaos -n 50 -seed 1
+go run -race ./cmd/chaos-fleet -oracle -recheck -n 50 -seed 1
 
 # Fuzz smokes: a few seconds per target on top of the checked-in seed
 # corpora (testdata/fuzz/). Coverage-guided mutation beyond the corpus;
