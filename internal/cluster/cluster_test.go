@@ -343,5 +343,5 @@ func TestZeroRanksPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewRuntime(0, platform.Default(), power.NewMeter(false))
+	NewRuntime(0, 0, platform.Default(), power.NewMeter(false))
 }

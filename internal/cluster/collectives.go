@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"resilience/internal/obs"
 )
@@ -18,12 +19,13 @@ const inlineVals = 2
 // ranks by construction.
 type collectiveState struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
 	rt    *Runtime
 	p     int
-	gen   int64
 	count int
-	dead  bool
+
+	// gen is the in-flight generation. It changes under mu, and waiting
+	// ranks read it without the lock to see their generation complete.
+	gen atomic.Int64
 
 	// contrib is each rank's entry in the in-flight generation.
 	contrib []contribution
@@ -41,7 +43,7 @@ type collectiveState struct {
 // quarter more host time).
 type contribution struct {
 	// vals views the values to sum: inline[:n] for n <= inlineVals, else
-	// the caller's own slice — the caller stays parked inside enter until
+	// the caller's own slice — the caller stays blocked inside enter until
 	// the last arriver has summed, so it cannot touch it and no copy of a
 	// long vector is taken.
 	vals   []float64
@@ -66,38 +68,28 @@ func newCollectiveState(p int, rt *Runtime) *collectiveState {
 		contrib: make([]contribution, p),
 	}
 	cs.res[1].gen = -1 // slot 1 is first written at generation 1
-	cs.cond = sync.NewCond(&cs.mu)
 	return cs
 }
 
-// checkStuck reports (and aborts on) a deadlocked collective: a rank that
-// has not contributed to the in-flight generation but whose function has
-// already exited can never arrive, so the waiters would block forever.
-// Called with the state locked; it temporarily releases the lock to abort
-// the runtime (abort re-acquires it) and reports true so the caller
-// re-checks cs.dead instead of going to sleep past its own wake-up.
-func (cs *collectiveState) checkStuck(rank int) bool {
+// stuck reports (and aborts on) a deadlocked collective: a rank that has
+// not contributed to generation gen, still in flight, but whose function
+// has already exited can never arrive, so the waiters would block forever.
+func (cs *collectiveState) stuck(rank int, gen int64) bool {
+	cs.mu.Lock()
 	var missing []int
-	for r := 0; r < cs.p; r++ {
-		if cs.rt.isExited(r) && !cs.contrib[r].arrived {
-			missing = append(missing, r)
+	if cs.gen.Load() == gen {
+		for r := 0; r < cs.p; r++ {
+			if cs.rt.isExited(r) && !cs.contrib[r].arrived {
+				missing = append(missing, r)
+			}
 		}
 	}
+	cs.mu.Unlock()
 	if len(missing) == 0 {
 		return false
 	}
-	err := fmt.Errorf("cluster: deadlock: rank %d blocked in a collective that rank(s) %v exited without joining (mismatched collective participation)", rank, missing)
-	cs.mu.Unlock()
-	cs.rt.abort(err)
-	cs.mu.Lock()
+	cs.rt.abort(fmt.Errorf("cluster: deadlock: rank %d blocked in a collective that rank(s) %v exited without joining (mismatched collective participation)", rank, missing))
 	return true
-}
-
-func (cs *collectiveState) abort() {
-	cs.mu.Lock()
-	cs.dead = true
-	cs.mu.Unlock()
-	cs.cond.Broadcast()
 }
 
 // enter contributes vals to the current collective and blocks until all
@@ -107,59 +99,75 @@ func (cs *collectiveState) abort() {
 // read-only; one of at most inlineVals values is a view of the generation
 // slot and is overwritten two collectives later.
 func (cs *collectiveState) enter(rank int, clock float64, vals []float64) (sum []float64, tmax float64) {
+	myGen, last := cs.arrive(rank, clock, vals)
+	rt := cs.rt
+	if last {
+		rt.sched.wakeColl(rank)
+	} else {
+		w := &rt.sched.recs[rank]
+		for cs.gen.Load() == myGen && !rt.abortFlag.Load() {
+			exits := rt.exits.Load()
+			if exits > 0 && cs.stuck(rank, myGen) {
+				continue // our own abort raised abortFlag; re-evaluate, don't sleep
+			}
+			s := w.begin(waitColl, -1, myGen, nil, nil)
+			rt.sched.sleep(rank, s, cs.gen.Load() != myGen || rt.abortFlag.Load() || rt.exits.Load() != exits)
+		}
+		if rt.abortFlag.Load() {
+			panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
+		}
+	}
+	slot := &cs.res[myGen&1]
+	if slot.gen != myGen {
+		panic(fmt.Sprintf("cluster: collective slot for gen %d holds gen %d", myGen, slot.gen))
+	}
+	return slot.sum, slot.tmax
+}
+
+// arrive records the rank's contribution to the in-flight generation and
+// reports it; the last arriver also sums the generation into its slot and
+// opens the next one.
+func (cs *collectiveState) arrive(rank int, clock float64, vals []float64) (gen int64, last bool) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.dead {
+	if cs.rt.abortFlag.Load() {
 		panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
 	}
-	myGen := cs.gen
-	slot := &cs.res[myGen&1]
+	gen = cs.gen.Load()
 	me := &cs.contrib[rank]
 	me.clock, me.arrived, me.vals = clock, true, vals
 	if len(vals) <= inlineVals {
 		me.vals = me.inline[:copy(me.inline[:], vals)]
 	}
 	cs.count++
-	if cs.count == cs.p {
-		n := len(cs.contrib[0].vals)
-		if n <= inlineVals {
-			slot.sum = slot.inline[:n]
-			clear(slot.sum)
-		} else {
-			slot.sum = make([]float64, n)
-		}
-		slot.gen, slot.tmax = myGen, 0
-		for r := range cs.contrib {
-			c := &cs.contrib[r]
-			if len(c.vals) != n {
-				panic(fmt.Sprintf("cluster: allreduce length mismatch: rank %d contributed %d values, rank 0 contributed %d", r, len(c.vals), n))
-			}
-			for i, x := range c.vals {
-				slot.sum[i] += x
-			}
-			if c.clock > slot.tmax {
-				slot.tmax = c.clock
-			}
-			c.vals, c.arrived = nil, false
-		}
-		cs.count = 0
-		cs.gen++
-		cs.cond.Broadcast()
+	if cs.count < cs.p {
+		return gen, false
+	}
+	slot := &cs.res[gen&1]
+	n := len(cs.contrib[0].vals)
+	if n <= inlineVals {
+		slot.sum = slot.inline[:n]
+		clear(slot.sum)
 	} else {
-		for cs.gen == myGen && !cs.dead {
-			if cs.checkStuck(rank) {
-				continue // our own abort set cs.dead; re-evaluate, don't sleep
-			}
-			cs.cond.Wait()
-		}
-		if cs.dead {
-			panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
-		}
+		slot.sum = make([]float64, n)
 	}
-	if slot.gen != myGen {
-		panic(fmt.Sprintf("cluster: collective slot for gen %d holds gen %d", myGen, slot.gen))
+	slot.gen, slot.tmax = gen, 0
+	for r := range cs.contrib {
+		c := &cs.contrib[r]
+		if len(c.vals) != n {
+			panic(fmt.Sprintf("cluster: allreduce length mismatch: rank %d contributed %d values, rank 0 contributed %d", r, len(c.vals), n))
+		}
+		for i, x := range c.vals {
+			slot.sum[i] += x
+		}
+		if c.clock > slot.tmax {
+			slot.tmax = c.clock
+		}
+		c.vals, c.arrived = nil, false
 	}
-	return slot.sum, slot.tmax
+	cs.count = 0
+	cs.gen.Store(gen + 1)
+	return gen, true
 }
 
 // allreduce is the one collective: rendezvous, synchronize the clock to

@@ -164,17 +164,15 @@ func (h *Halo) Post() {
 }
 
 // publish makes the filled slots visible with one atomic store, then
-// wakes the peers parked on this plan, and only those.
+// wakes the peers waiting for this exchange of this plan, and only those.
 func (h *Halo) publish() {
 	h.next++
 	h.gen.Store(h.next)
+	sc := &h.c.rt.sched
 	for _, o := range h.peers {
-		ib := &h.c.rt.inboxes[o]
-		if ib.haloWait.Load() == h {
-			ib.mu.Lock()
-			//lint:ignore SA2001 empty critical section orders the store before the wake-up
-			ib.mu.Unlock()
-			ib.cond.Signal()
+		w := &sc.recs[o]
+		if s, ok := w.waiting(); ok && w.h.Load() == h && uint64(w.at.Load()) < h.next {
+			sc.wake(o, s)
 		}
 	}
 }
@@ -206,29 +204,25 @@ func (h *Halo) Recv(i int) []float64 {
 	return vals
 }
 
-// await parks the rank on its own inbox until peers[i] publishes
-// exchange k. Exit and abort wake-ups reach it there: an exited peer that
-// never published is a deadlock, reported with both ranks named.
+// await blocks the rank until peers[i] publishes exchange k, handing its
+// token on meanwhile. Exit and abort wake-ups reach it through its wait
+// record: an exited peer that never published is a deadlock, reported
+// with both ranks named.
 func (h *Halo) await(i int, k uint64) {
 	c, peer, from := h.c, h.in[i], h.peers[i]
-	ib := &c.rt.inboxes[c.rank]
-	ib.mu.Lock()
-	ib.haloWait.Store(peer)
-	for peer.gen.Load() <= k && !c.rt.abortFlag.Load() {
+	rt := c.rt
+	w := &rt.sched.recs[c.rank]
+	for peer.gen.Load() <= k && !rt.abortFlag.Load() {
 		// The generation is read again after the exit: a peer publishes
 		// before it exits, so only a still-missing exchange is a deadlock.
-		if c.rt.isExited(from) && peer.gen.Load() <= k {
-			err := fmt.Errorf("cluster: deadlock: rank %d blocked reading rank %d's halo (exchange %d), which exited without publishing it", c.rank, from, k)
-			ib.mu.Unlock()
-			c.rt.abort(err)
-			ib.mu.Lock()
+		if rt.isExited(from) && peer.gen.Load() <= k {
+			rt.abort(fmt.Errorf("cluster: deadlock: rank %d blocked reading rank %d's halo (exchange %d), which exited without publishing it", c.rank, from, k))
 			continue
 		}
-		ib.cond.Wait()
+		s := w.begin(waitHalo, from, int64(k), nil, peer)
+		rt.sched.sleep(c.rank, s, peer.gen.Load() > k || rt.abortFlag.Load() || rt.isExited(from))
 	}
-	ib.haloWait.Store(nil)
-	ib.mu.Unlock()
-	if c.rt.abortFlag.Load() {
+	if rt.abortFlag.Load() {
 		panic(abortPanic{err: fmt.Errorf("cluster: halo read on aborted runtime")})
 	}
 }

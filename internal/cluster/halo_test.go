@@ -167,101 +167,109 @@ func TestOverlapChargesMaxCommCompute(t *testing.T) {
 // fills the next one's slot at once, before its peer has read anything;
 // the peer must still read the published values.
 func TestHaloSlotsDoubleBuffered(t *testing.T) {
-	var refilled atomic.Bool
-	err := runWithWatchdog(t, 2, func(c *Comm) error {
-		h := testHalo(c, others(c), fixed(2))
-		if c.Rank() == 0 {
-			copy(h.Slot(0), []float64{1, 2})
+	forTokens(t, 2, func(t *testing.T) {
+		var refilled atomic.Bool
+		err := runWithWatchdog(t, 2, func(c *Comm) error {
+			h := testHalo(c, others(c), fixed(2))
+			if c.Rank() == 0 {
+				copy(h.Slot(0), []float64{1, 2})
+				h.Send()
+				copy(h.Slot(0), []float64{9, 9})
+				refilled.Store(true)
+				h.Recv(0)
+				h.Send()
+				h.Recv(0)
+				return nil
+			}
 			h.Send()
-			copy(h.Slot(0), []float64{9, 9})
-			refilled.Store(true)
-			h.Recv(0)
+			if err := awaitState(c, "rank 0 refills its slot", refilled.Load); err != nil {
+				return err
+			}
+			if got := h.Recv(0); got[0] != 1 || got[1] != 2 {
+				return fmt.Errorf("exchange 0 clobbered by the next fill: %v", got)
+			}
 			h.Send()
-			h.Recv(0)
+			if got := h.Recv(0); got[0] != 9 || got[1] != 9 {
+				return fmt.Errorf("exchange 1 wrong: %v", got)
+			}
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		h.Send()
-		if err := awaitState(c, "rank 0 refills its slot", refilled.Load); err != nil {
-			return err
-		}
-		if got := h.Recv(0); got[0] != 1 || got[1] != 2 {
-			return fmt.Errorf("exchange 0 clobbered by the next fill: %v", got)
-		}
-		h.Send()
-		if got := h.Recv(0); got[0] != 9 || got[1] != 9 {
-			return fmt.Errorf("exchange 1 wrong: %v", got)
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
-	// Rank 0 builds its plan and exits without publishing; rank 1 posts
-	// and reads. The read must fail with a diagnostic naming both ends.
-	err := runWithWatchdog(t, 2, func(c *Comm) error {
-		h := testHalo(c, others(c), fixed(3))
-		if c.Rank() == 1 {
-			h.Post()
-			h.Recv(0)
+	forTokens(t, 2, func(t *testing.T) {
+		// Rank 0 builds its plan and exits without publishing; rank 1 posts
+		// and reads. The read must fail with a diagnostic naming both ends.
+		err := runWithWatchdog(t, 2, func(c *Comm) error {
+			h := testHalo(c, others(c), fixed(3))
+			if c.Rank() == 1 {
+				h.Post()
+				h.Recv(0)
+			}
+			return nil
+		})
+		const want = "cluster: deadlock: rank 1 blocked reading rank 0's halo (exchange 0), which exited without publishing it"
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
-		return nil
 	})
-	const want = "cluster: deadlock: rank 1 blocked reading rank 0's halo (exchange 0), which exited without publishing it"
-	if err == nil || err.Error() != want {
-		t.Fatalf("got %v, want %q", err, want)
-	}
 }
 
 func TestAbortWakesRankParkedOnHalo(t *testing.T) {
-	// Ranks 1..3 publish and park reading rank 0, which never publishes
-	// and never exits while they wait: only the abort can wake them. Rank 0
-	// fails once all three are parked; Run must return its error.
-	boom := errors.New("rank 0 failed")
-	err := runWithWatchdog(t, 4, func(c *Comm) error {
-		h := testHalo(c, others(c), fixed(1))
-		if c.Rank() != 0 {
-			h.Send()
-			h.Recv(0)
-			return errors.New("read of an unpublished halo returned")
-		}
-		err := awaitState(c, "ranks 1..3 park", func() bool {
-			return parked(c.rt, 1) && parked(c.rt, 2) && parked(c.rt, 3)
+	forTokens(t, 4, func(t *testing.T) {
+		// Ranks 1..3 publish and park reading rank 0, which never publishes
+		// and never exits while they wait: only the abort can wake them. Rank 0
+		// fails once all three are parked; Run must return its error.
+		boom := errors.New("rank 0 failed")
+		err := runWithWatchdog(t, 4, func(c *Comm) error {
+			h := testHalo(c, others(c), fixed(1))
+			if c.Rank() != 0 {
+				h.Send()
+				h.Recv(0)
+				return errors.New("read of an unpublished halo returned")
+			}
+			err := awaitState(c, "ranks 1..3 park", func() bool {
+				return parked(c.rt, 1) && parked(c.rt, 2) && parked(c.rt, 3)
+			})
+			if err != nil {
+				return err
+			}
+			return boom
 		})
-		if err != nil {
-			return err
+		if !errors.Is(err, boom) {
+			t.Fatalf("got %v, want rank 0's error", err)
 		}
-		return boom
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want rank 0's error", err)
-	}
 }
 
 func TestHaloRunAheadPanics(t *testing.T) {
-	// Rank 0 publishes three exchanges without reading any, so it refills
-	// the slot rank 1 has yet to read. Rank 1's read must refuse.
-	err := runWithWatchdog(t, 2, func(c *Comm) error {
-		h := testHalo(c, others(c), fixed(1))
-		if c.Rank() == 0 {
-			for i := 0; i < 3; i++ {
-				h.Send()
+	forTokens(t, 2, func(t *testing.T) {
+		// Rank 0 publishes three exchanges without reading any, so it refills
+		// the slot rank 1 has yet to read. Rank 1's read must refuse.
+		err := runWithWatchdog(t, 2, func(c *Comm) error {
+			h := testHalo(c, others(c), fixed(1))
+			if c.Rank() == 0 {
+				for i := 0; i < 3; i++ {
+					h.Send()
+				}
+				return nil
 			}
-			return nil
+			h.Send()
+			if err := awaitState(c, "rank 0 publishes three exchanges", func() bool { return h.in[0].gen.Load() == 3 }); err != nil {
+				return err
+			}
+			h.Recv(0)
+			return errors.New("read of an overwritten slot returned")
+		})
+		const want = "cluster: rank 1 panicked: cluster: halo run-ahead: rank 1 reads exchange 0 but rank 0 has published 3"
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
-		h.Send()
-		if err := awaitState(c, "rank 0 publishes three exchanges", func() bool { return h.in[0].gen.Load() == 3 }); err != nil {
-			return err
-		}
-		h.Recv(0)
-		return errors.New("read of an overwritten slot returned")
 	})
-	const want = "cluster: rank 1 panicked: cluster: halo run-ahead: rank 1 reads exchange 0 but rank 0 has published 3"
-	if err == nil || err.Error() != want {
-		t.Fatalf("got %v, want %q", err, want)
-	}
 }
 
 func TestHaloStress(t *testing.T) {

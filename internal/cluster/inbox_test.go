@@ -17,52 +17,60 @@ import (
 // and an abort). check.sh also runs them under the race detector with a
 // short -timeout, so a lost wake-up fails instead of hanging.
 
-// awaitState spins (yielding) until cond holds. The tests use it to
-// sequence one rank after another's park or exit, which no cluster
-// primitive can observe.
+// awaitState waits until cond holds. The tests use it to sequence one
+// rank after another's wait or exit, which no cluster primitive can
+// observe. Between looks the rank marks itself ready and yields to its
+// group's driver, so the ranks it waits for run even when they share its
+// token, and then yields the core to the other groups' drivers.
 func awaitState(c *Comm, what string, cond func() bool) error {
 	deadline := time.Now().Add(20 * time.Second)
+	w := &c.rt.sched.recs[c.rank]
 	for !cond() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("rank %d: timed out waiting until %s", c.rank, what)
 		}
+		w.group.set(c.rank)
+		w.yield(struct{}{})
 		runtime.Gosched()
 	}
 	return nil
 }
 
-// parked reports whether the rank is blocked in a receive or a halo read.
+// parked reports whether the rank is blocked in a receive or a halo read,
+// as its wait record says.
 func parked(rt *Runtime, rank int) bool {
-	ib := &rt.inboxes[rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.waitQ != nil || ib.haloWait.Load() != nil
+	w := &rt.sched.recs[rank]
+	_, waiting := w.waiting()
+	k := waitKind(w.kind.Load())
+	return waiting && (k == waitRecv || k == waitHalo)
 }
 
 func TestRecvOutOfPostOrderAcrossSenders(t *testing.T) {
-	// Rank 1 posts to rank 0 first, rank 2 provably afterwards (it waits
-	// for rank 1's token); rank 0 asks for rank 2's message first. Each
-	// receive must get its own sender's payload.
-	err := runWithWatchdog(t, 3, func(c *Comm) error {
-		switch c.Rank() {
-		case 1:
-			c.Send(0, 4, []float64{101, 102})
-			c.Send(2, 9, nil)
-		case 2:
-			c.Recv(1, 9)
-			c.Send(0, 4, []float64{201})
-		case 0:
-			b := c.Recv(2, 4)
-			a := c.Recv(1, 4)
-			if len(b) != 1 || b[0] != 201 || len(a) != 2 || a[0] != 101 || a[1] != 102 {
-				return fmt.Errorf("got from rank 2: %v, from rank 1: %v", b, a)
+	forTokens(t, 3, func(t *testing.T) {
+		// Rank 1 posts to rank 0 first, rank 2 provably afterwards (it waits
+		// for rank 1's token); rank 0 asks for rank 2's message first. Each
+		// receive must get its own sender's payload.
+		err := runWithWatchdog(t, 3, func(c *Comm) error {
+			switch c.Rank() {
+			case 1:
+				c.Send(0, 4, []float64{101, 102})
+				c.Send(2, 9, nil)
+			case 2:
+				c.Recv(1, 9)
+				c.Send(0, 4, []float64{201})
+			case 0:
+				b := c.Recv(2, 4)
+				a := c.Recv(1, 4)
+				if len(b) != 1 || b[0] != 201 || len(a) != 2 || a[0] != 101 || a[1] != 102 {
+					return fmt.Errorf("got from rank 2: %v, from rank 1: %v", b, a)
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTwoTagsOneChannelEachFIFO(t *testing.T) {
@@ -135,32 +143,34 @@ func TestTwoTagsOneChannelEachFIFO(t *testing.T) {
 }
 
 func TestNewTagWhileReceiverParkedOnChannel(t *testing.T) {
-	// Rank 1 parks on (0→1, tag 1). Rank 0 then opens five more tags on
-	// the same channel — growing the channel's queue list under the parked
-	// receiver — before posting tag 1. The parked receive must still see
-	// its message, and the other tags theirs.
-	err := runWithWatchdog(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Recv(1, 99)
-			if err := awaitState(c, "rank 1 parks", func() bool { return parked(c.rt, 1) }); err != nil {
-				return err
+	forTokens(t, 2, func(t *testing.T) {
+		// Rank 1 parks on (0→1, tag 1). Rank 0 then opens five more tags on
+		// the same channel — growing the channel's queue list under the parked
+		// receiver — before posting tag 1. The parked receive must still see
+		// its message, and the other tags theirs.
+		err := runWithWatchdog(t, 2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				c.Recv(1, 99)
+				if err := awaitState(c, "rank 1 parks", func() bool { return parked(c.rt, 1) }); err != nil {
+					return err
+				}
+				for tag := 6; tag >= 1; tag-- {
+					c.Send(1, tag, []float64{float64(tag)})
+				}
+				return nil
 			}
-			for tag := 6; tag >= 1; tag-- {
-				c.Send(1, tag, []float64{float64(tag)})
+			c.Send(0, 99, nil)
+			for tag := 1; tag <= 6; tag++ {
+				if got := c.Recv(0, tag); len(got) != 1 || got[0] != float64(tag) {
+					return fmt.Errorf("tag %d: got %v", tag, got)
+				}
 			}
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.Send(0, 99, nil)
-		for tag := 1; tag <= 6; tag++ {
-			if got := c.Recv(0, tag); len(got) != 1 || got[0] != float64(tag) {
-				return fmt.Errorf("tag %d: got %v", tag, got)
-			}
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAllToAllStressPinned(t *testing.T) {
@@ -200,89 +210,93 @@ func TestAllToAllStressPinned(t *testing.T) {
 }
 
 func TestAbortWakesEveryParkedReceiver(t *testing.T) {
-	// Ranks 1..7 park in a receive cycle among themselves: none of their
-	// senders ever exits, so only the abort can wake them, each on its own
-	// inbox. Rank 0 fails once all seven are parked; Run must return its
-	// error, which it cannot do while any rank still sleeps.
-	boom := errors.New("rank 0 failed")
-	err := runWithWatchdog(t, 8, func(c *Comm) error {
-		if c.Rank() != 0 {
-			if c.Rank() == 7 {
-				c.Send(0, 99, nil)
-			}
-			c.Recv(c.Rank()%7+1, 1)
-			return errors.New("receive in a cycle returned")
-		}
-		c.Recv(7, 99)
-		err := awaitState(c, "ranks 1..7 park", func() bool {
-			for r := 1; r < 8; r++ {
-				if !parked(c.rt, r) {
-					return false
+	forTokens(t, 8, func(t *testing.T) {
+		// Ranks 1..7 park in a receive cycle among themselves: none of their
+		// senders ever exits, so only the abort can wake them, each on its own
+		// inbox. Rank 0 fails once all seven are parked; Run must return its
+		// error, which it cannot do while any rank still sleeps.
+		boom := errors.New("rank 0 failed")
+		err := runWithWatchdog(t, 8, func(c *Comm) error {
+			if c.Rank() != 0 {
+				if c.Rank() == 7 {
+					c.Send(0, 99, nil)
 				}
+				c.Recv(c.Rank()%7+1, 1)
+				return errors.New("receive in a cycle returned")
 			}
-			return true
+			c.Recv(7, 99)
+			err := awaitState(c, "ranks 1..7 park", func() bool {
+				for r := 1; r < 8; r++ {
+					if !parked(c.rt, r) {
+						return false
+					}
+				}
+				return true
+			})
+			if err != nil {
+				return err
+			}
+			return boom
 		})
-		if err != nil {
-			return err
+		if !errors.Is(err, boom) {
+			t.Fatalf("got %v, want rank 0's error", err)
 		}
-		return boom
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want rank 0's error", err)
-	}
 }
 
 func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
-	// Rank 0 parks receiving from rank 1. Rank 2, which rank 0 does not
-	// depend on, exits: rank 0 is woken to re-check and must go back to
-	// sleep, not abort. Then rank 1 either sends (the run succeeds) or
-	// exits too (the run fails with the diagnostic naming both ends).
-	for _, senderExits := range []bool{false, true} {
-		err := runWithWatchdog(t, 3, func(c *Comm) error {
-			switch c.Rank() {
-			case 0:
-				got := make([]float64, 1)
-				c.RecvInto(1, 5, got)
-				if got[0] != 42 {
-					return fmt.Errorf("got %v", got)
+	forTokens(t, 3, func(t *testing.T) {
+		// Rank 0 parks receiving from rank 1. Rank 2, which rank 0 does not
+		// depend on, exits: rank 0 is woken to re-check and must go back to
+		// sleep, not abort. Then rank 1 either sends (the run succeeds) or
+		// exits too (the run fails with the diagnostic naming both ends).
+		for _, senderExits := range []bool{false, true} {
+			err := runWithWatchdog(t, 3, func(c *Comm) error {
+				switch c.Rank() {
+				case 0:
+					got := make([]float64, 1)
+					c.RecvInto(1, 5, got)
+					if got[0] != 42 {
+						return fmt.Errorf("got %v", got)
+					}
+				case 1:
+					c.Recv(2, 99)
+					err := awaitState(c, "rank 2 exits and rank 0 parks", func() bool {
+						return c.rt.isExited(2) && parked(c.rt, 0)
+					})
+					if err != nil {
+						return err
+					}
+					if err := c.rt.aborted(); err != nil {
+						return fmt.Errorf("aborted by an unrelated exit: %w", err)
+					}
+					if !senderExits {
+						c.Send(0, 5, []float64{42})
+					}
+				case 2:
+					c.Send(1, 99, nil)
 				}
-			case 1:
-				c.Recv(2, 99)
-				err := awaitState(c, "rank 2 exits and rank 0 parks", func() bool {
-					return c.rt.isExited(2) && parked(c.rt, 0)
-				})
+				return nil
+			})
+			if !senderExits {
 				if err != nil {
-					return err
+					t.Fatalf("unrelated exit then send: %v", err)
 				}
-				if err := c.rt.aborted(); err != nil {
-					return fmt.Errorf("aborted by an unrelated exit: %w", err)
-				}
-				if !senderExits {
-					c.Send(0, 5, []float64{42})
-				}
-			case 2:
-				c.Send(1, 99, nil)
+				continue
 			}
-			return nil
-		})
-		if !senderExits {
-			if err != nil {
-				t.Fatalf("unrelated exit then send: %v", err)
+			const want = "cluster: deadlock: rank 0 blocked receiving from rank 1 (tag 5), which exited without sending"
+			if err == nil || err.Error() != want {
+				t.Fatalf("sender exit: got %v, want %q", err, want)
 			}
-			continue
 		}
-		const want = "cluster: deadlock: rank 0 blocked receiving from rank 1 (tag 5), which exited without sending"
-		if err == nil || err.Error() != want {
-			t.Fatalf("sender exit: got %v, want %q", err, want)
-		}
-	}
+	})
 }
 
 func TestRuntimeIsSingleUse(t *testing.T) {
 	// The first run leaves a message queued and every rank marked exited;
 	// a second Run on that state would serve the stale message or report a
 	// bogus deadlock, so it must be refused.
-	rt := NewRuntime(2, platform.Default(), power.NewMeter(false))
+	rt := NewRuntime(2, 0, platform.Default(), power.NewMeter(false))
 	fn := func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{1})

@@ -13,7 +13,7 @@ import (
 func runObserved(t *testing.T, p int, rec *obs.Recorder, fn func(c *Comm) error) (float64, *power.Meter) {
 	t.Helper()
 	meter := power.NewMeter(true)
-	rt := NewRuntime(p, platform.Default(), meter)
+	rt := NewRuntime(p, 0, platform.Default(), meter)
 	rt.SetRecorder(rec)
 	maxClock, err := rt.Run(fn)
 	if err != nil {

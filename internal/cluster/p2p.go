@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"resilience/internal/obs"
 )
@@ -13,21 +12,12 @@ import (
 // (sender, tag) channel. The tagged path serves one-time setup (a
 // solver's need lists) and tests; the per-iteration halo exchange goes
 // through Halo plans instead. Each inbox has its own lock, so a post
-// contends only with other traffic to the same receiver, and its own cond
-// on which only the owning rank ever waits, so a post wakes exactly the
-// rank that needs the message, and only when that rank is parked on that
-// very queue. A rank waiting for a peer's halo parks on the same cond.
+// contends only with other traffic to the same receiver. A receiver that
+// finds its queue empty records the queue in its wait record under that
+// lock and hands its token on; a post reads the record under the same
+// lock and wakes the receiver only when it waits on that very queue.
 type inbox struct {
-	mu   sync.Mutex
-	cond sync.Cond // L is &mu
-
-	// waitQ is the queue the owner is parked on, nil while it runs.
-	waitQ *msgQueue
-
-	// haloWait is the peer plan the owner is parked on, nil while it
-	// runs. Publishers read it without the lock to wake only the peers
-	// waiting for them; the owner writes it under the lock.
-	haloWait atomic.Pointer[Halo]
+	mu sync.Mutex
 
 	// from[s] holds sender s's queues, one per tag seen on the channel.
 	// A channel carries a handful of tags at most, so finding one is an
@@ -36,7 +26,7 @@ type inbox struct {
 }
 
 // msgQueue is one (from, to, tag) channel's FIFO. It lives behind a
-// pointer so a receiver parked on it is not disturbed when another tag
+// pointer so a receiver waiting on it is not disturbed when another tag
 // first appears on the same channel.
 type msgQueue struct {
 	tag  int
@@ -58,9 +48,7 @@ func newInboxes(p int) []inbox {
 	inboxes := make([]inbox, p)
 	channels := make([][]*msgQueue, p*p)
 	for r := range inboxes {
-		ib := &inboxes[r]
-		ib.cond.L = &ib.mu
-		ib.from = channels[r*p : (r+1)*p : (r+1)*p]
+		inboxes[r].from = channels[r*p : (r+1)*p : (r+1)*p]
 	}
 	return inboxes
 }
@@ -104,20 +92,6 @@ func (q *msgQueue) pop() message {
 	return msg
 }
 
-// wakeInboxes wakes every rank blocked in a receive so it re-runs its
-// checks (exited sender, aborted run). Each inbox mutex is taken and
-// released before the broadcast so an owner cannot evaluate its checks
-// and go to sleep across the state change that prompted the call.
-func (rt *Runtime) wakeInboxes() {
-	for r := range rt.inboxes {
-		ib := &rt.inboxes[r]
-		ib.mu.Lock()
-		//lint:ignore SA2001 empty critical section orders the flag before the wake-up
-		ib.mu.Unlock()
-		ib.cond.Broadcast()
-	}
-}
-
 // Send transmits a copy of data to rank `to` with the given tag. The
 // sender's clock advances by the injection cost; the message carries its
 // modeled arrival time.
@@ -151,19 +125,21 @@ func (c *Comm) inject(n int) float64 {
 }
 
 // post copies data into a buffer of the (rank→to, tag) queue and
-// enqueues it with the given arrival time, waking the receiver iff it is
-// parked on that queue.
+// enqueues it with the given arrival time, waking the receiver iff it
+// waits on that queue.
 func (c *Comm) post(to, tag int, data []float64, arrive float64) {
 	ib := &c.rt.inboxes[to]
+	w := &c.rt.sched.recs[to]
 	ib.mu.Lock()
 	q := ib.queue(c.rank, tag)
 	buf := q.buffer(len(data))
 	copy(buf, data)
 	q.msgs = append(q.msgs, message{data: buf, arrive: arrive})
-	parked := ib.waitQ == q
+	s, waiting := w.waiting()
+	waiting = waiting && w.q.Load() == q
 	ib.mu.Unlock()
-	if parked {
-		ib.cond.Signal()
+	if waiting {
+		c.rt.sched.wake(to, s)
 	}
 }
 
@@ -173,26 +149,30 @@ func (c *Comm) await(from, tag int) (*inbox, *msgQueue) {
 	if from < 0 || from >= c.rt.p {
 		panic(fmt.Sprintf("cluster: Recv from invalid rank %d", from))
 	}
-	ib := &c.rt.inboxes[c.rank]
+	rt := c.rt
+	ib := &rt.inboxes[c.rank]
 	ib.mu.Lock()
 	q := ib.queue(from, tag)
-	for len(q.msgs) == 0 && !c.rt.abortFlag.Load() {
+	for len(q.msgs) == 0 && !rt.abortFlag.Load() {
 		// Deadlock check: an exited sender can never post the message we
 		// are waiting for. Abort with a diagnostic instead of hanging; the
 		// abort raises abortFlag, so continue (not wait) past our own
 		// wake-up.
-		if c.rt.isExited(from) {
+		if rt.isExited(from) {
 			err := fmt.Errorf("cluster: deadlock: rank %d blocked receiving from rank %d (tag %d), which exited without sending", c.rank, from, tag)
 			ib.mu.Unlock()
-			c.rt.abort(err)
+			rt.abort(err)
 			ib.mu.Lock()
 			continue
 		}
-		ib.waitQ = q
-		ib.cond.Wait()
-		ib.waitQ = nil
+		// Recorded under the inbox lock, so a post either came before
+		// the check above or finds the record.
+		s := rt.sched.recs[c.rank].begin(waitRecv, from, int64(tag), q, nil)
+		ib.mu.Unlock()
+		rt.sched.sleep(c.rank, s, rt.abortFlag.Load() || rt.isExited(from))
+		ib.mu.Lock()
 	}
-	if c.rt.abortFlag.Load() {
+	if rt.abortFlag.Load() {
 		ib.mu.Unlock()
 		panic(abortPanic{err: fmt.Errorf("cluster: recv on aborted runtime")})
 	}

@@ -18,32 +18,37 @@ type pin struct {
 	clock, energy, value float64
 }
 
-// checkPinned runs fn twice on p ranks and requires both runs bitwise
-// equal to want: host scheduling must not reach a clock, a joule or a
-// computed value.
+// checkPinned runs fn twice on p ranks at each token count of
+// tokenCounts(p) and requires every run bitwise equal to want: neither
+// host scheduling nor the number of tokens may reach a clock, a joule or
+// a computed value.
 func checkPinned(t *testing.T, p int, fn func(c *Comm, out []float64) error, want pin) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for run := 0; run < 2; run++ {
-		meter := power.NewMeter(true)
-		clocks, out := make([]float64, p), make([]float64, p)
-		_, err := Run(p, platform.Default(), meter, func(c *Comm) error {
-			err := fn(c, out)
-			clocks[c.Rank()] = c.Clock()
-			return err
-		})
-		if err != nil {
-			t.Fatalf("p=%d run %d: %v", p, run, err)
-		}
-		if energy := meter.TotalEnergy(); !same(energy, want.energy) {
-			t.Errorf("p=%d run %d: energy %x, want %x", p, run, energy, want.energy)
-		}
-		for r := range clocks {
-			if !same(clocks[r], want.clock) {
-				t.Errorf("p=%d run %d rank %d: clock %x, want %x", p, run, r, clocks[r], want.clock)
+	defer forceTokens(0)() // restores the setting after a fatal failure too
+	for _, w := range tokenCounts(p) {
+		forcedTokens.Store(int32(w))
+		for run := 0; run < 2; run++ {
+			meter := power.NewMeter(true)
+			clocks, out := make([]float64, p), make([]float64, p)
+			_, err := Run(p, platform.Default(), meter, func(c *Comm) error {
+				err := fn(c, out)
+				clocks[c.Rank()] = c.Clock()
+				return err
+			})
+			if err != nil {
+				t.Fatalf("p=%d W=%d run %d: %v", p, w, run, err)
 			}
-			if !same(out[r], want.value) {
-				t.Errorf("p=%d run %d rank %d: value %x, want %x", p, run, r, out[r], want.value)
+			if energy := meter.TotalEnergy(); !same(energy, want.energy) {
+				t.Errorf("p=%d W=%d run %d: energy %x, want %x", p, w, run, energy, want.energy)
+			}
+			for r := range clocks {
+				if !same(clocks[r], want.clock) {
+					t.Errorf("p=%d W=%d run %d rank %d: clock %x, want %x", p, w, run, r, clocks[r], want.clock)
+				}
+				if !same(out[r], want.value) {
+					t.Errorf("p=%d W=%d run %d rank %d: value %x, want %x", p, w, run, r, out[r], want.value)
+				}
 			}
 		}
 	}

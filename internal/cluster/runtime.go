@@ -22,11 +22,20 @@
 // Recovery code switches waiting ranks to idle/sleep accounting (and
 // optionally a lower frequency) through SetWaitIdle and SetFreq.
 //
-// Host scheduling is not an input: each rank is one goroutine blocking on
-// mutex/cond (one pair for the collectives, one per receiving rank for
-// point-to-point messages and halo reads), and clocks, energy, traces and solutions are derived
-// from virtual time and rank-ordered reductions, never from the order
-// the host happens to run the ranks in.
+// Host scheduling is not an input. The ranks are coroutines run on W
+// execution tokens (sched.go): W is derived from the operator's nonzero
+// count and the host's cores, each token is one driver
+// goroutine that runs one rank of its group at a time, and a rank that
+// must wait yields to its driver, which resumes a ready rank of the group.
+// Clocks, energy, traces and solutions are derived from virtual time and
+// rank-ordered reductions, never from W or from the order the host
+// happens to run the ranks in.
+//
+// Contract: a rank body blocks only through this package's primitives
+// (Recv, RecvInto, Halo.Recv and the collectives), and does not call
+// runtime.Goexit. A body that blocks on anything else — a channel, a
+// lock, another goroutine — keeps its group's token, and the group's
+// other ranks cannot run until it returns.
 package cluster
 
 import (
@@ -52,6 +61,11 @@ type Runtime struct {
 
 	coll    *collectiveState
 	inboxes []inbox // indexed by receiving rank
+	sched   sched
+
+	// nnz is the nonzero count of the operator the ranks apply, which
+	// sizes the run's execution tokens; 0 when unknown (one token).
+	nnz int
 
 	// halos[k*p+r] is rank r's k-th halo plan, registered by NewHalo for
 	// its peers to find; set up once per operator, so a mutex guards it.
@@ -68,53 +82,43 @@ type Runtime struct {
 	abortMu   sync.Mutex
 	abortErr  error
 
-	// exited is an atomic bitset of ranks whose function has returned. A
-	// rank blocked on a collective or a receive that an exited rank can
-	// no longer satisfy is deadlocked; the waiters detect this and abort
-	// with a diagnostic instead of hanging the run (and the test suite)
-	// forever. A bitset (vs. the former mutex-guarded []bool) keeps the
-	// per-receive deadlock probe lock-free.
+	// exited is an atomic bitset of ranks whose function has returned, and
+	// exits their count. A rank blocked on a collective or a receive that
+	// an exited rank can no longer satisfy is deadlocked; the exit wakes
+	// it, and it aborts with a diagnostic instead of hanging the run (and
+	// the test suite) forever.
 	exited []atomic.Uint64
+	exits  atomic.Int32
 }
 
 // abortPanic is the sentinel carried by panics raised when the run has
 // been aborted by another rank's failure.
 type abortPanic struct{ err error }
 
-// NewRuntime builds a runtime for p ranks.
-func NewRuntime(p int, plat *platform.Platform, meter *power.Meter) *Runtime {
+// NewRuntime builds a runtime for p ranks applying an operator of nnz
+// nonzeros (0 if there is none or it is unknown). nnz only sizes how many
+// cores the host lends the run; nothing the run reports depends on it.
+func NewRuntime(p, nnz int, plat *platform.Platform, meter *power.Meter) *Runtime {
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
-	rt := &Runtime{p: p, plat: plat, meter: meter,
+	rt := &Runtime{p: p, nnz: nnz, plat: plat, meter: meter,
 		exited: make([]atomic.Uint64, (p+63)/64)}
 	// Pre-size the meter's per-core table so every clock advance takes the
 	// meter's lock-free single-writer path (core id = rank).
 	meter.Reserve(p)
 	rt.coll = newCollectiveState(p, rt)
 	rt.inboxes = newInboxes(p)
+	rt.sched.init(rt)
 	return rt
 }
 
-// markExited records that a rank's function returned and wakes every
-// blocked waiter so it can re-run its deadlock check. Each wait mutex —
-// the collective state's and every inbox's — is taken (and released)
-// before its broadcast so a waiter cannot evaluate the check and go to
-// sleep across the transition.
+// markExited records that a rank's function returned and wakes the
+// waiters it can no longer satisfy, so they diagnose the deadlock.
 func (rt *Runtime) markExited(rank int) {
-	w := &rt.exited[rank>>6]
-	bit := uint64(1) << (uint(rank) & 63)
-	for {
-		old := w.Load()
-		if w.CompareAndSwap(old, old|bit) {
-			break
-		}
-	}
-	rt.coll.mu.Lock()
-	//lint:ignore SA2001 empty critical section orders the flag before the wake-up
-	rt.coll.mu.Unlock()
-	rt.coll.cond.Broadcast()
-	rt.wakeInboxes()
+	orBit(&rt.exited[rank>>6], uint64(1)<<(uint(rank)&63))
+	rt.exits.Add(1)
+	rt.sched.wakeExited(rank)
 }
 
 // isExited reports whether a rank's function has returned.
@@ -143,9 +147,8 @@ func (rt *Runtime) abort(err error) {
 	if first {
 		obs.DefaultFlight().Note("cluster-abort", "", err.Error())
 	}
-	// Blocked receivers read abortFlag, raised above.
-	rt.coll.abort()
-	rt.wakeInboxes()
+	// Every woken rank reads abortFlag, raised above.
+	rt.sched.wakeAll()
 }
 
 func (rt *Runtime) aborted() error {
@@ -157,11 +160,12 @@ func (rt *Runtime) aborted() error {
 	return rt.abortErr
 }
 
-// Run executes fn on every rank concurrently and waits for completion.
-// The first error (or converted panic) aborts all ranks and is returned.
-// MaxClock afterwards holds the final virtual time.
+// Run executes fn on every rank and waits for completion. The first
+// error (or converted panic) aborts all ranks and is returned. MaxClock
+// afterwards holds the final virtual time. The ranks apply no operator
+// the runtime knows of, so they share one execution token.
 func Run(p int, plat *platform.Platform, meter *power.Meter, fn func(c *Comm) error) (maxClock float64, err error) {
-	rt := NewRuntime(p, plat, meter)
+	rt := NewRuntime(p, 0, plat, meter)
 	return rt.Run(fn)
 }
 
@@ -196,15 +200,7 @@ func (rt *Runtime) Run(fn func(c *Comm) error) (maxClock float64, err error) {
 			rt.abort(e)
 		}
 	}
-	var wg sync.WaitGroup
-	for r := 0; r < rt.p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			body(rank)
-		}(r)
-	}
-	wg.Wait()
+	rt.sched.run(tokens(rt.p, rt.nnz), body)
 	for _, c := range clocks {
 		if c > maxClock {
 			maxClock = c

@@ -450,7 +450,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	monitors := make([]*resMonitor, cfg.Ranks)
 	schemes := make([]recovery.Scheme, cfg.Ranks)
 
-	rt := cluster.NewRuntime(cfg.Ranks, cfg.Plat, meter)
+	rt := cluster.NewRuntime(cfg.Ranks, cfg.A.NNZ(), cfg.Plat, meter)
 	if cfg.Obs != nil {
 		rt.SetRecorder(cfg.Obs)
 	}

@@ -205,7 +205,8 @@ func runVariant(s *system, plat *platform.Platform, ranks int, tol float64, pipe
 	part := sparse.NewPartition(s.a.Rows, ranks)
 	meter := power.NewMeter(false)
 	results := make([]*solver.Result, ranks)
-	maxClock, err := cluster.Run(ranks, plat, meter, func(c *cluster.Comm) error {
+	rt := cluster.NewRuntime(ranks, s.a.NNZ(), plat, meter)
+	maxClock, err := rt.Run(func(c *cluster.Comm) error {
 		var res *solver.Result
 		var err error
 		if pipelined {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"resilience/internal/cluster"
@@ -85,24 +86,34 @@ func benchHaloExchange(b *testing.B, a *sparse.CSR, ranks int) {
 
 // BenchmarkCGIteration measures one full distributed CG inner iteration
 // (halo exchange + SpMV, two dots, two scalar allreduces, the fused
-// axpy/dot updates) on 4 ranks per op. The Krylov recurrence is
-// re-anchored from a zeroed iterate every 50 iterations with pure
-// copies, so the loop runs indefinitely; steady state must be 0
-// allocs/op.
-func BenchmarkCGIteration(b *testing.B) { benchCGIteration(b, false) }
+// axpy/dot updates) on 4 ranks per op, once per side of the runtime's
+// token rule: W=1 on a 1024-row Laplacian, below the rule's grain, and
+// W=2 on a 4096-row one, above it, with at least two cores to lend
+// (TestTokenRule in internal/cluster pins that these inputs get those
+// counts). The Krylov recurrence is re-anchored from a zeroed iterate
+// every 50 iterations with pure copies, so the loop runs indefinitely;
+// steady state must be 0 allocs/op on both.
+func BenchmarkCGIteration(b *testing.B) {
+	b.Run("W=1", func(b *testing.B) { benchCGIteration(b, matgen.Laplacian2D(32), false) })
+	b.Run("W=2", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+		benchCGIteration(b, matgen.Laplacian2D(64), false)
+	})
+}
 
-// BenchmarkCGIterationObserved is the same loop with a span recorder
+// BenchmarkCGIterationObserved is the W=1 loop with a span recorder
 // attached: the cost of observability when it is on. Span appends
 // amortize but are not allocation-free, so only the tracing-off variant
 // is part of the 0 allocs/op gate.
-func BenchmarkCGIterationObserved(b *testing.B) { benchCGIteration(b, true) }
+func BenchmarkCGIterationObserved(b *testing.B) {
+	benchCGIteration(b, matgen.Laplacian2D(32), true)
+}
 
-func benchCGIteration(b *testing.B, observed bool) {
-	a := matgen.Laplacian2D(32) // 1024 rows
+func benchCGIteration(b *testing.B, a *sparse.CSR, observed bool) {
 	rhs, _ := matgen.RHS(a)
 	const ranks = 4
 	part := sparse.NewPartition(a.Rows, ranks)
-	rt := cluster.NewRuntime(ranks, platform.Default(), power.NewMeter(false))
+	rt := cluster.NewRuntime(ranks, a.NNZ(), platform.Default(), power.NewMeter(false))
 	if observed {
 		rt.SetRecorder(obs.NewRecorder())
 	}

@@ -47,7 +47,7 @@ func haloPinDigest(t *testing.T, a *sparse.CSR, p int, overlap bool) string {
 	t.Helper()
 	part := sparse.NewPartition(a.Rows, p)
 	meter := power.NewMeter(false)
-	rt := cluster.NewRuntime(p, platform.Default(), meter)
+	rt := cluster.NewRuntime(p, 0, platform.Default(), meter)
 	rec := obs.NewRecorder()
 	rt.SetRecorder(rec)
 	clocks := make([]float64, p)

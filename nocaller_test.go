@@ -334,7 +334,7 @@ func (g *declGraph) unreached(kept map[string]string) []string {
 // call of c.name on an interface holding a tn or *tn reaches, or nil. A
 // generic type is matched by method name alone.
 func implementation(tn *types.TypeName, c ifaceMethod) types.Object {
-	named := tn.Type().(*types.Named)
+	named := types.Unalias(tn.Type()).(*types.Named)
 	ptr := types.NewPointer(named)
 	if named.TypeParams().Len() == 0 && !types.Implements(ptr, c.iface) {
 		return nil

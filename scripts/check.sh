@@ -3,7 +3,8 @@
 # non-test Go file outside bench/ reads the environment, and none of the
 # deleted scheduler, layout and environment knobs, nor the retired perf
 # ledger and campaign driver, nor the second collective rendezvous and the
-# scheme-name copies, nor the two retired observability packages and their
+# scheme-name copies, nor the condition-variable rank waits the token
+# scheduler replaced, nor the two retired observability packages and their
 # second event log, encoder and dead helpers, nor the fault constructors,
 # solver workspace and facade helper replaced by core.System.Spread, nor
 # the nonblocking point-to-point API the halo plan replaced, nor the
@@ -63,13 +64,19 @@ if git grep -nE 'bench''diff|BENCH''_[0-9]|RES''_SCALE|Run''Campaign' -- . \
 fi
 # Likewise the second collective rendezvous and the collectives no solver
 # calls, and the hand-written copies of the scheme vocabulary: one enter
-# in internal/cluster/collectives.go (one wait loop on the collective
-# condition variable), one scheme table in internal/core/schemes.go.
+# in internal/cluster/collectives.go, one scheme table in
+# internal/core/schemes.go.
 if git grep -nE 'enter''Scalar|Allreduce''Max|Bcast''Int|Allgather''V|canonical''SchemeName|kind''Names' -- . \
     ':!CHANGES.md' ':!ISSUE.md' ':!ROADMAP.md'; then
     echo "a retired collective or scheme-name copy is named again"; exit 1
 fi
-test "$(grep -c 'cond.Wait()' internal/cluster/collectives.go)" -eq 1
+# Likewise the runtime's second wait path: a blocked rank records what it
+# waits for and yields to its group's driver (internal/cluster/sched.go),
+# so the condition variables, the inbox's parked-queue and parked-halo
+# fields and the wake-every-inbox walk stay deleted.
+if git grep -nE 'sync\.Cond|\.Broadcast\(|\.Signal\(|wait''Q|halo''Wait|wake''Inboxes' -- internal/cluster ':!*_test.go'; then
+    echo "a second rank wait path is named again"; exit 1
+fi
 # Likewise the second and third observability packages: internal/obs is
 # the one home of spans, counters, the run's event log (rank 0's, on the
 # recorder), the registry, the rings and the one Chrome-trace encoder.
@@ -124,11 +131,15 @@ fi
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
     ./internal/service/... ./internal/obs/...
 
-# The cluster's per-inbox wait/wake state is reached by every rank
-# goroutine at once: repeat its suite under the race detector, with a
-# timeout far below the default so a lost wake-up fails instead of
-# hanging the gate.
-go test -race -count=10 -timeout 5m ./internal/cluster
+# The scheduler's wait/wake state is reached by every rank at once, on one
+# execution token or several: repeat the cluster's suite under the race
+# detector — its wait-path, deadlock and pinned-workload tests each run at
+# W = 1, 2 and p tokens — with a timeout far below the default so a lost
+# wake-up fails instead of hanging the gate. -short trims only the solve
+# battery (every scheme through core.Run at W = 1, 2 and 4) to one of its
+# two matrices, so ten race passes fit the timeout; the race pass above
+# runs it whole.
+go test -race -short -count=10 -timeout 5m ./internal/cluster
 
 # Shared fault-free baseline: core.System's single-flight table is
 # reached by every concurrent solve of one system, and the facade finds
@@ -174,15 +185,17 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 
 # The hot paths must stay allocation-free with no recorder attached
 # (attaching one may allocate for span storage; that variant is measured
-# by BenchmarkCGIterationObserved but not gated): the CG iteration and
-# the all-to-all halo exchange at 16 and 32 ranks (every rank's plan read
-# by every other rank, which the 4-rank CG iteration cannot show), and
+# by BenchmarkCGIterationObserved but not gated): the CG iteration on one
+# execution token and on two (an input on each side of the runtime's
+# token rule), the all-to-all halo exchange at 16 and 32 ranks (every
+# rank's plan read by every other rank, which the 4-rank CG iteration
+# cannot show), and
 # the blocking Send/RecvInto ring plus scalar allreduce at 16 ranks, the
 # setup-time path neither of those reaches.
 go test -run '^$' -bench '^BenchmarkCGIteration$|^BenchmarkHaloExchangeAllToAll$' \
     -benchmem -benchtime 2000x ./internal/solver |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
-         END { exit (bad || found != 3) }'
+         END { exit (bad || found != 4) }'
 go test -run '^$' -bench '^BenchmarkClusterStep$' -benchmem -benchtime 2000x ./internal/cluster |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
          END { exit (bad || found != 1) }'
