@@ -38,7 +38,6 @@ func main() {
 	mtbf := flag.Float64("mtbf", 0, "Poisson MTBF in virtual seconds (alternative to -faults)")
 	tol := flag.Float64("tol", 1e-12, "CG relative residual tolerance")
 	ckpt := flag.Int("ckpt", 0, "fixed checkpoint interval in iterations (CR schemes)")
-	overlap := flag.Bool("overlap", false, "overlap halo exchange with interior SpMV (bitwise-identical iterates, different modeled time)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	asJSON := flag.Bool("json", false, "emit the run report as JSON")
 	traceFile := flag.String("trace", "", "write a per-iteration CSV trace to this file")
@@ -88,7 +87,6 @@ func main() {
 		Faults:    *faults,
 		MTBF:      *mtbf,
 		CkptEvery: *ckpt,
-		Overlap:   *overlap,
 		Seed:      *seed,
 	}
 	var rec *resilience.Recorder

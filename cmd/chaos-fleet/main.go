@@ -13,9 +13,10 @@
 // -oracle. scripts/check.sh cmp(1)s exactly that.
 //
 // Two modes run in process only. -recheck (with -oracle) adds the
-// rerun-based invariants, determinism and overlap equivalence, to every
-// scenario; -replay runs the one scenario a flag string names and prints
-// its report, the way a shrunk failure's replay line does.
+// rerun-based determinism invariant to every scenario; -replay runs the
+// one scenario a flag string names and prints its report, the way a
+// shrunk failure's replay line does (with -break, if the campaign had it,
+// so a self-test violation replays too).
 //
 //	chaos-fleet -addr http://127.0.0.1:8910 -n 2000 -seed 1
 //	chaos-fleet -oracle -n 2000 -seed 1 -corpus-out internal/chaos/testdata/corpus/distilled.txt
@@ -36,6 +37,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr      = fs.String("addr", "http://127.0.0.1:8910", "resilience-router or resilienced base URL")
 		oracle    = fs.Bool("oracle", false, "evaluate in-process instead of over HTTP (the determinism ground truth)")
-		recheck   = fs.Bool("recheck", false, "with -oracle or -replay, rerun each scenario for the determinism and overlap-equivalence invariants")
+		recheck   = fs.Bool("recheck", false, "with -oracle or -replay, rerun each scenario for the determinism invariant")
 		replay    = fs.String("replay", "", "run the single scenario this flag string names, in process, instead of a campaign")
 		n         = fs.Int("n", 2000, "number of scenarios")
 		seed      = fs.Int64("seed", 1, "campaign seed (scenario i derives seed+i*stride)")
@@ -88,10 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-recheck needs -oracle or -replay")
 	}
 	if *replay != "" {
-		if *breakInv != "" {
-			return usage("-break applies to a campaign, not to -replay")
+		if *breakInv != "" && !slices.Contains(chaos.InvariantNames(), *breakInv) {
+			return usage(fmt.Sprintf("-break %q is not an invariant", *breakInv))
 		}
-		return runReplay(*replay, chaos.NewRunner(chaos.Options{Recheck: *recheck}), stdout, stderr)
+		return runReplay(*replay, *breakInv, chaos.NewRunner(chaos.Options{Recheck: *recheck}), stdout, stderr)
 	}
 
 	opts := fleet.Options{
@@ -159,9 +161,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "chaos-fleet: %d scenarios via %s: %d ok, %d expected-failure, %d FAILED; %d evaluations, %.0f scenarios/s\n",
 		rep.N, mode, rep.OK, rep.Expected, rep.Failed, rep.Evaluations, float64(rep.N)/elapsed)
+	replayBreak := ""
+	if *breakInv != "" {
+		replayBreak = " -break " + *breakInv
+	}
 	for _, sh := range rep.Shrunk {
-		fmt.Fprintf(stdout, "minimal failing scenario (shrunk from #%d in %d evaluations):\n  %s\n  replay: go run ./cmd/chaos-fleet -replay '%s'\n  verdict: %s\n",
-			sh.Index, sh.Evals, sh.Args, sh.Args, sh.Verdict)
+		fmt.Fprintf(stdout, "minimal failing scenario (shrunk from #%d in %d evaluations):\n  %s\n  replay: go run ./cmd/chaos-fleet -replay '%s'%s\n  verdict: %s\n",
+			sh.Index, sh.Evals, sh.Args, sh.Args, replayBreak, sh.Verdict)
 	}
 	if rep.Failed > 0 {
 		fmt.Fprintf(stderr, "chaos-fleet: %d of %d scenarios violated invariants\n", rep.Failed, rep.N)
@@ -170,14 +176,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runReplay executes one scenario verbosely.
-func runReplay(args string, runner *chaos.Runner, stdout, stderr io.Writer) int {
+// runReplay executes one scenario verbosely. A non-empty breakInv is
+// applied as the campaign's evaluators apply it: to faulted scenarios.
+func runReplay(args, breakInv string, runner *chaos.Runner, stdout, stderr io.Writer) int {
 	s, err := chaos.ParseArgs(args)
 	if err != nil {
 		fmt.Fprintln(stderr, "chaos-fleet:", err)
 		return 2
 	}
 	r := runner.Run(0, s)
+	if breakInv != "" && len(s.Faults) > 0 {
+		r.Violations = append(r.Violations, chaos.SelfTestViolation(breakInv))
+	}
 	fmt.Fprintln(stdout, r.Line())
 	if rep := r.Report; rep != nil {
 		fmt.Fprintf(stdout, "  scheme=%s iters=%d converged=%t relres=%.3g restarts=%d faults-fired=%d\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,9 +42,24 @@ func TestRunReplayRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestRunReplayRejectsBreak(t *testing.T) {
-	if code, _, _ := runArgs("-break", "convergence", "-replay", "-grid 6 -ranks 2"); code != 2 {
-		t.Fatalf("-break alongside -replay, where nothing would apply it, exited %d, want 2", code)
+// TestRunReplayAppliesBreak: the replay line printed for a scenario the
+// -break self-test shrank must reproduce its violation. The line is run
+// as printed, with its shell quoting undone.
+func TestRunReplayAppliesBreak(t *testing.T) {
+	code, out, errOut := runArgs("-oracle", "-n", "50", "-seed", "1", "-break", "convergence")
+	if code != 1 {
+		t.Fatalf("-break convergence campaign exited %d, want 1:\n%s%s", code, out, errOut)
+	}
+	m := regexp.MustCompile(`replay: go run ./cmd/chaos-fleet -replay '([^']*)'(.*)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no replay line for the shrunk scenario:\n%s", out)
+	}
+	args := append([]string{"-replay", m[1]}, strings.Fields(m[2])...)
+	if code, out, errOut := runArgs(args...); code != 1 || !strings.Contains(out, "deliberately broken") {
+		t.Fatalf("replay %q exited %d, want 1 with the self-test violation:\n%s%s", args, code, out, errOut)
+	}
+	if code, _, _ := runArgs("-break", "gravity", "-replay", m[1]); code != 2 {
+		t.Fatalf("-replay with an unknown -break invariant exited %d, want 2", code)
 	}
 }
 

@@ -29,7 +29,6 @@ func main() {
 	scale := flag.String("scale", "ci", "workload scale: tiny, ci or paper")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "experiment-engine worker count (0: GOMAXPROCS; 1: sequential)")
-	overlap := flag.Bool("overlap", false, "overlap halo exchange with interior SpMV in every distributed solve")
 	seed := flag.Int64("seed", 0, "fault-injection seed (0: the default seed behind the checked-in tables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (real time, not virtual) to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -68,7 +67,7 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		res, err := resilience.RunExperimentOpts(strings.TrimSpace(id), *scale,
-			resilience.ExperimentOptions{Workers: *workers, Overlap: *overlap, Seed: *seed})
+			resilience.ExperimentOptions{Workers: *workers, Seed: *seed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
 			failed++

@@ -69,7 +69,7 @@ func TestParseArgsDefaults(t *testing.T) {
 // TestCampaignInvariantsHold is the package's core property test: a
 // seeded mixed-scheme campaign with up to 3 overlapping faults per
 // scenario passes the full invariant battery, including the rerun-based
-// determinism and overlap-equivalence checks. Each scenario is a
+// determinism check. Each scenario is a
 // sub-test named by its index, so `-run 'TestCampaignInvariantsHold/scn=17'`
 // replays one exactly.
 func TestCampaignInvariantsHold(t *testing.T) {

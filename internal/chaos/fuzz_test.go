@@ -14,10 +14,10 @@ func FuzzScenarioArgs(f *testing.F) {
 		f.Add(e.Args)
 	}
 	f.Add("")
-	f.Add("-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -overlap -faults SNF@5:r2,SDC@9:r0")
+	f.Add("-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -faults SNF@5:r2,SDC@9:r0")
 	f.Add("-grid 6 -ranks 1 -scheme CR-M -tol 1e-08 -ckpt 2 -detect 0 -seed 1 -jacobi")
 	f.Add("-grid 10 -ranks 6 -scheme F0 -faults DCE@1:r0,DUE@1:r1,SWO@2:r5,LNF@2:r3")
-	f.Add("-scheme LSI(QR) -overlap -jacobi -faults SNF@33:r0")
+	f.Add("-scheme LSI(QR) -jacobi -faults SNF@33:r0")
 	f.Add("-tol 1e-320 -seed -9223372036854775808")
 	f.Add("-faults SNF@5:r2,")
 	f.Add("-grid 08 -ranks 004")

@@ -21,17 +21,15 @@ const (
 	InvTraffic          = "traffic-conservation"
 	InvCollectiveSym    = "collective-symmetry"
 	InvDeterminism      = "determinism"
-	InvOverlapEquiv     = "overlap-equivalence"
 )
 
 // InvariantNames lists every invariant the battery checks, in report
-// order. InvDeterminism and InvOverlapEquiv are checked by the campaign
-// runner (they need auxiliary reruns); the rest by CheckInvariants.
+// order. InvDeterminism is checked by the campaign runner (it needs an
+// auxiliary rerun); the rest by CheckInvariants.
 func InvariantNames() []string {
 	return []string{
 		InvConvergence, InvClockMonotone, InvEnergyConserve, InvSpanNesting,
 		InvMetricsReconcile, InvTraffic, InvCollectiveSym, InvDeterminism,
-		InvOverlapEquiv,
 	}
 }
 

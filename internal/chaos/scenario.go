@@ -5,13 +5,12 @@
 // A campaign generates randomized scenarios — fault counts 0..k, faults
 // at arbitrary iterations including inside reconstruction, checkpoint and
 // rollback windows, back-to-back and simultaneous multi-rank faults,
-// varying ranks/matrix/scheme/overlap — runs each through internal/core,
+// varying ranks/matrix/scheme — runs each through internal/core,
 // and checks invariants that must hold for *every* correct execution:
 // convergence to the fault-free tolerance (or a classified expected
 // failure), per-rank clock monotonicity, energy conservation in the power
 // meter, well-nested span trees whose counters reconcile with the clocks,
-// traffic conservation, collective symmetry, run-to-run determinism, and
-// overlap/fused numerical equivalence.
+// traffic conservation, collective symmetry and run-to-run determinism.
 //
 // Every scenario serializes to a replayable flag string (see Args), so a
 // failure found by a 10^5-scenario campaign reproduces from one shell
@@ -53,7 +52,6 @@ type Scenario struct {
 	Tol         float64 // solver tolerance
 	CkptEvery   int     // checkpoint interval in iterations (CR schemes)
 	DetectDelay int     // SDC detection delay in iterations
-	Overlap     bool    // overlapped halo exchange
 	Jacobi      bool    // diagonal preconditioning
 	Seed        int64   // drives fault corruption patterns
 	Faults      []FaultSpec
@@ -73,7 +71,7 @@ func (s *Scenario) MaxIters() int {
 
 // Args renders the scenario as its canonical replayable flag string, e.g.
 //
-//	-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -overlap -faults SNF@5:r2,SDC@9:r0
+//	-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -faults SNF@5:r2,SDC@9:r0
 //
 // ParseArgs inverts it exactly (see TestScenarioArgsRoundTrip).
 func (s *Scenario) Args() string {
@@ -81,9 +79,6 @@ func (s *Scenario) Args() string {
 	fmt.Fprintf(&b, "-grid %d -ranks %d -scheme %s -tol %s -ckpt %d -detect %d -seed %d",
 		s.Grid, s.Ranks, s.Scheme, strconv.FormatFloat(s.Tol, 'g', -1, 64),
 		s.CkptEvery, s.DetectDelay, s.Seed)
-	if s.Overlap {
-		b.WriteString(" -overlap")
-	}
 	if s.Jacobi {
 		b.WriteString(" -jacobi")
 	}
@@ -153,8 +148,6 @@ func ParseArgs(args string) (*Scenario, error) {
 			}
 			s.Scheme = v
 			i++
-		case "-overlap":
-			s.Overlap = true
 		case "-jacobi":
 			s.Jacobi = true
 		case "-faults":
@@ -304,7 +297,6 @@ func (s *Scenario) RunConfig(a *sparse.CSR, b []float64, keepSegments bool) (cor
 		Tol:          s.Tol,
 		MaxIters:     s.MaxIters(),
 		Jacobi:       s.Jacobi,
-		Overlap:      s.Overlap,
 		DetectDelay:  s.DetectDelay,
 		KeepSegments: keepSegments,
 		Seed:         s.Seed,

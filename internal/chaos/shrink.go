@@ -38,9 +38,6 @@ func ShrinkCandidates(s *Scenario) []*Scenario {
 		mod(func(c *Scenario) { c.Ranks = 1; clampFaults(c) })
 	}
 	// Clear the optional machinery.
-	if s.Overlap {
-		mod(func(c *Scenario) { c.Overlap = false })
-	}
 	if s.Jacobi {
 		mod(func(c *Scenario) { c.Jacobi = false })
 	}

@@ -19,12 +19,6 @@ type Comm struct {
 	phase    string
 	waitIdle bool // whether waiting time is charged at idle power
 
-	// nicFree is the virtual time at which the rank's network interface
-	// finishes injecting its last message. A halo Post costs no CPU time
-	// but its slots serialize on the NIC: they land one wire time apart,
-	// never all at once.
-	nicFree float64
-
 	// halos counts the halo plans this rank has built; the next one is
 	// paired with its peers' plans of the same number.
 	halos int
@@ -55,8 +49,8 @@ func newComm(rank int, rt *Runtime) *Comm {
 }
 
 // Observer returns this rank's observability surface, or nil when no
-// recorder is attached. Callers recording composite spans (halo, SpMV
-// halves, recovery phases) bracket their work with Clock reads:
+// recorder is attached. Callers recording composite spans (halo, recovery
+// phases) bracket their work with Clock reads:
 //
 //	if o := c.Observer(); o != nil {
 //		start := c.Clock()

@@ -119,8 +119,7 @@ func (rt *Runtime) lookupHalo(rank, k int) *Halo {
 }
 
 // Slot returns this rank's outgoing slot for peers[i] in the next
-// exchange. The caller fills every slot, then publishes them with Send or
-// Post.
+// exchange. The caller fills every slot, then publishes them with Send.
 func (h *Halo) Slot(i int) []float64 { return h.out[h.next&1][i] }
 
 // Send publishes the next exchange as blocking sends, one per peer in
@@ -133,32 +132,6 @@ func (h *Halo) Send() {
 	par := h.next & 1
 	for i, slot := range h.out[par] {
 		h.arrive[par][i] = c.inject(len(slot))
-	}
-	h.publish()
-}
-
-// Post publishes the next exchange as nonblocking sends: the network
-// interface injects the slots one after another in peer order, so the
-// rank's clock does not move, the k-th slot lands k wire times after the
-// first injection starts, and compute done before the matching Recv
-// hides the exchange (a span costs max(communication, compute), not
-// their sum). Posts are counted as traffic but have no extent on the
-// rank's timeline.
-func (h *Halo) Post() {
-	c := h.c
-	c.checkAbort()
-	par := h.next & 1
-	for i, slot := range h.out[par] {
-		bytes := int64(8 * len(slot))
-		start := c.clock
-		if c.nicFree > start {
-			start = c.nicFree
-		}
-		c.nicFree = start + c.rt.plat.P2PTime(bytes)
-		h.arrive[par][i] = c.nicFree
-		if c.obs != nil {
-			c.obs.AddSend(bytes)
-		}
 	}
 	h.publish()
 }
@@ -185,7 +158,7 @@ func (h *Halo) publish() {
 // until this rank publishes its next one.
 func (h *Halo) Recv(i int) []float64 {
 	if h.next == 0 {
-		panic("cluster: Halo.Recv before the first Send or Post")
+		panic("cluster: Halo.Recv before the first Send")
 	}
 	k := h.next - 1
 	peer := h.in[i]

@@ -3,18 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"resilience/internal/platform"
 )
 
-// Tests of the halo plan: the modeled cost of its blocking and
-// nonblocking publication, its double buffering, and its wait/wake paths
+// Tests of the halo plan: its double buffering, and its wait/wake paths
 // (a peer that exits, an abort, a peer that runs ahead). check.sh runs
 // them under the race detector ten times with a short -timeout, so a lost
 // wake-up fails instead of hanging.
@@ -64,105 +60,6 @@ func TestHaloNewReturnsPeersNeeds(t *testing.T) {
 	})
 }
 
-// TestHaloPostChargesNoCPUTime verifies the overlap clock model: posting
-// an exchange leaves the sender's clock untouched, while a blocking Send
-// advances it by the full injection cost.
-func TestHaloPostChargesNoCPUTime(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		h := testHalo(c, others(c), fixed(64))
-		before := c.Clock()
-		h.Post()
-		if c.Clock() != before {
-			return fmt.Errorf("Post advanced sender clock %g -> %g", before, c.Clock())
-		}
-		if h.arrive[0][0] <= before {
-			return fmt.Errorf("Post arrival %g not after post time %g", h.arrive[0][0], before)
-		}
-		h.Recv(0)
-		before = c.Clock()
-		h.Send()
-		if c.Clock() <= before {
-			return fmt.Errorf("Send did not advance sender clock")
-		}
-		h.Recv(0)
-		return nil
-	})
-}
-
-// TestHaloPostNICSerialization verifies that a posted exchange injects
-// its slots serially on the NIC: slot k arrives k wire times after the
-// first injection starts, so overlapping cannot conjure infinite
-// bandwidth.
-func TestHaloPostNICSerialization(t *testing.T) {
-	const k, n = 4, 128
-	cost := platform.Default().P2PTime(8 * n)
-	run(t, k+1, func(c *Comm) error {
-		peers := []int{0}
-		if c.Rank() == 0 {
-			peers = others(c)
-		}
-		h := testHalo(c, peers, fixed(n))
-		t0 := c.Clock()
-		h.Post()
-		for i := range peers {
-			want := t0 + float64(i+1)*cost
-			if got := h.arrive[0][i]; math.Abs(got-want) > 1e-15 {
-				return fmt.Errorf("rank %d slot %d arrives at %g, want %g", c.Rank(), i, got, want)
-			}
-			h.Recv(i)
-		}
-		return nil
-	})
-}
-
-// TestOverlapChargesMaxCommCompute pins the LogGP-style accounting the
-// overlapped SpMV relies on: a posted exchange completed after local
-// compute costs max(comm, compute) for the span, not their sum.
-func TestOverlapChargesMaxCommCompute(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		const n = 512
-		plat := platform.Default()
-		wire := plat.P2PTime(8 * n)
-		h := testHalo(c, others(c), fixed(n))
-		if c.Rank() == 0 {
-			// Exchange 0 is posted at clock 0 and lands at wire; rank 1's
-			// lands here at wire too, so exchange 1 is posted at wire and
-			// lands at 2*wire.
-			for ex := 0; ex < 2; ex++ {
-				h.Post()
-				h.Recv(0)
-			}
-			return nil
-		}
-
-		// Case 1: compute shorter than the wire time -> the span costs the
-		// full communication time.
-		h.Post()
-		t0 := c.Clock()
-		c.Compute(1)
-		h.Recv(0)
-		if span := c.Clock() - t0; math.Abs(span-wire) > 1e-12 {
-			return fmt.Errorf("short-compute span %g, want wire time %g", span, wire)
-		}
-
-		// Case 2: compute longer than the remaining flight time -> the
-		// communication is fully hidden and the span costs only the compute.
-		h.Post()
-		const bigFlops = int64(1_000_000)
-		work := plat.ComputeTime(bigFlops, c.Freq())
-		if work <= 2*wire {
-			return fmt.Errorf("test setup: compute %g does not dominate flight %g", work, 2*wire)
-		}
-		t1 := c.Clock()
-		c.Compute(bigFlops)
-		h.Recv(0)
-		if span := c.Clock() - t1; math.Abs(span-work) > 1e-12 {
-			return fmt.Errorf("long-compute span %g, want compute time %g (comm hidden)", span, work)
-		}
-		return nil
-	})
-}
-
 // TestHaloSlotsDoubleBuffered: once an exchange is published the sender
 // fills the next one's slot at once, before its peer has read anything;
 // the peer must still read the published values.
@@ -202,12 +99,13 @@ func TestHaloSlotsDoubleBuffered(t *testing.T) {
 
 func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
 	forTokens(t, 2, func(t *testing.T) {
-		// Rank 0 builds its plan and exits without publishing; rank 1 posts
-		// and reads. The read must fail with a diagnostic naming both ends.
+		// Rank 0 builds its plan and exits without publishing; rank 1
+		// publishes and reads. The read must fail with a diagnostic naming
+		// both ends.
 		err := runWithWatchdog(t, 2, func(c *Comm) error {
 			h := testHalo(c, others(c), fixed(3))
 			if c.Rank() == 1 {
-				h.Post()
+				h.Send()
 				h.Recv(0)
 			}
 			return nil
@@ -273,8 +171,8 @@ func TestHaloRunAheadPanics(t *testing.T) {
 }
 
 func TestHaloStress(t *testing.T) {
-	// Every rank neighbours every other; back-to-back exchanges alternate
-	// Send and Post, each rank reads its peers in a fresh random order and
+	// Every rank neighbours every other; in back-to-back exchanges each
+	// rank reads its peers in a fresh random order and
 	// yields at random, and every value encodes its sender, the exchange
 	// and its position, checked on receipt.
 	const rounds = 100
@@ -299,11 +197,7 @@ func TestHaloStress(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					runtime.Gosched()
 				}
-				if ex%2 == 0 {
-					h.Send()
-				} else {
-					h.Post()
-				}
+				h.Send()
 				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 				for _, i := range order {
 					if rng.Intn(8) == 0 {

@@ -118,9 +118,6 @@ func (c *Comm) inject(n int) float64 {
 		c.obs.AddSend(bytes)
 	}
 	c.ElapseActive(cost)
-	if c.clock > c.nicFree {
-		c.nicFree = c.clock
-	}
 	return c.clock
 }
 

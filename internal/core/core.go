@@ -88,10 +88,6 @@ type RunConfig struct {
 	// Jacobi enables diagonal preconditioning of the distributed CG
 	// (extension beyond the paper).
 	Jacobi bool
-	// Overlap hides the halo exchange behind the interior SpMV in every
-	// distributed matrix-vector product. Bitwise-identical numerics; the
-	// modeled time and energy change.
-	Overlap bool
 	// DetectDelay is the number of iterations a silent data corruption
 	// (SDC) propagates before it is detected and recovery runs. Hard
 	// faults are always detected immediately. Extension beyond the paper,
@@ -483,7 +479,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			VerifyTrueResidual: true,
 			X0:                 cfg.X0,
 			Jacobi:             cfg.Jacobi,
-			Overlap:            cfg.Overlap,
 		})
 		if err != nil {
 			return err

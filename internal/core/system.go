@@ -52,7 +52,7 @@ func NewSystem(a *sparse.CSR, b []float64) *System { return &System{A: a, B: b} 
 type baselineKey struct {
 	ranks, maxIters int
 	tol             float64
-	jacobi, overlap bool
+	jacobi          bool
 	plat            platform.Platform
 }
 
@@ -68,8 +68,8 @@ type baselineCall struct {
 }
 
 // FaultFree returns the fault-free baseline of the system under cfg's
-// resolved ranks, tolerance, iteration cap, preconditioning, overlap mode
-// and platform; every other field of cfg is ignored. Concurrent calls for
+// resolved ranks, tolerance, iteration cap, preconditioning and
+// platform; every other field of cfg is ignored. Concurrent calls for
 // one configuration share a single run, and a converged report is
 // memoised, so callers must treat it as read-only. Errors are never
 // memoised, and neither is a report with Converged false: it is returned
@@ -79,14 +79,14 @@ func (s *System) FaultFree(ctx context.Context, cfg RunConfig) (*RunReport, erro
 	ff := RunConfig{
 		A: s.A, B: s.B,
 		Ranks: cfg.Ranks, Plat: cfg.Plat, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
-		Jacobi: cfg.Jacobi, Overlap: cfg.Overlap,
+		Jacobi: cfg.Jacobi,
 	}
 	if err := ff.resolve(); err != nil {
 		return nil, err
 	}
 	key := baselineKey{
 		ranks: ff.Ranks, maxIters: ff.MaxIters, tol: ff.Tol,
-		jacobi: ff.Jacobi, overlap: ff.Overlap, plat: *ff.Plat,
+		jacobi: ff.Jacobi, plat: *ff.Plat,
 	}
 	for {
 		s.mu.Lock()

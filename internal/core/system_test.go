@@ -118,7 +118,6 @@ func TestFaultFreeKeyedOnEveryResolvedInput(t *testing.T) {
 		"tol":      func(c *RunConfig) { c.Tol = 1e-8 },
 		"maxiters": func(c *RunConfig) { c.MaxIters = 5000 },
 		"jacobi":   func(c *RunConfig) { c.Jacobi = true },
-		"overlap":  func(c *RunConfig) { c.Overlap = true },
 		"platform": func(c *RunConfig) { c.Plat = slow },
 	}
 	runs := sys.BaselineRuns()

@@ -38,11 +38,6 @@ type Config struct {
 	// GOMAXPROCS; one forces sequential execution. Output is
 	// byte-identical for any value.
 	Workers int
-	// Overlap runs every distributed solve with the halo exchange hidden
-	// behind the interior SpMV; false is the fused path every seed table
-	// was rendered with. Numerics are bitwise-identical either way;
-	// modeled time and energy change.
-	Overlap bool
 	// Observe attaches a fresh, discarded observability recorder to every
 	// cell solve. Rendered output is byte-identical either way — the
 	// point is to exercise the purity guarantee under the whole
@@ -123,7 +118,7 @@ var paperOrder = []string{
 	"tab5", "fig8", "tab6", "fig9",
 	"ablation-interval", "ablation-tol", "ablation-dvfs", "ablation-tmr",
 	"ablation-pcg", "ablation-multilevel", "ablation-sdc", "ablation-pipeline",
-	"ablation-construction", "ablation-overlap",
+	"ablation-construction",
 }
 
 func orderOf(id string) int {
@@ -217,7 +212,6 @@ func (c Config) baseConfig(s *system) core.RunConfig {
 		Tol:      c.Tol,
 		MaxIters: 40 * s.spec.TargetIters(c.Scale),
 		Seed:     c.Seed,
-		Overlap:  c.Overlap,
 	}
 	if c.Observe {
 		// One private recorder per cell, discarded with the report: the
@@ -234,7 +228,7 @@ func (c Config) faultFree(s *system) (*core.RunReport, error) {
 }
 
 // faultFree returns the shared, converged fault-free baseline of rc's
-// solver variant (ranks, overlap, preconditioning), computing it exactly
+// solver variant (ranks, preconditioning), computing it exactly
 // once even under concurrent cells.
 func (s *system) faultFree(rc core.RunConfig) (*core.RunReport, error) {
 	rc.Scheme = core.SchemeSpec{}

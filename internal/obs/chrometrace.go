@@ -177,7 +177,7 @@ func rankEvents(rank int, spans []Span) []traceEvent {
 // filter on.
 func spanCategory(k SpanKind) string {
 	switch k {
-	case SpanCompute, SpanSpMVInterior, SpanSpMVBoundary:
+	case SpanCompute:
 		return "compute"
 	case SpanSend, SpanRecv, SpanWait, SpanCollective, SpanHalo:
 		return "comm"

@@ -108,9 +108,6 @@ func (h *Histogram) Record(v float64) {
 	}
 }
 
-// Name returns the histogram's registered (unprefixed) name.
-func (h *Histogram) Name() string { return h.name }
-
 // Snapshot captures the histogram as a sparse bucket vector. The count
 // is derived from the buckets, so a snapshot is always internally
 // consistent (Count == sum of bucket counts) even when taken while

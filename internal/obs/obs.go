@@ -32,8 +32,8 @@ import (
 type SpanKind uint8
 
 // The span taxonomy, from runtime primitives (compute, send, recv, wait,
-// collective — recorded by internal/cluster) to solver phases
-// (spmv-interior/boundary, halo — internal/solver) and recovery phases
+// collective — recorded by internal/cluster) to the solver's halo
+// exchange (internal/solver) and recovery phases
 // (reconstruct, checkpoint, rollback — internal/recovery).
 const (
 	// SpanCompute is modeled flop work at active power.
@@ -46,11 +46,7 @@ const (
 	SpanWait
 	// SpanCollective is the tree cost of a collective operation.
 	SpanCollective
-	// SpanSpMVInterior is the ghost-free part of an overlapped SpMV.
-	SpanSpMVInterior
-	// SpanSpMVBoundary is the ghost-dependent part of an overlapped SpMV.
-	SpanSpMVBoundary
-	// SpanHalo is one collective halo exchange (fused path).
+	// SpanHalo is one collective halo exchange.
 	SpanHalo
 	// SpanReconstruct is a forward-recovery reconstruction (LI/LSI/F0/FI/RD).
 	SpanReconstruct
@@ -64,7 +60,7 @@ const (
 
 var spanKindNames = [numSpanKinds]string{
 	"compute", "send", "recv", "wait", "collective",
-	"spmv-interior", "spmv-boundary", "halo",
+	"halo",
 	"reconstruct", "checkpoint", "rollback",
 }
 

@@ -7,17 +7,15 @@ import (
 
 func TestSpanKindStrings(t *testing.T) {
 	want := map[SpanKind]string{
-		SpanCompute:      "compute",
-		SpanSend:         "send",
-		SpanRecv:         "recv",
-		SpanWait:         "wait",
-		SpanCollective:   "collective",
-		SpanSpMVInterior: "spmv-interior",
-		SpanSpMVBoundary: "spmv-boundary",
-		SpanHalo:         "halo",
-		SpanReconstruct:  "reconstruct",
-		SpanCheckpoint:   "checkpoint",
-		SpanRollback:     "rollback",
+		SpanCompute:     "compute",
+		SpanSend:        "send",
+		SpanRecv:        "recv",
+		SpanWait:        "wait",
+		SpanCollective:  "collective",
+		SpanHalo:        "halo",
+		SpanReconstruct: "reconstruct",
+		SpanCheckpoint:  "checkpoint",
+		SpanRollback:    "rollback",
 	}
 	if len(want) != int(numSpanKinds) {
 		t.Fatalf("test covers %d kinds, package has %d", len(want), numSpanKinds)

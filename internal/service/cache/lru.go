@@ -126,6 +126,21 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, true
 }
 
+// Peek returns the value cached under key without counting a lookup or
+// bumping its recency: a second look by a caller whose Get already
+// counted, so hits + misses stays the number of lookups.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	s := c.shardOf(key)
+	s.mu.Lock()
+	e, ok := s.m[key]
+	s.mu.Unlock()
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return e.val, true
+}
+
 // Put inserts or refreshes key, evicting the shard's least recently
 // used entry when the shard is full.
 func (c *Cache[V]) Put(key string, val V) {

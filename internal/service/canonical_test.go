@@ -126,7 +126,6 @@ func TestCanonicalKeyDistinctCorpus(t *testing.T) {
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-08 -ckpt 5 -seed 7"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 6 -seed 7"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 8"},
-		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -overlap"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -jacobi"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -detect 2"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SWO@5:r1"},

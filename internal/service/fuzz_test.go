@@ -18,10 +18,10 @@ import (
 // scenario codec (so distinct canonical scenarios cannot alias).
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add("", uint64(0))
-	f.Add("-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -overlap -faults SNF@5:r2,SDC@9:r0", uint64(1))
+	f.Add("-grid 8 -ranks 4 -scheme LI-DVFS -tol 1e-10 -ckpt 6 -detect 2 -seed 7 -faults SNF@5:r2,SDC@9:r0", uint64(1))
 	f.Add("-grid 6 -ranks 1 -scheme CR-M -tol 1e-08 -ckpt 2 -seed 1 -jacobi", uint64(0xdeadbeef))
 	f.Add("-grid 10 -ranks 6 -scheme F0 -faults DCE@1:r0,DUE@1:r1,SWO@2:r5,LNF@2:r3", uint64(42))
-	f.Add("-scheme LSI(QR) -overlap -jacobi -faults SNF@33:r0", uint64(7))
+	f.Add("-scheme LSI(QR) -jacobi -faults SNF@33:r0", uint64(7))
 	f.Add("-tol 0.0000000001 -seed 0099", uint64(3))
 	f.Fuzz(func(t *testing.T, args string, perm uint64) {
 		if strings.TrimSpace(args) == "" {
@@ -155,9 +155,6 @@ func respell(s *chaos.Scenario, perm uint64) string {
 		{fmt.Sprintf("-ckpt%s%d", sep(), s.CkptEvery), s.CkptEvery != 0},
 		{fmt.Sprintf("-detect%s%d", sep(), s.DetectDelay), s.DetectDelay != 0},
 		{fmt.Sprintf("-seed%s%d", sep(), s.Seed), s.Seed != 1},
-	}
-	if s.Overlap {
-		toks = append(toks, tok{"-overlap", true})
 	}
 	if s.Jacobi {
 		toks = append(toks, tok{"-jacobi", true})

@@ -89,6 +89,9 @@ type Server struct {
 	// the cache is disabled (CacheCap < 0).
 	results *cache.Cache[[]byte]
 	flights *cache.Group[flightOut]
+	// afterMiss, when set, runs between a cache miss and the flight;
+	// tests use it to finish a duplicate's flight inside that window.
+	afterMiss func()
 
 	// admitMu serializes admission against the drain flip: admits hold
 	// it shared across the draining check and the push, Shutdown takes
@@ -407,7 +410,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // result is served directly, a miss runs at most once per key via
 // single-flight with every concurrent duplicate joining the leader's
 // flight. Only the leader touches the admission queue, so backpressure
-// (and 429s) applies per unique job, not per request.
+// (and 429s) applies per unique job, not per request. A duplicate can
+// miss the lookup and reach the single-flight after the first flight has
+// stored its result and ended, so the leader looks in the cache once
+// more before it runs the job.
 //
 // The leader executes under a context detached from ctx: its result is
 // shared by coalesced joiners, so one client's disconnect must not
@@ -430,17 +436,28 @@ func (s *Server) solve(ctx context.Context, req JobRequest, reqID string) (out f
 		if ok {
 			return flightOut{code: http.StatusOK, body: body}, "hit"
 		}
-		var shared bool
+		if s.afterMiss != nil {
+			s.afterMiss()
+		}
+		var shared, resident bool
 		out, _, shared = s.flights.Do(key, func() (flightOut, error) {
+			if body, ok := s.results.Peek(key); ok {
+				resident = true
+				return flightOut{code: http.StatusOK, body: body}, nil
+			}
 			fo := s.executeQueued(context.Background(), req, reqID)
 			if fo.code == http.StatusOK {
 				s.results.Put(key, fo.body)
 			}
 			return fo, nil
 		})
-		xcache = "miss"
-		if shared {
+		switch {
+		case shared:
 			xcache = "coalesced"
+		case resident:
+			xcache = "hit"
+		default:
+			xcache = "miss"
 		}
 	}
 	if out.code >= 500 {

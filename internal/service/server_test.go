@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,14 +64,18 @@ func TestSolveMatchesOfflineOracle(t *testing.T) {
 			srv := New(Config{Workers: workers, QueueCap: 16, CacheCap: cacheCap})
 			ts := httptest.NewServer(srv)
 			var wg sync.WaitGroup
+			var xhits atomic.Int64 // replies marked X-Cache: hit
 			for i := 0; i < 6; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					code, got, _ := post(t, ts, req)
+					code, got, hdr := post(t, ts, req)
 					if code != http.StatusOK {
 						t.Errorf("workers=%d: status %d: %s", workers, code, got)
 						return
+					}
+					if hdr.Get("X-Cache") == "hit" {
+						xhits.Add(1)
 					}
 					if !bytes.Equal(got, oracle) {
 						t.Errorf("workers=%d: response differs from oracle\n got: %s\nwant: %s", workers, got, oracle)
@@ -97,10 +102,13 @@ func TestSolveMatchesOfflineOracle(t *testing.T) {
 				if hits+misses != 6 {
 					t.Fatalf("workers=%d cached: lookups %v+%v != 6", workers, hits, misses)
 				}
-				// Every miss either led a flight (and was admitted) or
-				// joined one; dedup never loses or invents executions.
-				if float64(admitted) != misses-coalesced || admitted < 1 {
-					t.Fatalf("workers=%d cached: admitted %d, misses %v, coalesced %v", workers, admitted, misses, coalesced)
+				// Every miss either led a flight or joined one. A leader
+				// runs the job unless the flight before it already stored
+				// the result, which it then serves as a hit; dedup never
+				// loses or invents executions.
+				late := float64(xhits.Load()) - hits
+				if float64(admitted) != misses-coalesced-late || admitted < 1 {
+					t.Fatalf("workers=%d cached: admitted %d, misses %v, coalesced %v, late hits %v", workers, admitted, misses, coalesced, late)
 				}
 				if completed != admitted {
 					t.Fatalf("workers=%d cached: completed %d != admitted %d", workers, completed, admitted)
@@ -113,6 +121,35 @@ func TestSolveMatchesOfflineOracle(t *testing.T) {
 				t.Fatalf("workers=%d: rank counters not folded: %+v", workers, ranks)
 			}
 		}
+	}
+}
+
+// TestSolveLateDuplicateRunsOnce forces the interleaving that once ran a
+// job twice: a request misses the cache, and before it reaches the
+// single-flight a duplicate's whole flight runs, stores its result and
+// ends. The late request must serve that result as a hit, not admit the
+// job again, and its second look must not count as a lookup.
+func TestSolveLateDuplicateRunsOnce(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown(context.Background())
+	req := JobRequest{Scenario: testScenario}
+	var dup flightOut
+	armed := true
+	srv.afterMiss = func() {
+		if armed {
+			armed = false
+			dup, _ = srv.solve(context.Background(), req, "dup")
+		}
+	}
+	out, xcache := srv.solve(context.Background(), req, "late")
+	if n := srv.TelemetrySnapshot().Counter("jobs_admitted_total"); n != 1 {
+		t.Fatalf("admitted %d jobs, want 1", n)
+	}
+	if out.code != http.StatusOK || !bytes.Equal(out.body, dup.body) || xcache != "hit" {
+		t.Fatalf("late request answered %d %q (X-Cache %q), want the duplicate's 200 as a hit", out.code, out.body, xcache)
+	}
+	if hits, misses, _ := srv.results.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("cache counted %d hits and %d misses, want the two lookups' 0 and 2", hits, misses)
 	}
 }
 

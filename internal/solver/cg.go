@@ -69,11 +69,6 @@ type Options struct {
 	// interacts with forward recovery. Convergence is still measured on
 	// the unpreconditioned residual so scheme comparisons stay uniform.
 	Jacobi bool
-	// Overlap selects the overlapped MulVecDist path (halo exchange hidden
-	// behind the interior SpMV). Numerics are bitwise-identical either
-	// way; only the modeled clock changes. Collective: every rank must
-	// pass the same value.
-	Overlap bool
 }
 
 // Result reports a distributed CG solve from one rank's perspective. The
@@ -101,7 +96,6 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 		return nil, fmt.Errorf("solver: CG needs a positive Tol and MaxIters, got %g and %d", opts.Tol, opts.MaxIters)
 	}
 	op := NewLocalOp(c, a, part)
-	op.SetOverlap(opts.Overlap)
 	n := op.N
 
 	st := &State{

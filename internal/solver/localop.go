@@ -7,7 +7,6 @@ package solver
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"resilience/internal/cluster"
@@ -41,8 +40,8 @@ type LocalOp struct {
 	// The halo plan. neighbors lists the peer ranks, ascending; the
 	// per-neighbor slices below are indexed by position in it, so the
 	// per-iteration exchange walks them without a lookup. halo moves the
-	// values: the gather writes straight into its outgoing slots and the
-	// scatter reads straight from the neighbors' slots.
+	// values: GatherHalo writes straight into its outgoing slots and reads
+	// straight from the neighbors' slots.
 	neighbors []int
 	sendIdx   [][]int     // local row offsets each neighbor needs from us
 	recvSlot  [][]int     // ghost slots for each neighbor's values, in the order it sends them
@@ -51,53 +50,7 @@ type LocalOp struct {
 	halo      *cluster.Halo
 
 	xbuf []float64 // [own | ghost] assembled vector
-
-	// Interior/boundary split of localA for the overlapped SpMV path:
-	// interior rows touch no ghost column and can be multiplied while the
-	// halo exchange is in flight; boundary rows wait for it to complete.
-	interior *blockRows
-	boundary *blockRows
-	overlap  bool
 }
-
-// blockRows is a subset of a matrix's rows, held as a list of row numbers
-// over the matrix's own arrays (nothing is copied). mulVecInto walks each
-// listed row's entries in stored order and writes y[row] directly, so
-// splitting a matrix into disjoint row subsets and applying each
-// reproduces the full MulVec bit-for-bit: per-row accumulation order is
-// untouched and every target element is stored exactly once.
-type blockRows struct {
-	a    *sparse.CSR
-	rows []int
-	nnz  int
-}
-
-func newBlockRows(a *sparse.CSR, rows []int) *blockRows {
-	b := &blockRows{a: a, rows: rows}
-	for _, r := range rows {
-		b.nnz += a.RowPtr[r+1] - a.RowPtr[r]
-	}
-	return b
-}
-
-// mulVecInto computes y[r] = sum_k Val[k]*x[ColIdx[k]] over row r's entries
-// for each listed row, mirroring sparse.CSR.MulVec's accumulation order.
-func (b *blockRows) mulVecInto(y, x []float64) {
-	rowPtr, colIdx, val := b.a.RowPtr, b.a.ColIdx, b.a.Val
-	for _, r := range b.rows {
-		lo, hi := rowPtr[r], rowPtr[r+1]
-		cols := colIdx[lo:hi]
-		vals := val[lo:hi]
-		vals = vals[:len(cols)]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[r] = s
-	}
-}
-
-func (b *blockRows) flops() int64 { return 2 * int64(b.nnz) }
 
 // NewLocalOp builds the rank-local operator and performs the one-time
 // need-list exchange. Every rank must call it collectively. The matrix a
@@ -158,10 +111,7 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	}
 
 	// Copy this rank's rows out of a with the columns remapped into
-	// [own | ghost] indexing, and split them on the way by whether they
-	// touch a ghost column: interior row numbers fill rows from the front,
-	// boundary ones from the back. Rows with no entries are interior (they
-	// depend on nothing remote).
+	// [own | ghost] indexing.
 	base := a.RowPtr[lo]
 	nnz := a.RowPtr[hi] - base
 	la := &sparse.CSR{
@@ -172,34 +122,21 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 		Val:    make([]float64, nnz),
 	}
 	copy(la.Val, a.Val[base:base+nnz])
-	rows := make([]int, op.N)
-	nInt := 0
 	for i := 0; i < op.N; i++ {
 		la.RowPtr[i+1] = a.RowPtr[lo+i+1] - base
-		touchesGhost := false
-		for k := la.RowPtr[i]; k < la.RowPtr[i+1]; k++ {
-			if col := a.ColIdx[base+k]; col >= lo && col < hi {
-				la.ColIdx[k] = col - lo
-			} else {
-				la.ColIdx[k] = op.N + op.ghostSlot[col]
-				touchesGhost = true
-			}
-		}
-		if touchesGhost {
-			rows[op.N-1-(i-nInt)] = i
+	}
+	for k, col := range a.ColIdx[base : base+nnz] {
+		if col >= lo && col < hi {
+			la.ColIdx[k] = col - lo
 		} else {
-			rows[nInt] = i
-			nInt++
+			la.ColIdx[k] = op.N + op.ghostSlot[col]
 		}
 	}
-	slices.Reverse(rows[nInt:]) // back-filled: restore ascending order
 	// Note: remapping breaks the strictly-increasing column invariant
 	// within rows (ghosts land after own columns); SpMV does not require
 	// it, and localA is not exposed.
 	op.localA = la
 	op.xbuf = make([]float64, op.N+op.nGhost)
-	op.interior = newBlockRows(la, rows[:nInt])
-	op.boundary = newBlockRows(la, rows[nInt:])
 	return op
 }
 
@@ -214,14 +151,6 @@ func (op *LocalOp) RowBlock() *sparse.CSR {
 	return op.rowBlock
 }
 
-// SetOverlap selects the overlapped MulVecDist path: the halo is posted
-// nonblocking, the interior rows are multiplied while the exchange is in
-// flight, and the boundary rows follow once it
-// completes. The result is bitwise-identical to the fused path; only the
-// modeled clock differs. Collective discipline applies: every rank must
-// use the same setting.
-func (op *LocalOp) SetOverlap(on bool) { op.overlap = on }
-
 // GatherHalo exchanges halo values for the local vector x and returns the
 // assembled [own | ghost] buffer (valid until the next call). Every rank
 // must call it collectively. c must be the rank's own Comm.
@@ -233,15 +162,6 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 		start := c.Clock()
 		defer func() { o.Span(obs.SpanHalo, start, c.Clock()-start) }()
 	}
-	op.gather(x)
-	op.halo.Send()
-	op.scatter()
-	return op.xbuf
-}
-
-// gather copies x into the owned part of xbuf and each neighbor's values
-// straight into its outgoing halo slot.
-func (op *LocalOp) gather(x []float64) {
 	copy(op.xbuf[:op.N], x)
 	for ni, idx := range op.sendIdx {
 		slot := op.halo.Slot(ni)
@@ -250,11 +170,7 @@ func (op *LocalOp) gather(x []float64) {
 			slot[i] = x[li]
 		}
 	}
-}
-
-// scatter completes the published exchange neighbor by neighbor, reading
-// each one's values in place from its slot into their ghost slots.
-func (op *LocalOp) scatter() {
+	op.halo.Send()
 	ghost := op.xbuf[op.N:]
 	for ni, slots := range op.recvSlot {
 		vals := op.halo.Recv(ni)
@@ -263,54 +179,16 @@ func (op *LocalOp) scatter() {
 			ghost[slot] = vals[i]
 		}
 	}
+	return op.xbuf
 }
 
 // MulVecDist computes the local block of the distributed product
-// y = A*x, where x and y are this rank's owned blocks. It dispatches to
-// the fused or overlapped kernel according to SetOverlap; both produce
-// bitwise-identical y.
+// y = A*x, where x and y are this rank's owned blocks: the halo exchange,
+// then the SpMV over the assembled [own | ghost] vector.
 func (op *LocalOp) MulVecDist(c *cluster.Comm, y, x []float64) {
-	if op.overlap {
-		op.mulVecDistOverlap(c, y, x)
-		return
-	}
 	buf := op.GatherHalo(c, x)
 	op.localA.MulVec(y, buf)
 	c.Compute(op.localA.SpMVFlops())
-}
-
-// mulVecDistOverlap hides the halo exchange behind the interior SpMV:
-// post the halo nonblocking, multiply the interior rows while it is in
-// flight, then complete the exchange into the ghost values and multiply
-// the boundary rows. Posting charges no CPU time (the NIC injects the
-// slots, serially), so the overlapped span costs
-// max(halo exchange, interior compute) on the modeled clock instead of
-// their sum. When every row is boundary (tiny blocks, many ranks) there
-// is no interior work to hide behind and the path degenerates to the
-// fused cost.
-func (op *LocalOp) mulVecDistOverlap(c *cluster.Comm, y, x []float64) {
-	if len(x) != op.N {
-		panic(fmt.Sprintf("solver: MulVecDist len(x)=%d, want %d", len(x), op.N))
-	}
-	op.gather(x)
-	op.halo.Post()
-
-	// Interior rows read only owned entries of xbuf, so they are safe to
-	// multiply before the ghost region is filled.
-	intStart := c.Clock()
-	op.interior.mulVecInto(y, op.xbuf)
-	c.Compute(op.interior.flops())
-	if o := c.Observer(); o != nil {
-		o.Span(obs.SpanSpMVInterior, intStart, c.Clock()-intStart)
-	}
-
-	op.scatter()
-	bdyStart := c.Clock()
-	op.boundary.mulVecInto(y, op.xbuf)
-	c.Compute(op.boundary.flops())
-	if o := c.Observer(); o != nil {
-		o.Span(obs.SpanSpMVBoundary, bdyStart, c.Clock()-bdyStart)
-	}
 }
 
 // OffDiagApply computes y = b_local - sum_{j != rank} A_{rank,j} x_j given

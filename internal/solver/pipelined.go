@@ -37,7 +37,6 @@ func PipelinedCG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Parti
 		return nil, fmt.Errorf("solver: PipelinedCG does not support monitors")
 	}
 	op := NewLocalOp(c, a, part)
-	op.SetOverlap(opts.Overlap)
 	n := op.N
 
 	bLocal := make([]float64, n)

@@ -70,12 +70,17 @@ func (m *CSR) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 // inner loop: ranging over the row's column slice bounds k and c, and
 // re-slicing vals to len(cols) proves vals[k] safe. The accumulator is a
 // single in-order chain, so results are bitwise-identical to the naive
-// scalar loop (Go never reassociates floating-point additions). A 4-way
-// unrolled variant was measured slower: with one accumulator the adds
-// form a dependency chain the CPU cannot pipeline, so unrolling only
-// adds loop-body overhead — the win is entirely in the hoisting.
+// scalar loop (Go never reassociates floating-point additions).
 
 // MulVec computes y = A*x. y must have length Rows and x length Cols.
+//
+// The inner loop is unrolled four ways into the same one-accumulator
+// chain, in stored order, so the sum is still bitwise the scalar loop's.
+// The unroll is for layout, not throughput (the chain of adds sets the
+// pace either way): the rolled loop is 37 bytes and straddled a cache
+// line, and ran slower, whenever the function started at 0 mod 64. The
+// unrolled body is larger than a line at either start and measures the
+// same at both (DESIGN §12).
 func (m *CSR) MulVec(y, x []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("sparse: MulVec dims %dx%d with len(x)=%d len(y)=%d",
@@ -88,8 +93,16 @@ func (m *CSR) MulVec(y, x []float64) {
 		vals := m.Val[lo:hi]
 		vals = vals[:len(cols)]
 		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
+		k := 0
+		for ; k+4 <= len(cols); k += 4 {
+			c, v := cols[k:k+4:k+4], vals[k:k+4:k+4]
+			s += v[0] * x[c[0]]
+			s += v[1] * x[c[1]]
+			s += v[2] * x[c[2]]
+			s += v[3] * x[c[3]]
+		}
+		for ; k < len(cols); k++ {
+			s += vals[k] * x[cols[k]]
 		}
 		y[i] = s
 	}

@@ -49,6 +49,8 @@ func FuzzCSRMulVec(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 127})
 	f.Add([]byte{8, 8, 0, 7, 1, 7, 0, 2, 3, 3, 128, 0, 7, 1, 0, 7, 1}) // duplicates
 	f.Add([]byte{2, 3})                                                // empty matrix
+	// Rows of 8, 7, 0, 5 and 6 entries: every remainder of the 4-way unroll.
+	f.Add([]byte{4, 7, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8, 1, 0, 9, 1, 1, 10, 1, 2, 11, 1, 3, 12, 1, 4, 13, 1, 5, 1, 1, 6, 2, 3, 0, 12, 3, 1, 13, 3, 2, 1, 3, 3, 2, 3, 4, 3, 4, 0, 7, 4, 1, 8, 4, 2, 9, 4, 3, 10, 4, 4, 11, 4, 5, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, coo, dense, x, xt, ok := decodeMatrix(data)
 		if !ok {

@@ -65,6 +65,23 @@ func randCSR(rng *rand.Rand, rows, cols, maxPerRow int) *CSR {
 	return m
 }
 
+// rowLenCSR builds a random matrix with cols columns whose row i has
+// exactly lens[i] entries, so a test can name the row shapes it needs.
+func rowLenCSR(rng *rand.Rand, cols int, lens []int) *CSR {
+	m := NewCSR(len(lens), cols, 0)
+	for i, n := range lens {
+		for _, j := range rng.Perm(cols)[:n] {
+			m.ColIdx = append(m.ColIdx, j)
+		}
+		sort.Ints(m.ColIdx[m.RowPtr[i]:])
+		for range n {
+			m.Val = append(m.Val, rng.NormFloat64())
+		}
+		m.RowPtr[i+1] = len(m.Val)
+	}
+	return m
+}
+
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -87,7 +104,9 @@ func sameBits(a, b []float64) bool {
 
 // TestSpMVBitwiseEquivalence checks that the optimized kernels reproduce
 // the scalar reference bit-for-bit across every short-row shape
-// (row lengths 0..maxPerRow for n = 0..17) and one large random case.
+// (row lengths 0..maxPerRow for n = 0..17), one large random case, and
+// rows of exactly 0-9, 58 and 59 entries: every remainder of MulVec's
+// 4-way unroll, empty rows, and the 58-entry rows of bcsstk16.
 func TestSpMVBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	check := func(m *CSR) {
@@ -120,4 +139,9 @@ func TestSpMVBitwiseEquivalence(t *testing.T) {
 		check(randCSR(rng, n, n+3, n+1)) // rectangular
 	}
 	check(randCSR(rng, 300, 280, 40)) // large random case
+	lens := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 58, 59}
+	for range 4 {
+		rng.Shuffle(len(lens), func(i, j int) { lens[i], lens[j] = lens[j], lens[i] })
+		check(rowLenCSR(rng, 64, lens))
+	}
 }

@@ -34,7 +34,6 @@ var noCallerAllowed = map[string]string{
 	"internal/matgen.Laplacian1D":          "test oracle: the smallest SPD system with a known spectrum",
 	"internal/obs.ValidateChromeTrace":     "check code: schema check of every Chrome trace the tests write",
 	"internal/obs.BucketLower":             "test oracle: histogram bucket bounds",
-	"internal/obs.Histogram.Name":          "code layout: deleting it moves sparse.CSR.MulVec from 32 to 0 mod 64, and solve_kernel's cpu_ms_per_op rose 13-18 %; goes once the benchmark pins the kernel's alignment (ROADMAP item 6)",
 	"internal/obs.Counter.Value":           "check code: the router tests read its counters",
 	"internal/obs.Snapshot.Counter":        "check code: the service tests read counters from a telemetry snapshot",
 	"internal/chaos.ReadCorpus":            "check code: reads the distilled chaos corpus the tests replay",

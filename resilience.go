@@ -115,7 +115,7 @@ type SolveOptions struct {
 	// fault-free iteration count (the paper's Section 5.2 protocol). That
 	// fault-free baseline is computed once per system and solver
 	// configuration (ranks, tolerance, iteration cap, preconditioning,
-	// overlap, platform) and shared by every later Solve on the same A and
+	// platform) and shared by every later Solve on the same A and
 	// b, whatever its scheme, seed or fault count; the system is recognised
 	// by content, so changing A or b in place between calls is safe.
 	Faults int
@@ -136,10 +136,6 @@ type SolveOptions struct {
 	// Jacobi enables diagonal preconditioning of the distributed CG
 	// (extension beyond the paper).
 	Jacobi bool
-	// Overlap hides the halo exchange behind the interior SpMV in every
-	// distributed matrix-vector product. The iterates are bitwise-
-	// identical either way; only the modeled time and energy change.
-	Overlap bool
 
 	Platform *Platform
 	// KeepPowerSegments retains the full power trace for profiles.
@@ -183,7 +179,6 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		Tol:          opts.Tol,
 		MaxIters:     opts.MaxIters,
 		Jacobi:       opts.Jacobi,
-		Overlap:      opts.Overlap,
 		KeepSegments: opts.KeepPowerSegments,
 		Obs:          opts.Observer,
 		Seed:         opts.Seed,
@@ -226,14 +221,11 @@ func RunExperiment(id, scale string) (*ExperimentResult, error) {
 }
 
 // ExperimentOptions tune how an experiment executes without changing what
-// it measures (except Overlap, which switches the modeled SpMV kernel).
+// it measures.
 type ExperimentOptions struct {
 	// Workers bounds the engine's cell concurrency; zero means
 	// GOMAXPROCS.
 	Workers int
-	// Overlap runs every distributed solve with the halo exchange hidden
-	// behind the interior SpMV; false is the fused seed behavior.
-	Overlap bool
 	// Seed overrides the experiment fault-injection seed; zero keeps the
 	// default (1, the seed behind every checked-in table). The effective
 	// seed is echoed in ExperimentResult.Seed so reports are replayable.
@@ -252,7 +244,6 @@ func RunExperimentOpts(id, scale string, opts ExperimentOptions) (*ExperimentRes
 	}
 	cfg := experiments.Default(sc)
 	cfg.Workers = opts.Workers
-	cfg.Overlap = opts.Overlap
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	}

@@ -402,7 +402,6 @@ func TestSolveBaselineKey(t *testing.T) {
 		"tol":      {Scheme: "LI", Ranks: 4, Faults: 2, Tol: 1e-8},
 		"maxiters": {Scheme: "LI", Ranks: 4, Faults: 2, MaxIters: 900},
 		"jacobi":   {Scheme: "LI", Ranks: 4, Faults: 2, Jacobi: true},
-		"overlap":  {Scheme: "LI", Ranks: 4, Faults: 2, Overlap: true},
 		"platform": {Scheme: "LI", Ranks: 4, Faults: 2, Platform: slow},
 	} {
 		before := sys.BaselineRuns()
