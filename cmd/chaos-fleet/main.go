@@ -185,9 +185,7 @@ func runReplay(args, breakInv string, runner *chaos.Runner, stdout, stderr io.Wr
 		return 2
 	}
 	r := runner.Run(0, s)
-	if breakInv != "" && len(s.Faults) > 0 {
-		r.Violations = append(r.Violations, chaos.SelfTestViolation(breakInv))
-	}
+	r.Break(breakInv)
 	fmt.Fprintln(stdout, r.Line())
 	if rep := r.Report; rep != nil {
 		fmt.Fprintf(stdout, "  scheme=%s iters=%d converged=%t relres=%.3g restarts=%d faults-fired=%d\n",
@@ -195,6 +193,7 @@ func runReplay(args, breakInv string, runner *chaos.Runner, stdout, stderr io.Wr
 		fmt.Fprintf(stdout, "  time=%.6gs energy=%.6gJ avg-power=%.6gW checkpoints=%d\n",
 			rep.Time, rep.Energy, rep.AvgPower, rep.Checkpoints)
 	}
+	fmt.Fprintf(stdout, "  verdict: %s\n", chaos.VerdictOf(r).Encode())
 	if r.Failed() {
 		fmt.Fprintln(stderr, "chaos-fleet: scenario violated invariants")
 		return 1

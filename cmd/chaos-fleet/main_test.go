@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"regexp"
 	"strings"
 	"testing"
+
+	"resilience/internal/chaos"
+	"resilience/internal/chaos/fleet"
+	"resilience/internal/service"
 )
 
 // runArgs runs the command on args and returns its exit status, stdout
@@ -60,6 +65,44 @@ func TestRunReplayAppliesBreak(t *testing.T) {
 	}
 	if code, _, _ := runArgs("-break", "gravity", "-replay", m[1]); code != 2 {
 		t.Fatalf("-replay with an unknown -break invariant exited %d, want 2", code)
+	}
+}
+
+// TestBreakRuleOneVerdict: the -break hook is one rule, so under -break
+// convergence the in-process oracle, a service verdict job and -replay
+// print the same verdict line for a faulted scenario (broken) and for a
+// fault-free one (untouched).
+func TestBreakRuleOneVerdict(t *testing.T) {
+	const broken = chaos.InvConvergence
+	for _, args := range []string{
+		"-grid 6 -ranks 3 -scheme LI -tol 1e-10 -seed 5 -faults SNF@4:r1",
+		"-grid 6 -ranks 2 -scheme LI -tol 1e-10 -ckpt 0 -detect 0 -seed 3",
+	} {
+		s, err := chaos.ParseArgs(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := fleet.NewOracle(broken, 1).Evaluate(context.Background(), []*chaos.Scenario{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := lines[0]
+		if faulted := len(s.Faults) > 0; strings.Contains(oracle, "deliberately broken") != faulted {
+			t.Fatalf("%s: oracle verdict %s, want the self-test violation iff faulted (%t)", args, oracle, faulted)
+		}
+		job, _, err := service.RunJob(context.Background(),
+			service.JobRequest{Scenario: args, Verdict: true, BreakInvariant: broken})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Verdict != oracle {
+			t.Errorf("%s: service verdict differs from the oracle's\n got: %s\nwant: %s", args, job.Verdict, oracle)
+		}
+		_, out, _ := runArgs("-break", broken, "-replay", args)
+		m := regexp.MustCompile(`(?m)^  verdict: (.*)$`).FindStringSubmatch(out)
+		if m == nil || m[1] != oracle {
+			t.Errorf("%s: -replay verdict differs from the oracle's\n got: %s\nwant: %s", args, out, oracle)
+		}
 	}
 }
 

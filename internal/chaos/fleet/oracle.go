@@ -29,8 +29,8 @@ func NewOracle(breakInvariant string, workers int) *Oracle {
 	if workers <= 0 {
 		workers = 1
 	}
-	// The break hook is applied outside the runner, the way the service
-	// applies it (see service.RunJob's verdict path).
+	// The break hook is applied outside the runner, through
+	// chaos.Result.Break, as the service's verdict jobs apply it.
 	return &Oracle{
 		Runner:         chaos.NewRunner(chaos.Options{}),
 		breakInvariant: breakInvariant,
@@ -94,8 +94,6 @@ func (o *Oracle) one(ctx context.Context, s *chaos.Scenario) (string, error) {
 	if res.Err != nil && ctx.Err() != nil {
 		return "", res.Err
 	}
-	if o.breakInvariant != "" && len(parsed.Faults) > 0 {
-		res.Violations = append(res.Violations, chaos.SelfTestViolation(o.breakInvariant))
-	}
+	res.Break(o.breakInvariant)
 	return chaos.VerdictOf(res).Encode(), nil
 }

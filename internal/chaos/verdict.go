@@ -203,11 +203,21 @@ func VerdictOf(r *Result) *Verdict {
 
 // SelfTestViolation is the violation the campaign's -break hook injects:
 // a deliberate failure proving the detection/shrinking pipeline
-// end-to-end. One constructor keeps the detail text identical between the
-// service's verdict jobs and the in-process oracle that mirrors them, so
-// broken runs stay byte-comparable across the fleet and the oracle.
+// end-to-end.
 func SelfTestViolation(invariant string) Violation {
 	return Violation{Invariant: invariant, Detail: "deliberately broken via -break (checker self-test)"}
+}
+
+// Break applies the campaign's -break hook to a scenario's result: a
+// non-empty invariant is violated on purpose in every scenario with
+// faults (a fault-free run has nothing for the shrinker to remove). The
+// in-process oracle, the service's verdict jobs and chaos-fleet -replay
+// all apply the hook through here, so their verdicts for one scenario
+// stay byte-identical.
+func (r *Result) Break(invariant string) {
+	if invariant != "" && len(r.Scenario.Faults) > 0 {
+		r.Violations = append(r.Violations, SelfTestViolation(invariant))
+	}
 }
 
 // HexFloat renders a float64 with every bit intact ('x' format

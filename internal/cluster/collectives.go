@@ -177,7 +177,7 @@ func (c *Comm) allreduce(vals []float64) []float64 {
 	c.checkAbort()
 	sum, tmax := c.rt.coll.enter(c.rank, c.clock, vals)
 	c.advanceTo(tmax, obs.SpanWait)
-	cost := c.rt.plat.CollectiveTime(int64(8*len(vals)), c.rt.p)
+	cost := c.rt.collCost(len(vals))
 	if c.obs != nil {
 		c.obs.Span(obs.SpanCollective, c.clock, cost)
 		c.obs.AddCollective()

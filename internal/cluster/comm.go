@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"resilience/internal/obs"
+	"resilience/internal/power"
 )
 
 // Comm is a rank's handle on the parallel run: its identity, virtual
@@ -16,8 +17,16 @@ type Comm struct {
 
 	clock    float64
 	freq     float64
-	phase    string
 	waitIdle bool // whether waiting time is charged at idle power
+
+	// active and idle are the core's watts at freq, and rate its flop
+	// rate there: fixed by the platform and the frequency, so they are
+	// derived in newComm and SetFreq, not on every clock advance.
+	active, idle, rate float64
+
+	// core is this rank's handle on its core of the run's meter, which
+	// also carries the accounting phase.
+	core power.Core
 
 	// halos counts the halo plans this rank has built; the next one is
 	// paired with its peers' plans of the same number.
@@ -37,11 +46,11 @@ type Comm struct {
 
 func newComm(rank int, rt *Runtime) *Comm {
 	c := &Comm{
-		rank:  rank,
-		rt:    rt,
-		freq:  rt.plat.FreqMax,
-		phase: "solve",
+		rank: rank,
+		rt:   rt,
+		core: rt.meter.Core(rank),
 	}
+	c.setFreq(rt.plat.FreqMax)
 	if rt.rec != nil {
 		c.obs = rt.rec.Rank(rank)
 	}
@@ -73,8 +82,8 @@ func (c *Comm) Freq() float64 { return c.freq }
 // SetPhase switches the accounting phase label for subsequent activity
 // and returns the previous label.
 func (c *Comm) SetPhase(phase string) string {
-	prev := c.phase
-	c.phase = phase
+	prev := c.core.Phase()
+	c.core.SetPhase(phase)
 	return prev
 }
 
@@ -88,8 +97,16 @@ func (c *Comm) SetFreq(f float64) {
 	}
 	// The transition itself is brief; charge it at the lower of the two
 	// powers to avoid rewarding rapid toggling.
-	c.record(c.rt.plat.DVFSLatency, minf(c.rt.plat.PowerIdle(c.freq), c.rt.plat.PowerIdle(f)))
+	c.record(c.rt.plat.DVFSLatency, minf(c.idle, c.rt.plat.PowerIdle(f)))
+	c.setFreq(f)
+}
+
+// setFreq sets the core's frequency and the watts and flop rate that
+// follow from it.
+func (c *Comm) setFreq(f float64) {
+	plat := c.rt.plat
 	c.freq = f
+	c.active, c.idle, c.rate = plat.PowerActive(f), plat.PowerIdle(f), plat.Rate(f)
 }
 
 // SetWaitIdle selects how waiting time (blocked receives, collective
@@ -107,35 +124,30 @@ func (c *Comm) Compute(flops int64) {
 	if flops <= 0 {
 		return
 	}
-	dur := c.rt.plat.ComputeTime(flops, c.freq)
+	dur := float64(flops) / c.rate // platform.ComputeTime at c.freq
 	if c.obs != nil {
 		c.obs.Span(obs.SpanCompute, c.clock, dur)
 		c.obs.AddFlops(flops)
 	}
-	c.record(dur, c.rt.plat.PowerActive(c.freq))
+	c.record(dur, c.active)
 }
 
 // ElapseActive advances the clock by dur seconds at active power. It is
 // used for modeled work that is not flop-shaped (e.g. memory copies).
 func (c *Comm) ElapseActive(dur float64) {
-	c.record(dur, c.rt.plat.PowerActive(c.freq))
+	c.record(dur, c.active)
 }
 
 // ElapseIdle advances the clock by dur seconds at idle power (e.g.
 // blocking on a disk write).
 func (c *Comm) ElapseIdle(dur float64) {
-	c.record(dur, c.rt.plat.PowerIdle(c.freq))
+	c.record(dur, c.idle)
 }
 
-// record advances the clock by dur and meters the energy.
+// record advances the clock by dur and meters the energy; the meter
+// panics on a negative duration.
 func (c *Comm) record(dur, watts float64) {
-	if dur == 0 {
-		return
-	}
-	if dur < 0 {
-		panic(fmt.Sprintf("cluster: rank %d negative duration %g", c.rank, dur))
-	}
-	c.rt.meter.Record(c.rank, c.phase, c.clock, dur, watts)
+	c.core.Record(c.clock, dur, watts)
 	c.clock += dur
 }
 
@@ -149,9 +161,9 @@ func (c *Comm) advanceTo(t float64, kind obs.SpanKind) {
 	if c.obs != nil {
 		c.obs.Span(kind, c.clock, t-c.clock)
 	}
-	watts := c.rt.plat.PowerActive(c.freq)
+	watts := c.active
 	if c.waitIdle {
-		watts = c.rt.plat.PowerIdle(c.freq)
+		watts = c.idle
 	}
 	c.record(t-c.clock, watts)
 }

@@ -31,9 +31,11 @@ type Halo struct {
 
 	// out[k&1][i] is this rank's slot for peers[i] in exchange k, and
 	// arrive[k&1][i] the virtual time it lands at that peer. Peers read
-	// both in place once gen shows exchange k published.
+	// both in place once gen shows exchange k published. cost[i] is the
+	// injection time of slot i, fixed by its length.
 	out    [2][][]float64
 	arrive [2][]float64
+	cost   []float64
 
 	// gen counts the exchanges this rank has published; it is the one word
 	// peers read to synchronize with the slots. next is the owner's own
@@ -41,10 +43,18 @@ type Halo struct {
 	gen  atomic.Uint64
 	next uint64
 
-	// in[i] is peers[i]'s plan, and at[i] this rank's position in that
-	// plan's peer list.
-	in []*Halo
-	at []int
+	// in[i] is where this rank reads peers[i]'s slots.
+	in []inSlot
+}
+
+// inSlot is one peer's plan seen from a reader: the plan, this rank's
+// position in its peer list, and, once the peer has published, the two
+// slots and arrival cells this rank reads there.
+type inSlot struct {
+	h      *Halo
+	at     int
+	vals   [2][]float64
+	arrive [2]*float64
 }
 
 // NewHalo builds this rank's next neighbour-exchange plan and runs its
@@ -61,7 +71,7 @@ func (c *Comm) NewHalo(tag int, peers []int, need [][]int) (h *Halo, give [][]in
 		panic(fmt.Sprintf("cluster: NewHalo needs ascending peers and one need list each (%d peers, %d lists)",
 			len(peers), len(need)))
 	}
-	h = &Halo{c: c, peers: peers, in: make([]*Halo, len(peers)), at: make([]int, len(peers))}
+	h = &Halo{c: c, peers: peers, in: make([]inSlot, len(peers))}
 	// Registered before any need list leaves: a peer looks the plan up
 	// only after receiving this rank's list, so the message orders the
 	// registration before the lookup.
@@ -81,18 +91,22 @@ func (c *Comm) NewHalo(tag int, peers []int, need [][]int) (h *Halo, give [][]in
 		if at == len(peer.peers) || peer.peers[at] != c.rank {
 			panic(fmt.Sprintf("cluster: rank %d's halo plan lists rank %d but not the reverse", c.rank, o))
 		}
-		h.in[i], h.at[i] = peer, at
+		h.in[i] = inSlot{h: peer, at: at}
 	}
 	n := len(peers)
 	vals := make([]float64, 2*total)
 	slots := make([][]float64, 2*n)
-	arrive := make([]float64, 2*n)
+	times := make([]float64, 3*n)
 	for par := range h.out {
 		h.out[par], slots = slots[:n:n], slots[n:]
-		h.arrive[par], arrive = arrive[:n:n], arrive[n:]
+		h.arrive[par], times = times[:n:n], times[n:]
 		for i, g := range give {
 			h.out[par][i], vals = vals[:len(g):len(g)], vals[len(g):]
 		}
+	}
+	h.cost = times
+	for i, g := range give {
+		h.cost[i] = c.rt.plat.P2PTime(int64(8 * len(g)))
 	}
 	return h, give
 }
@@ -118,9 +132,10 @@ func (rt *Runtime) lookupHalo(rank, k int) *Halo {
 	return rt.halos[k*rt.p+rank]
 }
 
-// Slot returns this rank's outgoing slot for peers[i] in the next
-// exchange. The caller fills every slot, then publishes them with Send.
-func (h *Halo) Slot(i int) []float64 { return h.out[h.next&1][i] }
+// Slots returns this rank's outgoing slots for the next exchange, slot i
+// for peers[i]. The caller fills every slot, then publishes them with
+// Send.
+func (h *Halo) Slots() [][]float64 { return h.out[h.next&1] }
 
 // Send publishes the next exchange as blocking sends, one per peer in
 // peer order: each charges the injection cost to the rank's clock at
@@ -130,8 +145,9 @@ func (h *Halo) Send() {
 	c := h.c
 	c.checkAbort()
 	par := h.next & 1
+	arrive := h.arrive[par]
 	for i, slot := range h.out[par] {
-		h.arrive[par][i] = c.inject(len(slot))
+		arrive[i] = c.inject(len(slot), h.cost[i])
 	}
 	h.publish()
 }
@@ -144,7 +160,7 @@ func (h *Halo) publish() {
 	sc := &h.c.rt.sched
 	for _, o := range h.peers {
 		w := &sc.recs[o]
-		if s, ok := w.waiting(); ok && w.h.Load() == h && uint64(w.at.Load()) < h.next {
+		if s, ok := w.waiting(); ok && waitKind(w.kind.Load()) == waitHalo && w.h.Load() == h && uint64(w.at.Load()) < h.next {
 			sc.wake(o, s)
 		}
 	}
@@ -161,19 +177,26 @@ func (h *Halo) Recv(i int) []float64 {
 		panic("cluster: Halo.Recv before the first Send")
 	}
 	k := h.next - 1
-	peer := h.in[i]
-	g := peer.gen.Load()
+	in := &h.in[i]
+	g := in.h.gen.Load()
 	if g <= k {
 		h.await(i, k)
-		g = peer.gen.Load()
+		g = in.h.gen.Load()
 	}
 	if g > k+2 {
 		panic(fmt.Sprintf("cluster: halo run-ahead: rank %d reads exchange %d but rank %d has published %d",
 			h.c.rank, k, h.peers[i], g))
 	}
-	par, at := k&1, h.at[i]
-	vals := peer.out[par][at]
-	h.c.arrived(peer.arrive[par][at], len(vals))
+	if in.arrive[0] == nil {
+		// The peer has published, so its plan's slots are built and
+		// fixed for the run: look them up once.
+		for par := range in.vals {
+			in.vals[par], in.arrive[par] = in.h.out[par][in.at], &in.h.arrive[par][in.at]
+		}
+	}
+	par := k & 1
+	vals := in.vals[par]
+	h.c.arrived(*in.arrive[par], len(vals))
 	return vals
 }
 
@@ -182,7 +205,7 @@ func (h *Halo) Recv(i int) []float64 {
 // record: an exited peer that never published is a deadlock, reported
 // with both ranks named.
 func (h *Halo) await(i int, k uint64) {
-	c, peer, from := h.c, h.in[i], h.peers[i]
+	c, peer, from := h.c, h.in[i].h, h.peers[i]
 	rt := c.rt
 	w := &rt.sched.recs[c.rank]
 	for peer.gen.Load() <= k && !rt.abortFlag.Load() {

@@ -52,8 +52,8 @@ func TestHaloNewReturnsPeersNeeds(t *testing.T) {
 		h, give := c.NewHalo(50, peers, need)
 		for i, o := range peers {
 			want := []int{o, c.Rank(), 7, 7}[:1+o%4]
-			if fmt.Sprint(give[i]) != fmt.Sprint(want) || len(h.Slot(i)) != len(want) {
-				return fmt.Errorf("rank %d from %d: got %v (slot %d), want %v", c.Rank(), o, give[i], len(h.Slot(i)), want)
+			if fmt.Sprint(give[i]) != fmt.Sprint(want) || len(h.Slots()[i]) != len(want) {
+				return fmt.Errorf("rank %d from %d: got %v (slot %d), want %v", c.Rank(), o, give[i], len(h.Slots()[i]), want)
 			}
 		}
 		return nil
@@ -69,9 +69,9 @@ func TestHaloSlotsDoubleBuffered(t *testing.T) {
 		err := runWithWatchdog(t, 2, func(c *Comm) error {
 			h := testHalo(c, others(c), fixed(2))
 			if c.Rank() == 0 {
-				copy(h.Slot(0), []float64{1, 2})
+				copy(h.Slots()[0], []float64{1, 2})
 				h.Send()
-				copy(h.Slot(0), []float64{9, 9})
+				copy(h.Slots()[0], []float64{9, 9})
 				refilled.Store(true)
 				h.Recv(0)
 				h.Send()
@@ -157,7 +157,7 @@ func TestHaloRunAheadPanics(t *testing.T) {
 				return nil
 			}
 			h.Send()
-			if err := awaitState(c, "rank 0 publishes three exchanges", func() bool { return h.in[0].gen.Load() == 3 }); err != nil {
+			if err := awaitState(c, "rank 0 publishes three exchanges", func() bool { return h.in[0].h.gen.Load() == 3 }); err != nil {
 				return err
 			}
 			h.Recv(0)
@@ -189,7 +189,7 @@ func TestHaloStress(t *testing.T) {
 			}
 			for ex := 0; ex < rounds; ex++ {
 				for i := range peers {
-					slot := h.Slot(i)
+					slot := h.Slots()[i]
 					for j := range slot {
 						slot[j] = val(rank, ex, j)
 					}

@@ -104,15 +104,14 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	if to < 0 || to >= c.rt.p {
 		panic(fmt.Sprintf("cluster: Send to invalid rank %d", to))
 	}
-	c.post(to, tag, data, c.inject(len(data)))
+	c.post(to, tag, data, c.inject(len(data), c.rt.plat.P2PTime(int64(8*len(data)))))
 }
 
-// inject charges a blocking send of n values: the sender is occupied at
-// active power for the injection, which ends at the returned clock, the
-// message's arrival time.
-func (c *Comm) inject(n int) float64 {
+// inject charges a blocking send of n values that takes cost seconds to
+// inject: the sender is occupied at active power for the injection, which
+// ends at the returned clock, the message's arrival time.
+func (c *Comm) inject(n int, cost float64) float64 {
 	bytes := int64(8 * n)
-	cost := c.rt.plat.P2PTime(bytes)
 	if c.obs != nil {
 		c.obs.Span(obs.SpanSend, c.clock, cost)
 		c.obs.AddSend(bytes)
@@ -133,7 +132,7 @@ func (c *Comm) post(to, tag int, data []float64, arrive float64) {
 	copy(buf, data)
 	q.msgs = append(q.msgs, message{data: buf, arrive: arrive})
 	s, waiting := w.waiting()
-	waiting = waiting && w.q.Load() == q
+	waiting = waiting && waitKind(w.kind.Load()) == waitRecv && w.q.Load() == q
 	ib.mu.Unlock()
 	if waiting {
 		c.rt.sched.wake(to, s)

@@ -63,6 +63,10 @@ type Runtime struct {
 	inboxes []inbox // indexed by receiving rank
 	sched   sched
 
+	// collN[n] is the tree cost of allreducing n <= inlineVals values (the
+	// dot products), fixed by the platform and p.
+	collN [inlineVals + 1]float64
+
 	// nnz is the nonzero count of the operator the ranks apply, which
 	// sizes the run's execution tokens; 0 when unknown (one token).
 	nnz int
@@ -98,19 +102,34 @@ type abortPanic struct{ err error }
 // NewRuntime builds a runtime for p ranks applying an operator of nnz
 // nonzeros (0 if there is none or it is unknown). nnz only sizes how many
 // cores the host lends the run; nothing the run reports depends on it.
+//
+// plat is read-only for the runtime's life: the costs and powers the
+// ranks charge are derived from it once, when the runtime, a rank's Comm,
+// a halo plan or a frequency change is set up, not on every event.
 func NewRuntime(p, nnz int, plat *platform.Platform, meter *power.Meter) *Runtime {
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
 	rt := &Runtime{p: p, nnz: nnz, plat: plat, meter: meter,
 		exited: make([]atomic.Uint64, (p+63)/64)}
-	// Pre-size the meter's per-core table so every clock advance takes the
-	// meter's lock-free single-writer path (core id = rank).
+	for n := range rt.collN {
+		rt.collN[n] = plat.CollectiveTime(int64(8*n), p)
+	}
+	// Size the meter's per-core table before any rank takes its core's
+	// handle (core id = rank).
 	meter.Reserve(p)
 	rt.coll = newCollectiveState(p, rt)
 	rt.inboxes = newInboxes(p)
 	rt.sched.init(rt)
 	return rt
+}
+
+// collCost returns the tree cost of allreducing n values.
+func (rt *Runtime) collCost(n int) float64 {
+	if n <= inlineVals {
+		return rt.collN[n]
+	}
+	return rt.plat.CollectiveTime(int64(8*n), rt.p)
 }
 
 // markExited records that a rank's function returned and wakes the

@@ -105,10 +105,10 @@ const (
 type waitRec struct {
 	state atomic.Uint64
 	kind  atomic.Uint32
-	peer  atomic.Int32 // recv: the sender; halo: the peer
-	at    atomic.Int64 // recv: the tag; halo: the exchange; coll: the generation
-	q     atomic.Pointer[msgQueue]
-	h     atomic.Pointer[Halo]
+	peer  atomic.Int32             // recv: the sender; halo: the peer
+	at    atomic.Int64             // recv: the tag; halo: the exchange; coll: the generation
+	q     atomic.Pointer[msgQueue] // recv only
+	h     atomic.Pointer[Halo]     // halo only
 
 	seq   uint64 // the owner's count of its waits
 	group *group
@@ -249,10 +249,17 @@ func (g *group) takeFrom(i int) int {
 // found no waiting bit to clear, is not lost.
 func (w *waitRec) begin(kind waitKind, peer int, at int64, q *msgQueue, h *Halo) uint64 {
 	w.kind.Store(uint32(kind))
-	w.peer.Store(int32(peer))
 	w.at.Store(at)
-	w.q.Store(q)
-	w.h.Store(h)
+	// Only the fields of this kind of wait are stored; the wakers check
+	// the kind before reading them.
+	switch kind {
+	case waitRecv:
+		w.peer.Store(int32(peer))
+		w.q.Store(q)
+	case waitHalo:
+		w.peer.Store(int32(peer))
+		w.h.Store(h)
+	}
 	w.seq++
 	s := w.seq<<1 | 1
 	w.state.Store(s)

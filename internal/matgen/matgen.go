@@ -175,24 +175,35 @@ func Laplacian1D(n int) *sparse.CSR {
 
 // Laplacian2D returns the 5-point stencil discretization of the Laplacian
 // on a g x g grid (n = g² rows, up to 5 nnz/row) — the paper's "5-point
-// stencil" matrix.
+// stencil" matrix. Each row's entries are emitted in column order
+// (i−g, i−1, i, i+1, i+g), straight into CSR.
 func Laplacian2D(g int) *sparse.CSR {
 	n := g * g
-	coo := sparse.NewCOO(n, n)
-	idx := func(r, c int) int { return r*g + c }
+	m := sparse.NewCSR(n, n, n+4*g*(g-1))
+	add := func(j int, v float64) {
+		m.ColIdx = append(m.ColIdx, j)
+		m.Val = append(m.Val, v)
+	}
 	for r := 0; r < g; r++ {
 		for c := 0; c < g; c++ {
-			i := idx(r, c)
-			coo.Add(i, i, 4)
+			i := r*g + c
+			if r > 0 {
+				add(i-g, -1)
+			}
+			if c > 0 {
+				add(i-1, -1)
+			}
+			add(i, 4)
 			if c+1 < g {
-				coo.AddSym(i, idx(r, c+1), -1)
+				add(i+1, -1)
 			}
 			if r+1 < g {
-				coo.AddSym(i, idx(r+1, c), -1)
+				add(i+g, -1)
 			}
+			m.RowPtr[i+1] = len(m.Val)
 		}
 	}
-	return coo.ToCSR()
+	return m
 }
 
 // Laplacian3D returns the 7-point stencil discretization on a g³ grid.

@@ -2,11 +2,13 @@ package matgen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"resilience/internal/dense"
 	"resilience/internal/solver"
+	"resilience/internal/sparse"
 )
 
 func TestLaplacian1DStructure(t *testing.T) {
@@ -19,6 +21,45 @@ func TestLaplacian1DStructure(t *testing.T) {
 	}
 	if !a.IsSymmetric(0) {
 		t.Error("not symmetric")
+	}
+}
+
+// laplacian2DCOO is the 5-point stencil assembled through a COO and
+// sorted into CSR: the oracle for the direct CSR build.
+func laplacian2DCOO(g int) *sparse.CSR {
+	n := g * g
+	coo := sparse.NewCOO(n, n)
+	for r := 0; r < g; r++ {
+		for c := 0; c < g; c++ {
+			i := r*g + c
+			coo.Add(i, i, 4)
+			if c+1 < g {
+				coo.AddSym(i, i+1, -1)
+			}
+			if r+1 < g {
+				coo.AddSym(i, i+g, -1)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestLaplacian2DMatchesCOO: building the stencil straight into CSR gives
+// the matrix the COO assembly gives, bit for bit (shape, row pointers,
+// column order, values and capacity).
+func TestLaplacian2DMatchesCOO(t *testing.T) {
+	for g := 1; g <= 16; g++ {
+		got, want := Laplacian2D(g), laplacian2DCOO(g)
+		if got.Rows != want.Rows || got.Cols != want.Cols ||
+			!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) ||
+			cap(got.Val) != cap(want.Val) {
+			t.Fatalf("g=%d: structure differs:\n got %v %v\nwant %v %v", g, got.RowPtr, got.ColIdx, want.RowPtr, want.ColIdx)
+		}
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("g=%d: value %d is %v, want %v", g, k, got.Val[k], want.Val[k])
+			}
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ func goldenRecorder() (*Recorder, *power.Meter) {
 
 	m := power.NewMeter(true)
 	m.Reserve(2)
-	m.Record(0, "solve", 0, 1e-6, 90)
-	m.Record(0, "solve", 2e-6, 1e-6, 90)
-	m.Record(1, "solve", 0, 3e-6, 50)
+	c0, c1 := m.Core(0), m.Core(1)
+	c0.Record(0, 1e-6, 90)
+	c0.Record(2e-6, 1e-6, 90)
+	c1.Record(0, 3e-6, 50)
 	return rec, m
 }
 

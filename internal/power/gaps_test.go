@@ -9,10 +9,10 @@ func TestGapsDetection(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(2)
 	// Core 0: contiguous, then a 0.5s hole, then more work. Core 1: solid.
-	m.Record(0, "solve", 0, 1, 10)
-	m.Record(0, "solve", 1, 0.5, 20) // different watts: not coalesced
-	m.Record(0, "solve", 2, 1, 10)   // hole (1.5, 2)
-	m.Record(1, "solve", 0.25, 3, 5) // leading idle is not a gap
+	record(m, 0, "solve", 0, 1, 10)
+	record(m, 0, "solve", 1, 0.5, 20) // different watts: not coalesced
+	record(m, 0, "solve", 2, 1, 10)   // hole (1.5, 2)
+	record(m, 1, "solve", 0.25, 3, 5) // leading idle is not a gap
 	gaps := m.Gaps(1e-9)
 	if len(gaps) != 1 {
 		t.Fatalf("got %d gaps %v, want 1", len(gaps), gaps)
@@ -32,9 +32,9 @@ func TestGapsCoveredOutOfOrder(t *testing.T) {
 	m.Reserve(3)
 	// Overlapping and out-of-order segments on one core still count as
 	// full coverage: Gaps sorts and tracks the running max end.
-	m.Record(2, "solve", 1, 1, 10)
-	m.Record(2, "ckpt", 0, 1.5, 10)
-	m.Record(2, "solve", 2, 1, 10)
+	record(m, 2, "solve", 1, 1, 10)
+	record(m, 2, "ckpt", 0, 1.5, 10)
+	record(m, 2, "solve", 2, 1, 10)
 	if gaps := m.Gaps(1e-9); len(gaps) != 0 {
 		t.Errorf("covered timeline reports gaps %v", gaps)
 	}
@@ -46,9 +46,9 @@ func TestGapsCoveredOutOfOrder(t *testing.T) {
 func TestCoalescingSurvivesInterleaving(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(2)
-	m.Record(0, "solve", 0, 1, 10)
-	m.Record(1, "solve", 0, 2, 5)
-	m.Record(0, "solve", 1, 1, 10)
+	record(m, 0, "solve", 0, 1, 10)
+	record(m, 1, "solve", 0, 2, 5)
+	record(m, 0, "solve", 1, 1, 10)
 	segs := m.Segments()
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments %v, want 2 (core 0 coalesced)", len(segs), segs)
@@ -82,6 +82,7 @@ func TestEnergyDeterministicUnderRaces(t *testing.T) {
 		for c := 0; c < cores; c++ {
 			go func(c int) {
 				r := rand.New(rand.NewSource(seed + int64(c)))
+				h := m.Core(c)
 				clock := 0.0
 				for i := 0; i < recs; i++ {
 					d := r.Float64()/3 + 1e-4
@@ -89,7 +90,8 @@ func TestEnergyDeterministicUnderRaces(t *testing.T) {
 					if i%7 == 0 {
 						ph = "reconstruct"
 					}
-					m.Record(c, ph, clock, d, 10+r.Float64())
+					h.SetPhase(ph)
+					h.Record(clock, d, 10+r.Float64())
 					clock += d
 				}
 				done <- struct{}{}

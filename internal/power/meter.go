@@ -7,9 +7,9 @@
 // governor does).
 //
 // The meter stores (core, phase, start, duration, watts) segments.
-// Each core reserved with Reserve may be recorded by its own goroutine
-// concurrently with the others. Contiguous segments with identical
-// core/phase/watts are coalesced to bound memory.
+// Each core reserved with Reserve is recorded through its own Core
+// handle, by its own goroutine, concurrently with the others. Contiguous
+// segments with identical core/phase/watts are coalesced to bound memory.
 package power
 
 import (
@@ -46,13 +46,14 @@ func (s Segment) Energy() float64 { return s.Watts * s.Dur }
 // interleaving).
 type Meter struct {
 	mu       sync.Mutex
-	cores    []coreMeter // dense, indexed by core id, grown on demand
+	cores    []coreMeter // dense, indexed by core id
 	keepSegs bool
+	// bound is set once a Core handle has been taken: the handles point
+	// into cores, so Reserve may no longer move it.
+	bound bool
 }
 
-// coreMeter is one core's accumulator. Dense per-core state (vs. the
-// former int-keyed maps) makes Record — which runs on every virtual
-// clock advance of every rank — an index plus a float add.
+// coreMeter is one core's accumulator.
 type coreMeter struct {
 	energy  float64
 	lastEnd float64
@@ -61,23 +62,11 @@ type coreMeter struct {
 }
 
 // phaseEnergy is one (phase, energy) entry. A core sees only a handful
-// of phase labels, so a linear scan with Go's pointer-first string
-// compare beats hashing the label on every record; the per-record `+=`
-// sequence (and hence every reported bit) is unchanged from the map
-// implementation.
+// of phase labels, so a Core handle finds its phase's entry by a linear
+// scan, once per phase switch.
 type phaseEnergy struct {
 	phase string
 	e     float64
-}
-
-func (cm *coreMeter) addPhase(phase string, e float64) {
-	for i := range cm.phases {
-		if cm.phases[i].phase == phase {
-			cm.phases[i].e += e
-			return
-		}
-	}
-	cm.phases = append(cm.phases, phaseEnergy{phase: phase, e: e})
 }
 
 // NewMeter returns a meter. If keepSegments is false, only aggregate
@@ -88,64 +77,106 @@ func NewMeter(keepSegments bool) *Meter {
 }
 
 // Reserve sizes the per-core table for cores [0, n); only reserved cores
-// can be recorded. Records take no lock: each core's accumulator is
-// written by exactly one rank goroutine (core id = rank) and aggregate
-// reads happen after the run joins, so no synchronization is needed
-// beyond the run's own edges. The cluster runtime reserves its full rank
-// range before any rank starts. Record runs on every virtual clock
-// advance of every rank, so a global mutex there would be the one
-// cross-rank serialization point of the simulation hot path.
+// can be recorded. The cluster runtime reserves its full rank range
+// before any rank starts, and each rank then takes its core's handle.
+// Reserve must not move a core a handle points at: once Core has been
+// called, a Reserve that would grow the table panics.
 func (m *Meter) Reserve(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n > len(m.cores) {
+		if m.bound {
+			panic(fmt.Sprintf("power: Reserve(%d) would move the %d cores that Core handles point at", n, len(m.cores)))
+		}
 		grown := make([]coreMeter, n)
 		copy(grown, m.cores)
 		m.cores = grown
 	}
 }
 
-// Record adds a segment to a reserved core. Zero-duration segments are
-// ignored; negative durations panic (they indicate a virtual-clock bug),
-// and so does a record on a core that Reserve did not reserve.
-func (m *Meter) Record(core int, phase string, start, dur, watts float64) {
-	if dur == 0 {
-		return
-	}
-	if dur < 0 || math.IsNaN(dur) {
-		panic(fmt.Sprintf("power: negative/NaN duration %g on core %d phase %q", dur, core, phase))
-	}
-	if watts < 0 || math.IsNaN(watts) {
-		panic(fmt.Sprintf("power: negative/NaN power %g on core %d phase %q", watts, core, phase))
-	}
+// Core is the handle through which one core's energy is recorded: the
+// one record path of the meter. Records take no lock: each core is
+// written through one handle by exactly one rank goroutine (core id =
+// rank), and aggregate reads happen after the run joins, so no
+// synchronization is needed beyond the run's own edges. Record runs on
+// every virtual clock advance of every rank, so a handle keeps what a
+// record would otherwise look up: the core's accumulator and the current
+// phase's energy entry.
+type Core struct {
+	cm    *coreMeter
+	id    int
+	keep  bool
+	phase string
+	// pe is phase's index in cm.phases, or -1 until the first record in
+	// the phase: a phase that records nothing gets no entry.
+	pe int
+}
+
+// Core returns the recording handle of a reserved core, in phase
+// "solve". It panics on a core that Reserve did not reserve.
+func (m *Meter) Core(core int) Core {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if core < 0 || core >= len(m.cores) {
 		panic(fmt.Sprintf("power: record on core %d, which Reserve did not reserve (%d reserved)", core, len(m.cores)))
 	}
-	m.cores[core].record(core, phase, start, dur, watts, m.keepSegs)
+	m.bound = true
+	return Core{cm: &m.cores[core], id: core, keep: m.keepSegs, phase: "solve", pe: -1}
 }
 
-// record adds one segment to the core's accumulator, retaining it when
-// keep is set. A retained segment is coalesced with the core's previous
-// one when contiguous and identical in phase and power.
-func (cm *coreMeter) record(core int, phase string, start, dur, watts float64, keep bool) {
+// Phase returns the label subsequent records are charged to.
+func (h *Core) Phase() string { return h.phase }
+
+// SetPhase switches the label subsequent records are charged to.
+func (h *Core) SetPhase(phase string) {
+	h.phase, h.pe = phase, -1
+}
+
+// Record adds a segment to the core. Zero-duration segments are ignored;
+// negative or NaN durations and powers panic (they indicate a
+// virtual-clock bug). A retained segment is coalesced with the core's
+// previous one when contiguous and identical in phase and power.
+func (h *Core) Record(start, dur, watts float64) {
+	if !(dur > 0) || !(watts >= 0) {
+		if dur == 0 {
+			return
+		}
+		panic(fmt.Sprintf("power: negative/NaN duration %g or power %g on core %d phase %q", dur, watts, h.id, h.phase))
+	}
+	cm := h.cm
 	e := watts * dur
 	cm.energy += e
-	cm.addPhase(phase, e)
+	if h.pe < 0 {
+		h.pe = cm.phaseEntry(h.phase)
+	}
+	cm.phases[h.pe].e += e
 	if end := start + dur; end > cm.lastEnd {
 		cm.lastEnd = end
 	}
-	if !keep {
+	if !h.keep {
 		return
 	}
 	if n := len(cm.segs); n > 0 {
 		last := &cm.segs[n-1]
-		if last.Phase == phase && last.Watts == watts &&
+		if last.Phase == h.phase && last.Watts == watts &&
 			math.Abs(last.End()-start) < 1e-12 {
 			last.Dur += dur
 			return
 		}
 	}
-	cm.segs = append(cm.segs, Segment{Core: core, Phase: phase, Start: start, Dur: dur, Watts: watts})
+	cm.segs = append(cm.segs, Segment{Core: h.id, Phase: h.phase, Start: start, Dur: dur, Watts: watts})
+}
+
+// phaseEntry returns the index of phase's entry, adding a zero one if the
+// core has none yet.
+func (cm *coreMeter) phaseEntry(phase string) int {
+	for i := range cm.phases {
+		if cm.phases[i].phase == phase {
+			return i
+		}
+	}
+	cm.phases = append(cm.phases, phaseEnergy{phase: phase})
+	return len(cm.phases) - 1
 }
 
 // TotalEnergy returns the total recorded energy in joules, reduced over
@@ -218,7 +249,7 @@ type Gap struct {
 // from each core's first recorded segment to its last (cores start at
 // different times by construction, so leading idle is not a gap). A
 // non-empty result indicates a clock-accounting bug: every clock advance
-// is supposed to pass through Record. Requires segment retention; it
+// is supposed to pass through a Core's Record. Requires segment retention; it
 // panics otherwise, since an empty answer from a segment-less meter would
 // falsely report full coverage.
 func (m *Meter) Gaps(tol float64) []Gap {

@@ -8,12 +8,19 @@ import (
 	"testing/quick"
 )
 
+// record adds one segment to core through a fresh handle set to phase.
+func record(m *Meter, core int, phase string, start, dur, watts float64) {
+	h := m.Core(core)
+	h.SetPhase(phase)
+	h.Record(start, dur, watts)
+}
+
 func TestMeterTotals(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(2)
-	m.Record(0, "solve", 0, 2, 10) // 20 J
-	m.Record(1, "solve", 0, 2, 10) // 20 J
-	m.Record(0, "ckpt", 2, 1, 5)   // 5 J
+	record(m, 0, "solve", 0, 2, 10) // 20 J
+	record(m, 1, "solve", 0, 2, 10) // 20 J
+	record(m, 0, "ckpt", 2, 1, 5)   // 5 J
 	if got := m.TotalEnergy(); got != 45 {
 		t.Errorf("total %g want 45", got)
 	}
@@ -29,9 +36,9 @@ func TestMeterTotals(t *testing.T) {
 func TestMeterCoalescing(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(1)
-	m.Record(0, "solve", 0, 1, 10)
-	m.Record(0, "solve", 1, 1, 10) // contiguous, same power: coalesce
-	m.Record(0, "solve", 2, 1, 20) // different power: new segment
+	record(m, 0, "solve", 0, 1, 10)
+	record(m, 0, "solve", 1, 1, 10) // contiguous, same power: coalesce
+	record(m, 0, "solve", 2, 1, 20) // different power: new segment
 	segs := m.Segments()
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments, want 2: %v", len(segs), segs)
@@ -44,7 +51,7 @@ func TestMeterCoalescing(t *testing.T) {
 func TestMeterZeroDurationIgnored(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(1)
-	m.Record(0, "solve", 0, 0, 10)
+	record(m, 0, "solve", 0, 0, 10)
 	if len(m.Segments()) != 0 || m.TotalEnergy() != 0 {
 		t.Error("zero-duration segment recorded")
 	}
@@ -54,9 +61,9 @@ func TestMeterPanicsOnNegative(t *testing.T) {
 	m := NewMeter(false)
 	m.Reserve(1)
 	for _, fn := range []func(){
-		func() { m.Record(0, "x", 0, -1, 1) },
-		func() { m.Record(0, "x", 0, 1, -1) },
-		func() { m.Record(0, "x", 0, math.NaN(), 1) },
+		func() { record(m, 0, "x", 0, -1, 1) },
+		func() { record(m, 0, "x", 0, 1, -1) },
+		func() { record(m, 0, "x", 0, math.NaN(), 1) },
 	} {
 		func() {
 			defer func() {
@@ -83,15 +90,60 @@ func TestMeterRecordNeedsReserve(t *testing.T) {
 					t.Errorf("core %d: want the unreserved-core panic, got %q", core, msg)
 				}
 			}()
-			m.Record(core, "solve", 0, 1, 10)
+			record(m, core, "solve", 0, 1, 10)
 		}()
 	}
+}
+
+// TestCorePhaseResolvedLazily: a handle resolves its phase's energy
+// entry at the first record in the phase, so a phase that records
+// nothing (or only zero durations) never appears in EnergyByPhase, and
+// switching back to a phase keeps adding to its one entry.
+func TestCorePhaseResolvedLazily(t *testing.T) {
+	m := NewMeter(false)
+	m.Reserve(1)
+	h := m.Core(0)
+	h.Record(0, 1, 10)
+	h.SetPhase("empty")
+	h.Record(1, 0, 10)
+	h.SetPhase("ckpt")
+	h.Record(1, 1, 5)
+	h.SetPhase("solve")
+	h.Record(2, 1, 10)
+	by := m.EnergyByPhase()
+	if len(by) != 2 || by["solve"] != 20 || by["ckpt"] != 5 {
+		t.Errorf("by phase %v, want solve 20 and ckpt 5 only", by)
+	}
+	if got := h.Phase(); got != "solve" {
+		t.Errorf("Phase() = %q", got)
+	}
+}
+
+// TestReserveKeepsBoundCores: handles point into the core table, so once
+// one is taken a Reserve that would move the table panics, and one that
+// would not is a no-op.
+func TestReserveKeepsBoundCores(t *testing.T) {
+	m := NewMeter(false)
+	m.Reserve(2)
+	h := m.Core(1)
+	m.Reserve(2)
+	h.Record(0, 1, 10)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "would move") {
+			t.Errorf("want the moved-core panic, got %q", msg)
+		}
+		if m.TotalEnergy() != 10 {
+			t.Errorf("total %g want 10", m.TotalEnergy())
+		}
+	}()
+	m.Reserve(3)
 }
 
 func TestMeterNoSegmentsMode(t *testing.T) {
 	m := NewMeter(false)
 	m.Reserve(1)
-	m.Record(0, "solve", 0, 1, 10)
+	record(m, 0, "solve", 0, 1, 10)
 	if len(m.Segments()) != 0 {
 		t.Error("segments retained in aggregate mode")
 	}
@@ -111,8 +163,9 @@ func TestMeterConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			h := m.Core(c)
 			for i := 0; i < 100; i++ {
-				m.Record(c, "solve", float64(i), 1, 2)
+				h.Record(float64(i), 1, 2)
 			}
 		}(core)
 	}
@@ -130,7 +183,7 @@ func TestQuickTimelineConservesEnergy(t *testing.T) {
 		t0 := 0.0
 		for i, d := range durs {
 			d = math.Mod(math.Abs(d), 5) + 0.01
-			m.Record(i%3, "solve", t0, d, float64(i%4)+1)
+			record(m, i%3, "solve", t0, d, float64(i%4)+1)
 			t0 += d / 2 // overlapping segments across cores
 		}
 		if m.Span() == 0 {
@@ -150,9 +203,9 @@ func TestQuickTimelineConservesEnergy(t *testing.T) {
 func TestPhaseWindowsMerge(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(2)
-	m.Record(0, "reconstruct", 1, 1, 5)
-	m.Record(1, "reconstruct", 1.5, 1, 5) // overlaps -> merged
-	m.Record(0, "reconstruct", 5, 1, 5)   // separate window
+	record(m, 0, "reconstruct", 1, 1, 5)
+	record(m, 1, "reconstruct", 1.5, 1, 5) // overlaps -> merged
+	record(m, 0, "reconstruct", 5, 1, 5)   // separate window
 	ws := m.PhaseWindows("reconstruct")
 	if len(ws) != 2 {
 		t.Fatalf("windows %v", ws)
@@ -168,7 +221,7 @@ func TestPhaseWindowsMerge(t *testing.T) {
 func TestTimelinePanicsOnBadDt(t *testing.T) {
 	m := NewMeter(true)
 	m.Reserve(1)
-	m.Record(0, "solve", 0, 1, 1)
+	record(m, 0, "solve", 0, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

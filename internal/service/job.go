@@ -225,9 +225,7 @@ func runVerdictJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Record
 	if res.Err != nil && ctx.Err() != nil {
 		return nil, nil, res.Err
 	}
-	if req.BreakInvariant != "" && len(s.Faults) > 0 {
-		res.Violations = append(res.Violations, chaos.SelfTestViolation(req.BreakInvariant))
-	}
+	res.Break(req.BreakInvariant)
 	v := chaos.VerdictOf(res)
 	out := reportResult("verdict", res.Report)
 	out.Verdict = v.Encode()

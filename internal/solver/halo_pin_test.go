@@ -113,3 +113,62 @@ var haloPins = map[string]string{
 	"banded/p16": "9cd030e70e621db407550760b426df07d544fd0e86335101ac6116b7568532e0",
 	"banded/p32": "fbe626ae00250abd78afb534c12f161ed6041fbfbeeb5d51bf947fca2763ad08",
 }
+
+// TestGhostRunsContiguous: NewLocalOp receives each neighbour's values
+// with one copy into one run of ghost slots. The runs must partition the
+// ghost slots in neighbour order, every column of a run must be owned by
+// its neighbour and ascend, and the assembled [own | ghost] vector must
+// hold each ghost column's global value — on the near all-to-all halo of
+// bcsstk06 over 16 ranks and on a 2-D grid.
+func TestGhostRunsContiguous(t *testing.T) {
+	spec, err := matgen.Lookup("bcsstk06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		p    int
+	}{
+		{"bcsstk06@ci", spec.Generate(matgen.CI), 16},
+		{"grid12", matgen.Laplacian2D(12), 5},
+	} {
+		part := sparse.NewPartition(tc.a.Rows, tc.p)
+		xg := make([]float64, tc.a.Rows)
+		for i := range xg {
+			xg[i] = float64(i) + 0.5
+		}
+		_, err := cluster.Run(tc.p, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
+			op := NewLocalOp(c, tc.a, part)
+			col := make([]int, op.nGhost) // ghost slot -> global column
+			for g, s := range op.ghostSlot {
+				col[s] = g
+			}
+			if len(op.recvOff) != len(op.neighbors)+1 || op.recvOff[0] != 0 || op.recvOff[len(op.neighbors)] != op.nGhost {
+				return fmt.Errorf("rank %d: runs %v do not cover %d ghost slots of %d neighbours", c.Rank(), op.recvOff, op.nGhost, len(op.neighbors))
+			}
+			for ni, o := range op.neighbors {
+				lo, hi := op.recvOff[ni], op.recvOff[ni+1]
+				if lo >= hi {
+					return fmt.Errorf("rank %d: empty run for neighbour %d", c.Rank(), o)
+				}
+				for s := lo; s < hi; s++ {
+					if part.Owner(col[s]) != o || (s > lo && col[s] <= col[s-1]) {
+						return fmt.Errorf("rank %d: ghost slot %d (col %d) breaks neighbour %d's run", c.Rank(), s, col[s], o)
+					}
+				}
+			}
+			lo, hi := part.Range(c.Rank())
+			buf := op.GatherHalo(c, xg[lo:hi])
+			for s, g := range col {
+				if buf[op.N+s] != xg[g] {
+					return fmt.Errorf("rank %d: ghost slot %d holds %v, want column %d's %v", c.Rank(), s, buf[op.N+s], g, xg[g])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}

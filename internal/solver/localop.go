@@ -7,7 +7,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"resilience/internal/cluster"
 	"resilience/internal/obs"
@@ -43,8 +42,10 @@ type LocalOp struct {
 	// values: GatherHalo writes straight into its outgoing slots and reads
 	// straight from the neighbors' slots.
 	neighbors []int
-	sendIdx   [][]int     // local row offsets each neighbor needs from us
-	recvSlot  [][]int     // ghost slots for each neighbor's values, in the order it sends them
+	sendIdx   [][]int // local row offsets each neighbor needs from us
+	// recvOff[i]:recvOff[i+1] are the ghost slots of neighbors[i]'s
+	// values, one run in the order it sends them.
+	recvOff   []int
 	ghostSlot map[int]int // global col -> ghost slot
 	nGhost    int
 	halo      *cluster.Halo
@@ -73,26 +74,27 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 	}
 
 	// Group halo columns by owner. The columns come sorted and block rows
-	// are contiguous, so each owner's columns are one run and the owners
-	// appear in ascending order.
+	// are contiguous, so each owner's columns are one run of ghost slots
+	// and the owners appear in ascending order; a neighbour's values then
+	// land with one copy. The run is checked, not assumed.
 	halo := part.HaloCols(a, r)
 	op.ghostSlot = make(map[int]int, len(halo))
-	var needIdx [][]int // global cols needed from each neighbor (sorted)
 	for slot, col := range halo {
 		op.ghostSlot[col] = slot
 		owner := part.Owner(col)
 		if n := len(op.neighbors); n == 0 || op.neighbors[n-1] != owner {
+			if n > 0 && owner < op.neighbors[n-1] {
+				panic(fmt.Sprintf("solver: rank %d's ghost columns are not one run per owner: rank %d's follow rank %d's", r, owner, op.neighbors[n-1]))
+			}
 			op.neighbors = append(op.neighbors, owner)
-			needIdx = append(needIdx, nil)
-			op.recvSlot = append(op.recvSlot, nil)
+			op.recvOff = append(op.recvOff, slot)
 		}
-		i := len(op.neighbors) - 1
-		needIdx[i] = append(needIdx[i], col)
-		op.recvSlot[i] = append(op.recvSlot[i], slot)
 	}
 	op.nGhost = len(halo)
-	if !sort.IntsAreSorted(op.neighbors) {
-		panic("solver: halo columns not grouped by ascending owner")
+	op.recvOff = append(op.recvOff, op.nGhost)
+	needIdx := make([][]int, len(op.neighbors)) // global cols needed from each neighbor (sorted)
+	for i := range needIdx {
+		needIdx[i] = halo[op.recvOff[i]:op.recvOff[i+1]]
 	}
 
 	// Pairwise exchange of need lists (symmetric neighbor relation) while
@@ -163,21 +165,17 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 		defer func() { o.Span(obs.SpanHalo, start, c.Clock()-start) }()
 	}
 	copy(op.xbuf[:op.N], x)
+	slots := op.halo.Slots()
 	for ni, idx := range op.sendIdx {
-		slot := op.halo.Slot(ni)
-		slot = slot[:len(idx)]
+		slot := slots[ni][:len(idx)]
 		for i, li := range idx {
 			slot[i] = x[li]
 		}
 	}
 	op.halo.Send()
 	ghost := op.xbuf[op.N:]
-	for ni, slots := range op.recvSlot {
-		vals := op.halo.Recv(ni)
-		vals = vals[:len(slots)]
-		for i, slot := range slots {
-			ghost[slot] = vals[i]
-		}
+	for ni := range op.neighbors {
+		copy(ghost[op.recvOff[ni]:op.recvOff[ni+1]], op.halo.Recv(ni))
 	}
 	return op.xbuf
 }

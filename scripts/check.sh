@@ -9,6 +9,7 @@
 # solver workspace and facade helper replaced by core.System.Spread, nor
 # the nonblocking point-to-point API the halo plan replaced, nor the
 # governor and RAPL emulations and the settings that became constants,
+# nor the meter's per-record path the per-core handle replaced,
 # nor the fabric clients' own retry loops, nor the programs folded into
 # chaos-fleet, resilience-bench and cgsolve, is named again; the even
 # fault placement has one caller, in core), a
@@ -112,6 +113,13 @@ fi
 # TestEveryDeclarationHasACaller keeps unreached declarations out.
 if git grep -nE 'New''Governor|New''Sampler|PerCore''Energy|Cache''Shards|Forward''Timeout|MaxLocal''Iters|(^|[^t])Lossy''ErrBound' -- . ':!*.md'; then
     echo "a deleted emulation or setting is named again"; exit 1
+fi
+# Likewise the meter's second record path: a rank records through the
+# power.Core handle it takes once, with its phase entry resolved once per
+# phase switch, so the per-record Meter method, its per-core helper and
+# the per-record phase scan stay deleted.
+if git grep -nE 'Meter\) Re''cord|coreMeter\) re''cord|add''Phase|meter\.Re''cord\(' -- . ':!*.md'; then
+    echo "the meter's second record path is named again"; exit 1
 fi
 # Likewise the programs that did another program's job: chaos-fleet runs
 # every campaign (-oracle -recheck, -replay), resilience-bench -exp fig1
