@@ -29,7 +29,7 @@ type SchemeKind int
 const (
 	FF SchemeKind = iota // fault-free baseline (no injection)
 	F0
-	FI
+	FI // the initial guess is always zero, so FI recovers as F0 does
 	LI
 	LSI
 	CRM  // checkpoint/restart to memory
@@ -41,7 +41,10 @@ const (
 	LCR  // lossy-compressed checkpoint/restart (extension); keep last: the scheme-table test walks [FF, LCR]
 )
 
-// SchemeSpec selects and configures a recovery scheme.
+// SchemeSpec selects and configures a recovery scheme. Kind, Construct
+// and DVFS are its identity, what a scheme name selects; the other fields
+// tune it. A checkpointing scheme's stores are not settings: ckptLevels
+// fixes them per Kind, LCR's compression ratio included.
 type SchemeSpec struct {
 	Kind SchemeKind
 	// Construct picks the LI/LSI construction: the paper's localized CG
@@ -51,27 +54,24 @@ type SchemeSpec struct {
 	DVFS bool
 	// LocalTol is the localized construction tolerance (default 1e-6).
 	LocalTol float64
-	// CkptEvery checkpoints every N iterations (CR only). Zero derives
-	// the interval from Young's formula using CkptMTBF.
+	// CkptEvery checkpoints every N iterations (the checkpointing
+	// schemes only: CR-M, CR-D, CR-2L, LCR). It is the interval of the
+	// first checkpoint level; CR-2L writes its disk level at a fixed 4x
+	// that interval. Zero derives the interval from Young's formula
+	// using CkptMTBF.
 	CkptEvery int
 	// CkptMTBF (seconds) feeds Young's formula when CkptEvery is zero.
 	CkptMTBF float64
-	// DiskEvery is the disk-level interval for CR-2L in iterations; zero
-	// defaults to 4x the memory interval.
-	DiskEvery int
 	// UseDaly switches the derived interval to Daly's higher-order
 	// formula (ablation extension).
 	UseDaly bool
-	// LossyRatio is the LCR compression ratio (compressed payload =
-	// bytes/LossyRatio); zero means recovery.DefaultLossyRatio.
-	LossyRatio float64
 }
 
 // RunConfig describes one resilient solve.
 type RunConfig struct {
-	A  *sparse.CSR
-	B  []float64
-	X0 []float64 // nil = zeros
+	// A and B are the system; every solve starts from x0 = 0.
+	A *sparse.CSR
+	B []float64
 
 	Ranks  int
 	Plat   *platform.Platform
@@ -143,15 +143,14 @@ type RunReport struct {
 	Obs *obs.Recorder
 }
 
-// buildScheme instantiates the per-rank scheme.
-func buildScheme(cfg *RunConfig, x0Block []float64, ckptPolicy checkpoint.Policy) (recovery.Scheme, error) {
+// buildScheme instantiates the per-rank scheme; policy is the first
+// checkpoint level's (ckptPolicy).
+func buildScheme(cfg *RunConfig, policy checkpoint.Policy) (recovery.Scheme, error) {
 	switch cfg.Scheme.Kind {
 	case FF:
 		return nil, nil
-	case F0:
+	case F0, FI:
 		return &recovery.F0{}, nil
-	case FI:
-		return &recovery.FI{X0: x0Block}, nil
 	case LI:
 		return &recovery.LI{
 			Construct: cfg.Scheme.Construct,
@@ -164,50 +163,46 @@ func buildScheme(cfg *RunConfig, x0Block []float64, ckptPolicy checkpoint.Policy
 			DVFS:      cfg.Scheme.DVFS,
 			LocalTol:  cfg.Scheme.LocalTol,
 		}, nil
-	case CRM:
-		return &recovery.CR{Store: checkpoint.MemStore{Plat: cfg.Plat}, Policy: ckptPolicy, X0: x0Block}, nil
-	case CRD:
-		return &recovery.CR{Store: checkpoint.DiskStore{Plat: cfg.Plat}, Policy: ckptPolicy, X0: x0Block}, nil
-	case CR2L:
-		diskEvery := cfg.Scheme.DiskEvery
-		if diskEvery == 0 {
-			diskEvery = 4 * ckptPolicy.EveryIters
-		}
-		s := &recovery.CR2L{
-			Mem:        checkpoint.MemStore{Plat: cfg.Plat},
-			Disk:       checkpoint.DiskStore{Plat: cfg.Plat},
-			MemPolicy:  ckptPolicy,
-			DiskPolicy: checkpoint.FixedPolicy(diskEvery),
-			X0:         x0Block,
-		}
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return s, nil
+	case CRM, CRD, CR2L, LCR:
+		return &recovery.CR{Levels: ckptLevels(cfg.Scheme.Kind, cfg.Plat, policy)}, nil
 	case RD:
 		return &recovery.RD{Replicas: 2}, nil
 	case TMR:
 		return &recovery.RD{Replicas: 3}, nil
 	case ESR:
-		return &recovery.ESR{X0: x0Block}, nil
-	case LCR:
-		return &recovery.LCR{CR: recovery.CR{
-			Store:  lossyStore(cfg.Plat, cfg.Scheme),
-			Policy: ckptPolicy,
-			X0:     x0Block,
-		}}, nil
+		return &recovery.ESR{}, nil
 	}
 	return nil, fmt.Errorf("core: unknown scheme kind %v", cfg.Scheme.Kind)
 }
 
-// lossyStore builds the LCR checkpoint target: the shared disk behind an
-// error-bounded compressor at the spec's ratio.
-func lossyStore(plat *platform.Platform, s SchemeSpec) checkpoint.Store {
-	ratio := s.LossyRatio
-	if ratio <= 0 {
-		ratio = recovery.DefaultLossyRatio
+// deeperLevelEvery is how many of a checkpoint level's intervals make one
+// interval of the next, deeper level: CR-2L writes its disk level every
+// 4th memory interval.
+const deeperLevelEvery = 4
+
+// ckptLevels lists the checkpoint levels of a checkpointing scheme,
+// shallowest first, the first written under policy; nil for every other
+// scheme. CR-M and CR-D have one memory or disk level, LCR one shared
+// disk behind an error-bounded compressor, CR-2L memory then disk. It is
+// the one place a store is chosen: buildScheme hands the levels to
+// recovery.CR, and ckptPolicy prices Young's t_C as the first level's
+// write.
+func ckptLevels(kind SchemeKind, plat *platform.Platform, policy checkpoint.Policy) []recovery.Level {
+	mem := recovery.Level{Store: checkpoint.MemStore{Plat: plat}, Policy: policy}
+	disk := recovery.Level{Store: checkpoint.DiskStore{Plat: plat}, Policy: policy}
+	switch kind {
+	case CRM:
+		return []recovery.Level{mem}
+	case CRD:
+		return []recovery.Level{disk}
+	case CR2L:
+		disk.Policy.EveryIters *= deeperLevelEvery
+		return []recovery.Level{mem, disk}
+	case LCR:
+		disk.Store = checkpoint.Lossy{Inner: disk.Store, Ratio: recovery.DefaultLossyRatio}
+		return []recovery.Level{disk}
 	}
-	return checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: ratio}
+	return nil
 }
 
 // resMonitor wires fault injection and recovery into the CG iteration.
@@ -218,7 +213,9 @@ type resMonitor struct {
 	// rng drives the corruption patterns. Only a struck rank draws from
 	// it, so it is seeded on first use: most ranks of most runs never pay
 	// for seeding the 607-word source.
-	rng     *rand.Rand
+	rng *rand.Rand
+	// faults is the run's fault log, kept on rank 0 only: every rank
+	// sees the same faults, and the report reads rank 0's.
 	faults  []fault.Fault
 	pending []pendingFault
 	// ctx, when non-nil, is polled at every iteration boundary so a
@@ -278,7 +275,9 @@ func (m *resMonitor) BeforeIteration(it *solver.Iter) (bool, error) {
 		if f.Rank < 0 || f.Rank >= it.C.Size() {
 			return false, fmt.Errorf("core: %v strikes no rank of a %d-rank run", *f, it.C.Size())
 		}
-		m.faults = append(m.faults, *f)
+		if it.C.Rank() == 0 {
+			m.faults = append(m.faults, *f)
+		}
 		if m.events != nil {
 			m.events.Event(obs.Event{Kind: obs.FaultEvent, Iter: it.K, Rank: f.Rank, Clock: clock, Fault: *f})
 		}
@@ -356,7 +355,7 @@ func EstimateIterTime(a *sparse.CSR, ranks int, plat *platform.Platform) float64
 	return t
 }
 
-// ckptPolicy resolves the checkpoint policy for a run.
+// ckptPolicy resolves the policy of the run's first checkpoint level.
 func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	s := cfg.Scheme
 	if !s.Checkpoints() {
@@ -368,16 +367,7 @@ func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	if s.CkptMTBF <= 0 {
 		return checkpoint.Policy{}, fmt.Errorf("core: CR scheme needs CkptEvery or CkptMTBF")
 	}
-	var store checkpoint.Store
-	switch {
-	case s.Kind == CRM || s.Kind == CR2L:
-		store = checkpoint.MemStore{Plat: cfg.Plat}
-	case s.Kind == LCR:
-		store = lossyStore(cfg.Plat, s)
-	default:
-		store = checkpoint.DiskStore{Plat: cfg.Plat}
-	}
-	tC := store.WriteTime(int64(8*maxBlockRows), cfg.Ranks)
+	tC := ckptLevels(s.Kind, cfg.Plat, checkpoint.Policy{})[0].Store.WriteTime(int64(8*maxBlockRows), cfg.Ranks)
 	iterSec := EstimateIterTime(cfg.A, cfg.Ranks, cfg.Plat)
 	if s.UseDaly {
 		return checkpoint.DalyPolicy(tC, s.CkptMTBF, iterSec), nil
@@ -451,11 +441,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		rt.SetRecorder(cfg.Obs)
 	}
 	maxClock, err := rt.Run(func(c *cluster.Comm) error {
-		var x0Block []float64
-		if cfg.X0 != nil {
-			x0Block = append([]float64(nil), part.Slice(cfg.X0, c.Rank())...)
-		}
-		scheme, err := buildScheme(&cfg, x0Block, policy)
+		scheme, err := buildScheme(&cfg, policy)
 		if err != nil {
 			return err
 		}
@@ -477,7 +463,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 			MaxIters:           cfg.MaxIters,
 			Monitor:            mon,
 			VerifyTrueResidual: true,
-			X0:                 cfg.X0,
 			Jacobi:             cfg.Jacobi,
 		})
 		if err != nil {
@@ -507,13 +492,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	}
 	if s := schemes[0]; s != nil {
 		report.Redundancy = s.Redundancy()
-		switch sc := s.(type) {
-		case *recovery.CR:
-			report.Checkpoints = sc.Writes
-		case *recovery.LCR:
-			report.Checkpoints = sc.Writes
-		case *recovery.CR2L:
-			report.Checkpoints = sc.MemWrites + sc.DiskWrites
+		if cr, ok := s.(*recovery.CR); ok {
+			report.Checkpoints = cr.Writes
 		}
 	}
 	report.Solution = make([]float64, cfg.A.Rows)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strings"
 	"time"
 
@@ -324,7 +325,7 @@ func TestCR2LScheme(t *testing.T) {
 	cfg, xTrue := testSystem(t)
 	ffIters := faultFreeIters(t, cfg)
 	c := cfg
-	c.Scheme = SchemeSpec{Kind: CR2L, CkptEvery: 10, DiskEvery: 40}
+	c.Scheme = SchemeSpec{Kind: CR2L, CkptEvery: 10}
 	c.InjectorFactory = func() fault.Injector {
 		return fault.NewSchedule(fault.Evenly(4, ffIters, c.Ranks, 17, fault.SNF, fault.SWO))
 	}
@@ -619,7 +620,7 @@ func TestMonitorBoundaryAllocatesNothing(t *testing.T) {
 	cfg, _ := testSystem(t)
 	mon := &resMonitor{
 		cfg:      &cfg,
-		scheme:   &recovery.CR{Store: checkpoint.MemStore{Plat: cfg.Plat}, Policy: checkpoint.FixedPolicy(1000)},
+		scheme:   &recovery.CR{Levels: []recovery.Level{{Store: checkpoint.MemStore{Plat: cfg.Plat}, Policy: checkpoint.FixedPolicy(1000)}}},
 		injector: fault.NewSchedule([]fault.Fault{{Class: fault.SNF, Rank: 0, Iter: 500}}),
 	}
 	var before, after float64
@@ -645,36 +646,111 @@ func TestMonitorBoundaryAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLSIReportPinned: LSI reconstruction is the one reader of a rank's
-// global-column row block, which LocalOp builds on first use instead of
-// up front. Two node failures on different ranks — every rank both
-// contributes its block's transpose product and, once struck, solves on
-// its block — must give the report, to the bit, that the eagerly built
-// block gave (constants recorded from the commit before the change).
-func TestLSIReportPinned(t *testing.T) {
-	const want = "iters=73 restarts=2 relres=3dd21596a8e44888 time=3f4f9c55f626998e energy=3fa1d4ebea9fc289 solution=638013c6a8b1c5d6"
-	cfg, _ := testSystem(t)
-	cfg.Scheme = SchemeSpec{Kind: LSI, DVFS: true}
-	cfg.InjectorFactory = func() fault.Injector {
-		return fault.NewSchedule([]fault.Fault{
-			{Class: fault.SNF, Rank: 1, Iter: 9},
-			{Class: fault.LNF, Rank: 3, Iter: 21},
-		})
+// pinnedFaults strikes every recovery path a scheme has: a node failure
+// before the first checkpoint (interval 10), so rollback schemes take the
+// no-checkpoint fallback to zeros; a silent corruption detected
+// pinnedDetectDelay iterations late; and a system-wide outage, which voids
+// every memory-held copy (CR-2L then restores from its disk level, written
+// at iteration 40).
+var pinnedFaults = []fault.Fault{
+	{Class: fault.SNF, Rank: 1, Iter: 5},
+	{Class: fault.SDC, Rank: 2, Iter: 23},
+	{Class: fault.SWO, Rank: 3, Iter: 47},
+}
+
+const pinnedDetectDelay = 3
+
+// TestSchemeReportsPinned runs every scheme of the table through one
+// fault mix with a recorder attached and pins the report to the bit: the
+// iterate, the virtual clock, the energy and its per-phase split, the
+// checkpoint count and how many spans of each kind the ranks recorded.
+// A refactor of the recovery layer must leave every row where it is.
+//
+// The LSI-DVFS row with its own two node failures pins LocalOp's lazily
+// built global-column row block, which LSI reconstruction is the one
+// reader of: every rank contributes its block's transpose product and,
+// once struck, solves on its block.
+func TestSchemeReportsPinned(t *testing.T) {
+	lsiFaults := []fault.Fault{
+		{Class: fault.SNF, Rank: 1, Iter: 9},
+		{Class: fault.LNF, Rank: 3, Iter: 21},
 	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		scheme string
+		faults []fault.Fault // nil = pinnedFaults with pinnedDetectDelay
+		want   string
+	}{
+		{"LSI-DVFS", lsiFaults, "iters=73 restarts=2 relres=3dd21596a8e44888 time=3f4f9c55f626998e energy=3fa1d4ebea9fc289 solution=638013c6a8b1c5d6"},
+		{"F0", nil, "iters=104 restarts=3 relres=3dd0e7a2b02f69b9 time=3f51242270ae9908 energy=3fa56d2b0cda3f0a solution=b960be0382e8a1c5 faults=3 checkpoints=0 reconstruct=3eb01b2b29a4692b solve=3fa56d0ad683ebc2 compute:2147 send:660 recv:112 wait:220 collective:856 halo:436 reconstruct:3 checkpoint:0 rollback:0"},
+		{"FI", nil, "iters=104 restarts=3 relres=3dd0e7a2b02f69b9 time=3f51242270ae9908 energy=3fa56d2b0cda3f0a solution=b960be0382e8a1c5 faults=3 checkpoints=0 reconstruct=3eb01b2b29a4692b solve=3fa56d0ad683ebc2 compute:2147 send:660 recv:112 wait:220 collective:856 halo:436 reconstruct:3 checkpoint:0 rollback:0"},
+		{"LI", nil, "iters=89 restarts=3 relres=3dd35479f80aa69b time=3f4fe0e85a13695e energy=3fa3b3ea1e8a8e2c solution=08171ec5b5ccf8ba faults=3 checkpoints=0 reconstruct=3f6411a620e0a829 solve=3fa272cfbc7c83b5 compute:1850 send:588 recv:98 wait:198 collective:748 halo:388 reconstruct:12 checkpoint:0 rollback:0"},
+		{"LI-DVFS", nil, "iters=89 restarts=3 relres=3dd35479f80aa69b time=3f53f8b8ec78c235 energy=3fa6363dbc624e2d solution=08171ec5b5ccf8ba faults=3 checkpoints=0 reconstruct=3f77f692d013b54a solve=3fa3376b625fd799 compute:1850 send:588 recv:99 wait:196 collective:748 halo:388 reconstruct:12 checkpoint:0 rollback:0"},
+		{"LI(LU)", nil, "iters=89 restarts=3 relres=3dd34fb86cd7216f time=3f538dd051806a07 energy=3fa7570ed66ece36 solution=1aeec6811d82e289 faults=3 checkpoints=0 reconstruct=3f8390fc67c92ac0 solve=3fa272cfbc7c83aa compute:1850 send:588 recv:98 wait:198 collective:748 halo:388 reconstruct:12 checkpoint:0 rollback:0"},
+		{"LSI", nil, "iters=86 restarts=3 relres=3dd6e1ede4be304a time=3f515c7738ec66c3 energy=3fa5095ad717fd6d solution=505e526a206902ac faults=3 checkpoints=0 reconstruct=3f797794b1df52e4 solve=3fa1da6840dc132e compute:1802 send:552 recv:92 wait:200 collective:736 halo:364 reconstruct:12 checkpoint:0 rollback:0"},
+		{"LSI-DVFS", nil, "iters=86 restarts=3 relres=3dd6e1ede4be304a time=3f53d19c7ef70cfd energy=3fa5e32daf6ba6f2 solution=505e526a206902ac faults=3 checkpoints=0 reconstruct=3f7a214e4561ff98 solve=3fa29f03e6bf6714 compute:1802 send:552 recv:93 wait:201 collective:736 halo:364 reconstruct:12 checkpoint:0 rollback:0"},
+		{"LSI(QR)", nil, "iters=86 restarts=3 relres=3dd6eaadf4cbc0a5 time=3f5d44ec71976c9c energy=3fb0826ecc0ed73d solution=98282a82f4a7d86f faults=3 checkpoints=0 reconstruct=3f9e54eaae833763 solve=3fa1da6840dc130a compute:1799 send:552 recv:92 wait:200 collective:736 halo:364 reconstruct:12 checkpoint:0 rollback:0"},
+		{"CR-M", nil, "iters=104 restarts=3 relres=3dd37fb95ab2f658 time=3f51728562e8c907 energy=3fa5cf26bba2fb0b solution=830b843b54f18a5c faults=3 checkpoints=10 checkpoint=3f46585c0c9b43ea rollback=3f11e049a3af6988 solve=3fa56cd5269eb648 compute:2144 send:660 recv:110 wait:219 collective:856 halo:436 reconstruct:0 checkpoint:40 rollback:4"},
+		{"CR-D", nil, "iters=93 restarts=3 relres=3dd8a0052012bba5 time=3f7ad67ba75f37b9 energy=3fca13634df1ea36 solution=9f7d08e9a1da26bb faults=3 checkpoints=9 checkpoint=3fc166162bddcbc6 rollback=3f9eee604dfc14ed solve=3fa33e0461526e9f compute:1924 send:594 recv:99 wait:197 collective:768 halo:392 reconstruct:0 checkpoint:36 rollback:8"},
+		{"CR-2L", nil, "iters=93 restarts=3 relres=3dd8a0052012bba5 time=3f6459294135e30a energy=3fb55c26e12f1e1a solution=9f7d08e9a1da26bb faults=3 checkpoints=11 checkpoint=3f9f6b825175e0d0 rollback=3f8f1220e14373c0 solve=3fa33e0461526ef4 compute:1924 send:594 recv:99 wait:197 collective:768 halo:392 reconstruct:0 checkpoint:36 rollback:8"},
+		{"LCR", nil, "iters=96 restarts=3 relres=3dd4ee047cfcfac1 time=3f7a8daeee844654 energy=3fc9d9f9ed279c68 solution=85873e3d4cb96586 faults=3 checkpoints=9 checkpoint=3fc117df08a85ef2 rollback=3f9e63ff6a142c18 solve=3fa3d66bdcf2df1c compute:1992 send:612 recv:102 wait:203 collective:792 halo:404 reconstruct:0 checkpoint:36 rollback:16"},
+		{"RD", nil, "iters=175 restarts=2 relres=3dd4e84d93d8cfa6 time=3f5c44d6b50828c4 energy=3fc1aa0c4c1f582e solution=5137248a4d871192 faults=3 checkpoints=0 reconstruct=3f0639e88305894f solve=3fb1a7450f0ef77d compute:3536 send:1080 recv:183 wait:361 collective:1412 halo:716 reconstruct:3 checkpoint:0 rollback:0"},
+		{"TMR", nil, "iters=175 restarts=2 relres=3dd4e84d93d8cfa6 time=3f5c44d6b50828c4 energy=3fca7f12722f0445 solution=5137248a4d871192 faults=3 checkpoints=0 reconstruct=3f0639e88305894f solve=3fb1a7450f0ef77d compute:3536 send:1080 recv:183 wait:361 collective:1412 halo:716 reconstruct:3 checkpoint:0 rollback:0"},
+		{"ESR", nil, "iters=104 restarts=2 relres=3dd0e9edb4d05f65 time=3f545f449f7168dc energy=3fa976810c972934 solution=b8cf458910824cc0 faults=3 checkpoints=0 checkpoint=3f8044e90a927781 reconstruct=3f24a7a0212bf763 solve=3fa5509f29d15f7e compute:2137 send:660 recv:114 wait:218 collective:852 halo:436 reconstruct:6 checkpoint:416 rollback:0"},
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, x := range rep.Solution {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
-	}
-	got := fmt.Sprintf("iters=%d restarts=%d relres=%016x time=%016x energy=%016x solution=%016x",
-		rep.Iters, rep.Restarts, math.Float64bits(rep.RelRes), math.Float64bits(rep.Time),
-		math.Float64bits(rep.Energy), h.Sum64())
-	if got != want {
-		t.Fatalf("LSI-DVFS report moved:\n got %s\nwant %s", got, want)
+	for _, tc := range cases {
+		spec, ok := ParseScheme(tc.scheme)
+		if !ok {
+			t.Fatalf("unknown scheme %q", tc.scheme)
+		}
+		cfg, _ := testSystem(t)
+		cfg.Scheme = spec
+		if spec.Checkpoints() {
+			cfg.Scheme.CkptEvery = 10
+		}
+		faults := tc.faults
+		if faults == nil {
+			faults = pinnedFaults
+			cfg.DetectDelay = pinnedDetectDelay
+		}
+		cfg.InjectorFactory = func() fault.Injector { return fault.NewSchedule(faults) }
+		if tc.faults == nil {
+			cfg.Obs = obs.NewRecorder()
+		}
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.scheme, err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, x := range rep.Solution {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+		got := fmt.Sprintf("iters=%d restarts=%d relres=%016x time=%016x energy=%016x solution=%016x",
+			rep.Iters, rep.Restarts, math.Float64bits(rep.RelRes), math.Float64bits(rep.Time),
+			math.Float64bits(rep.Energy), h.Sum64())
+		if cfg.Obs != nil {
+			got += fmt.Sprintf(" faults=%d checkpoints=%d", len(rep.Faults), rep.Checkpoints)
+			phases := make([]string, 0, len(rep.EnergyByPhase))
+			for p := range rep.EnergyByPhase {
+				phases = append(phases, p)
+			}
+			sort.Strings(phases)
+			for _, p := range phases {
+				got += fmt.Sprintf(" %s=%016x", p, math.Float64bits(rep.EnergyByPhase[p]))
+			}
+			var spans [obs.SpanRollback + 1]int
+			for r := 0; r < cfg.Obs.Ranks(); r++ {
+				for _, sp := range cfg.Obs.RankSpans(r) {
+					spans[sp.Kind]++
+				}
+			}
+			for k, n := range spans {
+				got += fmt.Sprintf(" %s:%d", obs.SpanKind(k), n)
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s report moved:\n got %s\nwant %s", tc.scheme, got, tc.want)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestSchemeTable(t *testing.T) {
 		}
 		// Tuning fields never change what a scheme is called.
 		tuned := spec
-		tuned.CkptEvery, tuned.LocalTol, tuned.LossyRatio = 7, 1e-3, 4
+		tuned.CkptEvery, tuned.LocalTol = 7, 1e-3
 		if tuned.Name() != r.name || tuned.CanonicalName() != r.flag || tuned.Checkpoints() != spec.Checkpoints() {
 			t.Errorf("row %s: a tuned spec is named %q / %q", r.name, tuned.Name(), tuned.CanonicalName())
 		}
@@ -81,8 +81,11 @@ func TestSchemeTable(t *testing.T) {
 		if spec.Checkpoints() {
 			ckpt = append(ckpt, k.String())
 		}
+		if levels := ckptLevels(k, platform.Default(), checkpoint.FixedPolicy(5)); (len(levels) > 0) != spec.Checkpoints() {
+			t.Errorf("%s: %d checkpoint levels, Checkpoints() = %t", k, len(levels), spec.Checkpoints())
+		}
 		cfg := &RunConfig{Plat: platform.Default(), Scheme: spec}
-		scheme, err := buildScheme(cfg, nil, checkpoint.FixedPolicy(5))
+		scheme, err := buildScheme(cfg, checkpoint.FixedPolicy(5))
 		if err != nil || (scheme == nil) != (k == FF) {
 			t.Errorf("buildScheme(%s) = %v, %v", k, scheme, err)
 		}
@@ -90,7 +93,7 @@ func TestSchemeTable(t *testing.T) {
 	if got := strings.Join(ckpt, " "); got != "CR-M CR-D CR-2L LCR" {
 		t.Errorf("Checkpoints() holds for %q, want exactly CR-M CR-D CR-2L LCR", got)
 	}
-	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: LCR + 1}}, nil, checkpoint.Policy{}); err == nil {
+	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: LCR + 1}}, checkpoint.Policy{}); err == nil {
 		t.Error("buildScheme accepted a kind past the enum")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
+	"resilience/internal/obs"
 	"resilience/internal/report"
 )
 
@@ -194,7 +195,7 @@ func reconstructionPower(rep *core.RunReport) (watts float64, windows int) {
 	if rep.Meter == nil {
 		return 0, 0
 	}
-	ws := rep.Meter.PhaseWindows("reconstruct")
+	ws := rep.Meter.PhaseWindows(obs.SpanReconstruct.String())
 	if len(ws) == 0 {
 		return 0, 0
 	}

@@ -7,6 +7,7 @@ import (
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
+	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/power"
 	"resilience/internal/recovery"
@@ -43,7 +44,7 @@ func runAblationMultilevel(cfg Config) (*Result, error) {
 	specs := []core.SchemeSpec{
 		{Kind: core.CRM, CkptEvery: ckptEvery},
 		{Kind: core.CRD, CkptEvery: ckptEvery},
-		{Kind: core.CR2L, CkptEvery: ckptEvery, DiskEvery: 4 * ckptEvery},
+		{Kind: core.CR2L, CkptEvery: ckptEvery},
 	}
 	reps := make([]*core.RunReport, len(specs))
 	err = cfg.runCells(len(specs), func(i int) error {
@@ -274,7 +275,7 @@ func runAblationConstructionCost(cfg Config) (*Result, error) {
 		}
 		plain, dvfs := reps[2*pi], reps[2*pi+1]
 		var reconDur float64
-		for _, w := range plain.Meter.PhaseWindows("reconstruct") {
+		for _, w := range plain.Meter.PhaseWindows(obs.SpanReconstruct.String()) {
 			reconDur += w[1] - w[0]
 		}
 		t.AddF(p, reconDur/plain.Time, plain.Energy/ff.Energy, dvfs.Energy/ff.Energy,

@@ -5,6 +5,7 @@ import (
 
 	"resilience/internal/checkpoint"
 	"resilience/internal/core"
+	"resilience/internal/obs"
 	"resilience/internal/platform"
 )
 
@@ -73,12 +74,12 @@ func FitFW(ff, run *core.RunReport, plat *platform.Platform, dvfs bool) (Params,
 	// phase energy at construction power.
 	if run.Meter != nil {
 		var total float64
-		for _, w := range run.Meter.PhaseWindows("reconstruct") {
+		for _, w := range run.Meter.PhaseWindows(obs.SpanReconstruct.String()) {
 			total += w[1] - w[0]
 		}
 		p.TConst = total / float64(n)
 	} else {
-		eRecon := run.EnergyByPhase["reconstruct"]
+		eRecon := run.EnergyByPhase[obs.SpanReconstruct.String()]
 		idle := plat.PowerIdle(freqParked(plat, dvfs))
 		pConst := plat.PowerActive(plat.FreqMax) + float64(ff.Ranks-1)*idle
 		if pConst > 0 {

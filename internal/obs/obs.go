@@ -34,7 +34,9 @@ type SpanKind uint8
 // The span taxonomy, from runtime primitives (compute, send, recv, wait,
 // collective — recorded by internal/cluster) to the solver's halo
 // exchange (internal/solver) and recovery phases
-// (reconstruct, checkpoint, rollback — internal/recovery).
+// (reconstruct, checkpoint, rollback — internal/recovery). A recovery
+// kind's name is also the power phase its energy is charged to, so the
+// keys of a run's EnergyByPhase beside "solve" are these names.
 const (
 	// SpanCompute is modeled flop work at active power.
 	SpanCompute SpanKind = iota
@@ -48,7 +50,7 @@ const (
 	SpanCollective
 	// SpanHalo is one collective halo exchange.
 	SpanHalo
-	// SpanReconstruct is a forward-recovery reconstruction (LI/LSI/F0/FI/RD).
+	// SpanReconstruct is a forward-recovery reconstruction (LI/LSI/F0/FI/RD/ESR).
 	SpanReconstruct
 	// SpanCheckpoint is a checkpoint write.
 	SpanCheckpoint

@@ -19,16 +19,15 @@ import (
 type crSnapshot struct {
 	x            []float64 // the post-recovery block
 	dur          float64   // virtual seconds the last recovery consumed
-	ckptIter     int       // the iteration of the checkpoint held at that moment
-	hasCkpt      bool      // CR.hasCkpt / CR2L.hasMem at that moment
+	ckptIter     int       // the iteration of the first level's copy at that moment (0: none)
 	rollbacks    int
-	diskRestores int // CR2L only
+	diskRestores int // restores the last level served (CR-2L's disk)
 }
 
-// runCRFaults converges CG partway on two ranks with the given scheme
-// factory and fires the listed faults at their iterations (all ranks
-// recover collectively, the struck rank's block is zeroed first).
-func runCRFaults(t *testing.T, mk func(x0 []float64) Scheme, faults []fault.Fault, x0Val float64) crSnapshot {
+// runCRFaults converges CG partway on two ranks, each with its own copy of
+// proto's levels, and fires the listed faults at their iterations (all
+// ranks recover collectively, the struck rank's block is zeroed first).
+func runCRFaults(t *testing.T, proto *CR, faults []fault.Fault) crSnapshot {
 	t.Helper()
 	a := testMatrix()
 	b, _ := matgen.RHS(a)
@@ -45,11 +44,7 @@ func runCRFaults(t *testing.T, mk func(x0 []float64) Scheme, faults []fault.Faul
 		}
 	}
 	_, err := cluster.Run(ranks, plat, meter, func(c *cluster.Comm) error {
-		x0 := make([]float64, part.Size(c.Rank()))
-		for i := range x0 {
-			x0[i] = x0Val
-		}
-		scheme := mk(x0)
+		scheme := &CR{Levels: append([]Level(nil), proto.Levels...)}
 		mon := &hookMonitor{
 			before: func(it *solver.Iter) (bool, error) {
 				restart := false
@@ -75,17 +70,9 @@ func runCRFaults(t *testing.T, mk func(x0 []float64) Scheme, faults []fault.Faul
 					snap := &snaps[c.Rank()]
 					snap.x = append([]float64(nil), it.State.X...)
 					snap.dur = c.Clock() - start
-					switch s := scheme.(type) {
-					case *CR:
-						snap.ckptIter = s.ckptIter
-						snap.hasCkpt = s.hasCkpt
-						snap.rollbacks = s.Rollbacks
-					case *CR2L:
-						snap.ckptIter = s.memIter
-						snap.hasCkpt = s.hasMem
-						snap.rollbacks = s.Rollbacks
-						snap.diskRestores = s.DiskRestores
-					}
+					snap.ckptIter = scheme.Levels[0].iter
+					snap.rollbacks = scheme.Rollbacks
+					snap.diskRestores = scheme.Levels[len(scheme.Levels)-1].Restores
 				}
 				return restart, nil
 			},
@@ -105,31 +92,45 @@ func runCRFaults(t *testing.T, mk func(x0 []float64) Scheme, faults []fault.Faul
 	return snaps[0]
 }
 
+// crM is CR-M: one memory level, written every `every` iterations.
+func crM(every int) *CR {
+	return &CR{Levels: []Level{{Store: checkpoint.MemStore{Plat: platform.Default()}, Policy: checkpoint.FixedPolicy(every)}}}
+}
+
+// mk2L is CR-2L's two levels: memory every memEvery iterations, then disk
+// every diskEvery.
+func mk2L(memEvery, diskEvery int) *CR {
+	plat := platform.Default()
+	return &CR{Levels: []Level{
+		{Store: checkpoint.MemStore{Plat: plat}, Policy: checkpoint.FixedPolicy(memEvery)},
+		{Store: checkpoint.DiskStore{Plat: plat}, Policy: checkpoint.FixedPolicy(diskEvery)},
+	}}
+}
+
+// requireZeros fails unless the rolled-back block is all zeros — the
+// fallback when no checkpoint survives (every solve starts from x0 = 0).
+func requireZeros(t *testing.T, what string, x []float64) {
+	t.Helper()
+	for i, v := range x {
+		if v != 0 {
+			t.Fatalf("%s: x[%d] = %g, want 0 (restored the destroyed checkpoint)", what, i, v)
+		}
+	}
+}
+
 // TestCRStaleCheckpointAfterSWO is the two-fault regression for the
 // stale-restore bug: an SWO destroys the memory checkpoints (buddy copies
-// included), so the *next* non-SWO fault must roll back to the initial
-// guess — not to the destroyed copy the scheme wrote before the outage.
+// included), so the *next* non-SWO fault must roll back to zeros — not to
+// the destroyed copy the scheme wrote before the outage. The snapshot is
+// rank 0's, which the second fault does not strike, so only a rollback
+// can zero it.
 func TestCRStaleCheckpointAfterSWO(t *testing.T) {
-	const x0Val = 3.5
 	faults := []fault.Fault{
 		{Class: fault.SWO, Rank: 0, Iter: 12},
 		{Class: fault.SNF, Rank: 1, Iter: 13},
 	}
-	snap := runCRFaults(t, func(x0 []float64) Scheme {
-		return &CR{
-			Store:  checkpoint.MemStore{Plat: platform.Default()},
-			Policy: checkpoint.FixedPolicy(5), // checkpoints at iters 5 and 10
-			X0:     x0,
-		}
-	}, faults, x0Val)
-	for i, v := range snap.x {
-		if v != x0Val {
-			t.Fatalf("post-SWO rollback target: x[%d] = %g, want initial guess %g (restored the destroyed checkpoint)", i, v, x0Val)
-		}
-	}
-	if snap.hasCkpt {
-		t.Error("hasCkpt still set after an SWO destroyed the memory checkpoint")
-	}
+	snap := runCRFaults(t, crM(5), faults) // checkpoints at iters 5 and 10
+	requireZeros(t, "post-SWO rollback target", snap.x)
 	if snap.ckptIter != 0 {
 		t.Errorf("checkpoint iteration %d after a destroyed checkpoint, want 0", snap.ckptIter)
 	}
@@ -142,31 +143,17 @@ func TestCRStaleCheckpointAfterSWO(t *testing.T) {
 // scheme when no disk checkpoint exists yet: the outage voids the memory
 // level even without a disk restore to fall back on.
 func TestCR2LStaleMemoryAfterSWO(t *testing.T) {
-	const x0Val = 2.25
 	faults := []fault.Fault{
 		{Class: fault.SWO, Rank: 0, Iter: 12},
 		{Class: fault.SNF, Rank: 1, Iter: 13},
 	}
-	snap := runCRFaults(t, func(x0 []float64) Scheme {
-		plat := platform.Default()
-		return &CR2L{
-			Mem:        checkpoint.MemStore{Plat: plat},
-			Disk:       checkpoint.DiskStore{Plat: plat},
-			MemPolicy:  checkpoint.FixedPolicy(5),
-			DiskPolicy: checkpoint.FixedPolicy(1000), // no disk copy before the faults
-			X0:         x0,
-		}
-	}, faults, x0Val)
-	for i, v := range snap.x {
-		if v != x0Val {
-			t.Fatalf("post-SWO CR-2L rollback target: x[%d] = %g, want initial guess %g", i, v, x0Val)
-		}
-	}
-	if snap.hasCkpt {
-		t.Error("hasMem still set after an SWO with no disk checkpoint")
+	snap := runCRFaults(t, mk2L(5, 1000), faults) // no disk copy before the faults
+	requireZeros(t, "post-SWO CR-2L rollback target", snap.x)
+	if snap.ckptIter != 0 {
+		t.Errorf("memory level still holds iteration %d after an SWO with no disk checkpoint", snap.ckptIter)
 	}
 	if snap.diskRestores != 0 {
-		t.Errorf("DiskRestores = %d, want 0", snap.diskRestores)
+		t.Errorf("disk restores = %d, want 0", snap.diskRestores)
 	}
 }
 
@@ -174,20 +161,13 @@ func TestCR2LStaleMemoryAfterSWO(t *testing.T) {
 // exists, nothing is read, so the rollback must not advance the clock by
 // a checkpoint read.
 func TestCRFailedRestoreChargesNoReadTime(t *testing.T) {
-	mk := func(x0 []float64) Scheme {
-		return &CR{
-			Store:  checkpoint.MemStore{Plat: platform.Default()},
-			Policy: checkpoint.FixedPolicy(5),
-			X0:     x0,
-		}
-	}
-	swo := runCRFaults(t, mk, []fault.Fault{{Class: fault.SWO, Rank: 0, Iter: 12}}, 1.0)
+	swo := runCRFaults(t, crM(5), []fault.Fault{{Class: fault.SWO, Rank: 0, Iter: 12}})
 	if swo.dur != 0 {
 		t.Errorf("failed restore consumed %g virtual seconds, want 0 (no surviving checkpoint to read)", swo.dur)
 	}
 
 	// A surviving checkpoint, by contrast, does pay the read.
-	snf := runCRFaults(t, mk, []fault.Fault{{Class: fault.SNF, Rank: 0, Iter: 12}}, 1.0)
+	snf := runCRFaults(t, crM(5), []fault.Fault{{Class: fault.SNF, Rank: 0, Iter: 12}})
 	if snf.dur <= 0 {
 		t.Errorf("surviving-checkpoint restore consumed %g virtual seconds, want > 0", snf.dur)
 	}

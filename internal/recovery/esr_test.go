@@ -8,6 +8,7 @@ import (
 	"resilience/internal/cluster"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
+	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/power"
 	"resilience/internal/solver"
@@ -92,17 +93,17 @@ func TestESRChargesPersistAndReconstructPhases(t *testing.T) {
 	if e > 1e-12 {
 		t.Errorf("ESR error %g", e)
 	}
-	if meter.EnergyByPhase()[PhaseCheckpoint] <= 0 {
+	if meter.EnergyByPhase()[obs.SpanCheckpoint.String()] <= 0 {
 		t.Error("redundancy-persist energy not recorded under checkpoint phase")
 	}
-	if meter.EnergyByPhase()[PhaseReconstruct] <= 0 {
+	if meter.EnergyByPhase()[obs.SpanReconstruct.String()] <= 0 {
 		t.Error("reconstruction energy not recorded")
 	}
 }
 
 // TestESRSWOFallsBack: a system-wide outage wipes the buddy redundancy,
-// so ESR degrades to the documented abort — initial-guess restore plus a
-// restart (error 1 against the lost block, like F0).
+// so ESR degrades to the documented abort — a restore of zeros, the
+// initial guess, plus a restart (error 1 against the lost block, like F0).
 func TestESRSWOFallsBack(t *testing.T) {
 	a := testMatrix()
 	e, restarted := esrRecover(t, a, 4, 1, 12, fault.SWO)
@@ -128,17 +129,9 @@ func TestESRIdentity(t *testing.T) {
 func TestLCRRollbackPerturbed(t *testing.T) {
 	a := testMatrix()
 	plat := platform.Default()
-	mkLCR := func() Scheme {
-		return &LCR{CR: CR{
-			Store:  checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: 8},
-			Policy: checkpoint.FixedPolicy(5),
-		}}
-	}
+	mkLCR := func() Scheme { return lcr(plat, 5) }
 	mkCRD := func() Scheme {
-		return &CR{
-			Store:  checkpoint.DiskStore{Plat: plat},
-			Policy: checkpoint.FixedPolicy(5),
-		}
+		return &CR{Levels: []Level{{Store: checkpoint.DiskStore{Plat: plat}, Policy: checkpoint.FixedPolicy(5)}}}
 	}
 	eLCR, mLCR, _ := recoverOnce(t, mkLCR, a, 4, 1, 12)
 	eCRD, mCRD, _ := recoverOnce(t, mkCRD, a, 4, 1, 12)
@@ -148,40 +141,43 @@ func TestLCRRollbackPerturbed(t *testing.T) {
 	if eLCR == eCRD {
 		t.Error("lossy restore must differ from the exact rollback")
 	}
-	if mLCR.EnergyByPhase()[PhaseCheckpoint] >= mCRD.EnergyByPhase()[PhaseCheckpoint] {
+	if mLCR.EnergyByPhase()[obs.SpanCheckpoint.String()] >= mCRD.EnergyByPhase()[obs.SpanCheckpoint.String()] {
 		t.Errorf("compressed checkpoints %g J not cheaper than exact %g J",
-			mLCR.EnergyByPhase()[PhaseCheckpoint], mCRD.EnergyByPhase()[PhaseCheckpoint])
+			mLCR.EnergyByPhase()[obs.SpanCheckpoint.String()], mCRD.EnergyByPhase()[obs.SpanCheckpoint.String()])
 	}
-	if mLCR.EnergyByPhase()[PhaseRollback] <= 0 {
+	if mLCR.EnergyByPhase()[obs.SpanRollback.String()] <= 0 {
 		t.Error("rollback energy not recorded")
 	}
 }
 
 // TestLCRWithoutCheckpointIsExactFallback: nothing written yet means the
-// initial guess comes back exactly — the decompression error only applies
-// to data that went through the compressor.
+// zero initial guess comes back exactly — the decompression error only
+// applies to data that went through the compressor.
 func TestLCRWithoutCheckpointIsExactFallback(t *testing.T) {
 	a := testMatrix()
 	plat := platform.Default()
-	mk := func() Scheme {
-		return &LCR{CR: CR{
-			Store:  checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: 8},
-			Policy: checkpoint.FixedPolicy(1000),
-		}}
-	}
+	mk := func() Scheme { return lcr(plat, 1000) }
 	e, _, _ := recoverOnce(t, mk, a, 4, 1, 12)
 	if math.Abs(e-1) > 1e-9 {
 		t.Errorf("LCR without checkpoint error %g want 1", e)
 	}
 }
 
+// lcr is LCR's one level: the shared disk behind the compressor, written
+// every `every` iterations.
+func lcr(plat *platform.Platform, every int) *CR {
+	return &CR{Levels: []Level{{
+		Store:  checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: DefaultLossyRatio},
+		Policy: checkpoint.FixedPolicy(every),
+	}}}
+}
+
 func TestLCRIdentity(t *testing.T) {
-	plat := platform.Default()
-	s := &LCR{CR: CR{Store: checkpoint.Lossy{Inner: checkpoint.DiskStore{Plat: plat}, Ratio: 8}}}
+	s := lcr(platform.Default(), 5)
 	if s.Redundancy() != 1 {
 		t.Error("LCR needs no redundant hardware")
 	}
-	if s.Store.Name() != "lossy-disk" {
-		t.Errorf("store %q", s.Store.Name())
+	if name := s.Levels[0].Store.Name(); name != "lossy-disk" {
+		t.Errorf("store %q", name)
 	}
 }

@@ -62,9 +62,7 @@ func (s *LI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	c := ctx.C
 	// The span covers every rank: on non-failed ranks it shows the parked
 	// wait (Figure 7a's f_min plateau), on the failed rank the construction.
-	defer ctx.span(obs.SpanReconstruct)()
-	prev := c.SetPhase(PhaseReconstruct)
-	defer c.SetPhase(prev)
+	defer ctx.enter(obs.SpanReconstruct).leave()
 
 	// One collective halo exchange gives the failed rank every remote x
 	// entry its off-diagonal row entries touch.

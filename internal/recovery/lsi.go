@@ -44,9 +44,7 @@ type LSI struct {
 // Recover implements Scheme.
 func (s *LSI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	c := ctx.C
-	defer ctx.span(obs.SpanReconstruct)()
-	prev := c.SetPhase(PhaseReconstruct)
-	defer c.SetPhase(prev)
+	defer ctx.enter(obs.SpanReconstruct).leave()
 
 	n := ctx.St.A.Rows
 	if s.z == nil {

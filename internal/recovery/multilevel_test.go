@@ -4,38 +4,9 @@ import (
 	"sync"
 	"testing"
 
-	"resilience/internal/checkpoint"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
-	"resilience/internal/platform"
 )
-
-func mk2L(memEvery, diskEvery int) *CR2L {
-	plat := platform.Default()
-	return &CR2L{
-		Mem:        checkpoint.MemStore{Plat: plat},
-		Disk:       checkpoint.DiskStore{Plat: plat},
-		MemPolicy:  checkpoint.FixedPolicy(memEvery),
-		DiskPolicy: checkpoint.FixedPolicy(diskEvery),
-	}
-}
-
-func TestCR2LValidate(t *testing.T) {
-	if err := mk2L(5, 20).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (&CR2L{}).Validate(); err == nil {
-		t.Error("missing stores accepted")
-	}
-	if err := mk2L(20, 5).Validate(); err == nil {
-		t.Error("disk interval below memory interval accepted")
-	}
-	bad := mk2L(5, 20)
-	bad.MemPolicy = checkpoint.Policy{}
-	if err := bad.Validate(); err == nil {
-		t.Error("missing policy accepted")
-	}
-}
 
 // TestCR2LRecoversFromMemoryForSNF: a node failure restores the freshest
 // (memory) checkpoint.
@@ -54,7 +25,7 @@ func TestCR2LRecoversFromMemoryForSNF(t *testing.T) {
 func TestCR2LSurvivesSWOThroughDisk(t *testing.T) {
 	a := testMatrix()
 	var mu sync.Mutex
-	var scheme *CR2L
+	var scheme *CR
 	mkScheme := func() Scheme {
 		s := mk2L(5, 10)
 		mu.Lock()
@@ -69,23 +40,17 @@ func TestCR2LSurvivesSWOThroughDisk(t *testing.T) {
 	if e == 0 || e > 1 {
 		t.Errorf("CR-2L SWO rollback error %g", e)
 	}
-	if scheme.DiskRestores != 1 {
-		t.Errorf("disk restores %d, want 1", scheme.DiskRestores)
+	if disk := scheme.Levels[1].Restores; disk != 1 {
+		t.Errorf("disk restores %d, want 1", disk)
 	}
 }
 
 // TestCRMemoryLostOnSWO: plain CR-M cannot use its checkpoint after a
-// system-wide outage and falls back to the initial guess.
+// system-wide outage and falls back to zeros.
 func TestCRMemoryLostOnSWO(t *testing.T) {
 	a := testMatrix()
 	mk := func() Scheme {
-		return classRewriter{
-			inner: &CR{
-				Store:  checkpoint.MemStore{Plat: platform.Default()},
-				Policy: checkpoint.FixedPolicy(5),
-			},
-			class: fault.SWO,
-		}
+		return classRewriter{inner: crM(5), class: fault.SWO}
 	}
 	e, _, _ := recoverOnce(t, mk, a, 4, 1, 12)
 	// Restoring zeros: error 1 relative to the lost state.
@@ -111,7 +76,7 @@ func (w classRewriter) Redundancy() int                      { return w.inner.Re
 func TestCR2LCheckpointCounts(t *testing.T) {
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 160, NNZPerRow: 7, Kappa: 200, Seed: 5})
 	var mu sync.Mutex
-	var scheme *CR2L
+	var scheme *CR
 	mk := func() Scheme {
 		s := mk2L(3, 9)
 		mu.Lock()
@@ -120,10 +85,14 @@ func TestCR2LCheckpointCounts(t *testing.T) {
 		return s
 	}
 	_, _, _ = recoverOnce(t, mk, a, 4, 1, 12)
-	if scheme.MemWrites == 0 || scheme.DiskWrites == 0 {
-		t.Errorf("writes mem=%d disk=%d", scheme.MemWrites, scheme.DiskWrites)
+	mem, disk := scheme.Levels[0].Writes, scheme.Levels[1].Writes
+	if mem == 0 || disk == 0 {
+		t.Errorf("writes mem=%d disk=%d", mem, disk)
 	}
-	if scheme.MemWrites < scheme.DiskWrites {
+	if scheme.Writes != mem+disk {
+		t.Errorf("total writes %d, want mem %d + disk %d", scheme.Writes, mem, disk)
+	}
+	if mem < disk {
 		t.Error("memory level must checkpoint at least as often as disk")
 	}
 }

@@ -66,8 +66,7 @@ func (s *RD) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	if c.Rank() != f.Rank {
 		return false, nil
 	}
-	defer ctx.span(obs.SpanReconstruct)()
-	prev := c.SetPhase(PhaseReconstruct)
+	defer ctx.enter(obs.SpanReconstruct).leave()
 	// One block of each CG vector crosses the network from the replica.
 	bytes := int64(8 * 4 * len(ctx.St.X))
 	c.ElapseIdle(ctx.Plat.P2PTime(bytes))
@@ -78,6 +77,5 @@ func (s *RD) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 		copy(ctx.St.Q, s.shadowQ)
 		ctx.St.Rho = s.rho
 	}
-	c.SetPhase(prev)
 	return false, nil
 }

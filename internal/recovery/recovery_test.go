@@ -4,10 +4,10 @@ import (
 	"math"
 	"testing"
 
-	"resilience/internal/checkpoint"
 	"resilience/internal/cluster"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
+	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/power"
 	"resilience/internal/solver"
@@ -116,32 +116,9 @@ func TestReconstructionAccuracyOrdering(t *testing.T) {
 	}
 }
 
-func TestFISetsInitialGuess(t *testing.T) {
-	a := testMatrix()
-	x0 := make([]float64, 40) // block of rank 2 (160/4)
-	for i := range x0 {
-		x0[i] = 7
-	}
-	var captured []float64
-	mk := func() Scheme {
-		return &FI{X0: x0}
-	}
-	// Capture the post-recovery block through a wrapper scheme.
-	_ = captured
-	e, _, _ := recoverOnce(t, mk, a, 4, 2, 12)
-	if e <= 0 {
-		t.Error("FI must leave a nonzero reconstruction error")
-	}
-}
-
 func TestCRRollback(t *testing.T) {
 	a := testMatrix()
-	mk := func() Scheme {
-		return &CR{
-			Store:  checkpoint.MemStore{Plat: platform.Default()},
-			Policy: checkpoint.FixedPolicy(5),
-		}
-	}
+	mk := func() Scheme { return crM(5) }
 	e, meter, _ := recoverOnce(t, mk, a, 4, 1, 12)
 	// Rollback restores the iterate from iteration 10 (last multiple of
 	// 5): close to but not equal to iteration 12's state.
@@ -151,24 +128,20 @@ func TestCRRollback(t *testing.T) {
 	if e > 1 {
 		t.Errorf("CR rollback error %g larger than F0's", e)
 	}
-	if meter.EnergyByPhase()[PhaseCheckpoint] <= 0 {
+	if meter.EnergyByPhase()[obs.SpanCheckpoint.String()] <= 0 {
 		t.Error("checkpoint energy not recorded")
 	}
-	if meter.EnergyByPhase()[PhaseRollback] <= 0 {
+	if meter.EnergyByPhase()[obs.SpanRollback.String()] <= 0 {
 		t.Error("rollback energy not recorded")
 	}
 }
 
+// TestCRWithoutCheckpointFallsBackToX0: with nothing written yet the
+// rollback restores x0 = 0, the one initial guess: the same error as F0.
 func TestCRWithoutCheckpointFallsBackToX0(t *testing.T) {
 	a := testMatrix()
-	mk := func() Scheme {
-		return &CR{
-			Store:  checkpoint.MemStore{Plat: platform.Default()},
-			Policy: checkpoint.FixedPolicy(1000), // never due before fault
-		}
-	}
+	mk := func() Scheme { return crM(1000) } // never due before the fault
 	e, _, _ := recoverOnce(t, mk, a, 4, 1, 12)
-	// Restores zeros (the default initial guess): same error as F0.
 	if math.Abs(e-1) > 1e-9 {
 		t.Errorf("CR without checkpoint error %g want 1", e)
 	}
@@ -205,7 +178,7 @@ func TestDVFSParkingReducesReconstructionEnergy(t *testing.T) {
 	for _, dvfs := range []bool{false, true} {
 		mk := func() Scheme { return &LI{Construct: ConstructExact, DVFS: dvfs} }
 		_, meter, _ := recoverOnce(t, mk, a, 4, 1, 10)
-		energy[dvfs] = meter.EnergyByPhase()[PhaseReconstruct]
+		energy[dvfs] = meter.EnergyByPhase()[obs.SpanReconstruct.String()]
 	}
 	if energy[true] >= energy[false] {
 		t.Errorf("DVFS reconstruction energy %g not below %g", energy[true], energy[false])

@@ -3,14 +3,19 @@
 //	CR-D / CR-M  checkpoint to / rollback from disk or memory
 //	DMR (RD)     double modular redundancy
 //	F0           assign 0 to the lost block of x
-//	FI           assign the initial guess to the lost block
+//	FI           assign the initial guess to the lost block; every solve
+//	             here starts from x0 = 0, so FI is F0
 //	LI           linear interpolation of the lost block (Eq. 17/19)
 //	LSI          least-squares interpolation (Eq. 18/20/21)
 //
-// plus two extension schemes beyond the paper's set:
+// plus three extension schemes beyond the paper's set:
 //
 //	ESR          exact state reconstruction, no rollback (arXiv:2007.04066)
 //	LCR          lossy-compressed checkpoint/restart (arXiv:1804.11268)
+//	CR-2L        two-level checkpoint/restart, memory then disk (SCR)
+//
+// CR-M, CR-D, LCR and CR-2L are one type, CR, over one or two checkpoint
+// levels.
 //
 // LI and LSI come in two construction flavors: the prior-work exact
 // solvers (dense LU of the diagonal block; QR of the column block) and
@@ -32,14 +37,6 @@ import (
 	"resilience/internal/vec"
 )
 
-// Phase labels used for power/energy attribution, beside the "solve"
-// phase every rank of a cluster starts in.
-const (
-	PhaseReconstruct = "reconstruct"
-	PhaseCheckpoint  = "checkpoint"
-	PhaseRollback    = "rollback"
-)
-
 // Ctx carries the per-rank context recovery code operates in.
 type Ctx struct {
 	C    *cluster.Comm
@@ -51,16 +48,32 @@ type Ctx struct {
 // Ranks returns the number of ranks in the run.
 func (ctx *Ctx) Ranks() int { return ctx.C.Size() }
 
-// span brackets a recovery phase for the observability layer: it returns
-// a func to defer, which records kind from the current clock to the clock
-// at call time. A no-op when no recorder is attached.
-func (ctx *Ctx) span(kind obs.SpanKind) func() {
-	o := ctx.C.Observer()
-	if o == nil {
-		return func() {}
+// phase is an open recovery phase: the power phase it displaced and the
+// clock it opened at. It is a value, so bracketing a phase allocates
+// nothing, recorder or not.
+type phase struct {
+	ctx   *Ctx
+	kind  obs.SpanKind
+	prev  string
+	start float64
+}
+
+// enter opens a recovery phase of the given kind: subsequent energy is
+// charged to the power phase named after the span kind (reconstruct,
+// checkpoint, rollback — the keys of EnergyByPhase). Close it with leave,
+// typically as defer ctx.enter(kind).leave().
+func (ctx *Ctx) enter(kind obs.SpanKind) phase {
+	return phase{ctx: ctx, kind: kind, prev: ctx.C.SetPhase(kind.String()), start: ctx.C.Clock()}
+}
+
+// leave restores the displaced power phase and records the phase's span
+// when a recorder is attached.
+func (p phase) leave() {
+	c := p.ctx.C
+	c.SetPhase(p.prev)
+	if o := c.Observer(); o != nil {
+		o.Span(p.kind, p.start, c.Clock()-p.start)
 	}
-	start := ctx.C.Clock()
-	return func() { o.Span(kind, start, ctx.C.Clock()-start) }
 }
 
 // Scheme is one recovery mechanism, instantiated per rank.
@@ -88,40 +101,16 @@ func (Base) AfterIteration(*Ctx, int) error { return nil }
 func (Base) Redundancy() int { return 1 }
 
 // F0 fills the lost block with zeros: the cheapest construction, the
-// slowest convergence (Section 3.2: T_const = 0, large T_extra).
+// slowest convergence (Section 3.2: T_const = 0, large T_extra). It also
+// serves FI, whose initial guess is always zero here.
 type F0 struct{ Base }
 
 // Recover implements Scheme.
 func (F0) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
 	if ctx.C.Rank() == f.Rank {
-		defer ctx.span(obs.SpanReconstruct)()
-		prev := ctx.C.SetPhase(PhaseReconstruct)
+		defer ctx.enter(obs.SpanReconstruct).leave()
 		vec.Zero(ctx.St.X)
 		ctx.C.Compute(int64(len(ctx.St.X))) // a memset-scale pass
-		ctx.C.SetPhase(prev)
-	}
-	return true, nil
-}
-
-// FI fills the lost block with the initial guess.
-type FI struct {
-	Base
-	// X0 is the rank's block of the initial guess (zeros when nil).
-	X0 []float64
-}
-
-// Recover implements Scheme.
-func (s *FI) Recover(ctx *Ctx, f fault.Fault) (bool, error) {
-	if ctx.C.Rank() == f.Rank {
-		defer ctx.span(obs.SpanReconstruct)()
-		prev := ctx.C.SetPhase(PhaseReconstruct)
-		if s.X0 == nil {
-			vec.Zero(ctx.St.X)
-		} else {
-			copy(ctx.St.X, s.X0)
-		}
-		ctx.C.Compute(int64(len(ctx.St.X)))
-		ctx.C.SetPhase(prev)
 	}
 	return true, nil
 }

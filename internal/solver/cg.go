@@ -62,8 +62,6 @@ type Options struct {
 	// after faults). The paper's runs terminate on the same accuracy for
 	// every scheme; this makes that comparison honest.
 	VerifyTrueResidual bool
-	// X0 is the global initial guess; nil means zeros.
-	X0 []float64
 	// Jacobi enables diagonal preconditioning of the distributed solve —
 	// an extension beyond the paper used to study how preconditioning
 	// interacts with forward recovery. Convergence is still measured on
@@ -86,8 +84,8 @@ type Result struct {
 	XLocal []float64
 }
 
-// CG runs distributed block-row CG on rank c. All ranks call it
-// collectively with identical arguments (a and b are shared read-only).
+// CG runs distributed block-row CG on rank c from x0 = 0. All ranks call
+// it collectively with identical arguments (a and b are shared read-only).
 func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opts Options) (*Result, error) {
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: CG len(b)=%d for %s", len(b), a)
@@ -109,9 +107,6 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 		Q:      make([]float64, n),
 	}
 	copy(st.BLocal, part.Slice(b, c.Rank()))
-	if opts.X0 != nil {
-		copy(st.X, part.Slice(opts.X0, c.Rank()))
-	}
 
 	// ||b|| once.
 	localBB := vec.Dot(st.BLocal, st.BLocal)

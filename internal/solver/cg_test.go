@@ -93,15 +93,6 @@ func TestCGHistoryRecorded(t *testing.T) {
 	}
 }
 
-func TestCGX0Honored(t *testing.T) {
-	a := matgen.Laplacian2D(8)
-	b, xTrue := matgen.RHS(a)
-	res, _ := runCG(t, a, b, 4, Options{Tol: 1e-10, MaxIters: 10 * a.Rows, X0: xTrue})
-	if res.Iters != 0 {
-		t.Errorf("warm start took %d iterations", res.Iters)
-	}
-}
-
 func TestCGMaxIters(t *testing.T) {
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 256, NNZPerRow: 5, Kappa: 1e8, Seed: 4})
 	b, _ := matgen.RHS(a)

@@ -24,8 +24,9 @@ import (
 //	p = r + beta p;  q = w + beta q      — q tracks A p
 //	x += alpha p;  r -= alpha q;  w = A r
 //
-// Fault recovery hooks are not wired into this variant; it exists to
-// quantify the synchronization trade-off against the monitored CG.
+// Like CG it starts from x0 = 0. Fault recovery hooks are not wired into
+// this variant; it exists to quantify the synchronization trade-off
+// against the monitored CG.
 func PipelinedCG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opts Options) (*Result, error) {
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: PipelinedCG len(b)=%d for %s", len(b), a)
@@ -42,9 +43,6 @@ func PipelinedCG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Parti
 	bLocal := make([]float64, n)
 	copy(bLocal, part.Slice(b, c.Rank()))
 	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, part.Slice(opts.X0, c.Rank()))
-	}
 	r := make([]float64, n)
 	w := make([]float64, n) // the extra pipelined recurrence vector
 	p := make([]float64, n)

@@ -10,6 +10,8 @@
 # the nonblocking point-to-point API the halo plan replaced, nor the
 # governor and RAPL emulations and the settings that became constants,
 # nor the meter's per-record path the per-core handle replaced,
+# nor the second and third checkpoint/restart types, the initial guess
+# and the scheme knobs no program set,
 # nor the fabric clients' own retry loops, nor the programs folded into
 # chaos-fleet, resilience-bench and cgsolve, is named again; the even
 # fault placement has one caller, in core), a
@@ -113,6 +115,18 @@ fi
 # TestEveryDeclarationHasACaller keeps unreached declarations out.
 if git grep -nE 'New''Governor|New''Sampler|PerCore''Energy|Cache''Shards|Forward''Timeout|MaxLocal''Iters|(^|[^t])Lossy''ErrBound' -- . ':!*.md'; then
     echo "a deleted emulation or setting is named again"; exit 1
+fi
+# Likewise the second and third checkpoint/restart types: recovery.CR is
+# one leveled scheme (CR-M, CR-D and LCR one level, CR-2L memory then
+# disk), so LCR's and CR-2L's own types, the disk-level and compression-
+# ratio knobs, core's second store choice and the phase-name copies (a
+# recovery phase is named after its span kind) stay deleted, and so does
+# the initial-guess field at every layer: every solve starts from x0 = 0.
+# DefaultLossyRatio, the LCR operating point, is a constant, hence the
+# [^t].
+if git grep -nE 'type L''CR struct|type CR''2L struct|Disk''Every|(^|[^t])Lossy''Ratio|lossy''Store|Phase(Recon''struct|Check''point|Roll''back)|(^|[^[:alnum:]_])X''0([^[:alnum:]_]|$)' \
+    -- '*.go' ':!*_test.go'; then
+    echo "a retired checkpoint/restart type, scheme knob or initial guess is named again"; exit 1
 fi
 # Likewise the meter's second record path: a rank records through the
 # power.Core handle it takes once, with its phase entry resolved once per
