@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Int64("seed", 1, "campaign seed (scenario i derives seed+i*stride)")
 		maxFaults = fs.Int("max-faults", 3, "faults per scenario drawn from 0..k")
 		schemes   = fs.String("schemes", strings.Join(chaos.DefaultSchemes(), ","), "comma-separated scheme pool")
-		tol       = fs.Float64("tol", 1e-10, "solver tolerance")
 		batch     = fs.Int("batch", 64, "scenarios per fleet batch")
 		c         = fs.Int("c", 4, "batches in flight at once")
 		breakInv  = fs.String("break", "", "deliberately fail this invariant on faulted scenarios (fleet self-test); one of: "+strings.Join(chaos.InvariantNames(), ", "))
@@ -102,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:      *seed,
 			MaxFaults: *maxFaults,
 			Schemes:   strings.Split(*schemes, ","),
-			Tol:       *tol,
 		},
 		Batch:        *batch,
 		Workers:      *c,

@@ -21,20 +21,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
+	_ "net/http/pprof" // registers the profiler on the default mux, which -pprof-addr serves
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"resilience/internal/obs"
+	"resilience/internal/service"
 	"resilience/internal/service/router"
 )
 
@@ -70,19 +66,6 @@ func main() {
 	}
 }
 
-// servePprof exposes the net/http/pprof handlers (registered on the
-// default mux by the underscore import) on their own listener, kept off
-// the routing port.
-func servePprof(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("pprof listening on http://%s/debug/pprof/", ln.Addr())
-	go http.Serve(ln, nil)
-	return nil
-}
-
 // run routes until a signal (or a close of o.stop, for tests) and drains.
 func run(o options) error {
 	if o.flightDir != "" {
@@ -104,40 +87,8 @@ func run(o options) error {
 	if err != nil {
 		return fmt.Errorf("resilience-router: %w", err)
 	}
-	if o.pprofAddr != "" {
-		if err := servePprof(o.pprofAddr); err != nil {
-			return fmt.Errorf("resilience-router: pprof: %w", err)
-		}
-	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		rt.Shutdown(context.Background())
+	if err := service.Serve("resilience-router", rt, rt.Shutdown, o.addr, o.pprofAddr, o.drainGrace, o.stop); err != nil {
 		return err
-	}
-	hs := &http.Server{Handler: rt}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	log.Printf("resilience-router listening on http://%s (%d replicas)", ln.Addr(), len(urls))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	select {
-	case s := <-sig:
-		log.Printf("caught %v, draining", s)
-	case <-o.stop:
-		log.Printf("stop requested, draining")
-	case err := <-serveErr:
-		return fmt.Errorf("resilience-router: serve: %w", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainGrace)
-	defer cancel()
-	if err := rt.Shutdown(ctx); err != nil {
-		return fmt.Errorf("resilience-router: drain: %w", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("resilience-router: http shutdown: %w", err)
 	}
 	log.Printf("drained clean, exiting")
 	return nil

@@ -1,7 +1,7 @@
 // Command resilienced serves resilient solves over HTTP/JSON.
 //
-// Jobs (scenario replays, registered experiments, diagnostic sleeps)
-// are POSTed to /solve one at a time, or to /batch as a JSON array that
+// Jobs (scenario replays, their chaos verdicts, diagnostic sleeps) are
+// POSTed to /solve one at a time, or to /batch as a JSON array that
 // is answered item by item with the bytes /solve would return. A
 // content-addressed result cache with
 // single-flight dedup answers repeated jobs ahead of admission; new
@@ -17,17 +17,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
+	_ "net/http/pprof" // registers the profiler on the default mux, which -pprof-addr serves
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"resilience/internal/obs"
@@ -68,20 +63,6 @@ func main() {
 	}
 }
 
-// servePprof exposes the net/http/pprof handlers (registered on the
-// default mux by the underscore import) on their own listener, kept off
-// the service port so profiling is never reachable from service
-// clients.
-func servePprof(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("pprof listening on http://%s/debug/pprof/", ln.Addr())
-	go http.Serve(ln, nil)
-	return nil
-}
-
 // run serves until a signal (or a close of o.stop, for tests) and drains.
 func run(o options) error {
 	if o.flightDir != "" {
@@ -94,39 +75,8 @@ func run(o options) error {
 		JobTimeout: o.jobTimeout,
 		RetryAfter: o.retryAfter,
 	})
-	if o.pprofAddr != "" {
-		if err := servePprof(o.pprofAddr); err != nil {
-			return fmt.Errorf("resilienced: pprof: %w", err)
-		}
-	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
+	if err := service.Serve("resilienced", svc, svc.Shutdown, o.addr, o.pprofAddr, o.drainGrace, o.stop); err != nil {
 		return err
-	}
-	hs := &http.Server{Handler: svc}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	log.Printf("resilienced listening on http://%s", ln.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	select {
-	case s := <-sig:
-		log.Printf("caught %v, draining", s)
-	case <-o.stop:
-		log.Printf("stop requested, draining")
-	case err := <-serveErr:
-		return fmt.Errorf("resilienced: serve: %w", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainGrace)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		return fmt.Errorf("resilienced: drain: %w", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("resilienced: http shutdown: %w", err)
 	}
 	if o.traceDir != "" {
 		if err := dumpTrace(svc, o.traceDir); err != nil {

@@ -131,6 +131,11 @@ func TestRunPprofFlag(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// The profiler's listener closes with the daemon's.
+	if resp, err := http.Get("http://" + m[1] + "/debug/pprof/cmdline"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("pprof still answers %d after the daemon returned", resp.StatusCode)
+	}
 }
 
 func TestRunRejectsBadAddr(t *testing.T) {

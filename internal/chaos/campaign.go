@@ -21,7 +21,6 @@ type Options struct {
 	Seed      int64    // campaign seed; scenario i derives its own seed from it
 	MaxFaults int      // faults per scenario drawn from 0..MaxFaults (<=0: 3)
 	Schemes   []string // scheme pool (nil: DefaultSchemes)
-	Tol       float64  // solver tolerance (<=0: 1e-10)
 
 	// Recheck enables the determinism invariant: rerun each scenario and
 	// demand bitwise-identical results. It roughly doubles the campaign
@@ -36,9 +35,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if len(out.Schemes) == 0 {
 		out.Schemes = DefaultSchemes()
-	}
-	if out.Tol <= 0 {
-		out.Tol = 1e-10
 	}
 	return out
 }
@@ -72,7 +68,7 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 		Grid:      6 + rng.Intn(5), // n = 36 .. 100
 		Ranks:     1 + rng.Intn(6),
 		Scheme:    o.Schemes[rng.Intn(len(o.Schemes))],
-		Tol:       o.Tol,
+		Tol:       defaultTol,
 		CkptEvery: 2 + rng.Intn(9),
 	}
 	rng.Intn(2) // a retired field's draw, kept so each (seed, index) names the scenario it always has

@@ -57,6 +57,10 @@ type Scenario struct {
 	Faults      []FaultSpec
 }
 
+// defaultTol is the solver tolerance of every generated scenario and of
+// a flag string that names none.
+const defaultTol = 1e-10
+
 // N returns the system size.
 func (s *Scenario) N() int { return s.Grid * s.Grid }
 
@@ -98,7 +102,7 @@ func (s *Scenario) Args() string {
 // appear in any order; booleans are presence flags). It validates every
 // field, so it doubles as the campaign-config decoder fuzz target.
 func ParseArgs(args string) (*Scenario, error) {
-	s := &Scenario{Grid: 8, Ranks: 4, Scheme: "LI", Tol: 1e-10, Seed: 1}
+	s := &Scenario{Grid: 8, Ranks: 4, Scheme: "LI", Tol: defaultTol, Seed: 1}
 	toks := strings.Fields(args)
 	need := func(i int, flag string) (string, error) {
 		if i+1 >= len(toks) {

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"fmt"
 	"sort"
 
 	"resilience/internal/chaos"
-	"resilience/internal/experiments"
-	"resilience/internal/matgen"
 )
 
 // canonicalVersion prefixes every cache key so a future change to the
@@ -35,10 +32,6 @@ const canonicalVersion = "j1"
 //   - Verdict jobs normalize like scenario jobs but key under a distinct
 //     "verdict" kind (the response carries the invariant battery's
 //     verdict), with the break-invariant self-test hook keyed in.
-//   - Experiment jobs: the scale name is normalized ("" means tiny) and
-//     a zero seed is resolved to the experiment default, so explicit and
-//     elided defaults unify. Workers is excluded: the experiment engine
-//     documents byte-identical output for any worker count.
 //   - TimeoutMs is excluded for every kind: a deadline changes whether a
 //     result is produced, never which bytes it contains, and failed jobs
 //     are never cached.
@@ -47,30 +40,18 @@ func CanonicalKey(req JobRequest) (key string, cacheable bool, err error) {
 	if err != nil {
 		return "", false, err
 	}
-	switch req.Kind() {
-	case "scenario":
-		spec, _ := chaos.ParseSchemeName(s.Scheme) // ParseArgs accepted it
-		s.Scheme = spec.CanonicalName()
-		sort.SliceStable(s.Faults, func(i, j int) bool { return s.Faults[i].Iter < s.Faults[j].Iter })
-		if req.Verdict {
-			// Verdict jobs answer with the invariant battery's verdict, so
-			// they can never alias a plain scenario key; the break-invariant
-			// self-test hook changes the verdict and keys separately.
-			// Invariant names are a fixed identifier set — no '|' collisions.
-			return canonicalVersion + "|verdict|" + req.BreakInvariant + "|" + s.Args(), true, nil
-		}
-		return canonicalVersion + "|scenario|" + s.Args(), true, nil
-	case "experiment":
-		scale := matgen.Tiny
-		if req.Scale != "" {
-			scale, _ = matgen.ParseScale(req.Scale) // parse accepted it
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = experiments.Default(scale).Seed
-		}
-		return fmt.Sprintf("%s|experiment|%s|%s|%d", canonicalVersion, req.Experiment, scale, seed), true, nil
-	default:
+	if req.Kind() != "scenario" {
 		return "", false, nil
 	}
+	spec, _ := chaos.ParseSchemeName(s.Scheme) // ParseArgs accepted it
+	s.Scheme = spec.CanonicalName()
+	sort.SliceStable(s.Faults, func(i, j int) bool { return s.Faults[i].Iter < s.Faults[j].Iter })
+	if req.Verdict {
+		// Verdict jobs answer with the invariant battery's verdict, so
+		// they can never alias a plain scenario key; the break-invariant
+		// self-test hook changes the verdict and keys separately.
+		// Invariant names are a fixed identifier set — no '|' collisions.
+		return canonicalVersion + "|verdict|" + req.BreakInvariant + "|" + s.Args(), true, nil
+	}
+	return canonicalVersion + "|scenario|" + s.Args(), true, nil
 }

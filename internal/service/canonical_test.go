@@ -66,37 +66,6 @@ func TestCanonicalKeyPreservesSameIterationOrder(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyExperiments: scale and seed defaults normalize;
-// workers and timeout are excluded (the engine documents byte-identical
-// output for any worker count).
-func TestCanonicalKeyExperiments(t *testing.T) {
-	want, ok, err := CanonicalKey(JobRequest{Experiment: "tab3", Scale: "tiny", Seed: 1})
-	if err != nil || !ok {
-		t.Fatalf("base: %v %v", ok, err)
-	}
-	for _, eq := range []JobRequest{
-		{Experiment: "tab3"},                         // scale and seed elided
-		{Experiment: "tab3", Scale: "tiny"},          // seed elided
-		{Experiment: "tab3", Seed: 1},                // scale elided
-		{Experiment: "tab3", Workers: 7},             // workers excluded
-		{Experiment: "tab3", TimeoutMs: 99, Seed: 1}, // timeout excluded
-		{Experiment: "tab3", Scale: "tiny", Seed: 1}, // fully explicit
-	} {
-		got, ok, err := CanonicalKey(eq)
-		if err != nil || !ok || got != want {
-			t.Errorf("%+v: key %q (ok=%v err=%v), want %q", eq, got, ok, err, want)
-		}
-	}
-	other, _, err := CanonicalKey(JobRequest{Experiment: "tab3", Seed: 2})
-	if err != nil || other == want {
-		t.Fatalf("seed 2 key %q collides with seed 1 (err %v)", other, err)
-	}
-	ci, _, err := CanonicalKey(JobRequest{Experiment: "tab3", Scale: "ci"})
-	if err != nil || ci == want {
-		t.Fatalf("ci key %q collides with tiny (err %v)", ci, err)
-	}
-}
-
 // TestCanonicalKeyNonCacheable: sleeps are timing diagnostics, not pure
 // functions of the request — never cacheable. Invalid jobs error.
 func TestCanonicalKeyNonCacheable(t *testing.T) {
@@ -105,12 +74,6 @@ func TestCanonicalKeyNonCacheable(t *testing.T) {
 	}
 	if _, ok, err := CanonicalKey(JobRequest{Scenario: "-grid banana"}); ok || err == nil {
 		t.Fatal("bad scenario produced a key")
-	}
-	if _, ok, err := CanonicalKey(JobRequest{Experiment: "no-such"}); ok || err == nil {
-		t.Fatal("unknown experiment produced a key")
-	}
-	if _, ok, err := CanonicalKey(JobRequest{Experiment: "tab3", Scale: "galactic"}); ok || err == nil {
-		t.Fatal("bad scale produced a key")
 	}
 }
 
@@ -134,10 +97,6 @@ func TestCanonicalKeyDistinctCorpus(t *testing.T) {
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SNF@5:r1"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SWO@5:r1,SNF@5:r0"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SNF@5:r0,SWO@5:r1"},
-		{Experiment: "tab3"},
-		{Experiment: "tab3", Scale: "ci"},
-		{Experiment: "tab3", Seed: 2},
-		{Experiment: "fig3"},
 	}
 	seen := make(map[string]string, len(corpus))
 	for _, req := range corpus {
@@ -148,7 +107,7 @@ func TestCanonicalKeyDistinctCorpus(t *testing.T) {
 		if prev, dup := seen[key]; dup {
 			t.Errorf("collision: %q maps both %+v and %s", key, req, prev)
 		}
-		seen[key] = req.Scenario + req.Experiment + req.Scale
+		seen[key] = req.Scenario
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package service exposes the resilient solver as an HTTP/JSON service:
-// solve and experiment jobs are admitted through a bounded queue with
-// explicit backpressure, executed on a worker pool, and answered with
-// bitwise-faithful results.
+// scenario, verdict and sleep jobs are admitted through a bounded queue
+// with explicit backpressure, executed on a worker pool, and answered
+// with bitwise-faithful results. It also holds the serving skeleton the
+// router shares: the admission/drain Gate and the Serve loop.
 //
 // The service's correctness contract is determinism: a job's response is
 // byte-identical to running the same job offline through RunJob, for any
@@ -18,19 +19,15 @@ import (
 
 	"resilience/internal/chaos"
 	"resilience/internal/core"
-	"resilience/internal/experiments"
-	"resilience/internal/matgen"
 	"resilience/internal/obs"
 )
 
 // JobRequest is one unit of work submitted to POST /solve. Exactly one
-// of Scenario, Experiment, or SleepMs selects the job kind:
+// of Scenario or SleepMs selects the job kind:
 //
 //   - Scenario runs one resilient solve from a chaos replay flag string
 //     (the canonical scenario codec, e.g.
 //     "-grid 8 -ranks 4 -scheme CR-M -ckpt 5 -seed 7 -faults SWO@5:r1").
-//   - Experiment runs a registered paper experiment by ID at the given
-//     scale and returns its rendered tables.
 //   - SleepMs holds a worker for the given wall-clock time and returns
 //     nothing. It exists so load tests can fill the queue
 //     deterministically and observe backpressure without burning CPU.
@@ -51,17 +48,6 @@ type JobRequest struct {
 	// server-side). Requires Verdict; must name a known invariant.
 	BreakInvariant string `json:"break_invariant,omitempty"`
 
-	// Experiment is a registered experiment ID (see experiments.All).
-	Experiment string `json:"experiment,omitempty"`
-	// Scale sizes an experiment job: "tiny", "ci", or "paper".
-	// Empty means "tiny".
-	Scale string `json:"scale,omitempty"`
-	// Workers bounds the experiment engine's internal concurrency
-	// (0 = engine default). Output is byte-identical for any value.
-	Workers int `json:"workers,omitempty"`
-	// Seed overrides the experiment fault-injection seed (0 = default).
-	Seed int64 `json:"seed,omitempty"`
-
 	// SleepMs holds a worker for this many milliseconds (diagnostic).
 	SleepMs int `json:"sleep_ms,omitempty"`
 
@@ -70,16 +56,12 @@ type JobRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
-// Kind returns "scenario", "experiment", or "sleep".
+// Kind returns "scenario" or "sleep".
 func (r *JobRequest) Kind() string {
-	switch {
-	case r.Scenario != "":
+	if r.Scenario != "" {
 		return "scenario"
-	case r.Experiment != "":
-		return "experiment"
-	default:
-		return "sleep"
 	}
+	return "sleep"
 }
 
 // Validate rejects malformed requests before they reach the queue, so
@@ -98,14 +80,11 @@ func (r *JobRequest) parse() (*chaos.Scenario, error) {
 	if r.Scenario != "" {
 		set++
 	}
-	if r.Experiment != "" {
-		set++
-	}
 	if r.SleepMs > 0 {
 		set++
 	}
 	if set != 1 {
-		return nil, fmt.Errorf("service: request must set exactly one of scenario, experiment, sleep_ms (got %d)", set)
+		return nil, fmt.Errorf("service: request must set exactly one of scenario, sleep_ms (got %d)", set)
 	}
 	if r.SleepMs < 0 {
 		return nil, fmt.Errorf("service: negative sleep_ms %d", r.SleepMs)
@@ -124,27 +103,14 @@ func (r *JobRequest) parse() (*chaos.Scenario, error) {
 			return nil, fmt.Errorf("service: unknown invariant %q", r.BreakInvariant)
 		}
 	}
-	switch {
-	case r.Scenario != "":
-		s, err := chaos.ParseArgs(r.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("service: bad scenario: %w", err)
-		}
-		return s, nil
-	case r.Experiment != "":
-		if _, ok := experiments.Get(r.Experiment); !ok {
-			return nil, fmt.Errorf("service: unknown experiment %q", r.Experiment)
-		}
-		if r.Scale != "" {
-			if _, err := matgen.ParseScale(r.Scale); err != nil {
-				return nil, fmt.Errorf("service: bad scale: %w", err)
-			}
-		}
-		if r.Workers < 0 {
-			return nil, fmt.Errorf("service: negative workers %d", r.Workers)
-		}
+	if r.Scenario == "" {
+		return nil, nil
 	}
-	return nil, nil
+	s, err := chaos.ParseArgs(r.Scenario)
+	if err != nil {
+		return nil, fmt.Errorf("service: bad scenario: %w", err)
+	}
+	return s, nil
 }
 
 // JobResult is the response body for a completed job. Float fields are
@@ -175,9 +141,6 @@ type JobResult struct {
 	// produced a report, so verdict jobs feed the same scheme histograms.
 	Verdict string `json:"verdict,omitempty"`
 
-	// Experiment jobs: the rendered tables, verbatim.
-	Output string `json:"output,omitempty"`
-
 	// Sleep jobs.
 	SleptMs int `json:"slept_ms,omitempty"`
 }
@@ -197,8 +160,6 @@ func RunJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recorder, err
 			return runVerdictJob(ctx, req)
 		}
 		return runScenarioJob(ctx, req)
-	case "experiment":
-		return runExperimentJob(ctx, req)
 	default:
 		return runSleepJob(ctx, req)
 	}
@@ -283,33 +244,6 @@ func runScenarioJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recor
 		return nil, nil, err
 	}
 	return reportResult("scenario", rep), rec, nil
-}
-
-func runExperimentJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recorder, error) {
-	runner, _ := experiments.Get(req.Experiment)
-	scale := matgen.Tiny
-	if req.Scale != "" {
-		scale, _ = matgen.ParseScale(req.Scale)
-	}
-	cfg := experiments.Default(scale)
-	cfg.Workers = req.Workers
-	if req.Seed != 0 {
-		cfg.Seed = req.Seed
-	}
-	// The experiment engine predates context plumbing; bound it with a
-	// pre-flight check so expired jobs fail fast instead of running.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("service: experiment canceled before start: %w", err)
-	}
-	res, err := runner.Run(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &JobResult{
-		Kind:   "experiment",
-		Seed:   cfg.Seed,
-		Output: res.String(),
-	}, nil, nil
 }
 
 func runSleepJob(ctx context.Context, req JobRequest) (*JobResult, *obs.Recorder, error) {

@@ -85,12 +85,10 @@ type Router struct {
 	// invalidate it.
 	front *cache.Cache[[]byte]
 
-	// admitMu serializes admission against the drain flip, exactly like
-	// the replica server's discipline.
-	admitMu  sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
-	slots    chan struct{}
+	// gate admits requests into slots and drains them, through the one
+	// protocol the replicas use too.
+	gate  service.Gate
+	slots chan struct{}
 
 	// mu guards membership; the assembled ring is swapped atomically so
 	// routing reads never block on membership churn.
@@ -279,31 +277,15 @@ func (rt *Router) exposeFleet(e *obs.Expo) {
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Shutdown stops admission, waits for in-flight forwards, and stops the
-// health prober. The replicas drain on their own schedule.
+// Shutdown stops admission, waits for in-flight forwards (the health
+// prober keeps the ring current meanwhile), then stops the prober. Safe
+// to call once; ctx bounds the wait. The replicas drain on their own
+// schedule.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.admitMu.Lock()
-	already := rt.draining
-	rt.draining = true
-	rt.admitMu.Unlock()
-	if already {
-		return errors.New("router: shutdown called twice")
+	if err := rt.gate.Drain(ctx); err != nil {
+		return fmt.Errorf("router: %w", err)
 	}
-	select {
-	case <-rt.stopHealth:
-	default:
-		close(rt.stopHealth)
-	}
-	drained := make(chan struct{})
-	go func() {
-		rt.inflight.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return fmt.Errorf("router: drain interrupted: %w", ctx.Err())
-	}
+	close(rt.stopHealth)
 	<-rt.healthDone
 	rt.client.CloseIdleConnections()
 	rt.probe.CloseIdleConnections()
@@ -479,24 +461,25 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 // /solve or a whole /batch — or writes the refusal and reports false.
 // release returns the slot.
 func (rt *Router) admit(w http.ResponseWriter, reqID, saturated string) bool {
-	rt.admitMu.RLock()
-	defer rt.admitMu.RUnlock()
-	if rt.draining {
+	ok, draining := rt.gate.Enter(func() bool {
+		select {
+		case rt.slots <- struct{}{}:
+			return true
+		default:
+			return false
+		}
+	})
+	switch {
+	case draining:
 		rt.setRetryAfter(w)
 		service.WriteError(w, http.StatusServiceUnavailable, "draining")
-		return false
-	}
-	select {
-	case rt.slots <- struct{}{}:
-	default:
+	case !ok:
 		rt.rejected.Inc()
 		rt.flight.Note("router-rejected", reqID, saturated)
 		rt.setRetryAfter(w)
 		service.WriteError(w, http.StatusTooManyRequests, "router saturated")
-		return false
 	}
-	rt.inflight.Add(1)
-	return true
+	return ok
 }
 
 // setRetryAfter puts the router's own hint on a 429 or 503.
@@ -506,7 +489,7 @@ func (rt *Router) setRetryAfter(w http.ResponseWriter) {
 
 func (rt *Router) release() {
 	<-rt.slots
-	rt.inflight.Done()
+	rt.gate.Leave()
 }
 
 // routerError is an answer the router makes up itself.
@@ -837,11 +820,8 @@ func (rt *Router) forwardBatch(ctx context.Context, sb *subBatch) ([]service.Bat
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.admitMu.RLock()
-	draining := rt.draining
-	rt.admitMu.RUnlock()
 	status, code := "ok", http.StatusOK
-	if draining {
+	if rt.gate.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	members := rt.Members()

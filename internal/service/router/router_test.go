@@ -115,7 +115,6 @@ func TestRouterByteIdentityAndAffinity(t *testing.T) {
 	jobs := []service.JobRequest{
 		{Scenario: "-grid 8 -ranks 4 -scheme LI -seed 3"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -ckpt 5 -seed 7 -faults SWO@5:r1"},
-		{Experiment: "tab3"},
 	}
 	for _, req := range jobs {
 		res, _, err := service.RunJob(context.Background(), req)

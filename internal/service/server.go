@@ -93,15 +93,10 @@ type Server struct {
 	// tests use it to finish a duplicate's flight inside that window.
 	afterMiss func()
 
-	// admitMu serializes admission against the drain flip: admits hold
-	// it shared across the draining check and the push, Shutdown takes
-	// it exclusively to flip draining — so every successful push
-	// happens-before the drain and the queue never sees a late send.
-	admitMu  sync.RWMutex
-	draining bool
-
-	inflight sync.WaitGroup // admitted jobs not yet answered
-	workers  sync.WaitGroup
+	// gate admits jobs onto the queue and drains them: every successful
+	// push happens-before the drain, so the queue never sees a late send.
+	gate    Gate
+	workers sync.WaitGroup
 
 	// The telemetry plane: counters and histograms live in reg (served
 	// on /metrics and, as a mergeable JSON snapshot, on /telemetry);
@@ -221,22 +216,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // queue or worker), which lets a replica behind a router serve out its
 // hot set while the router re-shards around it.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.admitMu.Lock()
-	already := s.draining
-	s.draining = true
-	s.admitMu.Unlock()
-	if already {
-		return errors.New("service: shutdown called twice")
-	}
-	drained := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
+	if err := s.gate.Drain(ctx); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	s.queue.close()
 	s.workers.Wait()
@@ -253,7 +234,7 @@ func (s *Server) worker() {
 		j.cancel()
 		s.record(j.req, res, rec, err, wall, j.reqID)
 		j.done <- jobOutcome{result: res, rec: rec, err: err}
-		s.inflight.Done()
+		s.gate.Leave()
 	}
 }
 
@@ -481,21 +462,17 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 	j := &job{req: req, reqID: reqID, ctx: jctx, cancel: cancel, done: make(chan jobOutcome, 1)}
 
 	admit := s.tracer.Start("admission-wait", reqID)
-	s.admitMu.RLock()
-	if s.draining {
-		s.admitMu.RUnlock()
-		admit.End()
+	admitted, draining := s.gate.Enter(func() bool {
+		j.enqueued = time.Now()
+		return s.queue.tryPush(j)
+	})
+	admit.End()
+
+	if draining {
 		cancel()
 		return flightOut{code: http.StatusServiceUnavailable, body: ErrorBody("draining")}
 	}
-	s.inflight.Add(1)
-	j.enqueued = time.Now()
-	admitted := s.queue.tryPush(j)
-	s.admitMu.RUnlock()
-	admit.End()
-
 	if !admitted {
-		s.inflight.Done()
 		cancel()
 		s.cRejected.Inc()
 		s.flight.Note("job-rejected", reqID, "queue full")
@@ -521,11 +498,8 @@ func (s *Server) executeQueued(parent context.Context, req JobRequest, reqID str
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.admitMu.RLock()
-	draining := s.draining
-	s.admitMu.RUnlock()
 	status, code := "ok", http.StatusOK
-	if draining {
+	if s.gate.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	WriteJSON(w, code, map[string]any{

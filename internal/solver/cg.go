@@ -270,12 +270,21 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	return res, nil
 }
 
-// SolveFaultFreeIters runs a plain sequential CG on (a, b) and returns
-// the iteration count at tolerance tol — the FF baseline the paper
-// normalizes every experiment against, and the input the evenly-spaced
-// fault schedules need.
+// SolveFaultFreeIters runs a plain sequential CG on (a, b) — SeqPCGWork
+// with a unit diagonal — and returns the iteration count at tolerance
+// tol: the FF baseline the paper normalizes every experiment against,
+// and the input the evenly-spaced fault schedules need.
 func SolveFaultFreeIters(a *sparse.CSR, b []float64, tol float64, maxIters int) (int, bool) {
 	x := make([]float64, a.Rows)
-	r := SeqCGMatrix(a, b, x, tol, maxIters)
+	r := SeqPCGWork(nil, a.MulVec, a.SpMVFlops(), unitDiag(a.Rows), b, x, tol, maxIters)
 	return r.Iters, r.Converged
+}
+
+// unitDiag returns n ones: the diagonal that makes SeqPCGWork plain CG.
+func unitDiag(n int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = 1
+	}
+	return d
 }

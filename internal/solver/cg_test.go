@@ -53,7 +53,7 @@ func TestDistributedCGMatchesSequential(t *testing.T) {
 	// Iteration counts must be process-count invariant up to FP noise
 	// (Table 4's observation).
 	seq := make([]float64, a.Rows)
-	sres := SeqCGMatrix(a, b, seq, 1e-11, 10*a.Rows)
+	sres := plainCG(a, b, seq, 1e-11, 10*a.Rows)
 	res4, _ := runCG(t, a, b, 4, Options{Tol: 1e-11, MaxIters: 10 * a.Rows})
 	if d := res4.Iters - sres.Iters; d < -3 || d > 3 {
 		t.Errorf("distributed %d vs sequential %d iterations", res4.Iters, sres.Iters)

@@ -8,6 +8,18 @@ import (
 	"resilience/internal/vec"
 )
 
+// ApplyFunc computes y = Op*x for an implicit linear operator.
+type ApplyFunc func(y, x []float64)
+
+// SeqResult reports a sequential solve.
+type SeqResult struct {
+	Iters     int
+	RelRes    float64
+	Converged bool
+	// Flops is the total flop count, for charging to a virtual clock.
+	Flops int64
+}
+
 // SeqPCGWork runs sequential preconditioned CG with a diagonal (Jacobi)
 // preconditioner: it solves Op*x = b with M = diag(d). The localized
 // LI/LSI constructions use it because the synthetic SPD spectra (and many
@@ -15,9 +27,13 @@ import (
 // construction iterations dramatically — construction cost is the t_const
 // the paper's Section 4 optimizations target.
 //
-// Convergence is measured on the true residual norm ||b - Op x|| relative
-// to ||b||, matching SeqCG's criterion. ws supplies the scratch buffers,
-// so the per-fault reconstruction solves stop allocating; it may be nil.
+// It is the repository's one sequential CG loop: with a unit diagonal,
+// z = r and the iterates are plain CG's bit for bit, which is how
+// SolveFaultFreeIters runs it.
+//
+// Convergence is measured on the recurrence residual norm ||r||
+// relative to ||b||. ws supplies the scratch buffers, so the per-fault
+// reconstruction solves stop allocating; it may be nil.
 func SeqPCGWork(ws *SeqWorkspace, apply ApplyFunc, flopsPerApply int64, diag, b, x []float64, tol float64, maxIters int) SeqResult {
 	n := len(b)
 	if len(x) != n || len(diag) != n {

@@ -16,11 +16,17 @@ func relErr(x, want []float64) float64 {
 	return vec.Dist2(x, want) / math.Max(vec.Nrm2(want), 1)
 }
 
+// plainCG is the sequential kernel with M = I, the plain CG that
+// SolveFaultFreeIters runs.
+func plainCG(a *sparse.CSR, b, x []float64, tol float64, maxIters int) SeqResult {
+	return SeqPCGWork(nil, a.MulVec, a.SpMVFlops(), unitDiag(a.Rows), b, x, tol, maxIters)
+}
+
 func TestSeqCGOnLaplacian(t *testing.T) {
 	a := matgen.Laplacian2D(12)
 	b, xTrue := matgen.RHS(a)
 	x := make([]float64, a.Rows)
-	res := SeqCGMatrix(a, b, x, 1e-12, 10*a.Rows)
+	res := plainCG(a, b, x, 1e-12, 10*a.Rows)
 	if !res.Converged {
 		t.Fatalf("did not converge: relres %g after %d iters", res.RelRes, res.Iters)
 	}
@@ -37,7 +43,7 @@ func TestSeqCGWarmStart(t *testing.T) {
 	b, xTrue := matgen.RHS(a)
 	// Starting at the solution must converge immediately.
 	x := append([]float64(nil), xTrue...)
-	res := SeqCGMatrix(a, b, x, 1e-10, 100)
+	res := plainCG(a, b, x, 1e-10, 100)
 	if !res.Converged || res.Iters != 0 {
 		t.Errorf("warm start took %d iterations", res.Iters)
 	}
@@ -47,7 +53,7 @@ func TestSeqCGZeroRHS(t *testing.T) {
 	a := matgen.Laplacian1D(10)
 	b := make([]float64, 10)
 	x := make([]float64, 10)
-	res := SeqCGMatrix(a, b, x, 1e-12, 100)
+	res := plainCG(a, b, x, 1e-12, 100)
 	if !res.Converged {
 		t.Error("zero RHS must converge trivially")
 	}
@@ -57,7 +63,7 @@ func TestSeqCGMaxItersRespected(t *testing.T) {
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 200, NNZPerRow: 5, Kappa: 1e6, Seed: 1})
 	b, _ := matgen.RHS(a)
 	x := make([]float64, a.Rows)
-	res := SeqCGMatrix(a, b, x, 1e-14, 3)
+	res := plainCG(a, b, x, 1e-14, 3)
 	if res.Iters > 3 {
 		t.Errorf("ran %d iterations with cap 3", res.Iters)
 	}
@@ -66,7 +72,7 @@ func TestSeqCGMaxItersRespected(t *testing.T) {
 	}
 }
 
-// Property: SeqCG solves random small SPD systems.
+// Property: plain CG solves random small SPD systems.
 func TestQuickSeqCGSolves(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,7 +85,7 @@ func TestQuickSeqCGSolves(t *testing.T) {
 		b := make([]float64, n)
 		a.MulVec(b, want)
 		x := make([]float64, n)
-		res := SeqCGMatrix(a, b, x, 1e-12, 20*n)
+		res := plainCG(a, b, x, 1e-12, 20*n)
 		return res.Converged && relErr(x, want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -91,7 +97,7 @@ func TestSeqPCGMatchesCG(t *testing.T) {
 	a := matgen.BandedSPD(matgen.BandedOpts{N: 300, NNZPerRow: 7, Kappa: 5000, Seed: 2})
 	b, _ := matgen.RHS(a)
 	xcg := make([]float64, a.Rows)
-	rcg := SeqCGMatrix(a, b, xcg, 1e-10, 10*a.Rows)
+	rcg := plainCG(a, b, xcg, 1e-10, 10*a.Rows)
 	xpcg := make([]float64, a.Rows)
 	rpcg := SeqPCGMatrixWork(nil, a, b, xpcg, 1e-10, 10*a.Rows)
 	if !rcg.Converged || !rpcg.Converged {
@@ -159,7 +165,7 @@ func TestSeqCGPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SeqCGMatrix(a, make([]float64, 5), make([]float64, 5), 1e-10, 10)
+	plainCG(a, make([]float64, 5), make([]float64, 5), 1e-10, 10)
 }
 
 // TestSeqSolversRejectNonPositiveMaxIters: like solver.CG, the sequential
@@ -169,7 +175,6 @@ func TestSeqSolversRejectNonPositiveMaxIters(t *testing.T) {
 	a := matgen.Laplacian1D(4)
 	b := []float64{1, 2, 3, 4}
 	for name, solve := range map[string]func(maxIters int){
-		"SeqCG":      func(m int) { SeqCGMatrix(a, b, make([]float64, 4), 1e-10, m) },
 		"SeqPCGWork": func(m int) { SeqPCGMatrixWork(nil, a, b, make([]float64, 4), 1e-10, m) },
 		"PCGLSWork":  func(m int) { PCGLSWork(nil, a, b, make([]float64, 4), 1e-10, m) },
 	} {

@@ -13,7 +13,8 @@
 # nor the second and third checkpoint/restart types, the initial guess
 # and the scheme knobs no program set,
 # nor the fabric clients' own retry loops, nor the programs folded into
-# chaos-fleet, resilience-bench and cgsolve, is named again; the even
+# chaos-fleet, resilience-bench and cgsolve, nor the service's experiment
+# job kind and the second sequential CG loop, is named again; the even
 # fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
@@ -151,6 +152,15 @@ fi
 if git grep -nE 'post''Retry|finish''Item|retry''Sleep|sleep''Ctx' -- . ':!*.md' ||
     git grep -n '"/sol''ve"' -- internal/chaos/fleet; then
     echo "a retired fabric client retry path is named again"; exit 1
+fi
+
+# Likewise the fabric's fourth job kind and the second sequential CG: the
+# service answers scenario, verdict and sleep jobs (the paper's
+# experiments run through resilience-bench and the facade), and
+# solver.SeqPCGWork is the one sequential CG loop — with a unit diagonal
+# it is plain CG bit for bit.
+if git grep -nE 'runExperiment''Job|json:"experi''ment|SeqCG''Matrix|func SeqCG''\(' -- . ':!*.md'; then
+    echo "the experiment job kind or the second sequential CG is named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
