@@ -36,7 +36,7 @@ func TestExperimentListComplete(t *testing.T) {
 		"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"tab3", "tab4", "tab5", "tab6",
 		"ablation-interval", "ablation-tol", "ablation-dvfs", "ablation-tmr",
-		"ablation-pcg", "ablation-multilevel", "ablation-sdc",
+		"ablation-multilevel", "ablation-sdc",
 	} {
 		if !ids[want] {
 			t.Errorf("experiment %q not registered", want)

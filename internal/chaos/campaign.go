@@ -71,8 +71,10 @@ func NewScenario(rng *rand.Rand, opts Options) *Scenario {
 		Tol:       defaultTol,
 		CkptEvery: 2 + rng.Intn(9),
 	}
-	rng.Intn(2) // a retired field's draw, kept so each (seed, index) names the scenario it always has
-	s.Jacobi = rng.Intn(4) == 0
+	// Two retired fields' draws, kept so each (seed, index) names the
+	// scenario it always has.
+	rng.Intn(2)
+	rng.Intn(4)
 	s.Seed = 1 + rng.Int63n(1<<30)
 	if rng.Intn(2) == 0 {
 		s.DetectDelay = 1 + rng.Intn(3)
@@ -197,12 +199,11 @@ func (rn *Runner) system(grid int) *core.System {
 }
 
 // faultFree returns the shared baseline for a scenario's system shape,
-// which depends only on the system, partitioning, tolerance and
-// preconditioning.
+// which depends only on the system, partitioning and tolerance.
 func (rn *Runner) faultFree(ctx context.Context, s *Scenario) (*core.RunReport, error) {
 	ff := Scenario{Grid: s.Grid} // no faults: the fault-free iteration budget
 	return rn.system(s.Grid).FaultFree(ctx, core.RunConfig{
-		Ranks: s.Ranks, Tol: s.Tol, MaxIters: ff.MaxIters(), Jacobi: s.Jacobi,
+		Ranks: s.Ranks, Tol: s.Tol, MaxIters: ff.MaxIters(),
 	})
 }
 

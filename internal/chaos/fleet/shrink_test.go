@@ -62,7 +62,7 @@ func oneMinimal(t *testing.T, min *chaos.Scenario, fails func(*chaos.Scenario) b
 func bigScenario() *chaos.Scenario {
 	return &chaos.Scenario{
 		Grid: 10, Ranks: 6, Scheme: "LSI-DVFS", Tol: 1e-10, CkptEvery: 7,
-		DetectDelay: 2, Jacobi: true, Seed: 999,
+		DetectDelay: 2, Seed: 999,
 		Faults: []chaos.FaultSpec{
 			{Class: 4, Rank: 3, Iter: 9},
 			{Class: 2, Rank: 5, Iter: 9},
@@ -80,7 +80,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	if len(min.Faults) != 1 {
 		t.Fatalf("want 1 fault after shrinking, got %d (%s)", len(min.Faults), min.Args())
 	}
-	if min.Grid != 4 || min.Ranks != 1 || min.Jacobi || min.DetectDelay != 0 {
+	if min.Grid != 4 || min.Ranks != 1 || min.DetectDelay != 0 {
 		t.Fatalf("shrinker left reducible structure: %s", min.Args())
 	}
 	if f := min.Faults[0]; f.Iter != 1 || f.Rank != 0 {

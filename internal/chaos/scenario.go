@@ -52,7 +52,6 @@ type Scenario struct {
 	Tol         float64 // solver tolerance
 	CkptEvery   int     // checkpoint interval in iterations (CR schemes)
 	DetectDelay int     // SDC detection delay in iterations
-	Jacobi      bool    // diagonal preconditioning
 	Seed        int64   // drives fault corruption patterns
 	Faults      []FaultSpec
 }
@@ -83,9 +82,6 @@ func (s *Scenario) Args() string {
 	fmt.Fprintf(&b, "-grid %d -ranks %d -scheme %s -tol %s -ckpt %d -detect %d -seed %d",
 		s.Grid, s.Ranks, s.Scheme, strconv.FormatFloat(s.Tol, 'g', -1, 64),
 		s.CkptEvery, s.DetectDelay, s.Seed)
-	if s.Jacobi {
-		b.WriteString(" -jacobi")
-	}
 	if len(s.Faults) > 0 {
 		b.WriteString(" -faults ")
 		for i, f := range s.Faults {
@@ -152,8 +148,6 @@ func ParseArgs(args string) (*Scenario, error) {
 			}
 			s.Scheme = v
 			i++
-		case "-jacobi":
-			s.Jacobi = true
 		case "-faults":
 			v, err := need(i, "-faults")
 			if err != nil {
@@ -300,7 +294,6 @@ func (s *Scenario) RunConfig(a *sparse.CSR, b []float64, keepSegments bool) (cor
 		Scheme:       spec,
 		Tol:          s.Tol,
 		MaxIters:     s.MaxIters(),
-		Jacobi:       s.Jacobi,
 		DetectDelay:  s.DetectDelay,
 		KeepSegments: keepSegments,
 		Seed:         s.Seed,

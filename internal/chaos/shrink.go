@@ -38,9 +38,6 @@ func ShrinkCandidates(s *Scenario) []*Scenario {
 		mod(func(c *Scenario) { c.Ranks = 1; clampFaults(c) })
 	}
 	// Clear the optional machinery.
-	if s.Jacobi {
-		mod(func(c *Scenario) { c.Jacobi = false })
-	}
 	if s.DetectDelay > 0 {
 		mod(func(c *Scenario) { c.DetectDelay = 0 })
 	}

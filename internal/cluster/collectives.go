@@ -9,8 +9,8 @@ import (
 )
 
 // inlineVals is the longest reduction whose result lives inside the
-// generation slot itself: the CG dot products reduce one or two float64s
-// per collective and must not allocate.
+// generation slot itself, so reducing it allocates nothing: the CG dot
+// products reduce one float64 each.
 const inlineVals = 2
 
 // collectiveState implements the one collective the solver needs, a
@@ -208,13 +208,4 @@ func (c *Comm) AllreduceSum(vals []float64) []float64 {
 func (c *Comm) AllreduceScalarSum(v float64) float64 {
 	c.scratch[0] = v
 	return c.allreduce(c.scratch[:1])[0]
-}
-
-// AllreduceSum2 sums two scalars across ranks in one fused collective.
-// Results and virtual-time cost are bitwise-identical to
-// AllreduceSum([]float64{a, b}), without the per-call allocation.
-func (c *Comm) AllreduceSum2(a, b float64) (float64, float64) {
-	c.scratch[0], c.scratch[1] = a, b
-	sum := c.allreduce(c.scratch[:2])
-	return sum[0], sum[1]
 }

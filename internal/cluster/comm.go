@@ -32,10 +32,10 @@ type Comm struct {
 	// paired with its peers' plans of the same number.
 	halos int
 
-	// scratch carries this rank's contribution to a one- or two-value
-	// allreduce into the collective, so the CG dot products pass a slice
-	// without allocating one.
-	scratch [inlineVals]float64
+	// scratch carries this rank's contribution to a one-value allreduce
+	// into the collective, so the CG dot products pass a slice without
+	// allocating one.
+	scratch [1]float64
 
 	// obs is this rank's observability surface, nil unless a recorder was
 	// attached to the runtime. Recording reads the clock but never

@@ -22,7 +22,8 @@ func TestScalarFastPathMatchesVector(t *testing.T) {
 	_, _ = run(t, p, func(c *Comm) error {
 		c.Compute(int64(500 * (c.Rank() + 1)))
 		sv := c.AllreduceScalarSum(vals[c.Rank()])
-		a, b := c.AllreduceSum2(vals[c.Rank()], float64(c.Rank()))
+		pair := c.AllreduceSum([]float64{vals[c.Rank()], float64(c.Rank())})
+		a, b := pair[0], pair[1]
 		clockScalar[c.Rank()] = c.Clock()
 
 		// Interleave a vector collective between scalar generations.
@@ -85,8 +86,8 @@ func TestScalarFastPathMatchesVector(t *testing.T) {
 			if wantClock := before + plat.CollectiveTime(int64(8*n), p); math.Float64bits(c.Clock()) != math.Float64bits(wantClock) {
 				return fmt.Errorf("len %d: clock %x, want %x", n, c.Clock(), wantClock)
 			}
-			if a, b := c.AllreduceSum2(1, float64(c.Rank())); a != p || b != float64(p*(p-1))/2 {
-				return fmt.Errorf("len %d: pair generation after got %v, %v", n, a, b)
+			if pair := c.AllreduceSum([]float64{1, float64(c.Rank())}); pair[0] != p || pair[1] != float64(p*(p-1))/2 {
+				return fmt.Errorf("len %d: pair generation after got %v, %v", n, pair[0], pair[1])
 			}
 		}
 		return nil
@@ -107,7 +108,7 @@ func TestAllreduceSumResultOutlivesLaterCollectives(t *testing.T) {
 			}
 			sum := c.AllreduceSum(mine)
 			c.AllreduceScalarSum(1e9)
-			c.AllreduceSum2(-1e9, 7)
+			c.AllreduceSum([]float64{-1e9, 7})
 			c.Barrier()
 			for i, got := range sum {
 				if want := float64(p*(p-1))/2 + float64(p*i); got != want {

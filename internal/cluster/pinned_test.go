@@ -64,8 +64,8 @@ func mixedWorkload(c *Comm, out []float64) error {
 
 	c.Compute(int64(1e6 * (rank + 1)))
 	acc += c.AllreduceScalarSum(float64(rank) + 0.25)
-	a, b := c.AllreduceSum2(float64(rank)*1.5, 1.0/float64(rank+1))
-	acc += a + b
+	pair := c.AllreduceSum([]float64{float64(rank) * 1.5, 1.0 / float64(rank+1)})
+	acc += pair[0] + pair[1]
 
 	// Ring exchange: blocking send forward, receive from behind.
 	next, prev := (rank+1)%p, (rank+p-1)%p

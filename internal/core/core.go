@@ -85,9 +85,6 @@ type RunConfig struct {
 	Tol float64
 	// MaxIters caps executed iterations; zero means 10 x the row count.
 	MaxIters int
-	// Jacobi enables diagonal preconditioning of the distributed CG
-	// (extension beyond the paper).
-	Jacobi bool
 	// DetectDelay is the number of iterations a silent data corruption
 	// (SDC) propagates before it is detected and recovery runs. Hard
 	// faults are always detected immediately. Extension beyond the paper,
@@ -459,11 +456,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		monitors[c.Rank()] = mon
 
 		res, err := solver.CG(c, cfg.A, cfg.B, part, solver.Options{
-			Tol:                cfg.Tol,
-			MaxIters:           cfg.MaxIters,
-			Monitor:            mon,
-			VerifyTrueResidual: true,
-			Jacobi:             cfg.Jacobi,
+			Tol:      cfg.Tol,
+			MaxIters: cfg.MaxIters,
+			Monitor:  mon,
 		})
 		if err != nil {
 			return err

@@ -440,16 +440,6 @@ func TestSchemeSpecNames(t *testing.T) {
 	}
 }
 
-func TestJacobiRunConverges(t *testing.T) {
-	cfg, xTrue := testSystem(t)
-	cfg.Jacobi = true
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSolution(t, rep, xTrue, 1e-6)
-}
-
 func TestEstimateIterTimePositive(t *testing.T) {
 	a := matgen.Laplacian2D(16)
 	est := EstimateIterTime(a, 4, platform.Default())

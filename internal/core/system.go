@@ -20,7 +20,7 @@ const (
 	// (tolerance, rank count), so residency is capped instead of trusted
 	// to stay small; past the cap the oldest report is recomputed on its
 	// next use — a slowdown, never a result change. Sixteen holds every
-	// (ranks, preconditioning) pair a chaos campaign draws for one grid.
+	// rank count a chaos campaign draws for one grid.
 	BaselineCap = 16
 	// SystemsCap bounds the Systems a content-addressed table retains.
 	SystemsCap = 8
@@ -52,7 +52,6 @@ func NewSystem(a *sparse.CSR, b []float64) *System { return &System{A: a, B: b} 
 type baselineKey struct {
 	ranks, maxIters int
 	tol             float64
-	jacobi          bool
 	plat            platform.Platform
 }
 
@@ -68,25 +67,23 @@ type baselineCall struct {
 }
 
 // FaultFree returns the fault-free baseline of the system under cfg's
-// resolved ranks, tolerance, iteration cap, preconditioning and
-// platform; every other field of cfg is ignored. Concurrent calls for
-// one configuration share a single run, and a converged report is
-// memoised, so callers must treat it as read-only. Errors are never
-// memoised, and neither is a report with Converged false: it is returned
-// for the caller to reject, not kept as an anchor. ctx cancels only the
-// caller's own wait or run; a waiter whose leader was cancelled retries.
+// resolved ranks, tolerance, iteration cap and platform; every other
+// field of cfg is ignored. Concurrent calls for one configuration share
+// a single run, and a converged report is memoised, so callers must treat
+// it as read-only. Errors are never memoised, and neither is a report
+// with Converged false: it is returned for the caller to reject, not kept
+// as an anchor. ctx cancels only the caller's own wait or run; a waiter
+// whose leader was cancelled retries.
 func (s *System) FaultFree(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	ff := RunConfig{
 		A: s.A, B: s.B,
 		Ranks: cfg.Ranks, Plat: cfg.Plat, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
-		Jacobi: cfg.Jacobi,
 	}
 	if err := ff.resolve(); err != nil {
 		return nil, err
 	}
 	key := baselineKey{
-		ranks: ff.Ranks, maxIters: ff.MaxIters, tol: ff.Tol,
-		jacobi: ff.Jacobi, plat: *ff.Plat,
+		ranks: ff.Ranks, maxIters: ff.MaxIters, tol: ff.Tol, plat: *ff.Plat,
 	}
 	for {
 		s.mu.Lock()

@@ -117,7 +117,6 @@ func TestFaultFreeKeyedOnEveryResolvedInput(t *testing.T) {
 		"ranks":    func(c *RunConfig) { c.Ranks = 2 },
 		"tol":      func(c *RunConfig) { c.Tol = 1e-8 },
 		"maxiters": func(c *RunConfig) { c.MaxIters = 5000 },
-		"jacobi":   func(c *RunConfig) { c.Jacobi = true },
 		"platform": func(c *RunConfig) { c.Plat = slow },
 	}
 	runs := sys.BaselineRuns()

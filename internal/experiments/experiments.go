@@ -117,8 +117,7 @@ var paperOrder = []string{
 	"fig1", "fig3", "fig4", "tab3", "tab4", "fig5", "fig6", "fig7",
 	"tab5", "fig8", "tab6", "fig9",
 	"ablation-interval", "ablation-tol", "ablation-dvfs", "ablation-tmr",
-	"ablation-pcg", "ablation-multilevel", "ablation-sdc", "ablation-pipeline",
-	"ablation-construction",
+	"ablation-multilevel", "ablation-sdc", "ablation-construction",
 }
 
 func orderOf(id string) int {
@@ -221,18 +220,11 @@ func (c Config) baseConfig(s *system) core.RunConfig {
 	return rc
 }
 
-// faultFree returns the shared fault-free distributed baseline of the
-// config's standard solve.
+// faultFree returns the shared, converged fault-free distributed
+// baseline of the config's standard solve, computing it exactly once even
+// under concurrent cells.
 func (c Config) faultFree(s *system) (*core.RunReport, error) {
-	return s.faultFree(c.baseConfig(s))
-}
-
-// faultFree returns the shared, converged fault-free baseline of rc's
-// solver variant (ranks, preconditioning), computing it exactly
-// once even under concurrent cells.
-func (s *system) faultFree(rc core.RunConfig) (*core.RunReport, error) {
-	rc.Scheme = core.SchemeSpec{}
-	_, ff, err := s.spread(rc, 0)
+	_, ff, err := s.spread(c.baseConfig(s), 0)
 	return ff, err
 }
 
@@ -283,6 +275,24 @@ func (c Config) schemeSet() []core.SchemeSpec {
 		{Kind: core.LSI},
 		{Kind: core.CRD, CkptEvery: ckptEvery},
 	}
+}
+
+// runOf maps each scheme of set to the index of the scheme whose run its
+// cell reads. FI recovers exactly as F0 does (the initial guess is always
+// zero), so FI's cell reads F0's run; every other scheme reads its own.
+func runOf(set []core.SchemeSpec) []int {
+	src := make([]int, len(set))
+	f0 := -1
+	for i, sc := range set {
+		src[i] = i
+		switch {
+		case sc.Kind == core.F0:
+			f0 = i
+		case sc.Kind == core.FI && f0 >= 0:
+			src[i] = f0
+		}
+	}
+	return src
 }
 
 // energySchemeSet is the Section 5.3 comparison set (Table 5), widened

@@ -3,23 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"resilience/internal/cluster"
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
-	"resilience/internal/platform"
-	"resilience/internal/power"
 	"resilience/internal/recovery"
 	"resilience/internal/report"
-	"resilience/internal/solver"
-	"resilience/internal/sparse"
 )
 
 func init() {
 	register("ablation-multilevel", "Ablation: two-level checkpointing under mixed fault classes", runAblationMultilevel)
 	register("ablation-sdc", "Ablation: silent-corruption detection latency", runAblationSDC)
-	register("ablation-pipeline", "Ablation: pipelined CG vs classic CG synchronization", runAblationPipeline)
 	register("ablation-construction", "Ablation: DVFS savings vs construction-cost fraction", runAblationConstructionCost)
 }
 
@@ -146,88 +140,6 @@ func runAblationSDC(cfg Config) (*Result, error) {
 			"Expectation: the longer a corruption propagates through SpMV before detection, the more iterations recovery must win back — prompt detection (the paper's assumption) is the best case.",
 		},
 	}, nil
-}
-
-// runAblationPipeline compares classic CG (two reductions per iteration)
-// against pipelined CG (one fused reduction) as the rank count grows on a
-// latency-dominated network — quantifying the parallel-overhead T_O term
-// the paper's Section 6 projection identifies as a scaling limiter.
-func runAblationPipeline(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("wathen100")
-	if err != nil {
-		return nil, err
-	}
-	// Exaggerate network latency so synchronization dominates, as it does
-	// at the projected large scales.
-	plat := *cfg.Plat
-	plat.NetLatency = 50e-6
-
-	var plist []int
-	switch cfg.Scale {
-	case matgen.Tiny:
-		plist = []int{2, 8}
-	default:
-		plist = []int{4, 16, 64}
-	}
-	// One cell per (rank count, variant): even index classic, odd pipelined.
-	variants := make([]*variantReport, 2*len(plist))
-	err = cfg.runCells(len(variants), func(i int) error {
-		v, err := runVariant(s, &plat, plist[i/2], cfg.Tol, i%2 == 1)
-		variants[i] = v
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable("Pipelined vs classic CG: wathen100 analog, latency-bound network",
-		"#p", "Classic iters", "Classic T (s)", "Pipelined iters", "Pipelined T (s)", "Speedup")
-	for pi, p := range plist {
-		classic, pipe := variants[2*pi], variants[2*pi+1]
-		t.AddF(p, classic.Iters, classic.Time, pipe.Iters, pipe.Time, classic.Time/pipe.Time)
-	}
-	return &Result{
-		ID:     "ablation-pipeline",
-		Title:  "Pipelined CG synchronization ablation",
-		Tables: []*report.Table{t},
-		Notes: []string{
-			"Expectation: one fused allreduce per iteration instead of two buys up to ~1/3 of the latency-bound runtime as ranks grow.",
-		},
-	}, nil
-}
-
-// variantReport is the minimal outcome of a pipelined/classic run.
-type variantReport struct {
-	Iters int
-	Time  float64
-}
-
-func runVariant(s *system, plat *platform.Platform, ranks int, tol float64, pipelined bool) (*variantReport, error) {
-	opts := solver.Options{Tol: tol, MaxIters: 10 * s.a.Rows}
-	part := sparse.NewPartition(s.a.Rows, ranks)
-	meter := power.NewMeter(false)
-	results := make([]*solver.Result, ranks)
-	rt := cluster.NewRuntime(ranks, s.a.NNZ(), plat, meter)
-	maxClock, err := rt.Run(func(c *cluster.Comm) error {
-		var res *solver.Result
-		var err error
-		if pipelined {
-			res, err = solver.PipelinedCG(c, s.a, s.b, part, opts)
-		} else {
-			res, err = solver.CG(c, s.a, s.b, part, opts)
-		}
-		if err != nil {
-			return err
-		}
-		results[c.Rank()] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !results[0].Converged {
-		return nil, fmt.Errorf("experiments: pipelined=%v did not converge (relres %g)", pipelined, results[0].RelRes)
-	}
-	return &variantReport{Iters: results[0].Iters, Time: maxClock}, nil
 }
 
 // runAblationConstructionCost shows how the whole-run energy saving of

@@ -80,8 +80,12 @@ func runTab4(cfg Config) (*Result, error) {
 	for _, sc := range schemes {
 		cols = append(cols, sc.Name())
 	}
+	src := runOf(schemes)
 	norms := make([]float64, len(plist)*len(schemes))
 	err = cfg.runCells(len(norms), func(i int) error {
+		if si := i % len(schemes); src[si] != si {
+			return nil
+		}
 		c := cfg
 		c.Ranks = plist[i/len(schemes)]
 		ff, err := c.faultFree(s)
@@ -102,7 +106,7 @@ func runTab4(cfg Config) (*Result, error) {
 	for pi, p := range plist {
 		row := []any{p, 1.0}
 		for si := range schemes {
-			row = append(row, norms[pi*len(schemes)+si])
+			row = append(row, norms[pi*len(schemes)+src[si]])
 		}
 		t.AddF(row...)
 	}
@@ -134,9 +138,13 @@ func runFig5(cfg Config) (*Result, error) {
 		cols = append(cols, sc.Name())
 	}
 	names := fig5Matrices()
+	src := runOf(schemes)
 	ffIters := make([]int, len(names))
 	norms := make([]float64, len(names)*len(schemes))
 	err := cfg.runCells(len(norms), func(i int) error {
+		if si := i % len(schemes); src[si] != si {
+			return nil
+		}
 		s, err := cfg.loadSystem(names[i/len(schemes)])
 		if err != nil {
 			return err
@@ -163,7 +171,7 @@ func runFig5(cfg Config) (*Result, error) {
 	for mi, name := range names {
 		row := []any{name, ffIters[mi]}
 		for si := range schemes {
-			norm := norms[mi*len(schemes)+si]
+			norm := norms[mi*len(schemes)+src[si]]
 			sums[si] += norm
 			row = append(row, norm)
 		}
@@ -187,6 +195,7 @@ func runFig5(cfg Config) (*Result, error) {
 // runFig6 reproduces Figure 6: residual-vs-iteration histories.
 func runFig6(cfg Config) (*Result, error) {
 	schemes := append([]core.SchemeSpec{{Kind: core.FF}}, cfg.schemeSet()...)
+	src := runOf(schemes)
 
 	// (a) one fault at a fixed iteration on a mid-sized regular matrix.
 	sA, err := cfg.loadSystem("Kuu")
@@ -203,6 +212,9 @@ func runFig6(cfg Config) (*Result, error) {
 	}
 	repsA := make([]*core.RunReport, len(schemes))
 	err = cfg.runCells(len(schemes), func(i int) error {
+		if src[i] != i {
+			return nil
+		}
 		rep, err := runWithSingleFault(cfg, sA, schemes[i], faultIter)
 		repsA[i] = rep
 		return err
@@ -213,7 +225,7 @@ func runFig6(cfg Config) (*Result, error) {
 	tA := report.NewTable(fmt.Sprintf("Figure 6(a): Kuu analog, 1 fault at iteration %d", faultIter),
 		"Scheme", "Iters", "Iters/FF", "Residual history (log-scale sparkline)")
 	for i, sc := range schemes {
-		rep := repsA[i]
+		rep := repsA[src[i]]
 		tA.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ffA.Iters),
 			report.Sparkline(logs(rep.History), 60))
 	}
@@ -229,6 +241,9 @@ func runFig6(cfg Config) (*Result, error) {
 	}
 	repsB := make([]*core.RunReport, len(schemes))
 	err = cfg.runCells(len(schemes), func(i int) error {
+		if src[i] != i {
+			return nil
+		}
 		rep, err := cfg.runScheme(sB, schemes[i], false)
 		repsB[i] = rep
 		return err
@@ -239,7 +254,7 @@ func runFig6(cfg Config) (*Result, error) {
 	tB := report.NewTable(fmt.Sprintf("Figure 6(b): 5-point stencil, %d faults", cfg.Faults),
 		"Scheme", "Iters", "Iters/FF", "Residual history (log-scale sparkline)")
 	for i, sc := range schemes {
-		rep := repsB[i]
+		rep := repsB[src[i]]
 		tB.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ffB.Iters),
 			report.Sparkline(logs(rep.History), 60))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"resilience/internal/core"
-	"resilience/internal/fault"
 	"resilience/internal/recovery"
 	"resilience/internal/report"
 )
@@ -15,76 +14,6 @@ func init() {
 	register("ablation-tol", "Ablation: localized construction tolerance sweep", runAblationTol)
 	register("ablation-dvfs", "Ablation: DVFS floor frequency sweep during reconstruction", runAblationDVFS)
 	register("ablation-tmr", "Ablation: DMR vs TMR redundancy degree", runAblationTMR)
-	register("ablation-pcg", "Ablation: Jacobi preconditioning vs forward recovery", runAblationPCG)
-}
-
-// runAblationPCG studies how diagonal preconditioning of the global solve
-// (extension beyond the paper) interacts with forward recovery: the
-// preconditioner shortens the fault-free run, which makes each fault
-// relatively more expensive.
-func runAblationPCG(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("crystm02")
-	if err != nil {
-		return nil, err
-	}
-	variants := []bool{false, true}
-	labels := []string{"CG", "PCG(Jacobi)"}
-	// Phase 1: the fault-free baseline of each solver variant.
-	ffs := make([]*core.RunReport, len(variants))
-	err = cfg.runCells(len(variants), func(i int) error {
-		rcFF := cfg.baseConfig(s)
-		rcFF.Jacobi = variants[i]
-		ff, err := s.faultFree(rcFF)
-		ffs[i] = ff
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Phase 2: each variant under LI and F0 recovery.
-	schemes := []core.SchemeSpec{{Kind: core.LI}, {Kind: core.F0}}
-	reps := make([]*core.RunReport, len(variants)*len(schemes))
-	err = cfg.runCells(len(reps), func(i int) error {
-		vi, si := i/len(schemes), i%len(schemes)
-		rc := cfg.baseConfig(s)
-		rc.Jacobi = variants[vi]
-		rc.Scheme = schemes[si]
-		rc, _, err := s.spread(rc, cfg.Faults, fault.SNF)
-		if err != nil {
-			return err
-		}
-		rep, err := core.Run(rc)
-		if err != nil {
-			return err
-		}
-		if !rep.Converged {
-			return fmt.Errorf("experiments: %s/%s did not converge", labels[vi], schemes[si].Name())
-		}
-		reps[i] = rep
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(fmt.Sprintf("Jacobi-PCG ablation: crystm02 analog, %d faults", cfg.Faults),
-		"Solver", "Scheme", "Iters", "Time (s)", "Energy (J)", "Iters/FF-of-solver")
-	for vi, label := range labels {
-		ff := ffs[vi]
-		t.AddF(label, "FF", ff.Iters, ff.Time, ff.Energy, 1.0)
-		for si := range schemes {
-			rep := reps[vi*len(schemes)+si]
-			t.AddF(label, rep.Scheme, rep.Iters, rep.Time, rep.Energy,
-				float64(rep.Iters)/float64(ff.Iters))
-		}
-	}
-	return &Result{
-		ID:     "ablation-pcg",
-		Title:  "Jacobi preconditioning vs forward recovery",
-		Tables: []*report.Table{t},
-		Notes: []string{
-			"Expectation: PCG shortens the fault-free solve; the normalized penalty of each fault grows because recovery cost is amortized over fewer iterations.",
-		},
-	}, nil
 }
 
 // runFig4 reproduces Figure 4: time-to-solution of the CG-based LI/LSI

@@ -67,13 +67,19 @@ func TestCanonicalKeyPreservesSameIterationOrder(t *testing.T) {
 }
 
 // TestCanonicalKeyNonCacheable: sleeps are timing diagnostics, not pure
-// functions of the request — never cacheable. Invalid jobs error.
+// functions of the request — never cacheable. Invalid jobs error: a bad
+// value, or a flag the scenario codec does not know (-jacobi is retired).
 func TestCanonicalKeyNonCacheable(t *testing.T) {
 	if key, ok, err := CanonicalKey(JobRequest{SleepMs: 5}); ok || key != "" || err != nil {
 		t.Fatalf("sleep: %q %v %v", key, ok, err)
 	}
-	if _, ok, err := CanonicalKey(JobRequest{Scenario: "-grid banana"}); ok || err == nil {
-		t.Fatal("bad scenario produced a key")
+	for _, bad := range []string{
+		"-grid banana",
+		"-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -jacobi",
+	} {
+		if _, ok, err := CanonicalKey(JobRequest{Scenario: bad}); ok || err == nil {
+			t.Errorf("bad scenario %q produced a key", bad)
+		}
 	}
 }
 
@@ -89,7 +95,6 @@ func TestCanonicalKeyDistinctCorpus(t *testing.T) {
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-08 -ckpt 5 -seed 7"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 6 -seed 7"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 8"},
-		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -jacobi"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -detect 2"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SWO@5:r1"},
 		{Scenario: "-grid 8 -ranks 4 -scheme CR-M -tol 1e-10 -ckpt 5 -seed 7 -faults SWO@5:r2"},

@@ -32,7 +32,12 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		s, err := chaos.ParseArgs(args)
 		if err != nil {
-			t.Skip()
+			// Outside the codec's domain: no key either (a 400 at the
+			// handler). The -jacobi seeds pin that for a retired flag.
+			if _, ok, kerr := CanonicalKey(JobRequest{Scenario: args}); ok || kerr == nil {
+				t.Fatalf("scenario %q that ParseArgs rejects got a key", args)
+			}
+			return
 		}
 		want, ok, err := CanonicalKey(JobRequest{Scenario: args})
 		if err != nil || !ok {
@@ -155,9 +160,6 @@ func respell(s *chaos.Scenario, perm uint64) string {
 		{fmt.Sprintf("-ckpt%s%d", sep(), s.CkptEvery), s.CkptEvery != 0},
 		{fmt.Sprintf("-detect%s%d", sep(), s.DetectDelay), s.DetectDelay != 0},
 		{fmt.Sprintf("-seed%s%d", sep(), s.Seed), s.Seed != 1},
-	}
-	if s.Jacobi {
-		toks = append(toks, tok{"-jacobi", true})
 	}
 	if len(fl) > 0 {
 		toks = append(toks, tok{"-faults" + sep() + strings.Join(fl, ","), true})

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -18,6 +17,7 @@ type Gate struct {
 	mu       sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup // admitted units that have not left
+	drained  chan struct{}  // made by the first Drain, closed once inflight is zero
 }
 
 // Enter admits one unit of work if the gate is open and try succeeds.
@@ -51,23 +51,22 @@ func (g *Gate) Draining() bool {
 	return g.draining
 }
 
-// Drain closes the gate and waits until every admitted unit has left. A
-// second Drain is an error. ctx bounds the wait: when it ends first,
-// Drain returns its error, the gate stays closed and the units still in
-// flight still count.
+// Drain closes the gate and waits until every admitted unit has left.
+// ctx bounds the wait: when it ends first, Drain returns its error, the
+// gate stays closed and the units still in flight still count. A later
+// Drain waits for the same units, so an interrupted drain can be resumed.
 func (g *Gate) Drain(ctx context.Context) error {
 	g.mu.Lock()
-	already := g.draining
-	g.draining = true
-	g.mu.Unlock()
-	if already {
-		return errors.New("shutdown called twice")
+	if !g.draining {
+		g.draining = true
+		g.drained = make(chan struct{})
+		go func(drained chan struct{}) {
+			g.inflight.Wait()
+			close(drained)
+		}(g.drained)
 	}
-	drained := make(chan struct{})
-	go func() {
-		g.inflight.Wait()
-		close(drained)
-	}()
+	drained := g.drained
+	g.mu.Unlock()
 	select {
 	case <-drained:
 		return nil

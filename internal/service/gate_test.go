@@ -50,12 +50,26 @@ func TestGate(t *testing.T) {
 				t.Fatal("drained gate does not report draining")
 			}
 		}},
-		{"second Drain errors", func(t *testing.T, g *Gate) {
-			if err := g.Drain(context.Background()); err != nil {
+		{"a later Drain resumes an interrupted one", func(t *testing.T, g *Gate) {
+			g.Enter(always)
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := g.Drain(expired); err == nil {
+				t.Fatal("Drain with a unit in flight succeeded past its context")
+			}
+			done := make(chan error, 1)
+			go func() { done <- g.Drain(context.Background()) }()
+			select {
+			case err := <-done:
+				t.Fatalf("second Drain returned %v with a unit in flight", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			g.Leave()
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			if err := g.Drain(context.Background()); err == nil {
-				t.Fatal("second Drain succeeded")
+			if err := g.Drain(context.Background()); err != nil {
+				t.Fatalf("Drain of a drained gate: %v", err)
 			}
 		}},
 		{"Drain waits for Leave", func(t *testing.T, g *Gate) {

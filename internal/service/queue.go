@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"resilience/internal/obs"
@@ -33,7 +34,8 @@ type jobOutcome struct {
 // instead of stalling the client — backpressure is explicit, never
 // implicit in a hung connection.
 type queue struct {
-	ch chan *job
+	ch     chan *job
+	closed sync.Once
 }
 
 func newQueue(capacity int) *queue {
@@ -56,6 +58,7 @@ func (q *queue) tryPush(j *job) bool {
 // depth returns the number of admitted jobs not yet picked up.
 func (q *queue) depth() int { return len(q.ch) }
 
-// close stops the workers once the queue drains; push after close is a
-// caller bug (the server's admission lock makes it impossible).
-func (q *queue) close() { close(q.ch) }
+// close stops the workers once the queue drains; a second close does
+// nothing. Push after close is a caller bug (the server's admission gate
+// makes it impossible).
+func (q *queue) close() { q.closed.Do(func() { close(q.ch) }) }

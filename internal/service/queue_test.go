@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -125,5 +126,48 @@ func TestDrainTimeout(t *testing.T) {
 	}
 	if c := <-got; c != http.StatusOK {
 		t.Fatalf("in-flight job answered %d after interrupted drain", c)
+	}
+}
+
+// TestInterruptedDrainStopsWorkers: a drain whose context ends before
+// its job does still closes the queue, so the workers exit once the job
+// is answered and no goroutine outlives the server without a second
+// Shutdown; that second Shutdown then completes.
+func TestInterruptedDrainStopsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := New(Config{Workers: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	got := make(chan int, 1)
+	go func() {
+		code, _, _ := post(t, ts, JobRequest{SleepMs: 200})
+		got <- code
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.TelemetrySnapshot().Counter("jobs_admitted_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never admitted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err == nil {
+		t.Fatal("expired drain context reported success")
+	}
+	if c := <-got; c != http.StatusOK {
+		t.Fatalf("in-flight job answered %d after interrupted drain", c)
+	}
+	ts.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the interrupted drain, %d before New", n, base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown after the interrupted drain: %v", err)
 	}
 }

@@ -99,6 +99,7 @@ type Router struct {
 	rr atomic.Uint64 // round-robin cursor for keyless jobs
 
 	stopHealth chan struct{}
+	stopOnce   sync.Once // the first Shutdown closes stopHealth
 	healthDone chan struct{}
 
 	// The telemetry plane: counters and the forward-latency histogram
@@ -278,17 +279,19 @@ func (rt *Router) exposeFleet(e *obs.Expo) {
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
 // Shutdown stops admission, waits for in-flight forwards (the health
-// prober keeps the ring current meanwhile), then stops the prober. Safe
-// to call once; ctx bounds the wait. The replicas drain on their own
-// schedule.
+// prober keeps the ring current meanwhile), then stops the prober. ctx
+// bounds the wait; the prober stops whether or not it ended first, and a
+// later Shutdown waits for the forwards still in flight. The replicas
+// drain on their own schedule.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	if err := rt.gate.Drain(ctx); err != nil {
-		return fmt.Errorf("router: %w", err)
-	}
-	close(rt.stopHealth)
+	err := rt.gate.Drain(ctx)
+	rt.stopOnce.Do(func() { close(rt.stopHealth) })
 	<-rt.healthDone
 	rt.client.CloseIdleConnections()
 	rt.probe.CloseIdleConnections()
+	if err != nil {
+		return fmt.Errorf("router: %w", err)
+	}
 	return nil
 }
 

@@ -211,15 +211,18 @@ func (s *Server) initMetrics() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Shutdown stops admission, waits for every admitted job to be
-// answered, then stops the workers. Safe to call once; ctx bounds the
-// drain. A draining server still answers cache hits (they touch no
-// queue or worker), which lets a replica behind a router serve out its
-// hot set while the router re-shards around it.
+// answered, then stops the workers. ctx bounds the drain: when it ends
+// first, Shutdown returns its error but still closes the queue, so the
+// workers exit once their jobs end, and a later Shutdown waits for that.
+// A draining server still answers cache hits (they touch no queue or
+// worker), which lets a replica behind a router serve out its hot set
+// while the router re-shards around it.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if err := s.gate.Drain(ctx); err != nil {
+	err := s.gate.Drain(ctx)
+	s.queue.close()
+	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	s.queue.close()
 	s.workers.Wait()
 	return nil
 }

@@ -57,16 +57,6 @@ type Options struct {
 	Tol      float64 // relative residual target (paper: 1e-12); must be positive
 	MaxIters int     // executed-iteration cap; must be positive
 	Monitor  Monitor // optional
-	// VerifyTrueResidual recomputes b - A*x on apparent convergence and
-	// keeps iterating if the recurrence residual has drifted (it can,
-	// after faults). The paper's runs terminate on the same accuracy for
-	// every scheme; this makes that comparison honest.
-	VerifyTrueResidual bool
-	// Jacobi enables diagonal preconditioning of the distributed solve —
-	// an extension beyond the paper used to study how preconditioning
-	// interacts with forward recovery. Convergence is still measured on
-	// the unpreconditioned residual so scheme comparisons stay uniform.
-	Jacobi bool
 }
 
 // Result reports a distributed CG solve from one rank's perspective. The
@@ -86,6 +76,10 @@ type Result struct {
 
 // CG runs distributed block-row CG on rank c from x0 = 0. All ranks call
 // it collectively with identical arguments (a and b are shared read-only).
+// On apparent convergence it recomputes b - A*x and keeps iterating if
+// the recurrence residual has drifted (it can, after faults): the paper's
+// runs terminate on the same accuracy for every scheme, and this makes
+// that comparison honest.
 func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opts Options) (*Result, error) {
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: CG len(b)=%d for %s", len(b), a)
@@ -116,27 +110,6 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 		st.NormB = 1
 	}
 
-	// Jacobi preconditioner: the inverse of this rank's diagonal entries.
-	// z holds the preconditioned residual; plain CG never touches either.
-	var invD, z []float64
-	if opts.Jacobi {
-		lo, _ := part.Range(c.Rank())
-		invD = make([]float64, n)
-		for i := range invD {
-			d := a.At(lo+i, lo+i)
-			if d <= 0 || math.IsNaN(d) {
-				invD[i] = 1
-			} else {
-				invD[i] = 1 / d
-			}
-		}
-		z = make([]float64, n)
-	}
-
-	// rr tracks ||r||² for convergence; Rho tracks rᵀz for the recurrence
-	// (they coincide for plain CG).
-	var rr float64
-
 	// restart recomputes R, P, Rho from X: one distributed SpMV plus an
 	// allreduce — the cost every recovery scheme pays to resume CG.
 	restart := func() {
@@ -146,21 +119,10 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 		op.MulVecDist(c, st.R, st.X)
 		vec.Sub(st.R, st.BLocal, st.R)
 		c.Compute(int64(n))
-		if opts.Jacobi {
-			for i := range z {
-				z[i] = invD[i] * st.R[i]
-			}
-			c.Compute(int64(n))
-			st.Rho, rr = c.AllreduceSum2(vec.Dot(st.R, z), vec.Dot(st.R, st.R))
-			c.Compute(2 * vec.DotFlops(n))
-			copy(st.P, z)
-		} else {
-			copy(st.P, st.R)
-			local := vec.Dot(st.R, st.R)
-			c.Compute(vec.DotFlops(n))
-			st.Rho = c.AllreduceScalarSum(local)
-			rr = st.Rho
-		}
+		copy(st.P, st.R)
+		local := vec.Dot(st.R, st.R)
+		c.Compute(vec.DotFlops(n))
+		st.Rho = c.AllreduceScalarSum(local)
 	}
 	restart()
 
@@ -168,15 +130,11 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	it := &Iter{C: c, Op: op, State: st}
 	for res.Iters = 0; res.Iters < opts.MaxIters; res.Iters++ {
 		it.K = res.Iters
-		relres := math.Sqrt(rr) / st.NormB
+		relres := math.Sqrt(st.Rho) / st.NormB
 		if c.Rank() == 0 {
 			res.History = append(res.History, relres)
 		}
 		if relres <= opts.Tol {
-			if !opts.VerifyTrueResidual {
-				res.Converged = true
-				break
-			}
 			// Confirm with the true residual; faults can make the
 			// recurrence lie. Convergence is only claimed at the
 			// requested tolerance — accepting any slack here would let
@@ -189,7 +147,7 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 			trueRho := c.AllreduceScalarSum(local)
 			if math.Sqrt(trueRho)/st.NormB <= opts.Tol {
 				res.Converged = true
-				rr = trueRho
+				st.Rho = trueRho
 				break
 			}
 			// Drifted: rebuild the recurrence from the current iterate.
@@ -223,35 +181,12 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 		}
 		alpha := st.Rho / pq
 		vec.Axpy(alpha, st.P, st.X)
-		var rhoNew float64
-		if opts.Jacobi {
-			// Fused update: r -= alpha q, z = invD.*r, and the two local
-			// reductions in one pass. Element values and ascending-order
-			// accumulation match the unfused sequence bit-for-bit.
-			var localRZ, localRR float64
-			for i, qi := range st.Q {
-				ri := st.R[i] - alpha*qi
-				st.R[i] = ri
-				zi := invD[i] * ri
-				z[i] = zi
-				localRZ += ri * zi
-				localRR += ri * ri
-			}
-			c.Compute(2 * vec.AxpyFlops(n))
-			c.Compute(int64(n))
-			rhoNew, rr = c.AllreduceSum2(localRZ, localRR)
-			c.Compute(2 * vec.DotFlops(n))
-			beta := rhoNew / st.Rho
-			vec.Xpby(z, beta, st.P)
-		} else {
-			localRR := vec.AxpyDot(-alpha, st.Q, st.R)
-			c.Compute(2 * vec.AxpyFlops(n))
-			c.Compute(vec.DotFlops(n))
-			rhoNew = c.AllreduceScalarSum(localRR)
-			rr = rhoNew
-			beta := rhoNew / st.Rho
-			vec.Xpby(st.R, beta, st.P)
-		}
+		localRR := vec.AxpyDot(-alpha, st.Q, st.R)
+		c.Compute(2 * vec.AxpyFlops(n))
+		c.Compute(vec.DotFlops(n))
+		rhoNew := c.AllreduceScalarSum(localRR)
+		beta := rhoNew / st.Rho
+		vec.Xpby(st.R, beta, st.P)
 		c.Compute(2 * int64(n))
 		st.Rho = rhoNew
 
@@ -262,7 +197,7 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 			}
 		}
 	}
-	res.RelRes = math.Sqrt(rr) / st.NormB
+	res.RelRes = math.Sqrt(st.Rho) / st.NormB
 	if !res.Converged {
 		res.Converged = res.RelRes <= opts.Tol
 	}

@@ -114,10 +114,10 @@ type SolveOptions struct {
 	// Faults > 0 injects that many faults evenly spaced over the
 	// fault-free iteration count (the paper's Section 5.2 protocol). That
 	// fault-free baseline is computed once per system and solver
-	// configuration (ranks, tolerance, iteration cap, preconditioning,
-	// platform) and shared by every later Solve on the same A and
-	// b, whatever its scheme, seed or fault count; the system is recognised
-	// by content, so changing A or b in place between calls is safe.
+	// configuration (ranks, tolerance, iteration cap, platform) and shared
+	// by every later Solve on the same A and b, whatever its scheme, seed
+	// or fault count; the system is recognised by content, so changing A
+	// or b in place between calls is safe.
 	Faults int
 	// MTBF > 0 instead injects Poisson faults with this mean time between
 	// failures in virtual seconds (the Section 5.3 protocol). At most one
@@ -133,9 +133,6 @@ type SolveOptions struct {
 	CkptEvery int
 	// LocalTol is the LI/LSI localized construction tolerance (1e-6).
 	LocalTol float64
-	// Jacobi enables diagonal preconditioning of the distributed CG
-	// (extension beyond the paper).
-	Jacobi bool
 
 	Platform *Platform
 	// KeepPowerSegments retains the full power trace for profiles.
@@ -178,7 +175,6 @@ func Solve(a *Matrix, b []float64, opts SolveOptions) (*Report, error) {
 		Scheme:       spec,
 		Tol:          opts.Tol,
 		MaxIters:     opts.MaxIters,
-		Jacobi:       opts.Jacobi,
 		KeepSegments: opts.KeepPowerSegments,
 		Obs:          opts.Observer,
 		Seed:         opts.Seed,

@@ -179,28 +179,6 @@ func TestSolveCR2L(t *testing.T) {
 	}
 }
 
-func TestSolveJacobi(t *testing.T) {
-	a, err := CatalogMatrix("cvxbqp1", "tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := RHS(a)
-	plain, err := Solve(a, b, SolveOptions{Ranks: 4, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcg, err := Solve(a, b, SolveOptions{Ranks: 4, Tol: 1e-10, Jacobi: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pcg.Converged {
-		t.Fatal("Jacobi solve did not converge")
-	}
-	if pcg.Iters >= plain.Iters {
-		t.Errorf("Jacobi %d iterations not below plain %d", pcg.Iters, plain.Iters)
-	}
-}
-
 func TestSolveKeepPowerSegments(t *testing.T) {
 	a := Laplacian2D(12)
 	b, _ := RHS(a)
@@ -401,7 +379,6 @@ func TestSolveBaselineKey(t *testing.T) {
 		"ranks":    {Scheme: "LI", Ranks: 3, Faults: 2},
 		"tol":      {Scheme: "LI", Ranks: 4, Faults: 2, Tol: 1e-8},
 		"maxiters": {Scheme: "LI", Ranks: 4, Faults: 2, MaxIters: 900},
-		"jacobi":   {Scheme: "LI", Ranks: 4, Faults: 2, Jacobi: true},
 		"platform": {Scheme: "LI", Ranks: 4, Faults: 2, Platform: slow},
 	} {
 		before := sys.BaselineRuns()

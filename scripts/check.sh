@@ -14,7 +14,9 @@
 # and the scheme knobs no program set,
 # nor the fabric clients' own retry loops, nor the programs folded into
 # chaos-fleet, resilience-bench and cgsolve, nor the service's experiment
-# job kind and the second sequential CG loop, is named again; the even
+# job kind and the second sequential CG loop, nor pipelined CG, the
+# distributed Jacobi preconditioner and the solver options only they
+# needed, is named again; the even
 # fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
@@ -161,6 +163,15 @@ fi
 # it is plain CG bit for bit.
 if git grep -nE 'runExperiment''Job|json:"experi''ment|SeqCG''Matrix|func SeqCG''\(' -- . ':!*.md'; then
     echo "the experiment job kind or the second sequential CG is named again"; exit 1
+fi
+
+# Likewise the second and third distributed CG: solver.CG is the one
+# distributed loop, plain CG that always confirms convergence on the true
+# residual, so pipelined CG, the distributed Jacobi preconditioner (its
+# scenario flag and ablation too), the fused two-value allreduce they
+# needed and the verify switch stay deleted.
+if git grep -nE 'Pipelined''CG|ablation-''pcg|ablation-''pipeline|"-jaco''bi"|VerifyTrue''Residual|AllreduceSum''2' -- . ':!*.md'; then
+    echo "a retired CG variant or its knobs are named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
