@@ -52,6 +52,7 @@ func TestTokenRule(t *testing.T) {
 		{"a 10x10 chaos grid (fleet_cold)", 4, 460, 1},
 		{"Laplacian2D(32) (BenchmarkCGIteration/W=1)", 4, 4992, 1},
 		{"Laplacian2D(64) (BenchmarkCGIteration/W=2)", 4, 20224, 2},
+		{"a 1024-row band (BenchmarkCGIteration/W=2,banded)", 4, 59546, 2},
 		{"no known operator (cluster.Run)", 4, 0, 1},
 		{"one rank", 1, 240794, 1},
 	} {

@@ -88,16 +88,22 @@ func benchHaloExchange(b *testing.B, a *sparse.CSR, ranks int) {
 // (halo exchange + SpMV, two dots, two scalar allreduces, the fused
 // axpy/dot updates) on 4 ranks per op, once per side of the runtime's
 // token rule: W=1 on a 1024-row Laplacian, below the rule's grain, and
-// W=2 on a 4096-row one, above it, with at least two cores to lend
-// (TestTokenRule in internal/cluster pins that these inputs get those
-// counts). The Krylov recurrence is re-anchored from a zeroed iterate
-// every 50 iterations with pure copies, so the loop runs indefinitely;
-// steady state must be 0 allocs/op on both.
+// W=2 on a 4096-row one, above it, with at least two cores to lend; and
+// once on a 1024-row band of 59 entries per row, also W=2, whose
+// operators take the run kernel (a stencil's never do). TestTokenRule in
+// internal/cluster pins that these inputs get those counts. The Krylov
+// recurrence is re-anchored from a zeroed iterate every 50 iterations
+// with pure copies, so the loop runs indefinitely; steady state must be
+// 0 allocs/op on all three.
 func BenchmarkCGIteration(b *testing.B) {
 	b.Run("W=1", func(b *testing.B) { benchCGIteration(b, matgen.Laplacian2D(32), false) })
 	b.Run("W=2", func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 		benchCGIteration(b, matgen.Laplacian2D(64), false)
+	})
+	b.Run("W=2,banded", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+		benchCGIteration(b, matgen.BandedSPD(matgen.BandedOpts{N: 1024, NNZPerRow: 59, Kappa: 1e4, Seed: 1}), false)
 	})
 }
 

@@ -79,7 +79,9 @@ type Result struct {
 // On apparent convergence it recomputes b - A*x and keeps iterating if
 // the recurrence residual has drifted (it can, after faults): the paper's
 // runs terminate on the same accuracy for every scheme, and this makes
-// that comparison honest.
+// that comparison honest. A run stopped by MaxIters with its recurrence
+// under Tol gets the same check: it is Converged only if the check
+// passes, and its RelRes is the true residual's either way.
 func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opts Options) (*Result, error) {
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("solver: CG len(b)=%d for %s", len(b), a)
@@ -126,6 +128,21 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 	}
 	restart()
 
+	// confirmed checks an apparent convergence on the true residual
+	// b - A*x, which faults can make the recurrence lie about, and leaves
+	// its squared norm in Rho. Convergence is only claimed at the
+	// requested tolerance: accepting any slack here would let a faulted
+	// run report an accuracy it never reached.
+	confirmed := func() bool {
+		op.MulVecDist(c, st.Q, st.X)
+		vec.Sub(st.Q, st.BLocal, st.Q)
+		c.Compute(int64(n))
+		local := vec.Dot(st.Q, st.Q)
+		c.Compute(vec.DotFlops(n))
+		st.Rho = c.AllreduceScalarSum(local)
+		return math.Sqrt(st.Rho)/st.NormB <= opts.Tol
+	}
+
 	res := &Result{}
 	it := &Iter{C: c, Op: op, State: st}
 	for res.Iters = 0; res.Iters < opts.MaxIters; res.Iters++ {
@@ -135,19 +152,8 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 			res.History = append(res.History, relres)
 		}
 		if relres <= opts.Tol {
-			// Confirm with the true residual; faults can make the
-			// recurrence lie. Convergence is only claimed at the
-			// requested tolerance — accepting any slack here would let
-			// a faulted run report an accuracy it never reached.
-			op.MulVecDist(c, st.Q, st.X)
-			vec.Sub(st.Q, st.BLocal, st.Q)
-			c.Compute(int64(n))
-			local := vec.Dot(st.Q, st.Q)
-			c.Compute(vec.DotFlops(n))
-			trueRho := c.AllreduceScalarSum(local)
-			if math.Sqrt(trueRho)/st.NormB <= opts.Tol {
+			if confirmed() {
 				res.Converged = true
-				st.Rho = trueRho
 				break
 			}
 			// Drifted: rebuild the recurrence from the current iterate.
@@ -197,10 +203,12 @@ func CG(c *cluster.Comm, a *sparse.CSR, b []float64, part *sparse.Partition, opt
 			}
 		}
 	}
-	res.RelRes = math.Sqrt(st.Rho) / st.NormB
-	if !res.Converged {
-		res.Converged = res.RelRes <= opts.Tol
+	// A run stopped by MaxIters whose recurrence met Tol at the end is
+	// confirmed like any other.
+	if !res.Converged && math.Sqrt(st.Rho)/st.NormB <= opts.Tol {
+		res.Converged = confirmed()
 	}
+	res.RelRes = math.Sqrt(st.Rho) / st.NormB
 	res.XLocal = st.X
 	return res, nil
 }

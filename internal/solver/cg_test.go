@@ -102,6 +102,48 @@ func TestCGMaxIters(t *testing.T) {
 	}
 }
 
+// lateKick adds 1e3 to x[0] (rank 0's first entry) before iteration at
+// and asks for no restart, so the recurrence keeps reporting the residual
+// of an iterate that is no longer there.
+type lateKick struct{ at int }
+
+func (m lateKick) BeforeIteration(it *Iter) (bool, error) {
+	if it.K == m.at && it.C.Rank() == 0 {
+		it.State.X[0] += 1e3
+	}
+	return false, nil
+}
+
+func (lateKick) AfterIteration(*Iter) error { return nil }
+
+// TestCGMaxItersConfirmsConvergence checks that a run which stops at
+// MaxIters with its recurrence residual under Tol is Converged only if
+// the true residual b - Ax is: here x[0] is kicked before the last
+// iteration, the recurrence still converges, and the true relative
+// residual is in the hundreds.
+func TestCGMaxItersConfirmsConvergence(t *testing.T) {
+	a := matgen.Laplacian2D(8)
+	b, _ := matgen.RHS(a)
+	const tol, maxIters = 1e-10, 29
+	res, x := runCG(t, a, b, 2, Options{Tol: tol, MaxIters: maxIters, Monitor: lateKick{at: maxIters - 1}})
+	if res.Iters != maxIters {
+		t.Fatalf("stopped after %d iterations, want the cap %d", res.Iters, maxIters)
+	}
+	if h := res.History[len(res.History)-1]; h > 1 {
+		t.Fatalf("recurrence residual %g at the last boundary; the case needs a converging recurrence", h)
+	}
+	r := make([]float64, a.Rows)
+	a.MulVec(r, x)
+	vec.Sub(r, b, r)
+	trueRel := vec.Nrm2(r) / vec.Nrm2(b)
+	if res.Converged {
+		t.Fatalf("Converged with true relative residual %g (tol %g), reported RelRes %g", trueRel, tol, res.RelRes)
+	}
+	if res.RelRes < 1 {
+		t.Errorf("reported RelRes %g, true relative residual %g", res.RelRes, trueRel)
+	}
+}
+
 // corruptingMonitor flips a block of x once, then requests a restart —
 // the minimal fault-injection round trip through the Monitor interface.
 type corruptingMonitor struct {

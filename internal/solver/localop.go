@@ -35,6 +35,11 @@ type LocalOp struct {
 	localA   *sparse.CSR
 	a        *sparse.CSR
 	rowBlock *sparse.CSR
+	// runs is localA's MulVecRuns plan: the whole groups of four rows in
+	// which every row is one contiguous run of local columns. A band's
+	// rows are, except those that read ghost columns below the block; a
+	// stencil's are not, and its operator has no plan (nil).
+	runs *sparse.RunPlan
 
 	// The halo plan. neighbors lists the peer ranks, ascending; the
 	// per-neighbor slices below are indexed by position in it, so the
@@ -134,6 +139,7 @@ func NewLocalOp(c *cluster.Comm, a *sparse.CSR, part *sparse.Partition) *LocalOp
 			la.ColIdx[k] = op.N + op.ghostSlot[col]
 		}
 	}
+	op.runs = la.PlanRuns()
 	// Note: remapping breaks the strictly-increasing column invariant
 	// within rows (ghosts land after own columns); SpMV does not require
 	// it, and localA is not exposed.
@@ -182,10 +188,11 @@ func (op *LocalOp) GatherHalo(c *cluster.Comm, x []float64) []float64 {
 
 // MulVecDist computes the local block of the distributed product
 // y = A*x, where x and y are this rank's owned blocks: the halo exchange,
-// then the SpMV over the assembled [own | ghost] vector.
+// then the SpMV over the assembled [own | ghost] vector, which takes the
+// operator's run rows four at a time without gathering (MulVecRuns).
 func (op *LocalOp) MulVecDist(c *cluster.Comm, y, x []float64) {
 	buf := op.GatherHalo(c, x)
-	op.localA.MulVec(y, buf)
+	op.localA.MulVecRuns(y, buf, op.runs)
 	c.Compute(op.localA.SpMVFlops())
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"resilience/internal/cluster"
+	"resilience/internal/matgen"
 	"resilience/internal/platform"
 	"resilience/internal/power"
 	"resilience/internal/sparse"
@@ -170,4 +171,33 @@ func TestMulVecDistRowListShapes(t *testing.T) {
 
 	// One rank owns every row: nothing is a ghost.
 	checkMulVecDist(t, rng, randSymCSR(rng, 20, 3), 1)
+}
+
+// TestMulVecDistBanded drives the distributed SpMV through its run plan:
+// banded matrices (Scatter 0) on rank counts whose blocks are not
+// multiples of four rows, so the four-row groups of each block's plan sit
+// next to the rows at its edges that read ghost columns and go to the
+// gather loop, with 0-3 leftover run rows beside them.
+func TestMulVecDistBanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cases := []struct{ n, perRow, ranks int }{
+		{203, 9, 3},  // blocks of 67 and 68 rows
+		{203, 15, 5}, // 40 and 41
+		{130, 7, 6},  // 21 and 22
+		{243, 59, 3}, // 81 rows of up to 59 entries
+	}
+	for _, tc := range cases {
+		a := matgen.BandedSPD(matgen.BandedOpts{N: tc.n, NNZPerRow: tc.perRow, Kappa: 100, Seed: int64(tc.n)})
+		part := sparse.NewPartition(a.Rows, tc.ranks)
+		_, err := cluster.Run(tc.ranks, platform.Default(), power.NewMeter(false), func(c *cluster.Comm) error {
+			if op := NewLocalOp(c, a, part); op.runs == nil || op.nGhost == 0 {
+				return fmt.Errorf("rank %d: plan %v with %d ghosts, want a plan beside ghost rows", c.Rank(), op.runs, op.nGhost)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d ranks=%d: %v", tc.n, tc.ranks, err)
+		}
+		checkMulVecDist(t, rng, a, tc.ranks)
+	}
 }

@@ -3,6 +3,12 @@
 // products), block-row partitioning for distributed solves, and Matrix
 // Market I/O.
 //
+// There is one storage, CSR, and one gather loop, MulVec. A RunPlan
+// derived from a matrix's own arrays lists the rows whose columns form
+// one contiguous run; MulVecRuns takes those four at a time as dot
+// products with slices of x, loading no column index, and hands every
+// other row to MulVec. Both are bitwise the scalar loop.
+//
 // The block-row partition mirrors Figure 2 of the paper: matrix A and
 // vectors x, b are split into contiguous row blocks, one per process. A
 // process owns A_{p_i,:} (its row block), the diagonal block A_{p_i,p_i},
@@ -108,6 +114,159 @@ func (m *CSR) MulVec(y, x []float64) {
 	}
 }
 
+// A RunPlan lists the rows of one CSR that MulVecRuns takes four at a
+// time without gathering x: row ranges in which every row is a run, its
+// column indices c, c+1, …, c+n-1 in stored order (an empty row is one),
+// and each run's first column c, so that the kernel loads no column index
+// at all. Such a row's sum is a dot product with x[c:c+n]. The plan is
+// derived from the matrix's own arrays and holds none of its values.
+type RunPlan struct {
+	ranges []int // [lo, hi) row pairs, ascending, disjoint, multiples of four long
+	start  []int // start[i] is row i's first column, for the rows in ranges
+}
+
+// PlanRuns returns m's RunPlan: the whole groups of four, counted from
+// its first row, of each maximal stretch of rows that are runs; nil if
+// there are none, and MulVecRuns is then MulVec.
+func (m *CSR) PlanRuns() *RunPlan {
+	var ranges []int
+	start := 0 // first row of the current stretch of runs
+	for i := 0; i < m.Rows; i++ {
+		if !m.isRun(i) {
+			ranges = appendGroups(ranges, start, i)
+			start = i + 1
+		}
+	}
+	return m.planOf(appendGroups(ranges, start, m.Rows))
+}
+
+// isRun reports whether row i is a run. A row whose last column is not
+// its first plus its length minus one is rejected without a scan, so a
+// stencil's rows cost one compare each.
+func (m *CSR) isRun(i int) bool {
+	cols := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
+	if len(cols) == 0 {
+		return true
+	}
+	c := cols[0]
+	if cols[len(cols)-1] != c+len(cols)-1 {
+		return false
+	}
+	for k, col := range cols {
+		if col != c+k {
+			return false
+		}
+	}
+	return true
+}
+
+// appendGroups appends to ranges the whole groups of four of the rows
+// [lo, hi), as one range.
+func appendGroups(ranges []int, lo, hi int) []int {
+	if n := (hi - lo) &^ 3; n > 0 {
+		ranges = append(ranges, lo, lo+n)
+	}
+	return ranges
+}
+
+// planOf returns the plan that takes the rows in ranges, all runs, four
+// at a time; nil if ranges is empty.
+func (m *CSR) planOf(ranges []int) *RunPlan {
+	if len(ranges) == 0 {
+		return nil
+	}
+	p := &RunPlan{ranges: ranges, start: make([]int, m.Rows)}
+	for j := 0; j < len(ranges); j += 2 {
+		for i := ranges[j]; i < ranges[j+1]; i++ {
+			if k := m.RowPtr[i]; k < m.RowPtr[i+1] {
+				p.start[i] = m.ColIdx[k]
+			}
+		}
+	}
+	return p
+}
+
+// MulVecRuns computes y = A*x like MulVec, taking the rows p lists four
+// at a time without gathering x; p must be m's own plan. Each group
+// of four rows is four independent one-accumulator chains stepped in
+// lockstep (dot4), so the adds of four rows overlap where one row's would
+// wait on each other, and every row's sum is still bitwise the scalar
+// loop's. The rows
+// between p's ranges go to MulVec in maximal stretches; with a nil plan
+// it is MulVec.
+func (m *CSR) MulVecRuns(y, x []float64, p *RunPlan) {
+	if p == nil {
+		m.MulVec(y, x)
+		return
+	}
+	if len(x) != m.Cols || len(y) != m.Rows || len(p.start) != m.Rows {
+		panic(fmt.Sprintf("sparse: MulVecRuns dims %dx%d with len(x)=%d len(y)=%d and a plan for %d rows",
+			m.Rows, m.Cols, len(x), len(y), len(p.start)))
+	}
+	prev := 0
+	for j := 0; j < len(p.ranges); j += 2 {
+		lo, hi := p.ranges[j], p.ranges[j+1]
+		m.rowRange(prev, lo).MulVec(y[prev:lo], x)
+		for g := lo; g < hi; g += 4 {
+			v0, x0 := p.run(m, g, x)
+			v1, x1 := p.run(m, g+1, x)
+			v2, x2 := p.run(m, g+2, x)
+			v3, x3 := p.run(m, g+3, x)
+			n := min(len(v0), len(v1), len(v2), len(v3))
+			s0, s1, s2, s3 := dot4(v0[:n], x0[:n], v1[:n], x1[:n], v2[:n], x2[:n], v3[:n], x3[:n])
+			y[g] = dotOn(s0, v0[n:], x0[n:])
+			y[g+1] = dotOn(s1, v1[n:], x1[n:])
+			y[g+2] = dotOn(s2, v2[n:], x2[n:])
+			y[g+3] = dotOn(s3, v3[n:], x3[n:])
+		}
+		prev = hi
+	}
+	m.rowRange(prev, m.Rows).MulVec(y[prev:], x)
+}
+
+// rowRange returns rows [lo, hi) of m as a matrix sharing m's arrays.
+// Its RowPtr keeps m's offsets, which MulVec reads as they are.
+func (m *CSR) rowRange(lo, hi int) *CSR {
+	return &CSR{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColIdx: m.ColIdx, Val: m.Val}
+}
+
+// run returns the values of row i of m, a run, and the stretch of x they
+// multiply.
+func (p *RunPlan) run(m *CSR, i int, x []float64) (vals, xs []float64) {
+	vals = m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+	c := p.start[i]
+	return vals, x[c : c+len(vals)]
+}
+
+// dot4 returns the four dot products a0·b0 … a3·b3 of equal-length
+// vectors, each one in-order chain, the four stepped in lockstep. It is
+// its own function so that the loop holds nothing but its eight
+// pointers, its index and its four sums in registers.
+//
+//go:noinline
+func dot4(a0, b0, a1, b1, a2, b2, a3, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0 = b0[:len(a0)]
+	a1, b1 = a1[:len(a0)], b1[:len(a0)]
+	a2, b2 = a2[:len(a0)], b2[:len(a0)]
+	a3, b3 = a3[:len(a0)], b3[:len(a0)]
+	for k := range a0 {
+		s0 += a0[k] * b0[k]
+		s1 += a1[k] * b1[k]
+		s2 += a2[k] * b2[k]
+		s3 += a3[k] * b3[k]
+	}
+	return s0, s1, s2, s3
+}
+
+// dotOn continues the one-accumulator chain s over v·x in order.
+func dotOn(s float64, v, x []float64) float64 {
+	x = x[:len(v)]
+	for k := range v {
+		s += v[k] * x[k]
+	}
+	return s
+}
+
 // MulTransVecAdd computes y += Aᵀ*x. y must have length Cols, x length Rows.
 func (m *CSR) MulTransVecAdd(y, x []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
@@ -134,19 +293,6 @@ func (m *CSR) MulTransVec(y, x []float64) {
 		y[i] = 0
 	}
 	m.MulTransVecAdd(y, x)
-}
-
-// Diag returns the main diagonal as a dense vector (zeros where absent).
-func (m *CSR) Diag() []float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
 }
 
 // Transpose returns Aᵀ as a new CSR matrix.

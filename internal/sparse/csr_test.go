@@ -182,18 +182,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestDiag(t *testing.T) {
-	coo := NewCOO(3, 3)
-	coo.Add(0, 0, 2)
-	coo.Add(1, 1, 3)
-	coo.Add(2, 1, 7)
-	m := coo.ToCSR()
-	d := m.Diag()
-	if d[0] != 2 || d[1] != 3 || d[2] != 0 {
-		t.Errorf("Diag got %v", d)
-	}
-}
-
 func TestGershgorinBounds(t *testing.T) {
 	// tridiag(-1, 2, -1): eigenvalues in (0, 4); Gershgorin gives [0, 4].
 	coo := NewCOO(4, 4)

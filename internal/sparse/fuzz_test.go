@@ -43,7 +43,7 @@ func decodeMatrix(data []byte) (rows, cols int, coo *COO, dense [][]float64, x, 
 // SpMV kernels against a dense reference. Duplicate COO entries must sum;
 // the produced CSR must pass its structural validator; MulVec and
 // MulTransVec must agree with the dense product bitwise (all values are
-// exact small integers).
+// exact small integers), and MulVecRuns with MulVec.
 func FuzzCSRMulVec(f *testing.F) {
 	f.Add([]byte{4, 4, 0, 0, 1, 1, 2, 3, 3, 1, 255})
 	f.Add([]byte{1, 1, 0, 0, 127})
@@ -51,6 +51,11 @@ func FuzzCSRMulVec(f *testing.F) {
 	f.Add([]byte{2, 3})                                                // empty matrix
 	// Rows of 8, 7, 0, 5 and 6 entries: every remainder of the 4-way unroll.
 	f.Add([]byte{4, 7, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8, 1, 0, 9, 1, 1, 10, 1, 2, 11, 1, 3, 12, 1, 4, 13, 1, 5, 1, 1, 6, 2, 3, 0, 12, 3, 1, 13, 3, 2, 1, 3, 3, 2, 3, 4, 3, 4, 0, 7, 4, 1, 8, 4, 2, 9, 4, 3, 10, 4, 4, 11, 4, 5, 12})
+	// Bands, whose rows are runs: MulVecRuns takes them four at a time,
+	// around an empty row, and beside a row with a gap.
+	f.Add([]byte{7, 7, 0, 0, 4, 0, 1, 255, 1, 0, 255, 1, 1, 4, 1, 2, 255, 2, 1, 255, 2, 2, 4, 2, 3, 255, 3, 2, 255, 3, 3, 4, 3, 4, 255, 4, 3, 255, 4, 4, 4, 4, 5, 255, 5, 4, 255, 5, 5, 4, 5, 6, 255, 6, 5, 255, 6, 6, 4, 6, 7, 255, 7, 6, 255, 7, 7, 4})
+	f.Add([]byte{7, 7, 0, 0, 253, 0, 1, 255, 0, 2, 1, 1, 0, 254, 1, 1, 1, 1, 2, 2, 1, 3, 253, 2, 0, 255, 2, 1, 1, 2, 2, 3, 2, 3, 254, 2, 4, 1, 3, 1, 2, 3, 2, 253, 3, 3, 255, 3, 4, 1, 3, 5, 3, 4, 2, 254, 4, 3, 1, 4, 4, 2, 4, 5, 253, 4, 6, 255, 6, 4, 253, 6, 5, 255, 6, 6, 1, 6, 7, 3, 7, 5, 1, 7, 6, 2, 7, 7, 253})
+	f.Add([]byte{7, 7, 0, 0, 2, 0, 1, 1, 1, 0, 3, 1, 1, 2, 1, 2, 1, 2, 1, 3, 2, 3, 1, 3, 2, 3, 3, 3, 2, 3, 4, 1, 4, 3, 3, 4, 4, 2, 4, 5, 1, 5, 4, 3, 5, 5, 2, 5, 6, 1, 6, 5, 3, 6, 6, 2, 6, 7, 1, 7, 6, 3, 7, 7, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, coo, dense, x, xt, ok := decodeMatrix(data)
 		if !ok {
@@ -82,6 +87,12 @@ func FuzzCSRMulVec(f *testing.F) {
 			if y[i] != want {
 				t.Fatalf("MulVec row %d = %g, dense reference %g", i, y[i], want)
 			}
+		}
+		// The run kernel, taking every whole group of run rows.
+		yr := make([]float64, rows)
+		m.MulVecRuns(yr, x, m.PlanRuns())
+		if !sameBits(yr, y) {
+			t.Fatalf("MulVecRuns = %v, MulVec = %v", yr, y)
 		}
 		// y = A' xt against the dense reference.
 		yt := make([]float64, cols)

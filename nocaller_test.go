@@ -25,7 +25,6 @@ import (
 var noCallerAllowed = map[string]string{
 	"internal/sparse.CSR.IsSymmetric":      "test oracle: generated and parsed matrices are checked for symmetry",
 	"internal/sparse.CSR.GershgorinBounds": "test oracle: spectral bounds of the generated systems",
-	"internal/sparse.CSR.Diag":             "test oracle: the Jacobi diagonal the preconditioned solver tests feed in",
 	"internal/sparse.CSR.Clone":            "test fixture: the Validate tests corrupt copies of a valid matrix",
 	"internal/dense.Matrix.MulVec":         "test oracle: the residual of the QR least-squares solve",
 	"internal/dense.Matrix.MulTransVec":    "test oracle: the normal-equations check of the QR least-squares solve",

@@ -233,7 +233,8 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 # (attaching one may allocate for span storage; that variant is measured
 # by BenchmarkCGIterationObserved but not gated): the CG iteration on one
 # execution token and on two (an input on each side of the runtime's
-# token rule), the all-to-all halo exchange at 16 and 32 ranks (every
+# token rule), and on two tokens over a band, whose SpMV takes the run
+# kernel, the all-to-all halo exchange at 16 and 32 ranks (every
 # rank's plan read by every other rank, which the 4-rank CG iteration
 # cannot show), and
 # the blocking Send/RecvInto ring plus scalar allreduce at 16 ranks, the
@@ -241,7 +242,7 @@ go test -run '^$' -fuzz '^FuzzSchemeSpec$' -fuzztime 5s ./internal/service
 go test -run '^$' -bench '^BenchmarkCGIteration$|^BenchmarkHaloExchangeAllToAll$' \
     -benchmem -benchtime 2000x ./internal/solver |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
-         END { exit (bad || found != 4) }'
+         END { exit (bad || found != 5) }'
 go test -run '^$' -bench '^BenchmarkClusterStep$' -benchmem -benchtime 2000x ./internal/cluster |
     awk '/^Benchmark/ { if ($(NF-1) != 0) { print "ALLOCATING HOT PATH: " $0; bad = 1 } found++ }
          END { exit (bad || found != 1) }'
