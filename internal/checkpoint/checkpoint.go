@@ -15,7 +15,8 @@ import (
 // the checkpointed data itself lives with the solver state (one block of
 // x per rank).
 type Store interface {
-	// Name returns "memory" or "disk".
+	// Name returns "memory", "disk", or for a Lossy store "lossy-" and
+	// its inner store's name.
 	Name() string
 	// WriteTime returns the virtual time for one rank to write `bytes`
 	// while `writers` ranks write concurrently.

@@ -43,8 +43,8 @@ const (
 
 // SchemeSpec selects and configures a recovery scheme. Kind, Construct
 // and DVFS are its identity, what a scheme name selects; the other fields
-// tune it. A checkpointing scheme's stores are not settings: ckptLevels
-// fixes them per Kind, LCR's compression ratio included.
+// tune it. A checkpointing scheme's stores are not settings:
+// CheckpointLevels fixes them per Kind, LCR's compression ratio included.
 type SchemeSpec struct {
 	Kind SchemeKind
 	// Construct picks the LI/LSI construction: the paper's localized CG
@@ -121,9 +121,13 @@ type RunReport struct {
 	// rollback phases (before the redundancy multiplier).
 	EnergyByPhase map[string]float64
 
-	Faults      []fault.Fault
+	Faults []fault.Fault
+	// Checkpoints counts the checkpoints rank 0 took, over all Levels.
 	Checkpoints int
-	Redundancy  int
+	// Levels are rank 0's checkpoint levels after the solve, shallowest
+	// first; nil when the scheme does not checkpoint.
+	Levels     []CheckpointLevel
+	Redundancy int
 
 	// Seed echoes RunConfig.Seed so any report names the seed that
 	// replays it.
@@ -138,6 +142,15 @@ type RunReport struct {
 	// Obs echoes the recorder passed in RunConfig (nil otherwise), so
 	// callers can export spans and metrics from the report alone.
 	Obs *obs.Recorder
+}
+
+// CheckpointLevel is one checkpoint level of a run: the store it wrote
+// to, one checkpoint's per-rank payload in bytes, its interval in
+// iterations, the checkpoints it took and the rollbacks it served.
+type CheckpointLevel struct {
+	Store                   checkpoint.Store
+	Bytes                   int64
+	Every, Writes, Restores int
 }
 
 // buildScheme instantiates the per-rank scheme; policy is the first
@@ -161,7 +174,7 @@ func buildScheme(cfg *RunConfig, policy checkpoint.Policy) (recovery.Scheme, err
 			LocalTol:  cfg.Scheme.LocalTol,
 		}, nil
 	case CRM, CRD, CR2L, LCR:
-		return &recovery.CR{Levels: ckptLevels(cfg.Scheme.Kind, cfg.Plat, policy)}, nil
+		return &recovery.CR{Levels: CheckpointLevels(cfg.Scheme.Kind, cfg.Plat, policy)}, nil
 	case RD:
 		return &recovery.RD{Replicas: 2}, nil
 	case TMR:
@@ -177,14 +190,14 @@ func buildScheme(cfg *RunConfig, policy checkpoint.Policy) (recovery.Scheme, err
 // 4th memory interval.
 const deeperLevelEvery = 4
 
-// ckptLevels lists the checkpoint levels of a checkpointing scheme,
+// CheckpointLevels lists the checkpoint levels of a checkpointing scheme,
 // shallowest first, the first written under policy; nil for every other
 // scheme. CR-M and CR-D have one memory or disk level, LCR one shared
 // disk behind an error-bounded compressor, CR-2L memory then disk. It is
 // the one place a store is chosen: buildScheme hands the levels to
-// recovery.CR, and ckptPolicy prices Young's t_C as the first level's
-// write.
-func ckptLevels(kind SchemeKind, plat *platform.Platform, policy checkpoint.Policy) []recovery.Level {
+// recovery.CR, ckptPolicy prices Young's t_C as the first level's write,
+// and the weak-scaling projection prices the same stores.
+func CheckpointLevels(kind SchemeKind, plat *platform.Platform, policy checkpoint.Policy) []recovery.Level {
 	mem := recovery.Level{Store: checkpoint.MemStore{Plat: plat}, Policy: policy}
 	disk := recovery.Level{Store: checkpoint.DiskStore{Plat: plat}, Policy: policy}
 	switch kind {
@@ -340,20 +353,23 @@ func (m *resMonitor) AfterIteration(it *solver.Iter) error {
 	return m.scheme.AfterIteration(m.recoveryCtx(it), it.K)
 }
 
-// EstimateIterTime approximates the fault-free per-iteration virtual time
-// of distributed CG on this configuration: one SpMV plus vector work plus
-// three collectives. It feeds Young's formula.
-func EstimateIterTime(a *sparse.CSR, ranks int, plat *platform.Platform) float64 {
-	flopsPerRank := (2*int64(a.NNZ()) + 12*int64(a.Rows)) / int64(ranks)
-	t := plat.ComputeTime(flopsPerRank, plat.FreqMax)
+// RankIterTime approximates one rank's fault-free CG iteration time: its
+// flops at f_max, three collectives, and a few halo messages out of a
+// rowsPerRank block. It feeds Young's formula and the Fig. 9 projection.
+func RankIterTime(plat *platform.Platform, flops int64, rowsPerRank, ranks int) float64 {
+	t := plat.ComputeTime(flops, plat.FreqMax)
 	t += 3 * plat.CollectiveTime(8, ranks)
-	// Halo exchange: a handful of neighbor messages.
-	t += 4 * plat.P2PTime(8*int64(a.Rows/ranks/8+1))
+	t += 4 * plat.P2PTime(8*int64(rowsPerRank/8+1))
 	return t
 }
 
+// estimateIterTime is RankIterTime for distributed CG on a over ranks.
+func estimateIterTime(a *sparse.CSR, ranks int, plat *platform.Platform) float64 {
+	return RankIterTime(plat, (2*int64(a.NNZ())+12*int64(a.Rows))/int64(ranks), a.Rows/ranks, ranks)
+}
+
 // ckptPolicy resolves the policy of the run's first checkpoint level.
-func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
+func ckptPolicy(cfg *RunConfig, ckptBytes int64) (checkpoint.Policy, error) {
 	s := cfg.Scheme
 	if !s.Checkpoints() {
 		return checkpoint.Policy{}, nil
@@ -364,8 +380,8 @@ func ckptPolicy(cfg *RunConfig, maxBlockRows int) (checkpoint.Policy, error) {
 	if s.CkptMTBF <= 0 {
 		return checkpoint.Policy{}, fmt.Errorf("core: CR scheme needs CkptEvery or CkptMTBF")
 	}
-	tC := ckptLevels(s.Kind, cfg.Plat, checkpoint.Policy{})[0].Store.WriteTime(int64(8*maxBlockRows), cfg.Ranks)
-	iterSec := EstimateIterTime(cfg.A, cfg.Ranks, cfg.Plat)
+	tC := CheckpointLevels(s.Kind, cfg.Plat, checkpoint.Policy{})[0].Store.WriteTime(ckptBytes, cfg.Ranks)
+	iterSec := estimateIterTime(cfg.A, cfg.Ranks, cfg.Plat)
 	if s.UseDaly {
 		return checkpoint.DalyPolicy(tC, s.CkptMTBF, iterSec), nil
 	}
@@ -423,7 +439,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	}
 
 	part := sparse.NewPartition(cfg.A.Rows, cfg.Ranks)
-	policy, err := ckptPolicy(&cfg, part.Size(0))
+	// Every rank checkpoints the largest block's payload (recovery.CR).
+	ckptBytes := int64(8 * part.Size(0))
+	policy, err := ckptPolicy(&cfg, ckptBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +506,11 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	if s := schemes[0]; s != nil {
 		report.Redundancy = s.Redundancy()
 		if cr, ok := s.(*recovery.CR); ok {
-			report.Checkpoints = cr.Writes
+			report.Levels = make([]CheckpointLevel, 0, len(cr.Levels))
+			for _, lv := range cr.Levels {
+				report.Levels = append(report.Levels, CheckpointLevel{lv.Store, ckptBytes, lv.Policy.EveryIters, lv.Writes, lv.Restores})
+				report.Checkpoints += lv.Writes
+			}
 		}
 	}
 	report.Solution = make([]float64, cfg.A.Rows)

@@ -442,13 +442,13 @@ func TestSchemeSpecNames(t *testing.T) {
 
 func TestEstimateIterTimePositive(t *testing.T) {
 	a := matgen.Laplacian2D(16)
-	est := EstimateIterTime(a, 4, platform.Default())
+	est := estimateIterTime(a, 4, platform.Default())
 	if est <= 0 {
 		t.Errorf("estimate %g", est)
 	}
 	// More ranks per fixed problem: less compute per rank but more
 	// collective latency; the estimate stays positive and finite.
-	est2 := EstimateIterTime(a, 16, platform.Default())
+	est2 := estimateIterTime(a, 16, platform.Default())
 	if est2 <= 0 || math.IsInf(est2, 0) {
 		t.Errorf("estimate %g", est2)
 	}

@@ -81,7 +81,7 @@ func TestSchemeTable(t *testing.T) {
 		if spec.Checkpoints() {
 			ckpt = append(ckpt, k.String())
 		}
-		if levels := ckptLevels(k, platform.Default(), checkpoint.FixedPolicy(5)); (len(levels) > 0) != spec.Checkpoints() {
+		if levels := CheckpointLevels(k, platform.Default(), checkpoint.FixedPolicy(5)); (len(levels) > 0) != spec.Checkpoints() {
 			t.Errorf("%s: %d checkpoint levels, Checkpoints() = %t", k, len(levels), spec.Checkpoints())
 		}
 		cfg := &RunConfig{Plat: platform.Default(), Scheme: spec}

@@ -107,7 +107,7 @@ func runTab6(cfg Config) (*Result, error) {
 			if err != nil {
 				return model.Validation{}, err
 			}
-			params, err := model.FitCR(ff, run, cfg.Plat, ckptEvery)
+			params, err := model.FitCR(ff, run, cfg.Plat)
 			if err != nil {
 				return model.Validation{}, err
 			}

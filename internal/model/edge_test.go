@@ -3,6 +3,8 @@ package model
 import (
 	"math"
 	"testing"
+
+	"resilience/internal/checkpoint"
 )
 
 // baseParams is a plausible baseline for the edge tables: one second of
@@ -47,19 +49,19 @@ func TestZeroFaultCampaign(t *testing.T) {
 	}
 
 	p = base
-	p.TC = 0.01
-	p.IC = 0.5
-	p.PCkptFrac = 0.6
+	lv := Level{TC: 0.01, IC: 0.5, PFrac: 0.6}
+	p.Levels = []Level{lv}
+	p.ExtraFracPerFault = 0.04
 	cr, err := PredictCR(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCkpt := p.TC * p.TBase / p.IC
+	wantCkpt := lv.TC * p.TBase / lv.IC
 	if cr.TRes != wantCkpt {
 		t.Errorf("PredictCR at lambda=0: TRes=%g, want pure checkpoint tax %g (no lost work)", cr.TRes, wantCkpt)
 	}
-	if cr.ERes != wantCkpt*p.PCkptFrac*p.PBase {
-		t.Errorf("PredictCR at lambda=0: ERes=%g, want %g", cr.ERes, wantCkpt*p.PCkptFrac*p.PBase)
+	if cr.ERes != wantCkpt*lv.PFrac*p.PBase {
+		t.Errorf("PredictCR at lambda=0: ERes=%g, want %g", cr.ERes, wantCkpt*lv.PFrac*p.PBase)
 	}
 }
 
@@ -96,9 +98,7 @@ func TestMTBFLimits(t *testing.T) {
 				t.Fatal(err)
 			}
 			crp := p
-			crp.TC = 0.01
-			crp.IC = YoungIntervalLike(crp.TC, tc.mtbf)
-			crp.PCkptFrac = 0.6
+			crp.Levels = []Level{{TC: 0.01, IC: checkpoint.YoungInterval(0.01, tc.mtbf), PFrac: 0.6}}
 			cr, err := PredictCR(crp)
 			if err != nil {
 				t.Fatal(err)
@@ -126,10 +126,6 @@ func TestMTBFLimits(t *testing.T) {
 		})
 	}
 }
-
-// YoungIntervalLike mirrors checkpoint.YoungInterval without importing the
-// package (model must stay dependency-free below platform).
-func YoungIntervalLike(tC, mtbf float64) float64 { return math.Sqrt(2 * tC * mtbf) }
 
 // TestSingleCoreDegenerateParams: N = 1 is the single-rank partition
 // degenerate case — FW's "other cores idle" term has no other cores, so

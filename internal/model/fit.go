@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 
-	"resilience/internal/checkpoint"
 	"resilience/internal/core"
 	"resilience/internal/obs"
 	"resilience/internal/platform"
@@ -24,36 +23,26 @@ func BaseParams(ff *core.RunReport) Params {
 	}
 }
 
-// FitCR builds CR parameters from the FF baseline and a measured CR run.
-// ckptEvery is the iteration interval used; the store kind is inferred
-// from the scheme name.
-func FitCR(ff, run *core.RunReport, plat *platform.Platform, ckptEvery int) (Params, error) {
+// FitCR builds CR parameters from the FF baseline and a measured
+// checkpointing run: one level per level the run wrote, priced from its
+// store and payload by NewLevel, at its interval in iterations times the
+// fault-free iteration time.
+func FitCR(ff, run *core.RunReport, plat *platform.Platform) (Params, error) {
 	if len(run.Faults) == 0 {
 		return Params{}, fmt.Errorf("model: FitCR needs a faulty run")
 	}
-	if ckptEvery <= 0 {
-		return Params{}, fmt.Errorf("model: FitCR needs the checkpoint interval")
+	if len(run.Levels) == 0 {
+		return Params{}, fmt.Errorf("model: FitCR on %q, a run with no checkpoint levels", run.Scheme)
 	}
 	p := BaseParams(ff)
 	p.Lambda = float64(len(run.Faults)) / run.Time
 
 	iterTime := ff.Time / float64(ff.Iters)
-	p.IC = float64(ckptEvery) * iterTime
-
-	blockRows := (ff.Ranks - 1 + firstDim(ff)) / ff.Ranks
-	bytes := int64(8 * blockRows)
-	var store checkpoint.Store
-	switch run.Scheme {
-	case "CR-M":
-		store = checkpoint.MemStore{Plat: plat}
-		p.PCkptFrac = 1
-	case "CR-D":
-		store = checkpoint.DiskStore{Plat: plat}
-		p.PCkptFrac = plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax)
-	default:
-		return Params{}, fmt.Errorf("model: FitCR on non-CR scheme %q", run.Scheme)
+	p.Levels = make([]Level, len(run.Levels))
+	for i, l := range run.Levels {
+		p.Levels[i] = NewLevel(l.Store, plat, l.Bytes, ff.Ranks)
+		p.Levels[i].IC = float64(l.Every) * iterTime
 	}
-	p.TC = store.WriteTime(bytes, ff.Ranks)
 	return p, nil
 }
 
@@ -112,9 +101,6 @@ func freqParked(plat *platform.Platform, dvfs bool) float64 {
 	}
 	return plat.FreqMax
 }
-
-// firstDim recovers the problem dimension from a report.
-func firstDim(r *core.RunReport) int { return len(r.Solution) }
 
 // Validation compares a model prediction against a measured run, both
 // normalized to the FF baseline — one row of the paper's Table 6.

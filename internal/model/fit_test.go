@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"resilience/internal/checkpoint"
 	"resilience/internal/core"
 	"resilience/internal/fault"
 	"resilience/internal/matgen"
@@ -92,12 +93,12 @@ func TestFitFWWithoutSegments(t *testing.T) {
 
 func TestFitCRAndPredict(t *testing.T) {
 	ff, run, plat := fitFixture(t, core.SchemeSpec{Kind: core.CRM, CkptEvery: 20}, false)
-	params, err := FitCR(ff, run, plat, 20)
+	params, err := FitCR(ff, run, plat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if params.TC <= 0 || params.IC <= 0 {
-		t.Errorf("t_C=%g I_C=%g", params.TC, params.IC)
+	if len(params.Levels) != 1 || params.Levels[0].TC <= 0 || params.Levels[0].IC <= 0 {
+		t.Errorf("levels %+v", params.Levels)
 	}
 	pred, err := PredictCR(params)
 	if err != nil {
@@ -112,17 +113,56 @@ func TestFitCRAndPredict(t *testing.T) {
 	}
 }
 
+// TestFitCRLevelsMatchCore fits every checkpointing scheme and requires
+// one model level per store core chose, priced at the payload and
+// interval the run used: 8 bytes for each of the largest block's rows
+// (256 rows over 4 ranks), every 20 iterations (CR-2L's disk every 80).
+func TestFitCRLevelsMatchCore(t *testing.T) {
+	for _, kind := range []core.SchemeKind{core.CRM, core.CRD, core.CR2L, core.LCR} {
+		ff, run, plat := fitFixture(t, core.SchemeSpec{Kind: kind, CkptEvery: 20}, false)
+		want := core.CheckpointLevels(kind, plat, checkpoint.FixedPolicy(20))
+		params, err := FitCR(ff, run, plat)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(run.Levels) != len(want) || len(params.Levels) != len(want) {
+			t.Fatalf("%s: %d run levels, %d fitted, want %d", kind, len(run.Levels), len(params.Levels), len(want))
+		}
+		iterTime := ff.Time / float64(ff.Iters)
+		writes := 0
+		for i, w := range want {
+			got, lv := run.Levels[i], params.Levels[i]
+			if got.Store != w.Store || got.Bytes != 8*64 || got.Every != w.Policy.EveryIters {
+				t.Errorf("%s level %d: %s, %d bytes every %d; want %s, 512 bytes every %d",
+					kind, i, got.Store.Name(), got.Bytes, got.Every, w.Store.Name(), w.Policy.EveryIters)
+			}
+			pFrac := 1.0
+			if !w.Store.CPUBusy() {
+				pFrac = plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax)
+			}
+			if lv.TC != w.Store.WriteTime(8*64, 4) || lv.IC != float64(w.Policy.EveryIters)*iterTime || lv.PFrac != pFrac {
+				t.Errorf("%s level %d fitted %+v", kind, i, lv)
+			}
+			writes += got.Writes
+		}
+		if writes != run.Checkpoints || writes == 0 {
+			t.Errorf("%s: level writes sum to %d, report counts %d", kind, writes, run.Checkpoints)
+		}
+	}
+}
+
 func TestFitCRRejectsBadInput(t *testing.T) {
 	ff, run, plat := fitFixture(t, core.SchemeSpec{Kind: core.CRM, CkptEvery: 20}, false)
-	if _, err := FitCR(ff, ff, plat, 20); err == nil {
+	if _, err := FitCR(ff, ff, plat); err == nil {
 		t.Error("fault-free run accepted for CR fitting")
 	}
-	if _, err := FitCR(ff, run, plat, 0); err == nil {
-		t.Error("zero interval accepted")
+	noLevels := *run
+	noLevels.Levels = nil
+	if _, err := FitCR(ff, &noLevels, plat); err == nil {
+		t.Error("run with no checkpoint levels accepted")
 	}
-	liRun := run
-	liRun.Scheme = "LI"
-	if _, err := FitCR(ff, liRun, plat, 20); err == nil {
+	_, liRun, _ := fitFixture(t, core.SchemeSpec{Kind: core.LI}, false)
+	if _, err := FitCR(ff, liRun, plat); err == nil {
 		t.Error("non-CR scheme accepted")
 	}
 }

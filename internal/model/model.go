@@ -7,6 +7,9 @@ package model
 
 import (
 	"fmt"
+
+	"resilience/internal/checkpoint"
+	"resilience/internal/platform"
 )
 
 // Params carries the model inputs for one workload/scheme configuration.
@@ -20,17 +23,15 @@ type Params struct {
 	// Failure rate lambda, faults per second (Eq. 3).
 	Lambda float64
 
-	// Checkpoint/restart (Eqs. 9–11).
-	TC float64 // per-checkpoint cost t_C
-	IC float64 // checkpoint interval I_C, seconds
-	// PCkptFrac is the power during checkpointing relative to PBase
-	// (CPUs are under-utilized while checkpointing: < 1).
-	PCkptFrac float64
+	// Checkpoint/restart (Eqs. 9–11): the checkpoint levels, shallowest
+	// first.
+	Levels []Level
 
 	// Forward recovery (Eqs. 13–16).
 	TConst float64 // per-reconstruction cost t_const
 	// ExtraFracPerFault is the extra-iteration time per fault relative to
-	// TBase (the workload/matrix-dependent convergence penalty).
+	// TBase (the workload/matrix-dependent convergence penalty); for CR,
+	// re-converging from a lossy checkpoint (zero for an exact store).
 	ExtraFracPerFault float64
 	// NTilde is the number of cores actively constructing (1 for the
 	// schemes under study).
@@ -48,10 +49,24 @@ type Params struct {
 	// fraction of TBase — the x/p buddy copies ESR streams out every
 	// iteration, paid fault or no fault.
 	PersistFrac float64
+}
 
-	// Lossy-compressed checkpointing (extension; arXiv:1804.11268).
-	// CompressRatio divides the per-checkpoint cost t_C for LCR.
-	CompressRatio float64
+// Level is one checkpoint level as Eqs. 10–11 price it.
+type Level struct {
+	TC    float64 // per-checkpoint cost t_C, seconds
+	IC    float64 // checkpoint interval I_C, seconds
+	PFrac float64 // power while writing, relative to PBase
+}
+
+// NewLevel prices a level whose store each of writers ranks writes bytes
+// to: at full power when the store keeps the CPU busy, at an idle core's
+// otherwise. The interval is the caller's (a run's, or Young's from t_C).
+func NewLevel(store checkpoint.Store, plat *platform.Platform, bytes int64, writers int) Level {
+	lv := Level{TC: store.WriteTime(bytes, writers), PFrac: 1}
+	if !store.CPUBusy() {
+		lv.PFrac = plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax)
+	}
+	return lv
 }
 
 // Prediction is the model output for one scheme.
@@ -119,28 +134,42 @@ func PredictRD(p Params) (Prediction, error) {
 	}, nil
 }
 
-// PredictCR models checkpoint/restart (Eqs. 9–11):
+// PredictCR models checkpoint/restart (Eqs. 9–11) over the levels l,
+// shallowest first:
 //
-//	T_chkpt = t_C * T/I_C        (Eq. 10)
-//	T_lost  = (I_C/2) * λ * T    (Eq. 11)
+//	T_chkpt = Σ_l t_C,l * T/I_C,l                (Eq. 10)
+//	T_lost  = (I_C,0/2) * λ * T                   (Eq. 11)
+//	T_extra = (λ * T) * ExtraFracPerFault * TBase
 //
 // with T approximated by the fault-free TBase (first-order, as the paper
-// does). Checkpointing runs at PCkptFrac * PBase; recomputation at PBase.
+// does). A deeper interval is a multiple of the shallower one, and where
+// both are due recovery.CR pays only the deeper write, so level l is
+// charged T/I_C,l − T/I_C,l+1 writes. Work is lost back to the freshest,
+// shallowest copy; T_extra re-converges from a lossy one (arXiv:1804.11268).
+// Level l writes at PFrac * PBase; recomputation runs at PBase.
 func PredictCR(p Params) (Prediction, error) {
 	if err := p.validate(); err != nil {
 		return Prediction{}, err
 	}
-	if p.TC <= 0 || p.IC <= 0 {
-		return Prediction{}, fmt.Errorf("model: CR needs TC>0 and IC>0 (got %g, %g)", p.TC, p.IC)
+	if len(p.Levels) == 0 {
+		return Prediction{}, fmt.Errorf("model: CR needs a checkpoint level")
 	}
-	ckptFrac := p.PCkptFrac
-	if ckptFrac <= 0 {
-		ckptFrac = 1
+	var tChkpt, eRes float64
+	for i, lv := range p.Levels {
+		t := lv.TC * p.TBase / lv.IC
+		if i+1 < len(p.Levels) {
+			t -= lv.TC * p.TBase / p.Levels[i+1].IC
+		}
+		if !(lv.TC > 0 && lv.IC > 0 && lv.PFrac > 0 && lv.PFrac <= 1 && t >= 0) {
+			return Prediction{}, fmt.Errorf("model: CR level %d needs TC>0, IC>0, PFrac in (0,1] and no deeper level written more often (got %+v)", i, lv)
+		}
+		tChkpt += t
+		eRes += t * lv.PFrac * p.PBase
 	}
-	tChkpt := p.TC * p.TBase / p.IC
-	tLost := p.IC / 2 * p.Lambda * p.TBase
-	tRes := tChkpt + tLost
-	eRes := tChkpt*ckptFrac*p.PBase + tLost*p.PBase
+	tLost := p.Levels[0].IC / 2 * p.Lambda * p.TBase
+	tExtra := p.Lambda * p.TBase * p.ExtraFracPerFault * p.TBase
+	tRes := tChkpt + tLost + tExtra
+	eRes = eRes + tLost*p.PBase + p.PBase*tExtra
 	t := p.TBase + tRes
 	e := p.PBase*p.TBase + eRes
 	return Prediction{TRes: tRes, ERes: eRes, T: t, E: e, P: e / t}, nil
@@ -201,34 +230,6 @@ func PredictESR(p Params) (Prediction, error) {
 	tConst := p.Lambda * p.TBase * p.TConst
 	tRes := tPersist + tConst
 	eRes := p.PBase * tRes
-	t := p.TBase + tRes
-	e := p.PBase*p.TBase + eRes
-	return Prediction{TRes: tRes, ERes: eRes, T: t, E: e, P: e / t}, nil
-}
-
-// PredictLCR models lossy-compressed checkpoint/restart (extension;
-// arXiv:1804.11268): plain CR with the
-// per-checkpoint cost divided by the compression ratio, plus a
-// re-convergence penalty per restore — restarting from an error-bounded
-// decompressed iterate costs extra iterations, priced like the forward
-// schemes' convergence penalty:
-//
-//	T_chkpt = (t_C/R) * T/I_C
-//	T_lost  = (I_C/2) * λ * T
-//	T_extra = (λ * T) * ExtraFracPerFault * TBase
-func PredictLCR(p Params) (Prediction, error) {
-	if p.CompressRatio < 1 {
-		return Prediction{}, fmt.Errorf("model: LCR needs CompressRatio >= 1, got %g", p.CompressRatio)
-	}
-	q := p
-	q.TC = p.TC / p.CompressRatio
-	cr, err := PredictCR(q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	tExtra := p.Lambda * p.TBase * p.ExtraFracPerFault * p.TBase
-	tRes := cr.TRes + tExtra
-	eRes := cr.ERes + p.PBase*tExtra
 	t := p.TBase + tRes
 	e := p.PBase*p.TBase + eRes
 	return Prediction{TRes: tRes, ERes: eRes, T: t, E: e, P: e / t}, nil

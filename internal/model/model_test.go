@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"resilience/internal/checkpoint"
+	"resilience/internal/platform"
 )
 
 func baseParams() Params {
@@ -55,9 +58,7 @@ func TestPredictRDEq12(t *testing.T) {
 
 func TestPredictCREq9to11(t *testing.T) {
 	p := baseParams()
-	p.TC = 0.5
-	p.IC = 10
-	p.PCkptFrac = 0.8
+	p.Levels = []Level{{TC: 0.5, IC: 10, PFrac: 0.8}}
 	pred, err := PredictCR(p)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +77,43 @@ func TestPredictCREq9to11(t *testing.T) {
 }
 
 func TestPredictCRValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		levels []Level
+	}{
+		{"no level", nil},
+		{"no interval", []Level{{TC: 0.5, PFrac: 1}}},
+		{"no write cost", []Level{{IC: 10, PFrac: 1}}},
+		{"no power fraction", []Level{{TC: 0.5, IC: 10}}},
+		{"power fraction above 1", []Level{{TC: 0.5, IC: 10, PFrac: 1.5}}},
+		{"deeper level more often", []Level{{TC: 0.1, IC: 10, PFrac: 1}, {TC: 2, IC: 5, PFrac: 0.5}}},
+	} {
+		p := baseParams()
+		p.Levels = tc.levels
+		if _, err := PredictCR(p); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestPredictCRTwoLevels prices CR-2L by hand: buddy memory every 5 s at
+// 0.1 s a write and full power, disk every 20 s at 2 s a write and half
+// power. Every fourth memory write is replaced by the disk write.
+func TestPredictCRTwoLevels(t *testing.T) {
 	p := baseParams()
-	if _, err := PredictCR(p); err == nil {
-		t.Error("CR without TC/IC accepted")
+	p.Levels = []Level{{TC: 0.1, IC: 5, PFrac: 1}, {TC: 2, IC: 20, PFrac: 0.5}}
+	pred, err := PredictCR(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Memory: 0.1*(100/5 - 100/20) = 1.5; disk: 2*100/20 = 10;
+	// T_lost to the memory copy: 5/2 * 0.01 * 100 = 2.5.
+	if math.Abs(pred.TRes-14) > 1e-9 {
+		t.Errorf("CR-2L T_res %g want 14", pred.TRes)
+	}
+	wantE := (1.5*1 + 10*0.5 + 2.5) * p.PBase
+	if math.Abs(pred.ERes-wantE) > 1e-6 {
+		t.Errorf("CR-2L E_res %g want %g", pred.ERes, wantE)
 	}
 }
 
@@ -132,9 +167,7 @@ func TestQuickOverheadMonotoneInLambda(t *testing.T) {
 			p.TConst = 1
 			p.ExtraFracPerFault = 0.02
 			p.PIdleFrac = 0.45
-			p.TC = 0.3
-			p.IC = 8
-			p.PCkptFrac = 0.8
+			p.Levels = []Level{{TC: 0.3, IC: 8, PFrac: 0.8}}
 			return p
 		}
 		fwA, err1 := PredictFW(mk(a))
@@ -155,7 +188,7 @@ func TestQuickOverheadMonotoneInLambda(t *testing.T) {
 // Property: E = P * T holds for every prediction.
 func TestQuickEnergyIdentity(t *testing.T) {
 	p := baseParams()
-	p.TC, p.IC, p.PCkptFrac = 0.5, 10, 0.8
+	p.Levels = []Level{{TC: 0.5, IC: 10, PFrac: 0.8}}
 	p.TConst, p.ExtraFracPerFault, p.PIdleFrac = 1, 0.03, 0.45
 	p.Replicas = 2
 	preds := []func() (Prediction, error){
@@ -221,14 +254,13 @@ func TestPredictESR(t *testing.T) {
 	}
 }
 
-func TestPredictLCR(t *testing.T) {
+// TestPredictCRLossyLevel prices LCR: one level whose store compresses 8x
+// (t_C 0.5/8) and whose restores cost a re-convergence penalty.
+func TestPredictCRLossyLevel(t *testing.T) {
 	p := baseParams()
-	p.TC = 0.5
-	p.IC = 10
-	p.PCkptFrac = 0.8
-	p.CompressRatio = 8
+	p.Levels = []Level{{TC: 0.5 / 8, IC: 10, PFrac: 0.8}}
 	p.ExtraFracPerFault = 0.02
-	pred, err := PredictLCR(p)
+	pred, err := PredictCR(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,22 +273,29 @@ func TestPredictLCR(t *testing.T) {
 		t.Errorf("LCR E_res %g want %g", pred.ERes, wantE)
 	}
 	// Without a re-convergence penalty the compressed checkpoints beat
-	// plain CR outright; the penalty is what the trade-off is about.
+	// the exact store outright; the penalty is what the trade-off is about.
 	q := p
 	q.ExtraFracPerFault = 0
-	lcr0, _ := PredictLCR(q)
+	lcr0, _ := PredictCR(q)
+	q.Levels = []Level{{TC: 0.5, IC: 10, PFrac: 0.8}}
 	cr, _ := PredictCR(q)
 	if lcr0.TRes >= cr.TRes {
 		t.Errorf("penalty-free LCR T_res %g not below CR's %g", lcr0.TRes, cr.TRes)
 	}
-	// Ratio 1 with no penalty degenerates to plain CR.
-	q.CompressRatio = 1
-	same, _ := PredictLCR(q)
-	if math.Abs(same.TRes-cr.TRes) > 1e-12 || math.Abs(same.ERes-cr.ERes) > 1e-9 {
-		t.Error("ratio-1 LCR must degenerate to CR")
+
+	// NewLevel prices a lossy store as its inner store writing the
+	// compressed payload, at the inner store's power.
+	plat := platform.Default()
+	disk := checkpoint.DiskStore{Plat: plat}
+	lossy := NewLevel(checkpoint.Lossy{Inner: disk, Ratio: 8}, plat, 8<<20, 4)
+	exact := NewLevel(disk, plat, 1<<20, 4)
+	if lossy != exact {
+		t.Errorf("lossy level %+v, want the disk level of the compressed payload %+v", lossy, exact)
 	}
-	p.CompressRatio = 0.5
-	if _, err := PredictLCR(p); err == nil {
-		t.Error("compression ratio below 1 must be rejected")
+	if want := plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax); exact.PFrac != want {
+		t.Errorf("disk level power fraction %g, want the idle fraction %g", exact.PFrac, want)
+	}
+	if mem := NewLevel(checkpoint.MemStore{Plat: plat}, plat, 1<<20, 4); mem.PFrac != 1 {
+		t.Errorf("memory level power fraction %g, want 1", mem.PFrac)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"resilience/internal/checkpoint"
+	"resilience/internal/core"
 	"resilience/internal/model"
 	"resilience/internal/platform"
 )
@@ -76,12 +77,7 @@ type Row struct {
 func (c Config) baseline(n int) model.Params {
 	plat := c.Plat
 	rowsPerProc := c.NNZPerProc / c.NNZPerRow
-	flopsPerIter := int64(2*c.NNZPerProc + 12*rowsPerProc)
-	tIter := plat.ComputeTime(flopsPerIter, plat.FreqMax)
-	// Parallel overhead per iteration: three allreduces plus a halo
-	// exchange of a few neighbor messages.
-	tIter += 3 * plat.CollectiveTime(8, n)
-	tIter += 4 * plat.P2PTime(int64(8*(rowsPerProc/8+1)))
+	tIter := core.RankIterTime(plat, int64(2*c.NNZPerProc+12*rowsPerProc), rowsPerProc, n)
 	tBase := float64(c.ItersBase) * tIter
 	return model.Params{
 		TBase:  tBase,
@@ -130,27 +126,21 @@ func Project(c Config) ([]Row, error) {
 		}
 		add("RD", rd)
 
-		// CR-D: shared disk, t_C linear in n.
-		p = base
-		p.TC = (checkpoint.DiskStore{Plat: plat}).WriteTime(ckptBytes, n)
-		p.IC = checkpoint.YoungInterval(p.TC, mtbfSec)
-		p.PCkptFrac = plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax)
-		crd, err := model.PredictCR(p)
-		if err != nil {
-			return nil, err
+		// CR-D and CR-M: the runtime's levels at Young's interval. The
+		// shared disk's t_C grows linearly in n, buddy memory's is constant.
+		for _, kind := range []core.SchemeKind{core.CRD, core.CRM} {
+			p = base
+			for _, l := range core.CheckpointLevels(kind, plat, checkpoint.Policy{}) {
+				lv := model.NewLevel(l.Store, plat, ckptBytes, n)
+				lv.IC = checkpoint.YoungInterval(lv.TC, mtbfSec)
+				p.Levels = append(p.Levels, lv)
+			}
+			cr, err := model.PredictCR(p)
+			if err != nil {
+				return nil, err
+			}
+			add(kind.String(), cr)
 		}
-		add("CR-D", crd)
-
-		// CR-M: local memory, t_C constant.
-		p = base
-		p.TC = (checkpoint.MemStore{Plat: plat}).WriteTime(ckptBytes, n)
-		p.IC = checkpoint.YoungInterval(p.TC, mtbfSec)
-		p.PCkptFrac = 1
-		crm, err := model.PredictCR(p)
-		if err != nil {
-			return nil, err
-		}
-		add("CR-M", crm)
 
 		// FW (best case): local construction constant, beta assembly
 		// grows with the global problem size.

@@ -1,8 +1,34 @@
 package projection
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 )
+
+// TestProjectPinned pins every row of the default projection to the bit
+// (an FNV-64a hash over scheme names and row values): the CR rows priced
+// from core's checkpoint stores and the CG iteration time shared with
+// core must give what the hand-priced rows gave.
+func TestProjectPinned(t *testing.T) {
+	rows, err := Project(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, r := range rows {
+		h.Write([]byte(r.Scheme))
+		for _, v := range []float64{float64(r.N), r.MTBFHours, r.TResNorm, r.EResNorm, r.PNorm} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); len(rows) != 32 || got != 0xc617dff2bb575ff5 {
+		t.Errorf("%d rows hash %016x, want 32 rows hash c617dff2bb575ff5", len(rows), got)
+	}
+}
 
 func TestProjectDefaultTrends(t *testing.T) {
 	cfg := DefaultConfig()

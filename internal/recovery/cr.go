@@ -58,8 +58,6 @@ type CR struct {
 	Base
 	Levels []Level
 
-	// Writes counts checkpoints taken by this rank, over all levels.
-	Writes int
 	// Rollbacks counts recoveries.
 	Rollbacks int
 }
@@ -98,7 +96,6 @@ func (s *CR) AfterIteration(ctx *Ctx, completedIters int) error {
 		copy(lv.saved, ctx.St.X)
 		lv.iter = completedIters
 		lv.Writes++
-		s.Writes++
 		last = lv
 	}
 	if last == nil {

@@ -39,7 +39,6 @@ var noCallerAllowed = map[string]string{
 	"internal/core.System.BaselineRuns":    "check code: counts fault-free runs for the shared-baseline gate",
 	"internal/model.PredictFF":             "planned caller: the model-versus-simulation gate (ROADMAP item 1)",
 	"internal/model.PredictESR":            "planned caller: the model-versus-simulation gate (ROADMAP item 1)",
-	"internal/model.PredictLCR":            "planned caller: the model-versus-simulation gate (ROADMAP item 1)",
 }
 
 // implicitMethods are method names the standard library calls through an

@@ -230,10 +230,16 @@ func freshSystems(t *testing.T) {
 
 // digest renders every field of a report (floats in shortest round-trip
 // form, so distinct values print distinctly) bar the per-run attachments.
+// A checkpoint level's store is rendered by name rather than by the
+// address of the platform it prices against.
 func digest(r *Report) string {
 	c := *r
-	c.Meter, c.Obs = nil, nil
-	return fmt.Sprintf("%+v", c)
+	c.Meter, c.Obs, c.Levels = nil, nil, nil
+	s := fmt.Sprintf("%+v", c)
+	for _, lv := range r.Levels {
+		s += fmt.Sprintf(" %s:%d/%d/%d/%d", lv.Store.Name(), lv.Bytes, lv.Every, lv.Writes, lv.Restores)
+	}
+	return s
 }
 
 // TestSolveBaselineSharedChangesNothing: for every registry spelling —

@@ -16,7 +16,9 @@
 # chaos-fleet, resilience-bench and cgsolve, nor the service's experiment
 # job kind and the second sequential CG loop, nor pipelined CG, the
 # distributed Jacobi preconditioner and the solver options only they
-# needed, is named again; the even
+# needed, nor the model's own LCR prediction, compression knob and
+# per-scheme checkpoint power, is named again, and no store is built
+# outside internal/core and internal/checkpoint; the even
 # fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
 # simulated cluster, the solvers that run inside it, and the parallel
@@ -172,6 +174,19 @@ fi
 # needed and the verify switch stay deleted.
 if git grep -nE 'Pipelined''CG|ablation-''pcg|ablation-''pipeline|"-jaco''bi"|VerifyTrue''Residual|AllreduceSum''2' -- . ':!*.md'; then
     echo "a retired CG variant or its knobs are named again"; exit 1
+fi
+
+# Likewise the model's second and third store choices: core.CheckpointLevels
+# chooses every checkpoint store, the model prices the levels a run wrote
+# (each from its store by model.NewLevel), and the projection prices the
+# stores core chooses, so LCR's own prediction, its compression-ratio knob
+# and the hand-set checkpoint power fraction stay deleted, and no non-test
+# Go outside internal/core and internal/checkpoint builds a store.
+if git grep -nE 'Predict''LCR|Compress''Ratio|PCkpt''Frac' -- . ':!*.md'; then
+    echo "a retired checkpoint model name is named again"; exit 1
+fi
+if git grep -nE '(Mem''Store|Disk''Store|Lo''ssy)\{' -- '*.go' ':!*_test.go' ':!internal/core' ':!internal/checkpoint'; then
+    echo "a checkpoint store is built outside internal/core"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
