@@ -49,9 +49,6 @@ type contribution struct {
 	vals   []float64
 	inline [inlineVals]float64
 	clock  float64
-	// arrived feeds the deadlock check: a rank that exited without arriving
-	// can never arrive, so the collective can never complete.
-	arrived bool
 }
 
 type collResult struct {
@@ -71,27 +68,6 @@ func newCollectiveState(p int, rt *Runtime) *collectiveState {
 	return cs
 }
 
-// stuck reports (and aborts on) a deadlocked collective: a rank that has
-// not contributed to generation gen, still in flight, but whose function
-// has already exited can never arrive, so the waiters would block forever.
-func (cs *collectiveState) stuck(rank int, gen int64) bool {
-	cs.mu.Lock()
-	var missing []int
-	if cs.gen.Load() == gen {
-		for r := 0; r < cs.p; r++ {
-			if cs.rt.isExited(r) && !cs.contrib[r].arrived {
-				missing = append(missing, r)
-			}
-		}
-	}
-	cs.mu.Unlock()
-	if len(missing) == 0 {
-		return false
-	}
-	cs.rt.abort(fmt.Errorf("cluster: deadlock: rank %d blocked in a collective that rank(s) %v exited without joining (mismatched collective participation)", rank, missing))
-	return true
-}
-
 // enter contributes vals to the current collective and blocks until all
 // ranks have arrived. The last arriver sums the contributions element-wise
 // in rank order from +0, so every rank reads the same bits whatever order
@@ -106,12 +82,8 @@ func (cs *collectiveState) enter(rank int, clock float64, vals []float64) (sum [
 	} else {
 		w := &rt.sched.recs[rank]
 		for cs.gen.Load() == myGen && !rt.abortFlag.Load() {
-			exits := rt.exits.Load()
-			if exits > 0 && cs.stuck(rank, myGen) {
-				continue // our own abort raised abortFlag; re-evaluate, don't sleep
-			}
 			s := w.begin(waitColl, -1, myGen, nil, nil)
-			rt.sched.sleep(rank, s, cs.gen.Load() != myGen || rt.abortFlag.Load() || rt.exits.Load() != exits)
+			rt.sched.sleep(rank, s, cs.gen.Load() != myGen || rt.abortFlag.Load())
 		}
 		if rt.abortFlag.Load() {
 			panic(abortPanic{err: fmt.Errorf("cluster: collective on aborted runtime")})
@@ -135,7 +107,7 @@ func (cs *collectiveState) arrive(rank int, clock float64, vals []float64) (gen 
 	}
 	gen = cs.gen.Load()
 	me := &cs.contrib[rank]
-	me.clock, me.arrived, me.vals = clock, true, vals
+	me.clock, me.vals = clock, vals
 	if len(vals) <= inlineVals {
 		me.vals = me.inline[:copy(me.inline[:], vals)]
 	}
@@ -163,7 +135,7 @@ func (cs *collectiveState) arrive(rank int, clock float64, vals []float64) (gen 
 		if c.clock > slot.tmax {
 			slot.tmax = c.clock
 		}
-		c.vals, c.arrived = nil, false
+		c.vals = nil
 	}
 	cs.count = 0
 	cs.gen.Store(gen + 1)

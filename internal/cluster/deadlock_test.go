@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -31,9 +32,9 @@ func runWithWatchdog(t *testing.T, p int, fn func(c *Comm) error) error {
 
 func TestDeadlockMismatchedCollective(t *testing.T) {
 	forTokens(t, 4, func(t *testing.T) {
-		// Rank 0 skips the barrier and exits cleanly; the other ranks block in
-		// a collective that can never complete. The detector must abort the
-		// run with a participation diagnostic.
+		// Rank 0 skips the barrier and returns cleanly; the other ranks block
+		// in a collective that can never complete. The detector must abort
+		// the run with a deadlock diagnostic.
 		err := runWithWatchdog(t, 4, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return nil
@@ -71,7 +72,8 @@ func TestDeadlockMismatchedScalarCollective(t *testing.T) {
 
 func TestDeadlockMismatchedVectorCollective(t *testing.T) {
 	forTokens(t, 4, func(t *testing.T) {
-		// Same again with the others parked in a vector allreduce.
+		// Same again with the others parked in a vector allreduce; the
+		// verdict names every rank, the one that returned as such.
 		err := runWithWatchdog(t, 4, func(c *Comm) error {
 			if c.Rank() == 1 {
 				return nil
@@ -79,11 +81,10 @@ func TestDeadlockMismatchedVectorCollective(t *testing.T) {
 			c.AllreduceSum(make([]float64, 37))
 			return nil
 		})
-		if err == nil {
-			t.Fatal("mismatched vector collective returned nil error")
-		}
-		if !strings.Contains(err.Error(), "exited without joining") {
-			t.Fatalf("want participation diagnostic, got: %v", err)
+		const want = "cluster: deadlock: every live rank is blocked: " +
+			"rank 0 in collective 0; rank 1 returned; rank 2 in collective 0; rank 3 in collective 0"
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
 	})
 }
@@ -113,21 +114,18 @@ func TestAllreduceLengthMismatchAborts(t *testing.T) {
 
 func TestDeadlockRecvFromExitedRank(t *testing.T) {
 	forTokens(t, 2, func(t *testing.T) {
-		// Rank 1 waits for a message rank 0 never sends; rank 0 exits. The
-		// receive must fail with a diagnostic naming both ends.
+		// Rank 1 waits for a message rank 0 never sends; rank 0 returns. The
+		// run must fail with the verdict naming both ends.
 		err := runWithWatchdog(t, 2, func(c *Comm) error {
 			if c.Rank() == 1 {
 				c.Recv(0, 7)
 			}
 			return nil
 		})
-		if err == nil {
-			t.Fatal("recv from exited rank returned nil error")
-		}
-		for _, want := range []string{"deadlock", "rank 1", "rank 0"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("diagnostic missing %q: %v", want, err)
-			}
+		const want = "cluster: deadlock: every live rank is blocked: " +
+			"rank 0 returned; rank 1 receiving from rank 0 (tag 7)"
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
 	})
 }
@@ -196,6 +194,33 @@ func TestDeadlockLiveReceiveCycle(t *testing.T) {
 		})
 		const want = "cluster: deadlock: every live rank is blocked: " +
 			"rank 0 receiving from rank 1 (tag 7); rank 1 receiving from rank 0 (tag 7)"
+		if err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+}
+
+func TestDeadlockNamesEveryWaitKind(t *testing.T) {
+	forTokens(t, 4, func(t *testing.T) {
+		// After the halo setup rank 1 returns without publishing, rank 2
+		// publishes and parks reading rank 1's slot, and ranks 0 and 3 park
+		// in a barrier rank 1 never joins. The verdict must name a rank of
+		// each kind, in rank order.
+		err := runWithWatchdog(t, 4, func(c *Comm) error {
+			h := testHalo(c, others(c), fixed(1))
+			switch c.Rank() {
+			case 1:
+				return nil
+			case 2:
+				h.Send()
+				h.Recv(1) // others(rank 2) = [0 1 3]
+			default:
+				c.Barrier()
+			}
+			return errors.New("a blocked rank went on")
+		})
+		const want = "cluster: deadlock: every live rank is blocked: " +
+			"rank 0 in collective 0; rank 1 returned; rank 2 reading rank 1's halo (exchange 0); rank 3 in collective 0"
 		if err == nil || err.Error() != want {
 			t.Fatalf("got %v, want %q", err, want)
 		}

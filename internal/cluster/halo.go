@@ -201,22 +201,16 @@ func (h *Halo) Recv(i int) []float64 {
 }
 
 // await blocks the rank until peers[i] publishes exchange k, handing its
-// token on meanwhile. Exit and abort wake-ups reach it through its wait
-// record: an exited peer that never published is a deadlock, reported
-// with both ranks named.
+// token on meanwhile; the publish or an abort wakes it through its wait
+// record. A peer that returned without publishing wakes nobody: the
+// scheduler's deadlock verdict names both ranks.
 func (h *Halo) await(i int, k uint64) {
-	c, peer, from := h.c, h.in[i].h, h.peers[i]
+	c, peer := h.c, h.in[i].h
 	rt := c.rt
 	w := &rt.sched.recs[c.rank]
 	for peer.gen.Load() <= k && !rt.abortFlag.Load() {
-		// The generation is read again after the exit: a peer publishes
-		// before it exits, so only a still-missing exchange is a deadlock.
-		if rt.isExited(from) && peer.gen.Load() <= k {
-			rt.abort(fmt.Errorf("cluster: deadlock: rank %d blocked reading rank %d's halo (exchange %d), which exited without publishing it", c.rank, from, k))
-			continue
-		}
-		s := w.begin(waitHalo, from, int64(k), nil, peer)
-		rt.sched.sleep(c.rank, s, peer.gen.Load() > k || rt.abortFlag.Load() || rt.isExited(from))
+		s := w.begin(waitHalo, h.peers[i], int64(k), nil, peer)
+		rt.sched.sleep(c.rank, s, peer.gen.Load() > k || rt.abortFlag.Load())
 	}
 	if rt.abortFlag.Load() {
 		panic(abortPanic{err: fmt.Errorf("cluster: halo read on aborted runtime")})

@@ -11,7 +11,7 @@ import (
 )
 
 // Tests of the halo plan: its double buffering, and its wait/wake paths
-// (a peer that exits, an abort, a peer that runs ahead). check.sh runs
+// (a peer that returns, an abort, a peer that runs ahead). check.sh runs
 // them under the race detector ten times with a short -timeout, so a lost
 // wake-up fails instead of hanging.
 
@@ -99,8 +99,8 @@ func TestHaloSlotsDoubleBuffered(t *testing.T) {
 
 func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
 	forTokens(t, 2, func(t *testing.T) {
-		// Rank 0 builds its plan and exits without publishing; rank 1
-		// publishes and reads. The read must fail with a diagnostic naming
+		// Rank 0 builds its plan and returns without publishing; rank 1
+		// publishes and reads. The run must fail with the verdict naming
 		// both ends.
 		err := runWithWatchdog(t, 2, func(c *Comm) error {
 			h := testHalo(c, others(c), fixed(3))
@@ -110,7 +110,8 @@ func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
 			}
 			return nil
 		})
-		const want = "cluster: deadlock: rank 1 blocked reading rank 0's halo (exchange 0), which exited without publishing it"
+		const want = "cluster: deadlock: every live rank is blocked: " +
+			"rank 0 returned; rank 1 reading rank 0's halo (exchange 0)"
 		if err == nil || err.Error() != want {
 			t.Fatalf("got %v, want %q", err, want)
 		}
@@ -120,7 +121,7 @@ func TestDeadlockPostedRecvFromExitedRank(t *testing.T) {
 func TestAbortWakesRankParkedOnHalo(t *testing.T) {
 	forTokens(t, 4, func(t *testing.T) {
 		// Ranks 1..3 publish and park reading rank 0, which never publishes
-		// and never exits while they wait: only the abort can wake them. Rank 0
+		// and never returns while they wait: only the abort can wake them. Rank 0
 		// fails once all three are parked; Run must return its error.
 		boom := errors.New("rank 0 failed")
 		err := runWithWatchdog(t, 4, func(c *Comm) error {

@@ -13,12 +13,12 @@ import (
 )
 
 // Tests of the per-receiver inboxes: matching semantics (which message a
-// receive gets) and the wake-up paths (who is woken by a post, an exit
-// and an abort). check.sh also runs them under the race detector with a
+// receive gets) and the wake-up paths (who is woken by a post and an
+// abort, and that a rank's return wakes nobody). check.sh also runs them under the race detector with a
 // short -timeout, so a lost wake-up fails instead of hanging.
 
 // awaitState waits until cond holds. The tests use it to sequence one
-// rank after another's wait or exit, which no cluster primitive can
+// rank after another's wait or return, which no cluster primitive can
 // observe. Between looks the rank marks itself ready and yields to its
 // group's driver, so the ranks it waits for run even when they share its
 // token, and then yields the core to the other groups' drivers.
@@ -43,6 +43,12 @@ func parked(rt *Runtime, rank int) bool {
 	_, waiting := w.waiting()
 	k := waitKind(w.kind.Load())
 	return waiting && (k == waitRecv || k == waitHalo)
+}
+
+// returned reports whether the rank's function has returned, as its
+// driver marked the rank's wait record.
+func returned(rt *Runtime, rank int) bool {
+	return waitKind(rt.sched.recs[rank].kind.Load()) == waitDone
 }
 
 func TestRecvOutOfPostOrderAcrossSenders(t *testing.T) {
@@ -212,7 +218,7 @@ func TestAllToAllStressPinned(t *testing.T) {
 func TestAbortWakesEveryParkedReceiver(t *testing.T) {
 	forTokens(t, 8, func(t *testing.T) {
 		// Ranks 1..7 park in a receive cycle among themselves: none of their
-		// senders ever exits, so only the abort can wake them, each on its own
+		// senders ever returns, so only the abort can wake them, each on its own
 		// inbox. Rank 0 fails once all seven are parked; Run must return its
 		// error, which it cannot do while any rank still sleeps.
 		boom := errors.New("rank 0 failed")
@@ -247,9 +253,10 @@ func TestAbortWakesEveryParkedReceiver(t *testing.T) {
 func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
 	forTokens(t, 3, func(t *testing.T) {
 		// Rank 0 parks receiving from rank 1. Rank 2, which rank 0 does not
-		// depend on, exits: rank 0 is woken to re-check and must go back to
-		// sleep, not abort. Then rank 1 either sends (the run succeeds) or
-		// exits too (the run fails with the diagnostic naming both ends).
+		// depend on, returns: that wakes nobody and must not abort the run.
+		// Then rank 1 either sends (the run succeeds) or returns too, which
+		// leaves rank 0 the one live rank, blocked: the run fails with the
+		// verdict naming all three.
 		for _, senderExits := range []bool{false, true} {
 			err := runWithWatchdog(t, 3, func(c *Comm) error {
 				switch c.Rank() {
@@ -261,8 +268,8 @@ func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
 					}
 				case 1:
 					c.Recv(2, 99)
-					err := awaitState(c, "rank 2 exits and rank 0 parks", func() bool {
-						return c.rt.isExited(2) && parked(c.rt, 0)
+					err := awaitState(c, "rank 2 returns and rank 0 parks", func() bool {
+						return returned(c.rt, 2) && parked(c.rt, 0)
 					})
 					if err != nil {
 						return err
@@ -284,7 +291,8 @@ func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
 				}
 				continue
 			}
-			const want = "cluster: deadlock: rank 0 blocked receiving from rank 1 (tag 5), which exited without sending"
+			const want = "cluster: deadlock: every live rank is blocked: " +
+				"rank 0 receiving from rank 1 (tag 5); rank 1 returned; rank 2 returned"
 			if err == nil || err.Error() != want {
 				t.Fatalf("sender exit: got %v, want %q", err, want)
 			}
@@ -293,9 +301,9 @@ func TestExitWakesOnlyTheExitedSendersReceiver(t *testing.T) {
 }
 
 func TestRuntimeIsSingleUse(t *testing.T) {
-	// The first run leaves a message queued and every rank marked exited;
-	// a second Run on that state would serve the stale message or report a
-	// bogus deadlock, so it must be refused.
+	// The first run leaves a message queued and every rank's wait record
+	// marked returned; a second Run on that state would serve the stale
+	// message, so it must be refused.
 	rt := NewRuntime(2, 0, platform.Default(), power.NewMeter(false))
 	fn := func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -150,22 +150,11 @@ func (c *Comm) await(from, tag int) (*inbox, *msgQueue) {
 	ib.mu.Lock()
 	q := ib.queue(from, tag)
 	for len(q.msgs) == 0 && !rt.abortFlag.Load() {
-		// Deadlock check: an exited sender can never post the message we
-		// are waiting for. Abort with a diagnostic instead of hanging; the
-		// abort raises abortFlag, so continue (not wait) past our own
-		// wake-up.
-		if rt.isExited(from) {
-			err := fmt.Errorf("cluster: deadlock: rank %d blocked receiving from rank %d (tag %d), which exited without sending", c.rank, from, tag)
-			ib.mu.Unlock()
-			rt.abort(err)
-			ib.mu.Lock()
-			continue
-		}
 		// Recorded under the inbox lock, so a post either came before
 		// the check above or finds the record.
 		s := rt.sched.recs[c.rank].begin(waitRecv, from, int64(tag), q, nil)
 		ib.mu.Unlock()
-		rt.sched.sleep(c.rank, s, rt.abortFlag.Load() || rt.isExited(from))
+		rt.sched.sleep(c.rank, s, rt.abortFlag.Load())
 		ib.mu.Lock()
 	}
 	if rt.abortFlag.Load() {

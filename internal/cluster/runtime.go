@@ -50,8 +50,8 @@ import (
 )
 
 // Runtime couples P ranks to a platform and a meter for one parallel run.
-// It is single-use: the exit set, the abort state, the halo plans and any
-// messages left queued describe that one run, so build a new Runtime per Run. A second
+// It is single-use: the abort state, the halo plans and any messages left
+// queued describe that one run, so build a new Runtime per Run. A second
 // Run returns an error without starting any rank.
 type Runtime struct {
 	p     int
@@ -85,14 +85,6 @@ type Runtime struct {
 	abortFlag atomic.Bool
 	abortMu   sync.Mutex
 	abortErr  error
-
-	// exited is an atomic bitset of ranks whose function has returned, and
-	// exits their count. A rank blocked on a collective or a receive that
-	// an exited rank can no longer satisfy is deadlocked; the exit wakes
-	// it, and it aborts with a diagnostic instead of hanging the run (and
-	// the test suite) forever.
-	exited []atomic.Uint64
-	exits  atomic.Int32
 }
 
 // abortPanic is the sentinel carried by panics raised when the run has
@@ -110,8 +102,7 @@ func NewRuntime(p, nnz int, plat *platform.Platform, meter *power.Meter) *Runtim
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
-	rt := &Runtime{p: p, nnz: nnz, plat: plat, meter: meter,
-		exited: make([]atomic.Uint64, (p+63)/64)}
+	rt := &Runtime{p: p, nnz: nnz, plat: plat, meter: meter}
 	for n := range rt.collN {
 		rt.collN[n] = plat.CollectiveTime(int64(8*n), p)
 	}
@@ -130,19 +121,6 @@ func (rt *Runtime) collCost(n int) float64 {
 		return rt.collN[n]
 	}
 	return rt.plat.CollectiveTime(int64(8*n), rt.p)
-}
-
-// markExited records that a rank's function returned and wakes the
-// waiters it can no longer satisfy, so they diagnose the deadlock.
-func (rt *Runtime) markExited(rank int) {
-	orBit(&rt.exited[rank>>6], uint64(1)<<(uint(rank)&63))
-	rt.exits.Add(1)
-	rt.sched.wakeExited(rank)
-}
-
-// isExited reports whether a rank's function has returned.
-func (rt *Runtime) isExited(rank int) bool {
-	return rt.exited[rank>>6].Load()&(uint64(1)<<(uint(rank)&63)) != 0
 }
 
 // SetRecorder attaches an observability recorder before Run: every rank's
@@ -209,10 +187,6 @@ func (rt *Runtime) Run(fn func(c *Comm) error) (maxClock float64, err error) {
 					rt.abort(err)
 				}
 			}
-			// Exit is marked after the rank's own failure is on record: a
-			// waiter the exit wakes would otherwise diagnose the missing
-			// rank as a deadlock and win the race to be the run's error.
-			rt.markExited(rank)
 		}()
 		if e := fn(c); e != nil {
 			errs[rank] = e

@@ -49,16 +49,18 @@ func tokens(p, nnz int) int {
 // idle core.
 //
 // Readiness is event-driven: a post, a halo publish, a collective's last
-// arrival, an exit and an abort each end the waits they satisfy (and only
-// those), set the woken ranks' ready bits, and hand a woken rank's group
-// its token back only if the group is parked. A driver with no ready rank
-// spins for up to spinFor while another group runs, then parks: its token
-// is free until a wake claims it.
+// arrival and an abort each end the waits they satisfy (and only those),
+// set the woken ranks' ready bits, and hand a woken rank's group its
+// token back only if the group is parked. A rank's return ends no wait.
+// A driver with no ready rank spins for up to spinFor while another group
+// runs, then parks: its token is free until a wake claims it.
 //
 // Every event is raised by a token holder, so when the last held token is
 // released while ranks are still live, every live rank waits and none can
 // ever be woken: the run is deadlocked, and the releaser aborts it with
-// each blocked rank and what it waits for named.
+// every rank named, each blocked one with what it waits for. This is the
+// runtime's one deadlock detector: a wait on a rank that has returned is
+// found here too, once every other rank has blocked or returned.
 type sched struct {
 	rt     *Runtime
 	groups []group
@@ -94,6 +96,7 @@ const (
 	waitRecv waitKind = iota + 1 // a message on one (sender, tag) queue
 	waitHalo                     // a peer's halo exchange
 	waitColl                     // the in-flight collective generation
+	waitDone                     // nothing: the rank's function has returned
 )
 
 // waitRec is one rank's wait record and its coroutine. The owner fills
@@ -177,6 +180,9 @@ func (sc *sched) drive(g *group) {
 		}
 		last = r
 		if _, ok := sc.recs[r].next(); !ok {
+			// Marked before exit takes mu, which orders it before any
+			// verdict that lists the rank.
+			sc.recs[r].kind.Store(uint32(waitDone))
 			g.live--
 			sc.exit(g)
 		}
@@ -359,15 +365,13 @@ func (sc *sched) drop() {
 	sc.rt.abort(err)
 }
 
-// deadlock names every live rank and what it waits for. Called under mu
-// with no token held, so no record can change.
+// deadlock names every rank in rank order, a live one with what it waits
+// for, the others as returned. Called under mu with no token held, so no
+// record can change.
 func (sc *sched) deadlock() error {
 	var b strings.Builder
 	for r := range sc.recs {
-		if sc.rt.isExited(r) {
-			continue
-		}
-		if b.Len() > 0 {
+		if r > 0 {
 			b.WriteString("; ")
 		}
 		w := &sc.recs[r]
@@ -378,6 +382,8 @@ func (sc *sched) deadlock() error {
 			fmt.Fprintf(&b, "rank %d reading rank %d's halo (exchange %d)", r, peer, at)
 		case waitColl:
 			fmt.Fprintf(&b, "rank %d in collective %d", r, at)
+		case waitDone:
+			fmt.Fprintf(&b, "rank %d returned", r)
 		}
 	}
 	return fmt.Errorf("cluster: deadlock: every live rank is blocked: %s", b.String())
@@ -400,22 +406,6 @@ func (sc *sched) exit(g *group) {
 func (sc *sched) wakeAll() {
 	for r := range sc.recs {
 		if s, ok := sc.recs[r].waiting(); ok {
-			sc.wake(r, s)
-		}
-	}
-}
-
-// wakeExited ends the waits an exited rank can no longer satisfy: a
-// receive from it, a read of its halo, and any collective (it can no
-// longer arrive). Each woken rank then diagnoses the deadlock itself.
-func (sc *sched) wakeExited(rank int) {
-	for r := range sc.recs {
-		w := &sc.recs[r]
-		s, ok := w.waiting()
-		if !ok {
-			continue
-		}
-		if k := waitKind(w.kind.Load()); k == waitColl || int(w.peer.Load()) == rank {
 			sc.wake(r, s)
 		}
 	}

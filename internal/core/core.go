@@ -154,8 +154,8 @@ type CheckpointLevel struct {
 }
 
 // buildScheme instantiates the per-rank scheme; policy is the first
-// checkpoint level's (ckptPolicy).
-func buildScheme(cfg *RunConfig, policy checkpoint.Policy) (recovery.Scheme, error) {
+// checkpoint level's (ckptPolicy), ckptBytes every rank's payload.
+func buildScheme(cfg *RunConfig, policy checkpoint.Policy, ckptBytes int64) (recovery.Scheme, error) {
 	switch cfg.Scheme.Kind {
 	case FF:
 		return nil, nil
@@ -174,7 +174,7 @@ func buildScheme(cfg *RunConfig, policy checkpoint.Policy) (recovery.Scheme, err
 			LocalTol:  cfg.Scheme.LocalTol,
 		}, nil
 	case CRM, CRD, CR2L, LCR:
-		return &recovery.CR{Levels: CheckpointLevels(cfg.Scheme.Kind, cfg.Plat, policy)}, nil
+		return &recovery.CR{Levels: CheckpointLevels(cfg.Scheme.Kind, cfg.Plat, policy), Bytes: ckptBytes}, nil
 	case RD:
 		return &recovery.RD{Replicas: 2}, nil
 	case TMR:
@@ -439,7 +439,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 	}
 
 	part := sparse.NewPartition(cfg.A.Rows, cfg.Ranks)
-	// Every rank checkpoints the largest block's payload (recovery.CR).
+	// Every rank checkpoints the largest block's payload (recovery.CR.Bytes).
 	ckptBytes := int64(8 * part.Size(0))
 	policy, err := ckptPolicy(&cfg, ckptBytes)
 	if err != nil {
@@ -456,7 +456,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		rt.SetRecorder(cfg.Obs)
 	}
 	maxClock, err := rt.Run(func(c *cluster.Comm) error {
-		scheme, err := buildScheme(&cfg, policy)
+		scheme, err := buildScheme(&cfg, policy, ckptBytes)
 		if err != nil {
 			return err
 		}
@@ -508,7 +508,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunReport, error) {
 		if cr, ok := s.(*recovery.CR); ok {
 			report.Levels = make([]CheckpointLevel, 0, len(cr.Levels))
 			for _, lv := range cr.Levels {
-				report.Levels = append(report.Levels, CheckpointLevel{lv.Store, ckptBytes, lv.Policy.EveryIters, lv.Writes, lv.Restores})
+				report.Levels = append(report.Levels, CheckpointLevel{lv.Store, cr.Bytes, lv.Policy.EveryIters, lv.Writes, lv.Restores})
 				report.Checkpoints += lv.Writes
 			}
 		}

@@ -85,7 +85,7 @@ func TestSchemeTable(t *testing.T) {
 			t.Errorf("%s: %d checkpoint levels, Checkpoints() = %t", k, len(levels), spec.Checkpoints())
 		}
 		cfg := &RunConfig{Plat: platform.Default(), Scheme: spec}
-		scheme, err := buildScheme(cfg, checkpoint.FixedPolicy(5))
+		scheme, err := buildScheme(cfg, checkpoint.FixedPolicy(5), 8)
 		if err != nil || (scheme == nil) != (k == FF) {
 			t.Errorf("buildScheme(%s) = %v, %v", k, scheme, err)
 		}
@@ -93,7 +93,7 @@ func TestSchemeTable(t *testing.T) {
 	if got := strings.Join(ckpt, " "); got != "CR-M CR-D CR-2L LCR" {
 		t.Errorf("Checkpoints() holds for %q, want exactly CR-M CR-D CR-2L LCR", got)
 	}
-	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: LCR + 1}}, checkpoint.Policy{}); err == nil {
+	if _, err := buildScheme(&RunConfig{Scheme: SchemeSpec{Kind: LCR + 1}}, checkpoint.Policy{}, 8); err == nil {
 		t.Error("buildScheme accepted a kind past the enum")
 	}
 }

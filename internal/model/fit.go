@@ -84,7 +84,7 @@ func FitFW(ff, run *core.RunReport, plat *platform.Platform, dvfs bool) (Params,
 	}
 	p.ExtraFracPerFault = extraTime / float64(n) / ff.Time
 
-	p.PIdleFrac = plat.PowerIdle(freqParked(plat, dvfs)) / plat.PowerActive(plat.FreqMax)
+	p.PIdleFrac = IdleFrac(plat, dvfs)
 	return p, nil
 }
 
@@ -95,6 +95,13 @@ func FitRD(ff *core.RunReport, replicas int) Params {
 	return p
 }
 
+// IdleFrac is a parked core's power relative to an active one at f_max:
+// FW's PIdleFrac, and (dvfs false) a level whose store idles the CPU.
+func IdleFrac(plat *platform.Platform, dvfs bool) float64 {
+	return plat.PowerIdle(freqParked(plat, dvfs)) / plat.PowerActive(plat.FreqMax)
+}
+
+// freqParked is a parked core's frequency: f_min under DVFS, else f_max.
 func freqParked(plat *platform.Platform, dvfs bool) float64 {
 	if dvfs {
 		return plat.FreqMin

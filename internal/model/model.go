@@ -64,7 +64,7 @@ type Level struct {
 func NewLevel(store checkpoint.Store, plat *platform.Platform, bytes int64, writers int) Level {
 	lv := Level{TC: store.WriteTime(bytes, writers), PFrac: 1}
 	if !store.CPUBusy() {
-		lv.PFrac = plat.PowerIdle(plat.FreqMax) / plat.PowerActive(plat.FreqMax)
+		lv.PFrac = IdleFrac(plat, false)
 	}
 	return lv
 }

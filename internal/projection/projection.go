@@ -153,7 +153,7 @@ func Project(c Config) ([]Row, error) {
 		p.TConst += float64(globalN) * 8 / plat.NetBandwidth
 		p.ExtraFracPerFault = c.ExtraFracPerFault
 		p.NTilde = 1
-		p.PIdleFrac = plat.PowerIdle(parkFreq(plat, c.DVFS)) / plat.PowerActive(plat.FreqMax)
+		p.PIdleFrac = model.IdleFrac(plat, c.DVFS)
 		fw, err := model.PredictFW(p)
 		if err != nil {
 			return nil, err
@@ -161,11 +161,4 @@ func Project(c Config) ([]Row, error) {
 		add("FW", fw)
 	}
 	return rows, nil
-}
-
-func parkFreq(plat *platform.Platform, dvfs bool) float64 {
-	if dvfs {
-		return plat.FreqMin
-	}
-	return plat.FreqMax
 }

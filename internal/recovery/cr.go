@@ -57,16 +57,14 @@ type Level struct {
 type CR struct {
 	Base
 	Levels []Level
+	// Bytes is each rank's checkpoint payload: the largest block's on
+	// every rank, so all clocks advance identically and the injectors at
+	// the next iteration boundary agree.
+	Bytes int64
 
 	// Rollbacks counts recoveries.
 	Rollbacks int
 }
-
-// ckptBytes returns the per-rank checkpoint payload. The maximum block
-// size is used on every rank so all clocks advance identically — the
-// iteration boundary that follows must see equal clocks on all ranks for
-// the injectors to agree.
-func (s *CR) ckptBytes(ctx *Ctx) int64 { return int64(8 * ctx.St.Part.Size(0)) }
 
 // elapse charges a store transfer: at active power when the store keeps
 // the CPU busy, at idle power otherwise.
@@ -102,7 +100,7 @@ func (s *CR) AfterIteration(ctx *Ctx, completedIters int) error {
 		return nil
 	}
 	defer ctx.enter(obs.SpanCheckpoint).leave()
-	elapse(ctx, last.Store, last.Store.WriteTime(s.ckptBytes(ctx), ctx.Ranks()))
+	elapse(ctx, last.Store, last.Store.WriteTime(s.Bytes, ctx.Ranks()))
 	return nil
 }
 
@@ -142,7 +140,7 @@ func (s *CR) restore(ctx *Ctx, f fault.Fault) *Level {
 		vec.Zero(ctx.St.X)
 		return nil
 	}
-	elapse(ctx, from.Store, from.Store.ReadTime(s.ckptBytes(ctx), ctx.Ranks()))
+	elapse(ctx, from.Store, from.Store.ReadTime(s.Bytes, ctx.Ranks()))
 	copy(ctx.St.X, from.saved)
 	from.Restores++
 	return from

@@ -45,6 +45,7 @@ func runCRFaults(t *testing.T, proto *CR, faults []fault.Fault) crSnapshot {
 	}
 	_, err := cluster.Run(ranks, plat, meter, func(c *cluster.Comm) error {
 		scheme := &CR{Levels: append([]Level(nil), proto.Levels...)}
+		setPayload(scheme, part)
 		mon := &hookMonitor{
 			before: func(it *solver.Iter) (bool, error) {
 				restart := false

@@ -15,6 +15,17 @@ import (
 	"resilience/internal/vec"
 )
 
+// setPayload gives a checkpointing scheme the per-rank payload core
+// gives it: the largest block's.
+func setPayload(s Scheme, part *sparse.Partition) {
+	switch s := s.(type) {
+	case *CR:
+		s.Bytes = int64(8 * part.Size(0))
+	case classRewriter:
+		setPayload(s.inner, part)
+	}
+}
+
 // recoverOnce runs a controlled experiment: converge CG partway, corrupt
 // rank F's block of x, run the scheme's Recover collectively, and return
 // the reconstruction error ||x_rec - x_mid|| / ||x_mid|| on the failed
@@ -30,6 +41,7 @@ func recoverOnce(t *testing.T, makeScheme func() Scheme, a *sparse.CSR, ranks, f
 	maxClock, err := cluster.Run(ranks, plat, meter, func(c *cluster.Comm) error {
 		var preFault []float64
 		scheme := makeScheme()
+		setPayload(scheme, part)
 		step := 0
 		mon := &hookMonitor{
 			before: func(it *solver.Iter) (bool, error) {

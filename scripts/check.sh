@@ -17,7 +17,8 @@
 # job kind and the second sequential CG loop, nor pipelined CG, the
 # distributed Jacobi preconditioner and the solver options only they
 # needed, nor the model's own LCR prediction, compression knob and
-# per-scheme checkpoint power, is named again, and no store is built
+# per-scheme checkpoint power, nor the runtime's exited-rank deadlock
+# watch, is named again, and no store is built
 # outside internal/core and internal/checkpoint; the even
 # fault placement has one caller, in core), a
 # race-detector pass over the packages with real concurrency (the
@@ -187,6 +188,15 @@ if git grep -nE 'Predict''LCR|Compress''Ratio|PCkpt''Frac' -- . ':!*.md'; then
 fi
 if git grep -nE '(Mem''Store|Disk''Store|Lo''ssy)\{' -- '*.go' ':!*_test.go' ':!internal/core' ':!internal/checkpoint'; then
     echo "a checkpoint store is built outside internal/core"; exit 1
+fi
+
+# Likewise the runtime's second deadlock detector: the token scheduler's
+# all-blocked verdict (sched.deadlock in internal/cluster/sched.go) names
+# every rank, returned ones included, so the exited-rank watch — its exit
+# set, its wake walk, its check in every wait and its messages — stays
+# deleted.
+if git grep -nE 'mark''Exited|wake''Exited|is''Exited|exited'' without' -- . ':!*.md'; then
+    echo "the exited-rank deadlock watch is named again"; exit 1
 fi
 
 go test -race ./internal/cluster/... ./internal/solver/... ./internal/experiments/... \
