@@ -17,8 +17,8 @@ import (
 
 func tinyCfg() Config { return Default(matgen.Tiny) }
 
-// cell parses a float cell from a report table.
-func cell(t *testing.T, tb *report.Table, row, col int) float64 {
+// num parses a float cell from a report table.
+func num(t *testing.T, tb *report.Table, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(tb.Rows[row][col], 64)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestFig1ClassTable(t *testing.T) {
 		if row[iKind] != kind {
 			t.Errorf("%s: labelled %q, want %q", row[0], row[iKind], kind)
 		}
-		node, peta, exa := cell(t, tb, r, iNode), cell(t, tb, r, iPeta), cell(t, tb, r, iExa)
+		node, peta, exa := num(t, tb, r, iNode), num(t, tb, r, iPeta), num(t, tb, r, iExa)
 		if !(node > peta && peta > exa && exa > 0) {
 			t.Errorf("%s: node %g, petascale %g, exascale %g h not strictly shrinking", row[0], node, peta, exa)
 		}
@@ -91,14 +91,14 @@ func TestFig1SweepTable(t *testing.T) {
 	}
 	iMin := colIndex(t, tb, "MTBF (min)")
 	for r := range tb.Rows {
-		if nodes := cell(t, tb, r, 0); nodes != float64(int(1024)<<(2*r)) {
+		if nodes := num(t, tb, r, 0); nodes != float64(int(1024)<<(2*r)) {
 			t.Errorf("row %d: %g nodes, want %d", r, nodes, 1024<<(2*r))
 		}
-		if r > 0 && cell(t, tb, r, 1) >= cell(t, tb, r-1, 1) {
+		if r > 0 && num(t, tb, r, 1) >= num(t, tb, r-1, 1) {
 			t.Errorf("row %d: MTBF does not shrink with node count", r)
 		}
 		// Both cells are printed to 3 decimals.
-		if h, m := cell(t, tb, r, 1), cell(t, tb, r, iMin); math.Abs(h*60-m) > 0.0005*61 {
+		if h, m := num(t, tb, r, 1), num(t, tb, r, iMin); math.Abs(h*60-m) > 0.0005*61 {
 			t.Errorf("row %d: %g h is not %g min", r, h, m)
 		}
 	}
@@ -115,7 +115,7 @@ func TestTab4Claims(t *testing.T) {
 	iLI := colIndex(t, tb, "LI")
 	iCR := colIndex(t, tb, "CR-D")
 	for r := range tb.Rows {
-		rd, f0, li, cr := cell(t, tb, r, iRD), cell(t, tb, r, iF0), cell(t, tb, r, iLI), cell(t, tb, r, iCR)
+		rd, f0, li, cr := num(t, tb, r, iRD), num(t, tb, r, iF0), num(t, tb, r, iLI), num(t, tb, r, iCR)
 		// RD matches the fault-free run.
 		if rd != 1 {
 			t.Errorf("row %d: RD %g != 1", r, rd)
@@ -133,7 +133,7 @@ func TestTab4Claims(t *testing.T) {
 	for _, col := range []int{iF0, iLI, iCR} {
 		lo, hi := 1e18, 0.0
 		for r := range tb.Rows {
-			v := cell(t, tb, r, col)
+			v := num(t, tb, r, col)
 			if v < lo {
 				lo = v
 			}
@@ -156,7 +156,7 @@ func TestFig4Claims(t *testing.T) {
 		iImp := colIndex(t, tb, "vs exact")
 		best := -1e18
 		for r := 1; r < len(tb.Rows); r++ {
-			if v := cell(t, tb, r, iImp); v > best {
+			if v := num(t, tb, r, iImp); v > best {
 				best = v
 			}
 		}
@@ -180,8 +180,8 @@ func TestFig5Claims(t *testing.T) {
 	iLI := colIndex(t, tb, "LI")
 	iLSI := colIndex(t, tb, "LSI")
 	avg := len(tb.Rows) - 1 // last row is the average
-	rd, f0, fi, li, lsi := cell(t, tb, avg, iRD), cell(t, tb, avg, iF0),
-		cell(t, tb, avg, iFI), cell(t, tb, avg, iLI), cell(t, tb, avg, iLSI)
+	rd, f0, fi, li, lsi := num(t, tb, avg, iRD), num(t, tb, avg, iF0),
+		num(t, tb, avg, iFI), num(t, tb, avg, iLI), num(t, tb, avg, iLSI)
 	if rd != 1 {
 		t.Errorf("RD average %g", rd)
 	}
@@ -195,7 +195,7 @@ func TestFig5Claims(t *testing.T) {
 	// Every scheme needs at least as many iterations as fault-free.
 	for r := 0; r < avg; r++ {
 		for _, c := range []int{iF0, iFI, iLI, iLSI} {
-			if v := cell(t, tb, r, c); v < 1 {
+			if v := num(t, tb, r, c); v < 1 {
 				t.Errorf("row %d col %s: normalized iterations %g < 1", r, tb.Columns[c], v)
 			}
 		}
@@ -209,8 +209,8 @@ func TestFig7aClaims(t *testing.T) {
 	}
 	tb := res.Tables[0] // power profile table: LI row then LI-DVFS row
 	iRecon := colIndex(t, tb, "Reconstr. power/FF")
-	li := cell(t, tb, 0, iRecon)
-	dvfs := cell(t, tb, 1, iRecon)
+	li := num(t, tb, 0, iRecon)
+	dvfs := num(t, tb, 1, iRecon)
 	// The reconstruction-phase power drop is the paper's headline claim:
 	// ~0.75x without DVFS, ~0.45x with.
 	if dvfs >= li {
@@ -233,7 +233,7 @@ func TestTab5Claims(t *testing.T) {
 	vals := map[string][3]float64{}
 	for r := range tb.Rows {
 		vals[tb.Rows[r][0]] = [3]float64{
-			cell(t, tb, r, 1), cell(t, tb, r, 2), cell(t, tb, r, 3),
+			num(t, tb, r, 1), num(t, tb, r, 2), num(t, tb, r, 3),
 		}
 	}
 	rd := vals["RD"]
@@ -268,17 +268,17 @@ func TestTab6Claims(t *testing.T) {
 		if tb.Rows[r][0] != "RD" {
 			continue
 		}
-		if cell(t, tb, r, 1) != 0 || cell(t, tb, r, 2) != 2 || cell(t, tb, r, 3) != 1 {
+		if num(t, tb, r, 1) != 0 || num(t, tb, r, 2) != 2 || num(t, tb, r, 3) != 1 {
 			t.Errorf("RD model row wrong: %v", tb.Rows[r])
 		}
-		if mp := cell(t, tb, r, 5); mp < 1.9 || mp > 2.1 {
+		if mp := num(t, tb, r, 5); mp < 1.9 || mp > 2.1 {
 			t.Errorf("RD measured power %g", mp)
 		}
 	}
 	// Model and measurement agree within a factor for every scheme row.
 	for r := 1; r < len(tb.Rows); r++ {
-		model := cell(t, tb, r, 1)
-		meas := cell(t, tb, r, 4)
+		model := num(t, tb, r, 1)
+		meas := num(t, tb, r, 4)
 		if meas > 0.01 && model > 0.01 {
 			if ratio := model / meas; ratio < 0.1 || ratio > 10 {
 				t.Errorf("%s: model T_res %g vs measured %g", tb.Rows[r][0], model, meas)
@@ -297,80 +297,111 @@ func Get2(t *testing.T, id string) Runner {
 	return r
 }
 
+// TestLoadSystemCaching: the engine generates one system per catalog
+// name and scale, and refuses an unknown name.
 func TestLoadSystemCaching(t *testing.T) {
 	cfg := tinyCfg()
-	a, err := cfg.loadSystem("Kuu")
+	a, err := cfg.generate("Kuu")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cfg.loadSystem("Kuu")
+	b, err := cfg.generate("Kuu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("loadSystem must cache per name+scale")
+		t.Error("the engine must generate one system per name+scale")
 	}
-	if _, err := cfg.loadSystem("nonexistent"); err == nil {
+	if _, err := cfg.generate("nonexistent"); err == nil {
 		t.Error("unknown matrix accepted")
+	}
+	if _, err := cfg.run(cell{matrix: "nonexistent"}); err == nil {
+		t.Error("a cell on an unknown matrix ran")
 	}
 }
 
+// TestBaseConfigClampsRanks: a cell's rank count, the Config's or its
+// own, is clamped to half the rows.
 func TestBaseConfigClampsRanks(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Ranks = 1 << 20
-	s, err := cfg.loadSystem("bcsstk06")
+	g, err := cfg.generate("bcsstk06")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := cfg.baseConfig(s)
-	if rc.Ranks > s.a.Rows/2 {
-		t.Errorf("ranks %d not clamped for %d rows", rc.Ranks, s.a.Rows)
+	for _, cl := range []cell{{matrix: "bcsstk06"}, {matrix: "bcsstk06", ranks: 1 << 21}} {
+		rc := cfg.runConfig(cfg.resolve(cl), g)
+		if rows := g.sys.A.Rows; rc.Ranks > rows/2 {
+			t.Errorf("ranks %d not clamped for %d rows", rc.Ranks, rows)
+		}
 	}
 }
 
+// TestFaultFreeCachePerRankCount: a cell's baseline is the one of its
+// rank count, and every later cell of that rank count reuses it.
 func TestFaultFreeCachePerRankCount(t *testing.T) {
 	cfg := tinyCfg()
-	s, err := cfg.loadSystem("wathen100")
+	out, err := cfg.run(cell{matrix: "wathen100"}, cell{matrix: "wathen100", ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff8, err := cfg.faultFree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := cfg
-	c2.Ranks = 4
-	ff4, err := c2.faultFree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff8 == ff4 {
+	if out[0].ff == out[1].ff {
 		t.Error("fault-free cache must key on rank count")
 	}
-	again, _ := cfg.faultFree(s)
-	if again != ff8 {
+	again, err := cfg.run(cell{matrix: "wathen100", scheme: core.SchemeSpec{Kind: core.LI}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].ff != out[0].ff {
 		t.Error("fault-free baseline not cached")
 	}
 }
 
 // TestRunSchemeDerivesIntervalForEveryCheckpointingScheme: a checkpointing
 // cell that names no interval gets Young's from the MTBF its fault schedule
-// implies. CR-2L was missing from runScheme's own kind list and died in
-// core with "CR scheme needs CkptEvery or CkptMTBF".
+// implies. CR-2L was once missing from the experiments' own kind list and
+// died in core with "CR scheme needs CkptEvery or CkptMTBF".
 func TestRunSchemeDerivesIntervalForEveryCheckpointingScheme(t *testing.T) {
 	cfg := tinyCfg()
-	s, err := cfg.loadSystem("bcsstk06")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, kind := range []core.SchemeKind{core.CRM, core.CRD, core.CR2L, core.LCR} {
-		rep, err := cfg.runScheme(s, core.SchemeSpec{Kind: kind}, false)
+		out, err := cfg.run(cell{matrix: "bcsstk06", scheme: core.SchemeSpec{Kind: kind}})
 		if err != nil {
 			t.Errorf("%s with no interval: %v", kind, err)
 			continue
 		}
-		if !rep.Converged || rep.Checkpoints == 0 {
+		if rep := out[0].rep; !rep.Converged || rep.Checkpoints == 0 {
 			t.Errorf("%s: converged=%v after %d checkpoints", kind, rep.Converged, rep.Checkpoints)
+		}
+	}
+}
+
+// TestSameSolveRunsOnce: cells that resolve to one solve share one
+// report — FI with F0 (every solve starts from x0 = 0), and a cell listed
+// twice — while distinct cells get their own.
+func TestSameSolveRunsOnce(t *testing.T) {
+	cfg := tinyCfg()
+	li := cell{matrix: "Kuu", scheme: core.SchemeSpec{Kind: core.LI}}
+	out, err := cfg.run(
+		cell{matrix: "Kuu", scheme: core.SchemeSpec{Kind: core.F0}},
+		cell{matrix: "Kuu", scheme: core.SchemeSpec{Kind: core.FI}},
+		li, li,
+		cell{matrix: "Kuu", scheme: core.SchemeSpec{Kind: core.LI}, ranks: 4},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].rep != out[1].rep {
+		t.Error("FI's cell did not read F0's run")
+	}
+	if out[2].rep != out[3].rep {
+		t.Error("a cell listed twice was solved twice")
+	}
+	if out[0].rep == out[2].rep || out[2].rep == out[4].rep {
+		t.Error("distinct cells share a report")
+	}
+	for i, o := range out {
+		if o.ff == nil || o.ff.Ranks != o.rep.Ranks {
+			t.Errorf("cell %d: baseline %+v does not match its %d-rank run", i, o.ff, o.rep.Ranks)
 		}
 	}
 }
@@ -405,20 +436,21 @@ func TestFig6SingleFaultAnySeed(t *testing.T) {
 	for _, seed := range []int64{-1, -9, 0, 3} {
 		cfg := tinyCfg()
 		cfg.Seed = seed
-		s, err := cfg.loadSystem("Kuu")
-		if err != nil {
-			t.Fatal(err)
+		schemes := cfg.schemeSet()
+		cells := grid([]string{"Kuu"}, schemes)
+		for i := range cells {
+			cells[i].inject = singleFault{iter: 5}
 		}
-		ranks := cfg.baseConfig(s).Ranks
-		for _, spec := range cfg.schemeSet() {
-			rep, err := runWithSingleFault(cfg, s, spec, 5)
-			if err != nil {
-				t.Fatalf("seed %d, %s: %v", seed, spec.Name(), err)
-			}
+		out, err := cfg.run(cells...)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, spec := range schemes {
+			rep := out[i].rep
 			if len(rep.Faults) != 1 {
 				t.Fatalf("seed %d, %s: %d faults, want 1", seed, spec.Name(), len(rep.Faults))
 			}
-			if r := rep.Faults[0].Rank; r < 0 || r >= ranks {
+			if r, ranks := rep.Faults[0].Rank, rep.Ranks; r < 0 || r >= ranks {
 				t.Errorf("seed %d, %s: fault on rank %d of %d", seed, spec.Name(), r, ranks)
 			}
 		}

@@ -32,15 +32,11 @@ func TestPaperScaleCapability(t *testing.T) {
 	}
 	cfg := Default(matgen.Paper)
 	cfg.Ranks = 8
-	s, err := cfg.loadSystem("bcsstk06")
+	out, err := cfg.run(cell{matrix: "bcsstk06"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ff.Converged {
+	if !out[0].ff.Converged {
 		t.Fatalf("paper-scale bcsstk06 did not converge")
 	}
 }

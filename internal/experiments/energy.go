@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"resilience/internal/core"
-	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/obs"
 	"resilience/internal/report"
@@ -24,14 +23,11 @@ func init() {
 // simulated run is shorter, so the MTBF is scaled to preserve the
 // expected fault count (documented substitution).
 func runFig3(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("Andrews")
+	base, err := cfg.run(cell{matrix: "Andrews"})
 	if err != nil {
 		return nil, err
 	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
+	ff := base[0].ff
 	// Expected faults over the run, matching the paper's fault pressure.
 	// The MTBF must stay well above the per-fault recovery cost or
 	// progress halts (the paper's own Section 6 caveat); tiny-scale runs
@@ -41,43 +37,29 @@ func runFig3(cfg Config) (*Result, error) {
 		expectedFaults = 1.5
 	}
 	mtbf := ff.Time / expectedFaults
-	limit := int(3*expectedFaults) + 2
+	draws := poisson{mtbf: mtbf, limit: int(3*expectedFaults) + 2}
 
-	specs := []core.SchemeSpec{
+	cells := grid([]string{"Andrews"}, []core.SchemeSpec{
 		{Kind: core.CRD, CkptMTBF: mtbf},
 		{Kind: core.RD},
 		{Kind: core.LI, DVFS: true},
 		{Kind: core.ESR},
 		{Kind: core.LCR, CkptMTBF: mtbf},
-	}
-	reps := make([]*core.RunReport, len(specs))
-	err = cfg.runCells(len(specs), func(i int) error {
-		rc := cfg.baseConfig(s)
-		rc.Scheme = specs[i]
-		ranks := rc.Ranks
-		seed := cfg.Seed
-		rc.InjectorFactory = func() fault.Injector {
-			return fault.NewPoisson(mtbf, ranks, fault.SNF, seed).WithLimit(limit)
-		}
-		rep, err := core.Run(rc)
-		if err != nil {
-			return err
-		}
-		if !rep.Converged {
-			return fmt.Errorf("experiments: fig3 %s did not converge", specs[i].Name())
-		}
-		reps[i] = rep
-		return nil
 	})
+	for i := range cells {
+		cells[i].inject = draws
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Figure 3: Andrews analog, %d ranks, Poisson MTBF=%.3gs (=%g expected faults)",
-			cfg.baseConfig(s).Ranks, mtbf, expectedFaults),
+			ff.Ranks, mtbf, expectedFaults),
 		"Scheme", "RelRes", "Time/FF", "Energy/FF", "Time ovh", "Energy ovh")
 	t.AddF("FF", ff.RelRes, 1.0, 1.0, 0.0, 0.0)
-	for _, rep := range reps {
+	for _, o := range out {
+		rep := o.rep
 		t.AddF(rep.Scheme, rep.RelRes,
 			rep.Time/ff.Time, rep.Energy/ff.Energy,
 			rep.Time/ff.Time-1, rep.Energy/ff.Energy-1)
@@ -97,30 +79,28 @@ func runFig3(cfg Config) (*Result, error) {
 // vs LI-DVFS and the reconstruction-phase power drop; (b) average
 // normalized time/power/energy for all matrices with and without DVFS.
 func runFig7(cfg Config) (*Result, error) {
-	// (a) power profile on nd24k.
-	s, err := cfg.loadSystem("nd24k")
+	// (a) the power profile on nd24k, keeping its segments; (b) averages
+	// over the whole catalog, one cell per (matrix, scheme).
+	profile := []cell{
+		{matrix: "nd24k", scheme: core.SchemeSpec{Kind: core.LI}, keepSegs: true},
+		{matrix: "nd24k", scheme: core.SchemeSpec{Kind: core.LI, DVFS: true}, keepSegs: true},
+	}
+	specs := []core.SchemeSpec{
+		{Kind: core.LI},
+		{Kind: core.LI, DVFS: true},
+		{Kind: core.LSI},
+		{Kind: core.LSI, DVFS: true},
+	}
+	names := fig5Matrices()
+	out, err := cfg.run(append(profile, grid(names, specs)...)...)
 	if err != nil {
 		return nil, err
 	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
-	normalPower := ff.AvgPower
-
-	dvfsVariants := []bool{false, true}
-	repsA := make([]*core.RunReport, len(dvfsVariants))
-	err = cfg.runCells(len(dvfsVariants), func(i int) error {
-		rep, err := cfg.runScheme(s, core.SchemeSpec{Kind: core.LI, DVFS: dvfsVariants[i]}, true)
-		repsA[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
+	normalPower := out[0].ff.AvgPower
 	tA := report.NewTable("Figure 7(a): nd24k analog power profile, LI vs LI-DVFS",
 		"Scheme", "Avg power/FF", "Reconstr. power/FF", "Reconstr. windows", "Node power timeline")
-	for _, rep := range repsA {
+	for _, o := range out[:len(profile)] {
+		rep := o.rep
 		reconP, nWindows := reconstructionPower(rep)
 		timeline := rep.Meter.Timeline(rep.Time / 120)
 		watts := make([]float64, len(timeline))
@@ -131,53 +111,19 @@ func runFig7(cfg Config) (*Result, error) {
 			report.Sparkline(watts, 60))
 	}
 
-	// (b) averages over the whole catalog, one cell per (matrix, scheme).
-	type fig7Cell struct{ t, p, e, eres float64 }
-	specs := []core.SchemeSpec{
-		{Kind: core.LI},
-		{Kind: core.LI, DVFS: true},
-		{Kind: core.LSI},
-		{Kind: core.LSI, DVFS: true},
-	}
-	names := fig5Matrices()
-	cells := make([]fig7Cell, len(names)*len(specs))
-	err = cfg.runCells(len(cells), func(i int) error {
-		sm, err := cfg.loadSystem(names[i/len(specs)])
-		if err != nil {
-			return err
-		}
-		ffm, err := cfg.faultFree(sm)
-		if err != nil {
-			return err
-		}
-		rep, err := cfg.runScheme(sm, specs[i%len(specs)], false)
-		if err != nil {
-			return err
-		}
-		cells[i] = fig7Cell{
-			t:    rep.Time / ffm.Time,
-			p:    rep.AvgPower / ffm.AvgPower,
-			e:    rep.Energy / ffm.Energy,
-			eres: (rep.Energy - ffm.Energy) / ffm.Energy,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	tB := report.NewTable(fmt.Sprintf("Figure 7(b): averages over %d matrices, %d faults", len(names), cfg.Faults),
 		"Scheme", "T/FF", "P/FF", "E/FF", "E_res/E_solve")
 	for i, spec := range specs {
-		var sum fig7Cell
+		var t, p, e, eres float64
 		for mi := range names {
-			c := cells[mi*len(specs)+i]
-			sum.t += c.t
-			sum.p += c.p
-			sum.e += c.e
-			sum.eres += c.eres
+			o := out[len(profile)+mi*len(specs)+i]
+			t += o.rep.Time / o.ff.Time
+			p += o.rep.AvgPower / o.ff.AvgPower
+			e += o.rep.Energy / o.ff.Energy
+			eres += (o.rep.Energy - o.ff.Energy) / o.ff.Energy
 		}
 		n := float64(len(names))
-		tB.AddF(spec.Name(), sum.t/n, sum.p/n, sum.e/n, sum.eres/n)
+		tB.AddF(spec.Name(), t/n, p/n, e/n, eres/n)
 	}
 	return &Result{
 		ID:     "fig7",
@@ -222,29 +168,8 @@ func reconstructionPower(rep *core.RunReport) (watts float64, windows int) {
 // scheme averaged over the full catalog, with Young-interval CR.
 func runTab5(cfg Config) (*Result, error) {
 	specs := energySchemeSet()
-	type tab5Cell struct{ t, p, e float64 }
 	names := fig5Matrices()
-	cells := make([]tab5Cell, len(names)*len(specs))
-	err := cfg.runCells(len(cells), func(i int) error {
-		s, err := cfg.loadSystem(names[i/len(specs)])
-		if err != nil {
-			return err
-		}
-		ff, err := cfg.faultFree(s)
-		if err != nil {
-			return err
-		}
-		rep, err := cfg.runScheme(s, specs[i%len(specs)], false)
-		if err != nil {
-			return err
-		}
-		cells[i] = tab5Cell{
-			t: rep.Time / ff.Time,
-			p: rep.AvgPower / ff.AvgPower,
-			e: rep.Energy / ff.Energy,
-		}
-		return nil
-	})
+	out, err := cfg.run(grid(names, specs)...)
 	if err != nil {
 		return nil, err
 	}
@@ -253,15 +178,15 @@ func runTab5(cfg Config) (*Result, error) {
 	t.AddF("FF", 1.0, 1.0, 1.0, 0.0)
 	n := float64(len(names))
 	for i, spec := range specs {
-		var sum tab5Cell
+		var tm, p, e float64
 		for mi := range names {
-			c := cells[mi*len(specs)+i]
-			sum.t += c.t
-			sum.p += c.p
-			sum.e += c.e
+			o := out[mi*len(specs)+i]
+			tm += o.rep.Time / o.ff.Time
+			p += o.rep.AvgPower / o.ff.AvgPower
+			e += o.rep.Energy / o.ff.Energy
 		}
 		// E_res normalized by the fault-free energy: E/FF - 1.
-		t.AddF(spec.Name(), sum.t/n, sum.p/n, sum.e/n, sum.e/n-1)
+		t.AddF(spec.Name(), tm/n, p/n, e/n, e/n-1)
 	}
 	return &Result{
 		ID:     "tab5",
@@ -279,34 +204,18 @@ func runTab5(cfg Config) (*Result, error) {
 func runFig8(cfg Config) (*Result, error) {
 	matrices := []string{"x104", "nd24k", "cvxbqp1"}
 	specs := energySchemeSet()
-	reps := make([]*core.RunReport, len(matrices)*len(specs))
-	err := cfg.runCells(len(reps), func(i int) error {
-		s, err := cfg.loadSystem(matrices[i/len(specs)])
-		if err != nil {
-			return err
-		}
-		rep, err := cfg.runScheme(s, specs[i%len(specs)], false)
-		reps[i] = rep
-		return err
-	})
+	out, err := cfg.run(grid(matrices, specs)...)
 	if err != nil {
 		return nil, err
 	}
 	var tables []*report.Table
 	for mi, name := range matrices {
-		s, err := cfg.loadSystem(name)
-		if err != nil {
-			return nil, err
-		}
-		ff, err := cfg.faultFree(s)
-		if err != nil {
-			return nil, err
-		}
+		ff := out[mi*len(specs)].ff
 		t := report.NewTable(fmt.Sprintf("Figure 8: %s analog (FF iters=%d)", name, ff.Iters),
 			"Scheme", "Time/FF", "Energy/FF", "Power/FF")
 		t.AddF("FF", 1.0, 1.0, 1.0)
 		for si := range specs {
-			rep := reps[mi*len(specs)+si]
+			rep := out[mi*len(specs)+si].rep
 			t.AddF(rep.Scheme, rep.Time/ff.Time, rep.Energy/ff.Energy, rep.AvgPower/ff.AvgPower)
 		}
 		tables = append(tables, t)

@@ -6,15 +6,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"resilience/internal/core"
-	"resilience/internal/fault"
 	"resilience/internal/matgen"
-	"resilience/internal/obs"
 	"resilience/internal/platform"
 	"resilience/internal/report"
 )
@@ -139,126 +135,6 @@ func Get(id string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// --- shared run helpers ------------------------------------------------
-
-// system is a generated workload. Generation runs exactly once, and sys
-// owns the fault-free baselines: concurrent cells needing the same one
-// block on the winner instead of holding a global lock, so distinct
-// systems generate and solve in parallel.
-type system struct {
-	once   sync.Once
-	genErr error
-	spec   matgen.Spec
-	a      *coreMatrix
-	b      []float64
-	sys    *core.System
-}
-
-// coreMatrix aliases the sparse matrix type without re-importing it in
-// every experiment file.
-type coreMatrix = sparseCSR
-
-var (
-	sysMu    sync.Mutex
-	sysCache = map[string]*system{}
-)
-
-// loadSystem generates (or returns the cached) analog for a catalog
-// matrix at the config's scale. The registry lock is held only for the
-// map access; generation itself runs outside it so concurrent cells can
-// build distinct systems in parallel.
-func (c Config) loadSystem(name string) (*system, error) {
-	key := fmt.Sprintf("%s@%s", name, c.Scale)
-	sysMu.Lock()
-	s, ok := sysCache[key]
-	if !ok {
-		s = &system{}
-		sysCache[key] = s
-	}
-	sysMu.Unlock()
-	scale := c.Scale
-	s.once.Do(func() {
-		spec, err := matgen.Lookup(name)
-		if err != nil {
-			s.genErr = err
-			return
-		}
-		s.spec = spec
-		s.a = spec.Generate(scale)
-		s.b, _ = matgen.RHS(s.a)
-		s.sys = core.NewSystem(s.a, s.b)
-	})
-	if s.genErr != nil {
-		return nil, s.genErr
-	}
-	return s, nil
-}
-
-// baseConfig assembles the core.RunConfig shared by all schemes.
-func (c Config) baseConfig(s *system) core.RunConfig {
-	ranks := c.Ranks
-	if ranks > s.a.Rows/2 {
-		ranks = s.a.Rows / 2
-	}
-	if ranks < 1 {
-		ranks = 1
-	}
-	rc := core.RunConfig{
-		A:        s.a,
-		B:        s.b,
-		Ranks:    ranks,
-		Plat:     c.Plat,
-		Tol:      c.Tol,
-		MaxIters: 40 * s.spec.TargetIters(c.Scale),
-		Seed:     c.Seed,
-	}
-	if c.Observe {
-		// One private recorder per cell, discarded with the report: the
-		// tables must come out byte-identical whether or not anyone watched.
-		rc.Obs = obs.NewRecorder()
-	}
-	return rc
-}
-
-// faultFree returns the shared, converged fault-free distributed
-// baseline of the config's standard solve, computing it exactly once even
-// under concurrent cells.
-func (c Config) faultFree(s *system) (*core.RunReport, error) {
-	_, ff, err := s.spread(c.baseConfig(s), 0)
-	return ff, err
-}
-
-// spread installs the paper's evenly spaced n-fault schedule on rc (see
-// core.System.Spread).
-func (s *system) spread(rc core.RunConfig, n int, classes ...fault.Class) (core.RunConfig, *core.RunReport, error) {
-	rc, ff, err := s.sys.Spread(context.Background(), rc, n, classes...)
-	if err != nil {
-		return rc, nil, fmt.Errorf("experiments: %s on %s: %w", rc.Scheme.Name(), s.spec.Name, err)
-	}
-	return rc, ff, nil
-}
-
-// runScheme executes one scheme under the standard schedule: the config's
-// fault count of node failures, spread evenly.
-func (c Config) runScheme(s *system, spec core.SchemeSpec, keepSegs bool) (*core.RunReport, error) {
-	rc := c.baseConfig(s)
-	rc.Scheme = spec
-	rc.KeepSegments = keepSegs
-	rc, _, err := s.spread(rc, c.Faults, fault.SNF)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.Run(rc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", spec.Name(), s.spec.Name, err)
-	}
-	if !rep.Converged {
-		return nil, fmt.Errorf("experiments: %s on %s did not converge (relres %g after %d iters)",
-			spec.Name(), s.spec.Name, rep.RelRes, rep.Iters)
-	}
-	return rep, nil
-}
-
 // schemeSet is the paper's standard comparison set for iteration studies.
 // The checkpoint interval is the paper's 100 iterations, shrunk at tiny
 // scale where fault-free runs are themselves under 100 iterations.
@@ -275,24 +151,6 @@ func (c Config) schemeSet() []core.SchemeSpec {
 		{Kind: core.LSI},
 		{Kind: core.CRD, CkptEvery: ckptEvery},
 	}
-}
-
-// runOf maps each scheme of set to the index of the scheme whose run its
-// cell reads. FI recovers exactly as F0 does (the initial guess is always
-// zero), so FI's cell reads F0's run; every other scheme reads its own.
-func runOf(set []core.SchemeSpec) []int {
-	src := make([]int, len(set))
-	f0 := -1
-	for i, sc := range set {
-		src[i] = i
-		switch {
-		case sc.Kind == core.F0:
-			f0 = i
-		case sc.Kind == core.FI && f0 >= 0:
-			src[i] = f0
-		}
-	}
-	return src
 }
 
 // energySchemeSet is the Section 5.3 comparison set (Table 5), widened

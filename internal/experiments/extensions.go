@@ -22,42 +22,23 @@ func init() {
 // are system-wide outages. Memory checkpoints do not survive an outage,
 // so CR-M pays full restarts there; CR-2L falls back to its disk level.
 func runAblationMultilevel(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("crystm02")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
+	base, err := cfg.run(cell{matrix: "crystm02"})
 	if err != nil {
 		return nil, err
 	}
 	ckptEvery := 100
-	if ff.Iters < 400 {
+	if base[0].ff.Iters < 400 {
 		ckptEvery = 10
 	}
-	classes := []fault.Class{fault.SNF, fault.SNF, fault.SNF, fault.SWO}
-	specs := []core.SchemeSpec{
+	cells := grid([]string{"crystm02"}, []core.SchemeSpec{
 		{Kind: core.CRM, CkptEvery: ckptEvery},
 		{Kind: core.CRD, CkptEvery: ckptEvery},
 		{Kind: core.CR2L, CkptEvery: ckptEvery},
-	}
-	reps := make([]*core.RunReport, len(specs))
-	err = cfg.runCells(len(specs), func(i int) error {
-		rc := cfg.baseConfig(s)
-		rc.Scheme = specs[i]
-		rc, _, err := s.spread(rc, cfg.Faults, classes...)
-		if err != nil {
-			return err
-		}
-		rep, err := core.Run(rc)
-		if err != nil {
-			return err
-		}
-		if !rep.Converged {
-			return fmt.Errorf("experiments: %s did not converge", specs[i].Name())
-		}
-		reps[i] = rep
-		return nil
 	})
+	for i := range cells {
+		cells[i].classes = []fault.Class{fault.SNF, fault.SNF, fault.SNF, fault.SWO}
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +46,8 @@ func runAblationMultilevel(cfg Config) (*Result, error) {
 	t := report.NewTable(
 		fmt.Sprintf("Two-level checkpointing: crystm02 analog, %d faults (every 4th a system-wide outage)", cfg.Faults),
 		"Scheme", "Checkpoints", "Iters/FF", "Time/FF", "Energy/FF")
-	for _, rep := range reps {
+	for _, o := range out {
+		rep, ff := o.rep, o.ff
 		t.AddF(rep.Scheme, rep.Checkpoints, float64(rep.Iters)/float64(ff.Iters),
 			rep.Time/ff.Time, rep.Energy/ff.Energy)
 	}
@@ -84,52 +66,30 @@ func runAblationMultilevel(cfg Config) (*Result, error) {
 // by assuming prompt detection (Section 3), built on the SDC-propagation
 // literature it cites.
 func runAblationSDC(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("Kuu")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
+	base, err := cfg.run(cell{matrix: "Kuu"})
 	if err != nil {
 		return nil, err
 	}
 	nFaults := 3
-	// The eligible delay list depends only on the FF baseline, so it is
-	// fixed before the cells launch.
-	var delays []int
+	// The eligible delays depend only on the FF baseline.
+	var cells []cell
 	for _, d := range []int{0, 2, 8, 32} {
-		if d > ff.Iters/4 {
+		if d > base[0].ff.Iters/4 {
 			break
 		}
-		delays = append(delays, d)
+		cells = append(cells, cell{matrix: "Kuu", scheme: core.SchemeSpec{Kind: core.LI},
+			faults: nFaults, classes: []fault.Class{fault.SDC}, delay: d})
 	}
-	reps := make([]*core.RunReport, len(delays))
-	err = cfg.runCells(len(delays), func(i int) error {
-		rc := cfg.baseConfig(s)
-		rc.Scheme = core.SchemeSpec{Kind: core.LI}
-		rc.DetectDelay = delays[i]
-		rc, _, err := s.spread(rc, nFaults, fault.SDC)
-		if err != nil {
-			return err
-		}
-		rep, err := core.Run(rc)
-		if err != nil {
-			return err
-		}
-		if !rep.Converged {
-			return fmt.Errorf("experiments: delay=%d did not converge", delays[i])
-		}
-		reps[i] = rep
-		return nil
-	})
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		fmt.Sprintf("SDC detection latency: Kuu analog, %d silent corruptions, LI recovery", nFaults),
 		"Detection delay (iters)", "Iters", "Iters/FF", "Time/FF", "Energy/FF")
-	for i, d := range delays {
-		rep := reps[i]
-		t.AddF(d, rep.Iters, float64(rep.Iters)/float64(ff.Iters),
+	for i, o := range out {
+		rep, ff := o.rep, o.ff
+		t.AddF(cells[i].delay, rep.Iters, float64(rep.Iters)/float64(ff.Iters),
 			rep.Time/ff.Time, rep.Energy/ff.Energy)
 	}
 	return &Result{
@@ -148,10 +108,6 @@ func runAblationSDC(cfg Config) (*Result, error) {
 // paper's 11-16%. Fewer ranks mean larger per-rank blocks, and the exact
 // (LU) construction's cubic cost then dominates the run.
 func runAblationConstructionCost(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("nd24k")
-	if err != nil {
-		return nil, err
-	}
 	var plist []int
 	switch cfg.Scale {
 	case matgen.Tiny:
@@ -159,33 +115,24 @@ func runAblationConstructionCost(cfg Config) (*Result, error) {
 	default:
 		plist = []int{32, 8, 4}
 	}
-	nFaults := 5
-	// One cell per (rank count, variant): even index plain (keeps its power
-	// segments for the reconstruction-window fraction), odd DVFS.
-	reps := make([]*core.RunReport, 2*len(plist))
-	err = cfg.runCells(len(reps), func(i int) error {
-		c := cfg
-		c.Ranks = plist[i/2]
-		c.Faults = nFaults
-		spec := core.SchemeSpec{Kind: core.LI, Construct: recovery.ConstructExact, DVFS: i%2 == 1}
-		rep, err := c.runScheme(s, spec, i%2 == 0)
-		reps[i] = rep
-		return err
-	})
+	// One pair of cells per rank count, 5 faults each: LI(LU) keeping its
+	// power segments for the reconstruction-window fraction, then
+	// LI(LU)-DVFS.
+	var cells []cell
+	for _, p := range plist {
+		for _, dvfs := range []bool{false, true} {
+			cells = append(cells, cell{matrix: "nd24k", ranks: p, faults: 5, keepSegs: !dvfs,
+				scheme: core.SchemeSpec{Kind: core.LI, Construct: recovery.ConstructExact, DVFS: dvfs}})
+		}
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Construction-cost ablation: nd24k analog, LI(LU) vs LI(LU)-DVFS",
 		"#p", "Reconstr. frac of run", "E(no DVFS)/FF", "E(DVFS)/FF", "DVFS saving")
 	for pi, p := range plist {
-		c := cfg
-		c.Ranks = p
-		c.Faults = nFaults
-		ff, err := c.faultFree(s)
-		if err != nil {
-			return nil, err
-		}
-		plain, dvfs := reps[2*pi], reps[2*pi+1]
+		ff, plain, dvfs := out[2*pi].ff, out[2*pi].rep, out[2*pi+1].rep
 		var reconDur float64
 		for _, w := range plain.Meter.PhaseWindows(obs.SpanReconstruct.String()) {
 			reconDur += w[1] - w[0]

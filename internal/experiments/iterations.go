@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"resilience/internal/core"
-	"resilience/internal/fault"
 	"resilience/internal/matgen"
 	"resilience/internal/report"
 	"resilience/internal/solver"
@@ -71,34 +70,18 @@ func runTab4(cfg Config) (*Result, error) {
 	default:
 		plist = []int{4, 16, 64, 256}
 	}
-	s, err := cfg.loadSystem("crystm02")
-	if err != nil {
-		return nil, err
-	}
 	schemes := cfg.schemeSet()
 	cols := []string{"#p", "FF"}
 	for _, sc := range schemes {
 		cols = append(cols, sc.Name())
 	}
-	src := runOf(schemes)
-	norms := make([]float64, len(plist)*len(schemes))
-	err = cfg.runCells(len(norms), func(i int) error {
-		if si := i % len(schemes); src[si] != si {
-			return nil
+	var cells []cell
+	for _, p := range plist {
+		for _, sc := range schemes {
+			cells = append(cells, cell{matrix: "crystm02", scheme: sc, ranks: p})
 		}
-		c := cfg
-		c.Ranks = plist[i/len(schemes)]
-		ff, err := c.faultFree(s)
-		if err != nil {
-			return err
-		}
-		rep, err := c.runScheme(s, schemes[i%len(schemes)], false)
-		if err != nil {
-			return err
-		}
-		norms[i] = float64(rep.Iters) / float64(ff.Iters)
-		return nil
-	})
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +89,8 @@ func runTab4(cfg Config) (*Result, error) {
 	for pi, p := range plist {
 		row := []any{p, 1.0}
 		for si := range schemes {
-			row = append(row, norms[pi*len(schemes)+src[si]])
+			o := out[pi*len(schemes)+si]
+			row = append(row, float64(o.rep.Iters)/float64(o.ff.Iters))
 		}
 		t.AddF(row...)
 	}
@@ -138,40 +122,17 @@ func runFig5(cfg Config) (*Result, error) {
 		cols = append(cols, sc.Name())
 	}
 	names := fig5Matrices()
-	src := runOf(schemes)
-	ffIters := make([]int, len(names))
-	norms := make([]float64, len(names)*len(schemes))
-	err := cfg.runCells(len(norms), func(i int) error {
-		if si := i % len(schemes); src[si] != si {
-			return nil
-		}
-		s, err := cfg.loadSystem(names[i/len(schemes)])
-		if err != nil {
-			return err
-		}
-		ff, err := cfg.faultFree(s)
-		if err != nil {
-			return err
-		}
-		if i%len(schemes) == 0 {
-			ffIters[i/len(schemes)] = ff.Iters
-		}
-		rep, err := cfg.runScheme(s, schemes[i%len(schemes)], false)
-		if err != nil {
-			return err
-		}
-		norms[i] = float64(rep.Iters) / float64(ff.Iters)
-		return nil
-	})
+	out, err := cfg.run(grid(names, schemes)...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(fmt.Sprintf("Figure 5: normalized iterations, %d ranks, %d faults", cfg.Ranks, cfg.Faults), cols...)
 	sums := make([]float64, len(schemes))
 	for mi, name := range names {
-		row := []any{name, ffIters[mi]}
+		row := []any{name, out[mi*len(schemes)].ff.Iters}
 		for si := range schemes {
-			norm := norms[mi*len(schemes)+src[si]]
+			o := out[mi*len(schemes)+si]
+			norm := float64(o.rep.Iters) / float64(o.ff.Iters)
 			sums[si] += norm
 			row = append(row, norm)
 		}
@@ -195,67 +156,38 @@ func runFig5(cfg Config) (*Result, error) {
 // runFig6 reproduces Figure 6: residual-vs-iteration histories.
 func runFig6(cfg Config) (*Result, error) {
 	schemes := append([]core.SchemeSpec{{Kind: core.FF}}, cfg.schemeSet()...)
-	src := runOf(schemes)
 
-	// (a) one fault at a fixed iteration on a mid-sized regular matrix.
-	sA, err := cfg.loadSystem("Kuu")
+	// (a) one fault at a fixed iteration on a mid-sized regular matrix;
+	// (b) the 5-point stencil with the standard schedule.
+	base, err := cfg.run(cell{matrix: "Kuu"})
 	if err != nil {
 		return nil, err
 	}
-	ffA, err := cfg.faultFree(sA)
-	if err != nil {
-		return nil, err
-	}
-	faultIter := 200
-	if faultIter > ffA.Iters/2 {
-		faultIter = ffA.Iters / 2
-	}
-	repsA := make([]*core.RunReport, len(schemes))
-	err = cfg.runCells(len(schemes), func(i int) error {
-		if src[i] != i {
-			return nil
+	faultIter := min(200, base[0].ff.Iters/2)
+	cells := grid([]string{"Kuu", "5-point stencil"}, schemes)
+	for i, sc := range schemes {
+		if sc.Kind != core.FF {
+			cells[i].inject = singleFault{iter: faultIter}
 		}
-		rep, err := runWithSingleFault(cfg, sA, schemes[i], faultIter)
-		repsA[i] = rep
-		return err
-	})
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
+	outA, outB := out[:len(schemes)], out[len(schemes):]
 	tA := report.NewTable(fmt.Sprintf("Figure 6(a): Kuu analog, 1 fault at iteration %d", faultIter),
 		"Scheme", "Iters", "Iters/FF", "Residual history (log-scale sparkline)")
 	for i, sc := range schemes {
-		rep := repsA[src[i]]
-		tA.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ffA.Iters),
+		rep, ff := outA[i].rep, outA[i].ff
+		tA.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ff.Iters),
 			report.Sparkline(logs(rep.History), 60))
 	}
 
-	// (b) the 5-point stencil with 10 faults.
-	sB, err := cfg.loadSystem("5-point stencil")
-	if err != nil {
-		return nil, err
-	}
-	ffB, err := cfg.faultFree(sB)
-	if err != nil {
-		return nil, err
-	}
-	repsB := make([]*core.RunReport, len(schemes))
-	err = cfg.runCells(len(schemes), func(i int) error {
-		if src[i] != i {
-			return nil
-		}
-		rep, err := cfg.runScheme(sB, schemes[i], false)
-		repsB[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
 	tB := report.NewTable(fmt.Sprintf("Figure 6(b): 5-point stencil, %d faults", cfg.Faults),
 		"Scheme", "Iters", "Iters/FF", "Residual history (log-scale sparkline)")
 	for i, sc := range schemes {
-		rep := repsB[src[i]]
-		tB.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ffB.Iters),
+		rep, ff := outB[i].rep, outB[i].ff
+		tB.AddF(sc.Name(), rep.Iters, float64(rep.Iters)/float64(ff.Iters),
 			report.Sparkline(logs(rep.History), 60))
 	}
 	return &Result{
@@ -266,30 +198,6 @@ func runFig6(cfg Config) (*Result, error) {
 			"Paper expectation: RD overlaps FF; F0/FI jump the most at the fault; LI/LSI jump minimally; CR shows a rollback plateau.",
 		},
 	}, nil
-}
-
-// runWithSingleFault runs one scheme with exactly one node failure at
-// iter, on the rank the seed names.
-func runWithSingleFault(cfg Config, s *system, spec core.SchemeSpec, iter int) (*core.RunReport, error) {
-	rc := cfg.baseConfig(s)
-	rc.Scheme = spec
-	if spec.Kind != core.FF {
-		// A non-negative residue: a negative seed must still name a rank.
-		rank := (int(cfg.Seed)%rc.Ranks + rc.Ranks) % rc.Ranks
-		faults := []fault.Fault{{Class: fault.SNF, Rank: rank, Iter: iter}}
-		rc.InjectorFactory = func() fault.Injector { return fault.NewSchedule(faults) }
-		if spec.Checkpoints() && spec.CkptEvery == 0 && spec.CkptMTBF == 0 {
-			rc.Scheme.CkptEvery = 100
-		}
-	}
-	rep, err := core.Run(rc)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Converged {
-		return nil, fmt.Errorf("experiments: %s single-fault run did not converge", spec.Name())
-	}
-	return rep, nil
 }
 
 // logs maps a residual history to log10 for sparkline display.

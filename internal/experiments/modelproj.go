@@ -56,76 +56,47 @@ func runFig1(Config) (*Result, error) {
 // runTab6 reproduces Table 6: analytical-model predictions vs measured
 // costs for the x104 workload, everything normalized to FF.
 func runTab6(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("x104")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
-	base := model.BaseParams(ff)
-
-	// One cell per scheme fit: RD, LI-DVFS, LSI-DVFS, CR-M, CR-D. The CR
-	// schemes use a fixed interval so the model knows I_C exactly.
+	// One cell per scheme: RD, LI-DVFS and LSI-DVFS (keeping the power
+	// segments their fits read), CR-M and CR-D. The CR schemes use a fixed
+	// interval so the model knows I_C exactly.
 	ckptEvery := 100
-	fits := []func() (model.Validation, error){
-		func() (model.Validation, error) {
-			run, err := cfg.runScheme(s, core.SchemeSpec{Kind: core.RD}, false)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			pred, err := model.PredictRD(model.FitRD(ff, 2))
-			if err != nil {
-				return model.Validation{}, err
-			}
-			return model.Validate("RD", pred, base, ff, run), nil
-		},
+	cells := []cell{
+		{scheme: core.SchemeSpec{Kind: core.RD}},
+		{scheme: core.SchemeSpec{Kind: core.LI, DVFS: true}, keepSegs: true},
+		{scheme: core.SchemeSpec{Kind: core.LSI, DVFS: true}, keepSegs: true},
+		{scheme: core.SchemeSpec{Kind: core.CRM, CkptEvery: ckptEvery}},
+		{scheme: core.SchemeSpec{Kind: core.CRD, CkptEvery: ckptEvery}},
 	}
-	for _, kind := range []core.SchemeKind{core.LI, core.LSI} {
-		spec := core.SchemeSpec{Kind: kind, DVFS: true}
-		fits = append(fits, func() (model.Validation, error) {
-			run, err := cfg.runScheme(s, spec, true)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			params, err := model.FitFW(ff, run, cfg.Plat, true)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			pred, err := model.PredictFW(params)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			return model.Validate(spec.Name(), pred, base, ff, run), nil
-		})
+	for i := range cells {
+		cells[i].matrix = "x104"
 	}
-	for _, kind := range []core.SchemeKind{core.CRM, core.CRD} {
-		spec := core.SchemeSpec{Kind: kind, CkptEvery: ckptEvery}
-		fits = append(fits, func() (model.Validation, error) {
-			run, err := cfg.runScheme(s, spec, false)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			params, err := model.FitCR(ff, run, cfg.Plat)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			pred, err := model.PredictCR(params)
-			if err != nil {
-				return model.Validation{}, err
-			}
-			return model.Validate(spec.Name(), pred, base, ff, run), nil
-		})
-	}
-	rows := make([]model.Validation, len(fits))
-	err = cfg.runCells(len(fits), func(i int) error {
-		v, err := fits[i]()
-		rows[i] = v
-		return err
-	})
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
+	}
+	ff := out[0].ff
+	base := model.BaseParams(ff)
+	rows := make([]model.Validation, len(cells))
+	for i, cl := range cells {
+		run := out[i].rep
+		var params model.Params
+		var pred model.Prediction
+		switch cl.scheme.Kind {
+		case core.RD:
+			pred, err = model.PredictRD(model.FitRD(ff, 2))
+		case core.LI, core.LSI:
+			if params, err = model.FitFW(ff, run, cfg.Plat, true); err == nil {
+				pred, err = model.PredictFW(params)
+			}
+		default:
+			if params, err = model.FitCR(ff, run, cfg.Plat); err == nil {
+				pred, err = model.PredictCR(params)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = model.Validate(cl.scheme.Name(), pred, base, ff, run)
 	}
 
 	t := report.NewTable("Table 6: model vs experiment, x104 analog, normalized to FF",
@@ -154,18 +125,11 @@ func runFig9(cfg Config) (*Result, error) {
 	pc.Plat = cfg.Plat
 
 	// Fit the FW constants from a measured LI-DVFS run on the stencil.
-	s, err := cfg.loadSystem("5-point stencil")
+	out, err := cfg.run(cell{matrix: "5-point stencil", scheme: core.SchemeSpec{Kind: core.LI, DVFS: true}, keepSegs: true})
 	if err != nil {
 		return nil, err
 	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
-	run, err := cfg.runScheme(s, core.SchemeSpec{Kind: core.LI, DVFS: true}, true)
-	if err != nil {
-		return nil, err
-	}
+	ff, run := out[0].ff, out[0].rep
 	params, err := model.FitFW(ff, run, cfg.Plat, true)
 	if err != nil {
 		return nil, err

@@ -16,25 +16,17 @@ import (
 // reproduce them.
 func TestTab6CRFitPinned(t *testing.T) {
 	cfg := tinyCfg()
-	s, err := cfg.loadSystem("x104")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := map[core.SchemeKind]string{
 		core.CRM: "tbase=3f74ff73ae9c8d58 pbase=4053ffffffffffb8 lambda=40902ffafe7d9053 tc=3ebc9a0f6c4bdc0c ic=3f651a76d614fa1d pfrac=3ff0000000000000 tres=3f7c089ef2eced7f eres=3fe1856357d41431 t=3f88840950c4bd6c e=3feea50ba4f5ec59 p=4053ffffffffffb8",
 		core.CRD: "tbase=3f74ff73ae9c8d58 pbase=4053ffffffffffb8 lambda=4086a3f190113748 tc=3f410e1a4a032e5e ic=3f651a76d614fa1d pfrac=3fe7ae147ae147ae tres=3f77d65739a55a8d eres=3fdc6af42b8fdb80 t=3f866ae57420f3f2 e=3feb552262e9c5e8 p=405382098c4c24e3",
 	}
 	b := math.Float64bits
 	for _, kind := range []core.SchemeKind{core.CRM, core.CRD} {
-		run, err := cfg.runScheme(s, core.SchemeSpec{Kind: kind, CkptEvery: 100}, false)
+		out, err := cfg.run(cell{matrix: "x104", scheme: core.SchemeSpec{Kind: kind, CkptEvery: 100}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := model.FitCR(ff, run, cfg.Plat)
+		p, err := model.FitCR(out[0].ff, out[0].rep, cfg.Plat)
 		if err != nil {
 			t.Fatal(err)
 		}

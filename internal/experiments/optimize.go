@@ -20,49 +20,41 @@ func init() {
 // construction across construction tolerances, against the exact LU/QR
 // baselines of prior work.
 func runFig4(cfg Config) (*Result, error) {
-	c := cfg
-	c.Faults = 5 // the figure's setting
-	s, err := c.loadSystem("Kuu")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := c.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
 	tols := []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10}
 	kinds := []core.SchemeKind{core.LI, core.LSI}
 
 	// One cell per (kind, construction): slot 0 of each kind is the exact
-	// baseline, slots 1..len(tols) the CG construction at each tolerance.
+	// baseline, slots 1..len(tols) the CG construction at each tolerance,
+	// all under the figure's 5 faults.
 	perKind := 1 + len(tols)
-	reps := make([]*core.RunReport, len(kinds)*perKind)
-	err = c.runCells(len(reps), func(i int) error {
-		kind := kinds[i/perKind]
-		spec := core.SchemeSpec{Kind: kind, Construct: recovery.ConstructExact}
-		if j := i % perKind; j > 0 {
-			spec = core.SchemeSpec{Kind: kind, LocalTol: tols[j-1]}
+	var cells []cell
+	for _, kind := range kinds {
+		cells = append(cells, cell{scheme: core.SchemeSpec{Kind: kind, Construct: recovery.ConstructExact}})
+		for _, tol := range tols {
+			cells = append(cells, cell{scheme: core.SchemeSpec{Kind: kind, LocalTol: tol}})
 		}
-		rep, err := c.runScheme(s, spec, false)
-		reps[i] = rep
-		return err
-	})
+	}
+	for i := range cells {
+		cells[i].matrix, cells[i].faults = "Kuu", 5
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
+	ff := out[0].ff
 	var tables []*report.Table
 	for ki, kind := range kinds {
-		baseline := reps[ki*perKind]
+		baseline := out[ki*perKind].rep
 		label := "LI (LU)"
 		if kind == core.LSI {
 			label = "LSI (QR)"
 		}
-		t := report.NewTable(fmt.Sprintf("Figure 4: %s analog, 5 faults, %s baseline TTS=%.4gs",
-			s.spec.Name, label, baseline.Time),
+		t := report.NewTable(fmt.Sprintf("Figure 4: Kuu analog, 5 faults, %s baseline TTS=%.4gs",
+			label, baseline.Time),
 			"Construction", "Tol", "Iters", "TTS (s)", "TTS/FF", "vs exact")
 		t.AddF(label, "exact", baseline.Iters, baseline.Time, baseline.Time/ff.Time, 0.0)
 		for ti, tol := range tols {
-			rep := reps[ki*perKind+1+ti]
+			rep := out[ki*perKind+1+ti].rep
 			t.AddF(rep.Scheme+" (CG)", fmt.Sprintf("%.0e", tol), rep.Iters, rep.Time,
 				rep.Time/ff.Time, (baseline.Time-rep.Time)/baseline.Time)
 		}
@@ -81,14 +73,6 @@ func runFig4(cfg Config) (*Result, error) {
 // runAblationInterval compares fixed-interval, Young and Daly checkpoint
 // policies for CR-D (extension beyond the paper).
 func runAblationInterval(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("crystm02")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
 	// The Young and Daly rows take their MTBF, T_ff / faults, from the
 	// schedule.
 	specs := []struct {
@@ -101,19 +85,18 @@ func runAblationInterval(cfg Config) (*Result, error) {
 		{"young", core.SchemeSpec{Kind: core.CRD}},
 		{"daly", core.SchemeSpec{Kind: core.CRD, UseDaly: true}},
 	}
-	reps := make([]*core.RunReport, len(specs))
-	err = cfg.runCells(len(specs), func(i int) error {
-		rep, err := cfg.runScheme(s, specs[i].spec, false)
-		reps[i] = rep
-		return err
-	})
+	cells := make([]cell, len(specs))
+	for i, sp := range specs {
+		cells[i] = cell{matrix: "crystm02", scheme: sp.spec}
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(fmt.Sprintf("Checkpoint policy ablation: crystm02 analog, CR-D, %d faults", cfg.Faults),
 		"Policy", "Checkpoints", "Iters/FF", "Time/FF", "Energy/FF")
 	for i, sp := range specs {
-		rep := reps[i]
+		rep, ff := out[i].rep, out[i].ff
 		t.AddF(sp.label, rep.Checkpoints, float64(rep.Iters)/float64(ff.Iters),
 			rep.Time/ff.Time, rep.Energy/ff.Energy)
 	}
@@ -130,28 +113,19 @@ func runAblationInterval(cfg Config) (*Result, error) {
 // runAblationTol quantifies how the localized construction tolerance
 // trades construction work against extra solver iterations.
 func runAblationTol(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("cvxbqp1")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
 	tols := []float64{1e-1, 1e-3, 1e-6, 1e-9, 1e-12}
-	reps := make([]*core.RunReport, len(tols))
-	err = cfg.runCells(len(tols), func(i int) error {
-		rep, err := cfg.runScheme(s, core.SchemeSpec{Kind: core.LI, LocalTol: tols[i]}, false)
-		reps[i] = rep
-		return err
-	})
+	cells := make([]cell, len(tols))
+	for i, tol := range tols {
+		cells[i] = cell{matrix: "cvxbqp1", scheme: core.SchemeSpec{Kind: core.LI, LocalTol: tol}}
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(fmt.Sprintf("Construction tolerance ablation: cvxbqp1 analog, LI(CG), %d faults", cfg.Faults),
 		"LocalTol", "Iters", "Iters/FF", "Time/FF", "Energy/FF")
 	for i, tol := range tols {
-		rep := reps[i]
+		rep, ff := out[i].rep, out[i].ff
 		t.AddF(fmt.Sprintf("%.0e", tol), rep.Iters, float64(rep.Iters)/float64(ff.Iters),
 			rep.Time/ff.Time, rep.Energy/ff.Energy)
 	}
@@ -167,36 +141,25 @@ func runAblationTol(cfg Config) (*Result, error) {
 
 // runAblationDVFS sweeps the parked-core frequency during reconstruction.
 func runAblationDVFS(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("nd24k")
-	if err != nil {
-		return nil, err
-	}
-	// The baseline must be computed with the original platform BEFORE the
-	// cells launch: the per-rank-count FF cache is keyed by rank count
-	// only, so a cell's modified platform must not be the one to fill it.
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
+	// Every row is normalised to the baseline on the unmodified platform,
+	// the first cell's.
 	plat := *cfg.Plat
 	floors := []float64{plat.FreqMax, 1.8, 1.5, plat.FreqMin}
-	reps := make([]*core.RunReport, len(floors))
-	err = cfg.runCells(len(floors), func(i int) error {
+	cells := []cell{{matrix: "nd24k"}}
+	for _, floor := range floors {
 		p := plat
-		p.FreqMin = floors[i] // parkOthers parks at FreqMin
-		c := cfg
-		c.Plat = &p
-		rep, err := c.runScheme(s, core.SchemeSpec{Kind: core.LI, DVFS: true}, false)
-		reps[i] = rep
-		return err
-	})
+		p.FreqMin = floor // parkOthers parks at FreqMin
+		cells = append(cells, cell{matrix: "nd24k", scheme: core.SchemeSpec{Kind: core.LI, DVFS: true}, plat: &p})
+	}
+	out, err := cfg.run(cells...)
 	if err != nil {
 		return nil, err
 	}
+	ff := out[0].ff
 	t := report.NewTable(fmt.Sprintf("DVFS floor ablation: nd24k analog, LI, %d faults", cfg.Faults),
 		"Floor (GHz)", "Time/FF", "Energy/FF", "Power/FF")
 	for i, floor := range floors {
-		rep := reps[i]
+		rep := out[1+i].rep
 		t.AddF(fmt.Sprintf("%.1f", floor), rep.Time/ff.Time, rep.Energy/ff.Energy, rep.AvgPower/ff.AvgPower)
 	}
 	return &Result{
@@ -211,27 +174,14 @@ func runAblationDVFS(cfg Config) (*Result, error) {
 
 // runAblationTMR compares DMR against TMR (extension).
 func runAblationTMR(cfg Config) (*Result, error) {
-	s, err := cfg.loadSystem("Kuu")
-	if err != nil {
-		return nil, err
-	}
-	ff, err := cfg.faultFree(s)
-	if err != nil {
-		return nil, err
-	}
-	kinds := []core.SchemeKind{core.RD, core.TMR}
-	reps := make([]*core.RunReport, len(kinds))
-	err = cfg.runCells(len(kinds), func(i int) error {
-		rep, err := cfg.runScheme(s, core.SchemeSpec{Kind: kinds[i]}, false)
-		reps[i] = rep
-		return err
-	})
+	out, err := cfg.run(grid([]string{"Kuu"}, []core.SchemeSpec{{Kind: core.RD}, {Kind: core.TMR}})...)
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(fmt.Sprintf("Redundancy degree: Kuu analog, %d faults", cfg.Faults),
 		"Scheme", "Iters/FF", "Time/FF", "Power/FF", "Energy/FF")
-	for _, rep := range reps {
+	for _, o := range out {
+		rep, ff := o.rep, o.ff
 		t.AddF(rep.Scheme, float64(rep.Iters)/float64(ff.Iters),
 			rep.Time/ff.Time, rep.AvgPower/ff.AvgPower, rep.Energy/ff.Energy)
 	}
